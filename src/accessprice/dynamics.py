@@ -23,6 +23,13 @@ of that set under the exact flow).  Schedule breakpoints and the final
 time are snapped onto the step grid by shortening the last step of each
 piece.  No event location is performed; the kink set has measure zero
 and the O(h) local error there is absorbed by the acceptance tolerances.
+
+The stepper has two backends with the same formulas and operation
+order.  The scalar backend (_scalar_deriv, _scalar_step) works on plain
+Python floats and drives the single trajectories of integrate and
+converge.  The batch backend (_make_deriv, _rk4_batch) works on numpy
+arrays and drives rhs, final_states and settle_batch, marching many
+states in lockstep.  The two right-hand sides agree bit for bit.
 """
 
 from __future__ import annotations
@@ -190,6 +197,77 @@ def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
     return deriv
 
 
+def _scalar_deriv(cfg: ModelConfig, tag: str, k_u: float):
+    """(r, q, u) -> (dr, dq, du) on plain floats.
+
+    The scalar backend of _make_deriv: same formulas, operation order and
+    orthant projection, so both agree bit for bit.  Each conditional
+    reproduces np.maximum / np.minimum exactly: NaN propagates and, on a
+    tie, the second operand wins (which decides the sign of a zero).
+    """
+    p = cfg.price
+    b = p.beta
+    variant, qm = p.variant, p.q_m
+    if variant == "saturated":
+        floor = 2 * qm - p.q_n
+    adm = cfg.admission
+    linear = adm.variant == "linear"
+    if linear:
+        c2, c1 = adm.coefficients
+    else:
+        a0, a1, a2, a3 = adm.coefficients
+        q_max = adm.q_max
+    q_c = cfg.service.q_c
+    ramp = cfg.service.mu_star / q_c
+    k_r = cfg.k_r
+    if tag == "chattering":
+        if cfg.q_ad is None:
+            raise ValueError("chattering mode needs q_ad in the configuration")
+        q_ad, mu_star = cfg.q_ad, cfg.service.mu_star
+
+    def deriv(r, q, u):
+        if r <= 0.0:
+            r = 0.0
+        if q <= 0.0:
+            q = 0.0
+        if linear:
+            a = c1 * q + c2
+            if 0.0 > a:
+                a = 0.0
+        elif q >= q_max:
+            a = 0.0
+        else:
+            a = a0 + q * (a1 + q * (a2 + q * a3))
+            if 0.0 > a:
+                a = 0.0
+        if variant == "triangular":
+            w = 2 * qm - q
+            w = q if q < w else w
+            fq = b * (0.0 if 0.0 > w else w)
+        elif variant == "saturated":
+            w = 2 * qm - q
+            if w <= floor:
+                w = floor
+            fq = b * (q if q < w else w)
+        else:
+            fq = b * q
+        m = ramp * (q_c if q >= q_c else q)
+        if tag == "normal":
+            return k_r - (fq + a) * r, a * r - m, 0.0
+        if tag == "chattering":
+            flow = a * r
+            if q >= q_ad and flow >= mu_star:
+                flow = mu_star
+            return k_r - fq * r - flow, flow - m, 0.0
+        if tag == "saturated":
+            return k_r - (fq + a) * r, a * r - m + k_u, 0.0
+        if u <= 0.0:
+            u = 0.0
+        return k_r - (fq + a) * r, a * (r + u) - m, k_u - a * u
+
+    return deriv
+
+
 def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     """Right-hand side of the mode at time t and state x = (r, q[, u]).
 
@@ -266,6 +344,35 @@ def _rk4_batch(deriv, r, q, u, h):
     )
 
 
+def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
+    """One RK4 step of the scalar backend, checked and clamped.
+
+    x is the (r, q, u) tuple of floats at the start of the step; returns
+    the state at its end.  The stage arithmetic is _rk4_batch's.  A NaN
+    coordinate raises FloatingPointError naming the end time t and the
+    run context where.  The state is then clamped onto the box
+    (coordinates >= 0, q <= q_cap) and, when chat_cap is the chattering
+    bound q_ad, a step that started on or below it is projected back onto
+    it.
+    """
+    r, q, u = x
+    h2 = 0.5 * dt
+    kr1, kq1, ku1 = deriv(r, q, u)
+    kr2, kq2, ku2 = deriv(r + h2 * kr1, q + h2 * kq1, u + h2 * ku1)
+    kr3, kq3, ku3 = deriv(r + h2 * kr2, q + h2 * kq2, u + h2 * ku2)
+    kr4, kq4, ku4 = deriv(r + dt * kr3, q + dt * kq3, u + dt * ku3)
+    c = dt / 6.0
+    rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
+    qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)
+    un = u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
+    if rn != rn or qn != qn or un != un:
+        raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+    qn = min(max(qn, 0.0), q_cap)
+    if chat_cap is not None and q <= chat_cap + CLAMP_EPS and qn > chat_cap:
+        qn = chat_cap
+    return max(rn, 0.0), qn, max(un, 0.0)
+
+
 def _check_step(h: float):
     if not 0 < h <= MAX_STEP:
         raise ValueError(f"step h must lie in (0, {MAX_STEP}]")
@@ -302,39 +409,32 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
     _check_step(h)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    x = _as_state3(x0)
+    x = tuple(float(v) for v in _as_state3(x0))
     q_cap = cfg.admission.q_max
     chat_cap = cfg.q_ad if mode.tag == "chattering" else None
+    tag = "competitive" if mode.tag == "switched_full" else mode.tag
+    where = f"mode {mode.tag}, h = {h:g}"
 
-    times = [t0]
-    rows = [x.copy()]
-    for a, b, k_u in _pieces(cfg, mode, t0, t1):
-        tag = "competitive" if mode.tag == "switched_full" else mode.tag
-        deriv = _make_deriv(cfg, tag, k_u)
-        steps = _substeps(a, b, h)
+    pieces = [(a, b, k_u, _substeps(a, b, h)) for a, b, k_u in _pieces(cfg, mode, t0, t1)]
+    n = 1 + sum(len(steps) for *_, steps in pieces)
+    times = np.empty(n)
+    states = np.empty((n, 3))
+    times[0], states[0] = t0, x
+    k = 0
+    for a, b, k_u, steps in pieces:
+        deriv = _scalar_deriv(cfg, tag, k_u)
+        last = len(steps) - 1
         for i, step in enumerate(steps):
             # piece ends land exactly on the breakpoint, no accumulated drift
-            t = b if i == len(steps) - 1 else a + (i + 1) * h
-            r, q, u = _rk4_batch(
-                deriv, np.float64(x[0]), np.float64(x[1]), np.float64(x[2]), step
-            )
-            if math.isnan(r) or math.isnan(q) or math.isnan(u):
-                raise FloatingPointError(
-                    f"NaN state at t = {t:g} (mode {mode.tag}, h = {h:g})"
-                )
-            started_inside = chat_cap is not None and x[1] <= chat_cap + CLAMP_EPS
-            x = np.array([max(r, 0.0), min(max(q, 0.0), q_cap), max(u, 0.0)])
-            if started_inside and x[1] > chat_cap:
-                x[1] = chat_cap
-            times.append(t)
-            rows.append(x.copy())
+            t = b if i == last else a + (i + 1) * h
+            x = _scalar_step(deriv, x, step, t, q_cap, chat_cap, where)
+            k += 1
+            times[k], states[k] = t, x
 
-    states = np.vstack(rows)
-    times_arr = np.asarray(times)
     fr, fu = admitted_flows(cfg, mode, states)
     return Trajectory(
         mode=mode,
-        times=times_arr,
+        times=times,
         states=states,
         price=np.asarray(eval_price(cfg.price, states[:, 1])),
         flow_r=np.asarray(fr),
@@ -522,7 +622,10 @@ def converge(
 
     Integrates until the state has stayed within tol of one of the
     mode's fixed points for 100 consecutive steps, or until t_cap.
-    Non-convergence is reported through the flag, never raised.
+    Without fixed points the run always goes to t_cap.  Non-convergence
+    is reported through the flag, never raised; a NaN state raises
+    FloatingPointError and h outside (0, 0.1] raises ValueError, as in
+    integrate.
     """
     from . import equilibria  # deferred: equilibria imports stability imports this
 
@@ -531,50 +634,46 @@ def converge(
         raise ValueError("converge needs a constant-K_U mode; probe pieces separately")
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    _check_step(h)
     fps = equilibria.find_fixed_points(cfg, mode.tag, mode.k_u)
-    x = _as_state3(x0)
-    if not fps:
-        res = final_states(cfg, mode, x[None, :], 0.0, t_cap, h)
-        return ConvergeResult(res.states[0], False, math.nan)
-
-    targets = np.array([[fp.r_star, fp.q_star, fp.u_star] for fp in fps])
+    targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]
     compare_u = mode.tag == "competitive"
-    deriv = _make_deriv(cfg, mode.tag, mode.k_u)
+    x = tuple(float(v) for v in _as_state3(x0))
+    deriv = _scalar_deriv(cfg, mode.tag, mode.k_u)
     q_cap = cfg.admission.q_max
     chat_cap = cfg.q_ad if mode.tag == "chattering" else None
+    where = f"mode {mode.tag}, h = {h:g}"
 
-    def dist(state):
-        d = np.maximum(
-            np.abs(state[0] - targets[:, 0]), np.abs(state[1] - targets[:, 1])
-        )
-        if compare_u:
-            d = np.maximum(d, np.abs(state[2] - targets[:, 2]))
-        return d.min(), int(d.argmin())
+    def nearest(state):
+        """(max-coordinate distance, index) of the closest fixed point."""
+        r, q, u = state
+        best, j = math.inf, 0
+        for i, (tr, tq, tu) in enumerate(targets):
+            d = max(abs(r - tr), abs(q - tq))
+            if compare_u:
+                d = max(d, abs(u - tu))
+            if d < best:
+                best, j = d, i
+        return best, j
 
     t = 0.0
     streak = 0
     streak_start = math.nan
-    d0, j = dist(x)
+    d0, j = nearest(x)
     if d0 < tol:
         streak, streak_start = 1, 0.0
-        if np.max(np.abs(x - targets[j])) == 0.0:
-            return ConvergeResult(x, True, 0.0, targets[j])
+        if x == targets[j]:
+            return ConvergeResult(np.array(x), True, 0.0, np.array(targets[j]))
     for step in _substeps(0.0, t_cap, h):
-        r, q, u = _rk4_batch(
-            deriv, np.float64(x[0]), np.float64(x[1]), np.float64(x[2]), step
-        )
-        started_inside = chat_cap is not None and x[1] <= chat_cap + CLAMP_EPS
-        x = np.array([max(r, 0.0), min(max(q, 0.0), q_cap), max(u, 0.0)])
-        if started_inside and chat_cap is not None and x[1] > chat_cap:
-            x[1] = chat_cap
         t += step
-        d, j = dist(x)
+        x = _scalar_step(deriv, x, step, t, q_cap, chat_cap, where)
+        d, j = nearest(x)
         if d < tol:
             if streak == 0:
                 streak_start = t
             streak += 1
             if streak >= SETTLE_STREAK:
-                return ConvergeResult(x, True, streak_start, targets[j])
+                return ConvergeResult(np.array(x), True, streak_start, np.array(targets[j]))
         else:
             streak = 0
-    return ConvergeResult(x, False, math.nan)
+    return ConvergeResult(np.array(x), False, math.nan)

@@ -100,8 +100,9 @@ class AdmissionSpec:
     coefficients are in ascending powers: (c2, c1) for the linear variant
     alpha(q) = max(0, c1*q + c2), (a0, a1, a2, a3) for the cubic.  q_max
     is where alpha reaches zero; for the linear variant it is derived
-    from the zero crossing -c2/c1 (infinite when c1 >= 0), for the cubic
-    it must be supplied.  alpha is identically zero beyond q_max.
+    from the zero crossing -c2/c1 (infinite when c1 >= 0), rounded up to
+    the first float with c1*q_max + c2 <= 0, for the cubic it must be
+    supplied.  alpha is identically zero beyond q_max.
     """
 
     variant: str
@@ -120,7 +121,14 @@ class AdmissionSpec:
             )
         if self.variant == "linear":
             c2, c1 = coeffs
-            derived = math.inf if c1 >= 0 else -c2 / c1
+            if c1 >= 0:
+                derived = math.inf
+            else:
+                derived = -c2 / c1
+                # -c2/c1 rounds, so c1*q_max + c2 can come out a hair above
+                # zero; step up to the first float where alpha really vanishes
+                while c1 * derived + c2 > 0:
+                    derived = math.nextafter(derived, math.inf)
             if self.q_max is None:
                 object.__setattr__(self, "q_max", derived)
             elif abs(self.q_max - derived) > 1e-9 * max(1.0, abs(derived)):

@@ -12,8 +12,10 @@ and the competitive 3-state mode, in (R, q, U) order,
     [  alpha       (R+U)alpha'-mu'      alpha  ]
     [  0           -U*alpha'            -alpha ]
 
-Eigenvalues come from the closed-form quadratic/cubic solutions so the
-module needs no linear-algebra backend and is exactly reproducible.
+Eigenvalues come from the closed-form quadratic/cubic solutions, not
+from an eigensolver.  The one linear-algebra call is np.linalg.det for
+the 3x3 determinant (an LU factorization), so 3D results are
+reproducible for a given numpy/LAPACK build rather than across builds.
 Classification is Hurwitz-style: trace/determinant in 2D, the
 Routh-Hurwitz conditions a1 > 0, a3 > 0, a1*a2 > a3 in 3D.  Gershgorin
 column discs are reported for 3D matrices as informational data only.

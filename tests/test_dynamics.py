@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from accessprice import dynamics
 from accessprice.dynamics import (
     CHATTERING,
+    MODE_TAGS,
     NORMAL,
     SWITCHED_FULL,
     SystemMode,
@@ -17,7 +19,13 @@ from accessprice.dynamics import (
     saturated_mode,
     settle_batch,
 )
-from accessprice.model import eval_admission, eval_price, eval_service, saturation_floor
+from accessprice.model import (
+    PriceSpec,
+    eval_admission,
+    eval_price,
+    eval_service,
+    saturation_floor,
+)
 
 
 class TestRhs:
@@ -138,6 +146,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(ref_cfg, NORMAL, (np.nan, 40.0), 0.0, 1.0, 0.01)
 
+    def test_nan_state_aborts(self, section5_cfg):
+        # R + U overflows to inf in the first stage, then inf - inf = NaN
+        with pytest.raises(FloatingPointError, match=r"NaN state at t = 0\.01 "):
+            integrate(section5_cfg, SWITCHED_FULL, (1e308, 50.0, 1e308), 0.0, 5.0)
+
 
 class TestChatteringCeiling:
     def test_queue_capped_at_admittance_bound(self, ref_cfg):
@@ -211,6 +224,96 @@ class TestConverge:
     def test_switched_rejected(self, ref_cfg):
         with pytest.raises(ValueError, match="constant"):
             converge(ref_cfg, SWITCHED_FULL, (30.0, 45.0), 1e-3, 10.0)
+
+    def test_nan_state_aborts(self, section5_cfg):
+        with pytest.raises(FloatingPointError, match=r"NaN state at t = 0\.01 "):
+            converge(section5_cfg, competitive_mode(0.0), (1e308, 50.0, 1e308), 1e-3, 5.0)
+
+    def test_nan_state_aborts_without_fixed_points(self, ref_cfg):
+        # ref has no competitive fixed point at K_U = 5: the run goes to t_cap
+        assert not converge(ref_cfg, competitive_mode(5.0), (30.0, 45.0), 1e-3, 1.0).converged
+        with pytest.raises(FloatingPointError, match=r"NaN state at t = 0\.01 "):
+            converge(ref_cfg, competitive_mode(5.0), (1e308, 50.0, 1e308), 1e-3, 5.0)
+
+    def test_step_checked(self, ref_cfg):
+        with pytest.raises(ValueError, match="step"):
+            converge(ref_cfg, NORMAL, (30.0, 45.0), 1e-3, 10.0, h=0.2)
+
+
+def _bits_equal(a, b):
+    """Equal bit for bit (so 0.0 != -0.0), with NaN matching any NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+    )
+
+
+class TestScalarBackend:
+    """The float right-hand side against the numpy one, bit for bit."""
+
+    @staticmethod
+    def configs(ref_cfg, section5_cfg):
+        ref = replace(ref_cfg, k_u_schedule=((0.0, 10.0, 1.5),))
+        sat = replace(section5_cfg, q_ad=60.0)
+        surge = PriceSpec("surge", beta=1e-3)
+        return {
+            "triangular-linear": ref,
+            "saturated-cubic": sat,
+            "surge-linear": replace(ref, price=surge),
+            "surge-cubic": replace(sat, price=surge),
+            "saturated-linear": replace(ref, price=section5_cfg.price),
+        }
+
+    @staticmethod
+    def states(cfg):
+        rng = np.random.default_rng(17)
+        q_top = min(cfg.admission.q_max, 200.0)
+        n = 400
+        rand = np.column_stack([
+            rng.uniform(-50.0, 300.0, n),       # negative: RK4 stage points
+            rng.uniform(-20.0, q_top + 50.0, n),
+            rng.uniform(-50.0, 100.0, n),
+        ])
+        # price kinks, q_c and q_max, plus q_ad and both zeros
+        kinks = [*cfg.kink_points(), cfg.q_ad, 0.0, -0.0]
+        on_kinks = [(r, q, u) for q in kinks for r in (0.0, -0.0, 25.0, -3.0)
+                    for u in (0.0, -0.0, 7.5)]
+        nan = np.nan
+        nans = [(nan, q, 5.0) for q in (40.0, 70.0)]  # below and above q_ad
+        nans += [(25.0, nan, 5.0), (25.0, 40.0, nan), (nan, nan, nan)]
+        return np.vstack([rand, on_kinks, nans])
+
+    @pytest.mark.parametrize("tag", MODE_TAGS)
+    @pytest.mark.parametrize(
+        "name",
+        ["triangular-linear", "saturated-cubic", "surge-linear", "surge-cubic",
+         "saturated-linear"],
+    )
+    def test_deriv_bit_identical(self, tag, name, ref_cfg, section5_cfg):
+        cfg = self.configs(ref_cfg, section5_cfg)[name]
+        k_u = cfg.schedule_rate(5.0) if tag == "switched_full" else 0.8
+        if tag == "switched_full":
+            tag = "competitive"  # what integrate runs on each schedule piece
+        x = self.states(cfg)
+        with np.errstate(invalid="ignore"):
+            want = np.column_stack(
+                dynamics._make_deriv(cfg, tag, k_u)(x[:, 0], x[:, 1], x[:, 2])
+            )
+        scalar = dynamics._scalar_deriv(cfg, tag, k_u)
+        got = np.array([scalar(*map(float, row)) for row in x])
+        assert _bits_equal(got, want)
+        # a NaN input must surface as NaN wherever it enters the field:
+        # R and q in dR and dq, U (3-state only) in dq and dU
+        bad_rq = np.isnan(x[:, :2]).any(axis=1)
+        assert bad_rq.any() and np.isnan(got[bad_rq, :2]).all()
+        if tag == "competitive":
+            bad_u = np.isnan(x[:, 2])
+            assert bad_u.any() and np.isnan(got[bad_u, 1:]).all()
+
+    def test_chattering_needs_q_ad(self, competitive_cfg):
+        with pytest.raises(ValueError, match="chattering mode needs q_ad"):
+            dynamics._scalar_deriv(competitive_cfg, "chattering", 0.0)
 
 
 class TestSystemMode:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -53,6 +55,20 @@ class TestLinearCalibration:
     def test_kr_must_exceed_mu(self):
         with pytest.raises(CalibrationError, match="K_R"):
             calibrate_linear_admission(REF_TARGETS, TRI, SVC, k_r=2.0)
+
+    def test_rounded_zero_crossing_still_admissible(self):
+        # -c2/c1 rounds down for these targets, so alpha(-c2/c1) ~ 3e-17 > 0;
+        # q_max must be the first float where alpha is zero
+        adm = calibrate_linear_admission(
+            CalibrationTargets(p1=0.04098720233382282, p2=0.006278973851295483),
+            PriceSpec("triangular", beta=0.0010073944159143587, q_m=44.82373999021701),
+            ServiceSpec(mu_star=3.1646259722112733, q_c=36.58952967903325),
+            k_r=4.118618444187372,
+        )
+        c2, c1 = adm.coefficients
+        assert c1 * (-c2 / c1) + c2 > 0
+        assert eval_admission(adm, adm.q_max) == 0.0
+        assert c1 * math.nextafter(adm.q_max, 0.0) + c2 > 0
 
 
 class TestCubicCalibration:

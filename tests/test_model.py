@@ -126,6 +126,14 @@ class TestAdmission:
         )
         assert eval_admission(cub, 150.0) == 0.0
 
+    def test_exact_zero_crossing_kept(self):
+        # the shipped ref and competitive admissions vanish exactly at -c2/c1
+        assert LIN.q_max == 92.5
+        comp = AdmissionSpec(
+            variant="linear", coefficients=(0.07047619047619047, -0.0007619047619047619)
+        )
+        assert comp.q_max == 92.49999999999999
+
     def test_rising_linear_has_infinite_qmax(self):
         rising = AdmissionSpec(variant="linear", coefficients=(0.1, 0.001))
         assert math.isinf(rising.q_max)
