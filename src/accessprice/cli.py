@@ -225,11 +225,7 @@ def _write_csv(path, header, rows):
 
 
 def _mode_from_args(args) -> dynamics.SystemMode:
-    tag = args.mode.replace("-", "_")
-    k_u = getattr(args, "k_u", 0.0)
-    if tag in ("saturated", "competitive"):
-        return dynamics.SystemMode(tag, k_u)
-    return dynamics.SystemMode(tag)
+    return dynamics.SystemMode(args.mode.replace("-", "_"), args.k_u)
 
 
 def _fp_rows(points, dim):
@@ -266,19 +262,18 @@ def _cmd_validate(args) -> int:
 def _cmd_fixed_points(args) -> int:
     cfg = load_config(args.config, args.set or ())
     mode = _mode_from_args(args)
-    points = equilibria.find_fixed_points(cfg, mode.tag, mode.k_u)
-    dim = 3 if mode.tag in ("competitive", "switched_full") else 2
+    points = equilibria.find_fixed_points(cfg, mode)
     header = ["mode", "q_star", "r_star", "u_star", "price", "classification"]
-    for i in range(1, dim + 1):
+    for i in range(1, mode.dim + 1):
         header.extend([f"eig_re_{i}", f"eig_im_{i}"])
-    _write_csv(args.out, header, _fp_rows(points, dim))
+    _write_csv(args.out, header, _fp_rows(points, mode.dim))
     return 0
 
 
 def _cmd_classify(args) -> int:
     cfg = load_config(args.config, args.set or ())
     mode = _mode_from_args(args)
-    points = equilibria.find_fixed_points(cfg, mode.tag, mode.k_u)
+    points = equilibria.find_fixed_points(cfg, mode)
     header = [
         "mode", "q_star", "r_star", "u_star", "classification",
         "trace", "det", "hurwitz", "saddle_lhs", "saddle_rhs",
@@ -287,7 +282,7 @@ def _cmd_classify(args) -> int:
     for fp in points:
         try:
             rep = stability.classify(
-                stability.jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), mode.tag)
+                stability.jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), mode)
             )
             trace, det = _fmt(rep.trace), _fmt(rep.determinant)
             hur = str(rep.hurwitz.get("hurwitz", "")).lower()
@@ -329,6 +324,17 @@ def _traj_rows(traj):
 TRAJ_HEADER = ["t", "R", "q", "U", "price", "flow_R", "flow_U", "mu"]
 
 
+def _every_nth(rows, every):
+    return (row for i, row in enumerate(rows) if i % every == 0)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.set or ())
     mode = _mode_from_args(args)
@@ -338,10 +344,7 @@ def _cmd_simulate(args) -> int:
     traj = dynamics.integrate(
         cfg, mode, _parse_x0(args.x0), args.t0, args.t1, args.step
     )
-    rows = _traj_rows(traj)
-    if args.every > 1:
-        rows = (row for i, row in enumerate(rows) if i % args.every == 0)
-    _write_csv(args.out, TRAJ_HEADER, rows)
+    _write_csv(args.out, TRAJ_HEADER, _every_nth(_traj_rows(traj), args.every))
     return 0
 
 
@@ -402,16 +405,12 @@ def _cmd_scenario(args) -> int:
         _notice(f"step defaulted to {dynamics.DEFAULT_STEP:g}")
     sc = scenarios.scenario_from_config(cfg, h=args.step)
     result = scenarios.run_comparison(sc)
-    every = max(1, args.every)
-
-    def downsample(rows):
-        return (row for i, row in enumerate(rows) if i % every == 0)
-
     prefix = args.out_prefix
     _ensure_parent(prefix)
-    _write_csv(f"{prefix}_surge.csv", TRAJ_HEADER, downsample(_traj_rows(result.surge)))
+    _write_csv(f"{prefix}_surge.csv", TRAJ_HEADER, _every_nth(_traj_rows(result.surge), args.every))
     _write_csv(
-        f"{prefix}_saturated.csv", TRAJ_HEADER, downsample(_traj_rows(result.saturated))
+        f"{prefix}_saturated.csv", TRAJ_HEADER,
+        _every_nth(_traj_rows(result.saturated), args.every),
     )
     for name, fs in (
         ("fairness_surge", result.fairness_surge),
@@ -420,7 +419,7 @@ def _cmd_scenario(args) -> int:
         rows = (
             [_fmt(t), _fmt(x)] for t, x in zip(fs.times, fs.ratio)
         )
-        _write_csv(f"{prefix}_{name}.csv", ["t", "ratio"], downsample(rows))
+        _write_csv(f"{prefix}_{name}.csv", ["t", "ratio"], _every_nth(rows, args.every))
 
     w0 = max(args.window_start, sc.t0)
     w1 = min(args.window_end, sc.t1)
@@ -510,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=100.0)
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--x0", default="50,15,0", help="initial state r,q[,u]")
-    p.add_argument("--every", type=int, default=1, help="write every Nth step")
+    p.add_argument("--every", type=_positive_int, default=1, help="write every Nth step")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_simulate)
 
@@ -536,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, modes=False)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--step", type=float, default=None)
-    p.add_argument("--every", type=int, default=1, help="write every Nth step")
+    p.add_argument("--every", type=_positive_int, default=1, help="write every Nth step")
     p.add_argument("--window-start", type=float, default=200.0)
     p.add_argument("--window-end", type=float, default=300.0)
     p.set_defaults(fn=_cmd_scenario)

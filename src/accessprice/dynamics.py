@@ -25,21 +25,26 @@ piece.  No event location is performed; the kink set has measure zero
 and the O(h) local error there is absorbed by the acceptance tolerances.
 
 The stepper has two backends with the same formulas and operation
-order.  The scalar backend (_scalar_deriv, _scalar_step) works on plain
-Python floats and drives the single trajectories of integrate and
-converge.  The batch backend (_make_deriv, _rk4_batch) works on numpy
-arrays and drives rhs, final_states and settle_batch, marching many
-states in lockstep.  The two right-hand sides agree bit for bit.
+order.  The batch backend builds its right-hand side (_make_deriv) from
+the numpy kernels of f, alpha and mu that the model specs own, and one
+step function (_batch_step) does the RK4 step, the NaN check on every
+coordinate, the chattering projection and the box clamp; it drives rhs,
+final_states and settle_batch, marching many states in lockstep.  The
+scalar backend (_scalar_deriv, _scalar_step) is its plain-Python-float
+twin and drives the single trajectories of integrate and converge.  The
+two right-hand sides agree bit for bit, and both steps raise
+FloatingPointError on the first NaN state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 import math
 
 import numpy as np
 
-from .model import ModelConfig, eval_price, eval_service
+from .model import ModelConfig
 
 MAX_STEP = 0.1
 DEFAULT_STEP = 0.01
@@ -64,8 +69,26 @@ class SystemMode:
     def __post_init__(self):
         if self.tag not in MODE_TAGS:
             raise ValueError(f"unknown mode tag {self.tag!r}")
+        if not math.isfinite(self.k_u):
+            raise ValueError("k_u must be finite")
         if self.k_u < 0:
             raise ValueError("k_u must be >= 0")
+
+    @property
+    def field_tag(self) -> str:
+        """Right-hand side run on each constant-K_U piece."""
+        return "competitive" if self.tag == "switched_full" else self.tag
+
+    @property
+    def fixed_point_tag(self) -> str:
+        """Mode whose fixed points these are; chattering shares normal's
+        (they lie below the admittance bound)."""
+        return "normal" if self.tag == "chattering" else self.field_tag
+
+    @property
+    def dim(self) -> int:
+        """State dimension: 3 with the unresponsive class U, else 2."""
+        return 3 if self.field_tag == "competitive" else 2
 
 
 NORMAL = SystemMode("normal")
@@ -81,10 +104,17 @@ def competitive_mode(k_u: float) -> SystemMode:
     return SystemMode("competitive", k_u)
 
 
-def as_mode(mode) -> SystemMode:
+def as_mode(mode, k_u: float | None = None) -> SystemMode:
+    """The SystemMode for a mode or a tag string plus an optional K_U.
+
+    A SystemMode already carries its K_U, so an explicit k_u that
+    disagrees with it raises ValueError.
+    """
     if isinstance(mode, SystemMode):
+        if k_u is not None and k_u != mode.k_u:
+            raise ValueError(f"k_u = {k_u!r} disagrees with the mode's k_u = {mode.k_u!r}")
         return mode
-    return SystemMode(str(mode))
+    return SystemMode(str(mode), 0.0 if k_u is None else k_u)
 
 
 @dataclass(frozen=True)
@@ -126,56 +156,26 @@ class Trajectory:
         return self.states[i]
 
 
-def _field_closures(cfg: ModelConfig):
-    """Vectorized (f, alpha, mu) closing over plain floats."""
-    p = cfg.price
-    b = p.beta
-    if p.variant == "triangular":
-        qm = p.q_m
+def _admittance_bound(cfg: ModelConfig, tag: str) -> float | None:
+    """q_ad in chattering mode, None in every other mode."""
+    if tag != "chattering":
+        return None
+    if cfg.q_ad is None:
+        raise ValueError("chattering mode needs q_ad in the configuration")
+    return cfg.q_ad
 
-        def f(q):
-            return b * np.maximum(0.0, np.minimum(q, 2 * qm - q))
-    elif p.variant == "saturated":
-        qm, qn = p.q_m, p.q_n
 
-        def f(q):
-            return b * np.minimum(q, np.maximum(2 * qm - q, 2 * qm - qn))
-    else:
-
-        def f(q):
-            return b * q
-
-    adm = cfg.admission
-    if adm.variant == "linear":
-        c2, c1 = adm.coefficients
-
-        def alpha(q):
-            return np.maximum(0.0, c1 * q + c2)
-    else:
-        a0, a1, a2, a3 = adm.coefficients
-        q_max = adm.q_max
-
-        def alpha(q):
-            poly = a0 + q * (a1 + q * (a2 + q * a3))
-            return np.where(q >= q_max, 0.0, np.maximum(0.0, poly))
-
-    mu_star, q_c = cfg.service.mu_star, cfg.service.q_c
-    ramp = mu_star / q_c
-
-    def mu(q):
-        return ramp * np.minimum(q, q_c)
-
-    return f, alpha, mu
+def _chattering_flow(cfg: ModelConfig, a, r, q):
+    """Admitted flow alpha(q)*R of chattering mode, capped at mu_star from q_ad on."""
+    flow = a * r
+    return np.where(q >= cfg.q_ad, np.minimum(flow, cfg.service.mu_star), flow)
 
 
 def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
     """(r, q, u) -> (dr, dq, du) on arrays, projecting onto the orthant."""
-    f, alpha, mu = _field_closures(cfg)
+    f, alpha, mu = cfg.price._kernel, cfg.admission._kernel, cfg.service._kernel
     k_r = cfg.k_r
-    if tag == "chattering":
-        if cfg.q_ad is None:
-            raise ValueError("chattering mode needs q_ad in the configuration")
-        q_ad, mu_star = cfg.q_ad, cfg.service.mu_star
+    _admittance_bound(cfg, tag)  # chattering needs q_ad
 
     def deriv(r, q, u):
         r = np.maximum(r, 0.0)
@@ -186,8 +186,7 @@ def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
         if tag == "normal":
             return k_r - (fq + a) * r, a * r - m, np.zeros_like(r)
         if tag == "chattering":
-            adm = a * r
-            adm = np.where(q >= q_ad, np.minimum(adm, mu_star), adm)
+            adm = _chattering_flow(cfg, a, r, q)
             return k_r - fq * r - adm, adm - m, np.zeros_like(r)
         if tag == "saturated":
             return k_r - (fq + a) * r, a * r - m + k_u, np.zeros_like(r)
@@ -220,10 +219,7 @@ def _scalar_deriv(cfg: ModelConfig, tag: str, k_u: float):
     q_c = cfg.service.q_c
     ramp = cfg.service.mu_star / q_c
     k_r = cfg.k_r
-    if tag == "chattering":
-        if cfg.q_ad is None:
-            raise ValueError("chattering mode needs q_ad in the configuration")
-        q_ad, mu_star = cfg.q_ad, cfg.service.mu_star
+    q_ad, mu_star = _admittance_bound(cfg, tag), cfg.service.mu_star
 
     def deriv(r, q, u):
         if r <= 0.0:
@@ -278,8 +274,7 @@ def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     """
     mode = as_mode(mode)
     k_u = cfg.schedule_rate(t) if mode.tag == "switched_full" else mode.k_u
-    tag = "competitive" if mode.tag == "switched_full" else mode.tag
-    deriv = _make_deriv(cfg, tag, k_u)
+    deriv = _make_deriv(cfg, mode.field_tag, k_u)
     arr = np.asarray(x, dtype=float)
     ncoord = arr.shape[-1]
     if ncoord == 2:
@@ -305,17 +300,13 @@ def admitted_flows(cfg: ModelConfig, mode, x):
     r = np.maximum(arr[..., 0], 0.0)
     q = np.maximum(arr[..., 1], 0.0)
     u = np.maximum(arr[..., 2], 0.0) if arr.shape[-1] == 3 else np.zeros_like(r)
-    _, alpha, _ = _field_closures(cfg)
-    a = alpha(q)
-    if mode.tag == "chattering":
-        if cfg.q_ad is None:
-            raise ValueError("chattering mode needs q_ad in the configuration")
-        total = a * r
-        total = np.where(q >= cfg.q_ad, np.minimum(total, cfg.service.mu_star), total)
+    a = cfg.admission._kernel(q)
+    if _admittance_bound(cfg, mode.tag) is not None:
+        total = _chattering_flow(cfg, a, r, q)
         pop = r + u
         share = np.divide(r, pop, out=np.ones_like(r), where=pop > 0)
         return total * share, total * (1.0 - share)
-    if mode.tag in ("normal", "saturated"):
+    if mode.dim == 2:
         return a * r, np.zeros_like(r)
     return a * r, a * u
 
@@ -330,25 +321,11 @@ def _pieces(cfg: ModelConfig, mode: SystemMode, t0: float, t1: float):
     ]
 
 
-def _rk4_batch(deriv, r, q, u, h):
-    """One unclamped RK4 step on component arrays."""
-    kr1, kq1, ku1 = deriv(r, q, u)
-    kr2, kq2, ku2 = deriv(r + 0.5 * h * kr1, q + 0.5 * h * kq1, u + 0.5 * h * ku1)
-    kr3, kq3, ku3 = deriv(r + 0.5 * h * kr2, q + 0.5 * h * kq2, u + 0.5 * h * ku2)
-    kr4, kq4, ku4 = deriv(r + h * kr3, q + h * kq3, u + h * ku3)
-    c = h / 6.0
-    return (
-        r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4),
-        q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4),
-        u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4),
-    )
-
-
 def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
     """One RK4 step of the scalar backend, checked and clamped.
 
     x is the (r, q, u) tuple of floats at the start of the step; returns
-    the state at its end.  The stage arithmetic is _rk4_batch's.  A NaN
+    the state at its end.  The stage arithmetic is _batch_step's.  A NaN
     coordinate raises FloatingPointError naming the end time t and the
     run context where.  The state is then clamped onto the box
     (coordinates >= 0, q <= q_cap) and, when chat_cap is the chattering
@@ -371,6 +348,40 @@ def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
     if chat_cap is not None and q <= chat_cap + CLAMP_EPS and qn > chat_cap:
         qn = chat_cap
     return max(rn, 0.0), qn, max(un, 0.0)
+
+
+def _batch_step(deriv, x, dt, t, q_cap, chat_cap, where, raw=None):
+    """One RK4 step of the batch backend, checked and clamped.
+
+    The numpy twin of _scalar_step on the component arrays x = (r, q, u).
+    raw, when given, is a [per-coordinate minimum, maximum q] pair that
+    takes in the unclamped step result.  Runs that started on or below
+    the chattering bound chat_cap are then projected back onto it, and
+    every state is clamped onto the box (coordinates >= 0, q <= q_cap).
+    A NaN in any coordinate of any run raises FloatingPointError naming
+    the end time t and the run context where.
+    """
+    r, q, u = x
+    h2 = 0.5 * dt
+    kr1, kq1, ku1 = deriv(r, q, u)
+    kr2, kq2, ku2 = deriv(r + h2 * kr1, q + h2 * kq1, u + h2 * ku1)
+    kr3, kq3, ku3 = deriv(r + h2 * kr2, q + h2 * kq2, u + h2 * ku2)
+    kr4, kq4, ku4 = deriv(r + dt * kr3, q + dt * kq3, u + dt * ku3)
+    c = dt / 6.0
+    rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
+    qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)
+    un = u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
+    if raw is not None:
+        raw[0] = np.minimum(raw[0], [rn.min(), qn.min(), un.min()])
+        raw[1] = max(raw[1], float(qn.max()))
+    if chat_cap is not None:
+        qn = np.where(q <= chat_cap + CLAMP_EPS, np.minimum(qn, chat_cap), qn)
+    r, q, u = np.maximum(rn, 0.0), np.minimum(np.maximum(qn, 0.0), q_cap), np.maximum(un, 0.0)
+    # the projection and clamps keep NaN and leave every other value >= 0,
+    # so the sum is NaN exactly when some coordinate is
+    if math.isnan(r.sum() + q.sum() + u.sum()):
+        raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+    return r, q, u
 
 
 def _check_step(h: float):
@@ -411,8 +422,7 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
         raise ValueError("t1 must be >= t0")
     x = tuple(float(v) for v in _as_state3(x0))
     q_cap = cfg.admission.q_max
-    chat_cap = cfg.q_ad if mode.tag == "chattering" else None
-    tag = "competitive" if mode.tag == "switched_full" else mode.tag
+    chat_cap = _admittance_bound(cfg, mode.tag)
     where = f"mode {mode.tag}, h = {h:g}"
 
     pieces = [(a, b, k_u, _substeps(a, b, h)) for a, b, k_u in _pieces(cfg, mode, t0, t1)]
@@ -422,7 +432,7 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
     times[0], states[0] = t0, x
     k = 0
     for a, b, k_u, steps in pieces:
-        deriv = _scalar_deriv(cfg, tag, k_u)
+        deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
         last = len(steps) - 1
         for i, step in enumerate(steps):
             # piece ends land exactly on the breakpoint, no accumulated drift
@@ -436,10 +446,10 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
         mode=mode,
         times=times,
         states=states,
-        price=np.asarray(eval_price(cfg.price, states[:, 1])),
+        price=cfg.price._kernel(states[:, 1]),
         flow_r=np.asarray(fr),
         flow_u=np.asarray(fu),
-        mu=np.asarray(eval_service(cfg.service, states[:, 1])),
+        mu=cfg.service._kernel(states[:, 1]),
     )
 
 
@@ -454,6 +464,8 @@ class BatchResult:
 
 
 def _batch_setup(cfg, mode, x0s, h):
+    """Mode, the (r, q, u) start arrays and the run's step function
+    (x, dt, t[, raw]) -> x: _batch_step bound to its mode and config."""
     mode = as_mode(mode)
     if mode.tag == "switched_full":
         raise ValueError("batch helpers run constant-K_U modes; split the schedule")
@@ -465,8 +477,14 @@ def _batch_setup(cfg, mode, x0s, h):
         arr = np.column_stack([arr, np.zeros(len(arr))])
     if np.any(arr < 0):
         raise ValueError("initial states must be nonnegative")
-    deriv = _make_deriv(cfg, mode.tag, mode.k_u)
-    return mode, arr.copy(), deriv
+    step = partial(
+        _batch_step,
+        _make_deriv(cfg, mode.tag, mode.k_u),
+        q_cap=cfg.admission.q_max,
+        chat_cap=_admittance_bound(cfg, mode.tag),
+        where=f"mode {mode.tag}, h = {h:g}",
+    )
+    return mode, tuple(arr.T.copy()), step
 
 
 def final_states(
@@ -485,43 +503,30 @@ def final_states(
     raw_bounds tracks the extreme unclamped RK4 results (the forward
     invariance probe).  region = (A, b) tracks, per trajectory, the
     largest violation of the half-space system A @ x <= b over all steps
-    (the empirical trap probe).
+    (the empirical trap probe).  A NaN state raises FloatingPointError.
     """
-    mode, x, deriv = _batch_setup(cfg, mode, x0s, h)
-    r, q, u = x[:, 0].copy(), x[:, 1].copy(), x[:, 2].copy()
-    q_cap = cfg.admission.q_max
-    chat_cap = cfg.q_ad if mode.tag == "chattering" else None
-
-    raw_min = np.array([np.inf] * 3) if raw_bounds else None
-    raw_max_q = -np.inf if raw_bounds else None
+    _, x, batch_step = _batch_setup(cfg, mode, x0s, h)
+    raw = [np.array([np.inf] * 3), -np.inf] if raw_bounds else None
     if region is not None:
         A, b = np.asarray(region[0], dtype=float), np.asarray(region[1], dtype=float)
-        excess = np.full(len(r), -np.inf)
+        excess = np.full(len(x[0]), -np.inf)
     else:
         excess = None
 
     steps = _substeps(t0, t1, h)
+    last = len(steps) - 1
     for i, step in enumerate(steps):
-        rn, qn, un = _rk4_batch(deriv, r, q, u, step)
-        if raw_bounds:
-            raw_min = np.minimum(raw_min, [rn.min(), qn.min(), un.min()])
-            raw_max_q = max(raw_max_q, float(qn.max()))
-        if chat_cap is not None:
-            inside = q <= chat_cap + CLAMP_EPS
-            qn = np.where(inside, np.minimum(qn, chat_cap), qn)
-        r = np.maximum(rn, 0.0)
-        q = np.minimum(np.maximum(qn, 0.0), q_cap)
-        u = np.maximum(un, 0.0)
+        t = t1 if i == last else t0 + (i + 1) * h
+        x = batch_step(x, step, t, raw=raw)
         if excess is not None:
+            r, q, u = x
             vals = A[:, 0, None] * r + A[:, 1, None] * q + A[:, 2, None] * u - b[:, None]
             excess = np.maximum(excess, vals.max(axis=0))
-        if i % 1000 == 999 and np.isnan(r).any():
-            raise FloatingPointError(f"NaN state in batch at step {i}")
 
     return BatchResult(
-        states=np.column_stack([r, q, u]),
-        raw_min=raw_min,
-        raw_max_q=raw_max_q,
+        states=np.column_stack(x),
+        raw_min=raw[0] if raw_bounds else None,
+        raw_max_q=raw[1] if raw_bounds else None,
         region_excess=excess,
     )
 
@@ -552,12 +557,9 @@ def settle_batch(
     A run counts as settled after 100 consecutive steps with
     max-coordinate distance below tol (U compared only in the 3-state
     modes unless compare_u overrides).  Early exit once all runs settle;
-    otherwise stops at t_cap.
+    otherwise stops at t_cap.  A NaN state raises FloatingPointError.
     """
-    mode, x, deriv = _batch_setup(cfg, mode, x0s, h)
-    r, q, u = x[:, 0].copy(), x[:, 1].copy(), x[:, 2].copy()
-    q_cap = cfg.admission.q_max
-    chat_cap = cfg.q_ad if mode.tag == "chattering" else None
+    mode, (r, q, u), batch_step = _batch_setup(cfg, mode, x0s, h)
     tgt = _as_state3(target)
     if compare_u is None:
         compare_u = mode.tag == "competitive"
@@ -571,15 +573,9 @@ def settle_batch(
     t = t0
 
     for step in _substeps(t0, t0 + t_cap, h):
-        rn, qn, un = _rk4_batch(deriv, r, q, u, step)
-        if chat_cap is not None:
-            inside = q <= chat_cap + CLAMP_EPS
-            qn = np.where(inside, np.minimum(qn, chat_cap), qn)
-        r = np.maximum(rn, 0.0)
-        q = np.minimum(np.maximum(qn, 0.0), q_cap)
-        u = np.maximum(un, 0.0)
-        max_q = max(max_q, float(q.max()))
         t += step
+        r, q, u = batch_step((r, q, u), step, t)
+        max_q = max(max_q, float(q.max()))
         dist = np.maximum(np.abs(r - tgt[0]), np.abs(q - tgt[1]))
         if compare_u:
             dist = np.maximum(dist, np.abs(u - tgt[2]))
@@ -635,13 +631,13 @@ def converge(
     if not tol > 0:
         raise ValueError("tol must be > 0")
     _check_step(h)
-    fps = equilibria.find_fixed_points(cfg, mode.tag, mode.k_u)
+    fps = equilibria.find_fixed_points(cfg, mode)
     targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]
     compare_u = mode.tag == "competitive"
     x = tuple(float(v) for v in _as_state3(x0))
     deriv = _scalar_deriv(cfg, mode.tag, mode.k_u)
     q_cap = cfg.admission.q_max
-    chat_cap = cfg.q_ad if mode.tag == "chattering" else None
+    chat_cap = _admittance_bound(cfg, mode.tag)
     where = f"mode {mode.tag}, h = {h:g}"
 
     def nearest(state):

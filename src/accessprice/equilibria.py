@@ -27,17 +27,17 @@ import math
 import numpy as np
 
 from . import stability
+from .dynamics import as_mode
 from .model import (
     AdmissionSpec,
     ModelConfig,
     PriceSpec,
     ServiceSpec,
+    _cubic_slope_max,
     eval_admission,
     eval_price,
     eval_service,
 )
-
-ANALYSIS_MODES = ("normal", "saturated", "competitive")
 
 GRID_POINTS = 2000          # scan density for the residual
 ROOT_MERGE_TOL = 1e-6       # roots closer than this collapse to one
@@ -78,34 +78,35 @@ class CalibrationTargets:
     alpha0: float | None = None
 
 
-def _mode_tag(mode) -> str:
-    tag = getattr(mode, "tag", mode)
-    if tag == "chattering":
-        tag = "normal"  # same fixed points below the admittance bound
-    if tag == "switched_full":
-        tag = "competitive"
-    if tag not in ANALYSIS_MODES:
-        raise ValueError(f"unknown analysis mode {mode!r}")
-    return tag
+def _fixed_point_mode(mode, k_u):
+    """The SystemMode and the K_U of its fixed-point equations (none in normal)."""
+    mode = as_mode(mode, k_u)
+    return mode, (0.0 if mode.fixed_point_tag == "normal" else mode.k_u)
 
 
-def fixed_point_residual(q: float, cfg: ModelConfig, mode="normal", k_u: float = 0.0) -> float:
+def _residual(cfg: ModelConfig, k_u: float, f, a, m):
+    """g from f(q), alpha(q) and mu(q) on the domain; floats or arrays."""
+    return f / a - (cfg.k_r + k_u - m) / (m - k_u)
+
+
+def fixed_point_residual(
+    q: float, cfg: ModelConfig, mode="normal", k_u: float | None = None
+) -> float:
     """Scalar residual g(q) whose roots are the mode's equilibria.
 
-    Raises ResidualUndefinedError where the defining fractions blow up:
-    alpha(q) = 0, mu(q) = 0, or mu(q) <= K_U in the K_U-fed modes.
+    mode is a SystemMode or a tag; k_u, when given, must agree with a
+    SystemMode's.  Raises ResidualUndefinedError where the defining
+    fractions blow up: alpha(q) = 0, mu(q) = 0, or mu(q) <= K_U in the
+    K_U-fed modes.
     """
-    tag = _mode_tag(mode)
-    if tag == "normal":
-        k_u = 0.0
+    _, k_u = _fixed_point_mode(mode, k_u)
     a = eval_admission(cfg.admission, q)
     m = eval_service(cfg.service, q)
     if a <= DOMAIN_EPS:
         raise ResidualUndefinedError(f"alpha({q:g}) vanishes")
     if m - k_u <= DOMAIN_EPS:
         raise ResidualUndefinedError(f"mu({q:g}) = {m:g} does not exceed K_U = {k_u:g}")
-    f = eval_price(cfg.price, q)
-    return f / a - (cfg.k_r + k_u - m) / (m - k_u)
+    return _residual(cfg, k_u, eval_price(cfg.price, q), a, m)
 
 
 def _scan_domain(cfg: ModelConfig, k_u: float):
@@ -121,16 +122,16 @@ def _scan_domain(cfg: ModelConfig, k_u: float):
     m = eval_service(cfg.service, qs)
     ok = (a > DOMAIN_EPS) & (m - k_u > DOMAIN_EPS)
     g = np.full_like(qs, np.nan)
-    g[ok] = eval_price(cfg.price, qs[ok]) / a[ok] - (cfg.k_r + k_u - m[ok]) / (m[ok] - k_u)
+    g[ok] = _residual(cfg, k_u, eval_price(cfg.price, qs[ok]), a[ok], m[ok])
     return qs, g, ok
 
 
-def _bisect(cfg, tag, k_u, lo, hi, g_lo):
+def _bisect(cfg, mode, lo, hi, g_lo):
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        g_mid = fixed_point_residual(mid, cfg, tag, k_u)
+        g_mid = fixed_point_residual(mid, cfg, mode)
         if g_mid == 0.0:
             return mid
         if (g_mid > 0) == (g_lo > 0):
@@ -140,19 +141,20 @@ def _bisect(cfg, tag, k_u, lo, hi, g_lo):
     return 0.5 * (lo + hi)
 
 
-def find_fixed_points(cfg: ModelConfig, mode="normal", k_u: float = 0.0) -> list[FixedPoint]:
+def find_fixed_points(
+    cfg: ModelConfig, mode="normal", k_u: float | None = None
+) -> list[FixedPoint]:
     """Locate and classify every fixed point of the given mode.
 
-    Grid scan of the residual over its domain, bisection on each sign
-    change, merge of roots closer than 1e-6, back-substitution of the
-    remaining coordinates, classification through the stability module.
-    An empty list is a valid result (e.g. K_U >= mu_star).
+    mode is a SystemMode or a tag; k_u, when given, must agree with a
+    SystemMode's.  Grid scan of the residual over its domain, bisection
+    on each sign change, merge of roots closer than 1e-6,
+    back-substitution of the remaining coordinates, classification
+    through the stability module.  An empty list is a valid result
+    (e.g. K_U >= mu_star).
     """
-    tag = _mode_tag(mode)
-    if k_u == 0.0:
-        k_u = getattr(mode, "k_u", 0.0)
-    if tag == "normal":
-        k_u = 0.0
+    mode, k_u = _fixed_point_mode(mode, k_u)
+    tag = mode.fixed_point_tag
     dom = _scan_domain(cfg, k_u)
     if dom is None:
         return []
@@ -160,7 +162,7 @@ def find_fixed_points(cfg: ModelConfig, mode="normal", k_u: float = 0.0) -> list
     roots: list[float] = []
     idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
     for i in idx:
-        roots.append(_bisect(cfg, tag, k_u, qs[i], qs[i + 1], g[i]))
+        roots.append(_bisect(cfg, mode, qs[i], qs[i + 1], g[i]))
     exact = np.nonzero(ok & (g == 0.0))[0]
     roots.extend(qs[j] for j in exact)
     roots.sort()
@@ -302,22 +304,6 @@ def calibrate_cubic_admission(
         b = np.array([alpha0, a1t, a2t, 0.0])
         return tuple(np.linalg.solve(A, b))
 
-    def monotone(coeffs):
-        _, a1, a2, a3 = coeffs
-        crit = [0.0, q_max]
-        if a3 != 0:
-            disc = (2 * a2) ** 2 - 12 * a3 * a1
-            if disc >= 0:
-                for sgn in (-1.0, 1.0):
-                    r = (-2 * a2 + sgn * math.sqrt(disc)) / (6 * a3)
-                    if 0 <= r <= q_max:
-                        crit.append(r)
-        elif a2 != 0:
-            r = -a1 / (2 * a2)
-            if 0 <= r <= q_max:
-                crit.append(r)
-        return max(a1 + q * (2 * a2 + 3 * a3 * q) for q in crit) <= 0
-
     if targets.alpha0 is not None:
         if targets.alpha0 < a1t:
             raise CalibrationError(
@@ -330,7 +316,7 @@ def calibrate_cubic_admission(
 
     for alpha0 in candidates:
         coeffs = solve(alpha0)
-        if not monotone(coeffs):
+        if not _cubic_slope_max(coeffs, q_max) <= 0:
             continue
         adm = AdmissionSpec(variant="cubic", coefficients=coeffs, q_max=q_max)
         _check_calibrated(adm, price, service, k_r, q1, q2)

@@ -12,7 +12,10 @@ Three piecewise functions of the active-queue length q drive everything:
   cubic) clamped to zero at q_max, which gates how fast waiting users
   enter the active queue.
 
-All evaluators accept scalars or numpy arrays and are pure functions.
+Each spec owns the one implementation of its function, a numpy kernel
+picked by variant when the spec is built; the integrators call it
+directly.  The public evaluators validate their argument and then call
+that kernel; they accept scalars or numpy arrays and are pure functions.
 """
 
 from __future__ import annotations
@@ -38,6 +41,13 @@ def _ret(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _require_finite(**values):
+    """Reject NaN and +-inf, naming the parameter; None means absent."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class PriceSpec:
     """Price function parameters.
@@ -56,6 +66,8 @@ class PriceSpec:
     def __post_init__(self):
         if self.variant not in PRICE_VARIANTS:
             raise ValueError(f"unknown price variant {self.variant!r}")
+        _require_finite(beta=self.beta, q_m=self.q_m, q_n=self.q_n)
+        object.__setattr__(self, "_kernel", getattr(self, "_" + self.variant))
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
         if self.variant == "surge":
@@ -69,6 +81,16 @@ class PriceSpec:
                 raise ValueError("saturated price needs q_n in (q_m, 2*q_m)")
         elif self.q_n is not None:
             raise ValueError("triangular price takes no q_n")
+
+    def _triangular(self, q):
+        return self.beta * np.maximum(0.0, np.minimum(q, 2 * self.q_m - q))
+
+    def _saturated(self, q):
+        qm = self.q_m
+        return self.beta * np.minimum(q, np.maximum(2 * qm - q, 2 * qm - self.q_n))
+
+    def _surge(self, q):
+        return self.beta * q
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -87,10 +109,14 @@ class ServiceSpec:
     q_c: float
 
     def __post_init__(self):
+        _require_finite(mu_star=self.mu_star, q_c=self.q_c)
         if not self.mu_star > 0:
             raise ValueError("mu_star must be > 0")
         if not self.q_c > 0:
             raise ValueError("q_c must be > 0")
+
+    def _kernel(self, q):
+        return self.mu_star / self.q_c * np.minimum(q, self.q_c)
 
 
 @dataclass(frozen=True)
@@ -114,6 +140,10 @@ class AdmissionSpec:
             raise ValueError(f"unknown admission variant {self.variant!r}")
         coeffs = tuple(float(c) for c in self.coefficients)
         object.__setattr__(self, "coefficients", coeffs)
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError("coefficients must be finite")
+        _require_finite(q_max=self.q_max)  # only a supplied one; derived may be inf
+        object.__setattr__(self, "_kernel", getattr(self, "_" + self.variant))
         want = 2 if self.variant == "linear" else 4
         if len(coeffs) != want:
             raise ValueError(
@@ -140,6 +170,15 @@ class AdmissionSpec:
             if self.q_max is None or not self.q_max > 0:
                 raise ValueError("cubic admission needs q_max > 0")
 
+    def _linear(self, q):
+        c2, c1 = self.coefficients
+        return np.maximum(0.0, c1 * q + c2)
+
+    def _cubic(self, q):
+        a0, a1, a2, a3 = self.coefficients
+        poly = a0 + q * (a1 + q * (a2 + q * a3))
+        return np.where(q >= self.q_max, 0.0, np.maximum(0.0, poly))
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -160,6 +199,7 @@ class ModelConfig:
     q_ad: float | None = None
 
     def __post_init__(self):
+        _require_finite(k_r=self.k_r, q_ad=self.q_ad)
         if not self.k_r > 0:
             raise ValueError("k_r must be > 0")
         pieces = tuple(
@@ -168,6 +208,8 @@ class ModelConfig:
         object.__setattr__(self, "k_u_schedule", pieces)
         prev_end = -math.inf
         for i, (t0, t1, rate) in enumerate(pieces):
+            if not all(map(math.isfinite, (t0, t1, rate))):
+                raise ValueError(f"k_u_schedule[{i}]: values must be finite")
             if not t0 < t1:
                 raise ValueError(f"k_u_schedule[{i}]: t_start must be < t_end")
             if rate < 0:
@@ -206,14 +248,7 @@ class ModelConfig:
 def eval_price(spec: PriceSpec, q):
     """Price f(q) for the given variant; q may be scalar or array."""
     arr, scalar = _as_query(q)
-    b, qm, qn = spec.beta, spec.q_m, spec.q_n
-    if spec.variant == "triangular":
-        val = b * np.maximum(0.0, np.minimum(arr, 2 * qm - arr))
-    elif spec.variant == "saturated":
-        val = b * np.minimum(arr, np.maximum(2 * qm - arr, 2 * qm - qn))
-    else:
-        val = b * arr
-    return _ret(val, scalar)
+    return _ret(spec._kernel(arr), scalar)
 
 
 def price_slope(spec: PriceSpec, q):
@@ -232,7 +267,7 @@ def price_slope(spec: PriceSpec, q):
 def eval_service(spec: ServiceSpec, q):
     """Service rate mu(q) = mu_star * min(q, q_c) / q_c."""
     arr, scalar = _as_query(q)
-    return _ret(spec.mu_star / spec.q_c * np.minimum(arr, spec.q_c), scalar)
+    return _ret(spec._kernel(arr), scalar)
 
 
 def service_slope(spec: ServiceSpec, q):
@@ -244,14 +279,7 @@ def service_slope(spec: ServiceSpec, q):
 def eval_admission(spec: AdmissionSpec, q):
     """Admission rate alpha(q) >= 0, identically zero from q_max on."""
     arr, scalar = _as_query(q)
-    if spec.variant == "linear":
-        c2, c1 = spec.coefficients
-        val = np.maximum(0.0, c1 * arr + c2)
-    else:
-        a0, a1, a2, a3 = spec.coefficients
-        poly = a0 + arr * (a1 + arr * (a2 + arr * a3))
-        val = np.where(arr >= spec.q_max, 0.0, np.maximum(0.0, poly))
-    return _ret(val, scalar)
+    return _ret(spec._kernel(arr), scalar)
 
 
 def admission_slope(spec: AdmissionSpec, q):
@@ -266,6 +294,20 @@ def admission_slope(spec: AdmissionSpec, q):
         dpoly = a1 + arr * (2 * a2 + arr * 3 * a3)
         val = np.where(arr <= spec.q_max, dpoly, 0.0)
     return _ret(val, scalar)
+
+
+def _cubic_slope_max(coefficients, q_max: float) -> float:
+    """Largest derivative of the cubic a0 + a1 q + a2 q^2 + a3 q^3 on [0, q_max].
+
+    The derivative is a quadratic, so its maximum sits at an endpoint or
+    at its vertex q = -a2/(3*a3).  The cubic is nonincreasing on the
+    interval iff the result is <= 0.
+    """
+    _, a1, a2, a3 = coefficients
+    crit = [0.0, q_max]
+    if a3 != 0 and 0 <= -a2 / (3 * a3) <= q_max:
+        crit.append(-a2 / (3 * a3))
+    return max(a1 + q * (2 * a2 + q * 3 * a3) for q in crit)
 
 
 def saturation_floor(cfg: ModelConfig) -> float:
@@ -355,21 +397,7 @@ def validate_admissible(
         if adm.variant == "linear":
             decreasing = decreasing and adm.coefficients[1] < 0
         else:
-            a0, a1, a2, a3 = adm.coefficients
-            crit = [0.0, q_max]
-            if a3 != 0:
-                disc = (2 * a2) ** 2 - 4 * (3 * a3) * a1
-                if disc >= 0:
-                    for sgn in (-1.0, 1.0):
-                        r = (-2 * a2 + sgn * math.sqrt(disc)) / (6 * a3)
-                        if 0 <= r <= q_max:
-                            crit.append(r)
-            elif a2 != 0:
-                r = -a1 / (2 * a2)
-                if 0 <= r <= q_max:
-                    crit.append(r)
-            dmax = max(a1 + q * (2 * a2 + q * 3 * a3) for q in crit)
-            decreasing = decreasing and dmax <= 0
+            decreasing = decreasing and _cubic_slope_max(adm.coefficients, q_max) <= 0
         rep.clauses.append(
             Clause(
                 "alpha-positive-decreasing",

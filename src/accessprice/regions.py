@@ -176,11 +176,12 @@ def q_dagger(cfg: ModelConfig) -> float:
     return eta1_inverse(cfg, r_dagger(cfg))
 
 
-def _two_normal_points(cfg):
-    fps = equilibria.find_fixed_points(cfg, "normal")
+def _two_fixed_points(cfg, mode, k_u, what):
+    fps = equilibria.find_fixed_points(cfg, mode, k_u)
     if len(fps) != 2:
+        label = "normal-mode" if mode == "normal" else mode
         raise ValueError(
-            f"region construction needs exactly two normal-mode fixed points, found {len(fps)}"
+            f"{what} construction needs exactly two {label} fixed points, found {len(fps)}"
         )
     return fps
 
@@ -191,12 +192,12 @@ def build_polygon(cfg: ModelConfig, q_choice: float | None = None, r_choice: flo
     Defaults pick the midpoints of the admissible intervals.  Every
     hypothesis violation is reported by name.
     """
-    fps = _two_normal_points(cfg)
+    fps = _two_fixed_points(cfg, "normal", None, "region")
     r2, q2 = fps[1].r_star, fps[1].q_star
     rd = r_dagger(cfg)
     if not r2 > rd:
         raise ValueError(f"hypothesis R2* > R_dagger violated: {r2:g} <= {rd:g}")
-    qd = q_dagger(cfg)
+    qd = eta1_inverse(cfg, rd)
     if q_choice is None:
         q_choice = 0.5 * (qd + q2)
     if not qd < q_choice < q2:
@@ -229,13 +230,13 @@ def default_cuboid_params(cfg: ModelConfig, k_u: float = 0.0):
     eta1(q_hat) - eta2(q_hat); with K_U = 0 the upper bound U2* = 0 is
     vacuous and only that feasibility bound applies.
     """
-    fps = equilibria.find_fixed_points(cfg, "competitive", k_u)
-    if len(fps) != 2:
-        raise ValueError(
-            f"cuboid construction needs exactly two competitive fixed points, found {len(fps)}"
-        )
-    q2, u2 = fps[1].q_star, fps[1].u_star
-    qd = q_dagger(cfg)
+    fps = _two_fixed_points(cfg, "competitive", k_u, "cuboid")
+    return _cuboid_defaults(cfg, k_u, fps[1], q_dagger(cfg))
+
+
+def _cuboid_defaults(cfg, k_u, fp2, qd):
+    """default_cuboid_params from the upper fixed point fp2 and q_dagger."""
+    q2, u2 = fp2.q_star, fp2.u_star
     q_hat = 0.5 * (qd + q2)
     lo_u = k_u / eval_admission(cfg.admission, q_hat)
     room = eta1(cfg, q_hat) - eta2(cfg, q_hat)
@@ -261,21 +262,17 @@ def build_cuboid(
     dropped when K_U = 0, where U2* = 0 says nothing), r_hat in
     (eta2(q_hat), eta3(q_hat, u_hat)).
     """
-    fps = equilibria.find_fixed_points(cfg, "competitive", k_u)
-    if len(fps) != 2:
-        raise ValueError(
-            f"cuboid construction needs exactly two competitive fixed points, found {len(fps)}"
-        )
+    fps = _two_fixed_points(cfg, "competitive", k_u, "cuboid")
     r2, q2, u2 = fps[1].r_star, fps[1].q_star, fps[1].u_star
     rd = r_dagger(cfg)
     if not r2 > rd:
         raise ValueError(f"hypothesis R2* > R_dagger violated: {r2:g} <= {rd:g}")
+    qd = eta1_inverse(cfg, rd)
     if q_hat is None or u_hat is None or r_hat is None:
-        dq, du, dr = default_cuboid_params(cfg, k_u)
+        dq, du, dr = _cuboid_defaults(cfg, k_u, fps[1], qd)
         q_hat = dq if q_hat is None else q_hat
         u_hat = du if u_hat is None else u_hat
         r_hat = dr if r_hat is None else r_hat
-    qd = q_dagger(cfg)
     if not qd < q_hat < q2:
         raise ValueError(
             f"q_hat must lie in (q_dagger, q2*) = ({qd:g}, {q2:g}), got {q_hat:g}"
@@ -466,7 +463,7 @@ def phase_grid(cfg: ModelConfig, mode, r_range, q_range, resolution: int) -> Pha
     q_curve = q_curve[ok]
     e1 = np.column_stack([q_curve, eta1(cfg, q_curve)])
     e2 = np.column_stack([q_curve, eta2(cfg, q_curve)])
-    fps = tuple(equilibria.find_fixed_points(cfg, mode.tag, mode.k_u))
+    fps = tuple(equilibria.find_fixed_points(cfg, mode))
     return PhaseGrid(
         r=rs,
         q=qs,

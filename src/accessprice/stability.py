@@ -29,6 +29,8 @@ import math
 
 import numpy as np
 
+from . import dynamics
+from .dynamics import _admittance_bound, as_mode
 from .model import (
     ModelConfig,
     admission_slope,
@@ -41,9 +43,6 @@ from .model import (
 
 KINK_RADIUS = 1e-9       # states closer than this to a kink are rejected
 DEGENERACY_TOL = 1e-12   # |det| / |Re(lambda)| below this is degenerate
-
-TWO_D_MODES = ("normal", "saturated", "chattering")
-THREE_D_MODES = ("competitive", "switched_full")
 
 
 class KinkProximityError(ValueError):
@@ -68,12 +67,13 @@ class StabilityReport:
     saddle_rhs: float | None = None
 
 
-def _mode_tag(mode) -> str:
-    return getattr(mode, "tag", mode)
+def _kinks(cfg: ModelConfig, mode) -> list[float]:
+    """Kinks of the mode's field: those of f, mu and alpha, plus q_ad when chattering."""
+    q_ad = _admittance_bound(cfg, mode.tag)
+    return list(cfg.kink_points()) + ([] if q_ad is None else [q_ad])
 
 
 def _check_state(cfg: ModelConfig, state, mode) -> tuple[float, float, float]:
-    tag = _mode_tag(mode)
     vals = [float(v) for v in np.atleast_1d(np.asarray(state, dtype=float))]
     if len(vals) == 2:
         vals.append(0.0)
@@ -82,15 +82,11 @@ def _check_state(cfg: ModelConfig, state, mode) -> tuple[float, float, float]:
     r, q, u = vals
     if r < 0 or q < 0 or u < 0:
         raise ValueError("state must lie in the positive orthant")
-    kinks = list(cfg.kink_points())
-    if tag == "chattering":
-        if cfg.q_ad is None:
-            raise ValueError("chattering mode needs q_ad in the configuration")
-        kinks.append(cfg.q_ad)
-        if q > cfg.q_ad - KINK_RADIUS:
-            raise KinkProximityError(
-                f"chattering linearization only defined below q_ad = {cfg.q_ad:g}"
-            )
+    kinks = _kinks(cfg, mode)  # raises first when chattering lacks q_ad
+    if mode.tag == "chattering" and q > cfg.q_ad - KINK_RADIUS:
+        raise KinkProximityError(
+            f"chattering linearization only defined below q_ad = {cfg.q_ad:g}"
+        )
     for k in kinks:
         if abs(q - k) < KINK_RADIUS:
             raise KinkProximityError(
@@ -117,10 +113,10 @@ def jacobian(cfg: ModelConfig, state, mode="normal") -> JacobianMatrix:
     for competitive/switched.  Raises KinkProximityError within 1e-9 of
     any kink of f, mu or alpha.
     """
-    tag = _mode_tag(mode)
+    mode = as_mode(mode)
     r, q, u = _check_state(cfg, state, mode)
     f, fp, a, ap, mp = _local_fields(cfg, q)
-    if tag in TWO_D_MODES:
+    if mode.dim == 2:
         m = np.array(
             [
                 [-(f + a), -r * (fp + ap)],
@@ -128,16 +124,14 @@ def jacobian(cfg: ModelConfig, state, mode="normal") -> JacobianMatrix:
             ]
         )
         return JacobianMatrix(2, m)
-    if tag in THREE_D_MODES:
-        m = np.array(
-            [
-                [-(f + a), -r * (fp + ap), 0.0],
-                [a, (r + u) * ap - mp, a],
-                [0.0, -u * ap, -a],
-            ]
-        )
-        return JacobianMatrix(3, m)
-    raise ValueError(f"unknown mode {mode!r}")
+    m = np.array(
+        [
+            [-(f + a), -r * (fp + ap), 0.0],
+            [a, (r + u) * ap - mp, a],
+            [0.0, -u * ap, -a],
+        ]
+    )
+    return JacobianMatrix(3, m)
 
 
 def finite_diff_jacobian(cfg: ModelConfig, state, mode="normal", h: float = 1e-6) -> JacobianMatrix:
@@ -146,30 +140,24 @@ def finite_diff_jacobian(cfg: ModelConfig, state, mode="normal", h: float = 1e-6
     Requires the state to sit more than 10*h away from every kink so the
     difference stencil never straddles one.
     """
-    from . import dynamics  # deferred: dynamics imports this module's errors
-
     if not h > 0:
         raise ValueError("step h must be > 0")
-    tag = _mode_tag(mode)
+    mode = as_mode(mode)
     r, q, u = _check_state(cfg, state, mode)
-    kinks = list(cfg.kink_points())
-    if tag == "chattering" and cfg.q_ad is not None:
-        kinks.append(cfg.q_ad)
-    for k in kinks:
+    for k in _kinks(cfg, mode):
         if abs(q - k) <= 10 * h:
             raise KinkProximityError(
                 f"kink at {k:g} within 10*h of q = {q:g}"
             )
-    dim = 2 if tag in TWO_D_MODES else 3
     x0 = np.array([r, q, u])
     cols = []
-    for j in range(dim):
+    for j in range(mode.dim):
         hi, lo = x0.copy(), x0.copy()
         hi[j] += h
         lo[j] -= h
         d = (dynamics.rhs(cfg, mode, 0.0, hi) - dynamics.rhs(cfg, mode, 0.0, lo)) / (2 * h)
-        cols.append(d[:dim])
-    return JacobianMatrix(dim, np.column_stack(cols))
+        cols.append(d[:mode.dim])
+    return JacobianMatrix(mode.dim, np.column_stack(cols))
 
 
 def divergence(cfg: ModelConfig, state, mode="normal"):
@@ -180,14 +168,14 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
     out periodic orbits and makes the 3D flow volume-reducing.  Accepts a
     single state (r, q[, u]) or an array of states on the trailing axis.
     """
-    tag = _mode_tag(mode)
-    if tag == "chattering":
+    mode = as_mode(mode)
+    if mode.tag == "chattering":
         raise ValueError("divergence is reported for the smooth modes only")
     arr = np.asarray(state, dtype=float)
     if arr.ndim <= 1:
         r, q, u = _check_state(cfg, state, mode)
         f, _, a, ap, mp = _local_fields(cfg, q)
-        if tag in TWO_D_MODES:
+        if mode.dim == 2:
             return -f - a + ap * r - mp
         return -2 * a - f + (r + u) * ap - mp
     if np.any(arr < 0):
@@ -198,7 +186,7 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
         if np.any(np.abs(q - k) < KINK_RADIUS):
             raise KinkProximityError(f"a sampled q sits on the kink at {k:g}")
     f, _, a, ap, mp = _local_fields(cfg, q)
-    if tag in TWO_D_MODES:
+    if mode.dim == 2:
         return -f - a + ap * r - mp
     return -2 * a - f + (r + u) * ap - mp
 

@@ -128,6 +128,42 @@ class TestExitCodes:
         assert "q_ad" in capsys.readouterr().err
 
 
+class TestInputDomain:
+    @pytest.mark.parametrize(
+        "override, key",
+        [
+            ("k_r=Infinity", "config.k_r: must be finite"),
+            ("q_ad=NaN", "config.q_ad: must be finite"),
+            ("price.beta=-Infinity", "price.beta: must be finite"),
+            ("service.q_c=NaN", "service.q_c: must be finite"),
+            ("admission.coefficients=[0.2, NaN]", "admission.coefficients: must be finite"),
+            ("admission.q_max=Infinity", "admission.q_max: must be finite"),
+            ("k_u_schedule=[[0, Infinity, 1]]", "k_u_schedule[0]: values must be finite"),
+        ],
+    )
+    def test_non_finite_config_value_names_key(self, config_dir, capsys, override, key):
+        code = run(["fixed-points", "--config", str(config_dir / "ref.json"), "--set", override])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    def test_non_finite_k_u(self, config_dir, capsys):
+        code = run(["fixed-points", "--config", str(config_dir / "ref.json"),
+                    "--mode", "competitive", "--k-u", "nan"])
+        assert code == 1
+        assert "k_u must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "scenario"])
+    def test_every_below_one_is_usage_error(self, config_dir, tmp_path, command, every):
+        argv = [command, "--config", str(config_dir / "section5.json"), "--every", every]
+        if command == "scenario":
+            argv += ["--out-prefix", str(tmp_path / "scn")]
+        else:
+            argv += ["--t1", "1", "--out", str(tmp_path / "sim.csv")]
+        assert run(argv) == 2
+        assert not list(tmp_path.iterdir())
+
+
 class TestCommands:
     def test_fixed_points_two_rows(self, config_dir, tmp_path):
         out = tmp_path / "fp.csv"

@@ -321,6 +321,52 @@ class TestSystemMode:
         with pytest.raises(ValueError):
             SystemMode("warp")
 
+    @pytest.mark.parametrize("k_u", [np.nan, np.inf])
+    def test_non_finite_k_u(self, k_u):
+        with pytest.raises(ValueError, match="k_u must be finite"):
+            SystemMode("competitive", k_u)
+
+    @pytest.mark.parametrize(
+        "tag, dim, field_tag, fixed_point_tag",
+        [
+            ("normal", 2, "normal", "normal"),
+            ("chattering", 2, "chattering", "normal"),
+            ("saturated", 2, "saturated", "saturated"),
+            ("competitive", 3, "competitive", "competitive"),
+            ("switched_full", 3, "competitive", "competitive"),
+        ],
+    )
+    def test_reports(self, tag, dim, field_tag, fixed_point_tag):
+        mode = SystemMode(tag, 1.0)
+        assert (mode.dim, mode.field_tag, mode.fixed_point_tag) == (dim, field_tag, fixed_point_tag)
+
+    def test_as_mode(self):
+        mode = competitive_mode(1.5)
+        assert dynamics.as_mode("competitive", 1.5) == mode
+        assert dynamics.as_mode(mode) is mode and dynamics.as_mode(mode, 1.5) is mode
+        with pytest.raises(ValueError, match="disagrees"):
+            dynamics.as_mode(mode, 0.0)
+
     def test_chattering_needs_q_ad(self, competitive_cfg):
         with pytest.raises(ValueError, match="q_ad"):
             rhs(competitive_cfg, CHATTERING, 0.0, (10.0, 10.0, 0.0))
+
+
+class TestBatchNaN:
+    """final_states and settle_batch check every coordinate on every step, as integrate does."""
+
+    # the second run overflows to NaN within the first step
+    X0S = [(30.0, 45.0, 0.0), (1e308, 50.0, 1e308)]
+    MESSAGE = r"NaN state at t = 0\.01 \(mode competitive"
+
+    def test_final_states(self, section5_cfg):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=self.MESSAGE):
+                final_states(section5_cfg, competitive_mode(0.0), self.X0S, 0.0, 1.0)
+
+    def test_settle_batch(self, section5_cfg):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=self.MESSAGE):
+                settle_batch(
+                    section5_cfg, competitive_mode(0.0), self.X0S, (30.0, 45.0, 0.0), 1e-3, 1.0
+                )

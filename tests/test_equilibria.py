@@ -191,6 +191,15 @@ class TestFindFixedPoints:
         via_arg = find_fixed_points(competitive_cfg, "competitive", 1.0)
         assert [fp.q_star for fp in via_mode] == [fp.q_star for fp in via_arg]
 
+    def test_mode_object_with_disagreeing_k_u_raises(self, competitive_cfg):
+        mode = dynamics.competitive_mode(1.0)
+        agreeing = find_fixed_points(competitive_cfg, mode, 1.0)
+        assert agreeing == find_fixed_points(competitive_cfg, mode)
+        with pytest.raises(ValueError, match="disagrees"):
+            find_fixed_points(competitive_cfg, mode, 2.0)
+        with pytest.raises(ValueError, match="disagrees"):
+            fixed_point_residual(40.0, competitive_cfg, mode, 0.0)
+
 
 class TestRoundTrip:
     @settings(max_examples=40, deadline=None)

@@ -8,9 +8,10 @@ which outputs moved and why.
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from accessprice import cli
+from accessprice import cli, dynamics, regions
 
 # name -> (argv, {suffix appended to {out}: sha256 of that file})
 GOLDEN = {
@@ -42,6 +43,27 @@ GOLDEN = {
          "--k-u", "1", "--step", "0.01", "--out", "{out}"],
         {"": "7f38c0daf53ca989c4e0621da785eb288449ddd97d60279f9ced5b13397d94b0"},
     ),
+    "fixed_points_ref": (
+        ["fixed-points", "--config", "{cfg}/ref.json", "--out", "{out}"],
+        {"": "6bc0f345e1d6a52bfdf55395e3cfe7763e30ac095688e8baa4b03e14e9f06719"},
+    ),
+    "fixed_points_section5_saturated": (
+        ["fixed-points", "--config", "{cfg}/section5.json", "--mode", "saturated",
+         "--k-u", "0.5", "--out", "{out}"],
+        {"": "4c7f59e2d696bf461b826aa4c7185710d916d83b68b1f815b90fa9366919873e"},
+    ),
+    "classify_ref": (
+        ["classify", "--config", "{cfg}/ref.json", "--out", "{out}"],
+        {"": "a5d35f4202f11579cc57e94fa99f31af64ceba46bfd17744598018ccb4f2bf7c"},
+    ),
+    "phase_ref": (
+        ["phase", "--config", "{cfg}/ref.json", "--resolution", "20", "--out", "{out}"],
+        {"": "49ce0edc4700c7e76b734bd574583e2ea457e7cfd83ca4808ee20dd17f3d2aa6"},
+    ),
+    "doa_ref": (
+        ["doa", "--config", "{cfg}/ref.json", "--out", "{out}"],
+        {"": "2efe049458153fba913fc257054713f213b2bb44ff9acf609a26a96518c45313"},
+    ),
 }
 
 
@@ -60,3 +82,44 @@ def golden_digests(name, config_dir, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, config_dir, tmp_path):
     assert golden_digests(name, config_dir, tmp_path) == GOLDEN[name][1]
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def _final_states_ref(ref_cfg):
+    x0s = np.random.default_rng(5).uniform((0.0, 0.0, 0.0), (300.0, 90.0, 0.0), (20, 3))
+    region = regions.halfspaces(regions.build_polygon(ref_cfg))
+    res = dynamics.final_states(
+        ref_cfg, dynamics.NORMAL, x0s, 0.0, 20.0, raw_bounds=True, region=region
+    )
+    return _digest(res.states, res.raw_min, res.raw_max_q, res.region_excess)
+
+
+def _settle_batch_ref(ref_cfg):
+    x0s = np.random.default_rng(6).uniform((0.0, 0.0, 0.0), (300.0, 60.0, 0.0), (20, 3))
+    res = dynamics.settle_batch(
+        ref_cfg, dynamics.CHATTERING, x0s, (25.0, 40.0, 0.0), tol=1.0, t_cap=100.0, h=0.05
+    )
+    return _digest(res.settled, res.states, res.t_exit, res.settle_times, res.max_q)
+
+
+# seeded batch runs on ref: every final state and diagnostic, bit for bit
+BATCH_GOLDEN = {
+    "final_states_ref_normal": (
+        _final_states_ref, "09a46476591395f6275d64561072743e5074b9c7a928ebcadfecd96e4bc54596"
+    ),
+    "settle_batch_ref_chattering": (
+        _settle_batch_ref, "edfd26970b08e207137c897cde3b4e0f30242c67f1394c897345835828e53648"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_GOLDEN))
+def test_golden_batch(name, ref_cfg):
+    run, digest = BATCH_GOLDEN[name]
+    assert run(ref_cfg) == digest

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from accessprice.model import (
     AdmissionSpec,
+    _cubic_slope_max,
     ModelConfig,
     PriceSpec,
     ServiceSpec,
@@ -227,6 +228,13 @@ class TestValidateAdmissible:
         report = validate_admissible(bad)
         assert not report.clause("alpha-positive-decreasing").passed
 
+    def test_cubic_slope_max_sees_a_rise_between_derivative_roots(self, section5_cfg):
+        # alpha' = -200.37 + 30 q - q^2 is negative at both ends of [0, 30]
+        # and positive on about (10.2, 19.8), peaking at its vertex q = 15
+        assert _cubic_slope_max((300.0, -200.37, 15.0, -1 / 3), 30.0) == pytest.approx(24.63)
+        adm = section5_cfg.admission
+        assert _cubic_slope_max(adm.coefficients, adm.q_max) < 0
+
     def test_small_kr_fails(self, ref_cfg):
         from dataclasses import replace
 
@@ -296,3 +304,53 @@ class TestModelConfig:
 
     def test_kink_points(self, ref_cfg):
         assert ref_cfg.kink_points() == (35.0, 45.0, 90.0, 92.5)
+
+
+def _config(**kw):
+    args = dict(k_r=4.0, k_u_schedule=(), price=TRI, admission=LIN, service=SVC)
+    args.update(kw)
+    return ModelConfig(**args)
+
+
+CUBIC = (0.09, -0.0019, 3e-05, -2e-07)
+
+
+class TestNonFinite:
+    """NaN and +-inf are rejected by name in every spec."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            pytest.param("beta", lambda v: PriceSpec("triangular", beta=v, q_m=45.0), id="beta"),
+            pytest.param("q_m", lambda v: PriceSpec("triangular", beta=1e-3, q_m=v), id="q_m"),
+            pytest.param("q_n", lambda v: PriceSpec("saturated", beta=1e-3, q_m=45.0, q_n=v),
+                         id="q_n"),
+            pytest.param("mu_star", lambda v: ServiceSpec(mu_star=v, q_c=35.0), id="mu_star"),
+            pytest.param("q_c", lambda v: ServiceSpec(mu_star=3.0, q_c=v), id="q_c"),
+            pytest.param("coefficients", lambda v: AdmissionSpec("linear", (0.2, v)),
+                         id="linear-coefficient"),
+            pytest.param("coefficients", lambda v: AdmissionSpec("cubic", (v, *CUBIC[1:]), q_max=100.0),
+                         id="cubic-coefficient"),
+            pytest.param("q_max", lambda v: AdmissionSpec("cubic", CUBIC, q_max=v), id="cubic-q_max"),
+            pytest.param("q_max", lambda v: AdmissionSpec("linear", (0.2, 0.001), q_max=v),
+                         id="linear-q_max"),
+            pytest.param("k_r", lambda v: _config(k_r=v), id="k_r"),
+            pytest.param("q_ad", lambda v: _config(q_ad=v), id="q_ad"),
+            pytest.param(r"k_u_schedule\[1\]: values",
+                         lambda v: _config(k_u_schedule=((0.0, 1.0, 1.0), (2.0, v, 1.0))),
+                         id="schedule-end"),
+            pytest.param(r"k_u_schedule\[0\]: values",
+                         lambda v: _config(k_u_schedule=((v, 1.0, 1.0),)), id="schedule-start"),
+            pytest.param(r"k_u_schedule\[0\]: values",
+                         lambda v: _config(k_u_schedule=((0.0, 1.0, v),)), id="schedule-rate"),
+        ],
+    )
+    def test_rejected_by_name(self, name, build, bad):
+        with pytest.raises(ValueError, match=rf"^{name} must be finite$"):
+            build(bad)
+
+    def test_derived_infinite_q_max_still_reported(self):
+        adm = AdmissionSpec("linear", (0.1, 0.001))
+        report = validate_admissible(_config(admission=adm))
+        assert report.clause("alpha-zero-beyond-qmax").detail == "q_max is infinite"
