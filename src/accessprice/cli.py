@@ -14,6 +14,9 @@ and no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -39,9 +42,8 @@ class ConfigError(ValueError):
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".12g")
+    """A CSV cell: a string as it is, a number at 12 significant digits."""
+    return x if isinstance(x, str) else format(float(x), ".12g")
 
 
 def _err(msg: str):
@@ -199,80 +201,74 @@ def _apply_override(doc: dict, item: str) -> dict:
 
 # ---------------------------------------------------------------- output
 
-
-def _ensure_parent(path: str):
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+_ROW_BLOCK = 256  # rows converted to Python floats at a time
 
 
 def _open_out(path):
+    """Text file at path (parent created), or stdout, left open, for None or "-"."""
     if path in (None, "-"):
-        return sys.stdout, False
-    _ensure_parent(path)
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return contextlib.nullcontext(sys.stdout)
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
-def _write_csv(path, header, rows):
-    fh, close = _open_out(path)
-    try:
+def _write_csv(path, header, rows, every=1):
+    """Header, then every `every`-th row, each cell through _fmt."""
+    with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-    finally:
-        if close:
-            fh.close()
+        for row in itertools.islice(rows, 0, None, every):
+            fh.write(",".join(map(_fmt, row)) + "\n")
 
 
-def _mode_from_args(args) -> dynamics.SystemMode:
-    return dynamics.SystemMode(args.mode.replace("-", "_"), args.k_u)
+def _write_json(path, doc):
+    with _open_out(path) as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
-def _fp_rows(points, dim):
-    rows = []
-    for fp in points:
-        row = [
-            fp.mode,
-            _fmt(fp.q_star),
-            _fmt(fp.r_star),
-            _fmt(fp.u_star),
-            _fmt(fp.price_at),
-            fp.classification,
-        ]
-        eig = list(fp.eigen_data) + [complex(math.nan, math.nan)] * (
-            dim - len(fp.eigen_data)
-        )
-        for z in eig[:dim]:
-            row.extend([_fmt(z.real), _fmt(z.imag)])
-        rows.append(row)
-    return rows
+def _numeric_rows(*columns):
+    """Rows of equal-length 1-D/2-D columns as float lists, _ROW_BLOCK rows at a time."""
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from np.column_stack([c[start:start + _ROW_BLOCK] for c in columns]).tolist()
+
+
+TRAJ_HEADER = ["t", "R", "q", "U", "price", "flow_R", "flow_U", "mu"]
+
+
+def _traj_rows(traj):
+    return _numeric_rows(traj.times, traj.states, traj.price, traj.flow_r, traj.flow_u, traj.mu)
 
 
 # ------------------------------------------------------------- commands
+# (args, config, mode or None without --mode) -> exit code
 
 
-def _cmd_validate(args) -> int:
-    cfg = load_config(args.config, args.set or ())
+def _cmd_validate(args, cfg, mode) -> int:
     report = validate_admissible(cfg, k_u=args.k_u)
     for line in report.lines():
         print(line)
     return 0 if report.passed else 1
 
 
-def _cmd_fixed_points(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    mode = _mode_from_args(args)
+def _cmd_fixed_points(args, cfg, mode) -> int:
     points = equilibria.find_fixed_points(cfg, mode)
     header = ["mode", "q_star", "r_star", "u_star", "price", "classification"]
     for i in range(1, mode.dim + 1):
         header.extend([f"eig_re_{i}", f"eig_im_{i}"])
-    _write_csv(args.out, header, _fp_rows(points, mode.dim))
+    rows = []
+    for fp in points:
+        row = [fp.mode, fp.q_star, fp.r_star, fp.u_star, fp.price_at, fp.classification]
+        eig = list(fp.eigen_data) + [complex(math.nan, math.nan)] * mode.dim
+        for z in eig[:mode.dim]:
+            row.extend([z.real, z.imag])
+        rows.append(row)
+    _write_csv(args.out, header, rows)
     return 0
 
 
-def _cmd_classify(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    mode = _mode_from_args(args)
+def _cmd_classify(args, cfg, mode) -> int:
     points = equilibria.find_fixed_points(cfg, mode)
     header = [
         "mode", "q_star", "r_star", "u_star", "classification",
@@ -284,17 +280,16 @@ def _cmd_classify(args) -> int:
             rep = stability.classify(
                 stability.jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), mode)
             )
-            trace, det = _fmt(rep.trace), _fmt(rep.determinant)
+            trace, det = rep.trace, rep.determinant
             hur = str(rep.hurwitz.get("hurwitz", "")).lower()
         except stability.KinkProximityError:
             trace = det = hur = ""
         lhs = rhs_ = ""
         if fp.mode == "normal" and cfg.price.q_m is not None and fp.q_star > cfg.price.q_m:
-            l, r, _ = stability.saddle_criterion(cfg, fp)
-            lhs, rhs_ = _fmt(l), _fmt(r)
+            lhs, rhs_, _ = stability.saddle_criterion(cfg, fp)
         rows.append(
-            [fp.mode, _fmt(fp.q_star), _fmt(fp.r_star), _fmt(fp.u_star),
-             fp.classification, trace, det, hur, lhs, rhs_]
+            [fp.mode, fp.q_star, fp.r_star, fp.u_star, fp.classification,
+             trace, det, hur, lhs, rhs_]
         )
     _write_csv(args.out, header, rows)
     return 0
@@ -307,27 +302,6 @@ def _parse_x0(text: str):
     return parts
 
 
-def _traj_rows(traj):
-    for i in range(len(traj.times)):
-        yield [
-            _fmt(traj.times[i]),
-            _fmt(traj.states[i, 0]),
-            _fmt(traj.states[i, 1]),
-            _fmt(traj.states[i, 2]),
-            _fmt(traj.price[i]),
-            _fmt(traj.flow_r[i]),
-            _fmt(traj.flow_u[i]),
-            _fmt(traj.mu[i]),
-        ]
-
-
-TRAJ_HEADER = ["t", "R", "q", "U", "price", "flow_R", "flow_U", "mu"]
-
-
-def _every_nth(rows, every):
-    return (row for i, row in enumerate(rows) if i % every == 0)
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -335,48 +309,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    mode = _mode_from_args(args)
-    if args.step is None:
-        args.step = dynamics.DEFAULT_STEP
-        _notice(f"step defaulted to {dynamics.DEFAULT_STEP:g}")
-    traj = dynamics.integrate(
-        cfg, mode, _parse_x0(args.x0), args.t0, args.t1, args.step
-    )
-    _write_csv(args.out, TRAJ_HEADER, _every_nth(_traj_rows(traj), args.every))
+def _cmd_simulate(args, cfg, mode) -> int:
+    traj = dynamics.integrate(cfg, mode, _parse_x0(args.x0), args.t0, args.t1, args.step)
+    _write_csv(args.out, TRAJ_HEADER, _traj_rows(traj), args.every)
     return 0
 
 
-def _cmd_phase(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    mode = _mode_from_args(args)
+def _cmd_phase(args, cfg, mode) -> int:
     grid = regions.phase_grid(
         cfg, mode, (args.r_min, args.r_max), (args.q_min, args.q_max), args.resolution
     )
-    rows = []
-    for i, r in enumerate(grid.r):
-        for j, q in enumerate(grid.q):
-            rows.append(
-                [_fmt(r), _fmt(q), _fmt(grid.dr[i, j]), _fmt(grid.dq[i, j]),
-                 _fmt(grid.magnitude[i, j])]
-            )
+    r, q = np.meshgrid(grid.r, grid.q, indexing="ij")
+    rows = _numeric_rows(
+        r.ravel(), q.ravel(), grid.dr.ravel(), grid.dq.ravel(), grid.magnitude.ravel()
+    )
     _write_csv(args.out, ["r", "q", "dr", "dq", "magnitude"], rows)
     return 0
 
 
-def _face_dict(face):
-    return {
-        "name": face.name,
-        "condition": face.condition,
-        "worst": float(face.worst),
-        "samples": face.samples,
-        "passed": face.passed,
-    }
-
-
-def _cmd_doa(args) -> int:
-    cfg = load_config(args.config, args.set or ())
+def _cmd_doa(args, cfg, mode) -> int:
     region = regions.build_polygon(cfg, args.q_choice, args.r_choice)
     report = regions.check_invariance(cfg, region, dynamics.NORMAL, args.samples)
     doc = {
@@ -385,41 +336,25 @@ def _cmd_doa(args) -> int:
         "check": {
             "passed": report.passed,
             "warning": report.warning,
-            "faces": [_face_dict(f) for f in report.faces],
+            "faces": [dataclasses.asdict(f) for f in report.faces],
         },
     }
-    fh, close = _open_out(args.out)
-    try:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _write_json(args.out, doc)
     return 0 if report.passed else 1
 
 
-def _cmd_scenario(args) -> int:
-    cfg = load_config(args.config, args.set or ())
-    if args.step is None:
-        args.step = dynamics.DEFAULT_STEP
-        _notice(f"step defaulted to {dynamics.DEFAULT_STEP:g}")
+def _cmd_scenario(args, cfg, mode) -> int:
     sc = scenarios.scenario_from_config(cfg, h=args.step)
     result = scenarios.run_comparison(sc)
     prefix = args.out_prefix
-    _ensure_parent(prefix)
-    _write_csv(f"{prefix}_surge.csv", TRAJ_HEADER, _every_nth(_traj_rows(result.surge), args.every))
-    _write_csv(
-        f"{prefix}_saturated.csv", TRAJ_HEADER,
-        _every_nth(_traj_rows(result.saturated), args.every),
-    )
-    for name, fs in (
-        ("fairness_surge", result.fairness_surge),
-        ("fairness_saturated", result.fairness_saturated),
-    ):
-        rows = (
-            [_fmt(t), _fmt(x)] for t, x in zip(fs.times, fs.ratio)
-        )
-        _write_csv(f"{prefix}_{name}.csv", ["t", "ratio"], _every_nth(rows, args.every))
+    legs = {
+        "surge": (result.surge, result.fairness_surge),
+        "saturated": (result.saturated, result.fairness_saturated),
+    }
+    for name, (traj, fs) in legs.items():
+        _write_csv(f"{prefix}_{name}.csv", TRAJ_HEADER, _traj_rows(traj), args.every)
+        ratio = _numeric_rows(fs.times, fs.ratio)
+        _write_csv(f"{prefix}_fairness_{name}.csv", ["t", "ratio"], ratio, args.every)
 
     w0 = max(args.window_start, sc.t0)
     w1 = min(args.window_end, sc.t1)
@@ -427,19 +362,14 @@ def _cmd_scenario(args) -> int:
         result.fairness_saturated, result.fairness_surge, (w0, w1)
     )
     probe = scenarios.bounceback_probe(sc, result)
-    t100 = sc.burst.t_start
-    t300 = sc.burst.t_end
     summary = {
         "fairness_gap": {"window": [w0, w1], "min": gap_min, "mean": gap_mean},
         "r_at_burst_edges": {
-            "surge": {
-                "start": float(result.surge.state_at(t100)[0]),
-                "end": float(result.surge.state_at(t300)[0]),
-            },
-            "saturated": {
-                "start": float(result.saturated.state_at(t100)[0]),
-                "end": float(result.saturated.state_at(t300)[0]),
-            },
+            name: {
+                "start": float(traj.state_at(sc.burst.t_start)[0]),
+                "end": float(traj.state_at(sc.burst.t_end)[0]),
+            }
+            for name, (traj, _) in legs.items()
         },
         "max_queue_gap": float(
             np.max(np.abs(result.surge.q - result.saturated.q))
@@ -453,9 +383,7 @@ def _cmd_scenario(args) -> int:
             "reached_target": probe.reached_target,
         },
     }
-    with open(f"{prefix}_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _write_json(f"{prefix}_summary.json", summary)
     return 0
 
 
@@ -466,7 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, modes=True):
+    def command(name, fn, summary, modes=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument(
             "--set",
@@ -484,61 +414,53 @@ def build_parser() -> argparse.ArgumentParser:
                 "--k-u", type=float, default=0.0, dest="k_u",
                 help="constant K_U for the saturated/competitive modes",
             )
+        return p
 
-    p = sub.add_parser("validate", help="admissibility report")
-    common(p, modes=False)
+    shared = {
+        "--out": dict(default=None, help="output file; stdout if omitted or -"),
+        "--step": dict(type=float, default=None),
+        "--every": dict(type=_positive_int, default=1, help="write every Nth step"),
+    }
+
+    def add(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
+
+    p = command("validate", _cmd_validate, "admissibility report", modes=False)
     p.add_argument(
         "--k-u", type=float, default=None, dest="k_u",
         help="also check the competitive-mode root count at this K_U",
     )
-    p.set_defaults(fn=_cmd_validate)
 
-    p = sub.add_parser("fixed-points", help="equilibria as CSV")
-    common(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_fixed_points)
+    add(command("fixed-points", _cmd_fixed_points, "equilibria as CSV"), "--out")
+    add(command("classify", _cmd_classify, "stability reports as CSV"), "--out")
 
-    p = sub.add_parser("classify", help="stability reports as CSV")
-    common(p)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    common(p)
+    p = command("simulate", _cmd_simulate, "integrate one trajectory to CSV")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=100.0)
-    p.add_argument("--step", type=float, default=None)
+    add(p, "--step")
     p.add_argument("--x0", default="50,15,0", help="initial state r,q[,u]")
-    p.add_argument("--every", type=_positive_int, default=1, help="write every Nth step")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_simulate)
+    add(p, "--every", "--out")
 
-    p = sub.add_parser("phase", help="vector-field grid as CSV")
-    common(p)
+    p = command("phase", _cmd_phase, "vector-field grid as CSV")
     p.add_argument("--r-min", type=float, default=0.0)
     p.add_argument("--r-max", type=float, default=150.0)
     p.add_argument("--q-min", type=float, default=0.0)
     p.add_argument("--q-max", type=float, default=100.0)
     p.add_argument("--resolution", type=int, default=50)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_phase)
+    add(p, "--out")
 
-    p = sub.add_parser("doa", help="invariant polygon + check report (JSON)")
-    common(p, modes=False)
+    p = command("doa", _cmd_doa, "invariant polygon + check report (JSON)", modes=False)
     p.add_argument("--q-choice", type=float, default=None)
     p.add_argument("--r-choice", type=float, default=None)
     p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_doa)
+    add(p, "--out")
 
-    p = sub.add_parser("scenario", help="surge-vs-saturated comparison")
-    common(p, modes=False)
+    p = command("scenario", _cmd_scenario, "surge-vs-saturated comparison", modes=False)
     p.add_argument("--out-prefix", required=True)
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--every", type=_positive_int, default=1, help="write every Nth step")
+    add(p, "--step", "--every")
     p.add_argument("--window-start", type=float, default=200.0)
     p.add_argument("--window-end", type=float, default=300.0)
-    p.set_defaults(fn=_cmd_scenario)
 
     return parser
 
@@ -551,12 +473,18 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return args.fn(args)
+        cfg = load_config(args.config, args.set or ())
+        modes = "mode" in args  # validate, doa and scenario take no --mode
+        mode = dynamics.SystemMode(args.mode.replace("-", "_"), args.k_u) if modes else None
+        if "step" in args and args.step is None:
+            args.step = dynamics.DEFAULT_STEP
+            _notice(f"step defaulted to {dynamics.DEFAULT_STEP:g}")
+        return args.fn(args, cfg, mode)
     except FileNotFoundError as exc:
         _err(str(exc))
         parser.print_usage(sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         _err(str(exc))
         return 1
     except FloatingPointError as exc:

@@ -399,14 +399,19 @@ def _substeps(a: float, b: float, h: float):
     return [h] * (n - 1) + [last]
 
 
+def _check_start(arr: np.ndarray):
+    """ValueError unless every coordinate of the start(s) is finite and >= 0."""
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError("initial state must be finite and nonnegative")
+
+
 def _as_state3(x0) -> np.ndarray:
     arr = np.asarray(x0, dtype=float).ravel()
     if arr.size == 2:
         arr = np.append(arr, 0.0)
     if arr.size != 3:
         raise ValueError("initial state must have 2 or 3 coordinates")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError("initial state must be finite and nonnegative")
+    _check_start(arr)
     return arr
 
 
@@ -475,8 +480,7 @@ def _batch_setup(cfg, mode, x0s, h):
         arr = arr[None, :]
     if arr.shape[1] == 2:
         arr = np.column_stack([arr, np.zeros(len(arr))])
-    if np.any(arr < 0):
-        raise ValueError("initial states must be nonnegative")
+    _check_start(arr)
     step = partial(
         _batch_step,
         _make_deriv(cfg, mode.tag, mode.k_u),
@@ -549,20 +553,17 @@ def settle_batch(
     t_cap: float,
     h: float = DEFAULT_STEP,
     t0: float = 0.0,
-    *,
-    compare_u: bool | None = None,
 ) -> SettleResult:
     """March a batch until every run sits within tol of target.
 
     A run counts as settled after 100 consecutive steps with
     max-coordinate distance below tol (U compared only in the 3-state
-    modes unless compare_u overrides).  Early exit once all runs settle;
-    otherwise stops at t_cap.  A NaN state raises FloatingPointError.
+    modes).  Early exit once all runs settle; otherwise stops at t_cap.
+    A NaN state raises FloatingPointError.
     """
     mode, (r, q, u), batch_step = _batch_setup(cfg, mode, x0s, h)
     tgt = _as_state3(target)
-    if compare_u is None:
-        compare_u = mode.tag == "competitive"
+    compare_u = mode.tag == "competitive"
 
     n = len(r)
     streak = np.zeros(n, dtype=int)

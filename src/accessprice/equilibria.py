@@ -33,7 +33,9 @@ from .model import (
     ModelConfig,
     PriceSpec,
     ServiceSpec,
+    _alpha_clauses,
     _cubic_slope_max,
+    _root_count,
     eval_admission,
     eval_price,
     eval_service,
@@ -231,17 +233,14 @@ def _alpha_targets(q1, q2, price, service, k_r):
 
 
 def _check_calibrated(admission, price, service, k_r, q1, q2) -> ModelConfig:
-    from .model import validate_admissible
-
     cfg = ModelConfig(
         k_r=k_r, k_u_schedule=(), price=price, admission=admission, service=service
     )
-    rep = validate_admissible(cfg)
-    for name in ("alpha-positive-decreasing", "alpha-zero-beyond-qmax", "root-count"):
-        cl = rep.clause(name)
+    root, points = _root_count(cfg)
+    for cl in _alpha_clauses(cfg) + [root]:
         if not cl.passed:
-            raise CalibrationError(f"calibrated admission fails {name}: {cl.detail}")
-    found = [fp.q_star for fp in find_fixed_points(cfg, "normal")]
+            raise CalibrationError(f"calibrated admission fails {cl.name}: {cl.detail}")
+    found = [fp.q_star for fp in points]
     for q in (q1, q2):
         if price.variant == "saturated" and not any(abs(q - f) < 1e-6 for f in found):
             raise CalibrationError(f"target equilibrium q* = {q:g} not recovered")

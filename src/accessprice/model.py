@@ -372,25 +372,17 @@ class AdmissibilityReport:
         return out
 
 
-def validate_admissible(
-    cfg: ModelConfig, grid_points: int = 1000, k_u: float | None = None
-) -> AdmissibilityReport:
-    """Check the admissibility clauses of the model configuration.
+_ALPHA_GRID_POINTS = 1000  # alpha's grid on [0, q_max) in the admissibility check
 
-    Verified on a uniform grid of at least ``grid_points`` points plus
-    exact polynomial-derivative sign analysis: positivity and strict
-    decrease of alpha on [0, q_max), alpha == 0 beyond q_max, the
-    fixed-point root count expected for the price family, K_R > mu_star,
-    and the placement of the admittance bound q_ad when present.  Passing
-    k_u adds the competitive-mode root-count clause (exactly two points
-    with mu(q) > K_U).  Failures are report entries, never exceptions.
-    """
-    rep = AdmissibilityReport()
+
+def _alpha_clauses(cfg: ModelConfig) -> list[Clause]:
+    """alpha-positive-decreasing and alpha-zero-beyond-qmax."""
+    clauses = []
     adm = cfg.admission
     q_max = adm.q_max
 
     if math.isfinite(q_max):
-        qs = np.linspace(0.0, q_max, max(grid_points, 2), endpoint=False)
+        qs = np.linspace(0.0, q_max, _ALPHA_GRID_POINTS, endpoint=False)
         vals = eval_admission(adm, qs)
         positive = bool(np.all(vals > 0))
         decreasing = bool(np.all(np.diff(vals) < 0))
@@ -398,7 +390,7 @@ def validate_admissible(
             decreasing = decreasing and adm.coefficients[1] < 0
         else:
             decreasing = decreasing and _cubic_slope_max(adm.coefficients, q_max) <= 0
-        rep.clauses.append(
+        clauses.append(
             Clause(
                 "alpha-positive-decreasing",
                 positive and decreasing,
@@ -406,20 +398,25 @@ def validate_admissible(
             )
         )
         tail = np.linspace(q_max, q_max + 2 * (cfg.price.q_m or q_max), 200)
-        rep.clauses.append(
+        clauses.append(
             Clause(
                 "alpha-zero-beyond-qmax",
                 bool(np.all(eval_admission(adm, tail) == 0.0)),
             )
         )
     else:
-        rep.clauses.append(
+        clauses.append(
             Clause("alpha-positive-decreasing", False, "alpha never reaches zero")
         )
-        rep.clauses.append(
+        clauses.append(
             Clause("alpha-zero-beyond-qmax", False, "q_max is infinite")
         )
+    return clauses
 
+
+def _root_count(cfg: ModelConfig) -> tuple[Clause, list]:
+    """The root-count clause and the normal-mode fixed points it counted
+    (none when the scan failed)."""
     from . import equilibria  # deferred: equilibria imports this module
 
     expected = EXPECTED_ROOT_COUNTS[cfg.price.variant]
@@ -438,10 +435,27 @@ def validate_admissible(
             if not (0 < q1 < q_m < q2 < 2 * q_m):
                 ok = False
                 detail += f"; roots ({q1:.6g}, {q2:.6g}) not split by q_m = {q_m:g}"
-        rep.clauses.append(Clause("root-count", ok, detail))
+        return Clause("root-count", ok, detail), points
     except Exception as exc:  # malformed configs must still produce a report
-        points = []
-        rep.clauses.append(Clause("root-count", False, f"scan failed: {exc}"))
+        return Clause("root-count", False, f"scan failed: {exc}"), []
+
+
+def validate_admissible(cfg: ModelConfig, *, k_u: float | None = None) -> AdmissibilityReport:
+    """Check the admissibility clauses of the model configuration.
+
+    Verified on a uniform grid of 1000 points plus exact
+    polynomial-derivative sign analysis: positivity and strict decrease
+    of alpha on [0, q_max), alpha == 0 beyond q_max, the fixed-point root
+    count expected for the price family, K_R > mu_star, and the placement
+    of the admittance bound q_ad when present.  Passing k_u adds the
+    competitive-mode root-count clause (exactly two points with
+    mu(q) > K_U).  Failures are report entries, never exceptions.
+    """
+    from . import equilibria  # deferred: equilibria imports this module
+
+    rep = AdmissibilityReport(_alpha_clauses(cfg))
+    root, points = _root_count(cfg)
+    rep.clauses.append(root)
 
     if k_u is not None:
         try:

@@ -64,7 +64,6 @@ class RegionSpec:
     kind: str  # "polygon2d" | "cuboid3d"
     vertices: tuple[tuple[float, ...], ...]
     k_u: float = 0.0
-    check_report: InvarianceReport | None = None
 
 
 @dataclass
@@ -357,7 +356,6 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
     report = InvarianceReport()
     if n == 0:
         report.warning = "no samples requested; vacuous pass"
-        region.check_report = report
         return report
     mode = dynamics.as_mode(mode)
 
@@ -388,7 +386,6 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
                 report.faces.append(
                     FaceReport(name, "<outward normal, F> < 0", worst, n, worst < 0)
                 )
-        region.check_report = report
         return report
 
     if region.kind != "cuboid3d":
@@ -429,7 +426,6 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
         report.faces.append(
             FaceReport(name, "<outward normal, F> < 0", worst, len(pts), worst < 0)
         )
-    region.check_report = report
     return report
 
 

@@ -63,8 +63,6 @@ class StabilityReport:
     eigenvalues: tuple[complex, ...]
     hurwitz: dict = field(default_factory=dict)
     gershgorin: tuple[tuple[float, float], ...] = ()
-    saddle_lhs: float | None = None
-    saddle_rhs: float | None = None
 
 
 def _kinks(cfg: ModelConfig, mode) -> list[float]:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
@@ -370,3 +371,17 @@ class TestBatchNaN:
                 settle_batch(
                     section5_cfg, competitive_mode(0.0), self.X0S, (30.0, 45.0, 0.0), 1e-3, 1.0
                 )
+
+
+class TestBatchStart:
+    """Batch starts are checked up front like integrate's single start."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_final_states(self, ref_cfg, bad):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            final_states(ref_cfg, "normal", [(20.0, 10.0, 0.0), (bad, 10.0, 0.0)], 0.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_settle_batch(self, ref_cfg, bad):
+        with pytest.raises(ValueError, match="must be finite and nonnegative"):
+            settle_batch(ref_cfg, "normal", [(20.0, bad)], (25.0, 40.0), 1.0, 1.0)

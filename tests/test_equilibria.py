@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from accessprice import dynamics
+from accessprice import dynamics, equilibria
 from accessprice.equilibria import (
     CalibrationError,
     CalibrationTargets,
@@ -69,6 +69,18 @@ class TestLinearCalibration:
         assert c1 * (-c2 / c1) + c2 > 0
         assert eval_admission(adm, adm.q_max) == 0.0
         assert c1 * math.nextafter(adm.q_max, 0.0) + c2 > 0
+
+    def test_one_fixed_point_scan(self, monkeypatch):
+        # the admissibility check and the target check share one scan
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return find_fixed_points(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "find_fixed_points", counted)
+        calibrate_linear_admission(REF_TARGETS, TRI, SVC, k_r=4.0)
+        assert len(calls) == 1
 
 
 class TestCubicCalibration:

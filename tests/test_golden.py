@@ -64,6 +64,35 @@ GOLDEN = {
         ["doa", "--config", "{cfg}/ref.json", "--out", "{out}"],
         {"": "2efe049458153fba913fc257054713f213b2bb44ff9acf609a26a96518c45313"},
     ),
+    # default step, thinned rows
+    "simulate_ref_every7": (
+        ["simulate", "--config", "{cfg}/ref.json", "--x0", "150,50", "--every", "7",
+         "--out", "{out}"],
+        {"": "95a43fc7be4c14e35640346ee41b9165a49e7b9292a7dfc429514340dd7d60b0"},
+    ),
+    "scenario_section5_h0.1_every10": (
+        ["scenario", "--config", "{cfg}/section5.json", "--step", "0.1", "--every", "10",
+         "--out-prefix", "{out}"],
+        {
+            "_surge.csv": "649720fe754c3913e175def2f10647b28ec667b4bfa8476098ed9a878751134f",
+            "_saturated.csv": "1f711948b46b700da2e0793124f77537ccbe211580f7a6f0dd8e3f74b5a83b1d",
+            "_fairness_surge.csv": "75436215b129a3e0db86b3e50b207fef1a913fb1f3a7195d1af9961c4a9bca1d",
+            "_fairness_saturated.csv": "c276b0af7b1e0daf65683bfbb0175c3401270538be9ed75412c337aae3955db0",
+            "_summary.json": "02525cdc147a08ea86d1c43af6885665254a8b71fffb88a2d010d916d9c807b8",
+        },
+    ),
+}
+
+# name -> (argv, sha256 of what the command printed on stdout)
+STDOUT_GOLDEN = {
+    "fixed_points_ref_stdout": (
+        ["fixed-points", "--config", "{cfg}/ref.json"],
+        "6bc0f345e1d6a52bfdf55395e3cfe7763e30ac095688e8baa4b03e14e9f06719",
+    ),
+    "validate_ref_stdout": (
+        ["validate", "--config", "{cfg}/ref.json"],
+        "f77e98246e99a6e88f887d7e4f34698fef3d943c50c52d6f850673a9c479802e",
+    ),
 }
 
 
@@ -82,6 +111,15 @@ def golden_digests(name, config_dir, tmp_path):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(name, config_dir, tmp_path):
     assert golden_digests(name, config_dir, tmp_path) == GOLDEN[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_GOLDEN))
+def test_golden_stdout(name, config_dir, capsys):
+    argv, digest = STDOUT_GOLDEN[name]
+    capsys.readouterr()
+    assert cli.run([a.format(cfg=config_dir) for a in argv]) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode("utf-8")).hexdigest() == digest
 
 
 def _digest(*arrays):
