@@ -209,9 +209,12 @@ def _open_out(path):
     if path in (None, "-"):
         return contextlib.nullcontext(sys.stdout)
     parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline="")
+    try:
+        if parent:
+            os.makedirs(parent, exist_ok=True)
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise FileNotFoundError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path, header, rows, every=1):
@@ -295,13 +298,6 @@ def _cmd_classify(args, cfg, mode) -> int:
     return 0
 
 
-def _parse_x0(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) not in (2, 3):
-        raise ConfigError("--x0 expects r,q or r,q,u")
-    return parts
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -310,7 +306,8 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_simulate(args, cfg, mode) -> int:
-    traj = dynamics.integrate(cfg, mode, _parse_x0(args.x0), args.t0, args.t1, args.step)
+    x0 = [float(v) for v in args.x0.split(",")]
+    traj = dynamics.integrate(cfg, mode, x0, args.t0, args.t1, args.step)
     _write_csv(args.out, TRAJ_HEADER, _traj_rows(traj), args.every)
     return 0
 
@@ -489,6 +486,9 @@ def run(argv) -> int:
         return 1
     except FloatingPointError as exc:
         _err(f"integration aborted: {exc}")
+        return 1
+    except MemoryError as exc:  # numpy's message states the size asked for
+        _err(str(exc))
         return 1
 
 

@@ -19,10 +19,16 @@ side.  States are projected onto the nonnegative orthant before each
 evaluation and clamped after each step (coordinates >= 0, q <= q_max;
 in chattering mode q is also projected back to q_ad whenever a step that
 started inside [0, q_ad] overshoots the bound, mirroring the invariance
-of that set under the exact flow).  Schedule breakpoints and the final
-time are snapped onto the step grid by shortening the last step of each
-piece.  No event location is performed; the kink set has measure zero
-and the O(h) local error there is absorbed by the acceptance tolerances.
+of that set under the exact flow).  No event location is performed; the
+kink set has measure zero and the O(h) local error there is absorbed by
+the acceptance tolerances.
+
+Every driver takes its steps from one clock, _grid: step k of a span
+[a, b] ends at a + k*h and the last step ends exactly on b (a schedule
+breakpoint, t1 or t0 + t_cap).  Times come from the step index, never a
+running sum, so settle times lie on the grid; the steps are yielded
+lazily, so memory is O(1) in the horizon.  h outside (0, 0.1] and
+non-finite spans (NaN or infinite t0, t1, t_cap) raise ValueError.
 
 The stepper has two backends with the same formulas and operation
 order.  The batch backend builds its right-hand side (_make_deriv) from
@@ -39,7 +45,6 @@ FloatingPointError on the first NaN state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 import math
 
 import numpy as np
@@ -384,65 +389,89 @@ def _batch_step(deriv, x, dt, t, q_cap, chat_cap, where, raw=None):
     return r, q, u
 
 
-def _check_step(h: float):
+def _step_count(a: float, b: float, h: float) -> int:
+    """Steps of the clock on [a, b], 0 when b <= a; ValueError unless
+    0 < h <= MAX_STEP and (b - a) / h is finite."""
     if not 0 < h <= MAX_STEP:
         raise ValueError(f"step h must lie in (0, {MAX_STEP}]")
-
-
-def _substeps(a: float, b: float, h: float):
-    """Step sizes covering [a, b]: h repeated, final step shortened."""
     span = b - a
-    if span <= 0:
-        return []
-    n = max(1, math.ceil(span / h - 1e-9))
-    last = span - (n - 1) * h
-    return [h] * (n - 1) + [last]
+    if not math.isfinite(span / h):
+        raise ValueError(f"time span [{a:g}, {b:g}] must be finite in steps of h = {h:g}")
+    return max(1, math.ceil(span / h - 1e-9)) if span > 0 else 0
 
 
-def _check_start(arr: np.ndarray):
-    """ValueError unless every coordinate of the start(s) is finite and >= 0."""
+def _grid(a: float, b: float, h: float):
+    """The clock on [a, b], checked now, stepped lazily: (t, dt) per RK4
+    step, step k ending at a + k*h, the last shortened to end on b."""
+    n = _step_count(a, b, h)
+    last = (b - a) - (n - 1) * h
+    return ((b, last) if k == n else (a + k * h, h) for k in range(1, n + 1))
+
+
+def _starts(x0s) -> np.ndarray:
+    """Checked (n, 3) starts from one state or an (n, 2 | 3) batch, U = 0
+    when omitted; ValueError for other shapes and non-finite or < 0 values."""
+    arr = np.asarray(x0s, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] not in (2, 3):
+        raise ValueError("initial state must have 2 or 3 coordinates")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValueError("initial state must be finite and nonnegative")
-
-
-def _as_state3(x0) -> np.ndarray:
-    arr = np.asarray(x0, dtype=float).ravel()
-    if arr.size == 2:
-        arr = np.append(arr, 0.0)
-    if arr.size != 3:
-        raise ValueError("initial state must have 2 or 3 coordinates")
-    _check_start(arr)
+    if arr.shape[1] == 2:
+        arr = np.column_stack([arr, np.zeros(len(arr))])
     return arr
+
+
+def _start(x0) -> tuple[float, float, float]:
+    """One checked start as the (r, q, u) floats of the scalar backend."""
+    return tuple(_starts(np.ravel(x0))[0].tolist())
+
+
+def _bind(cfg: ModelConfig, mode: SystemMode, h: float, *, batch: bool = False, k_u=None):
+    """The run's checked RK4 step (x, dt, t[, raw]) -> x: _scalar_step, or
+    _batch_step with batch, bound to the mode's field at constant K_U (k_u
+    for one switched_full piece), its clamps and NaN context.  A closure:
+    a keyword partial made each scalar step ~12% slower on CPython 3.11."""
+    if k_u is None and mode.tag == "switched_full":
+        raise ValueError("switched_full has no constant K_U; run each schedule piece on its own")
+    k_u = mode.k_u if k_u is None else k_u
+    q_cap = cfg.admission.q_max
+    chat_cap = _admittance_bound(cfg, mode.tag)
+    where = f"mode {mode.tag}, h = {h:g}"
+    if batch:
+        deriv = _make_deriv(cfg, mode.field_tag, k_u)
+
+        def step(x, dt, t, raw=None):
+            return _batch_step(deriv, x, dt, t, q_cap, chat_cap, where, raw)
+    else:
+        deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
+
+        def step(x, dt, t):
+            return _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where)
+    return step
 
 
 def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAULT_STEP) -> Trajectory:
     """Integrate one trajectory and record every step.
 
     t1 == t0 yields a length-1 trajectory.  Aborts with a diagnostic on
-    NaN; rejects h outside (0, 0.1].
+    NaN; rejects h outside (0, 0.1] and non-finite t0 or t1.
     """
     mode = as_mode(mode)
-    _check_step(h)
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    x = tuple(float(v) for v in _as_state3(x0))
-    q_cap = cfg.admission.q_max
-    chat_cap = _admittance_bound(cfg, mode.tag)
-    where = f"mode {mode.tag}, h = {h:g}"
-
-    pieces = [(a, b, k_u, _substeps(a, b, h)) for a, b, k_u in _pieces(cfg, mode, t0, t1)]
-    n = 1 + sum(len(steps) for *_, steps in pieces)
+    x = _start(x0)
+    pieces = _pieces(cfg, mode, t0, t1)
+    n = 1 + sum(_step_count(a, b, h) for a, b, _ in pieces)
     times = np.empty(n)
     states = np.empty((n, 3))
     times[0], states[0] = t0, x
     k = 0
-    for a, b, k_u, steps in pieces:
-        deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
-        last = len(steps) - 1
-        for i, step in enumerate(steps):
-            # piece ends land exactly on the breakpoint, no accumulated drift
-            t = b if i == last else a + (i + 1) * h
-            x = _scalar_step(deriv, x, step, t, q_cap, chat_cap, where)
+    for a, b, k_u in pieces:
+        step = _bind(cfg, mode, h, k_u=k_u)
+        for t, dt in _grid(a, b, h):
+            x = step(x, dt, t)
             k += 1
             times[k], states[k] = t, x
 
@@ -468,29 +497,6 @@ class BatchResult:
     region_excess: np.ndarray | None = None  # (n,) max of A@x - b over steps
 
 
-def _batch_setup(cfg, mode, x0s, h):
-    """Mode, the (r, q, u) start arrays and the run's step function
-    (x, dt, t[, raw]) -> x: _batch_step bound to its mode and config."""
-    mode = as_mode(mode)
-    if mode.tag == "switched_full":
-        raise ValueError("batch helpers run constant-K_U modes; split the schedule")
-    _check_step(h)
-    arr = np.asarray(x0s, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.shape[1] == 2:
-        arr = np.column_stack([arr, np.zeros(len(arr))])
-    _check_start(arr)
-    step = partial(
-        _batch_step,
-        _make_deriv(cfg, mode.tag, mode.k_u),
-        q_cap=cfg.admission.q_max,
-        chat_cap=_admittance_bound(cfg, mode.tag),
-        where=f"mode {mode.tag}, h = {h:g}",
-    )
-    return mode, tuple(arr.T.copy()), step
-
-
 def final_states(
     cfg: ModelConfig,
     mode,
@@ -509,7 +515,9 @@ def final_states(
     largest violation of the half-space system A @ x <= b over all steps
     (the empirical trap probe).  A NaN state raises FloatingPointError.
     """
-    _, x, batch_step = _batch_setup(cfg, mode, x0s, h)
+    step = _bind(cfg, as_mode(mode), h, batch=True)
+    grid = _grid(t0, t1, h)
+    x = tuple(_starts(x0s).T.copy())
     raw = [np.array([np.inf] * 3), -np.inf] if raw_bounds else None
     if region is not None:
         A, b = np.asarray(region[0], dtype=float), np.asarray(region[1], dtype=float)
@@ -517,11 +525,8 @@ def final_states(
     else:
         excess = None
 
-    steps = _substeps(t0, t1, h)
-    last = len(steps) - 1
-    for i, step in enumerate(steps):
-        t = t1 if i == last else t0 + (i + 1) * h
-        x = batch_step(x, step, t, raw=raw)
+    for t, dt in grid:
+        x = step(x, dt, t, raw)
         if excess is not None:
             r, q, u = x
             vals = A[:, 0, None] * r + A[:, 1, None] * q + A[:, 2, None] * u - b[:, None]
@@ -561,8 +566,11 @@ def settle_batch(
     modes).  Early exit once all runs settle; otherwise stops at t_cap.
     A NaN state raises FloatingPointError.
     """
-    mode, (r, q, u), batch_step = _batch_setup(cfg, mode, x0s, h)
-    tgt = _as_state3(target)
+    mode = as_mode(mode)
+    step = _bind(cfg, mode, h, batch=True)
+    grid = _grid(t0, t0 + t_cap, h)
+    r, q, u = _starts(x0s).T.copy()
+    tgt = _start(target)
     compare_u = mode.tag == "competitive"
 
     n = len(r)
@@ -573,9 +581,8 @@ def settle_batch(
     max_q = float(q.max())
     t = t0
 
-    for step in _substeps(t0, t0 + t_cap, h):
-        t += step
-        r, q, u = batch_step((r, q, u), step, t)
+    for t, dt in grid:
+        r, q, u = step((r, q, u), dt, t)
         max_q = max(max_q, float(q.max()))
         dist = np.maximum(np.abs(r - tgt[0]), np.abs(q - tgt[1]))
         if compare_u:
@@ -621,25 +628,20 @@ def converge(
     mode's fixed points for 100 consecutive steps, or until t_cap.
     Without fixed points the run always goes to t_cap.  Non-convergence
     is reported through the flag, never raised; a NaN state raises
-    FloatingPointError and h outside (0, 0.1] raises ValueError, as in
-    integrate.
+    FloatingPointError, and h outside (0, 0.1] or a non-finite t_cap
+    raise ValueError, as in integrate.
     """
     from . import equilibria  # deferred: equilibria imports stability imports this
 
     mode = as_mode(mode)
-    if mode.tag == "switched_full":
-        raise ValueError("converge needs a constant-K_U mode; probe pieces separately")
+    step = _bind(cfg, mode, h)
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    _check_step(h)
+    grid = _grid(0.0, t_cap, h)
     fps = equilibria.find_fixed_points(cfg, mode)
     targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]
     compare_u = mode.tag == "competitive"
-    x = tuple(float(v) for v in _as_state3(x0))
-    deriv = _scalar_deriv(cfg, mode.tag, mode.k_u)
-    q_cap = cfg.admission.q_max
-    chat_cap = _admittance_bound(cfg, mode.tag)
-    where = f"mode {mode.tag}, h = {h:g}"
+    x = _start(x0)
 
     def nearest(state):
         """(max-coordinate distance, index) of the closest fixed point."""
@@ -653,7 +655,6 @@ def converge(
                 best, j = d, i
         return best, j
 
-    t = 0.0
     streak = 0
     streak_start = math.nan
     d0, j = nearest(x)
@@ -661,9 +662,8 @@ def converge(
         streak, streak_start = 1, 0.0
         if x == targets[j]:
             return ConvergeResult(np.array(x), True, 0.0, np.array(targets[j]))
-    for step in _substeps(0.0, t_cap, h):
-        t += step
-        x = _scalar_step(deriv, x, step, t, q_cap, chat_cap, where)
+    for t, dt in grid:
+        x = step(x, dt, t)
         d, j = nearest(x)
         if d < tol:
             if streak == 0:

@@ -63,7 +63,6 @@ class RegionSpec:
 
     kind: str  # "polygon2d" | "cuboid3d"
     vertices: tuple[tuple[float, ...], ...]
-    k_u: float = 0.0
 
 
 @dataclass
@@ -291,7 +290,6 @@ def build_cuboid(
     return RegionSpec(
         kind="cuboid3d",
         vertices=((0.0, 0.0, 0.0), (r_hat, q_hat, u_hat)),
-        k_u=k_u,
     )
 
 

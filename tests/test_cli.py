@@ -164,6 +164,36 @@ class TestInputDomain:
         assert not list(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unwritable_out_is_usage_error(self, config_dir, tmp_path, capsys, below):
+        (tmp_path / "file").write_text("")
+        # an existing directory, or a path below a regular file
+        out = tmp_path / "file" / "fp.csv" if below else tmp_path
+        code = run(["fixed-points", "--config", str(config_dir / "ref.json"), "--out", str(out)])
+        assert code == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "span, named",
+        [
+            (["--t0", "nan"], "time span [nan, 100] must be finite"),
+            (["--t1", "nan"], "time span [0, nan] must be finite"),
+            (["--t1", "inf"], "time span [0, inf] must be finite"),
+            (["--t1", "1e300"], "dimension"),
+            # 1e15 rows at the default step: more than any address space
+            (["--t1", "1e13"], "Unable to allocate"),
+        ],
+    )
+    def test_horizon_outside_domain_is_named(self, config_dir, tmp_path, capsys, span, named):
+        code = run(["simulate", "--config", str(config_dir / "ref.json"),
+                    "--out", str(tmp_path / "sim.csv"), *span])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1
+        assert named in err
+        assert "Traceback" not in err
+
+
 class TestCommands:
     def test_fixed_points_two_rows(self, config_dir, tmp_path):
         out = tmp_path / "fp.csv"

@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -385,3 +386,121 @@ class TestBatchStart:
     def test_settle_batch(self, ref_cfg, bad):
         with pytest.raises(ValueError, match="must be finite and nonnegative"):
             settle_batch(ref_cfg, "normal", [(20.0, bad)], (25.0, 40.0), 1.0, 1.0)
+
+
+class TestBatchStartShape:
+    """Batch starts of any other shape get integrate's error."""
+
+    SHAPES = [(5, 4), (5, 1), (2, 2, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_final_states(self, ref_cfg, shape):
+        with pytest.raises(ValueError, match="initial state must have 2 or 3 coordinates"):
+            final_states(ref_cfg, NORMAL, np.ones(shape), 0.0, 1.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_settle_batch(self, ref_cfg, shape):
+        with pytest.raises(ValueError, match="initial state must have 2 or 3 coordinates"):
+            settle_batch(ref_cfg, NORMAL, np.ones(shape), (25.0, 40.0), 1.0, 1.0)
+
+
+def _substeps_formula(a, b, h):
+    """The step sizes every driver took before the lazy clock: h repeated,
+    the final step shortened to end on b."""
+    span = b - a
+    if span <= 0:
+        return []
+    n = max(1, math.ceil(span / h - 1e-9))
+    return [h] * (n - 1) + [span - (n - 1) * h]
+
+
+def _on_grid(t, t0, h):
+    return t == t0 + round((t - t0) / h) * h
+
+
+class TestClock:
+    @pytest.mark.parametrize(
+        "a, b, h",
+        [
+            (0.0, 1.0, 0.1),       # a multiple of h, up to rounding
+            (0.0, 1.0, 0.01),
+            (0.0, 0.95, 0.1),      # not a multiple of h
+            (3.0, 10.37, 0.05),
+            (100.0, 300.0, 0.1),   # a schedule piece
+            (0.0, 0.004, 0.01),    # shorter than h
+            (2.5, 2.5, 0.01),      # zero span
+            (5.0, 1.0, 0.01),      # negative span
+            (0.0, 100.0, 0.05),
+        ],
+    )
+    def test_grid_matches_substeps(self, a, b, h):
+        steps = list(dynamics._grid(a, b, h))
+        assert [dt for _, dt in steps] == _substeps_formula(a, b, h)
+        assert len(steps) == dynamics._step_count(a, b, h)
+        assert [t for t, _ in steps[:-1]] == [a + k * h for k in range(1, len(steps))]
+        if steps:
+            assert steps[-1][0] == b
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
+                                      (-math.inf, 0.0), (-1e308, 1e308), (1e308, 1.7e308)])
+    def test_non_finite_span_rejected(self, a, b):
+        with pytest.raises(ValueError, match="must be finite"):
+            dynamics._grid(a, b, 0.01)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: integrate(cfg, NORMAL, (30.0, 45.0), math.nan, 1.0),
+            lambda cfg: integrate(cfg, NORMAL, (30.0, 45.0), 0.0, math.inf),
+            lambda cfg: integrate(cfg, SWITCHED_FULL, (30.0, 45.0), 0.0, math.nan),
+            lambda cfg: final_states(cfg, NORMAL, [(30.0, 45.0)], 0.0, math.inf),
+            lambda cfg: final_states(cfg, NORMAL, [(30.0, 45.0)], math.nan, 1.0),
+            lambda cfg: settle_batch(cfg, NORMAL, [(30.0, 45.0)], (25.0, 40.0), 1.0, math.inf),
+            lambda cfg: settle_batch(cfg, NORMAL, [(30.0, 45.0)], (25.0, 40.0), 1.0, 1.0,
+                                     t0=math.nan),
+            lambda cfg: converge(cfg, NORMAL, (30.0, 45.0), 1e-3, math.inf),
+            lambda cfg: converge(cfg, NORMAL, (30.0, 45.0), 1e-3, math.nan),
+        ],
+    )
+    def test_drivers_reject_non_finite_horizons(self, ref_cfg, run):
+        with pytest.raises(ValueError, match="must be finite"):
+            run(ref_cfg)
+
+    def test_settle_batch_exits_on_t_cap(self, ref_cfg):
+        # (300, 60) starts far from x1* and does not settle by t = 100
+        res = settle_batch(
+            ref_cfg, CHATTERING, [(300.0, 60.0, 0.0), (25.0, 40.0, 0.0)], (25.0, 40.0, 0.0),
+            tol=1.0, t_cap=100.0, h=0.05,
+        )
+        assert not res.settled.all()
+        assert res.t_exit == 100.0
+
+    def test_settle_times_on_grid(self, ref_cfg):
+        x0s = np.random.default_rng(6).uniform((0.0, 0.0, 0.0), (300.0, 60.0, 0.0), (20, 3))
+        t0, h = 3.0, 0.05
+        res = settle_batch(ref_cfg, CHATTERING, x0s, (25.0, 40.0, 0.0), tol=1.0,
+                           t_cap=100.0, h=h, t0=t0)
+        times = res.settle_times[np.isfinite(res.settle_times)]
+        assert len(times) > 1
+        assert all(_on_grid(float(t), t0, h) for t in times)
+        assert _on_grid(res.t_exit, t0, h)
+
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.01])
+    def test_converge_settling_time_on_grid(self, ref_cfg, h):
+        res = converge(ref_cfg, NORMAL, (30.0, 45.0), 1e-3, 5000.0, h=h)
+        assert res.converged and res.settling_time > 0
+        assert _on_grid(res.settling_time, 0.0, h)
+
+    def test_settle_batch_memory_independent_of_t_cap(self, ref_cfg):
+        # started on x1*, the run settles after SETTLE_STREAK steps, so the
+        # 1e7-step horizon must cost nothing
+        tracemalloc.start()
+        try:
+            res = settle_batch(ref_cfg, NORMAL, [(25.0, 40.0, 0.0)], (25.0, 40.0, 0.0),
+                               tol=1e-3, t_cap=1e5, h=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.settled.all()
+        assert res.t_exit < 2.0
+        assert peak < 1_000_000

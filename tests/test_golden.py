@@ -23,7 +23,7 @@ GOLDEN = {
             "_saturated.csv": "eb7e38c5fe62f9ad8fbd47fa6432f071b0251779a407c3ca6e82db6b868ff3dc",
             "_fairness_surge.csv": "a8cc0e96bb32f333d7972382afb6ea3d813eedafc069d6cfc7f706362df72806",
             "_fairness_saturated.csv": "b0c889cc1176a42a40d15b8f8800cbfa0b69d03e1873de4261e31fadb281aa79",
-            "_summary.json": "02525cdc147a08ea86d1c43af6885665254a8b71fffb88a2d010d916d9c807b8",
+            "_summary.json": "5b02344179b22c14152f40c06952bf1b1d67982200575f323fdc50186706a18a",
         },
     ),
     # x0 = (150, 50) drives q onto the admittance bound q_ad = 60, so the
@@ -78,7 +78,7 @@ GOLDEN = {
             "_saturated.csv": "1f711948b46b700da2e0793124f77537ccbe211580f7a6f0dd8e3f74b5a83b1d",
             "_fairness_surge.csv": "75436215b129a3e0db86b3e50b207fef1a913fb1f3a7195d1af9961c4a9bca1d",
             "_fairness_saturated.csv": "c276b0af7b1e0daf65683bfbb0175c3401270538be9ed75412c337aae3955db0",
-            "_summary.json": "02525cdc147a08ea86d1c43af6885665254a8b71fffb88a2d010d916d9c807b8",
+            "_summary.json": "5b02344179b22c14152f40c06952bf1b1d67982200575f323fdc50186706a18a",
         },
     ),
 }
@@ -152,7 +152,7 @@ BATCH_GOLDEN = {
         _final_states_ref, "09a46476591395f6275d64561072743e5074b9c7a928ebcadfecd96e4bc54596"
     ),
     "settle_batch_ref_chattering": (
-        _settle_batch_ref, "edfd26970b08e207137c897cde3b4e0f30242c67f1394c897345835828e53648"
+        _settle_batch_ref, "e9252abd7c6aba32ec1f0adbe408d42f9686c647a073788251d244c89165e854"
     ),
 }
 
