@@ -31,15 +31,14 @@ lazily, so memory is O(1) in the horizon.  h outside (0, 0.1] and
 non-finite spans (NaN or infinite t0, t1, t_cap) raise ValueError.
 
 The stepper has two backends with the same formulas and operation
-order.  The batch backend builds its right-hand side (_make_deriv) from
-the numpy kernels of f, alpha and mu that the model specs own, and one
-step function (_batch_step) does the RK4 step, the NaN check on every
-coordinate, the chattering projection and the box clamp; it drives rhs,
-final_states and settle_batch, marching many states in lockstep.  The
-scalar backend (_scalar_deriv, _scalar_step) is its plain-Python-float
-twin and drives the single trajectories of integrate and converge.  The
-two right-hand sides agree bit for bit, and both steps raise
-FloatingPointError on the first NaN state.
+order.  The batch backend holds n states as one C-contiguous (3, n)
+stack, rows R, q and U: its right-hand side (_make_deriv, on the numpy
+kernels the model specs own) writes into a caller-owned (3, n) buffer,
+and its step (_batch_step) updates the stack in place, one numpy call
+per stage update.  It drives final_states and settle_batch; rhs wraps
+its right-hand side.  The scalar backend (_scalar_deriv, _scalar_step)
+is its plain-float twin for integrate and converge.  The two agree bit
+for bit, and both steps raise FloatingPointError on the first NaN state.
 """
 
 from __future__ import annotations
@@ -177,26 +176,36 @@ def _chattering_flow(cfg: ModelConfig, a, r, q):
 
 
 def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
-    """(r, q, u) -> (dr, dq, du) on arrays, projecting onto the orthant."""
+    """(x, out) -> out: the field at the (3, n) states x (rows R, q, U),
+    written in place into the (3, n) buffer out in _scalar_deriv's
+    operation order, after projecting onto the orthant.  The 2-state
+    modes leave out's U row as it is."""
     f, alpha, mu = cfg.price._kernel, cfg.admission._kernel, cfg.service._kernel
     k_r = cfg.k_r
     _admittance_bound(cfg, tag)  # chattering needs q_ad
+    rows = 3 if tag == "competitive" else 2
 
-    def deriv(r, q, u):
-        r = np.maximum(r, 0.0)
-        q = np.maximum(q, 0.0)
-        a = alpha(q)
-        fq = f(q)
-        m = mu(q)
-        if tag == "normal":
-            return k_r - (fq + a) * r, a * r - m, np.zeros_like(r)
+    def deriv(x, out):
+        p = np.maximum(x[:rows], 0.0)
+        r, q = p[0], p[1]
+        a, fq, m = alpha(q), f(q), mu(q)
+        dr, dq = out[0], out[1]
         if tag == "chattering":
             adm = _chattering_flow(cfg, a, r, q)
-            return k_r - fq * r - adm, adm - m, np.zeros_like(r)
-        if tag == "saturated":
-            return k_r - (fq + a) * r, a * r - m + k_u, np.zeros_like(r)
-        u = np.maximum(u, 0.0)
-        return k_r - (fq + a) * r, a * (r + u) - m, k_u - a * u
+            np.subtract(k_r, np.multiply(fq, r, out=dr), out=dr)  # k_r - fq*r - adm
+            np.subtract(dr, adm, out=dr)
+            np.subtract(adm, m, out=dq)
+            return out
+        np.subtract(k_r, np.multiply(np.add(fq, a, out=dr), r, out=dr), out=dr)  # k_r - (fq + a)*r
+        if tag == "competitive":
+            u = p[2]
+            np.subtract(np.multiply(a, np.add(r, u, out=dq), out=dq), m, out=dq)  # a*(r + u) - m
+            np.subtract(k_u, np.multiply(a, u, out=out[2]), out=out[2])  # k_u - a*u
+        else:
+            np.subtract(np.multiply(a, r, out=dq), m, out=dq)  # a*r - m [+ k_u]
+            if tag == "saturated":
+                dq += k_u
+        return out
 
     return deriv
 
@@ -282,16 +291,11 @@ def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     deriv = _make_deriv(cfg, mode.field_tag, k_u)
     arr = np.asarray(x, dtype=float)
     ncoord = arr.shape[-1]
-    if ncoord == 2:
-        r, q = arr[..., 0], arr[..., 1]
-        u = np.zeros_like(r)
-    elif ncoord == 3:
-        r, q, u = arr[..., 0], arr[..., 1], arr[..., 2]
-    else:
+    if ncoord not in (2, 3):
         raise ValueError("state must have 2 or 3 coordinates")
-    dr, dq, du = deriv(r, q, u)
-    out = np.stack([dr, dq, du], axis=-1)
-    return out[..., :ncoord] if ncoord == 2 else out
+    stack = np.zeros((3, arr.size // ncoord))  # U = 0 for 2-coordinate states
+    stack[:ncoord] = arr.reshape(-1, ncoord).T
+    return deriv(stack, np.zeros_like(stack))[:ncoord].T.reshape(arr.shape)
 
 
 def admitted_flows(cfg: ModelConfig, mode, x):
@@ -355,38 +359,45 @@ def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
     return max(rn, 0.0), qn, max(un, 0.0)
 
 
-def _batch_step(deriv, x, dt, t, q_cap, chat_cap, where, raw=None):
-    """One RK4 step of the batch backend, checked and clamped.
-
-    The numpy twin of _scalar_step on the component arrays x = (r, q, u).
+def _batch_step(deriv, n, q_cap, chat_cap, where):
+    """_scalar_step's numpy twin for n states: step(x, dt, t, raw=None)
+    advances the (3, n) C-contiguous stack x in place, in _scalar_step's
+    operation order, through four derivative buffers (U rows zero, as the
+    2-state fields never write dU) and a stage buffer allocated once here.
     raw, when given, is a [per-coordinate minimum, maximum q] pair that
-    takes in the unclamped step result.  Runs that started on or below
-    the chattering bound chat_cap are then projected back onto it, and
-    every state is clamped onto the box (coordinates >= 0, q <= q_cap).
-    A NaN in any coordinate of any run raises FloatingPointError naming
-    the end time t and the run context where.
-    """
-    r, q, u = x
-    h2 = 0.5 * dt
-    kr1, kq1, ku1 = deriv(r, q, u)
-    kr2, kq2, ku2 = deriv(r + h2 * kr1, q + h2 * kq1, u + h2 * ku1)
-    kr3, kq3, ku3 = deriv(r + h2 * kr2, q + h2 * kq2, u + h2 * ku2)
-    kr4, kq4, ku4 = deriv(r + dt * kr3, q + dt * kq3, u + dt * ku3)
-    c = dt / 6.0
-    rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
-    qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)
-    un = u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
-    if raw is not None:
-        raw[0] = np.minimum(raw[0], [rn.min(), qn.min(), un.min()])
-        raw[1] = max(raw[1], float(qn.max()))
-    if chat_cap is not None:
-        qn = np.where(q <= chat_cap + CLAMP_EPS, np.minimum(qn, chat_cap), qn)
-    r, q, u = np.maximum(rn, 0.0), np.minimum(np.maximum(qn, 0.0), q_cap), np.maximum(un, 0.0)
-    # the projection and clamps keep NaN and leave every other value >= 0,
-    # so the sum is NaN exactly when some coordinate is
-    if math.isnan(r.sum() + q.sum() + u.sum()):
-        raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
-    return r, q, u
+    takes in the unclamped result.  Runs that started on or below the
+    chattering bound chat_cap are then projected back onto it, all are
+    clamped onto the box (coordinates >= 0, q <= q_cap), and a NaN raises
+    FloatingPointError naming the end time t and the run context where."""
+    k1, k2, k3, k4 = (np.zeros((3, n)) for _ in range(4))
+    s = np.empty((3, n))
+
+    def step(x, dt, t, raw=None):
+        if chat_cap is not None:
+            below = x[1] <= chat_cap + CLAMP_EPS
+        deriv(x, k1)
+        for k, k_next, c in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+            np.add(np.multiply(k, c, out=s), x, out=s)
+            deriv(s, k_next)
+        # x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4)
+        np.add(np.multiply(k2, 2, out=s), k1, out=s)
+        np.add(s, np.multiply(k3, 2, out=k3), out=s)
+        np.add(s, k4, out=s)
+        x += np.multiply(s, dt / 6.0, out=s)
+        if raw is not None:
+            raw[0] = np.minimum(raw[0], x.min(axis=1, initial=np.inf))
+            raw[1] = max(raw[1], float(x[1].max(initial=-np.inf)))
+        q = x[1]
+        if chat_cap is not None:
+            np.minimum(q, chat_cap, where=below, out=q)
+        np.maximum(x, 0.0, out=x)
+        np.minimum(q, q_cap, out=q)
+        # the projection and clamps keep NaN and leave every other value >= 0,
+        # so the sum is NaN exactly when some coordinate is
+        if math.isnan(x.sum()):
+            raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+
+    return step
 
 
 def _step_count(a: float, b: float, h: float) -> int:
@@ -408,47 +419,45 @@ def _grid(a: float, b: float, h: float):
     return ((b, last) if k == n else (a + k * h, h) for k in range(1, n + 1))
 
 
-def _starts(x0s) -> np.ndarray:
+def _starts(x0s, name: str = "initial state") -> np.ndarray:
     """Checked (n, 3) starts from one state or an (n, 2 | 3) batch, U = 0
-    when omitted; ValueError for other shapes and non-finite or < 0 values."""
+    when omitted; ValueError naming the states for other shapes and for
+    non-finite or < 0 values."""
     arr = np.asarray(x0s, dtype=float)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
-        raise ValueError("initial state must have 2 or 3 coordinates")
+        raise ValueError(f"{name} must have 2 or 3 coordinates")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ValueError("initial state must be finite and nonnegative")
+        raise ValueError(f"{name} must be finite and nonnegative")
     if arr.shape[1] == 2:
         arr = np.column_stack([arr, np.zeros(len(arr))])
     return arr
 
 
-def _start(x0) -> tuple[float, float, float]:
+def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
     """One checked start as the (r, q, u) floats of the scalar backend."""
-    return tuple(_starts(np.ravel(x0))[0].tolist())
+    return tuple(_starts(np.ravel(x0), name)[0].tolist())
 
 
-def _bind(cfg: ModelConfig, mode: SystemMode, h: float, *, batch: bool = False, k_u=None):
-    """The run's checked RK4 step (x, dt, t[, raw]) -> x: _scalar_step, or
-    _batch_step with batch, bound to the mode's field at constant K_U (k_u
-    for one switched_full piece), its clamps and NaN context.  A closure:
-    a keyword partial made each scalar step ~12% slower on CPython 3.11."""
+def _bind(cfg: ModelConfig, mode: SystemMode, h: float, *, batch: int | None = None, k_u=None):
+    """The run's checked RK4 step bound to the mode's field at constant K_U
+    (k_u for one switched_full piece), its clamps and NaN context:
+    _scalar_step's (x, dt, t) -> x, or with batch = n the in-place
+    (x, dt, t[, raw]) of _batch_step on (3, n) states.  A closure: a
+    keyword partial made each scalar step ~12% slower on CPython 3.11."""
     if k_u is None and mode.tag == "switched_full":
         raise ValueError("switched_full has no constant K_U; run each schedule piece on its own")
     k_u = mode.k_u if k_u is None else k_u
     q_cap = cfg.admission.q_max
     chat_cap = _admittance_bound(cfg, mode.tag)
     where = f"mode {mode.tag}, h = {h:g}"
-    if batch:
-        deriv = _make_deriv(cfg, mode.field_tag, k_u)
+    if batch is not None:
+        return _batch_step(_make_deriv(cfg, mode.field_tag, k_u), batch, q_cap, chat_cap, where)
+    deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
 
-        def step(x, dt, t, raw=None):
-            return _batch_step(deriv, x, dt, t, q_cap, chat_cap, where, raw)
-    else:
-        deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
-
-        def step(x, dt, t):
-            return _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where)
+    def step(x, dt, t):
+        return _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where)
     return step
 
 
@@ -497,47 +506,49 @@ class BatchResult:
     region_excess: np.ndarray | None = None  # (n,) max of A@x - b over steps
 
 
+def _check_region(region):
+    """The region's (A, b) as float arrays; ValueError unless A is finite
+    of shape (m, 3) with m >= 1 and b finite of shape (m,)."""
+    A, b = (np.asarray(v, dtype=float) for v in region)
+    if A.ndim != 2 or A.shape[1] != 3 or not len(A) or b.shape != (len(A),):
+        raise ValueError(f"region needs A of shape (m, 3), m >= 1, and b of shape (m,); "
+                         f"got {A.shape}, {b.shape}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("region A and b must be finite")
+    return A, b
+
+
 def final_states(
-    cfg: ModelConfig,
-    mode,
-    x0s,
-    t0: float,
-    t1: float,
-    h: float = DEFAULT_STEP,
-    *,
-    raw_bounds: bool = False,
-    region=None,
+    cfg: ModelConfig, mode, x0s, t0: float, t1: float, h: float = DEFAULT_STEP, *,
+    raw_bounds: bool = False, region=None,
 ) -> BatchResult:
     """March a batch of trajectories to t1 in lockstep.
 
     raw_bounds tracks the extreme unclamped RK4 results (the forward
-    invariance probe).  region = (A, b) tracks, per trajectory, the
-    largest violation of the half-space system A @ x <= b over all steps
+    invariance probe; inf and -inf for an empty batch), region = (A, b)
+    per trajectory the largest violation of A @ x <= b over all steps
     (the empirical trap probe).  A NaN state raises FloatingPointError.
     """
-    step = _bind(cfg, as_mode(mode), h, batch=True)
+    x = _starts(x0s).T.copy()
+    step = _bind(cfg, as_mode(mode), h, batch=x.shape[1])
     grid = _grid(t0, t1, h)
-    x = tuple(_starts(x0s).T.copy())
-    raw = [np.array([np.inf] * 3), -np.inf] if raw_bounds else None
+    raw = [np.full(3, np.inf), -np.inf] if raw_bounds else None
+    excess = None
     if region is not None:
-        A, b = np.asarray(region[0], dtype=float), np.asarray(region[1], dtype=float)
-        excess = np.full(len(x[0]), -np.inf)
-    else:
-        excess = None
+        A, b = _check_region(region)
+        a_r, a_q, a_u, b = *A.T[:, :, None], b[:, None]
+        excess = np.full(x.shape[1], -np.inf)
 
     for t, dt in grid:
-        x = step(x, dt, t, raw)
+        step(x, dt, t, raw)
         if excess is not None:
             r, q, u = x
-            vals = A[:, 0, None] * r + A[:, 1, None] * q + A[:, 2, None] * u - b[:, None]
-            excess = np.maximum(excess, vals.max(axis=0))
+            # term by term, not A @ x: a BLAS product may fuse and round differently
+            vals = a_r * r + a_q * q + a_u * u - b
+            np.maximum(excess, vals.max(axis=0), out=excess)
 
-    return BatchResult(
-        states=np.column_stack(x),
-        raw_min=raw[0] if raw_bounds else None,
-        raw_max_q=raw[1] if raw_bounds else None,
-        region_excess=excess,
-    )
+    raw_min, raw_max_q = raw or (None, None)
+    return BatchResult(x.T.copy(), raw_min, raw_max_q, region_excess=excess)
 
 
 @dataclass
@@ -550,13 +561,7 @@ class SettleResult:
 
 
 def settle_batch(
-    cfg: ModelConfig,
-    mode,
-    x0s,
-    target,
-    tol: float,
-    t_cap: float,
-    h: float = DEFAULT_STEP,
+    cfg: ModelConfig, mode, x0s, target, tol: float, t_cap: float, h: float = DEFAULT_STEP,
     t0: float = 0.0,
 ) -> SettleResult:
     """March a batch until every run sits within tol of target.
@@ -564,46 +569,39 @@ def settle_batch(
     A run counts as settled after 100 consecutive steps with
     max-coordinate distance below tol (U compared only in the 3-state
     modes).  Early exit once all runs settle; otherwise stops at t_cap.
-    A NaN state raises FloatingPointError.
+    An empty batch takes no step.  A NaN state raises FloatingPointError,
+    tol <= 0 or a target outside the state space ValueError.
     """
     mode = as_mode(mode)
-    step = _bind(cfg, mode, h, batch=True)
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    x = _starts(x0s).T.copy()
+    n = x.shape[1]
+    step = _bind(cfg, mode, h, batch=n)
     grid = _grid(t0, t0 + t_cap, h)
-    r, q, u = _starts(x0s).T.copy()
-    tgt = _start(target)
-    compare_u = mode.tag == "competitive"
+    compared = 3 if mode.tag == "competitive" else 2
+    tgt = np.array(_start(target, "target")[:compared])[:, None]
 
-    n = len(r)
     streak = np.zeros(n, dtype=int)
-    settled = np.zeros(n, dtype=bool)
+    streak_t0 = np.full(n, np.nan)  # start of the current streak
     settle_t = np.full(n, np.nan)
-    streak_t0 = np.full(n, np.nan)
-    max_q = float(q.max())
+    max_q = float(x[1].max(initial=-np.inf))
     t = t0
 
-    for t, dt in grid:
-        r, q, u = step((r, q, u), dt, t)
-        max_q = max(max_q, float(q.max()))
-        dist = np.maximum(np.abs(r - tgt[0]), np.abs(q - tgt[1]))
-        if compare_u:
-            dist = np.maximum(dist, np.abs(u - tgt[2]))
-        within = dist < tol
-        starting = within & (streak == 0)
-        streak_t0[starting] = t
-        streak = np.where(within, streak + 1, 0)
-        newly = (~settled) & (streak >= SETTLE_STREAK)
-        settle_t[newly] = streak_t0[newly]
-        settled |= newly
-        if settled.all():
-            break
+    for t, dt in grid if n else ():
+        step(x, dt, t)
+        max_q = max(max_q, float(x[1].max()))
+        within = np.abs(x[:compared] - tgt).max(axis=0) < tol
+        np.copyto(streak_t0, t, where=streak == 0)  # kept only where a streak starts
+        streak += 1
+        streak *= within
+        done = streak == SETTLE_STREAK
+        if done.any():
+            np.copyto(settle_t, streak_t0, where=done & np.isnan(settle_t))
+            if not np.isnan(settle_t).any():
+                break
 
-    return SettleResult(
-        settled=settled,
-        states=np.column_stack([r, q, u]),
-        t_exit=t,
-        settle_times=settle_t,
-        max_q=max_q,
-    )
+    return SettleResult(~np.isnan(settle_t), x.T.copy(), t, settle_t, max_q)
 
 
 @dataclass

@@ -300,7 +300,7 @@ class TestScalarBackend:
         x = self.states(cfg)
         with np.errstate(invalid="ignore"):
             want = np.column_stack(
-                dynamics._make_deriv(cfg, tag, k_u)(x[:, 0], x[:, 1], x[:, 2])
+                dynamics._make_deriv(cfg, tag, k_u)(x.T.copy(), np.zeros((3, len(x))))
             )
         scalar = dynamics._scalar_deriv(cfg, tag, k_u)
         got = np.array([scalar(*map(float, row)) for row in x])
@@ -402,6 +402,71 @@ class TestBatchStartShape:
     def test_settle_batch(self, ref_cfg, shape):
         with pytest.raises(ValueError, match="initial state must have 2 or 3 coordinates"):
             settle_batch(ref_cfg, NORMAL, np.ones(shape), (25.0, 40.0), 1.0, 1.0)
+
+
+class TestEmptyBatch:
+    """Zero starts give an empty result from both batch drivers."""
+
+    def test_settle_batch_takes_no_step(self, ref_cfg):
+        res = settle_batch(ref_cfg, CHATTERING, np.zeros((0, 3)), (25.0, 40.0), 1.0, 10.0, t0=5.0)
+        assert res.t_exit == 5.0 and res.max_q == -math.inf
+        assert res.states.shape == (0, 3)
+        assert res.settled.shape == res.settle_times.shape == (0,)
+
+    def test_final_states_diagnostics(self, ref_cfg):
+        region = (np.eye(3), np.ones(3))
+        res = final_states(
+            ref_cfg, NORMAL, np.zeros((0, 3)), 0.0, 1.0, raw_bounds=True, region=region
+        )
+        assert res.states.shape == (0, 3) and res.region_excess.shape == (0,)
+        assert res.raw_min.tolist() == [math.inf] * 3 and res.raw_max_q == -math.inf
+
+
+class TestSettleBatchInputs:
+    """tol and target are checked up front, with errors that name them."""
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol(self, ref_cfg, tol):
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            settle_batch(ref_cfg, NORMAL, [(20.0, 10.0)], (25.0, 40.0), tol, 1.0)
+
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ((math.nan, 40.0), "target must be finite and nonnegative"),
+            ((25.0, -1.0), "target must be finite and nonnegative"),
+            ((25.0, 40.0, 0.0, 1.0), "target must have 2 or 3 coordinates"),
+        ],
+    )
+    def test_target(self, ref_cfg, target, message):
+        with pytest.raises(ValueError, match=message):
+            settle_batch(ref_cfg, NORMAL, [(20.0, 10.0)], target, 1.0, 1.0)
+
+
+class TestRegionShape:
+    """final_states names a malformed region (A, b) before stepping."""
+
+    @pytest.mark.parametrize(
+        "A, b",
+        [
+            (np.ones((3, 2)), np.ones(3)),  # A has 2 columns
+            (np.eye(3), np.ones(2)),        # len(b) != len(A)
+            (np.eye(3), np.ones((3, 1))),
+            (np.ones(3), np.ones(1)),       # A is 1-D
+            (np.zeros((0, 3)), np.zeros(0)),
+        ],
+    )
+    def test_shape(self, ref_cfg, A, b):
+        with pytest.raises(ValueError, match=r"region needs A of shape \(m, 3\)"):
+            final_states(ref_cfg, NORMAL, [(20.0, 10.0)], 0.0, 1.0, region=(A, b))
+
+    @pytest.mark.parametrize("bad", ["A", "b"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite(self, ref_cfg, bad, value):
+        A, b = np.eye(3), np.ones(3)
+        (A if bad == "A" else b)[1] = value
+        with pytest.raises(ValueError, match="region A and b must be finite"):
+            final_states(ref_cfg, NORMAL, [(20.0, 10.0)], 0.0, 1.0, region=(A, b))
 
 
 def _substeps_formula(a, b, h):

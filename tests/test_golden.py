@@ -161,3 +161,89 @@ BATCH_GOLDEN = {
 def test_golden_batch(name, ref_cfg):
     run, digest = BATCH_GOLDEN[name]
     assert run(ref_cfg) == digest
+
+
+def _final_states_competitive_trap(cfgs):
+    # the trap-probe shape: starts inside the c09 cuboid, its half-spaces tracked
+    cfg = cfgs["competitive"]
+    k_u = cfg.k_u_schedule[0][2]
+    cuboid = regions.build_cuboid(cfg, k_u=k_u)
+    corner = np.array(cuboid.vertices[1])
+    x0s = np.random.default_rng(7).uniform(0.05 * corner, 0.95 * corner, (20, 3))
+    res = dynamics.final_states(
+        cfg, dynamics.competitive_mode(k_u), x0s, 0.0, 50.0, 0.05,
+        raw_bounds=True, region=regions.halfspaces(cuboid),
+    )
+    return _digest(res.states, res.raw_min, res.raw_max_q, res.region_excess)
+
+
+def _settle_batch_section5_saturated(cfgs):
+    x0s = np.random.default_rng(8).uniform((0.0, 0.0, 0.0), (300.0, 90.0, 0.0), (20, 3))
+    res = dynamics.settle_batch(
+        cfgs["section5"], dynamics.saturated_mode(0.5), x0s, (46.7, 34.0), tol=1.0,
+        t_cap=100.0, h=0.05,
+    )
+    return _digest(res.settled, res.states, res.t_exit, res.settle_times, res.max_q)
+
+
+def _settle_batch_competitive(cfgs):
+    x0s = np.random.default_rng(10).uniform((0.0, 0.0, 0.0), (150.0, 90.0, 80.0), (20, 3))
+    res = dynamics.settle_batch(
+        cfgs["competitive"], dynamics.competitive_mode(1.0), x0s, (50.0, 40.0, 25.0),
+        tol=1.0, t_cap=100.0, h=0.05,
+    )
+    return _digest(res.settled, res.states, res.t_exit, res.settle_times, res.max_q)
+
+
+def _rhs_grid(config, mode, t=0.0):
+    """rhs on seeded (n, 3) and (n, 2) states and on one of each, negative
+    coordinates included (RK4 stage points overshoot the axes)."""
+    def run(cfgs):
+        x = np.random.default_rng(11).uniform((-10.0, -5.0, -5.0), (300.0, 110.0, 60.0), (200, 3))
+        cfg = cfgs[config]
+        return _digest(*(dynamics.rhs(cfg, mode, t, s) for s in (x, x[:, :2], x[0], x[0, :2])))
+    return run
+
+
+# the other modes and configs of the batch drivers and of rhs, bit for bit
+MODE_GOLDEN = {
+    "final_states_competitive_trap": (
+        _final_states_competitive_trap,
+        "bf8b643e0522318849e406793f1f662aab7bdb5edfbbb534419633b0c93955ad",
+    ),
+    "settle_batch_section5_saturated": (
+        _settle_batch_section5_saturated,
+        "83d471d2d94a2c79cb0890285fefaced5dc2409b2ea0c1f51a0855e971734398",
+    ),
+    "settle_batch_competitive": (
+        _settle_batch_competitive,
+        "6b3fe31e4cf4d393df57c68235207d8c70eee30e1c49b1b288c5bd134aa6f1ab",
+    ),
+    "rhs_ref_normal": (
+        _rhs_grid("ref", dynamics.NORMAL),
+        "a6745b647f39b3eeb8a62669cf4133cc666a7d8fd3a6e929f9b0447b4d06979e",
+    ),
+    "rhs_ref_chattering": (
+        _rhs_grid("ref", dynamics.CHATTERING),
+        "0e6f2eab97bc67c1b7b5b86563acece9d02969760a577cd43c2d4238e4d76e3b",
+    ),
+    "rhs_section5_saturated": (
+        _rhs_grid("section5", dynamics.saturated_mode(0.5)),
+        "582625dbec2213b5afe6160a31235a55f2b6dd3ae242ff8fa67bd4b91e8af567",
+    ),
+    "rhs_competitive": (
+        _rhs_grid("competitive", dynamics.competitive_mode(1.0)),
+        "81689ed72f93d60ccff4f3948d2acb3d636a70ce64667f88cbc2d5e17f33c5f0",
+    ),
+    # t = 200 lies inside section5's K_U = 4 burst on [100, 300]
+    "rhs_section5_switched_full": (
+        _rhs_grid("section5", dynamics.SWITCHED_FULL, 200.0),
+        "0d44759ae1109d0e96203cffe0d6ddf986aec03b5334ac72b46b8d8f89be8a14",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODE_GOLDEN))
+def test_golden_modes(name, ref_cfg, section5_cfg, competitive_cfg):
+    run, digest = MODE_GOLDEN[name]
+    assert run({"ref": ref_cfg, "section5": section5_cfg, "competitive": competitive_cfg}) == digest
