@@ -1,18 +1,16 @@
 """Equilibrium calibration and fixed-point location.
 
-Fixed points of every operating mode reduce to a scalar equation in the
-active-queue length q:
+Fixed points of every operating mode reduce to one scalar equation in
+the active-queue length q, with K_U = 0 in normal mode:
 
-    normal                f(q)/alpha(q) = (K_R - mu(q)) / mu(q)
-    saturated/competitive f(q)/alpha(q) = (K_R + K_U - mu(q)) / (mu(q) - K_U)
+    g(q) = f(q)/alpha(q) - (K_R + K_U - mu(q)) / (mu(q) - K_U) = 0
 
-The residual g(q) is scanned on a dense grid over its domain of
-definition, sign changes are refined by bisection, and the remaining
-coordinates are recovered by back-substitution:
+One private function evaluates g on an array of q, only where it is
+defined (alpha(q) > 0 and mu(q) > K_U, each with a 1e-12 guard band).
+A 2000-point grid scan finds the sign changes, every bracket is bisected
+at once down to adjacent floats, and back-substitution gives
 
-    normal       R* = mu(q*)/alpha(q*),                 U* = 0
-    saturated    R* = (mu(q*) - K_U)/alpha(q*),         U* = 0
-    competitive  R* = (mu(q*) - K_U)/alpha(q*),         U* = K_U/alpha(q*)
+    R* = (mu(q*) - K_U)/alpha(q*),   U* = K_U/alpha(q*) (3-state modes, else 0)
 
 Calibration runs the other way: given desired equilibrium prices p1, p2
 it constructs an admission polynomial whose fixed points land at
@@ -34,6 +32,7 @@ from .model import (
     PriceSpec,
     ServiceSpec,
     _alpha_clauses,
+    _as_query,
     _cubic_slope_max,
     _root_count,
     eval_admission,
@@ -86,9 +85,16 @@ def _fixed_point_mode(mode, k_u):
     return mode, (0.0 if mode.fixed_point_tag == "normal" else mode.k_u)
 
 
-def _residual(cfg: ModelConfig, k_u: float, f, a, m):
-    """g from f(q), alpha(q) and mu(q) on the domain; floats or arrays."""
-    return f / a - (cfg.k_r + k_u - m) / (m - k_u)
+def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):
+    """g and its domain mask {alpha > DOMAIN_EPS, mu - K_U > DOMAIN_EPS} on
+    an array of q; g is NaN off the mask, where no fraction is formed."""
+    a = cfg.admission._kernel(qs)
+    m = cfg.service._kernel(qs)
+    ok = (a > DOMAIN_EPS) & (m - k_u > DOMAIN_EPS)
+    a, m = a[ok], m[ok]
+    g = np.full_like(qs, np.nan)
+    g[ok] = cfg.price._kernel(qs[ok]) / a - (cfg.k_r + k_u - m) / (m - k_u)
+    return g, ok
 
 
 def fixed_point_residual(
@@ -102,17 +108,17 @@ def fixed_point_residual(
     K_U-fed modes.
     """
     _, k_u = _fixed_point_mode(mode, k_u)
-    a = eval_admission(cfg.admission, q)
-    m = eval_service(cfg.service, q)
-    if a <= DOMAIN_EPS:
+    g, ok = _residual(cfg, k_u, _as_query(q)[0].reshape(1))
+    if ok[0]:
+        return float(g[0])
+    if eval_admission(cfg.admission, q) <= DOMAIN_EPS:  # which bound failed
         raise ResidualUndefinedError(f"alpha({q:g}) vanishes")
-    if m - k_u <= DOMAIN_EPS:
-        raise ResidualUndefinedError(f"mu({q:g}) = {m:g} does not exceed K_U = {k_u:g}")
-    return _residual(cfg, k_u, eval_price(cfg.price, q), a, m)
+    m = eval_service(cfg.service, q)
+    raise ResidualUndefinedError(f"mu({q:g}) = {m:g} does not exceed K_U = {k_u:g}")
 
 
 def _scan_domain(cfg: ModelConfig, k_u: float):
-    """Grid over {q : mu(q) > K_U, alpha(q) > 0} and masked residual."""
+    """Grid over {q : mu(q) > K_U, alpha(q) > 0}, masked residual and mask."""
     q_max = cfg.admission.q_max
     hi = q_max - max(1e-9, abs(q_max) * 1e-12) if math.isfinite(q_max) else 4 * cfg.service.q_c + 400.0
     svc = cfg.service
@@ -120,27 +126,34 @@ def _scan_domain(cfg: ModelConfig, k_u: float):
     if k_u >= svc.mu_star or lo >= hi:
         return None
     qs = np.linspace(lo, hi, GRID_POINTS)
-    a = eval_admission(cfg.admission, qs)
-    m = eval_service(cfg.service, qs)
-    ok = (a > DOMAIN_EPS) & (m - k_u > DOMAIN_EPS)
-    g = np.full_like(qs, np.nan)
-    g[ok] = _residual(cfg, k_u, eval_price(cfg.price, qs[ok]), a[ok], m[ok])
-    return qs, g, ok
+    return (qs, *_residual(cfg, k_u, qs))
 
 
-def _bisect(cfg, mode, lo, hi, g_lo):
+def _bisect(cfg: ModelConfig, k_u: float, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray):
+    """Roots of g in the sign-change brackets [lo, hi], bisected together.
+
+    Each bracket stops on its own: on an exact zero of g at the midpoint,
+    which is returned, or once the midpoint rounds onto lo or hi, or
+    after 100 halvings, which return 0.5*(lo + hi).
+    """
+    out = np.empty_like(lo)
+    live = np.arange(lo.size)
+    up = g_lo > 0
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+        mid = out[live] = 0.5 * (lo + hi)
+        moving = (mid != lo) & (mid != hi)
+        live, lo, hi, up, mid = live[moving], lo[moving], hi[moving], up[moving], mid[moving]
+        g, ok = _residual(cfg, k_u, mid)
+        if not ok.all():
+            raise ResidualUndefinedError(f"g undefined at q = {mid[~ok][0]:g} inside a bracket")
+        same = (g > 0) == up
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        nonzero = g != 0.0
+        live, lo, hi, up = live[nonzero], lo[nonzero], hi[nonzero], up[nonzero]
+        if not live.size:
             break
-        g_mid = fixed_point_residual(mid, cfg, mode)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0) == (g_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    out[live] = 0.5 * (lo + hi)
+    return out
 
 
 def find_fixed_points(
@@ -161,13 +174,8 @@ def find_fixed_points(
     if dom is None:
         return []
     qs, g, ok = dom
-    roots: list[float] = []
     idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
-    for i in idx:
-        roots.append(_bisect(cfg, mode, qs[i], qs[i + 1], g[i]))
-    exact = np.nonzero(ok & (g == 0.0))[0]
-    roots.extend(qs[j] for j in exact)
-    roots.sort()
+    roots = np.sort(np.concatenate([_bisect(cfg, k_u, qs[idx], qs[idx + 1], g[idx]), qs[g == 0.0]]))
     merged: list[float] = []
     for r in roots:
         if merged and abs(r - merged[-1]) < ROOT_MERGE_TOL:
@@ -177,13 +185,8 @@ def find_fixed_points(
     out = []
     for q_star in merged:
         a = eval_admission(cfg.admission, q_star)
-        m = eval_service(cfg.service, q_star)
-        if tag == "normal":
-            r_star, u_star = m / a, 0.0
-        elif tag == "saturated":
-            r_star, u_star = (m - k_u) / a, 0.0
-        else:
-            r_star, u_star = (m - k_u) / a, k_u / a
+        r_star = (eval_service(cfg.service, q_star) - k_u) / a
+        u_star = k_u / a if mode.dim == 3 else 0.0
         try:
             jac = stability.jacobian(cfg, (r_star, q_star, u_star), tag)
             report = stability.classify(jac)

@@ -290,10 +290,14 @@ def admission_slope(spec: AdmissionSpec, q):
         c2, c1 = spec.coefficients
         val = np.where(arr <= spec.q_max, c1, 0.0)
     else:
-        a0, a1, a2, a3 = spec.coefficients
-        dpoly = a1 + arr * (2 * a2 + arr * 3 * a3)
-        val = np.where(arr <= spec.q_max, dpoly, 0.0)
+        val = np.where(arr <= spec.q_max, _cubic_slope(spec.coefficients, arr), 0.0)
     return _ret(val, scalar)
+
+
+def _cubic_slope(coefficients, q):
+    """Derivative a1 + 2 a2 q + 3 a3 q^2 of the cubic; q float or array."""
+    _, a1, a2, a3 = coefficients
+    return a1 + q * (2 * a2 + q * 3 * a3)
 
 
 def _cubic_slope_max(coefficients, q_max: float) -> float:
@@ -303,11 +307,11 @@ def _cubic_slope_max(coefficients, q_max: float) -> float:
     at its vertex q = -a2/(3*a3).  The cubic is nonincreasing on the
     interval iff the result is <= 0.
     """
-    _, a1, a2, a3 = coefficients
+    _, _, a2, a3 = coefficients
     crit = [0.0, q_max]
     if a3 != 0 and 0 <= -a2 / (3 * a3) <= q_max:
         crit.append(-a2 / (3 * a3))
-    return max(a1 + q * (2 * a2 + q * 3 * a3) for q in crit)
+    return max(_cubic_slope(coefficients, q) for q in crit)
 
 
 def saturation_floor(cfg: ModelConfig) -> float:

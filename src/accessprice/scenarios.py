@@ -38,9 +38,7 @@ class ScenarioConfig:
     """Comparison-scenario parameters around a base configuration.
 
     The base price must be the saturated variant (the proposed
-    mechanism); the surge leg reuses its beta.  zero_flow_ratio is the
-    fairness value recorded when nobody is admitted; None records NaN
-    instead of the default 1.0.
+    mechanism); the surge leg reuses its beta.
     """
 
     base: ModelConfig
@@ -49,7 +47,6 @@ class ScenarioConfig:
     t1: float = 400.0
     x0: tuple[float, float, float] = (50.0, 15.0, 0.0)
     h: float = 0.01
-    zero_flow_ratio: float | None = 1.0
 
     def __post_init__(self):
         if self.base.price.variant != "saturated":
@@ -88,18 +85,18 @@ def scenario_from_config(cfg: ModelConfig, **overrides) -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class FairnessSeries:
-    """Responsive share of the admitted flow over time."""
+    """Responsive share of the admitted flow over time; 1.0 where the
+    total admitted flow is below ZERO_FLOW_TOL."""
 
     times: np.ndarray
     ratio: np.ndarray
 
     @classmethod
-    def from_trajectory(cls, traj: dynamics.Trajectory, zero_flow_ratio: float | None = 1.0):
+    def from_trajectory(cls, traj: dynamics.Trajectory):
         total = traj.flow_r + traj.flow_u
-        fill = math.nan if zero_flow_ratio is None else float(zero_flow_ratio)
         ratio = np.where(
             total < ZERO_FLOW_TOL,
-            fill,
+            1.0,
             traj.flow_r / np.where(total > 0, total, 1.0),
         )
         return cls(times=traj.times, ratio=ratio)
@@ -129,8 +126,8 @@ def run_comparison(sc: ScenarioConfig) -> ComparisonResult:
     return ComparisonResult(
         surge=legs[0],
         saturated=legs[1],
-        fairness_surge=FairnessSeries.from_trajectory(legs[0], sc.zero_flow_ratio),
-        fairness_saturated=FairnessSeries.from_trajectory(legs[1], sc.zero_flow_ratio),
+        fairness_surge=FairnessSeries.from_trajectory(legs[0]),
+        fairness_saturated=FairnessSeries.from_trajectory(legs[1]),
     )
 
 

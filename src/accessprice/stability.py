@@ -12,6 +12,12 @@ and the competitive 3-state mode, in (R, q, U) order,
     [  alpha       (R+U)alpha'-mu'      alpha  ]
     [  0           -U*alpha'            -alpha ]
 
+One private function builds these entries from f, f', alpha, alpha' and
+mu' at q, for one state or an array of states.  jacobian() makes them a
+matrix; divergence() sums the diagonal in the order of classify's trace.
+finite_diff_jacobian() is the oracle: central differences of
+dynamics.rhs, one call on the 2*dim perturbed states.
+
 Eigenvalues come from the closed-form quadratic/cubic solutions, not
 from an eigensolver.  The one linear-algebra call is np.linalg.det for
 the 3x3 determinant (an LU factorization), so 3D results are
@@ -103,6 +109,18 @@ def _local_fields(cfg: ModelConfig, q: float):
     )
 
 
+def _entries(cfg: ModelConfig, r, q, u, dim: int):
+    """Rows of the mode's Jacobian at (r, q, u); floats or arrays of states."""
+    f, fp, a, ap, mp = _local_fields(cfg, q)
+    if dim == 2:
+        return ((-(f + a), -r * (fp + ap)), (a, r * ap - mp))
+    return (
+        (-(f + a), -r * (fp + ap), 0.0),
+        (a, (r + u) * ap - mp, a),
+        (0.0, -u * ap, -a),
+    )
+
+
 def jacobian(cfg: ModelConfig, state, mode="normal") -> JacobianMatrix:
     """Analytic Jacobian of the mode's right-hand side at the state.
 
@@ -113,23 +131,7 @@ def jacobian(cfg: ModelConfig, state, mode="normal") -> JacobianMatrix:
     """
     mode = as_mode(mode)
     r, q, u = _check_state(cfg, state, mode)
-    f, fp, a, ap, mp = _local_fields(cfg, q)
-    if mode.dim == 2:
-        m = np.array(
-            [
-                [-(f + a), -r * (fp + ap)],
-                [a, r * ap - mp],
-            ]
-        )
-        return JacobianMatrix(2, m)
-    m = np.array(
-        [
-            [-(f + a), -r * (fp + ap), 0.0],
-            [a, (r + u) * ap - mp, a],
-            [0.0, -u * ap, -a],
-        ]
-    )
-    return JacobianMatrix(3, m)
+    return JacobianMatrix(mode.dim, np.array(_entries(cfg, r, q, u, mode.dim)))
 
 
 def finite_diff_jacobian(cfg: ModelConfig, state, mode="normal", h: float = 1e-6) -> JacobianMatrix:
@@ -147,15 +149,12 @@ def finite_diff_jacobian(cfg: ModelConfig, state, mode="normal", h: float = 1e-6
             raise KinkProximityError(
                 f"kink at {k:g} within 10*h of q = {q:g}"
             )
-    x0 = np.array([r, q, u])
-    cols = []
-    for j in range(mode.dim):
-        hi, lo = x0.copy(), x0.copy()
-        hi[j] += h
-        lo[j] -= h
-        d = (dynamics.rhs(cfg, mode, 0.0, hi) - dynamics.rhs(cfg, mode, 0.0, lo)) / (2 * h)
-        cols.append(d[:mode.dim])
-    return JacobianMatrix(mode.dim, np.column_stack(cols))
+    dim = mode.dim
+    x = np.tile([r, q, u], (2 * dim, 1))
+    x[:dim, :dim] += h * np.eye(dim)
+    x[dim:, :dim] -= h * np.eye(dim)
+    d = dynamics.rhs(cfg, mode, 0.0, x)
+    return JacobianMatrix(dim, ((d[:dim] - d[dim:]) / (2 * h))[:, :dim].T)
 
 
 def divergence(cfg: ModelConfig, state, mode="normal"):
@@ -172,21 +171,16 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
     arr = np.asarray(state, dtype=float)
     if arr.ndim <= 1:
         r, q, u = _check_state(cfg, state, mode)
-        f, _, a, ap, mp = _local_fields(cfg, q)
-        if mode.dim == 2:
-            return -f - a + ap * r - mp
-        return -2 * a - f + (r + u) * ap - mp
-    if np.any(arr < 0):
-        raise ValueError("states must lie in the positive orthant")
-    r, q = arr[..., 0], arr[..., 1]
-    u = arr[..., 2] if arr.shape[-1] == 3 else np.zeros_like(r)
-    for k in cfg.kink_points():
-        if np.any(np.abs(q - k) < KINK_RADIUS):
-            raise KinkProximityError(f"a sampled q sits on the kink at {k:g}")
-    f, _, a, ap, mp = _local_fields(cfg, q)
-    if mode.dim == 2:
-        return -f - a + ap * r - mp
-    return -2 * a - f + (r + u) * ap - mp
+    else:
+        if np.any(arr < 0):
+            raise ValueError("states must lie in the positive orthant")
+        r, q = arr[..., 0], arr[..., 1]
+        u = arr[..., 2] if arr.shape[-1] == 3 else np.zeros_like(r)
+        for k in cfg.kink_points():
+            if np.any(np.abs(q - k) < KINK_RADIUS):
+                raise KinkProximityError(f"a sampled q sits on the kink at {k:g}")
+    rows = _entries(cfg, r, q, u, mode.dim)
+    return sum((rows[i][i] for i in range(1, mode.dim)), rows[0][0])
 
 
 def _eig_quadratic(tr: float, det: float) -> tuple[complex, complex]:
@@ -335,9 +329,8 @@ def saddle_criterion(cfg: ModelConfig, fp) -> tuple[float, float, bool]:
     q = fp.q_star
     if cfg.price.q_m is None or q <= cfg.price.q_m:
         raise ValueError("saddle criterion applies to the high-congestion point (q* > q_m)")
+    f, _, a, ap, mp = _local_fields(cfg, q)
     m = eval_service(cfg.service, q)
     lhs = cfg.price.beta * m
-    rhs = (cfg.k_r - m) * abs(admission_slope(cfg.admission, q)) + (
-        eval_price(cfg.price, q) + eval_admission(cfg.admission, q)
-    ) * service_slope(cfg.service, q)
+    rhs = (cfg.k_r - m) * abs(ap) + (f + a) * mp
     return lhs, rhs, lhs > rhs

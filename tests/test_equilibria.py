@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from accessprice import dynamics, equilibria
+from accessprice import dynamics, equilibria, stability
 from accessprice.equilibria import (
     CalibrationError,
     CalibrationTargets,
@@ -14,7 +14,14 @@ from accessprice.equilibria import (
     find_fixed_points,
     fixed_point_residual,
 )
-from accessprice.model import PriceSpec, ServiceSpec, eval_admission, eval_service
+from accessprice.model import (
+    ModelConfig,
+    PriceSpec,
+    ServiceSpec,
+    eval_admission,
+    eval_price,
+    eval_service,
+)
 
 TRI = PriceSpec(variant="triangular", beta=1e-3, q_m=45.0)
 SVC = ServiceSpec(mu_star=3.0, q_c=35.0)
@@ -263,3 +270,151 @@ class TestRoundTrip:
                 jacobian(cfg, (fps[1].r_star, fps[1].q_star), "normal")
             ).determinant
             assert (det < 0) == is_saddle
+
+
+def _per_point_fixed_points(cfg, mode, k_u=None):
+    """Reference: the grid scan, one scalar bisection per sign change and
+    the per-mode back-substitution that find_fixed_points used to run."""
+    mode = dynamics.as_mode(mode, k_u)
+    tag = mode.fixed_point_tag
+    k_u = 0.0 if tag == "normal" else mode.k_u
+    eps = 1e-12
+    q_max, svc = cfg.admission.q_max, cfg.service
+    hi = q_max - max(1e-9, abs(q_max) * 1e-12) if math.isfinite(q_max) else 4 * svc.q_c + 400.0
+    lo = 1e-9 if k_u <= 0 else (k_u + eps) * svc.q_c / svc.mu_star * (1 + 1e-12) + 1e-12
+    if k_u >= svc.mu_star or lo >= hi:
+        return []
+    qs = np.linspace(lo, hi, 2000)
+    a = eval_admission(cfg.admission, qs)
+    m = eval_service(svc, qs)
+    ok = (a > eps) & (m - k_u > eps)
+    g = np.full_like(qs, np.nan)
+    g[ok] = eval_price(cfg.price, qs[ok]) / a[ok] - (cfg.k_r + k_u - m[ok]) / (m[ok] - k_u)
+
+    def residual(q):
+        a, m = eval_admission(cfg.admission, q), eval_service(svc, q)
+        assert a > eps and m - k_u > eps
+        return eval_price(cfg.price, q) / a - (cfg.k_r + k_u - m) / (m - k_u)
+
+    def bisect(lo, hi, g_lo):
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            g_mid = residual(mid)
+            if g_mid == 0.0:
+                return mid
+            if (g_mid > 0) == (g_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
+    roots = [bisect(qs[i], qs[i + 1], g[i]) for i in idx]
+    roots.extend(qs[j] for j in np.nonzero(ok & (g == 0.0))[0])
+    roots.sort()
+    merged = []
+    for r in roots:
+        if not (merged and abs(r - merged[-1]) < 1e-6):
+            merged.append(r)
+    out = []
+    for q_star in merged:
+        a, m = eval_admission(cfg.admission, q_star), eval_service(svc, q_star)
+        if tag == "normal":
+            r_star, u_star = m / a, 0.0
+        elif tag == "saturated":
+            r_star, u_star = (m - k_u) / a, 0.0
+        else:
+            r_star, u_star = (m - k_u) / a, k_u / a
+        try:
+            rep = stability.classify(stability.jacobian(cfg, (r_star, q_star, u_star), tag))
+            cls, eig = rep.classification, tuple(rep.eigenvalues)
+        except stability.KinkProximityError:
+            cls, eig = "degenerate", ()
+        out.append(equilibria.FixedPoint(
+            tag, r_star, q_star, u_star, eval_price(cfg.price, q_star), cls, eig
+        ))
+    return out
+
+
+def _calibrated_sets(seed, n):
+    """n configurations calibrated from targets drawn near ref's: linear
+    or cubic admission under the triangular or saturated price."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        beta = 1e-3 * rng.uniform(0.9, 1.1)
+        q_m = 45.0 * rng.uniform(0.96, 1.04)
+        if rng.random() < 0.5:
+            price = PriceSpec("triangular", beta=beta, q_m=q_m)
+        else:
+            price = PriceSpec("saturated", beta=beta, q_m=q_m, q_n=q_m * rng.uniform(1.5, 1.9))
+        service = ServiceSpec(mu_star=3.0 * rng.uniform(0.94, 1.06), q_c=35.0 * rng.uniform(0.95, 1.05))
+        k_r = 4.0 * rng.uniform(0.95, 1.05)
+        q1 = 40.0 * rng.uniform(0.95, 1.05)
+        q2 = min(82.0 * rng.uniform(0.975, 1.025), 2 * q_m - 1.0)
+        if price.variant == "saturated":
+            q2 = min(q2, price.q_n - 1.0)
+        targets = CalibrationTargets(p1=beta * q1, p2=beta * (2 * q_m - q2))
+        try:
+            if rng.random() < 0.5:
+                adm = calibrate_linear_admission(targets, price, service, k_r)
+            else:
+                adm = calibrate_cubic_admission(
+                    targets, price, service, k_r, q_max=2 * q_m * rng.uniform(1.05, 1.2)
+                )
+        except CalibrationError:
+            continue
+        out.append(ModelConfig(k_r=k_r, k_u_schedule=(), price=price, admission=adm, service=service))
+    return out
+
+
+def _field_types(fps):
+    return [tuple(type(v) for v in vars(fp).values()) for fp in fps]
+
+
+class TestArrayBisection:
+    MODES = [
+        dynamics.NORMAL,
+        dynamics.CHATTERING,
+        dynamics.SWITCHED_FULL,
+        dynamics.saturated_mode(0.5),
+        dynamics.saturated_mode(1.5),
+        dynamics.competitive_mode(0.0),
+        dynamics.competitive_mode(1.0),
+    ]
+
+    def test_shipped_configs_match_per_point_bisection(self, ref_cfg, section5_cfg, competitive_cfg):
+        for cfg in (ref_cfg, section5_cfg, competitive_cfg):
+            for mode in self.MODES:
+                new, ref = find_fixed_points(cfg, mode), _per_point_fixed_points(cfg, mode)
+                assert new == ref, mode
+                assert _field_types(new) == _field_types(ref)
+
+    def test_calibrated_sets_match_per_point_bisection(self):
+        modes = [
+            dynamics.NORMAL,
+            dynamics.saturated_mode(0.5),
+            dynamics.competitive_mode(0.0),
+            dynamics.competitive_mode(1.0),
+        ]
+        roots = 0
+        for cfg in _calibrated_sets(2024, 200):
+            for mode in modes:
+                new, ref = find_fixed_points(cfg, mode), _per_point_fixed_points(cfg, mode)
+                assert new == ref, (cfg, mode)
+                assert _field_types(new) == _field_types(ref)
+                roots += len(new)
+        assert roots >= 800
+
+    def test_scan_makes_no_scalar_residual_calls(self, ref_cfg, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fixed_point_residual(*args, **kwargs)
+
+        monkeypatch.setattr(equilibria, "fixed_point_residual", counted)
+        assert len(find_fixed_points(ref_cfg, "normal")) == 2
+        assert calls == []

@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -105,14 +104,6 @@ class TestFairnessSeries:
         fs = FairnessSeries.from_trajectory(traj_like)
         assert fs.ratio[0] == 1.0
         assert fs.ratio[1] == 0.5
-
-    def test_zero_flow_nan_mode(self):
-        traj_like = type(
-            "T", (), {"times": np.array([0.0]), "flow_r": np.array([0.0]),
-                      "flow_u": np.array([0.0])}
-        )
-        fs = FairnessSeries.from_trajectory(traj_like, zero_flow_ratio=None)
-        assert math.isnan(fs.ratio[0])
 
 
 class TestFairnessGap:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from accessprice import dynamics
 from accessprice.equilibria import FixedPoint, find_fixed_points
 from accessprice.model import AdmissionSpec
 from accessprice.stability import (
@@ -51,6 +52,30 @@ class TestJacobian:
             jacobian(ref_cfg, (25.0, 60.0), "chattering")
 
 
+def _random_states(ref_cfg, section5_cfg, competitive_cfg):
+    """90 seeded states away from the kinks, cycling through normal
+    (ref), saturated (section5) and competitive (competitive)."""
+    rng = np.random.default_rng(7)
+    cases = [
+        (ref_cfg, "normal"),
+        (section5_cfg, "saturated"),
+        (competitive_cfg, "competitive"),
+    ]
+    total = 0
+    while total < 90:
+        cfg, mode = cases[total % 3]
+        q_hi = min(cfg.admission.q_max, 110.0)
+        state = (
+            rng.uniform(0.1, 250.0),
+            rng.uniform(0.5, q_hi - 0.5),
+            rng.uniform(0.0, 150.0),
+        )
+        if any(abs(state[1] - k) < 1e-4 for k in cfg.kink_points()):
+            continue
+        yield cfg, mode, state
+        total += 1
+
+
 class TestFiniteDifferenceOracle:
     def test_agreement_at_reference_point(self, ref_cfg):
         j = jacobian(ref_cfg, (25.0, 40.0), "normal")
@@ -58,28 +83,26 @@ class TestFiniteDifferenceOracle:
         np.testing.assert_allclose(j.entries, fd.entries, atol=1e-6)
 
     def test_agreement_random_states_all_modes(self, ref_cfg, section5_cfg, competitive_cfg):
-        rng = np.random.default_rng(7)
-        cases = [
-            (ref_cfg, "normal"),
-            (section5_cfg, "saturated"),
-            (competitive_cfg, "competitive"),
-        ]
-        total = 0
-        while total < 90:
-            cfg, mode = cases[total % 3]
-            q_hi = min(cfg.admission.q_max, 110.0)
-            state = (
-                rng.uniform(0.1, 250.0),
-                rng.uniform(0.5, q_hi - 0.5),
-                rng.uniform(0.0, 150.0),
-            )
-            kinks = cfg.kink_points()
-            if any(abs(state[1] - k) < 1e-4 for k in kinks):
-                continue
+        for cfg, mode, state in _random_states(ref_cfg, section5_cfg, competitive_cfg):
             j = jacobian(cfg, state, mode)
             fd = finite_diff_jacobian(cfg, state, mode, h=1e-6)
             np.testing.assert_allclose(j.entries, fd.entries, atol=1e-6)
-            total += 1
+
+    def test_matches_column_by_column_difference(self, ref_cfg, section5_cfg, competitive_cfg):
+        # the one stacked rhs call gives the columns that one pair of
+        # single-state rhs calls per coordinate gave, bit for bit
+        h = 1e-6
+        for cfg, mode, state in _random_states(ref_cfg, section5_cfg, competitive_cfg):
+            x0, dim = np.array(state), (3 if mode == "competitive" else 2)
+            cols = []
+            for j in range(dim):
+                hi, lo = x0.copy(), x0.copy()
+                hi[j] += h
+                lo[j] -= h
+                d = (dynamics.rhs(cfg, mode, 0.0, hi) - dynamics.rhs(cfg, mode, 0.0, lo)) / (2 * h)
+                cols.append(d[:dim])
+            fd = finite_diff_jacobian(cfg, state, mode, h=h)
+            assert fd.entries.tobytes() == np.column_stack(cols).tobytes()
 
     def test_zero_step_rejected(self, ref_cfg):
         with pytest.raises(ValueError):
