@@ -3,12 +3,14 @@
 Subcommands: validate, fixed-points, classify, simulate, phase, doa,
 scenario.  Configurations are JSON files with a versioned schema; see
 configs/ in the repository for the shipped references.  Exit codes:
-0 success, 1 validation failure, 2 usage error.  Diagnostics go to
-stderr; data goes to --out files (or stdout for tabular commands).
+0 success, 1 validation failure or stdout closed by its reader, 2 usage
+error.  Diagnostics go to stderr; data goes to --out files (or stdout
+for tabular commands).
 
 Outputs are byte-identical across repeated runs on the same inputs:
 iteration orders are fixed, floats are printed at 12 significant digits
-and no timestamps are embedded.
+("%.12g", one format per row for the all-numeric tables) and no
+timestamps are embedded.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -217,12 +218,28 @@ def _open_out(path):
         raise FileNotFoundError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path, header, rows, every=1):
-    """Header, then every `every`-th row, each cell through _fmt."""
+def _write_csv(path, header, lines):
+    """Header, then the table's lines as they are, each ending in a newline."""
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
-        for row in itertools.islice(rows, 0, None, every):
-            fh.write(",".join(map(_fmt, row)) + "\n")
+        fh.writelines(lines)
+
+
+def _mixed_lines(rows):
+    """Lines of rows that mix strings with numbers, each cell through _fmt."""
+    return (",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _numeric_lines(*columns, every=1):
+    """Lines of every `every`-th row of equal-length 1-D/2-D float arrays,
+    one "%.12g,...\n" format per row ("%.12g" % x == _fmt(x) for every
+    float), _ROW_BLOCK rows turned into Python floats at a time."""
+    columns = [c[::every] for c in columns]
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    template = ",".join(["%.12g"] * width) + "\n"
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        for row in np.column_stack([c[start:start + _ROW_BLOCK] for c in columns]).tolist():
+            yield template % tuple(row)
 
 
 def _write_json(path, doc):
@@ -231,17 +248,13 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
-def _numeric_rows(*columns):
-    """Rows of equal-length 1-D/2-D columns as float lists, _ROW_BLOCK rows at a time."""
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        yield from np.column_stack([c[start:start + _ROW_BLOCK] for c in columns]).tolist()
-
-
 TRAJ_HEADER = ["t", "R", "q", "U", "price", "flow_R", "flow_U", "mu"]
 
 
-def _traj_rows(traj):
-    return _numeric_rows(traj.times, traj.states, traj.price, traj.flow_r, traj.flow_u, traj.mu)
+def _traj_lines(traj, every):
+    return _numeric_lines(
+        traj.times, traj.states, traj.price, traj.flow_r, traj.flow_u, traj.mu, every=every
+    )
 
 
 # ------------------------------------------------------------- commands
@@ -267,7 +280,7 @@ def _cmd_fixed_points(args, cfg, mode) -> int:
         for z in eig[:mode.dim]:
             row.extend([z.real, z.imag])
         rows.append(row)
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, _mixed_lines(rows))
     return 0
 
 
@@ -294,7 +307,7 @@ def _cmd_classify(args, cfg, mode) -> int:
             [fp.mode, fp.q_star, fp.r_star, fp.u_star, fp.classification,
              trace, det, hur, lhs, rhs_]
         )
-    _write_csv(args.out, header, rows)
+    _write_csv(args.out, header, _mixed_lines(rows))
     return 0
 
 
@@ -308,7 +321,7 @@ def _positive_int(text: str) -> int:
 def _cmd_simulate(args, cfg, mode) -> int:
     x0 = [float(v) for v in args.x0.split(",")]
     traj = dynamics.integrate(cfg, mode, x0, args.t0, args.t1, args.step)
-    _write_csv(args.out, TRAJ_HEADER, _traj_rows(traj), args.every)
+    _write_csv(args.out, TRAJ_HEADER, _traj_lines(traj, args.every))
     return 0
 
 
@@ -317,10 +330,10 @@ def _cmd_phase(args, cfg, mode) -> int:
         cfg, mode, (args.r_min, args.r_max), (args.q_min, args.q_max), args.resolution
     )
     r, q = np.meshgrid(grid.r, grid.q, indexing="ij")
-    rows = _numeric_rows(
+    lines = _numeric_lines(
         r.ravel(), q.ravel(), grid.dr.ravel(), grid.dq.ravel(), grid.magnitude.ravel()
     )
-    _write_csv(args.out, ["r", "q", "dr", "dq", "magnitude"], rows)
+    _write_csv(args.out, ["r", "q", "dr", "dq", "magnitude"], lines)
     return 0
 
 
@@ -349,9 +362,9 @@ def _cmd_scenario(args, cfg, mode) -> int:
         "saturated": (result.saturated, result.fairness_saturated),
     }
     for name, (traj, fs) in legs.items():
-        _write_csv(f"{prefix}_{name}.csv", TRAJ_HEADER, _traj_rows(traj), args.every)
-        ratio = _numeric_rows(fs.times, fs.ratio)
-        _write_csv(f"{prefix}_fairness_{name}.csv", ["t", "ratio"], ratio, args.every)
+        _write_csv(f"{prefix}_{name}.csv", TRAJ_HEADER, _traj_lines(traj, args.every))
+        ratio = _numeric_lines(fs.times, fs.ratio, every=args.every)
+        _write_csv(f"{prefix}_fairness_{name}.csv", ["t", "ratio"], ratio)
 
     w0 = max(args.window_start, sc.t0)
     w1 = min(args.window_end, sc.t1)
@@ -493,7 +506,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # devnull takes stdout's place, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

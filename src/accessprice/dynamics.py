@@ -482,7 +482,9 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
         for t, dt in _grid(a, b, h):
             x = step(x, dt, t)
             k += 1
-            times[k], states[k] = t, x
+            times[k] = t
+            # item stores: numpy builds no array from the tuple x
+            states[k, 0], states[k, 1], states[k, 2] = x
 
     fr, fu = admitted_flows(cfg, mode, states)
     return Trajectory(

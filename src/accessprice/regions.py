@@ -157,12 +157,19 @@ def eta1_inverse(cfg: ModelConfig, r: float) -> float:
     hi = q_max * (1 - 1e-12) - 1e-12 if math.isfinite(q_max) else cfg.service.q_c * 1e6
     if eta1(cfg, hi) < r:
         raise ValueError(f"eta1 stays below {r:g} on its domain")
+    # the spec kernels on the float mid give eta1's values bit for bit
+    # without its array coercion; no early stop on an exact hit, which
+    # would move the doa outputs
+    mu, alpha = cfg.service._kernel, cfg.admission._kernel
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if eta1(cfg, mid) < r:
+        a = alpha(mid)
+        if a <= 0:
+            raise ValueError("alpha(q) vanishes at or beyond q_max; eta undefined")
+        if mu(mid) / a < r:
             lo = mid
         else:
             hi = mid

@@ -1,11 +1,16 @@
 import json
+import os
 from pathlib import Path
+import subprocess
+import sys
 
+from hypothesis import example, given, strategies as st
 import pytest
 
 from accessprice import cli
 from accessprice.cli import ConfigError, load_config, run
 
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -173,6 +178,24 @@ class TestInputDomain:
         assert code == 2
         assert f"error: cannot write {out}: " in capsys.readouterr().err
 
+    def test_closed_stdout_exits_one_without_traceback(self, config_dir):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "accessprice.cli", "simulate",
+             "--config", str(config_dir / "ref.json"), "--t1", "400"],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        # 40001 rows are far more than a pipe holds, so the writer is still
+        # busy when the reader goes away, as with `| head -2`
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert head[0] == b"t,R,q,U,price,flow_R,flow_U,mu\n"
+        assert "Traceback" not in err and "Exception ignored" not in err
+
     @pytest.mark.parametrize(
         "span, named",
         [
@@ -271,3 +294,50 @@ class TestCommands:
             run(["fixed-points", "--config", str(config_dir / "ref.json"),
                  "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestNumericTables:
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(float("nan"))
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(0.0)
+    @example(-0.0)
+    @example(5e-324)
+    @example(-1.5e-310)
+    @example(sys.float_info.min)
+    @example(sys.float_info.max)
+    @example(-sys.float_info.max)
+    def test_row_template_cell_matches_fmt(self, x):
+        assert "%.12g" % x == cli._fmt(x)
+
+    def test_numeric_tables_make_no_per_cell_calls(self, config_dir, tmp_path, monkeypatch):
+        calls = []
+        fmt = cli._fmt
+
+        def counted(x):
+            calls.append(x)
+            return fmt(x)
+
+        monkeypatch.setattr(cli, "_fmt", counted)
+        ref, s5 = str(config_dir / "ref.json"), str(config_dir / "section5.json")
+        for argv in (
+            ["simulate", "--config", ref, "--t1", "5", "--out", str(tmp_path / "sim.csv")],
+            ["phase", "--config", ref, "--resolution", "10", "--out", str(tmp_path / "ph.csv")],
+            ["scenario", "--config", s5, "--step", "0.1", "--every", "10",
+             "--out-prefix", str(tmp_path / "scn")],
+        ):
+            assert run(argv) == 0
+            assert calls == [], argv[0]
+        # the mixed tables still format through _fmt, so the counter sees calls
+        assert run(["fixed-points", "--config", ref, "--out", str(tmp_path / "fp.csv")]) == 0
+        assert calls
+
+    def test_every_beyond_horizon_writes_t0_row_only(self, config_dir, tmp_path):
+        out = tmp_path / "sim.csv"
+        code = run(["simulate", "--config", str(config_dir / "ref.json"),
+                    "--every", "100000", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,R,q,U,price,flow_R,flow_U,mu"
+        assert len(lines) == 2 and lines[1].startswith("0,50,15,0,")

@@ -89,6 +89,11 @@ STDOUT_GOLDEN = {
         ["fixed-points", "--config", "{cfg}/ref.json"],
         "6bc0f345e1d6a52bfdf55395e3cfe7763e30ac095688e8baa4b03e14e9f06719",
     ),
+    # an all-numeric table on stdout, thinned rows
+    "simulate_ref_every50_stdout": (
+        ["simulate", "--config", "{cfg}/ref.json", "--x0", "150,50", "--every", "50"],
+        "c86c550a58defc600a44b1092d198330771c556df3aaea819be32173f7af9d2c",
+    ),
     "validate_ref_stdout": (
         ["validate", "--config", "{cfg}/ref.json"],
         "f77e98246e99a6e88f887d7e4f34698fef3d943c50c52d6f850673a9c479802e",

@@ -1,9 +1,13 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from accessprice import dynamics
 from accessprice.dynamics import NORMAL, competitive_mode, final_states
 from accessprice.equilibria import find_fixed_points
+from accessprice.model import AdmissionSpec
 from accessprice.regions import (
     RegionSpec,
     build_cuboid,
@@ -91,6 +95,46 @@ class TestDaggers:
         for r in (5.0, 26.05, 58.0):
             q = eta1_inverse(ref_cfg, r)
             assert eta1(ref_cfg, q) == pytest.approx(r, rel=1e-9)
+
+    @pytest.mark.parametrize("name", ["ref", "section5", "competitive"])
+    def test_eta1_inverse_matches_bisection_on_public_eta1(
+        self, name, ref_cfg, section5_cfg, competitive_cfg
+    ):
+        cfg = {"ref": ref_cfg, "section5": section5_cfg, "competitive": competitive_cfg}[name]
+        q_top = _bisection_top(cfg)
+        rng = np.random.default_rng(12)
+        # seeded r, R_dagger, and r = eta1(q) exactly, where the bisection
+        # must keep halving past the hit
+        rs = [r_dagger(cfg), *rng.uniform(0.0, eta1(cfg, q_top), 150)]
+        rs += [eta1(cfg, q) for q in rng.uniform(0.0, q_top, 50)]
+        for r in rs:
+            assert eta1_inverse(cfg, r) == _eta1_inverse_on_public_eta1(cfg, r), r
+
+    def test_eta1_inverse_vanishing_alpha_is_named(self, ref_cfg):
+        # alpha = 0.1 (q - 1)(q - 3) clamped at 0: zero on [1, 3], positive near q_max
+        adm = AdmissionSpec("cubic", (0.3, -0.4, 0.1, 0.0), q_max=10.0)
+        cfg = dataclasses.replace(ref_cfg, admission=adm)
+        with pytest.raises(ValueError, match="alpha\\(q\\) vanishes"):
+            eta1_inverse(cfg, 0.1)
+
+
+def _bisection_top(cfg):
+    q_max = cfg.admission.q_max
+    return q_max * (1 - 1e-12) - 1e-12 if math.isfinite(q_max) else cfg.service.q_c * 1e6
+
+
+def _eta1_inverse_on_public_eta1(cfg, r):
+    """eta1_inverse's bisection written on the validating public eta1: the reference."""
+    lo, hi = 0.0, _bisection_top(cfg)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if eta1(cfg, mid) < r:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 class TestBuildPolygon:
