@@ -355,6 +355,12 @@ def _cmd_doa(args, cfg, mode) -> int:
 
 def _cmd_scenario(args, cfg, mode) -> int:
     sc = scenarios.scenario_from_config(cfg, h=args.step)
+    w0 = max(args.window_start, sc.t0)
+    w1 = min(args.window_end, sc.t1)
+    if not w0 <= w1:  # NaN included; checked before any file is written
+        raise ValueError(
+            f"window [{w0:g}, {w1:g}] outside the series horizon [{sc.t0:g}, {sc.t1:g}]"
+        )
     result = scenarios.run_comparison(sc)
     prefix = args.out_prefix
     legs = {
@@ -366,8 +372,6 @@ def _cmd_scenario(args, cfg, mode) -> int:
         ratio = _numeric_lines(fs.times, fs.ratio, every=args.every)
         _write_csv(f"{prefix}_fairness_{name}.csv", ["t", "ratio"], ratio)
 
-    w0 = max(args.window_start, sc.t0)
-    w1 = min(args.window_end, sc.t1)
     gap_min, gap_mean = scenarios.fairness_gap(
         result.fairness_saturated, result.fairness_surge, (w0, w1)
     )

@@ -6,7 +6,10 @@ The nullclines of the 2-state system are graphs over q:
     eta2(q) = K_R/(alpha(q) + f(q))   (Rdot = 0)
 
 R_dagger is the maximum of eta2 over [0, q_m] and q_dagger its preimage
-under eta1.  Whenever R2* > R_dagger, every choice of q_bar in
+under eta1.  On [0, q_m] the price is beta*q, so alpha + f is a
+polynomial there and R_dagger is exact: eta2's largest value on the end
+points and the real roots of alpha'(q) + beta inside the interval.
+Whenever R2* > R_dagger, every choice of q_bar in
 (q_dagger, q2*) and r_bar in (max{R_dagger, eta2(q_bar)}, eta1(q_bar)]
 yields a forward-invariant polygon A=(0,0), B=(0,q_bar),
 C=(eta2(q_bar),q_bar), D=(r_bar,eta1_inverse(r_bar)), E=(r_bar,0) that
@@ -17,6 +20,7 @@ traps a cuboid spanned by the origin and (r_hat, q_hat, u_hat).
 check_invariance verifies a region numerically: boundary samples
 (vertices excluded by a 1e-6 margin), outward-normal inner products on
 the non-axis faces, and the inward flow conditions on the axis faces.
+Both kinds of region go through one loop over their faces.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from . import dynamics, equilibria
 from .model import ModelConfig, eval_admission, eval_price, eval_service
 
 VERTEX_MARGIN = 1e-6  # boundary samples keep this distance from vertices
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass
@@ -111,45 +114,32 @@ def eta3(cfg: ModelConfig, q, u_hat: float):
     return float(val) if np.isscalar(q) else val
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float = 1e-10) -> float:
-    a, b = lo, hi
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = fn(c)
-    return 0.5 * (a + b)
-
-
 def r_dagger(cfg: ModelConfig) -> float:
-    """max { eta2(q) : q in [0, q_m] } by grid scan plus local refinement.
+    """max { eta2(q) : q in [0, q_m] }, exact from its critical points.
 
-    The maximum is not assumed to sit at q_m: for admissible alpha it can
-    be interior or at either endpoint, so a 1000-point grid brackets it
-    and a golden-section pass refines the bracket.
+    On [0, q_m] the price is beta*q, so alpha + f is a polynomial there.
+    Its minimum, where eta2 peaks, lies at 0, at q_m or at a real root of
+    alpha'(q) + beta inside the interval; eta2's largest value on those
+    candidates is R_dagger.  The real roots of alpha' inside are
+    candidates too, so an alpha that dips to zero in the interval raises
+    "alpha(q) vanishes" instead of giving a value.  A linear alpha has no
+    interior candidates.
     """
     q_m = cfg.price.q_m
     if q_m is None:
         raise ValueError("r_dagger needs a price variant with a peak q_m")
-    qs = np.linspace(0.0, q_m, 1000)
-    vals = eta2(cfg, qs)
-    i = int(np.argmax(vals))
-    lo = qs[max(0, i - 1)]
-    hi = qs[min(len(qs) - 1, i + 1)]
-    q_best = _golden_max(lambda q: eta2(cfg, float(q)), lo, hi)
-    return max(float(np.max(vals)), eta2(cfg, q_best))
+    qs = [0.0, q_m]
+    if cfg.admission.variant == "cubic":
+        _, a1, a2, a3 = cfg.admission.coefficients
+        for c in (a1 + cfg.price.beta, a1):
+            qs += [z.real for z in np.roots([3 * a3, 2 * a2, c])
+                   if z.imag == 0 and 0 < z.real < q_m]
+    return float(np.max(eta2(cfg, np.array(qs))))
 
 
 def eta1_inverse(cfg: ModelConfig, r: float) -> float:
     """Solve eta1(q) = r by bisection; eta1 is strictly increasing."""
-    if r < 0:
+    if not r >= 0:  # NaN included
         raise ValueError("eta1 inverse needs r >= 0")
     if r == 0:
         return 0.0
@@ -181,14 +171,22 @@ def q_dagger(cfg: ModelConfig) -> float:
     return eta1_inverse(cfg, r_dagger(cfg))
 
 
-def _two_fixed_points(cfg, mode, k_u, what):
+def _anchor(cfg, mode, k_u, what):
+    """(upper fixed point, R_dagger, q_dagger) that both regions are built on.
+
+    Raises by name unless the mode has exactly two fixed points and
+    R2* > R_dagger.
+    """
     fps = equilibria.find_fixed_points(cfg, mode, k_u)
     if len(fps) != 2:
         label = "normal-mode" if mode == "normal" else mode
         raise ValueError(
             f"{what} construction needs exactly two {label} fixed points, found {len(fps)}"
         )
-    return fps
+    r2, rd = fps[1].r_star, r_dagger(cfg)
+    if not r2 > rd:
+        raise ValueError(f"hypothesis R2* > R_dagger violated: {r2:g} <= {rd:g}")
+    return fps[1], rd, eta1_inverse(cfg, rd)
 
 
 def build_polygon(cfg: ModelConfig, q_choice: float | None = None, r_choice: float | None = None) -> RegionSpec:
@@ -197,12 +195,8 @@ def build_polygon(cfg: ModelConfig, q_choice: float | None = None, r_choice: flo
     Defaults pick the midpoints of the admissible intervals.  Every
     hypothesis violation is reported by name.
     """
-    fps = _two_fixed_points(cfg, "normal", None, "region")
-    r2, q2 = fps[1].r_star, fps[1].q_star
-    rd = r_dagger(cfg)
-    if not r2 > rd:
-        raise ValueError(f"hypothesis R2* > R_dagger violated: {r2:g} <= {rd:g}")
-    qd = eta1_inverse(cfg, rd)
+    fp2, rd, qd = _anchor(cfg, "normal", None, "region")
+    q2 = fp2.q_star
     if q_choice is None:
         q_choice = 0.5 * (qd + q2)
     if not qd < q_choice < q2:
@@ -228,28 +222,8 @@ def build_polygon(cfg: ModelConfig, q_choice: float | None = None, r_choice: flo
 
 
 def default_cuboid_params(cfg: ModelConfig, k_u: float = 0.0):
-    """Midpoint (q_hat, u_hat, r_hat) for build_cuboid.
-
-    u_hat is chosen inside the part of (K_U/alpha(q_hat), U2*) that
-    leaves the r_hat interval (eta2, eta3) nonempty, i.e. below
-    eta1(q_hat) - eta2(q_hat); with K_U = 0 the upper bound U2* = 0 is
-    vacuous and only that feasibility bound applies.
-    """
-    fps = _two_fixed_points(cfg, "competitive", k_u, "cuboid")
-    return _cuboid_defaults(cfg, k_u, fps[1], q_dagger(cfg))
-
-
-def _cuboid_defaults(cfg, k_u, fp2, qd):
-    """default_cuboid_params from the upper fixed point fp2 and q_dagger."""
-    q2, u2 = fp2.q_star, fp2.u_star
-    q_hat = 0.5 * (qd + q2)
-    lo_u = k_u / eval_admission(cfg.admission, q_hat)
-    room = eta1(cfg, q_hat) - eta2(cfg, q_hat)
-    hi_u = min(u2, room) if k_u > 0 else room
-    if not hi_u > lo_u:
-        raise ValueError("no u_hat leaves the r_hat interval nonempty")
-    u_hat = 0.5 * (lo_u + hi_u)
-    r_hat = 0.5 * (eta2(cfg, q_hat) + eta3(cfg, q_hat, u_hat))
+    """build_cuboid's default corner, as (q_hat, u_hat, r_hat)."""
+    r_hat, q_hat, u_hat = build_cuboid(cfg, k_u=k_u).vertices[1]
     return q_hat, u_hat, r_hat
 
 
@@ -266,23 +240,27 @@ def build_cuboid(
     q_hat in (q_dagger, q2*), u_hat in (K_U/alpha(q_hat), U2*) (upper bound
     dropped when K_U = 0, where U2* = 0 says nothing), r_hat in
     (eta2(q_hat), eta3(q_hat, u_hat)).
+
+    A corner value left out is the midpoint of its interval, taken from
+    the values in effect in the order q_hat, u_hat, r_hat.  The default
+    u_hat stays below eta1(q_hat) - eta2(q_hat), which keeps the r_hat
+    interval nonempty; with K_U = 0 that is its only upper bound.
     """
-    fps = _two_fixed_points(cfg, "competitive", k_u, "cuboid")
-    r2, q2, u2 = fps[1].r_star, fps[1].q_star, fps[1].u_star
-    rd = r_dagger(cfg)
-    if not r2 > rd:
-        raise ValueError(f"hypothesis R2* > R_dagger violated: {r2:g} <= {rd:g}")
-    qd = eta1_inverse(cfg, rd)
-    if q_hat is None or u_hat is None or r_hat is None:
-        dq, du, dr = _cuboid_defaults(cfg, k_u, fps[1], qd)
-        q_hat = dq if q_hat is None else q_hat
-        u_hat = du if u_hat is None else u_hat
-        r_hat = dr if r_hat is None else r_hat
+    fp2, _, qd = _anchor(cfg, "competitive", k_u, "cuboid")
+    q2, u2 = fp2.q_star, fp2.u_star
+    if q_hat is None:
+        q_hat = 0.5 * (qd + q2)
     if not qd < q_hat < q2:
         raise ValueError(
             f"q_hat must lie in (q_dagger, q2*) = ({qd:g}, {q2:g}), got {q_hat:g}"
         )
     lo_u = k_u / eval_admission(cfg.admission, q_hat)
+    if u_hat is None:
+        room = eta1(cfg, q_hat) - eta2(cfg, q_hat)
+        hi_u = min(u2, room) if k_u > 0 else room
+        if not hi_u > lo_u:
+            raise ValueError("no u_hat leaves the r_hat interval nonempty")
+        u_hat = 0.5 * (lo_u + hi_u)
     if not u_hat > lo_u:
         raise ValueError(
             f"u_hat must exceed K_U/alpha(q_hat) = {lo_u:g}, got {u_hat:g}"
@@ -290,6 +268,8 @@ def build_cuboid(
     if k_u > 0 and not u_hat < u2:
         raise ValueError(f"u_hat must lie below U2* = {u2:g}, got {u_hat:g}")
     lo_r, hi_r = eta2(cfg, q_hat), eta3(cfg, q_hat, u_hat)
+    if r_hat is None:
+        r_hat = 0.5 * (lo_r + hi_r)
     if not (lo_r < r_hat < hi_r):
         raise ValueError(
             f"r_hat must lie in (eta2(q_hat), eta3(q_hat, u_hat)) = ({lo_r:g}, {hi_r:g}), got {r_hat:g}"
@@ -305,16 +285,6 @@ def _polygon_edges(vertices):
     return [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
 
 
-def _outward_normal(v1, v2, centroid):
-    d = (v2[0] - v1[0], v2[1] - v1[1])
-    n = np.array([d[1], -d[0]])
-    n /= np.hypot(*n)
-    mid = np.array([(v1[0] + v2[0]) / 2, (v1[1] + v2[1]) / 2])
-    if n @ (np.asarray(centroid) - mid) > 0:
-        n = -n
-    return n
-
-
 def halfspaces(region: RegionSpec):
     """(A, b) with the region = {x : A @ x <= b}, rows per face."""
     if region.kind == "polygon2d":
@@ -322,7 +292,10 @@ def halfspaces(region: RegionSpec):
         centroid = np.mean(verts, axis=0)
         rows, offs = [], []
         for v1, v2 in _polygon_edges(verts):
-            n = _outward_normal(v1, v2, centroid)
+            n = np.array([v2[1] - v1[1], -(v2[0] - v1[0])])
+            n /= np.hypot(*n)
+            if n @ (centroid - (v1 + v2) / 2) > 0:  # points inward, at the centroid
+                n = -n
             rows.append([n[0], n[1], 0.0])
             offs.append(float(n @ v1))
         return np.array(rows), np.array(offs)
@@ -349,6 +322,62 @@ def _edge_samples(v1, v2, n):
     return v1[None, :] + ts[:, None] * (v2 - v1)[None, :]
 
 
+# how a face condition takes its worst sample, and whether that sample passes
+_POSITIVE = (np.min, lambda w: w > 0)
+_NONNEGATIVE = (np.min, lambda w: w >= 0)
+_NEGATIVE = (np.max, lambda w: w < 0)
+_OUTWARD = "<outward normal, F> < 0"
+
+
+def _faces(region: RegionSpec, k_u: float, n: int):
+    """(name, boundary states, condition, F -> values, test) per face.
+
+    Axis faces and cuboid faces pick one column of F; a slanted polygon
+    edge takes F0*n0 + F1*n1 with its outward normal from halfspaces.
+    Faces are made one at a time, so one face's samples are held at once.
+    """
+    if region.kind == "polygon2d":
+        A, _ = halfspaces(region)
+        verts = np.asarray(region.vertices, dtype=float)
+        names = ("AB", "BC", "CD", "DE", "EA")
+        for name, (v1, v2), nrm in zip(names, _polygon_edges(verts), A):
+            pts = _edge_samples(v1, v2, n)
+            states = np.column_stack([pts, np.zeros(len(pts))])
+            if abs(v1[0]) < 1e-12 and abs(v2[0]) < 1e-12:
+                face = "dR/dt > 0 on R = 0", lambda F: F[:, 0], _POSITIVE
+            elif abs(v1[1]) < 1e-12 and abs(v2[1]) < 1e-12:
+                face = "dq/dt >= 0 on q = 0", lambda F: F[:, 1], _NONNEGATIVE
+            else:
+                face = _OUTWARD, lambda F, m=nrm: F[:, 0] * m[0] + F[:, 1] * m[1], _NEGATIVE
+            yield (name, states, *face)
+        return
+    if region.kind != "cuboid3d":
+        raise ValueError(f"unknown region kind {region.kind!r}")
+    corner = region.vertices[1]  # (r_hat, q_hat, u_hat)
+    side = max(2, math.ceil(math.sqrt(n)))
+
+    def face_grid(axis, value):
+        others = [i for i in range(3) if i != axis]
+        A, B = np.meshgrid(
+            *(np.linspace(VERTEX_MARGIN, corner[i] - VERTEX_MARGIN, side) for i in others)
+        )
+        pts = np.empty((A.size, 3))
+        pts[:, axis] = value
+        pts[:, others[0]] = A.ravel()
+        pts[:, others[1]] = B.ravel()
+        return pts
+
+    inward = (
+        ("R=0", "dR/dt > 0", _POSITIVE),
+        ("q=0", "dq/dt >= 0", _NONNEGATIVE),
+        ("U=0", "dU/dt > 0 (>= 0 when K_U = 0)", _POSITIVE if k_u > 0 else _NONNEGATIVE),
+    )
+    for axis, (name, condition, test) in enumerate(inward):
+        yield name, face_grid(axis, 0.0), condition, lambda F, i=axis: F[:, i], test
+    for axis, name in enumerate(("R=r_hat", "q=q_hat", "U=u_hat")):
+        yield name, face_grid(axis, corner[axis]), _OUTWARD, lambda F, i=axis: F[:, i], _NEGATIVE
+
+
 def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) -> InvarianceReport:
     """Sample the region boundary and test that the flow points inward.
 
@@ -356,81 +385,18 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
     the outward normal with the right-hand side; axis faces use the
     inward conditions dR/dt > 0 on R = 0, dq/dt >= 0 on q = 0 and dU/dt > 0 on
     U = 0 (>= 0 when K_U = 0).  Vertices and a 1e-6 margin around them
-    are excluded.  n = 0 passes vacuously with a warning.
+    are excluded.  n = 0 passes vacuously with a warning; n < 0 raises.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     report = InvarianceReport()
     if n == 0:
         report.warning = "no samples requested; vacuous pass"
         return report
     mode = dynamics.as_mode(mode)
-
-    if region.kind == "polygon2d":
-        verts = [np.array(v, dtype=float) for v in region.vertices]
-        centroid = np.mean(verts, axis=0)
-        names = ["AB", "BC", "CD", "DE", "EA"]
-        for name, (v1, v2) in zip(names, _polygon_edges(verts)):
-            pts = _edge_samples(v1, v2, n)
-            states = np.column_stack([pts, np.zeros(len(pts))])
-            F = dynamics.rhs(cfg, mode, 0.0, states)
-            on_r_axis = abs(v1[0]) < 1e-12 and abs(v2[0]) < 1e-12
-            on_q_axis = abs(v1[1]) < 1e-12 and abs(v2[1]) < 1e-12
-            if on_r_axis:
-                worst = float(F[:, 0].min())
-                report.faces.append(
-                    FaceReport(name, "dR/dt > 0 on R = 0", worst, n, worst > 0)
-                )
-            elif on_q_axis:
-                worst = float(F[:, 1].min())
-                report.faces.append(
-                    FaceReport(name, "dq/dt >= 0 on q = 0", worst, n, worst >= 0)
-                )
-            else:
-                nrm = _outward_normal(v1, v2, centroid)
-                vals = F[:, 0] * nrm[0] + F[:, 1] * nrm[1]
-                worst = float(vals.max())
-                report.faces.append(
-                    FaceReport(name, "<outward normal, F> < 0", worst, n, worst < 0)
-                )
-        return report
-
-    if region.kind != "cuboid3d":
-        raise ValueError(f"unknown region kind {region.kind!r}")
-    r_hat, q_hat, u_hat = region.vertices[1]
-    side = max(2, math.ceil(math.sqrt(n)))
-
-    def face_grid(fixed_axis, fixed_val, span_a, span_b):
-        a = np.linspace(VERTEX_MARGIN, span_a - VERTEX_MARGIN, side)
-        b = np.linspace(VERTEX_MARGIN, span_b - VERTEX_MARGIN, side)
-        A, B = np.meshgrid(a, b)
-        pts = np.empty((A.size, 3))
-        axes = [i for i in range(3) if i != fixed_axis]
-        pts[:, fixed_axis] = fixed_val
-        pts[:, axes[0]] = A.ravel()
-        pts[:, axes[1]] = B.ravel()
-        return pts
-
-    spans = (r_hat, q_hat, u_hat)
-    axis_conditions = [
-        ("R=0", 0, "dR/dt > 0", True),
-        ("q=0", 1, "dq/dt >= 0", False),
-        ("U=0", 2, "dU/dt > 0 (>= 0 when K_U = 0)", mode.k_u > 0),
-    ]
-    for name, axis, cond, strict in axis_conditions:
-        others = [i for i in range(3) if i != axis]
-        pts = face_grid(axis, 0.0, spans[others[0]], spans[others[1]])
-        F = dynamics.rhs(cfg, mode, 0.0, pts)
-        worst = float(F[:, axis].min())
-        ok = worst > 0 if strict else worst >= 0
-        report.faces.append(FaceReport(name, cond, worst, len(pts), ok))
-    outer = [("R=r_hat", 0), ("q=q_hat", 1), ("U=u_hat", 2)]
-    for name, axis in outer:
-        others = [i for i in range(3) if i != axis]
-        pts = face_grid(axis, spans[axis], spans[others[0]], spans[others[1]])
-        F = dynamics.rhs(cfg, mode, 0.0, pts)
-        worst = float(F[:, axis].max())
-        report.faces.append(
-            FaceReport(name, "<outward normal, F> < 0", worst, len(pts), worst < 0)
-        )
+    for name, states, condition, values, (reduce, passes) in _faces(region, mode.k_u, n):
+        worst = float(reduce(values(dynamics.rhs(cfg, mode, 0.0, states))))
+        report.faces.append(FaceReport(name, condition, worst, len(states), passes(worst)))
     return report
 
 
@@ -444,8 +410,8 @@ def phase_grid(cfg: ModelConfig, mode, r_range, q_range, resolution: int) -> Pha
         raise ValueError("resolution must be >= 1")
     r0, r1 = map(float, r_range)
     q0, q1 = map(float, q_range)
-    if not (r1 > r0 >= 0 and q1 > q0 >= 0):
-        raise ValueError("ranges must be nonnegative and increasing")
+    if not (math.isfinite(r1) and math.isfinite(q1) and r1 > r0 >= 0 and q1 > q0 >= 0):
+        raise ValueError("ranges must be finite, nonnegative and increasing")
     mode = dynamics.as_mode(mode)
     dr_cell = (r1 - r0) / resolution
     dq_cell = (q1 - q0) / resolution

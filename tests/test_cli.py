@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
+import math
 import os
 from pathlib import Path
 import subprocess
 import sys
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from accessprice import cli
@@ -215,6 +218,74 @@ class TestInputDomain:
         assert err.count("error:") == 1
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("window", [["--window-start", "500"], ["--window-start", "nan"]])
+    def test_scenario_window_checked_before_integrating(self, config_dir, tmp_path, capsys, window):
+        code = run(["scenario", "--config", str(config_dir / "section5.json"), "--step", "0.1",
+                    "--out-prefix", str(tmp_path / "P"), *window])
+        assert code == 1
+        assert "outside the series horizon [0, 400]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("P_*"))
+
+    def test_doa_negative_samples_named(self, config_dir, capsys):
+        code = run(["doa", "--config", str(config_dir / "ref.json"), "--samples", "-5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: n must be >= 0\n"
+
+    @pytest.mark.parametrize("flag", ["--q-max", "--r-max"])
+    def test_phase_infinite_range_named(self, config_dir, tmp_path, capsys, flag):
+        out = tmp_path / "phase.csv"
+        code = run(["phase", "--config", str(config_dir / "ref.json"), "--resolution", "3",
+                    flag, "inf", "--out", str(out)])
+        assert code == 1
+        assert "ranges must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _float_flag():
+    """A float flag's value: absent, any float (NaN, +-inf and negatives too) or a usual one."""
+    return st.one_of(st.none(), st.floats(), st.floats(0.0, 160.0))
+
+
+class TestContract:
+    """doa and phase end in a result or a named error for any flag values.
+
+    --samples stays <= 2000 and --resolution <= 40, so each run is small.
+    """
+
+    @settings(deadline=None)
+    @given(q=_float_flag(), r=_float_flag(), samples=st.none() | st.integers(-100, 2000))
+    @example(q=math.nan, r=None, samples=None)
+    @example(q=None, r=-math.inf, samples=10)
+    @example(q=70.0, r=58.0, samples=-5)
+    def test_doa(self, config_dir, q, r, samples):
+        _run_contract(config_dir, "doa", {"--q-choice": q, "--r-choice": r, "--samples": samples})
+
+    @settings(deadline=None)
+    @given(bounds=st.tuples(*[_float_flag()] * 4), resolution=st.none() | st.integers(-5, 40))
+    @example(bounds=(None, math.inf, None, None), resolution=3)
+    @example(bounds=(None, None, None, math.inf), resolution=3)
+    @example(bounds=(math.nan, None, -1.0, None), resolution=3)
+    @example(bounds=(None, None, -math.inf, None), resolution=0)
+    def test_phase(self, config_dir, bounds, resolution):
+        flags = dict(zip(["--r-min", "--r-max", "--q-min", "--q-max"], bounds))
+        flags["--resolution"] = resolution
+        rows = _run_contract(config_dir, "phase", flags)
+        # a written grid holds finite numbers only
+        assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
+
+
+def _run_contract(config_dir, command, flags):
+    """Run the command in-process; assert an exit code of 0, 1 or 2 and no
+    traceback; return stdout's lines."""
+    argv = [command, "--config", str(config_dir / "ref.json")]
+    argv += [f"{flag}={value!r}" for flag, value in flags.items() if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    return out.getvalue().splitlines()
 
 
 class TestCommands:

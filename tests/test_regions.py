@@ -6,8 +6,13 @@ import pytest
 
 from accessprice import dynamics
 from accessprice.dynamics import NORMAL, competitive_mode, final_states
-from accessprice.equilibria import find_fixed_points
-from accessprice.model import AdmissionSpec
+from accessprice.equilibria import (
+    CalibrationError,
+    CalibrationTargets,
+    calibrate_linear_admission,
+    find_fixed_points,
+)
+from accessprice.model import AdmissionSpec, ModelConfig, PriceSpec, ServiceSpec, eval_admission
 from accessprice.regions import (
     RegionSpec,
     build_cuboid,
@@ -117,6 +122,86 @@ class TestDaggers:
         with pytest.raises(ValueError, match="alpha\\(q\\) vanishes"):
             eta1_inverse(cfg, 0.1)
 
+    def test_eta1_inverse_nan_is_named(self, ref_cfg):
+        with pytest.raises(ValueError, match="r >= 0"):
+            eta1_inverse(ref_cfg, math.nan)
+
+    def test_r_dagger_matches_grid_and_golden_section(self, ref_cfg, competitive_cfg):
+        cfgs = [ref_cfg, competitive_cfg, *_linear_calibrations(7, 200)]
+        for cfg in cfgs:
+            assert r_dagger(cfg) == _r_dagger_by_scan(cfg), cfg
+
+    def test_r_dagger_interior_maximum_is_exact(self, section5_cfg):
+        # alpha + f = beta*q + cubic on [0, q_m] is least where beta + alpha'(q) = 0
+        cfg = section5_cfg
+        _, a1, a2, a3 = cfg.admission.coefficients
+        a, b, c = 3 * a3, 2 * a2, a1 + cfg.price.beta
+        q_root = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)  # a < 0: the smaller root
+        assert 18.5 < q_root < 19.0
+        rd = r_dagger(cfg)
+        assert rd == eta2(cfg, q_root)
+        assert rd >= np.max(eta2(cfg, np.linspace(0.0, cfg.price.q_m, 200001)))
+        assert rd >= _r_dagger_by_scan(cfg)
+
+    @pytest.mark.parametrize("beta", [0.001, 1.0])
+    def test_r_dagger_vanishing_alpha_is_named(self, ref_cfg, beta):
+        # alpha = 0.1 (q - 1)(q - 3) clamped at 0 is zero on [1, 3], inside [0, q_m];
+        # at beta = 1.0 only the root of alpha' (q = 2) finds that
+        adm = AdmissionSpec("cubic", (0.3, -0.4, 0.1, 0.0), q_max=10.0)
+        price = PriceSpec("triangular", beta=beta, q_m=5.0)
+        cfg = dataclasses.replace(ref_cfg, admission=adm, price=price)
+        with pytest.raises(ValueError, match="alpha\\(q\\) vanishes"):
+            r_dagger(cfg)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max(fn, lo, hi, tol=1e-10):
+    a, b = lo, hi
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > tol:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = fn(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = fn(c)
+    return 0.5 * (a + b)
+
+
+def _r_dagger_by_scan(cfg):
+    """R_dagger by a 1000-point grid and golden-section refinement: the reference."""
+    qs = np.linspace(0.0, cfg.price.q_m, 1000)
+    vals = eta2(cfg, qs)
+    i = int(np.argmax(vals))
+    lo, hi = qs[max(0, i - 1)], qs[min(len(qs) - 1, i + 1)]
+    q_best = _golden_max(lambda q: eta2(cfg, float(q)), lo, hi)
+    return max(float(np.max(vals)), eta2(cfg, q_best))
+
+
+def _linear_calibrations(seed, n):
+    """n linear admissions calibrated from targets drawn near ref's."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        beta, q_m = 1e-3 * rng.uniform(0.9, 1.1), 45.0 * rng.uniform(0.96, 1.04)
+        price = PriceSpec("triangular", beta=beta, q_m=q_m)
+        service = ServiceSpec(mu_star=3.0 * rng.uniform(0.94, 1.06), q_c=35.0 * rng.uniform(0.95, 1.05))
+        k_r = 4.0 * rng.uniform(0.95, 1.05)
+        q1, q2 = 40.0 * rng.uniform(0.95, 1.05), 82.0 * rng.uniform(0.975, 1.025)
+        targets = CalibrationTargets(p1=beta * q1, p2=beta * (2 * q_m - q2))
+        try:
+            adm = calibrate_linear_admission(targets, price, service, k_r)
+        except CalibrationError:
+            continue
+        out.append(ModelConfig(k_r=k_r, k_u_schedule=(), price=price, admission=adm, service=service))
+    return out
+
 
 def _bisection_top(cfg):
     q_max = cfg.admission.q_max
@@ -206,6 +291,14 @@ class TestCheckInvariance:
         cd = next(f for f in rep.faces if f.name == "CD")
         assert not cd.passed
 
+    def test_negative_samples_named(self, ref_cfg, competitive_cfg):
+        poly = build_polygon(ref_cfg, 70.0, 58.0)
+        cub = build_cuboid(competitive_cfg, k_u=1.0)
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            check_invariance(ref_cfg, poly, NORMAL, -5)
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            check_invariance(competitive_cfg, cub, competitive_mode(1.0), -5)
+
     def test_zero_samples_vacuous(self, ref_cfg):
         poly = build_polygon(ref_cfg, 70.0, 58.0)
         rep = check_invariance(ref_cfg, poly, NORMAL, 0)
@@ -253,6 +346,18 @@ class TestBuildCuboid:
                 competitive_cfg, q_hat, u_hat, eta2(competitive_cfg, q_hat), k_u=1.0
             )
 
+    def test_only_q_hat_given_derives_the_rest_from_it(self, competitive_cfg):
+        cfg, k_u = competitive_cfg, 1.0
+        fp2 = find_fixed_points(cfg, "competitive", k_u)[1]
+        q2, u2 = fp2.q_star, fp2.u_star
+        q_hat = 0.25 * q_dagger(cfg) + 0.75 * q2
+        assert q_hat != default_cuboid_params(cfg, k_u)[0]
+        lo_u = k_u / eval_admission(cfg.admission, q_hat)
+        u_hat = 0.5 * (lo_u + min(u2, eta1(cfg, q_hat) - eta2(cfg, q_hat)))
+        r_hat = 0.5 * (eta2(cfg, q_hat) + eta3(cfg, q_hat, u_hat))
+        cub = build_cuboid(cfg, q_hat=q_hat, k_u=k_u)
+        assert cub.vertices[1] == (r_hat, q_hat, u_hat)
+
     def test_zero_load_degenerates_gracefully(self, competitive_cfg):
         cub = build_cuboid(competitive_cfg, k_u=0.0)
         rep = check_invariance(competitive_cfg, cub, competitive_mode(0.0), 150)
@@ -284,6 +389,15 @@ class TestPhaseGrid:
         grid = phase_grid(ref_cfg, NORMAL, (0.0, 150.0), (0.0, 92.0), 10)
         assert len(grid.eta1_curve) > 0 and len(grid.eta2_curve) > 0
         assert len(grid.fixed_points) == 2
+
+    @pytest.mark.parametrize("r_range, q_range", [
+        ((0.0, math.inf), (0.0, 92.0)),
+        ((0.0, 150.0), (0.0, math.inf)),
+        ((0.0, math.nan), (0.0, 92.0)),
+    ])
+    def test_non_finite_range_rejected(self, ref_cfg, r_range, q_range):
+        with pytest.raises(ValueError, match="finite"):
+            phase_grid(ref_cfg, NORMAL, r_range, q_range, 3)
 
     def test_bad_resolution(self, ref_cfg):
         with pytest.raises(ValueError):
