@@ -362,6 +362,10 @@ def _cmd_scenario(args, cfg, mode) -> int:
             f"window [{w0:g}, {w1:g}] outside the series horizon [{sc.t0:g}, {sc.t1:g}]"
         )
     result = scenarios.run_comparison(sc)
+    # a window that holds no sample raises here, before any file is written
+    gap_min, gap_mean = scenarios.fairness_gap(
+        result.fairness_saturated, result.fairness_surge, (w0, w1)
+    )
     prefix = args.out_prefix
     legs = {
         "surge": (result.surge, result.fairness_surge),
@@ -372,9 +376,6 @@ def _cmd_scenario(args, cfg, mode) -> int:
         ratio = _numeric_lines(fs.times, fs.ratio, every=args.every)
         _write_csv(f"{prefix}_fairness_{name}.csv", ["t", "ratio"], ratio)
 
-    gap_min, gap_mean = scenarios.fairness_gap(
-        result.fairness_saturated, result.fairness_surge, (w0, w1)
-    )
     probe = scenarios.bounceback_probe(sc, result)
     summary = {
         "fairness_gap": {"window": [w0, w1], "min": gap_min, "mean": gap_mean},

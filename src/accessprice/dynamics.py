@@ -34,16 +34,33 @@ The stepper has two backends with the same formulas and operation
 order.  The batch backend holds n states as one C-contiguous (3, n)
 stack, rows R, q and U: its right-hand side (_make_deriv, on the numpy
 kernels the model specs own) writes into a caller-owned (3, n) buffer,
-and its step (_batch_step) updates the stack in place, one numpy call
-per stage update.  It drives final_states and settle_batch; rhs wraps
-its right-hand side.  The scalar backend (_scalar_deriv, _scalar_step)
-is its plain-float twin for integrate and converge.  The two agree bit
-for bit, and both steps raise FloatingPointError on the first NaN state.
+and its step (_batch_step) advances the stack, in place or into a
+given (3, n) slot, one numpy call per stage update.  It drives
+final_states and settle_batch; rhs wraps its right-hand side.  The
+scalar backend (_scalar_deriv, _scalar_step) is its plain-float twin for
+integrate and converge.  The two agree bit for bit, and both steps raise
+FloatingPointError on the first NaN state.
+
+The batch drivers observe their runs per block of steps, not per step
+(_blocks).  Each step writes its result into the next slot of one
+preallocated (block, 3, n) history, and the driver then takes the
+block's observations (settle_batch's tolerance streaks, settle times and
+max q; final_states' region excess) with whole-array operations.  At
+small n every numpy call costs about a microsecond whatever its size, so
+a dozen bookkeeping calls per step cost as much as a quarter of the step
+itself; per block they cost a fraction of a microsecond per step.  A
+block is BLOCK_STEPS steps, fewer when its history would pass
+BLOCK_BYTES, so memory stays bounded at any n.  Every result is the one
+the per-step bookkeeping gave, bit for bit: settle_batch carries each
+run's streak across block edges, returns the state and time of the step
+where the last run settled, and ignores a FloatingPointError raised
+after it in the same block, which the per-step loop never reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 
 import numpy as np
@@ -54,6 +71,8 @@ MAX_STEP = 0.1
 DEFAULT_STEP = 0.01
 CLAMP_EPS = 1e-9
 SETTLE_STREAK = 100  # consecutive in-tolerance steps deemed converged
+BLOCK_STEPS = 128  # most steps a batch driver takes between observations
+BLOCK_BYTES = 1 << 18  # cap on the (block, 3, n) state history of one block
 
 MODE_TAGS = ("normal", "chattering", "saturated", "competitive", "switched_full")
 
@@ -171,8 +190,8 @@ def _admittance_bound(cfg: ModelConfig, tag: str) -> float | None:
 
 def _chattering_flow(cfg: ModelConfig, a, r, q):
     """Admitted flow alpha(q)*R of chattering mode, capped at mu_star from q_ad on."""
-    flow = a * r
-    return np.where(q >= cfg.q_ad, np.minimum(flow, cfg.service.mu_star), flow)
+    flow = np.asarray(a * r)  # 0-d for one state, so the cap can write into it
+    return np.minimum(flow, cfg.service.mu_star, out=flow, where=q >= cfg.q_ad)
 
 
 def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
@@ -360,19 +379,22 @@ def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
 
 
 def _batch_step(deriv, n, q_cap, chat_cap, where):
-    """_scalar_step's numpy twin for n states: step(x, dt, t, raw=None)
-    advances the (3, n) C-contiguous stack x in place, in _scalar_step's
-    operation order, through four derivative buffers (U rows zero, as the
-    2-state fields never write dU) and a stage buffer allocated once here.
-    raw, when given, is a [per-coordinate minimum, maximum q] pair that
-    takes in the unclamped result.  Runs that started on or below the
-    chattering bound chat_cap are then projected back onto it, all are
-    clamped onto the box (coordinates >= 0, q <= q_cap), and a NaN raises
+    """_scalar_step's numpy twin for n states: step(x, dt, t, raw=None,
+    out=None) advances the (3, n) C-contiguous stack x into the (3, n)
+    C-contiguous out (x itself when None), in _scalar_step's operation
+    order, through four derivative buffers (U rows zero, as the 2-state
+    fields never write dU) and a stage buffer allocated once here.  raw,
+    when given, is a [per-coordinate minimum, maximum q] pair that takes
+    in the unclamped result.  Runs that started on or below the chattering
+    bound chat_cap are then projected back onto it, all are clamped onto
+    the box (coordinates >= 0, q <= q_cap), and a NaN raises
     FloatingPointError naming the end time t and the run context where."""
     k1, k2, k3, k4 = (np.zeros((3, n)) for _ in range(4))
     s = np.empty((3, n))
 
-    def step(x, dt, t, raw=None):
+    def step(x, dt, t, raw=None, out=None):
+        if out is None:
+            out = x
         if chat_cap is not None:
             below = x[1] <= chat_cap + CLAMP_EPS
         deriv(x, k1)
@@ -383,7 +405,7 @@ def _batch_step(deriv, n, q_cap, chat_cap, where):
         np.add(np.multiply(k2, 2, out=s), k1, out=s)
         np.add(s, np.multiply(k3, 2, out=k3), out=s)
         np.add(s, k4, out=s)
-        x += np.multiply(s, dt / 6.0, out=s)
+        x = np.add(x, np.multiply(s, dt / 6.0, out=s), out=out)
         if raw is not None:
             raw[0] = np.minimum(raw[0], x.min(axis=1, initial=np.inf))
             raw[1] = max(raw[1], float(x[1].max(initial=-np.inf)))
@@ -419,6 +441,50 @@ def _grid(a: float, b: float, h: float):
     return ((b, last) if k == n else (a + k * h, h) for k in range(1, n + 1))
 
 
+def _block_steps(n: int) -> int:
+    """Steps per block for n runs: BLOCK_STEPS, fewer when the (block, 3, n)
+    history would pass BLOCK_BYTES, and at least one."""
+    return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (24 * max(n, 1))))
+
+
+def _blocks(step, x0, grid, size: int, raw=None):
+    """Step the (3, n) states x0 along grid, up to size steps per block.
+
+    x0 is copied into the last slot of one (size, 3, n) history allocated
+    here, and each step writes its result into the next slot, so x0
+    itself is never written and one slot is stepped in place.  Yields
+    (states, times) per block: views of the states after each of its k
+    steps, (k, 3, n), and of the steps' end times, (k,); both are
+    overwritten by the next block.  A FloatingPointError ends its block
+    early: the steps before it are yielded, and it is raised only when
+    the next block is asked for, so a caller that returns on the block
+    that holds its answer never sees a fault after it.
+    """
+    hist = np.empty((size, *x0.shape))
+    slots = list(hist)  # the views, made once
+    x = slots[-1]
+    x[...] = x0
+    times = np.empty(size)
+    grid = iter(grid)
+    while True:
+        k, fault = 0, None
+        for t, dt in itertools.islice(grid, size):
+            try:
+                step(x, dt, t, raw, out=slots[k])
+            except FloatingPointError as exc:
+                fault = exc
+                break
+            x = slots[k]
+            times[k] = t
+            k += 1
+        if k:
+            yield hist[:k], times[:k]
+        if fault is not None:
+            raise fault
+        if k < size:
+            return
+
+
 def _starts(x0s, name: str = "initial state") -> np.ndarray:
     """Checked (n, 3) starts from one state or an (n, 2 | 3) batch, U = 0
     when omitted; ValueError naming the states for other shapes and for
@@ -443,8 +509,8 @@ def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
 def _bind(cfg: ModelConfig, mode: SystemMode, h: float, *, batch: int | None = None, k_u=None):
     """The run's checked RK4 step bound to the mode's field at constant K_U
     (k_u for one switched_full piece), its clamps and NaN context:
-    _scalar_step's (x, dt, t) -> x, or with batch = n the in-place
-    (x, dt, t[, raw]) of _batch_step on (3, n) states.  A closure: a
+    _scalar_step's (x, dt, t) -> x, or with batch = n the
+    (x, dt, t[, raw, out]) of _batch_step on (3, n) states.  A closure: a
     keyword partial made each scalar step ~12% slower on CPython 3.11."""
     if k_u is None and mode.tag == "switched_full":
         raise ValueError("switched_full has no constant K_U; run each schedule piece on its own")
@@ -529,25 +595,32 @@ def final_states(
     raw_bounds tracks the extreme unclamped RK4 results (the forward
     invariance probe; inf and -inf for an empty batch), region = (A, b)
     per trajectory the largest violation of A @ x <= b over all steps
-    (the empirical trap probe).  A NaN state raises FloatingPointError.
+    (the empirical trap probe).  A NaN state raises FloatingPointError,
+    t1 < t0 ValueError.
     """
-    x = _starts(x0s).T.copy()
-    step = _bind(cfg, as_mode(mode), h, batch=x.shape[1])
+    if t1 < t0:
+        raise ValueError("t1 must be >= t0")
+    x = _starts(x0s).T
+    n = x.shape[1]
+    step = _bind(cfg, as_mode(mode), h, batch=n)
     grid = _grid(t0, t1, h)
     raw = [np.full(3, np.inf), -np.inf] if raw_bounds else None
     excess = None
     if region is not None:
         A, b = _check_region(region)
-        a_r, a_q, a_u, b = *A.T[:, :, None], b[:, None]
-        excess = np.full(x.shape[1], -np.inf)
+        excess = np.full(n, -np.inf)
 
-    for t, dt in grid:
-        step(x, dt, t, raw)
+    # without a region nothing reads the history, so a single slot will do
+    for states, _ in _blocks(step, x, grid, 1 if excess is None else _block_steps(n), raw):
+        x = states[-1]
         if excess is not None:
-            r, q, u = x
-            # term by term, not A @ x: a BLAS product may fuse and round differently
-            vals = a_r * r + a_q * q + a_u * u - b
-            np.maximum(excess, vals.max(axis=0), out=excess)
+            r, q, u = states.transpose(1, 0, 2)
+            worst = None  # per step, the largest term over the rows of A, in row order
+            for (a_r, a_q, a_u), b_i in zip(A.tolist(), b.tolist()):
+                # term by term, not A @ x: a BLAS product may fuse and round differently
+                vals = a_r * r + a_q * q + a_u * u - b_i
+                worst = vals if worst is None else np.maximum(worst, vals, out=worst)
+            np.maximum(excess, worst.max(axis=0), out=excess)
 
     raw_min, raw_max_q = raw or (None, None)
     return BatchResult(x.T.copy(), raw_min, raw_max_q, region_excess=excess)
@@ -570,38 +643,55 @@ def settle_batch(
 
     A run counts as settled after 100 consecutive steps with
     max-coordinate distance below tol (U compared only in the 3-state
-    modes).  Early exit once all runs settle; otherwise stops at t_cap.
-    An empty batch takes no step.  A NaN state raises FloatingPointError,
-    tol <= 0 or a target outside the state space ValueError.
+    modes).  Early exit once all runs settle, with the states and time of
+    the step where the last one did; otherwise stops at t_cap.  An empty
+    batch takes no step.  A NaN state raises FloatingPointError, tol <= 0,
+    t_cap < 0 or a target outside the state space ValueError.
     """
     mode = as_mode(mode)
     if not tol > 0:
         raise ValueError("tol must be > 0")
-    x = _starts(x0s).T.copy()
+    if t_cap < 0:
+        raise ValueError("t_cap must be >= 0")
+    x = _starts(x0s).T
     n = x.shape[1]
     step = _bind(cfg, mode, h, batch=n)
     grid = _grid(t0, t0 + t_cap, h)
     compared = 3 if mode.tag == "competitive" else 2
     tgt = np.array(_start(target, "target")[:compared])[:, None]
 
-    streak = np.zeros(n, dtype=int)
-    streak_t0 = np.full(n, np.nan)  # start of the current streak
+    streak = np.zeros(n, dtype=int)  # in-tolerance steps ending at the last one
+    streak_t0 = np.full(n, np.nan)  # end time of the first step of that streak
     settle_t = np.full(n, np.nan)
     max_q = float(x[1].max(initial=-np.inf))
     t = t0
+    size = _block_steps(n)
+    index = np.arange(size)[:, None]
 
-    for t, dt in grid if n else ():
-        step(x, dt, t)
-        max_q = max(max_q, float(x[1].max()))
-        within = np.abs(x[:compared] - tgt).max(axis=0) < tol
-        np.copyto(streak_t0, t, where=streak == 0)  # kept only where a streak starts
-        streak += 1
-        streak *= within
-        done = streak == SETTLE_STREAK
-        if done.any():
-            np.copyto(settle_t, streak_t0, where=done & np.isnan(settle_t))
+    for states, times in _blocks(step, x, grid if n else (), size):
+        k = len(times)
+        idx = index[:k]
+        within = np.abs(states[:, :compared] - tgt).max(axis=1) < tol  # (k, n)
+        # per step, the last one out of tolerance: -1 - streak before the block
+        last_out = np.maximum.accumulate(np.where(within, -1 - streak, idx), axis=0)
+        run = idx - last_out  # streak length after each step
+        done = (run == SETTLE_STREAK) & np.isnan(settle_t)
+        new = done.any(axis=0)
+        if new.any():
+            first = done.argmax(axis=0)
+            start = first - (SETTLE_STREAK - 1)  # < 0: the streak began in an earlier block
+            np.copyto(settle_t, np.where(start >= 0, times[np.maximum(start, 0)], streak_t0),
+                      where=new)
             if not np.isnan(settle_t).any():
+                j = int(first[new].max())
+                max_q = max(max_q, float(states[: j + 1, 1].max()))
+                x, t = states[j], float(times[j])
                 break
+        streak = run[-1]
+        began = last_out[-1] + 1  # the step the streak in progress began on, if in this block
+        np.copyto(streak_t0, times[np.clip(began, 0, k - 1)], where=began >= 0)
+        max_q = max(max_q, float(states[:, 1].max()))
+        x, t = states[-1], float(times[-1])
 
     return SettleResult(~np.isnan(settle_t), x.T.copy(), t, settle_t, max_q)
 
@@ -637,6 +727,8 @@ def converge(
     step = _bind(cfg, mode, h)
     if not tol > 0:
         raise ValueError("tol must be > 0")
+    if t_cap < 0:
+        raise ValueError("t_cap must be >= 0")
     grid = _grid(0.0, t_cap, h)
     fps = equilibria.find_fixed_points(cfg, mode)
     targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]

@@ -7,10 +7,10 @@ from pathlib import Path
 import subprocess
 import sys
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
-from accessprice import cli
+from accessprice import cli, dynamics
 from accessprice.cli import ConfigError, load_config, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -227,6 +227,15 @@ class TestInputDomain:
         assert "outside the series horizon [0, 400]" in capsys.readouterr().err
         assert not list(tmp_path.glob("P_*"))
 
+    def test_scenario_empty_window_checked_before_writing(self, config_dir, tmp_path, capsys):
+        # inside the horizon, but between two samples of the 0.1 grid
+        code = run(["scenario", "--config", str(config_dir / "section5.json"), "--step", "0.1",
+                    "--out-prefix", str(tmp_path / "P"),
+                    "--window-start", "100.05", "--window-end", "100.06"])
+        assert code == 1
+        assert "window contains no samples" in capsys.readouterr().err
+        assert not list(tmp_path.glob("P_*"))
+
     def test_doa_negative_samples_named(self, config_dir, capsys):
         code = run(["doa", "--config", str(config_dir / "ref.json"), "--samples", "-5"])
         assert code == 1
@@ -247,10 +256,19 @@ def _float_flag():
     return st.one_of(st.none(), st.floats(), st.floats(0.0, 160.0))
 
 
-class TestContract:
-    """doa and phase end in a result or a named error for any flag values.
+def _x0_flag():
+    """--x0: absent, or one to four comma-separated floats (NaN, +-inf and negatives too)."""
+    coord = st.one_of(st.floats(), st.floats(0.0, 300.0))
+    return st.none() | st.lists(coord, min_size=1, max_size=4).map(
+        lambda xs: ",".join(map(repr, xs))
+    )
 
-    --samples stays <= 2000 and --resolution <= 40, so each run is small.
+
+class TestContract:
+    """doa, phase and simulate end in a result or a named error for any flag values.
+
+    --samples stays <= 2000, --resolution <= 40 and simulate's horizon
+    <= 1e5 steps, so each run is small.
     """
 
     @settings(deadline=None)
@@ -274,12 +292,31 @@ class TestContract:
         # a written grid holds finite numbers only
         assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
 
+    @settings(deadline=None)
+    @given(step=_float_flag() | st.floats(1e-3, 0.1), t1=_float_flag(),
+           every=st.none() | st.integers(-3, 1000), x0=_x0_flag())
+    @example(step=math.nan, t1=None, every=None, x0=None)
+    @example(step=-0.01, t1=-math.inf, every=0, x0="nan,5")
+    @example(step=0.05, t1=1.0, every=3, x0="1e308,1e308,1e308")
+    @example(step=None, t1=-1.0, every=None, x0="-1,5")
+    @example(step=0.1, t1=math.inf, every=None, x0="30,inf")
+    def test_simulate(self, config_dir, step, t1, every, x0):
+        h = dynamics.DEFAULT_STEP if step is None else step
+        span = 100.0 if t1 is None else t1  # --t0 stays at 0
+        # a valid step over a finite horizon: at most 1e5 steps, so no run is huge
+        assume(not (0 < h <= dynamics.MAX_STEP and math.isfinite(span) and span > 1e5 * h))
+        flags = {"--step": step, "--t1": t1, "--every": every, "--x0": x0}
+        rows = _run_contract(config_dir, "simulate", flags)
+        # a written trajectory holds finite numbers only
+        assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
+
 
 def _run_contract(config_dir, command, flags):
     """Run the command in-process; assert an exit code of 0, 1 or 2 and no
     traceback; return stdout's lines."""
     argv = [command, "--config", str(config_dir / "ref.json")]
-    argv += [f"{flag}={value!r}" for flag, value in flags.items() if value is not None]
+    argv += [f"{flag}={value if isinstance(value, str) else repr(value)}"
+             for flag, value in flags.items() if value is not None]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from accessprice import dynamics
+from accessprice import dynamics, regions
 from accessprice.dynamics import (
     CHATTERING,
     MODE_TAGS,
@@ -569,3 +569,209 @@ class TestClock:
         assert res.settled.all()
         assert res.t_exit < 2.0
         assert peak < 1_000_000
+
+
+class TestBackwardHorizon:
+    """A horizon that ends before it starts is named, as integrate names it."""
+
+    def test_final_states(self, ref_cfg):
+        with pytest.raises(ValueError, match="t1 must be >= t0"):
+            final_states(ref_cfg, NORMAL, [(30.0, 45.0)], 10.0, 0.0)
+
+    def test_settle_batch(self, ref_cfg):
+        with pytest.raises(ValueError, match="t_cap must be >= 0"):
+            settle_batch(ref_cfg, NORMAL, [(30.0, 45.0)], (25.0, 40.0), 1.0, -1.0)
+
+    def test_converge(self, ref_cfg):
+        with pytest.raises(ValueError, match="t_cap must be >= 0"):
+            converge(ref_cfg, NORMAL, (30.0, 45.0), 1e-3, -1.0)
+
+
+def _settle_by_step(cfg, mode, x0s, target, tol, t_cap, h, t0=0.0):
+    """settle_batch with its bookkeeping done after every step, as it was
+    before the drivers observed their runs per block: the reference."""
+    mode = dynamics.as_mode(mode)
+    x = dynamics._starts(x0s).T.copy()
+    n = x.shape[1]
+    step = dynamics._bind(cfg, mode, h, batch=n)
+    compared = 3 if mode.tag == "competitive" else 2
+    tgt = np.array(dynamics._start(target, "target")[:compared])[:, None]
+    streak = np.zeros(n, dtype=int)
+    streak_t0 = np.full(n, np.nan)
+    settle_t = np.full(n, np.nan)
+    max_q = float(x[1].max(initial=-np.inf))
+    t = t0
+    for t, dt in dynamics._grid(t0, t0 + t_cap, h) if n else ():
+        step(x, dt, t)
+        max_q = max(max_q, float(x[1].max()))
+        within = np.abs(x[:compared] - tgt).max(axis=0) < tol
+        np.copyto(streak_t0, t, where=streak == 0)
+        streak += 1
+        streak *= within
+        done = streak == dynamics.SETTLE_STREAK
+        if done.any():
+            np.copyto(settle_t, streak_t0, where=done & np.isnan(settle_t))
+            if not np.isnan(settle_t).any():
+                break
+    return dynamics.SettleResult(~np.isnan(settle_t), x.T.copy(), t, settle_t, max_q)
+
+
+def _assert_same_settle(got, want):
+    for name in ("settled", "states", "t_exit", "settle_times", "max_q"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b, equal_nan=name == "settle_times"), name
+        assert _bits_equal(a, b), name
+
+
+class TestSettleBlocks:
+    """settle_batch's block-wise observation against the per-step reference,
+    at the default block length and at short ones that put block edges
+    inside streaks."""
+
+    @staticmethod
+    def case(name, ref_cfg, section5_cfg, competitive_cfg):
+        """(cfg, mode, target, upper corner of the starts) of one seeded batch."""
+        x1 = (25.0, 40.0, 0.0)
+        return {
+            "normal": (ref_cfg, NORMAL, x1, (40.0, 60.0, 0.0)),
+            # starts up to q_ad, where the clamp acts
+            "chattering": (ref_cfg, CHATTERING, x1, (60.0, 60.0, 0.0)),
+            "saturated": (section5_cfg, saturated_mode(0.5),
+                          (46.73527837421405, 33.975196754843246, 0.0), (70.0, 50.0, 0.0)),
+            "competitive": (competitive_cfg, competitive_mode(1.0), (50.0, 40.0, 25.0),
+                            (75.0, 60.0, 37.5)),
+        }[name]
+
+    @pytest.mark.parametrize("t_cap", [60.0, 300.0])
+    @pytest.mark.parametrize("name", ["normal", "chattering", "saturated", "competitive"])
+    def test_seeded_batch(self, monkeypatch, ref_cfg, section5_cfg, competitive_cfg, name, t_cap):
+        cfg, mode, target, hi = self.case(name, ref_cfg, section5_cfg, competitive_cfg)
+        x0s = np.random.default_rng(31).uniform(0.5 * np.array(target), hi, (10, 3))
+        x0s[0] = target  # settles first, on its 100th step
+        args = (cfg, mode, x0s, target, 1.0, t_cap, 0.1)
+        want = _settle_by_step(*args, t0=2.5)
+        # the short cap stops mid-block with some runs unsettled, the long one
+        # exits early once all have settled
+        assert 1 < want.settled.sum() and want.settled.all() == (t_cap == 300.0)
+        for block in (dynamics.BLOCK_STEPS, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "BLOCK_STEPS", block)
+                _assert_same_settle(settle_batch(*args, t0=2.5), want)
+
+    @pytest.mark.parametrize(
+        "block, t_cap",
+        [
+            (64, 100.0),   # the streak crosses the edge after step 64
+            (50, 100.0),   # it completes on the last step of the second block
+            (128, 100.0),  # inside the first block
+            (16, 2.1),     # t_cap ends the third block after 10 of its steps
+        ],
+    )
+    @pytest.mark.parametrize("t0", [0.0, 7.3])
+    def test_single_run_on_target(self, monkeypatch, ref_cfg, block, t_cap, t0):
+        args = (ref_cfg, CHATTERING, [(25.0, 40.0, 0.0)], (25.0, 40.0, 0.0), 1e-3, t_cap, 0.05)
+        want = _settle_by_step(*args, t0=t0)
+        monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+        got = settle_batch(*args, t0=t0)
+        _assert_same_settle(got, want)
+        if t_cap > 5.0:
+            assert got.settle_times.tolist() == [t0 + 0.05]
+            assert got.t_exit == t0 + 100 * 0.05
+
+    def test_fault_after_the_last_run_settled_is_not_raised(self, monkeypatch, ref_cfg):
+        # the per-step loop returns on step 100; a jump in q from step 105 on
+        # and a fault on step 110 of the same block must not reach the
+        # block-wise one's result either
+        bind = dynamics._bind
+
+        def faulty_bind(*args, **kwargs):
+            step = bind(*args, **kwargs)
+            calls = [0]
+
+            def faulty(x, dt, t, raw=None, out=None):
+                calls[0] += 1
+                if calls[0] >= 110:
+                    raise FloatingPointError("injected")
+                step(x, dt, t, raw, out)
+                if calls[0] >= 105:
+                    (x if out is None else out)[1] += 50.0
+            return faulty
+
+        monkeypatch.setattr(dynamics, "_bind", faulty_bind)
+        args = (ref_cfg, NORMAL, [(25.0, 40.0, 0.0), (25.0, 40.0, 0.0)], (25.0, 40.0, 0.0),
+                1e-3, 100.0, 0.01)
+        want = _settle_by_step(*args)
+        assert dynamics._block_steps(2) > 110
+        got = settle_batch(*args)
+        _assert_same_settle(got, want)
+        assert got.settled.all()
+        # a fault before every run settled still escapes
+        with pytest.raises(FloatingPointError, match="injected"):
+            settle_batch(ref_cfg, NORMAL, [(25.0, 40.0, 0.0), (250.0, 60.0, 0.0)],
+                         (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
+
+
+def _excess_by_step(cfg, mode, x0s, t0, t1, h, region):
+    """final_states' region excess taken after every step, as it was before
+    the drivers observed their runs per block: the reference."""
+    A, b = region
+    x = dynamics._starts(x0s).T.copy()
+    step = dynamics._bind(cfg, mode, h, batch=x.shape[1])
+    raw = [np.full(3, np.inf), -np.inf]
+    a_r, a_q, a_u, b = *A.T[:, :, None], b[:, None]
+    excess = np.full(x.shape[1], -np.inf)
+    for t, dt in dynamics._grid(t0, t1, h):
+        step(x, dt, t, raw)
+        r, q, u = x
+        vals = a_r * r + a_q * q + a_u * u - b
+        np.maximum(excess, vals.max(axis=0), out=excess)
+    return x.T.copy(), excess, raw
+
+
+class TestRegionBlocks:
+    """final_states' block-wise region excess against the per-step reference."""
+
+    @staticmethod
+    def case(name, ref_cfg, competitive_cfg):
+        """(cfg, mode, region, starts): the c09 cuboid or the trap-probe polygon,
+        with starts inside and outside it."""
+        rng = np.random.default_rng(12)
+        if name == "cuboid":
+            k_u = competitive_cfg.k_u_schedule[0][2]
+            cub = regions.build_cuboid(competitive_cfg, k_u=k_u)
+            corner = np.array(cub.vertices[1])
+            return (competitive_cfg, competitive_mode(k_u), regions.halfspaces(cub),
+                    rng.uniform(0.05 * corner, 1.3 * corner, (20, 3)))
+        poly = regions.build_polygon(ref_cfg, 70.0, 58.0)
+        return (ref_cfg, NORMAL, regions.halfspaces(poly),
+                rng.uniform((0.0, 0.0, 0.0), (80.0, 90.0, 0.0), (20, 3)))
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("name", ["cuboid", "polygon"])
+    def test_matches_per_step(self, monkeypatch, ref_cfg, competitive_cfg, name, block):
+        cfg, mode, region, x0s = self.case(name, ref_cfg, competitive_cfg)
+        states, excess, raw = _excess_by_step(cfg, mode, x0s, 1.0, 60.0, 0.05, region)
+        if block is not None:
+            monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+        res = final_states(cfg, mode, x0s, 1.0, 60.0, 0.05, raw_bounds=True, region=region)
+        for got, want in ((res.states, states), (res.region_excess, excess),
+                          (res.raw_min, raw[0]), (res.raw_max_q, raw[1])):
+            assert np.array_equal(got, want) and _bits_equal(got, want)
+        assert (excess > 0).any() and (excess < 0).any()
+
+    def test_memory_capped(self, competitive_cfg):
+        # a history of all 100 steps would take 12 MB at n = 5000
+        cfg, mode, region, _ = self.case("cuboid", None, competitive_cfg)
+        n = 5000
+        x0s = np.random.default_rng(3).uniform(0.0, 20.0, (n, 3))
+        stack = x0s.nbytes  # one (3, n) state stack
+        tracemalloc.start()
+        try:
+            final_states(cfg, mode, x0s, 0.0, 5.0, 0.05, region=region)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dynamics._block_steps(n) * stack <= dynamics.BLOCK_BYTES
+        # besides the history: the state, four derivative buffers, the stage
+        # buffer and the temporaries of one field and one block's region terms
+        assert peak <= dynamics.BLOCK_BYTES + 10 * stack, peak
