@@ -37,9 +37,9 @@ kernels the model specs own) writes into a caller-owned (3, n) buffer,
 and its step (_batch_step) advances the stack, in place or into a
 given (3, n) slot, one numpy call per stage update.  It drives
 final_states and settle_batch; rhs wraps its right-hand side.  The
-scalar backend (_scalar_deriv, _scalar_step) is its plain-float twin for
-integrate and converge.  The two agree bit for bit, and both steps raise
-FloatingPointError on the first NaN state.
+scalar backend (_scalar_deriv on the specs' plain-float twins, and
+_scalar_step) drives integrate and converge.  The two agree bit for
+bit, and both steps raise FloatingPointError on the first NaN state.
 
 The batch drivers observe their runs per block of steps, not per step
 (_blocks).  Each step writes its result into the next slot of one
@@ -230,27 +230,11 @@ def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
 
 
 def _scalar_deriv(cfg: ModelConfig, tag: str, k_u: float):
-    """(r, q, u) -> (dr, dq, du) on plain floats.
-
-    The scalar backend of _make_deriv: same formulas, operation order and
-    orthant projection, so both agree bit for bit.  Each conditional
-    reproduces np.maximum / np.minimum exactly: NaN propagates and, on a
-    tie, the second operand wins (which decides the sign of a zero).
-    """
-    p = cfg.price
-    b = p.beta
-    variant, qm = p.variant, p.q_m
-    if variant == "saturated":
-        floor = 2 * qm - p.q_n
-    adm = cfg.admission
-    linear = adm.variant == "linear"
-    if linear:
-        c2, c1 = adm.coefficients
-    else:
-        a0, a1, a2, a3 = adm.coefficients
-        q_max = adm.q_max
-    q_c = cfg.service.q_c
-    ramp = cfg.service.mu_star / q_c
+    """(r, q, u) -> (dr, dq, du) on plain floats: _make_deriv's mode algebra,
+    operation order and orthant projection on the specs' plain-float twins
+    of their kernels, so both agree bit for bit.  Each conditional
+    reproduces np.maximum / np.minimum exactly, as the twins do."""
+    f, alpha, mu = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar
     k_r = cfg.k_r
     q_ad, mu_star = _admittance_bound(cfg, tag), cfg.service.mu_star
 
@@ -259,28 +243,7 @@ def _scalar_deriv(cfg: ModelConfig, tag: str, k_u: float):
             r = 0.0
         if q <= 0.0:
             q = 0.0
-        if linear:
-            a = c1 * q + c2
-            if 0.0 > a:
-                a = 0.0
-        elif q >= q_max:
-            a = 0.0
-        else:
-            a = a0 + q * (a1 + q * (a2 + q * a3))
-            if 0.0 > a:
-                a = 0.0
-        if variant == "triangular":
-            w = 2 * qm - q
-            w = q if q < w else w
-            fq = b * (0.0 if 0.0 > w else w)
-        elif variant == "saturated":
-            w = 2 * qm - q
-            if w <= floor:
-                w = floor
-            fq = b * (q if q < w else w)
-        else:
-            fq = b * q
-        m = ramp * (q_c if q >= q_c else q)
+        a, fq, m = alpha(q), f(q), mu(q)
         if tag == "normal":
             return k_r - (fq + a) * r, a * r - m, 0.0
         if tag == "chattering":
@@ -320,23 +283,21 @@ def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
 def admitted_flows(cfg: ModelConfig, mode, x):
     """Admitted (responsive, unresponsive) flow at the state.
 
-    Smooth modes: (alpha(q) R, alpha(q) U).  Chattering: the clamped
-    total min(alpha(q) R, mu_star) for q >= q_ad, split pro rata R : U.
+    Smooth modes: (alpha(q) R, alpha(q) U), U's flow zero in the 2-state
+    modes.  Chattering, a 2-state mode whose field admits R only:
+    (min(alpha(q) R, mu_star) for q >= q_ad, else alpha(q) R; 0).
     """
     mode = as_mode(mode)
     arr = np.asarray(x, dtype=float)
     r = np.maximum(arr[..., 0], 0.0)
     q = np.maximum(arr[..., 1], 0.0)
-    u = np.maximum(arr[..., 2], 0.0) if arr.shape[-1] == 3 else np.zeros_like(r)
     a = cfg.admission._kernel(q)
-    if _admittance_bound(cfg, mode.tag) is not None:
-        total = _chattering_flow(cfg, a, r, q)
-        pop = r + u
-        share = np.divide(r, pop, out=np.ones_like(r), where=pop > 0)
-        return total * share, total * (1.0 - share)
-    if mode.dim == 2:
-        return a * r, np.zeros_like(r)
-    return a * r, a * u
+    if mode.dim == 3:
+        u = np.maximum(arr[..., 2], 0.0) if arr.shape[-1] == 3 else np.zeros_like(r)
+        return a * r, a * u
+    chattering = _admittance_bound(cfg, mode.tag) is not None
+    flow = _chattering_flow(cfg, a, r, q)[()] if chattering else a * r  # [()]: 0-d to scalar
+    return flow, np.zeros_like(r)
 
 
 def _pieces(cfg: ModelConfig, mode: SystemMode, t0: float, t1: float):
@@ -372,10 +333,12 @@ def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
     un = u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
     if rn != rn or qn != qn or un != un:
         raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
-    qn = min(max(qn, 0.0), q_cap)
+    # max(x, 0.0) and min(x, q_cap) written out: the same values, four calls fewer
+    qn = 0.0 if 0.0 > qn else qn
+    qn = q_cap if q_cap < qn else qn
     if chat_cap is not None and q <= chat_cap + CLAMP_EPS and qn > chat_cap:
         qn = chat_cap
-    return max(rn, 0.0), qn, max(un, 0.0)
+    return (0.0 if 0.0 > rn else rn), qn, (0.0 if 0.0 > un else un)
 
 
 def _batch_step(deriv, n, q_cap, chat_cap, where):

@@ -122,7 +122,8 @@ def _scan_domain(cfg: ModelConfig, k_u: float):
     q_max = cfg.admission.q_max
     hi = q_max - max(1e-9, abs(q_max) * 1e-12) if math.isfinite(q_max) else 4 * cfg.service.q_c + 400.0
     svc = cfg.service
-    lo = 1e-9 if k_u <= 0 else (k_u + DOMAIN_EPS) * svc.q_c / svc.mu_star * (1 + 1e-12) + 1e-12
+    ramp = svc.pieces[0][2][1]  # mu = ramp*q up to q_c, read off its piece table
+    lo = 1e-9 if k_u <= 0 else (k_u + DOMAIN_EPS) / ramp * (1 + 1e-12) + 1e-12
     if k_u >= svc.mu_star or lo >= hi:
         return None
     qs = np.linspace(lo, hi, GRID_POINTS)
@@ -211,16 +212,16 @@ def _target_queues(targets: CalibrationTargets, price: PriceSpec):
     """Implied q1*, q2* from the desired prices; validates intervals."""
     if price.variant == "surge":
         raise CalibrationError("calibration needs a price with a falling branch")
-    beta, q_m = price.beta, price.q_m
+    peak = eval_price(price, price.q_m)
     for name, p in (("p1", targets.p1), ("p2", targets.p2)):
-        if not 0 < p < beta * q_m:
-            raise CalibrationError(f"{name} must lie in (0, beta*q_m) = (0, {beta * q_m:g})")
-    q1 = targets.p1 / beta
-    q2 = 2 * q_m - targets.p2 / beta
+        if not 0 < p < peak:
+            raise CalibrationError(f"{name} must lie in (0, beta*q_m) = (0, {peak:g})")
+    # the rising and the falling leg are pieces -0.0 + c1*(q - origin)
+    q1, q2 = (o + p / c[1] for (_, o, c), p in zip(price.pieces, (targets.p1, targets.p2)))
     if price.variant == "saturated" and q2 >= price.q_n:
         raise CalibrationError(
             f"p2 = {targets.p2:g} sits at or below the saturation floor "
-            f"{beta * (2 * q_m - price.q_n):g}; no point on the falling branch has that price"
+            f"{eval_price(price, price.q_n):g}; no point on the falling branch has that price"
         )
     return q1, q2
 

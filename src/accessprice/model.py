@@ -12,10 +12,16 @@ Three piecewise functions of the active-queue length q drive everything:
   cubic) clamped to zero at q_max, which gates how fast waiting users
   enter the active queue.
 
-Each spec owns the one implementation of its function, a numpy kernel
-picked by variant when the spec is built; the integrators call it
-directly.  The public evaluators validate their argument and then call
-that kernel; they accept scalars or numpy arrays and are pure functions.
+Each spec declares its function once, in three forms side by side: a
+numpy kernel (_kernel) for the evaluators and the batch integrators, its
+plain-float twin (_scalar) for the scalar RK4 backend, and a piece table
+(pieces): (start, origin, coefficients) per piece, covering [start, next
+start) with the polynomial sum c_k * (q - origin)**k of degree <= 3.
+Written about its origin, a piece evaluates bit for bit like the kernel;
+a piece through zero has constant term -0.0, the additive identity, so
+q = -0.0 keeps its sign.  Slopes, kinks and exact extrema all come from
+the tables.  The public evaluators validate their argument, scalar or
+array, and then call the kernel.
 """
 
 from __future__ import annotations
@@ -30,10 +36,10 @@ ADMISSION_VARIANTS = ("linear", "cubic")
 
 
 def _as_query(q):
-    """Coerce a queue-length argument to ndarray, rejecting negatives."""
+    """Coerce a queue-length argument to ndarray, rejecting negatives and NaN."""
     arr = np.asarray(q, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("queue length must be nonnegative")
+    if not np.all(arr >= 0):
+        raise ValueError("queue length q must be a nonnegative number")
     return arr, np.isscalar(q) or getattr(q, "ndim", 0) == 0
 
 
@@ -46,6 +52,14 @@ def _require_finite(**values):
     for name, value in values.items():
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite")
+
+
+def _declare(spec, kernel, scalar, pieces):
+    """Bind the spec's three forms.  Each twin's conditionals reproduce
+    np.maximum / np.minimum exactly: NaN propagates and, on a tie, the
+    second operand wins (which decides the sign of a zero)."""
+    for name, form in (("_kernel", kernel), ("_scalar", scalar), ("pieces", pieces)):
+        object.__setattr__(spec, name, form)
 
 
 @dataclass(frozen=True)
@@ -67,38 +81,47 @@ class PriceSpec:
         if self.variant not in PRICE_VARIANTS:
             raise ValueError(f"unknown price variant {self.variant!r}")
         _require_finite(beta=self.beta, q_m=self.q_m, q_n=self.q_n)
-        object.__setattr__(self, "_kernel", getattr(self, "_" + self.variant))
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
         if self.variant == "surge":
             if self.q_m is not None or self.q_n is not None:
                 raise ValueError("surge price takes no q_m/q_n")
-            return
-        if self.q_m is None or not self.q_m > 0:
+        elif self.q_m is None or not self.q_m > 0:
             raise ValueError("q_m must be > 0")
-        if self.variant == "saturated":
+        elif self.variant == "saturated":
             if self.q_n is None or not (self.q_m < self.q_n < 2 * self.q_m):
                 raise ValueError("saturated price needs q_n in (q_m, 2*q_m)")
         elif self.q_n is not None:
             raise ValueError("triangular price takes no q_n")
+        _declare(self, *getattr(self, "_" + self.variant)())
 
-    def _triangular(self, q):
-        return self.beta * np.maximum(0.0, np.minimum(q, 2 * self.q_m - q))
+    def _saturated(self):
+        """The three forms, also of the triangular price: its floor is zero
+        from 2*q_m on.  The falling leg beta*(2*q_m - q) is the piece
+        -beta*(q - 2*q_m)."""
+        b, qm = self.beta, self.q_m
+        end = 2 * qm if self.q_n is None else self.q_n
+        floor = 2 * qm - end
 
-    def _saturated(self, q):
-        qm = self.q_m
-        return self.beta * np.minimum(q, np.maximum(2 * qm - q, 2 * qm - self.q_n))
+        def scalar(q):
+            w = 2 * qm - q
+            if w <= floor:
+                w = floor
+            return b * (q if q < w else w)
 
-    def _surge(self, q):
-        return self.beta * q
+        return (lambda q: b * np.minimum(q, np.maximum(2 * qm - q, floor)), scalar,
+                ((0.0, 0.0, (-0.0, b)), (qm, 2 * qm, (-0.0, -b)), (end, 0.0, (b * floor,))))
+
+    _triangular = _saturated
+
+    def _surge(self):
+        b = self.beta
+        return (lambda q: b * q), (lambda q: b * q), ((0.0, 0.0, (-0.0, b)),)
 
     @property
     def kinks(self) -> tuple[float, ...]:
-        if self.variant == "triangular":
-            return (self.q_m, 2 * self.q_m)
-        if self.variant == "saturated":
-            return (self.q_m, self.q_n)
-        return ()
+        """The breakpoints of the price after 0."""
+        return tuple(s for s, _, _ in self.pieces[1:])
 
 
 @dataclass(frozen=True)
@@ -114,9 +137,10 @@ class ServiceSpec:
             raise ValueError("mu_star must be > 0")
         if not self.q_c > 0:
             raise ValueError("q_c must be > 0")
-
-    def _kernel(self, q):
-        return self.mu_star / self.q_c * np.minimum(q, self.q_c)
+        ramp, q_c = self.mu_star / self.q_c, self.q_c
+        _declare(self, lambda q: ramp * np.minimum(q, q_c),
+                 lambda q: ramp * (q_c if q >= q_c else q),
+                 ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
 
 
 @dataclass(frozen=True)
@@ -143,7 +167,6 @@ class AdmissionSpec:
         if not all(map(math.isfinite, coeffs)):
             raise ValueError("coefficients must be finite")
         _require_finite(q_max=self.q_max)  # only a supplied one; derived may be inf
-        object.__setattr__(self, "_kernel", getattr(self, "_" + self.variant))
         want = 2 if self.variant == "linear" else 4
         if len(coeffs) != want:
             raise ValueError(
@@ -166,18 +189,36 @@ class AdmissionSpec:
                     f"linear admission q_max {self.q_max} inconsistent with "
                     f"zero crossing {derived}"
                 )
+            _declare(self, *self._linear(derived))
+        elif self.q_max is None or not self.q_max > 0:
+            raise ValueError("cubic admission needs q_max > 0")
         else:
-            if self.q_max is None or not self.q_max > 0:
-                raise ValueError("cubic admission needs q_max > 0")
+            _declare(self, *self._cubic())
 
-    def _linear(self, q):
+    def _linear(self, zero):  # the kernel kinks at the zero crossing, not a supplied q_max
         c2, c1 = self.coefficients
-        return np.maximum(0.0, c1 * q + c2)
 
-    def _cubic(self, q):
-        a0, a1, a2, a3 = self.coefficients
-        poly = a0 + q * (a1 + q * (a2 + q * a3))
-        return np.where(q >= self.q_max, 0.0, np.maximum(0.0, poly))
+        def scalar(q):
+            a = c1 * q + c2
+            return 0.0 if 0.0 > a else a
+
+        tail = ((zero, 0.0, (0.0,)),) if math.isfinite(zero) else ()
+        return lambda q: np.maximum(0.0, c1 * q + c2), scalar, ((0.0, 0.0, (c2, c1)), *tail)
+
+    def _cubic(self):
+        (a0, a1, a2, a3), q_max = self.coefficients, self.q_max
+
+        def kernel(q):
+            poly = a0 + q * (a1 + q * (a2 + q * a3))
+            return np.where(q >= q_max, 0.0, np.maximum(0.0, poly))
+
+        def scalar(q):
+            if q >= q_max:
+                return 0.0
+            a = a0 + q * (a1 + q * (a2 + q * a3))
+            return 0.0 if 0.0 > a else a
+
+        return kernel, scalar, ((0.0, 0.0, self.coefficients), (q_max, 0.0, (0.0,)))
 
 
 @dataclass(frozen=True)
@@ -237,12 +278,10 @@ class ModelConfig:
         return sorted(edges)
 
     def kink_points(self) -> tuple[float, ...]:
-        """Queue lengths where f, mu or alpha are not differentiable."""
-        pts = set(self.price.kinks)
-        pts.add(self.service.q_c)
-        if self.admission.q_max is not None and math.isfinite(self.admission.q_max):
-            pts.add(self.admission.q_max)
-        return tuple(sorted(pts))
+        """Queue lengths where f, mu or alpha are not differentiable: the
+        breakpoints of their piece tables after 0, all finite."""
+        specs = (self.price, self.admission, self.service)
+        return tuple(sorted({s for spec in specs for s, _, _ in spec.pieces[1:]}))
 
 
 def eval_price(spec: PriceSpec, q):
@@ -251,29 +290,10 @@ def eval_price(spec: PriceSpec, q):
     return _ret(spec._kernel(arr), scalar)
 
 
-def price_slope(spec: PriceSpec, q):
-    """Derivative f'(q); the left derivative at kinks."""
-    arr, scalar = _as_query(q)
-    b, qm, qn = spec.beta, spec.q_m, spec.q_n
-    if spec.variant == "triangular":
-        val = np.where(arr <= qm, b, np.where(arr <= 2 * qm, -b, 0.0))
-    elif spec.variant == "saturated":
-        val = np.where(arr <= qm, b, np.where(arr <= qn, -b, 0.0))
-    else:
-        val = np.full_like(arr, b)
-    return _ret(val, scalar)
-
-
 def eval_service(spec: ServiceSpec, q):
     """Service rate mu(q) = mu_star * min(q, q_c) / q_c."""
     arr, scalar = _as_query(q)
     return _ret(spec._kernel(arr), scalar)
-
-
-def service_slope(spec: ServiceSpec, q):
-    """Derivative mu'(q); the left derivative mu_star/q_c at q_c."""
-    arr, scalar = _as_query(q)
-    return _ret(np.where(arr <= spec.q_c, spec.mu_star / spec.q_c, 0.0), scalar)
 
 
 def eval_admission(spec: AdmissionSpec, q):
@@ -282,40 +302,79 @@ def eval_admission(spec: AdmissionSpec, q):
     return _ret(spec._kernel(arr), scalar)
 
 
-def admission_slope(spec: AdmissionSpec, q):
-    """alpha'(q): derivative of the unclamped polynomial below q_max,
-    zero above, left derivative at q_max exactly."""
+def _poly(c, x, order: int = 0):
+    """The piece polynomial c (ascending powers of x = q - origin) at x, or
+    with order=1 its derivative, by Horner's scheme."""
+    if order:
+        c = [k * ck for k, ck in enumerate(c)][1:] or [0.0]
+    acc = c[-1]
+    for ck in c[-2::-1]:
+        acc = ck + x * acc
+    return acc
+
+
+def from_pieces(spec, q, order: int = 0):
+    """The spec's function (order 0) or slope (order 1) at q, scalar or
+    array, from its piece table.  At a breakpoint the value comes from the
+    piece that starts there, as in the kernels, the slope from the one that
+    ends there.  Values are floored at zero as in the kernels: a calibrated
+    cubic can round a hair below zero just short of q_max."""
     arr, scalar = _as_query(q)
-    if spec.variant == "linear":
-        c2, c1 = spec.coefficients
-        val = np.where(arr <= spec.q_max, c1, 0.0)
+    starts = [s for s, _, _ in spec.pieces]
+    idx = np.maximum(np.searchsorted(starts, arr, "left" if order else "right") - 1, 0)
+    if scalar:  # one piece on plain floats costs a fraction of the array path
+        _, origin, c = spec.pieces[int(idx)]
+        val = _poly(c, float(arr) - origin, order)
     else:
-        val = np.where(arr <= spec.q_max, _cubic_slope(spec.coefficients, arr), 0.0)
-    return _ret(val, scalar)
+        val = np.choose(idx, [_poly(c, arr - origin, order) for _, origin, c in spec.pieces])
+    return val if order else _ret(np.maximum(0.0, val), scalar)
 
 
-def _cubic_slope(coefficients, q):
-    """Derivative a1 + 2 a2 q + 3 a3 q^2 of the cubic; q float or array."""
-    _, a1, a2, a3 = coefficients
-    return a1 + q * (2 * a2 + q * 3 * a3)
+def slope(spec, q):
+    """f'(q), alpha'(q) or mu'(q) from the spec's piece table; the left
+    derivative at breakpoints, so alpha'(q_max) is the polynomial's."""
+    return from_pieces(spec, q, 1)
+
+
+price_slope = service_slope = admission_slope = slope
+
+
+def extremum(tables, lo: float, hi: float, *, largest: bool = False, order: int = 0):
+    """(value, q) where the sum of the piece tables' functions (order 0) or
+    slopes (order 1) is least on [lo, hi], lo < hi, or greatest (largest).
+
+    Exact: the candidates are lo, hi, the breakpoints between them and the
+    real roots of the sum's derivative on each stretch between those.  Each
+    piece counts on its closed interval, so at a jump both one-sided values
+    compete.  The sum runs in the order of tables, on the unfloored pieces,
+    which agree with the functions wherever alpha is admissible.
+    """
+    cuts = sorted({lo, hi, *(s for t in tables for s, _, _ in t if lo < s < hi)})
+    found = []
+    for a, b in zip(cuts, cuts[1:]):
+        active = [next(p for p in reversed(t) if p[0] <= 0.5 * (a + b)) for t in tables]
+        grad = np.zeros(4)  # the sum's derivative, ascending powers of q
+        for _, origin, c in active:
+            cq = [sum(math.comb(j, k) * c[j] * (-origin) ** (j - k) for j in range(k, len(c)))
+                  for k in range(len(c))]
+            for _ in range(order + 1):
+                cq = [k * ck for k, ck in enumerate(cq)][1:]
+            grad[:len(cq)] += cq
+        roots = np.roots(grad[::-1]) if grad[1:].any() else ()
+        for q in (a, b, *(z.real for z in roots if z.imag == 0 and a < z.real < b)):
+            found.append((float(sum(_poly(c, q - o, order) for _, o, c in active)), float(q)))
+    return (max if largest else min)(found, key=lambda vq: vq[0])
 
 
 def _cubic_slope_max(coefficients, q_max: float) -> float:
-    """Largest derivative of the cubic a0 + a1 q + a2 q^2 + a3 q^3 on [0, q_max].
-
-    The derivative is a quadratic, so its maximum sits at an endpoint or
-    at its vertex q = -a2/(3*a3).  The cubic is nonincreasing on the
-    interval iff the result is <= 0.
-    """
-    _, _, a2, a3 = coefficients
-    crit = [0.0, q_max]
-    if a3 != 0 and 0 <= -a2 / (3 * a3) <= q_max:
-        crit.append(-a2 / (3 * a3))
-    return max(_cubic_slope(coefficients, q) for q in crit)
+    """Largest derivative of the cubic a0 + a1 q + a2 q^2 + a3 q^3 on
+    [0, q_max]; the cubic is nonincreasing there iff the result is <= 0."""
+    pieces = ((0.0, 0.0, tuple(coefficients)),)
+    return extremum((pieces,), 0.0, q_max, largest=True, order=1)[0]
 
 
 def saturation_floor(cfg: ModelConfig) -> float:
-    """Grid minimum of alpha(q) + f_sat(q) over [0, q_max + 2*q_m].
+    """Minimum of alpha(q) + f_sat(q) over [0, q_max + 2*q_m], exact.
 
     With a saturated price this is a strictly positive constant; once
     alpha has vanished the sum equals the price floor beta*(2*q_m - q_n).
@@ -325,10 +384,7 @@ def saturation_floor(cfg: ModelConfig) -> float:
     q_max = cfg.admission.q_max
     if not math.isfinite(q_max):
         raise ValueError("saturation_floor requires a finite admission q_max")
-    hi = q_max + 2 * cfg.price.q_m
-    grid = np.linspace(0.0, hi, 4001)
-    total = eval_admission(cfg.admission, grid) + eval_price(cfg.price, grid)
-    return float(total.min())
+    return extremum((cfg.admission.pieces, cfg.price.pieces), 0.0, q_max + 2 * cfg.price.q_m)[0]
 
 
 # Fixed-point root counts compatible with each price family: the
@@ -389,11 +445,8 @@ def _alpha_clauses(cfg: ModelConfig) -> list[Clause]:
         qs = np.linspace(0.0, q_max, _ALPHA_GRID_POINTS, endpoint=False)
         vals = eval_admission(adm, qs)
         positive = bool(np.all(vals > 0))
-        decreasing = bool(np.all(np.diff(vals) < 0))
-        if adm.variant == "linear":
-            decreasing = decreasing and adm.coefficients[1] < 0
-        else:
-            decreasing = decreasing and _cubic_slope_max(adm.coefficients, q_max) <= 0
+        steepest = extremum((adm.pieces,), 0.0, q_max, largest=True, order=1)[0]
+        decreasing = bool(np.all(np.diff(vals) < 0)) and steepest <= 0
         clauses.append(
             Clause(
                 "alpha-positive-decreasing",

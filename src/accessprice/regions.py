@@ -6,9 +6,9 @@ The nullclines of the 2-state system are graphs over q:
     eta2(q) = K_R/(alpha(q) + f(q))   (Rdot = 0)
 
 R_dagger is the maximum of eta2 over [0, q_m] and q_dagger its preimage
-under eta1.  On [0, q_m] the price is beta*q, so alpha + f is a
-polynomial there and R_dagger is exact: eta2's largest value on the end
-points and the real roots of alpha'(q) + beta inside the interval.
+under eta1.  R_dagger is exact: eta2 at the least alpha + f on [0, q_m],
+which model.extremum finds from the piece tables (an end point or a real
+root of alpha'(q) + beta inside the interval).
 Whenever R2* > R_dagger, every choice of q_bar in
 (q_dagger, q2*) and r_bar in (max{R_dagger, eta2(q_bar)}, eta1(q_bar)]
 yields a forward-invariant polygon A=(0,0), B=(0,q_bar),
@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from . import dynamics, equilibria
-from .model import ModelConfig, eval_admission, eval_price, eval_service
+from .model import ModelConfig, eval_admission, eval_price, eval_service, extremum
 
 VERTEX_MARGIN = 1e-6  # boundary samples keep this distance from vertices
 
@@ -117,23 +117,17 @@ def eta3(cfg: ModelConfig, q, u_hat: float):
 def r_dagger(cfg: ModelConfig) -> float:
     """max { eta2(q) : q in [0, q_m] }, exact from its critical points.
 
-    On [0, q_m] the price is beta*q, so alpha + f is a polynomial there.
-    Its minimum, where eta2 peaks, lies at 0, at q_m or at a real root of
-    alpha'(q) + beta inside the interval; eta2's largest value on those
-    candidates is R_dagger.  The real roots of alpha' inside are
-    candidates too, so an alpha that dips to zero in the interval raises
-    "alpha(q) vanishes" instead of giving a value.  A linear alpha has no
-    interior candidates.
+    eta2 peaks where alpha + f is least, which model.extremum finds on the
+    piece tables: at 0, at q_m or at a real root of alpha'(q) + beta
+    inside, since the price is beta*q there.  eta2 is also evaluated where
+    alpha is least, so an alpha that dips to zero in the interval raises
+    "alpha(q) vanishes" instead of giving a value.
     """
     q_m = cfg.price.q_m
     if q_m is None:
         raise ValueError("r_dagger needs a price variant with a peak q_m")
-    qs = [0.0, q_m]
-    if cfg.admission.variant == "cubic":
-        _, a1, a2, a3 = cfg.admission.coefficients
-        for c in (a1 + cfg.price.beta, a1):
-            qs += [z.real for z in np.roots([3 * a3, 2 * a2, c])
-                   if z.imag == 0 and 0 < z.real < q_m]
+    tables = (cfg.admission.pieces, cfg.price.pieces)
+    qs = [extremum(tables, 0.0, q_m)[1], extremum(tables[:1], 0.0, q_m)[1]]
     return float(np.max(eta2(cfg, np.array(qs))))
 
 
@@ -147,10 +141,10 @@ def eta1_inverse(cfg: ModelConfig, r: float) -> float:
     hi = q_max * (1 - 1e-12) - 1e-12 if math.isfinite(q_max) else cfg.service.q_c * 1e6
     if eta1(cfg, hi) < r:
         raise ValueError(f"eta1 stays below {r:g} on its domain")
-    # the spec kernels on the float mid give eta1's values bit for bit
-    # without its array coercion; no early stop on an exact hit, which
-    # would move the doa outputs
-    mu, alpha = cfg.service._kernel, cfg.admission._kernel
+    # the specs' plain-float twins give eta1's values bit for bit without
+    # its array coercion; no early stop on an exact hit, which would move
+    # the doa outputs
+    mu, alpha = cfg.service._scalar, cfg.admission._scalar
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -37,15 +37,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import _admittance_bound, as_mode
-from .model import (
-    ModelConfig,
-    admission_slope,
-    eval_admission,
-    eval_price,
-    eval_service,
-    price_slope,
-    service_slope,
-)
+from .model import ModelConfig, eval_admission, eval_price, eval_service, slope
 
 KINK_RADIUS = 1e-9       # states closer than this to a kink are rejected
 DEGENERACY_TOL = 1e-12   # |det| / |Re(lambda)| below this is degenerate
@@ -84,8 +76,8 @@ def _check_state(cfg: ModelConfig, state, mode) -> tuple[float, float, float]:
     if len(vals) != 3:
         raise ValueError("state must have 2 or 3 coordinates (r, q[, u])")
     r, q, u = vals
-    if r < 0 or q < 0 or u < 0:
-        raise ValueError("state must lie in the positive orthant")
+    if not (r >= 0 and q >= 0 and u >= 0):
+        raise ValueError("state must lie in the positive orthant, without NaN")
     kinks = _kinks(cfg, mode)  # raises first when chattering lacks q_ad
     if mode.tag == "chattering" and q > cfg.q_ad - KINK_RADIUS:
         raise KinkProximityError(
@@ -100,13 +92,9 @@ def _check_state(cfg: ModelConfig, state, mode) -> tuple[float, float, float]:
 
 
 def _local_fields(cfg: ModelConfig, q: float):
-    return (
-        eval_price(cfg.price, q),
-        price_slope(cfg.price, q),
-        eval_admission(cfg.admission, q),
-        admission_slope(cfg.admission, q),
-        service_slope(cfg.service, q),
-    )
+    """f, f', alpha, alpha' and mu' at q; slopes from the piece tables."""
+    p, a = cfg.price, cfg.admission
+    return eval_price(p, q), slope(p, q), eval_admission(a, q), slope(a, q), slope(cfg.service, q)
 
 
 def _entries(cfg: ModelConfig, r, q, u, dim: int):
@@ -172,8 +160,8 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
     if arr.ndim <= 1:
         r, q, u = _check_state(cfg, state, mode)
     else:
-        if np.any(arr < 0):
-            raise ValueError("states must lie in the positive orthant")
+        if not np.all(arr >= 0):
+            raise ValueError("states must lie in the positive orthant, without NaN")
         r, q = arr[..., 0], arr[..., 1]
         u = arr[..., 2] if arr.shape[-1] == 3 else np.zeros_like(r)
         for k in cfg.kink_points():
@@ -319,18 +307,18 @@ def saddle_criterion(cfg: ModelConfig, fp) -> tuple[float, float, bool]:
     At the second normal-mode fixed point the determinant of the
     linearization is negative iff
 
-        beta*mu(q2*)  >  (K_R - mu(q2*)) |alpha'(q2*)| + (f+alpha)(q2*) mu'(q2*)
+        -f'(q2*) mu(q2*)  >  (K_R - mu(q2*)) |alpha'(q2*)| + (f+alpha)(q2*) mu'(q2*)
 
-    Returns (lhs, rhs, is_saddle).  Only meaningful for the point on the
-    falling price branch, so q* <= q_m is rejected.
+    where -f' = beta on the falling price branch.  Returns (lhs, rhs,
+    is_saddle).  q* <= q_m, off the high-congestion side, is rejected.
     """
     if fp.mode != "normal":
         raise ValueError("saddle criterion applies to normal-mode fixed points")
     q = fp.q_star
     if cfg.price.q_m is None or q <= cfg.price.q_m:
         raise ValueError("saddle criterion applies to the high-congestion point (q* > q_m)")
-    f, _, a, ap, mp = _local_fields(cfg, q)
+    f, fp, a, ap, mp = _local_fields(cfg, q)
     m = eval_service(cfg.service, q)
-    lhs = cfg.price.beta * m
+    lhs = -fp * m
     rhs = (cfg.k_r - m) * abs(ap) + (f + a) * mp
     return lhs, rhs, lhs > rhs

@@ -358,6 +358,21 @@ class TestCommands:
         assert lines[0] == "t,R,q,U,price,flow_R,flow_U,mu"
         assert len(lines) == 102
 
+    def test_chattering_flows_admit_r_only(self, config_dir, tmp_path):
+        # the chattering field admits R alone, so U (frozen in this 2-state
+        # mode) gets no flow and R all of alpha(q) R below q_ad = 60
+        out = tmp_path / "chat.csv"
+        code = run(
+            ["simulate", "--config", str(config_dir / "ref.json"), "--mode", "chattering",
+             "--x0", "100,59,40", "--t1", "0.02", "--out", str(out)]
+        )
+        assert code == 0
+        t, r, q, u, _, flow_r, flow_u, _ = map(float, out.read_text().splitlines()[1].split(","))
+        assert (t, r, q, u) == (0.0, 100.0, 59.0, 40.0)
+        alpha = 0.21142857142857144 - 0.002285714285714286 * 59.0
+        assert flow_r == pytest.approx(alpha * 100.0, rel=1e-11)
+        assert flow_u == 0.0
+
     def test_phase_grid_size(self, config_dir, tmp_path):
         out = tmp_path / "phase.csv"
         run(

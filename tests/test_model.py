@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from accessprice.equilibria import (
+    CalibrationError,
+    CalibrationTargets,
+    calibrate_cubic_admission,
+    calibrate_linear_admission,
+)
 from accessprice.model import (
     AdmissionSpec,
     _cubic_slope_max,
@@ -14,9 +20,12 @@ from accessprice.model import (
     eval_admission,
     eval_price,
     eval_service,
+    extremum,
+    from_pieces,
     price_slope,
     saturation_floor,
     service_slope,
+    slope,
     validate_admissible,
 )
 
@@ -26,6 +35,11 @@ SURGE = PriceSpec(variant="surge", beta=1e-3)
 SVC = ServiceSpec(mu_star=3.0, q_c=35.0)
 LIN = AdmissionSpec(
     variant="linear", coefficients=(0.21142857142857144, -0.002285714285714286)
+)
+CUB = AdmissionSpec(  # section5's
+    variant="cubic",
+    coefficients=(0.09, -0.0019357142857142858, 3.059523809523811e-05, -2.0238095238095254e-07),
+    q_max=100.0,
 )
 
 
@@ -169,11 +183,12 @@ class TestSlopeOracles:
 
     @pytest.mark.parametrize("q", [5.0, 20.0, 44.0, 50.0, 74.0, 80.0, 91.0])
     def test_admission_slope_fd(self, q):
-        if abs(q - LIN.q_max) < 1e-3:
-            return
-        assert admission_slope(LIN, q) == pytest.approx(
-            central_diff(lambda x: eval_admission(LIN, x), q), abs=1e-6
-        )
+        for spec in (LIN, CUB):
+            if abs(q - spec.q_max) < 1e-3:
+                continue
+            assert admission_slope(spec, q) == pytest.approx(
+                central_diff(lambda x: eval_admission(spec, x), q), abs=1e-6
+            )
 
     @pytest.mark.parametrize("q", [5.0, 30.0, 60.0, 80.0, 100.0])
     def test_price_slope_fd(self, q):
@@ -273,6 +288,112 @@ class TestSaturationFloor:
         )
         cfg = replace(section5_cfg, admission=jumpy)
         assert saturation_floor(cfg) == pytest.approx(0.015, abs=1e-15)
+
+    def test_exact_interior_minimum(self, section5_cfg):
+        from dataclasses import replace
+
+        # alpha + f = 0.01 - 0.001 q + 1e-4 q^2 on [0, q_m] is least at q = 5,
+        # where it is 0.0075; a grid of the interval misses that point
+        dipping = AdmissionSpec("cubic", (0.01, -0.002, 1e-4, 0.0), q_max=100.0)
+        cfg = replace(section5_cfg, admission=dipping)
+        assert saturation_floor(cfg) == pytest.approx(0.0075, abs=1e-15)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def _calibrated_configs(seed, n):
+    """n configs near ref's: a seeded triangular price and service, and a
+    linear and a cubic admission calibrated to targets drawn near ref's."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        beta, q_m = 1e-3 * rng.uniform(0.9, 1.1), 45.0 * rng.uniform(0.96, 1.04)
+        price = PriceSpec("triangular", beta=beta, q_m=q_m)
+        service = ServiceSpec(mu_star=3.0 * rng.uniform(0.94, 1.06), q_c=35.0 * rng.uniform(0.95, 1.05))
+        k_r = 4.0 * rng.uniform(0.95, 1.05)
+        q1, q2 = 40.0 * rng.uniform(0.95, 1.05), 82.0 * rng.uniform(0.975, 1.025)
+        targets = CalibrationTargets(p1=beta * q1, p2=beta * (2 * q_m - q2))
+        try:
+            adms = [
+                calibrate_linear_admission(targets, price, service, k_r),
+                calibrate_cubic_admission(targets, price, service, k_r, 100.0 * rng.uniform(1.0, 1.2)),
+            ]
+        except CalibrationError:
+            continue
+        out += [_config(k_r=k_r, price=price, admission=a, service=service) for a in adms]
+    return out
+
+
+class TestPieceTables:
+    """The piece table of each spec against its kernel and its scalar twin."""
+
+    @staticmethod
+    def configs(ref_cfg, section5_cfg, competitive_cfg):
+        # a supplied linear q_max may miss the zero crossing, where alpha kinks
+        off = AdmissionSpec("linear", LIN.coefficients, q_max=92.5 * (1 + 5e-10))
+        extra = [_config(price=p, admission=a) for p in (TRI, SAT, SURGE) for a in (LIN, CUB, off)]
+        return [ref_cfg, section5_cfg, competitive_cfg, *extra, *_calibrated_configs(5, 40)]
+
+    @staticmethod
+    def samples(spec, rng):
+        """q drawn across every piece, every breakpoint and its float
+        neighbours, and both zeros."""
+        starts = [s for s, _, _ in spec.pieces]
+        ends = starts[1:] + [starts[-1] + 100.0]
+        drawn = [rng.uniform(a, b, 50) for a, b in zip(starts, ends)]
+        near = [np.nextafter(s, -np.inf) for s in starts[1:]] + [np.nextafter(s, np.inf) for s in starts]
+        return np.array([*np.concatenate(drawn), *starts, *near, -0.0])
+
+    def test_kernels_and_twins_match_the_tables_bit_for_bit(
+        self, ref_cfg, section5_cfg, competitive_cfg
+    ):
+        rng = np.random.default_rng(11)
+        for cfg in self.configs(ref_cfg, section5_cfg, competitive_cfg):
+            for spec in (cfg.price, cfg.admission, cfg.service):
+                qs = self.samples(spec, rng)
+                want = _bits(spec._kernel(qs))
+                assert np.array_equal(_bits(from_pieces(spec, qs)), want), spec
+                assert np.array_equal(_bits([from_pieces(spec, q) for q in qs.tolist()]), want), spec
+                assert np.array_equal(_bits([spec._scalar(q) for q in qs.tolist()]), want), spec
+
+    def test_kink_points_are_the_finite_breakpoints(
+        self, ref_cfg, section5_cfg, competitive_cfg
+    ):
+        rising = _config(admission=AdmissionSpec("linear", (0.1, 0.001)))
+        assert rising.kink_points() == (35.0, 45.0, 90.0)
+        assert (TRI.kinks, SAT.kinks, SURGE.kinks) == ((45.0, 90.0), (45.0, 75.0), ())
+        for cfg in [rising, *self.configs(ref_cfg, section5_cfg, competitive_cfg)]:
+            specs = (cfg.price, cfg.admission, cfg.service)
+            breaks = {s for spec in specs for s, _, _ in spec.pieces[1:]}
+            assert all(map(math.isfinite, breaks))
+            assert cfg.kink_points() == tuple(sorted(breaks))
+            for spec in specs:
+                for k, _, _ in spec.pieces[1:]:
+                    # a true kink: the one-sided difference quotients differ
+                    h = 1e-6
+                    left = (spec._kernel(k) - spec._kernel(k - h)) / h
+                    right = (spec._kernel(k + h) - spec._kernel(k)) / h
+                    assert abs(right - left) > 1e-9, (spec, k)
+                    assert slope(spec, k) == pytest.approx(left, abs=1e-6)
+
+    def test_extremum_of_one_function(self):
+        assert extremum((TRI.pieces,), 0.0, 200.0, largest=True) == (0.045, 45.0)
+        assert extremum((TRI.pieces,), 10.0, 200.0) == (0.0, 90.0)
+        assert extremum((SVC.pieces,), 0.0, 50.0, largest=True, order=1)[0] == SVC.mu_star / SVC.q_c
+
+
+class TestNaNQuery:
+    """A NaN queue length is a named error, not a silent NaN or 0."""
+
+    def test_admission_slope(self):
+        with pytest.raises(ValueError, match="queue length q"):
+            admission_slope(LIN, math.nan)
+
+    def test_eval_price(self):
+        with pytest.raises(ValueError, match="queue length q"):
+            eval_price(TRI, np.array([1.0, math.nan]))
 
 
 class TestModelConfig:

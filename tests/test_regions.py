@@ -44,6 +44,10 @@ class TestEtaCurves:
             eta1(ref_cfg, 50.0) - 10.0, rel=1e-12
         )
 
+    def test_nan_query_is_named(self, ref_cfg):
+        with pytest.raises(ValueError, match="queue length q"):
+            eta2(ref_cfg, math.nan)
+
     def test_domain_error_beyond_qmax(self, ref_cfg):
         with pytest.raises(ValueError):
             eta1(ref_cfg, 93.0)

@@ -44,6 +44,11 @@ class TestJacobian:
         with pytest.raises(ValueError):
             jacobian(ref_cfg, (-1.0, 40.0), "normal")
 
+    @pytest.mark.parametrize("state", [(np.nan, 20.0, 0.0), (10.0, np.nan, 0.0)])
+    def test_nan_state_is_named(self, ref_cfg, state):
+        with pytest.raises(ValueError, match="state must .* without NaN"):
+            jacobian(ref_cfg, state, "normal")
+
     def test_chattering_below_bound_matches_normal(self, ref_cfg):
         jn = jacobian(ref_cfg, (25.0, 40.0), "normal")
         jc = jacobian(ref_cfg, (25.0, 40.0), "chattering")
@@ -134,6 +139,12 @@ class TestDivergence:
     def test_chattering_unsupported(self, ref_cfg):
         with pytest.raises(ValueError):
             divergence(ref_cfg, (25.0, 40.0), "chattering")
+
+    def test_nan_state_is_named(self, ref_cfg):
+        with pytest.raises(ValueError, match="state must .* without NaN"):
+            divergence(ref_cfg, (10.0, np.nan), "normal")
+        with pytest.raises(ValueError, match="states must .* without NaN"):
+            divergence(ref_cfg, np.array([[25.0, 40.0], [10.0, np.nan]]), "normal")
 
 
 class TestClassify:
