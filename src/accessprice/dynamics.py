@@ -31,30 +31,31 @@ lazily, so memory is O(1) in the horizon.  h outside (0, 0.1] and
 non-finite spans (NaN or infinite t0, t1, t_cap) raise ValueError.
 
 The stepper has two backends with the same formulas and operation
-order.  The batch backend holds n states as one C-contiguous (3, n)
-stack, rows R, q and U: its right-hand side (_make_deriv, on the numpy
-kernels the model specs own) writes into a caller-owned (3, n) buffer,
-and its step (_batch_step) advances the stack, in place or into a
-given (3, n) slot, one numpy call per stage update.  It drives
-final_states and settle_batch; rhs wraps its right-hand side.  The
-scalar backend (_scalar_deriv on the specs' plain-float twins, and
-_scalar_step) drives integrate and converge.  The two agree bit for
-bit, and both steps raise FloatingPointError on the first NaN state.
+order, which agree bit for bit and raise FloatingPointError on the first
+NaN state.  The batch backend (final_states, settle_batch) holds n states
+as one C-contiguous (3, n) stack, rows R, q and U: its right-hand side
+(_make_deriv, on the numpy kernels the model specs own; rhs wraps it)
+writes into a caller-owned (3, n) buffer, and its step (_batch_step)
+advances the stack in place or into a given slot, one numpy call per
+stage update.  The scalar backend (integrate, converge) steps plain
+floats: _scalar_deriv on the specs' plain-float twins, and _scalar_step.
 
-The batch drivers observe their runs per block of steps, not per step
-(_blocks).  Each step writes its result into the next slot of one
-preallocated (block, 3, n) history, and the driver then takes the
-block's observations (settle_batch's tolerance streaks, settle times and
-max q; final_states' region excess) with whole-array operations.  At
-small n every numpy call costs about a microsecond whatever its size, so
-a dozen bookkeeping calls per step cost as much as a quarter of the step
-itself; per block they cost a fraction of a microsecond per step.  A
-block is BLOCK_STEPS steps, fewer when its history would pass
-BLOCK_BYTES, so memory stays bounded at any n.  Every result is the one
-the per-step bookkeeping gave, bit for bit: settle_batch carries each
-run's streak across block edges, returns the state and time of the step
-where the last run settled, and ignores a FloatingPointError raised
-after it in the same block, which the per-step loop never reached.
+Every driver steps through one block history (_blocks): each step writes
+its result into the next slot of a preallocated (block, 3[, n]) history,
+and the driver then takes the block's observations with whole-array
+operations: integrate copies the block into its trajectory, final_states
+takes region excess, and settle_batch and converge fold tolerance
+streaks and settle times by one rule (_settle).  At small n every numpy
+call costs about a microsecond whatever its size, so per-step
+bookkeeping would cost as much as a quarter of a step; per block it
+costs a fraction of a microsecond per step.  A block is BLOCK_STEPS
+steps, fewer when its history would pass BLOCK_BYTES, so memory stays
+bounded at any n.  Every result is the one per-step bookkeeping gives,
+bit for bit: the fold carries each run's streak across block edges (for
+converge only, a start within tol counts as the streak's first state),
+returns the state and time of the step where the last run settled, and
+ignores a FloatingPointError raised after it in the same block, which a
+per-step loop never reaches.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ MAX_STEP = 0.1
 DEFAULT_STEP = 0.01
 CLAMP_EPS = 1e-9
 SETTLE_STREAK = 100  # consecutive in-tolerance steps deemed converged
-BLOCK_STEPS = 128  # most steps a batch driver takes between observations
+BLOCK_STEPS = 128  # most steps a driver takes between observations
 BLOCK_BYTES = 1 << 18  # cap on the (block, 3, n) state history of one block
 
 MODE_TAGS = ("normal", "chattering", "saturated", "competitive", "switched_full")
@@ -410,34 +411,47 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (24 * max(n, 1))))
 
 
-def _blocks(step, x0, grid, size: int, raw=None):
-    """Step the (3, n) states x0 along grid, up to size steps per block.
+def _advance(step, x, raw=None):
+    """advance(dt, t, out): one _bind step from the start x, then from the
+    last state, into the history slot out.  The scalar backend keeps its
+    (r, q, u) floats and stores them item by item; the batch one reads
+    the slot it wrote last (raw as in _batch_step)."""
+    if isinstance(x, tuple):
+        def advance(dt, t, out):
+            nonlocal x
+            x = step(x, dt, t)
+            out[0], out[1], out[2] = x  # item stores: numpy builds no array from x
+    else:
+        def advance(dt, t, out):
+            nonlocal x
+            step(x, dt, t, raw, out)
+            x = out
+    return advance
 
-    x0 is copied into the last slot of one (size, 3, n) history allocated
-    here, and each step writes its result into the next slot, so x0
-    itself is never written and one slot is stepped in place.  Yields
-    (states, times) per block: views of the states after each of its k
-    steps, (k, 3, n), and of the steps' end times, (k,); both are
-    overwritten by the next block.  A FloatingPointError ends its block
-    early: the steps before it are yielded, and it is raised only when
-    the next block is asked for, so a caller that returns on the block
-    that holds its answer never sees a fault after it.
+
+def _blocks(advance, shape, grid, size: int):
+    """Step a run's advance along grid into one (size, *shape) history.
+
+    Yields (states, times) per block of up to size steps: views of the
+    states after each of its k steps, (k, *shape), and of the steps' end
+    times, (k,); both are overwritten by the next block.  A
+    FloatingPointError ends its block early: the steps before it are
+    yielded, and it is raised only when the next block is asked for, so a
+    caller that returns on the block that holds its answer never sees a
+    fault after it.
     """
-    hist = np.empty((size, *x0.shape))
+    hist = np.empty((size, *shape))
     slots = list(hist)  # the views, made once
-    x = slots[-1]
-    x[...] = x0
     times = np.empty(size)
     grid = iter(grid)
     while True:
         k, fault = 0, None
         for t, dt in itertools.islice(grid, size):
             try:
-                step(x, dt, t, raw, out=slots[k])
+                advance(dt, t, slots[k])
             except FloatingPointError as exc:
                 fault = exc
                 break
-            x = slots[k]
             times[k] = t
             k += 1
         if k:
@@ -448,13 +462,56 @@ def _blocks(step, x0, grid, size: int, raw=None):
             return
 
 
+def _within(states, targets, tol: float) -> np.ndarray:
+    """(k, n): whether each of the (k, 3, n) states lies within tol of one
+    of the (T, c, 1) targets in max-coordinate distance over the first c."""
+    dist = np.abs(states[:, None, : targets.shape[1]] - targets).max(axis=2)
+    return dist.min(axis=1, initial=np.inf) < tol
+
+
+def _settle(blocks, x, t, targets, tol: float, streak: np.ndarray):
+    """Fold the blocks of n runs started at (3, n) x, time t: a run settles
+    once SETTLE_STREAK consecutive states lie within tol of a target, at
+    the end time of the streak's first step; streak carries in the states
+    each run counts at t.  Returns per-run settle times (nan if none), the
+    states and time of the step where the last run settled (else of the
+    last step), and the largest q seen up to then."""
+    n = len(streak)
+    streak_t0 = np.full(n, t)  # end time of the first step of the streak in progress
+    settle_t = np.full(n, np.nan)
+    max_q = float(x[1].max(initial=-np.inf))
+    for states, times in blocks:
+        k = len(times)
+        states = states.reshape(k, 3, n)  # (k, 3, 1) from the scalar backend's (k, 3)
+        idx = np.arange(k)[:, None]
+        within = _within(states, targets, tol)
+        # per step, the last one out of tolerance: -1 - streak before the block
+        last_out = np.maximum.accumulate(np.where(within, -1 - streak, idx), axis=0)
+        run = idx - last_out  # streak length after each step
+        done = (run == SETTLE_STREAK) & np.isnan(settle_t)
+        new = done.any(axis=0)
+        if new.any():
+            first = done.argmax(axis=0)
+            start = first - (SETTLE_STREAK - 1)  # < 0: the streak began before the block
+            np.copyto(settle_t, np.where(start >= 0, times[np.maximum(start, 0)], streak_t0),
+                      where=new)
+            if not np.isnan(settle_t).any():
+                j = int(first[new].max())
+                max_q = max(max_q, float(states[: j + 1, 1].max()))
+                return settle_t, states[j], float(times[j]), max_q
+        streak = run[-1]
+        began = last_out[-1] + 1  # the step the streak in progress began on, if in this block
+        np.copyto(streak_t0, times[np.clip(began, 0, k - 1)], where=began >= 0)
+        max_q = max(max_q, float(states[:, 1].max()))
+        x, t = states[-1], float(times[-1])
+    return settle_t, x, t, max_q
+
+
 def _starts(x0s, name: str = "initial state") -> np.ndarray:
     """Checked (n, 3) starts from one state or an (n, 2 | 3) batch, U = 0
     when omitted; ValueError naming the states for other shapes and for
     non-finite or < 0 values."""
-    arr = np.asarray(x0s, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
+    arr = np.atleast_2d(np.asarray(x0s, dtype=float))
     if arr.ndim != 2 or arr.shape[1] not in (2, 3):
         raise ValueError(f"{name} must have 2 or 3 coordinates")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
@@ -505,15 +562,13 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
     times = np.empty(n)
     states = np.empty((n, 3))
     times[0], states[0] = t0, x
-    k = 0
+    k = 1
     for a, b, k_u in pieces:
-        step = _bind(cfg, mode, h, k_u=k_u)
-        for t, dt in _grid(a, b, h):
-            x = step(x, dt, t)
-            k += 1
-            times[k] = t
-            # item stores: numpy builds no array from the tuple x
-            states[k, 0], states[k, 1], states[k, 2] = x
+        advance = _advance(_bind(cfg, mode, h, k_u=k_u), tuple(states[k - 1].tolist()))
+        for block, ts in _blocks(advance, (3,), _grid(a, b, h), BLOCK_STEPS):
+            times[k : k + len(ts)] = ts
+            states[k : k + len(ts)] = block
+            k += len(ts)
 
     fr, fu = admitted_flows(cfg, mode, states)
     return Trajectory(
@@ -563,18 +618,17 @@ def final_states(
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
-    x = _starts(x0s).T
+    x = np.ascontiguousarray(_starts(x0s).T)
     n = x.shape[1]
     step = _bind(cfg, as_mode(mode), h, batch=n)
     grid = _grid(t0, t1, h)
     raw = [np.full(3, np.inf), -np.inf] if raw_bounds else None
-    excess = None
+    excess, size = None, 1  # without a region nothing reads the history: one slot will do
     if region is not None:
         A, b = _check_region(region)
-        excess = np.full(n, -np.inf)
+        excess, size = np.full(n, -np.inf), _block_steps(n)
 
-    # without a region nothing reads the history, so a single slot will do
-    for states, _ in _blocks(step, x, grid, 1 if excess is None else _block_steps(n), raw):
+    for states, _ in _blocks(_advance(step, x, raw), x.shape, grid, size):
         x = states[-1]
         if excess is not None:
             r, q, u = states.transpose(1, 0, 2)
@@ -616,46 +670,13 @@ def settle_batch(
         raise ValueError("tol must be > 0")
     if t_cap < 0:
         raise ValueError("t_cap must be >= 0")
-    x = _starts(x0s).T
+    x = np.ascontiguousarray(_starts(x0s).T)
     n = x.shape[1]
     step = _bind(cfg, mode, h, batch=n)
     grid = _grid(t0, t0 + t_cap, h)
-    compared = 3 if mode.tag == "competitive" else 2
-    tgt = np.array(_start(target, "target")[:compared])[:, None]
-
-    streak = np.zeros(n, dtype=int)  # in-tolerance steps ending at the last one
-    streak_t0 = np.full(n, np.nan)  # end time of the first step of that streak
-    settle_t = np.full(n, np.nan)
-    max_q = float(x[1].max(initial=-np.inf))
-    t = t0
-    size = _block_steps(n)
-    index = np.arange(size)[:, None]
-
-    for states, times in _blocks(step, x, grid if n else (), size):
-        k = len(times)
-        idx = index[:k]
-        within = np.abs(states[:, :compared] - tgt).max(axis=1) < tol  # (k, n)
-        # per step, the last one out of tolerance: -1 - streak before the block
-        last_out = np.maximum.accumulate(np.where(within, -1 - streak, idx), axis=0)
-        run = idx - last_out  # streak length after each step
-        done = (run == SETTLE_STREAK) & np.isnan(settle_t)
-        new = done.any(axis=0)
-        if new.any():
-            first = done.argmax(axis=0)
-            start = first - (SETTLE_STREAK - 1)  # < 0: the streak began in an earlier block
-            np.copyto(settle_t, np.where(start >= 0, times[np.maximum(start, 0)], streak_t0),
-                      where=new)
-            if not np.isnan(settle_t).any():
-                j = int(first[new].max())
-                max_q = max(max_q, float(states[: j + 1, 1].max()))
-                x, t = states[j], float(times[j])
-                break
-        streak = run[-1]
-        began = last_out[-1] + 1  # the step the streak in progress began on, if in this block
-        np.copyto(streak_t0, times[np.clip(began, 0, k - 1)], where=began >= 0)
-        max_q = max(max_q, float(states[:, 1].max()))
-        x, t = states[-1], float(times[-1])
-
+    tgt = np.array(_start(target, "target")[: mode.dim])[None, :, None]
+    blocks = _blocks(_advance(step, x), x.shape, grid if n else (), _block_steps(n))
+    settle_t, x, t, max_q = _settle(blocks, x, t0, tgt, tol, np.zeros(n, dtype=int))
     return SettleResult(~np.isnan(settle_t), x.T.copy(), t, settle_t, max_q)
 
 
@@ -664,7 +685,6 @@ class ConvergeResult:
     final_state: np.ndarray
     converged: bool
     settling_time: float  # nan when not converged
-    target: np.ndarray | None = None  # the fixed point reached, if any
 
 
 def converge(
@@ -678,9 +698,10 @@ def converge(
     """Empirical omega-limit probe.
 
     Integrates until the state has stayed within tol of one of the
-    mode's fixed points for 100 consecutive steps, or until t_cap.
-    Without fixed points the run always goes to t_cap.  Non-convergence
-    is reported through the flag, never raised; a NaN state raises
+    mode's fixed points for 100 consecutive steps, the start counting as
+    the first when it lies within tol, or until t_cap.  Without fixed
+    points the run always goes to t_cap.  Non-convergence is reported
+    through the flag, never raised; a NaN state raises
     FloatingPointError, and h outside (0, 0.1] or a non-finite t_cap
     raise ValueError, as in integrate.
     """
@@ -693,39 +714,11 @@ def converge(
     if t_cap < 0:
         raise ValueError("t_cap must be >= 0")
     grid = _grid(0.0, t_cap, h)
-    fps = equilibria.find_fixed_points(cfg, mode)
-    targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]
-    compare_u = mode.tag == "competitive"
+    targets = np.array([(fp.r_star, fp.q_star, fp.u_star)[: mode.dim]
+                        for fp in equilibria.find_fixed_points(cfg, mode)]).reshape(-1, mode.dim, 1)
     x = _start(x0)
-
-    def nearest(state):
-        """(max-coordinate distance, index) of the closest fixed point."""
-        r, q, u = state
-        best, j = math.inf, 0
-        for i, (tr, tq, tu) in enumerate(targets):
-            d = max(abs(r - tr), abs(q - tq))
-            if compare_u:
-                d = max(d, abs(u - tu))
-            if d < best:
-                best, j = d, i
-        return best, j
-
-    streak = 0
-    streak_start = math.nan
-    d0, j = nearest(x)
-    if d0 < tol:
-        streak, streak_start = 1, 0.0
-        if x == targets[j]:
-            return ConvergeResult(np.array(x), True, 0.0, np.array(targets[j]))
-    for t, dt in grid:
-        x = step(x, dt, t)
-        d, j = nearest(x)
-        if d < tol:
-            if streak == 0:
-                streak_start = t
-            streak += 1
-            if streak >= SETTLE_STREAK:
-                return ConvergeResult(np.array(x), True, streak_start, np.array(targets[j]))
-        else:
-            streak = 0
-    return ConvergeResult(np.array(x), False, math.nan)
+    start = np.array(x)[:, None]
+    blocks = _blocks(_advance(step, x), (3,), grid, BLOCK_STEPS)
+    streak = _within(start[None], targets, tol)[0] * 1  # 1 when the start counts
+    settle_t, x, _, _ = _settle(blocks, start, 0.0, targets, tol, streak)
+    return ConvergeResult(x[:, 0].copy(), not math.isnan(settle_t[0]), float(settle_t[0]))

@@ -123,8 +123,10 @@ def _scan_domain(cfg: ModelConfig, k_u: float):
     hi = q_max - max(1e-9, abs(q_max) * 1e-12) if math.isfinite(q_max) else 4 * cfg.service.q_c + 400.0
     svc = cfg.service
     ramp = svc.pieces[0][2][1]  # mu = ramp*q up to q_c, read off its piece table
+    if k_u >= svc.mu_star or not ramp > 0:  # mu <= K_U everywhere; mu = 0 if the ramp underflows
+        return None
     lo = 1e-9 if k_u <= 0 else (k_u + DOMAIN_EPS) / ramp * (1 + 1e-12) + 1e-12
-    if k_u >= svc.mu_star or lo >= hi:
+    if lo >= hi:
         return None
     qs = np.linspace(lo, hi, GRID_POINTS)
     return (qs, *_residual(cfg, k_u, qs))
@@ -291,7 +293,8 @@ def calibrate_cubic_admission(
     Four linear equations fix (a0..a3): the two alpha targets, alpha(q_max) = 0
     and alpha(0) = alpha0.  When targets.alpha0 is absent, alpha0 is scanned
     over [alpha(q1*), 4*alpha(q1*)] in 64 steps and the first solution whose
-    derivative is nonpositive on all of [0, q_max] wins.
+    derivative is nonpositive on all of [0, q_max] and that rounds to alpha
+    > 0 at the float below q_max wins.
     """
     if not q_max > 2 * price.q_m:
         raise CalibrationError(f"q_max must exceed 2*q_m = {2 * price.q_m:g}")
@@ -322,9 +325,11 @@ def calibrate_cubic_admission(
         if not _cubic_slope_max(coeffs, q_max) <= 0:
             continue
         adm = AdmissionSpec(variant="cubic", coefficients=coeffs, q_max=q_max)
+        if not adm._scalar(math.nextafter(q_max, 0.0)) > 0:
+            continue
         _check_calibrated(adm, price, service, k_r, q1, q2)
         return adm
     raise CalibrationError(
-        "no monotone cubic found in the alpha0 scan range "
+        "no monotone cubic positive below q_max found in the alpha0 scan range "
         f"[{a1t:g}, {4 * a1t:g}]"
     )

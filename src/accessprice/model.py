@@ -40,7 +40,7 @@ def _as_query(q):
     arr = np.asarray(q, dtype=float)
     if not np.all(arr >= 0):
         raise ValueError("queue length q must be a nonnegative number")
-    return arr, np.isscalar(q) or getattr(q, "ndim", 0) == 0
+    return arr, arr.ndim == 0
 
 
 def _ret(arr, scalar):

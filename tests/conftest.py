@@ -1,8 +1,15 @@
 from pathlib import Path
 
+from hypothesis import settings
 import pytest
 
 from accessprice import cli
+
+# one profile for every property test: no per-example deadline (one CLI run
+# can take longer than the default 200 ms) and examples drawn from a fixed
+# seed, so every Tier-1 run tries the same inputs
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import subprocess
 import sys
 
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, example, given, strategies as st
 import pytest
 
 from accessprice import cli, dynamics
@@ -236,6 +236,15 @@ class TestInputDomain:
         assert "window contains no samples" in capsys.readouterr().err
         assert not list(tmp_path.glob("P_*"))
 
+    @pytest.mark.parametrize("k_u, mu_star", [("1", "5e-324"), ("5e-324", "1e-323")])
+    def test_fixed_points_with_vanishing_service_ramp(self, config_dir, capsys, k_u, mu_star):
+        # mu_star / q_c underflows to 0, so mu never exceeds K_U: no fixed point
+        code = run(["fixed-points", "--config", str(config_dir / "ref.json"),
+                    "--mode", "competitive", "--k-u", k_u, "--set", f"service.mu_star={mu_star}"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(out) == 1 and out[0].startswith("mode,q_star,")
+
     def test_doa_negative_samples_named(self, config_dir, capsys):
         code = run(["doa", "--config", str(config_dir / "ref.json"), "--samples", "-5"])
         assert code == 1
@@ -271,7 +280,6 @@ class TestContract:
     <= 1e5 steps, so each run is small.
     """
 
-    @settings(deadline=None)
     @given(q=_float_flag(), r=_float_flag(), samples=st.none() | st.integers(-100, 2000))
     @example(q=math.nan, r=None, samples=None)
     @example(q=None, r=-math.inf, samples=10)
@@ -279,7 +287,6 @@ class TestContract:
     def test_doa(self, config_dir, q, r, samples):
         _run_contract(config_dir, "doa", {"--q-choice": q, "--r-choice": r, "--samples": samples})
 
-    @settings(deadline=None)
     @given(bounds=st.tuples(*[_float_flag()] * 4), resolution=st.none() | st.integers(-5, 40))
     @example(bounds=(None, math.inf, None, None), resolution=3)
     @example(bounds=(None, None, None, math.inf), resolution=3)
@@ -292,7 +299,6 @@ class TestContract:
         # a written grid holds finite numbers only
         assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
 
-    @settings(deadline=None)
     @given(step=_float_flag() | st.floats(1e-3, 0.1), t1=_float_flag(),
            every=st.none() | st.integers(-3, 1000), x0=_x0_flag())
     @example(step=math.nan, t1=None, every=None, x0=None)

@@ -21,6 +21,7 @@ from accessprice.dynamics import (
     saturated_mode,
     settle_batch,
 )
+from accessprice.equilibria import find_fixed_points
 from accessprice.model import (
     PriceSpec,
     eval_admission,
@@ -709,6 +710,128 @@ class TestSettleBlocks:
         with pytest.raises(FloatingPointError, match="injected"):
             settle_batch(ref_cfg, NORMAL, [(25.0, 40.0, 0.0), (250.0, 60.0, 0.0)],
                          (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
+
+
+def _converge_by_step(cfg, mode, x0, tol, t_cap, h):
+    """converge with its streak kept after every step, as it was before it
+    stepped through the block history: the reference."""
+    mode = dynamics.as_mode(mode)
+    step = dynamics._bind(cfg, mode, h)
+    fps = find_fixed_points(cfg, mode)
+    targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]
+    compare_u = mode.tag == "competitive"
+    x = dynamics._start(x0)
+
+    def nearest(state):
+        """(max-coordinate distance, index) of the closest fixed point."""
+        r, q, u = state
+        best, j = math.inf, 0
+        for i, (tr, tq, tu) in enumerate(targets):
+            d = max(abs(r - tr), abs(q - tq))
+            if compare_u:
+                d = max(d, abs(u - tu))
+            if d < best:
+                best, j = d, i
+        return best, j
+
+    streak = 0
+    streak_start = math.nan
+    d0, j = nearest(x)
+    if d0 < tol:
+        streak, streak_start = 1, 0.0
+        if x == targets[j]:
+            return dynamics.ConvergeResult(np.array(x), True, 0.0)
+    for t, dt in dynamics._grid(0.0, t_cap, h):
+        x = step(x, dt, t)
+        d, _ = nearest(x)
+        if d < tol:
+            if streak == 0:
+                streak_start = t
+            streak += 1
+            if streak >= dynamics.SETTLE_STREAK:
+                return dynamics.ConvergeResult(np.array(x), True, streak_start)
+        else:
+            streak = 0
+    return dynamics.ConvergeResult(np.array(x), False, math.nan)
+
+
+def _assert_same_converge(got, want):
+    assert got.converged == want.converged
+    assert _bits_equal(got.settling_time, want.settling_time)
+    assert _bits_equal(got.final_state, want.final_state)
+
+
+class TestConvergeBlocks:
+    """converge's block-wise settle fold against the per-step reference, at
+    the default block length and at a short one that puts block edges
+    inside streaks."""
+
+    @staticmethod
+    def case(name, ref_cfg, section5_cfg, competitive_cfg):
+        """(cfg, mode, start, tol, t_cap, h) of one run."""
+        return {
+            "normal": (ref_cfg, NORMAL, (30.0, 45.0), 1e-3, 2000.0, 0.1),
+            "chattering": (ref_cfg, CHATTERING, (60.0, 60.0), 1e-2, 2000.0, 0.1),
+            "saturated": (section5_cfg, saturated_mode(0.5), (70.0, 50.0), 1e-3, 2000.0, 0.1),
+            "competitive": (competitive_cfg, competitive_mode(1.0), (75.0, 60.0, 37.5), 1e-2,
+                            2000.0, 0.1),
+            # the start counts as the streak's first state
+            "start within tol": (ref_cfg, NORMAL, (25.0005, 39.9995), 1e-3, 100.0, 0.05),
+            # x1* is exactly stationary under RK4
+            "start on a fixed point": (ref_cfg, NORMAL, (25.0, 40.0), 1e-6, 100.0, 0.01),
+            # ref has no competitive fixed point at K_U = 5: the run goes to t_cap
+            "no fixed points": (ref_cfg, competitive_mode(5.0), (30.0, 45.0, 1.0), 1e-3, 30.0,
+                                0.1),
+            # 44 steps: t_cap ends the first default block after 44 of its
+            # steps, the seventh short one after 2
+            "t_cap mid-block": (ref_cfg, NORMAL, (30.0, 45.0), 1e-3, 2.2, 0.05),
+        }[name]
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("name", [
+        "normal", "chattering", "saturated", "competitive", "start within tol",
+        "start on a fixed point", "no fixed points", "t_cap mid-block",
+    ])
+    def test_matches_per_step(self, monkeypatch, ref_cfg, section5_cfg, competitive_cfg,
+                              name, block):
+        args = self.case(name, ref_cfg, section5_cfg, competitive_cfg)
+        want = _converge_by_step(*args)
+        converges = name not in ("no fixed points", "t_cap mid-block")
+        assert want.converged == converges
+        if name.startswith("start"):
+            assert want.settling_time == 0.0
+        if block is not None:
+            monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+        _assert_same_converge(converge(*args), want)
+
+    def test_fault_after_settling_is_not_raised(self, monkeypatch, ref_cfg):
+        # started on x1*, the per-step loop returns on step 99; a jump in q
+        # from step 105 on and a fault on step 110 of the same block must not
+        # reach the block-wise one's result either
+        bind = dynamics._bind
+
+        def faulty_bind(*args, **kwargs):
+            step = bind(*args, **kwargs)
+            calls = [0]
+
+            def faulty(x, dt, t):
+                calls[0] += 1
+                if calls[0] >= 110:
+                    raise FloatingPointError("injected")
+                r, q, u = step(x, dt, t)
+                return r, q + 50.0 * (calls[0] >= 105), u
+            return faulty
+
+        monkeypatch.setattr(dynamics, "_bind", faulty_bind)
+        args = (ref_cfg, NORMAL, (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
+        want = _converge_by_step(*args)
+        assert dynamics.BLOCK_STEPS > 110
+        got = converge(*args)
+        _assert_same_converge(got, want)
+        assert got.converged and got.settling_time == 0.0
+        # a fault before the run settled still escapes
+        with pytest.raises(FloatingPointError, match="injected"):
+            converge(ref_cfg, NORMAL, (250.0, 60.0, 0.0), 1e-3, 100.0, 0.01)
 
 
 def _excess_by_step(cfg, mode, x0s, t0, t1, h, region):

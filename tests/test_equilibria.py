@@ -221,7 +221,7 @@ class TestFindFixedPoints:
 
 
 class TestRoundTrip:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         p1=st.floats(min_value=0.036, max_value=0.0449),
         p2=st.floats(min_value=0.001, max_value=0.012),

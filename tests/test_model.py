@@ -326,6 +326,17 @@ def _calibrated_configs(seed, n):
     return out
 
 
+class TestCubicCalibrationPositive:
+    def test_positive_at_the_float_below_q_max(self):
+        # several alpha0 candidates of these seeded scans are monotone but
+        # round to alpha <= 0 at nextafter(q_max, 0); they are skipped
+        cubics = [cfg.admission for cfg in _calibrated_configs(5, 40)[1::2]]
+        for adm in cubics:
+            assert adm.variant == "cubic"
+            assert adm._scalar(math.nextafter(adm.q_max, 0.0)) > 0, adm
+            assert eval_admission(adm, np.nextafter(adm.q_max, 0.0)) > 0
+
+
 class TestPieceTables:
     """The piece table of each spec against its kernel and its scalar twin."""
 
@@ -394,6 +405,19 @@ class TestNaNQuery:
     def test_eval_price(self):
         with pytest.raises(ValueError, match="queue length q"):
             eval_price(TRI, np.array([1.0, math.nan]))
+
+
+class TestListQuery:
+    """A list of queue lengths evaluates as the array of them."""
+
+    @pytest.mark.parametrize("fn, spec", [
+        (eval_price, TRI), (eval_service, SVC), (eval_admission, CUB), (slope, TRI),
+        (from_pieces, LIN),
+    ])
+    def test_matches_array(self, fn, spec):
+        got = fn(spec, [1.0, 45.0, 95.0])
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(_bits(got), _bits(fn(spec, np.array([1.0, 45.0, 95.0]))))
 
 
 class TestModelConfig:

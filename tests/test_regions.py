@@ -48,6 +48,11 @@ class TestEtaCurves:
         with pytest.raises(ValueError, match="queue length q"):
             eta2(ref_cfg, math.nan)
 
+    @pytest.mark.parametrize("eta", [eta1, eta2])
+    def test_list_query_matches_array(self, ref_cfg, eta):
+        qs = [1.0, 45.0, 70.0]
+        assert np.array_equal(eta(ref_cfg, qs), eta(ref_cfg, np.array(qs)))
+
     def test_domain_error_beyond_qmax(self, ref_cfg):
         with pytest.raises(ValueError):
             eta1(ref_cfg, 93.0)
