@@ -12,6 +12,13 @@ at once down to adjacent floats, and back-substitution gives
 
     R* = (mu(q*) - K_U)/alpha(q*),   U* = K_U/alpha(q*) (3-state modes, else 0)
 
+Each result is memoised per exact configuration value: the key is every
+input that reaches it (K_R, the price, admission and service specs, the
+fixed-point tag and K_U), each float told apart bit for bit, so 0.0 from
+-0.0.  The schedule and q_ad do not reach it.  A memo hit is bit-identical
+to a fresh scan, the memo keeps a fixed number of results and drops the
+least recently used first, and a scan that raises is not stored.
+
 Calibration runs the other way: given desired equilibrium prices p1, p2
 it constructs an admission polynomial whose fixed points land at
 q1* = p1/beta and q2* = 2*q_m - p2/beta.
@@ -19,8 +26,10 @@ q1* = p1/beta and q2* = 2*q_m - p2/beta.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 import math
+import threading
 
 import numpy as np
 
@@ -43,6 +52,7 @@ from .model import (
 GRID_POINTS = 2000          # scan density for the residual
 ROOT_MERGE_TOL = 1e-6       # roots closer than this collapse to one
 DOMAIN_EPS = 1e-12          # guard band on mu(q) > K_U and alpha(q) > 0
+_MEMO_ENTRIES = 64          # fixed-point results kept by find_fixed_points
 
 
 class CalibrationError(ValueError):
@@ -159,6 +169,10 @@ def _bisect(cfg: ModelConfig, k_u: float, lo: np.ndarray, hi: np.ndarray, g_lo: 
     return out
 
 
+_memo: OrderedDict[str, tuple[FixedPoint, ...]] = OrderedDict()
+_memo_lock = threading.Lock()
+
+
 def find_fixed_points(
     cfg: ModelConfig, mode="normal", k_u: float | None = None
 ) -> list[FixedPoint]:
@@ -169,13 +183,31 @@ def find_fixed_points(
     on each sign change, merge of roots closer than 1e-6,
     back-substitution of the remaining coordinates, classification
     through the stability module.  An empty list is a valid result
-    (e.g. K_U >= mu_star).
+    (e.g. K_U >= mu_star).  Results are memoised per exact configuration
+    value (see the module docstring); each call returns a new list.
     """
     mode, k_u = _fixed_point_mode(mode, k_u)
+    # repr writes each float so that it reads back bit for bit
+    key = repr((cfg.k_r, cfg.price, cfg.admission, cfg.service, mode.fixed_point_tag, k_u))
+    with _memo_lock:
+        points = _memo.get(key)
+        if points is not None:
+            _memo.move_to_end(key)
+    if points is None:
+        points = _locate(cfg, mode, k_u)
+        with _memo_lock:
+            _memo[key] = points
+            if len(_memo) > _MEMO_ENTRIES:
+                _memo.popitem(last=False)
+    return list(points)
+
+
+def _locate(cfg: ModelConfig, mode, k_u: float) -> tuple[FixedPoint, ...]:
+    """find_fixed_points' scan, for the SystemMode and K_U it resolved."""
     tag = mode.fixed_point_tag
     dom = _scan_domain(cfg, k_u)
     if dom is None:
-        return []
+        return ()
     qs, g, ok = dom
     idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
     roots = np.sort(np.concatenate([_bisect(cfg, k_u, qs[idx], qs[idx + 1], g[idx]), qs[g == 0.0]]))
@@ -207,7 +239,7 @@ def find_fixed_points(
                 eigen_data=eig,
             )
         )
-    return out
+    return tuple(out)
 
 
 def _target_queues(targets: CalibrationTargets, price: PriceSpec):

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import struct
 
 import numpy as np
 
@@ -93,6 +94,11 @@ class PriceSpec:
                 raise ValueError("saturated price needs q_n in (q_m, 2*q_m)")
         elif self.q_n is not None:
             raise ValueError("triangular price takes no q_n")
+        if self.q_m is not None:
+            if not math.isfinite(2 * self.q_m):
+                raise ValueError("q_m too large: the falling leg's end 2*q_m overflows")
+            if not math.isfinite(self.beta * self.q_m):
+                raise ValueError("beta too large: the peak price beta*q_m overflows")
         _declare(self, *getattr(self, "_" + self.variant)())
 
     def _saturated(self):
@@ -138,9 +144,33 @@ class ServiceSpec:
         if not self.q_c > 0:
             raise ValueError("q_c must be > 0")
         ramp, q_c = self.mu_star / self.q_c, self.q_c
+        if not math.isfinite(ramp):
+            raise ValueError("q_c too small for mu_star: the ramp mu_star/q_c overflows")
         _declare(self, lambda q: ramp * np.minimum(q, q_c),
                  lambda q: ramp * (q_c if q >= q_c else q),
                  ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
+
+
+def _first_zero(c2: float, c1: float) -> float:
+    """The first float q >= 0 with c1*q + c2 <= 0, for c1 < 0.
+
+    c1*q + c2 never rises as q grows, in floats too (both roundings are
+    monotone), so bisection on the bit patterns, which order the
+    nonnegative floats, finds it in at most 64 halvings.  The search
+    starts from the rounded quotient -c2/c1, which lies within a float or
+    two of the answer unless c1*q is subnormal.
+    """
+    bits = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
+    value = lambda i: struct.unpack("<d", struct.pack("<q", i))[0]
+    vanishes = lambda i: i >= 0 and c1 * value(i) + c2 <= 0
+    near = bits(max(-c2 / c1, 0.0))
+    lo, hi = near - 2, near + 2
+    if vanishes(lo) or not vanishes(hi):
+        lo, hi = -1, bits(math.inf)
+    while hi - lo > 1:  # vanishes(hi), and not vanishes(lo)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if vanishes(mid) else (mid, hi)
+    return value(hi)
 
 
 @dataclass(frozen=True)
@@ -150,8 +180,8 @@ class AdmissionSpec:
     coefficients are in ascending powers: (c2, c1) for the linear variant
     alpha(q) = max(0, c1*q + c2), (a0, a1, a2, a3) for the cubic.  q_max
     is where alpha reaches zero; for the linear variant it is derived
-    from the zero crossing -c2/c1 (infinite when c1 >= 0), rounded up to
-    the first float with c1*q_max + c2 <= 0, for the cubic it must be
+    from the zero crossing -c2/c1 (infinite when c1 >= 0) as the first
+    float q_max >= 0 with c1*q_max + c2 <= 0, for the cubic it must be
     supplied.  alpha is identically zero beyond q_max.
     """
 
@@ -174,14 +204,7 @@ class AdmissionSpec:
             )
         if self.variant == "linear":
             c2, c1 = coeffs
-            if c1 >= 0:
-                derived = math.inf
-            else:
-                derived = -c2 / c1
-                # -c2/c1 rounds, so c1*q_max + c2 can come out a hair above
-                # zero; step up to the first float where alpha really vanishes
-                while c1 * derived + c2 > 0:
-                    derived = math.nextafter(derived, math.inf)
+            derived = math.inf if c1 >= 0 else _first_zero(c2, c1)
             if self.q_max is None:
                 object.__setattr__(self, "q_max", derived)
             elif abs(self.q_max - derived) > 1e-9 * max(1.0, abs(derived)):

@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 from hypothesis import assume, example, given, strategies as st
 import pytest
@@ -153,6 +154,24 @@ class TestInputDomain:
         code = run(["fixed-points", "--config", str(config_dir / "ref.json"), "--set", override])
         assert code == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, override, named",
+        [
+            ("fixed-points", "service.q_c=5e-324",
+             "service.q_c: too small for mu_star: the ramp mu_star/q_c overflows"),
+            ("validate", "price.q_m=1.7e308",
+             "price.q_m: too large: the falling leg's end 2*q_m overflows"),
+            ("fixed-points", "price.beta=1.7e308",
+             "price.beta: too large: the peak price beta*q_m overflows"),
+        ],
+    )
+    def test_overflowing_config_value_names_key(self, config_dir, capsys, command, override, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run([command, "--config", str(config_dir / "ref.json"), "--set", override])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
 
     def test_non_finite_k_u(self, config_dir, capsys):
         code = run(["fixed-points", "--config", str(config_dir / "ref.json"),

@@ -1,10 +1,11 @@
+from dataclasses import replace
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from accessprice import dynamics, equilibria, stability
+from accessprice import dynamics, equilibria, model, regions, stability
 from accessprice.equilibria import (
     CalibrationError,
     CalibrationTargets,
@@ -15,6 +16,7 @@ from accessprice.equilibria import (
     fixed_point_residual,
 )
 from accessprice.model import (
+    AdmissionSpec,
     ModelConfig,
     PriceSpec,
     ServiceSpec,
@@ -26,6 +28,30 @@ from accessprice.model import (
 TRI = PriceSpec(variant="triangular", beta=1e-3, q_m=45.0)
 SVC = ServiceSpec(mu_star=3.0, q_c=35.0)
 REF_TARGETS = CalibrationTargets(p1=0.04, p2=0.008)
+
+
+@pytest.fixture
+def cold():
+    """An empty fixed-point memo; the fixture's value empties it again."""
+    equilibria._memo.clear()
+    return equilibria._memo.clear
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    return _calibrated_sets(2024, 200)
+
+
+def _counted(monkeypatch, module, name):
+    """The argument tuples of every call to module.name from now on."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestLinearCalibration:
@@ -77,15 +103,17 @@ class TestLinearCalibration:
         assert eval_admission(adm, adm.q_max) == 0.0
         assert c1 * math.nextafter(adm.q_max, 0.0) + c2 > 0
 
+    def test_q_max_is_the_first_float_where_alpha_vanishes(self, calibrated):
+        # the rounded -c2/c1 can lie a float above that one, as well as below
+        linear = [cfg.admission for cfg in calibrated if cfg.admission.variant == "linear"]
+        assert len(linear) >= 90
+        for adm in linear:
+            c2, c1 = adm.coefficients
+            assert c1 * adm.q_max + c2 <= 0 < c1 * math.nextafter(adm.q_max, 0.0) + c2, adm
+
     def test_one_fixed_point_scan(self, monkeypatch):
         # the admissibility check and the target check share one scan
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return find_fixed_points(*args, **kwargs)
-
-        monkeypatch.setattr(equilibria, "find_fixed_points", counted)
+        calls = _counted(monkeypatch, equilibria, "find_fixed_points")
         calibrate_linear_admission(REF_TARGETS, TRI, SVC, k_r=4.0)
         assert len(calls) == 1
 
@@ -385,14 +413,15 @@ class TestArrayBisection:
         dynamics.competitive_mode(1.0),
     ]
 
-    def test_shipped_configs_match_per_point_bisection(self, ref_cfg, section5_cfg, competitive_cfg):
+    def test_shipped_configs_match_per_point_bisection(self, ref_cfg, section5_cfg, competitive_cfg, cold):
         for cfg in (ref_cfg, section5_cfg, competitive_cfg):
             for mode in self.MODES:
-                new, ref = find_fixed_points(cfg, mode), _per_point_fixed_points(cfg, mode)
-                assert new == ref, mode
-                assert _field_types(new) == _field_types(ref)
+                ref = _per_point_fixed_points(cfg, mode)
+                for new in _cold_and_warm(cold, cfg, mode):
+                    assert _bits(new) == _bits(ref), mode
+                    assert _field_types(new) == _field_types(ref)
 
-    def test_calibrated_sets_match_per_point_bisection(self):
+    def test_calibrated_sets_match_per_point_bisection(self, calibrated, cold):
         modes = [
             dynamics.NORMAL,
             dynamics.saturated_mode(0.5),
@@ -400,21 +429,133 @@ class TestArrayBisection:
             dynamics.competitive_mode(1.0),
         ]
         roots = 0
-        for cfg in _calibrated_sets(2024, 200):
+        for cfg in calibrated:
             for mode in modes:
-                new, ref = find_fixed_points(cfg, mode), _per_point_fixed_points(cfg, mode)
-                assert new == ref, (cfg, mode)
-                assert _field_types(new) == _field_types(ref)
-                roots += len(new)
+                ref = _per_point_fixed_points(cfg, mode)
+                for new in _cold_and_warm(cold, cfg, mode):
+                    assert _bits(new) == _bits(ref), (cfg, mode)
+                    assert _field_types(new) == _field_types(ref)
+                roots += len(ref)
         assert roots >= 800
 
-    def test_scan_makes_no_scalar_residual_calls(self, ref_cfg, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return fixed_point_residual(*args, **kwargs)
-
-        monkeypatch.setattr(equilibria, "fixed_point_residual", counted)
+    def test_scan_makes_no_scalar_residual_calls(self, ref_cfg, monkeypatch, cold):
+        calls = _counted(monkeypatch, equilibria, "fixed_point_residual")
         assert len(find_fixed_points(ref_cfg, "normal")) == 2
         assert calls == []
+
+
+def _cold_and_warm(clear, cfg, mode):
+    """find_fixed_points on an emptied memo, then again from the memo."""
+    clear()
+    return find_fixed_points(cfg, mode), find_fixed_points(cfg, mode)
+
+
+def _bits(fps):
+    """Every field of each fixed point, floats as float.hex and each
+    eigenvalue as the float.hex of its real and imaginary parts."""
+    def exact(v):
+        if isinstance(v, complex):
+            return v.real.hex(), v.imag.hex()
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, tuple):
+            return tuple(map(exact, v))
+        return v
+
+    return [tuple(map(exact, vars(fp).values())) for fp in fps]
+
+
+def _nudged(spec, name):
+    """spec with the float field name, or every coefficient in turn, one float up."""
+    value = getattr(spec, name)
+    if name != "coefficients":
+        return [replace(spec, **{name: math.nextafter(value, math.inf)})]
+    return [replace(spec, coefficients=value[:i] + (math.nextafter(c, math.inf),) + value[i + 1:])
+            for i, c in enumerate(value)]
+
+
+class TestMemo:
+    def test_signed_zero_k_u_keeps_its_sign(self, competitive_cfg, cold):
+        plus = find_fixed_points(competitive_cfg, dynamics.competitive_mode(0.0))
+        minus = find_fixed_points(competitive_cfg, dynamics.competitive_mode(-0.0))
+        assert len(plus) == len(minus) == 2
+        assert [math.copysign(1.0, fp.u_star) for fp in plus + minus] == [1.0, 1.0, -1.0, -1.0]
+
+    def test_returned_list_belongs_to_the_caller(self, ref_cfg, cold):
+        first = find_fixed_points(ref_cfg, "normal")
+        want = _bits(first)
+        first.reverse()
+        first.append(None)
+        again = find_fixed_points(ref_cfg, "normal")
+        assert again is not first and _bits(again) == want
+
+    def test_schedule_and_q_ad_share_an_entry(self, section5_cfg, cold, monkeypatch):
+        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        base = find_fixed_points(section5_cfg, "saturated", 0.5)
+        for cfg in (replace(section5_cfg, k_u_schedule=()), replace(section5_cfg, q_ad=70.0)):
+            same = find_fixed_points(cfg, "saturated", 0.5)
+            assert len(same) == 3 and all(a is b for a, b in zip(same, base))
+        assert len(scans) == 1
+
+    def test_every_spec_field_is_in_the_key(self, ref_cfg, section5_cfg, cold, monkeypatch):
+        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        variants = []
+        for cfg in (ref_cfg, section5_cfg):
+            variants += [cfg, replace(cfg, k_r=math.nextafter(cfg.k_r, math.inf))]
+            for part, names in (("price", ("beta", "q_m", "q_n")),
+                                ("admission", ("coefficients", "q_max")),
+                                ("service", ("mu_star", "q_c"))):
+                spec = getattr(cfg, part)
+                for name in names:
+                    if getattr(spec, name) is not None:
+                        variants += [replace(cfg, **{part: s}) for s in _nudged(spec, name)]
+        # dataclass equality calls these equal; the signs of their zeros differ
+        c2, c1 = ref_cfg.admission.coefficients
+        cubics = [AdmissionSpec("cubic", (c2, c1, 0.0, z), q_max=92.5) for z in (0.0, -0.0)]
+        assert cubics[0] == cubics[1]
+        variants += [replace(ref_cfg, admission=adm) for adm in cubics]
+        for cfg in variants:
+            find_fixed_points(cfg, "normal")
+        assert len(scans) == len(variants) == 23
+
+    def test_bounded_least_recently_used_goes_first(self, section5_cfg, cold, monkeypatch):
+        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        k_us = [0.01 * i for i in range(equilibria._MEMO_ENTRIES + 1)]
+        for k_u in k_us[:-1] + k_us[:1] + k_us[-1:]:  # k_us[0] is used again before the last
+            find_fixed_points(section5_cfg, "saturated", k_u)
+        assert len(scans) == len(k_us) and len(equilibria._memo) == equilibria._MEMO_ENTRIES
+        find_fixed_points(section5_cfg, "saturated", k_us[0])
+        assert len(scans) == len(k_us)
+        find_fixed_points(section5_cfg, "saturated", k_us[1])
+        assert [k_u for _, k_u in scans[-2:]] == [k_us[-1], k_us[1]]
+
+    def test_a_failed_scan_is_not_stored(self, ref_cfg, cold, monkeypatch):
+        def broken(*args):
+            raise ResidualUndefinedError("g undefined")
+
+        monkeypatch.setattr(equilibria, "_bisect", broken)
+        for _ in range(2):
+            with pytest.raises(ResidualUndefinedError):
+                find_fixed_points(ref_cfg, "normal")
+        monkeypatch.undo()
+        assert len(find_fixed_points(ref_cfg, "normal")) == 2
+
+    def test_analysis_chain_scans_twice(self, cold, monkeypatch):
+        # six fixed-point calls on one parameter set, five in normal mode and
+        # one in competitive mode at K_U = 0; calibration builds its own
+        # config, equal to the caller's
+        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        calls = _counted(monkeypatch, equilibria, "find_fixed_points")
+        adm = calibrate_linear_admission(REF_TARGETS, TRI, SVC, k_r=4.0)
+        cfg = ModelConfig(k_r=4.0, k_u_schedule=(), price=TRI, admission=adm, service=SVC)
+        assert model.validate_admissible(cfg).passed
+        fps = equilibria.find_fixed_points(cfg, "normal")
+        for fp in fps:
+            stability.classify(stability.jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), "normal"))
+        assert stability.saddle_criterion(cfg, fps[-1])[2]
+        assert regions.check_invariance(cfg, regions.build_polygon(cfg), dynamics.NORMAL, 100).passed
+        regions.phase_grid(cfg, dynamics.NORMAL, (0.0, 150.0), (0.0, 100.0), 10)
+        cuboid = regions.build_cuboid(cfg, k_u=0.0)
+        assert regions.check_invariance(cfg, cuboid, dynamics.competitive_mode(0.0), 100).passed
+        assert len(calls) == 6
+        assert len(scans) == 2

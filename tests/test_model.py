@@ -149,6 +149,14 @@ class TestAdmission:
         )
         assert comp.q_max == 92.49999999999999
 
+    @pytest.mark.parametrize("coefficients", [(1e-320, -1e-300), (5e-324, -1e-10), (1.0, -5e-324)])
+    def test_qmax_exact_where_the_product_is_subnormal(self, coefficients):
+        # c1*q is subnormal near the zero crossing, so the first float where
+        # alpha vanishes lies up to 1e12 floats from the rounded -c2/c1
+        c2, c1 = coefficients
+        q_max = AdmissionSpec(variant="linear", coefficients=coefficients).q_max
+        assert c1 * q_max + c2 <= 0 < c1 * math.nextafter(q_max, 0.0) + c2
+
     def test_rising_linear_has_infinite_qmax(self):
         rising = AdmissionSpec(variant="linear", coefficients=(0.1, 0.001))
         assert math.isinf(rising.q_max)
