@@ -5,19 +5,23 @@ the active-queue length q, with K_U = 0 in normal mode:
 
     g(q) = f(q)/alpha(q) - (K_R + K_U - mu(q)) / (mu(q) - K_U) = 0
 
-One private function evaluates g on an array of q, only where it is
-defined (alpha(q) > 0 and mu(q) > K_U, each with a 1e-12 guard band).
-A 2000-point grid scan finds the sign changes, every bracket is bisected
-at once down to adjacent floats, and back-substitution gives
+One private helper holds g's arithmetic and its domain test (alpha(q) > 0
+and mu(q) > K_U, each with a 1e-12 guard band), on floats or arrays.  A
+2000-point grid scan of g on an array of q finds the sign changes, each
+bracket is bisected on plain floats (the specs' _scalar twins) down to
+adjacent floats, and back-substitution gives
 
     R* = (mu(q*) - K_U)/alpha(q*),   U* = K_U/alpha(q*) (3-state modes, else 0)
 
-Each result is memoised per exact configuration value: the key is every
-input that reaches it (K_R, the price, admission and service specs, the
-fixed-point tag and K_U), each float told apart bit for bit, so 0.0 from
--0.0.  The schedule and q_ad do not reach it.  A memo hit is bit-identical
-to a fresh scan, the memo keeps a fixed number of results and drops the
-least recently used first, and a scan that raises is not stored.
+g depends on the mode only through K_U, so each balance equation is
+scanned once, memoised per exact value of every input that reaches g (K_R,
+the price, admission and service specs and K_U; not the schedule or q_ad),
+each float told apart bit for bit, so 0.0 from -0.0.  An entry holds the
+merged roots and, filled the first time each fixed-point tag asks, its
+fixed points: normal, saturated(0.0) and competitive(0.0) share a scan.
+A hit is bit-identical to a fresh scan, the memo keeps a fixed number of
+entries and drops the least recently used first, and a failed scan is not
+stored.
 
 Calibration runs the other way: given desired equilibrium prices p1, p2
 it constructs an admission polynomial whose fixed points land at
@@ -52,7 +56,7 @@ from .model import (
 GRID_POINTS = 2000          # scan density for the residual
 ROOT_MERGE_TOL = 1e-6       # roots closer than this collapse to one
 DOMAIN_EPS = 1e-12          # guard band on mu(q) > K_U and alpha(q) > 0
-_MEMO_ENTRIES = 64          # fixed-point results kept by find_fixed_points
+_MEMO_ENTRIES = 64          # balance equations kept by find_fixed_points
 
 
 class CalibrationError(ValueError):
@@ -95,16 +99,30 @@ def _fixed_point_mode(mode, k_u):
     return mode, (0.0 if mode.fixed_point_tag == "normal" else mode.k_u)
 
 
-def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):
-    """g and its domain mask {alpha > DOMAIN_EPS, mu - K_U > DOMAIN_EPS} on
-    an array of q; g is NaN off the mask, where no fraction is formed."""
-    a = cfg.admission._kernel(qs)
-    m = cfg.service._kernel(qs)
+def _balance(f, q, a, m, k_r: float, k_u: float):
+    """(ok, g) on q, floats or arrays, from a = alpha(q), m = mu(q) and the price f:
+    ok is {alpha > DOMAIN_EPS, mu - K_U > DOMAIN_EPS}, g is g where ok holds."""
     ok = (a > DOMAIN_EPS) & (m - k_u > DOMAIN_EPS)
-    a, m = a[ok], m[ok]
+    if isinstance(ok, np.ndarray):
+        q, a, m = q[ok], a[ok], m[ok]
+    elif not ok:
+        return ok, None
+    return ok, f(q) / a - (k_r + k_u - m) / (m - k_u)
+
+
+def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):
+    """g and its domain mask on an array of q; g is NaN off the mask."""
+    ok, g_ok = _balance(cfg.price._kernel, qs, cfg.admission._kernel(qs),
+                        cfg.service._kernel(qs), cfg.k_r, k_u)
     g = np.full_like(qs, np.nan)
-    g[ok] = cfg.price._kernel(qs[ok]) / a - (cfg.k_r + k_u - m) / (m - k_u)
+    g[ok] = g_ok
     return g, ok
+
+
+def _scalar_residual(cfg: ModelConfig, k_u: float):
+    """g on one plain float q, through the specs' _scalar twins: (ok, g)."""
+    f, alpha, mu, k_r = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar, cfg.k_r
+    return lambda q: _balance(f, q, alpha(q), mu(q), k_r, k_u)
 
 
 def fixed_point_residual(
@@ -118,12 +136,13 @@ def fixed_point_residual(
     K_U-fed modes.
     """
     _, k_u = _fixed_point_mode(mode, k_u)
-    g, ok = _residual(cfg, k_u, _as_query(q)[0].reshape(1))
-    if ok[0]:
-        return float(g[0])
-    if eval_admission(cfg.admission, q) <= DOMAIN_EPS:  # which bound failed
+    q = float(_as_query(q)[0])
+    ok, g = _scalar_residual(cfg, k_u)(q)
+    if ok:
+        return g
+    if cfg.admission._scalar(q) <= DOMAIN_EPS:  # which bound failed
         raise ResidualUndefinedError(f"alpha({q:g}) vanishes")
-    m = eval_service(cfg.service, q)
+    m = cfg.service._scalar(q)
     raise ResidualUndefinedError(f"mu({q:g}) = {m:g} does not exceed K_U = {k_u:g}")
 
 
@@ -142,34 +161,29 @@ def _scan_domain(cfg: ModelConfig, k_u: float):
     return (qs, *_residual(cfg, k_u, qs))
 
 
-def _bisect(cfg: ModelConfig, k_u: float, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray):
-    """Roots of g in the sign-change brackets [lo, hi], bisected together.
+def _bisect(residual, lo: float, hi: float, g_lo: float) -> float:
+    """A root of g in the sign-change bracket [lo, hi], on plain floats.
 
-    Each bracket stops on its own: on an exact zero of g at the midpoint,
-    which is returned, or once the midpoint rounds onto lo or hi, or
-    after 100 halvings, which return 0.5*(lo + hi).
+    residual is _scalar_residual's.  Stops on an exact zero of g at the
+    midpoint, which is returned, or once the midpoint rounds onto lo or
+    hi, or after 100 halvings, which return 0.5*(lo + hi).
     """
-    out = np.empty_like(lo)
-    live = np.arange(lo.size)
     up = g_lo > 0
     for _ in range(100):
-        mid = out[live] = 0.5 * (lo + hi)
-        moving = (mid != lo) & (mid != hi)
-        live, lo, hi, up, mid = live[moving], lo[moving], hi[moving], up[moving], mid[moving]
-        g, ok = _residual(cfg, k_u, mid)
-        if not ok.all():
-            raise ResidualUndefinedError(f"g undefined at q = {mid[~ok][0]:g} inside a bracket")
-        same = (g > 0) == up
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        nonzero = g != 0.0
-        live, lo, hi, up = live[nonzero], lo[nonzero], hi[nonzero], up[nonzero]
-        if not live.size:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
             break
-    out[live] = 0.5 * (lo + hi)
-    return out
+        ok, g = residual(mid)
+        if not ok:
+            raise ResidualUndefinedError(f"g undefined at q = {mid:g} inside a bracket")
+        if g == 0.0:
+            return mid
+        lo, hi = (mid, hi) if (g > 0) == up else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
-_memo: OrderedDict[str, tuple[FixedPoint, ...]] = OrderedDict()
+# key -> (merged roots of g, {fixed-point tag: its fixed points})
+_memo: OrderedDict[str, tuple[tuple, dict[str, tuple[FixedPoint, ...]]]] = OrderedDict()
 _memo_lock = threading.Lock()
 
 
@@ -180,45 +194,55 @@ def find_fixed_points(
 
     mode is a SystemMode or a tag; k_u, when given, must agree with a
     SystemMode's.  Grid scan of the residual over its domain, bisection
-    on each sign change, merge of roots closer than 1e-6,
+    of each sign change on floats, merge of roots closer than 1e-6,
     back-substitution of the remaining coordinates, classification
     through the stability module.  An empty list is a valid result
-    (e.g. K_U >= mu_star).  Results are memoised per exact configuration
-    value (see the module docstring); each call returns a new list.
+    (e.g. K_U >= mu_star).  Each balance equation is scanned once and
+    its roots shared by every mode at the same K_U (see the module
+    docstring); each call returns a new list.
     """
     mode, k_u = _fixed_point_mode(mode, k_u)
+    tag = mode.fixed_point_tag
     # repr writes each float so that it reads back bit for bit
-    key = repr((cfg.k_r, cfg.price, cfg.admission, cfg.service, mode.fixed_point_tag, k_u))
+    key = repr((cfg.k_r, cfg.price, cfg.admission, cfg.service, k_u))
     with _memo_lock:
-        points = _memo.get(key)
-        if points is not None:
+        entry = _memo.get(key)
+        if entry is not None:
             _memo.move_to_end(key)
-    if points is None:
-        points = _locate(cfg, mode, k_u)
-        with _memo_lock:
-            _memo[key] = points
-            if len(_memo) > _MEMO_ENTRIES:
-                _memo.popitem(last=False)
+            if tag in entry[1]:
+                return list(entry[1][tag])
+    roots = _roots(cfg, k_u) if entry is None else entry[0]
+    points = _back_substitute(cfg, mode, k_u, roots)
+    with _memo_lock:
+        _memo.setdefault(key, (roots, {}))[1][tag] = points
+        _memo.move_to_end(key)
+        if len(_memo) > _MEMO_ENTRIES:
+            _memo.popitem(last=False)
     return list(points)
 
 
-def _locate(cfg: ModelConfig, mode, k_u: float) -> tuple[FixedPoint, ...]:
-    """find_fixed_points' scan, for the SystemMode and K_U it resolved."""
-    tag = mode.fixed_point_tag
+def _roots(cfg: ModelConfig, k_u: float) -> tuple:
+    """The merged roots of g: the one scan of a balance equation."""
     dom = _scan_domain(cfg, k_u)
     if dom is None:
         return ()
     qs, g, ok = dom
     idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
-    roots = np.sort(np.concatenate([_bisect(cfg, k_u, qs[idx], qs[idx + 1], g[idx]), qs[g == 0.0]]))
-    merged: list[float] = []
+    residual = _scalar_residual(cfg, k_u)
+    brackets = zip(qs[idx].tolist(), qs[idx + 1].tolist(), g[idx].tolist())
+    roots = np.sort(np.concatenate([[_bisect(residual, *b) for b in brackets], qs[g == 0.0]]))
+    merged = []
     for r in roots:
-        if merged and abs(r - merged[-1]) < ROOT_MERGE_TOL:
-            continue
-        merged.append(r)
+        if not (merged and abs(r - merged[-1]) < ROOT_MERGE_TOL):
+            merged.append(r)
+    return tuple(merged)
 
+
+def _back_substitute(cfg: ModelConfig, mode, k_u: float, roots) -> tuple[FixedPoint, ...]:
+    """The fixed points of the SystemMode at the roots of its balance equation."""
+    tag = mode.fixed_point_tag
     out = []
-    for q_star in merged:
+    for q_star in roots:
         a = eval_admission(cfg.admission, q_star)
         r_star = (eval_service(cfg.service, q_star) - k_u) / a
         u_star = k_u / a if mode.dim == 3 else 0.0
@@ -228,17 +252,7 @@ def _locate(cfg: ModelConfig, mode, k_u: float) -> tuple[FixedPoint, ...]:
             cls, eig = report.classification, tuple(report.eigenvalues)
         except stability.KinkProximityError:
             cls, eig = "degenerate", ()
-        out.append(
-            FixedPoint(
-                mode=tag,
-                r_star=r_star,
-                q_star=q_star,
-                u_star=u_star,
-                price_at=eval_price(cfg.price, q_star),
-                classification=cls,
-                eigen_data=eig,
-            )
-        )
+        out.append(FixedPoint(tag, r_star, q_star, u_star, eval_price(cfg.price, q_star), cls, eig))
     return tuple(out)
 
 

@@ -215,6 +215,9 @@ class AdmissionSpec:
             _declare(self, *self._linear(derived))
         elif self.q_max is None or not self.q_max > 0:
             raise ValueError("cubic admission needs q_max > 0")
+        elif not math.isfinite(_poly([abs(c) for c in coeffs], self.q_max)):
+            # Horner on |a_i| bounds every Horner term of alpha on [0, q_max]
+            raise ValueError("q_max too large: the cubic's Horner terms overflow on [0, q_max]")
         else:
             _declare(self, *self._cubic())
 
@@ -232,7 +235,8 @@ class AdmissionSpec:
         (a0, a1, a2, a3), q_max = self.coefficients, self.q_max
 
         def kernel(q):
-            poly = a0 + q * (a1 + q * (a2 + q * a3))
+            x = np.minimum(q, q_max)  # alpha is 0 from q_max on: no poly to overflow there
+            poly = a0 + x * (a1 + x * (a2 + x * a3))
             return np.where(q >= q_max, 0.0, np.maximum(0.0, poly))
 
         def scalar(q):

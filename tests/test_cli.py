@@ -8,7 +8,7 @@ import subprocess
 import sys
 import warnings
 
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import pytest
 
 from accessprice import cli, dynamics
@@ -173,6 +173,29 @@ class TestInputDomain:
         assert code == 1
         assert capsys.readouterr().err == f"error: {named}\n"
 
+    @pytest.mark.parametrize("command", ["validate", "fixed-points", "classify"])
+    def test_overflowing_cubic_q_max_names_key(self, config_dir, capsys, command):
+        # section5's cubic overflows below q_max = 1.7e308, not below 1e100
+        for q_max, named in (("1.7e308", True), ("1e100", False)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run([command, "--config", str(config_dir / "section5.json"),
+                            "--set", f"admission.q_max={q_max}"])
+            err = capsys.readouterr().err
+            assert code == 1 if named or command == "validate" else code == 0
+            assert err == ("error: admission.q_max: too large: the cubic's Horner terms "
+                           "overflow on [0, q_max]\n" if named else "")
+
+    def test_cubic_alpha_beyond_q_max_does_not_overflow(self, config_dir, capsys):
+        # the surge price stretches validate's tail check to 3*q_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["validate", "--config", str(config_dir / "section5.json"),
+                        "--set", 'price={"variant": "surge", "beta": 0.001}',
+                        "--set", "admission.q_max=9e104"])
+        assert code == 1
+        assert "alpha-zero-beyond-qmax: pass" in capsys.readouterr().out
+
     def test_non_finite_k_u(self, config_dir, capsys):
         code = run(["fixed-points", "--config", str(config_dir / "ref.json"),
                     "--mode", "competitive", "--k-u", "nan"])
@@ -336,10 +359,35 @@ class TestContract:
         assert all(math.isfinite(float(x)) for row in rows[1:] for x in row.split(","))
 
 
-def _run_contract(config_dir, command, flags):
+# K_U at the edges of its domain: signed zeros, subnormals, mu_star = 3.0
+# of every shipped config and its float neighbours, huge, infinite, NaN
+# and negative
+_K_US = [None, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, math.nextafter(3.0, 0.0), 3.0,
+         math.nextafter(3.0, math.inf), 1e300, math.inf, -math.inf, math.nan, -1.0, -5e-324]
+
+
+class TestFixedPointContract:
+    """fixed-points and classify end in a result or a named error in every
+    mode, for any --k-u, on every shipped config."""
+
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(["fixed-points", "classify"]),
+           config=st.sampled_from(["ref.json", "section5.json", "competitive.json"]),
+           mode=st.sampled_from(["normal", "chattering", "saturated", "competitive", "switched-full"]),
+           k_u=st.sampled_from(_K_US))
+    @example(command="classify", config="section5.json", mode="competitive", k_u=-0.0)
+    @example(command="fixed-points", config="competitive.json", mode="switched-full",
+             k_u=math.nextafter(3.0, 0.0))
+    def test_modes_and_k_u(self, config_dir, command, config, mode, k_u):
+        rows = _run_contract(config_dir, command, {"--mode": mode, "--k-u": k_u}, config)
+        # a written table has a header and one row per fixed point of the mode
+        assert not rows or rows[0].startswith("mode,q_star,r_star,u_star,")
+
+
+def _run_contract(config_dir, command, flags, config="ref.json"):
     """Run the command in-process; assert an exit code of 0, 1 or 2 and no
     traceback; return stdout's lines."""
-    argv = [command, "--config", str(config_dir / "ref.json")]
+    argv = [command, "--config", str(config_dir / config)]
     argv += [f"{flag}={value if isinstance(value, str) else repr(value)}"
              for flag, value in flags.items() if value is not None]
     out, err = io.StringIO(), io.StringIO()

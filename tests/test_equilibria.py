@@ -540,10 +540,37 @@ class TestMemo:
         monkeypatch.undo()
         assert len(find_fixed_points(ref_cfg, "normal")) == 2
 
-    def test_analysis_chain_scans_twice(self, cold, monkeypatch):
+    def test_modes_at_k_u_zero_share_one_scan(self, ref_cfg, cold, monkeypatch):
+        # g depends on the mode only through K_U, and normal mode's K_U is 0.0
+        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        for mode in (dynamics.NORMAL, dynamics.saturated_mode(0.0), dynamics.competitive_mode(0.0)):
+            assert _bits(find_fixed_points(ref_cfg, mode)) == _bits(_per_point_fixed_points(ref_cfg, mode))
+        assert len(scans) == 1
+
+    def test_saturated_and_competitive_share_a_scan_at_equal_k_u_bits(self, section5_cfg, cold, monkeypatch):
+        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        sat = find_fixed_points(section5_cfg, dynamics.saturated_mode(0.5))
+        comp = find_fixed_points(section5_cfg, dynamics.competitive_mode(0.5))
+        assert [fp.q_star for fp in sat] == [fp.q_star for fp in comp] and len(sat) == 3
+        assert [(fp.mode, fp.u_star) for fp in sat] == [("saturated", 0.0)] * 3
+        assert len(scans) == 1
+        minus = find_fixed_points(section5_cfg, dynamics.competitive_mode(-0.0))
+        assert len(scans) == 2 and [k_u for _, k_u in scans] == [0.5, 0.0]
+        assert math.copysign(1.0, scans[1][1]) == -1.0
+        assert [math.copysign(1.0, fp.u_star) for fp in minus] == [-1.0] * len(minus)
+
+    def test_a_scan_evaluates_the_array_residual_once(self, ref_cfg, section5_cfg, cold, monkeypatch):
+        # the grid is one array call; every bisection runs on floats
+        arrays = _counted(monkeypatch, equilibria, "_residual")
+        assert len(find_fixed_points(ref_cfg, "normal")) == 2
+        assert len(find_fixed_points(section5_cfg, "saturated", 0.5)) == 3
+        assert [qs.size for _, _, qs in arrays] == [equilibria.GRID_POINTS] * 2
+
+    def test_analysis_chain_scans_once(self, cold, monkeypatch):
         # six fixed-point calls on one parameter set, five in normal mode and
-        # one in competitive mode at K_U = 0; calibration builds its own
-        # config, equal to the caller's
+        # one in competitive mode at K_U = 0, which shares normal mode's
+        # balance equation; calibration builds its own config, equal to the
+        # caller's
         scans = _counted(monkeypatch, equilibria, "_scan_domain")
         calls = _counted(monkeypatch, equilibria, "find_fixed_points")
         adm = calibrate_linear_admission(REF_TARGETS, TRI, SVC, k_r=4.0)
@@ -558,4 +585,4 @@ class TestMemo:
         cuboid = regions.build_cuboid(cfg, k_u=0.0)
         assert regions.check_invariance(cfg, cuboid, dynamics.competitive_mode(0.0), 100).passed
         assert len(calls) == 6
-        assert len(scans) == 2
+        assert len(scans) == 1

@@ -157,6 +157,14 @@ class TestAdmission:
         q_max = AdmissionSpec(variant="linear", coefficients=coefficients).q_max
         assert c1 * q_max + c2 <= 0 < c1 * math.nextafter(q_max, 0.0) + c2
 
+    def test_cubic_qmax_bounded_by_horner_on_magnitudes(self):
+        coefficients = (0.09, -0.0019357142857142858, 3.059523809523811e-05, -2.0238095238095254e-07)
+        with pytest.raises(ValueError, match="^q_max too large"):
+            AdmissionSpec(variant="cubic", coefficients=coefficients, q_max=1.7e308)
+        cub = AdmissionSpec(variant="cubic", coefficients=coefficients, q_max=9e104)
+        # far beyond q_max, where the polynomial itself overflows, alpha is still 0
+        assert list(eval_admission(cub, np.array([0.0, 3e105, 1e308, math.inf]))) == [0.09, 0, 0, 0]
+
     def test_rising_linear_has_infinite_qmax(self):
         rising = AdmissionSpec(variant="linear", coefficients=(0.1, 0.001))
         assert math.isinf(rising.q_max)
