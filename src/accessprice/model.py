@@ -20,12 +20,14 @@ start) with the polynomial sum c_k * (q - origin)**k of degree <= 3.
 Written about its origin, a piece evaluates bit for bit like the kernel;
 a piece through zero has constant term -0.0, the additive identity, so
 q = -0.0 keeps its sign.  Slopes, kinks and exact extrema all come from
-the tables.  The public evaluators validate their argument, scalar or
-array, and then call the kernel.
+the tables.  The public evaluators validate their argument and then
+call the kernel, or the twin when the argument is a float (Python or
+numpy float64): the same bits at a fraction of the cost.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 import math
 import struct
@@ -37,15 +39,22 @@ ADMISSION_VARIANTS = ("linear", "cubic")
 
 
 def _as_query(q):
-    """Coerce a queue-length argument to ndarray, rejecting negatives and NaN."""
-    arr = np.asarray(q, dtype=float)
-    if not np.all(arr >= 0):
+    """(query, scalar) from a queue-length argument, rejecting negatives
+    and NaN: a float (Python or numpy float64) stays a plain float, any
+    other argument becomes an ndarray."""
+    plain = isinstance(q, float)
+    arr = float(q) if plain else np.asarray(q, dtype=float)
+    if not (arr >= 0 if plain else np.all(arr >= 0)):
         raise ValueError("queue length q must be a nonnegative number")
-    return arr, arr.ndim == 0
+    return arr, plain or arr.ndim == 0
 
 
-def _ret(arr, scalar):
-    return float(arr) if scalar else arr
+def _evaluate(spec, q):
+    """The spec's function at q: its twin on a plain float, else its kernel."""
+    arr, scalar = _as_query(q)
+    if type(arr) is float:
+        return float(spec._scalar(arr))
+    return float(spec._kernel(arr)) if scalar else spec._kernel(arr)
 
 
 def _require_finite(**values):
@@ -313,20 +322,17 @@ class ModelConfig:
 
 def eval_price(spec: PriceSpec, q):
     """Price f(q) for the given variant; q may be scalar or array."""
-    arr, scalar = _as_query(q)
-    return _ret(spec._kernel(arr), scalar)
+    return _evaluate(spec, q)
 
 
 def eval_service(spec: ServiceSpec, q):
     """Service rate mu(q) = mu_star * min(q, q_c) / q_c."""
-    arr, scalar = _as_query(q)
-    return _ret(spec._kernel(arr), scalar)
+    return _evaluate(spec, q)
 
 
 def eval_admission(spec: AdmissionSpec, q):
     """Admission rate alpha(q) >= 0, identically zero from q_max on."""
-    arr, scalar = _as_query(q)
-    return _ret(spec._kernel(arr), scalar)
+    return _evaluate(spec, q)
 
 
 def _poly(c, x, order: int = 0):
@@ -348,13 +354,16 @@ def from_pieces(spec, q, order: int = 0):
     cubic can round a hair below zero just short of q_max."""
     arr, scalar = _as_query(q)
     starts = [s for s, _, _ in spec.pieces]
-    idx = np.maximum(np.searchsorted(starts, arr, "left" if order else "right") - 1, 0)
     if scalar:  # one piece on plain floats costs a fraction of the array path
-        _, origin, c = spec.pieces[int(idx)]
-        val = _poly(c, float(arr) - origin, order)
-    else:
-        val = np.choose(idx, [_poly(c, arr - origin, order) for _, origin, c in spec.pieces])
-    return val if order else _ret(np.maximum(0.0, val), scalar)
+        x = float(arr)
+        _, origin, c = spec.pieces[max((bisect_left if order else bisect_right)(starts, x) - 1, 0)]
+        val = _poly(c, x - origin, order)
+        return val if order else float(0.0 if 0.0 > val else val)  # np.maximum(0.0, val)
+    idx = np.maximum(np.searchsorted(starts, arr, "left" if order else "right") - 1, 0)
+    # each piece sees queries clamped to its end, so none overflows far beyond it
+    val = np.choose(idx, [_poly(c, np.minimum(arr, end) - origin, order)
+                          for (_, origin, c), end in zip(spec.pieces, (*starts[1:], math.inf))])
+    return val if order else np.maximum(0.0, val)
 
 
 def slope(spec, q):
@@ -471,7 +480,8 @@ def _alpha_clauses(cfg: ModelConfig) -> list[Clause]:
     if math.isfinite(q_max):
         qs = np.linspace(0.0, q_max, _ALPHA_GRID_POINTS, endpoint=False)
         vals = eval_admission(adm, qs)
-        positive = bool(np.all(vals > 0))
+        # the grid cannot see a cubic that rounds to zero just short of q_max
+        positive = bool(np.all(vals > 0)) and eval_admission(adm, math.nextafter(q_max, 0.0)) > 0
         steepest = extremum((adm.pieces,), 0.0, q_max, largest=True, order=1)[0]
         decreasing = bool(np.all(np.diff(vals) < 0)) and steepest <= 0
         clauses.append(

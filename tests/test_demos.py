@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion from the repo root."""
+"""Smoke test: every demo script runs to completion from the repo root,
+with RuntimeWarnings as errors, as in the test suite itself."""
 
 import os
 from pathlib import Path
@@ -20,7 +21,7 @@ def test_demo_runs(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(script.relative_to(ROOT))],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script.relative_to(ROOT))],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

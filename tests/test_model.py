@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from accessprice.equilibria import (
 from accessprice.model import (
     AdmissionSpec,
     _cubic_slope_max,
+    _poly,
     ModelConfig,
     PriceSpec,
     ServiceSpec,
@@ -28,6 +30,8 @@ from accessprice.model import (
     slope,
     validate_admissible,
 )
+from accessprice.regions import eta1, eta2, eta3
+from test_equilibria import _calibrated_sets
 
 TRI = PriceSpec(variant="triangular", beta=1e-3, q_m=45.0)
 SAT = PriceSpec(variant="saturated", beta=1e-3, q_m=45.0, q_n=75.0)
@@ -266,6 +270,19 @@ class TestValidateAdmissible:
         adm = section5_cfg.admission
         assert _cubic_slope_max(adm.coefficients, adm.q_max) < 0
 
+    def test_cubic_zero_just_short_of_q_max_fails(self, section5_cfg):
+        # seeded: alpha rounds to 0.0 at the float below q_max, between the
+        # last grid point and q_max
+        from dataclasses import replace
+
+        adm = AdmissionSpec("cubic", (
+            0.2133335049522837, -0.00015747321238155574, -4.287018823703813e-05, 2.3267910409808236e-07,
+        ), q_max=100.9055038780489)
+        assert adm._scalar(math.nextafter(adm.q_max, 0.0)) == 0.0
+        clause = validate_admissible(replace(section5_cfg, admission=adm)).clause("alpha-positive-decreasing")
+        assert not clause.passed
+        assert clause.detail == "grid of 1000 points on [0, 100.906)"
+
     def test_small_kr_fails(self, ref_cfg):
         from dataclasses import replace
 
@@ -409,6 +426,111 @@ class TestPieceTables:
         assert extremum((TRI.pieces,), 0.0, 200.0, largest=True) == (0.045, 45.0)
         assert extremum((TRI.pieces,), 10.0, 200.0) == (0.0, 90.0)
         assert extremum((SVC.pieces,), 0.0, 50.0, largest=True, order=1)[0] == SVC.mu_star / SVC.q_c
+
+
+def _piece_value(spec, q, order):
+    """from_pieces at one float q by a walk over the table: the last piece
+    that starts at or below q (strictly below for slopes), else the first."""
+    fits = [p for p in spec.pieces if (p[0] < q if order else p[0] <= q)] or spec.pieces[:1]
+    _, origin, c = fits[-1]
+    val = _poly(c, q - origin, order)
+    return val if order else (0.0 if 0.0 > val else val)
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    return _calibrated_sets(2024, 200)
+
+
+class TestQueryKinds:
+    """Every kind of query gives the bits and the type of the numpy path,
+    and the same error: plain floats go through the specs' twins, every
+    other kind through the kernels."""
+
+    KINDS = (  # (make the query from a float, scalar result)
+        (float, True), (np.float64, True), (np.array, True),
+        (lambda q: np.array([q]), False), (lambda q: [q], False),
+    )
+
+    @classmethod
+    def check(cls, fn, qs, want, stride):
+        """fn on every kind of each q against want; the kinds that take the
+        numpy path see every stride-th q."""
+        want = np.asarray(want, dtype=float)
+        for kind, scalar in cls.KINDS:
+            step = 1 if kind in (float, np.float64) else stride
+            got = [fn(kind(q)) for q in qs[::step].tolist()]
+            if scalar:
+                assert all(type(v) is float for v in got), kind
+            else:
+                assert all(type(v) is np.ndarray and v.shape == (1,) for v in got), kind
+            assert np.array_equal(_bits(np.ravel(got)), _bits(want[::step])), kind
+
+    @staticmethod
+    def configs(ref_cfg, section5_cfg, competitive_cfg, calibrated):
+        """(config, stride): the shipped configs in full, the calibrated
+        sets with every 25th q on the numpy path."""
+        return [(cfg, 1) for cfg in (ref_cfg, section5_cfg, competitive_cfg)] + [(cfg, 25) for cfg in calibrated]
+
+    def test_evaluators(self, ref_cfg, section5_cfg, competitive_cfg, calibrated):
+        rng = np.random.default_rng(16)
+        for cfg, stride in self.configs(ref_cfg, section5_cfg, competitive_cfg, calibrated):
+            specs = ((cfg.price, eval_price), (cfg.admission, eval_admission), (cfg.service, eval_service))
+            for spec, evaluate in specs:
+                qs = TestPieceTables.samples(spec, rng)
+                self.check(lambda q: evaluate(spec, q), qs, spec._kernel(qs), stride)
+                for order, fn in ((0, from_pieces), (1, slope)):
+                    want = [_piece_value(spec, q, order) for q in qs.tolist()]
+                    self.check(lambda q: fn(spec, q), qs, want, stride)
+
+    def test_integer_parameters_still_give_floats(self):
+        price = PriceSpec("saturated", beta=1, q_m=45, q_n=75)
+        assert type(price._scalar(100.0)) is int  # beta * floor, from q_n on
+        qs = TestPieceTables.samples(price, np.random.default_rng(18))
+        self.check(lambda q: eval_price(price, q), qs, price._kernel(qs), 1)
+
+    def test_eta_curves(self, ref_cfg, section5_cfg, competitive_cfg, calibrated):
+        rng = np.random.default_rng(17)
+        for cfg, stride in self.configs(ref_cfg, section5_cfg, competitive_cfg, calibrated):
+            qs = TestPieceTables.samples(cfg.admission, rng)
+            a = cfg.admission._kernel(qs)
+            for q in qs[a <= 0][::stride].tolist():
+                for kind, _ in self.KINDS:
+                    with pytest.raises(ValueError, match="^alpha\\(q\\) vanishes"):
+                        eta2(cfg, kind(q))
+            qs, a = qs[a > 0], a[a > 0]
+            mu, f = cfg.service._kernel(qs), cfg.price._kernel(qs)
+            self.check(lambda q: eta1(cfg, q), qs, mu / a, stride)
+            self.check(lambda q: eta2(cfg, q), qs, cfg.k_r / (a + f), stride)
+            self.check(lambda q: eta3(cfg, q, 0.5), qs, (mu - a * 0.5) / a, stride)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, np.float64("nan")], ids=repr)
+    def test_negative_and_nan_raise_one_error(self, ref_cfg, bad):
+        fns = [
+            lambda q: eval_price(SAT, q), lambda q: eval_service(SVC, q),
+            lambda q: eval_admission(CUB, q), lambda q: slope(LIN, q),
+            lambda q: from_pieces(TRI, q), lambda q: eta1(ref_cfg, q),
+            lambda q: eta2(ref_cfg, q), lambda q: eta3(ref_cfg, q, 0.5),
+        ]
+        for fn in fns:
+            for kind, _ in self.KINDS:
+                with pytest.raises(ValueError, match="^queue length q must be a nonnegative number$"):
+                    fn(kind(bad))
+
+
+class TestFromPiecesFarBeyond:
+    """Each piece is evaluated only up to its end, so arrays far beyond the
+    last breakpoint do not overflow."""
+
+    def test_shipped_specs_with_warnings_as_errors(self, ref_cfg, section5_cfg, competitive_cfg):
+        qs = np.array([0.0, 50.0, 1e120, 1e300, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg in (ref_cfg, section5_cfg, competitive_cfg):
+                for spec in (cfg.price, cfg.admission, cfg.service):
+                    assert np.array_equal(_bits(from_pieces(spec, qs)), _bits(spec._kernel(qs))), spec
+                    want = [_piece_value(spec, q, 1) for q in qs.tolist()]
+                    assert np.array_equal(_bits(slope(spec, qs)), _bits(want)), spec
 
 
 class TestNaNQuery:

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from accessprice import dynamics
+from accessprice import dynamics, regions
 from accessprice.dynamics import NORMAL, competitive_mode, final_states
 from accessprice.equilibria import (
     CalibrationError,
@@ -14,6 +15,8 @@ from accessprice.equilibria import (
 )
 from accessprice.model import AdmissionSpec, ModelConfig, PriceSpec, ServiceSpec, eval_admission
 from accessprice.regions import (
+    FaceReport,
+    InvarianceReport,
     RegionSpec,
     build_cuboid,
     build_polygon,
@@ -331,6 +334,68 @@ class TestCheckInvariance:
         assert np.all(res.region_excess < 1e-6)
         # Theorem-1 conclusion: everything trapped lands on x1*
         assert np.max(np.abs(res.states[:, :2] - [25.0, 40.0])) < 1e-3
+
+
+def _check_invariance_per_face(cfg, region, mode, n):
+    """check_invariance with one rhs call per face: the reference for the
+    runs of faces that share a call."""
+    mode = dynamics.as_mode(mode)
+    report = InvarianceReport()
+    for name, states, condition, values, (reduce, passes) in regions._faces(region, mode.k_u, n):
+        worst = float(reduce(values(dynamics.rhs(cfg, mode, 0.0, states))))
+        report.faces.append(FaceReport(name, condition, worst, len(states), passes(worst)))
+    return report
+
+
+def _report_bits(report):
+    return report.warning, [(f.name, f.condition, f.worst.hex(), f.samples, f.passed) for f in report.faces]
+
+
+class TestFaceRuns:
+    """check_invariance evaluates runs of faces in one rhs call."""
+
+    @staticmethod
+    def cases(ref_cfg, competitive_cfg):
+        """(config, region, mode): c04's polygon, c09's cuboid, doa's default
+        polygon, and the analysis chain's polygon and cuboid on seeded
+        calibrations."""
+        k_u = competitive_cfg.k_u_schedule[0][2]
+        out = [
+            (ref_cfg, build_polygon(ref_cfg, 70.0, 58.0), NORMAL),
+            (competitive_cfg, build_cuboid(competitive_cfg, k_u=k_u), competitive_mode(k_u)),
+            (ref_cfg, build_polygon(ref_cfg), NORMAL),
+        ]
+        for cfg in _linear_calibrations(16, 3):
+            out += [(cfg, build_polygon(cfg), NORMAL), (cfg, build_cuboid(cfg), competitive_mode(0.0))]
+        return out
+
+    # 3000: a polygon's five faces make runs of three and two
+    @pytest.mark.parametrize("n", [1, 7, 500, 1000, 3000, 20000])
+    def test_reports_match_a_call_per_face(self, ref_cfg, competitive_cfg, n):
+        for cfg, region, mode in self.cases(ref_cfg, competitive_cfg):
+            want = _check_invariance_per_face(cfg, region, mode, n)
+            assert _report_bits(check_invariance(cfg, region, mode, n)) == _report_bits(want)
+
+    def test_one_rhs_call_per_region_at_analysis_sizes(self, ref_cfg, monkeypatch):
+        polygon, cuboid = build_polygon(ref_cfg), build_cuboid(ref_cfg, k_u=0.0)
+        shapes, rhs = [], dynamics.rhs
+        monkeypatch.setattr(dynamics, "rhs", lambda *args: shapes.append(args[3].shape) or rhs(*args))
+        check_invariance(ref_cfg, polygon, NORMAL, 1000)
+        assert shapes == [(5 * 1000, 3)]
+        check_invariance(ref_cfg, cuboid, competitive_mode(0.0), 500)
+        assert shapes[1:] == [(6 * 23 * 23, 3)]  # 23 = ceil(sqrt(500)) samples a side
+
+    def test_peak_memory_at_large_n(self, ref_cfg, competitive_cfg):
+        # a face of 100000 samples is far beyond BLOCK_BYTES: it has a call
+        # of its own, so the peak stays that of one face
+        for cfg, region, mode in self.cases(ref_cfg, competitive_cfg)[:2]:
+            tracemalloc.start()
+            try:
+                check_invariance(cfg, region, mode, 100_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20, (region.kind, peak)
 
 
 class TestBuildCuboid:
