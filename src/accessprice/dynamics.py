@@ -32,30 +32,31 @@ non-finite spans (NaN or infinite t0, t1, t_cap) raise ValueError.
 
 The stepper has two backends with the same formulas and operation
 order, which agree bit for bit and raise FloatingPointError on the first
-NaN state.  The batch backend (final_states, settle_batch) holds n states
-as one C-contiguous (3, n) stack, rows R, q and U: its right-hand side
-(_make_deriv, on the numpy kernels the model specs own; rhs wraps it)
-writes into a caller-owned (3, n) buffer, and its step (_batch_step)
-advances the stack in place or into a given slot, one numpy call per
-stage update.  The scalar backend (integrate, converge) steps plain
-floats: _scalar_deriv on the specs' plain-float twins, and _scalar_step.
+NaN state; the run count picks one, in _march alone.  One run without
+raw tracking (integrate, converge, a single start in settle_batch or
+final_states) steps plain floats: _scalar_deriv on the specs' plain-float
+twins, and _scalar_step.  Any other batch is one C-contiguous (3, n)
+stack, rows R, q and U: its right-hand side (_make_deriv, on the numpy
+kernels the model specs own; rhs wraps it) writes into a caller-owned
+(3, n) buffer, and its step (_batch_step) advances the stack in place or
+into a given slot, one numpy call per stage update.
 
 Every driver steps through one block history (_blocks): each step writes
 its result into the next slot of a preallocated (block, 3[, n]) history,
 and the driver then takes the block's observations with whole-array
 operations: integrate copies the block into its trajectory, final_states
-takes region excess, and settle_batch and converge fold tolerance
-streaks and settle times by one rule (_settle).  At small n every numpy
-call costs about a microsecond whatever its size, so per-step
-bookkeeping would cost as much as a quarter of a step; per block it
-costs a fraction of a microsecond per step.  A block is BLOCK_STEPS
-steps, fewer when its history would pass BLOCK_BYTES, so memory stays
-bounded at any n.  Every result is the one per-step bookkeeping gives,
-bit for bit: the fold carries each run's streak across block edges (for
-converge only, a start within tol counts as the streak's first state),
-returns the state and time of the step where the last run settled, and
-ignores a FloatingPointError raised after it in the same block, which a
-per-step loop never reaches.
+takes region excess, and settle_batch folds tolerance streaks and settle
+times by one rule (_settle); converge is the same settle run at n = 1 on
+the mode's fixed points.  At small n every numpy call costs about a
+microsecond whatever its size, so per-step bookkeeping would cost as much
+as a quarter of a step; per block it costs a fraction of a microsecond
+per step.  A block is BLOCK_STEPS steps, fewer when its history would
+pass BLOCK_BYTES, so memory stays bounded at any n.  Every result is the
+one per-step bookkeeping gives, bit for bit: the fold carries each run's
+streak across block edges (for converge only, a start within tol counts
+as the streak's first state), returns the state and time of the step
+where the last run settled, and ignores a FloatingPointError raised
+after it in the same block, which a per-step loop never reaches.
 """
 
 from __future__ import annotations
@@ -411,24 +412,6 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (24 * max(n, 1))))
 
 
-def _advance(step, x, raw=None):
-    """advance(dt, t, out): one _bind step from the start x, then from the
-    last state, into the history slot out.  The scalar backend keeps its
-    (r, q, u) floats and stores them item by item; the batch one reads
-    the slot it wrote last (raw as in _batch_step)."""
-    if isinstance(x, tuple):
-        def advance(dt, t, out):
-            nonlocal x
-            x = step(x, dt, t)
-            out[0], out[1], out[2] = x  # item stores: numpy builds no array from x
-    else:
-        def advance(dt, t, out):
-            nonlocal x
-            step(x, dt, t, raw, out)
-            x = out
-    return advance
-
-
 def _blocks(advance, shape, grid, size: int):
     """Step a run's advance along grid into one (size, *shape) history.
 
@@ -526,25 +509,37 @@ def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
     return tuple(_starts(np.ravel(x0), name)[0].tolist())
 
 
-def _bind(cfg: ModelConfig, mode: SystemMode, h: float, *, batch: int | None = None, k_u=None):
-    """The run's checked RK4 step bound to the mode's field at constant K_U
-    (k_u for one switched_full piece), its clamps and NaN context:
-    _scalar_step's (x, dt, t) -> x, or with batch = n the
-    (x, dt, t[, raw, out]) of _batch_step on (3, n) states.  A closure: a
-    keyword partial made each scalar step ~12% slower on CPython 3.11."""
+def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, grid, size: int, *,
+           k_u=None, raw=None):
+    """_blocks of size steps for the runs started at the (3, n) states x,
+    stepped along grid by the checked RK4 step of the mode's field at
+    constant K_U (k_u for one switched_full piece).  One run without raw
+    keeps (r, q, u) floats for _scalar_step and stores them item by item
+    into a (size, 3) history; any other batch steps the C-contiguous x by
+    _batch_step (raw as there) into (size, 3, n), from the slot it wrote
+    last.  Checks its arguments now, not on the first step."""
     if k_u is None and mode.tag == "switched_full":
         raise ValueError("switched_full has no constant K_U; run each schedule piece on its own")
     k_u = mode.k_u if k_u is None else k_u
     q_cap = cfg.admission.q_max
     chat_cap = _admittance_bound(cfg, mode.tag)
     where = f"mode {mode.tag}, h = {h:g}"
-    if batch is not None:
-        return _batch_step(_make_deriv(cfg, mode.field_tag, k_u), batch, q_cap, chat_cap, where)
-    deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
+    if x.shape[1] == 1 and raw is None:
+        deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
+        s = tuple(x[:, 0].tolist())
 
-    def step(x, dt, t):
-        return _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where)
-    return step
+        def advance(dt, t, out):
+            nonlocal s
+            s = _scalar_step(deriv, s, dt, t, q_cap, chat_cap, where)
+            out[0], out[1], out[2] = s
+        return _blocks(advance, (3,), grid, size)
+    step = _batch_step(_make_deriv(cfg, mode.field_tag, k_u), x.shape[1], q_cap, chat_cap, where)
+
+    def advance(dt, t, out):
+        nonlocal x
+        step(x, dt, t, raw, out)
+        x = out
+    return _blocks(advance, x.shape, grid, size)
 
 
 def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAULT_STEP) -> Trajectory:
@@ -564,8 +559,8 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
     times[0], states[0] = t0, x
     k = 1
     for a, b, k_u in pieces:
-        advance = _advance(_bind(cfg, mode, h, k_u=k_u), tuple(states[k - 1].tolist()))
-        for block, ts in _blocks(advance, (3,), _grid(a, b, h), BLOCK_STEPS):
+        start = states[k - 1][:, None]
+        for block, ts in _march(cfg, mode, h, start, _grid(a, b, h), BLOCK_STEPS, k_u=k_u):
             times[k : k + len(ts)] = ts
             states[k : k + len(ts)] = block
             k += len(ts)
@@ -620,7 +615,6 @@ def final_states(
         raise ValueError("t1 must be >= t0")
     x = np.ascontiguousarray(_starts(x0s).T)
     n = x.shape[1]
-    step = _bind(cfg, as_mode(mode), h, batch=n)
     grid = _grid(t0, t1, h)
     raw = [np.full(3, np.inf), -np.inf] if raw_bounds else None
     excess, size = None, 1  # without a region nothing reads the history: one slot will do
@@ -628,7 +622,8 @@ def final_states(
         A, b = _check_region(region)
         excess, size = np.full(n, -np.inf), _block_steps(n)
 
-    for states, _ in _blocks(_advance(step, x, raw), x.shape, grid, size):
+    for states, _ in _march(cfg, as_mode(mode), h, x, grid, size, raw=raw):
+        states = states.reshape(len(states), 3, n)  # (k, 3, 1) from the scalar backend's (k, 3)
         x = states[-1]
         if excess is not None:
             r, q, u = states.transpose(1, 0, 2)
@@ -641,6 +636,23 @@ def final_states(
 
     raw_min, raw_max_q = raw or (None, None)
     return BatchResult(x.T.copy(), raw_min, raw_max_q, region_excess=excess)
+
+
+def _settle_run(cfg: ModelConfig, mode: SystemMode, x0s, targets, tol: float, t_cap: float,
+                h: float, t0: float, *, start_counts: bool = False):
+    """settle_batch's and converge's run: _settle over the runs from x0s,
+    t0 to at most t0 + t_cap, the empty batch taking no step.  With
+    start_counts, a start within tol counts as its streak's first state."""
+    if not tol > 0:
+        raise ValueError("tol must be > 0")
+    if t_cap < 0:
+        raise ValueError("t_cap must be >= 0")
+    x = np.ascontiguousarray(_starts(x0s).T)
+    n = x.shape[1]
+    grid = _grid(t0, t0 + t_cap, h)
+    blocks = _march(cfg, mode, h, x, grid if n else (), _block_steps(n))
+    streak = _within(x[None], targets, tol)[0] * 1 if start_counts else np.zeros(n, dtype=int)
+    return _settle(blocks, x, t0, targets, tol, streak)
 
 
 @dataclass
@@ -666,17 +678,8 @@ def settle_batch(
     t_cap < 0 or a target outside the state space ValueError.
     """
     mode = as_mode(mode)
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    if t_cap < 0:
-        raise ValueError("t_cap must be >= 0")
-    x = np.ascontiguousarray(_starts(x0s).T)
-    n = x.shape[1]
-    step = _bind(cfg, mode, h, batch=n)
-    grid = _grid(t0, t0 + t_cap, h)
     tgt = np.array(_start(target, "target")[: mode.dim])[None, :, None]
-    blocks = _blocks(_advance(step, x), x.shape, grid if n else (), _block_steps(n))
-    settle_t, x, t, max_q = _settle(blocks, x, t0, tgt, tol, np.zeros(n, dtype=int))
+    settle_t, x, t, max_q = _settle_run(cfg, mode, x0s, tgt, tol, t_cap, h, t0)
     return SettleResult(~np.isnan(settle_t), x.T.copy(), t, settle_t, max_q)
 
 
@@ -708,17 +711,8 @@ def converge(
     from . import equilibria  # deferred: equilibria imports stability imports this
 
     mode = as_mode(mode)
-    step = _bind(cfg, mode, h)
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    if t_cap < 0:
-        raise ValueError("t_cap must be >= 0")
-    grid = _grid(0.0, t_cap, h)
     targets = np.array([(fp.r_star, fp.q_star, fp.u_star)[: mode.dim]
                         for fp in equilibria.find_fixed_points(cfg, mode)]).reshape(-1, mode.dim, 1)
-    x = _start(x0)
-    start = np.array(x)[:, None]
-    blocks = _blocks(_advance(step, x), (3,), grid, BLOCK_STEPS)
-    streak = _within(start[None], targets, tol)[0] * 1  # 1 when the start counts
-    settle_t, x, _, _ = _settle(blocks, start, 0.0, targets, tol, streak)
+    settle_t, x, _, _ = _settle_run(cfg, mode, np.ravel(x0), targets, tol, t_cap, h, 0.0,
+                                    start_counts=True)
     return ConvergeResult(x[:, 0].copy(), not math.isnan(settle_t[0]), float(settle_t[0]))

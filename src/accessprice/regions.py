@@ -84,35 +84,34 @@ class PhaseGrid:
     fixed_points: tuple
 
 
+def _positive(val, message: str):
+    """val unless some entry is <= 0 (a float is tested without numpy)."""
+    if (val <= 0) if type(val) is float else np.any(val <= 0):
+        raise ValueError(message)
+    return val
+
+
 def _alpha_checked(cfg, q):
-    a = eval_admission(cfg.admission, q)
-    if np.any(a <= 0):
-        raise ValueError("alpha(q) vanishes at or beyond q_max; eta undefined")
-    return a
+    """alpha(q) > 0: a Python float for a scalar q, as each eta then is."""
+    return _positive(eval_admission(cfg.admission, q),
+                     "alpha(q) vanishes at or beyond q_max; eta undefined")
 
 
 def eta1(cfg: ModelConfig, q):
     """q-nullcline height mu(q)/alpha(q); increasing in q."""
-    a = _alpha_checked(cfg, q)
-    val = eval_service(cfg.service, q) / a
-    return float(val) if np.isscalar(q) else val
+    return eval_service(cfg.service, q) / _alpha_checked(cfg, q)
 
 
 def eta2(cfg: ModelConfig, q):
     """R-nullcline height K_R/(alpha(q) + f(q))."""
-    a = _alpha_checked(cfg, q)
-    tot = a + eval_price(cfg.price, q)
-    if np.any(tot <= 0):
-        raise ValueError("alpha + f vanishes; eta2 undefined")
-    val = cfg.k_r / tot
-    return float(val) if np.isscalar(q) else val
+    tot = _alpha_checked(cfg, q) + eval_price(cfg.price, q)
+    return cfg.k_r / _positive(tot, "alpha + f vanishes; eta2 undefined")
 
 
 def eta3(cfg: ModelConfig, q, u_hat: float):
     """3-state analogue of eta1: (mu(q) - alpha(q)*u_hat)/alpha(q)."""
     a = _alpha_checked(cfg, q)
-    val = (eval_service(cfg.service, q) - a * u_hat) / a
-    return float(val) if np.isscalar(q) else val
+    return (eval_service(cfg.service, q) - a * u_hat) / a
 
 
 def r_dagger(cfg: ModelConfig) -> float:

@@ -70,14 +70,14 @@ def _kinks(cfg: ModelConfig, mode) -> list[float]:
 
 
 def _check_state(cfg: ModelConfig, state, mode) -> tuple[float, float, float]:
-    vals = [float(v) for v in np.atleast_1d(np.asarray(state, dtype=float))]
+    vals = np.ravel(np.asarray(state, dtype=float)).tolist()
     if len(vals) == 2:
         vals.append(0.0)
     if len(vals) != 3:
         raise ValueError("state must have 2 or 3 coordinates (r, q[, u])")
     r, q, u = vals
-    if not (r >= 0 and q >= 0 and u >= 0):
-        raise ValueError("state must lie in the positive orthant, without NaN")
+    if not (0 <= r < math.inf and 0 <= q < math.inf and 0 <= u < math.inf):
+        raise ValueError("state must be finite and lie in the positive orthant, without NaN")
     kinks = _kinks(cfg, mode)  # raises first when chattering lacks q_ad
     if mode.tag == "chattering" and q > cfg.q_ad - KINK_RADIUS:
         raise KinkProximityError(
@@ -160,8 +160,8 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
     if arr.ndim <= 1:
         r, q, u = _check_state(cfg, state, mode)
     else:
-        if not np.all(arr >= 0):
-            raise ValueError("states must lie in the positive orthant, without NaN")
+        if not np.all((arr >= 0) & (arr < np.inf)):
+            raise ValueError("states must be finite and lie in the positive orthant, without NaN")
         r, q = arr[..., 0], arr[..., 1]
         u = arr[..., 2] if arr.shape[-1] == 3 else np.zeros_like(r)
         for k in cfg.kink_points():

@@ -384,6 +384,30 @@ class TestFixedPointContract:
         assert not rows or rows[0].startswith("mode,q_star,r_star,u_star,")
 
 
+# window edges of section5's scenario (horizon [0, 400], burst [100, 300]):
+# NaN, infinite, negative, the burst edges and beyond the horizon
+_WINDOW_EDGES = [math.nan, -math.inf, -5.0, 100.0, 300.0, 500.0, math.inf]
+
+
+class TestValidateScenarioContract:
+    """validate and scenario end in a result or a named error, for any --k-u
+    on every shipped config and any window edges."""
+
+    @pytest.mark.parametrize("config", ["ref.json", "section5.json", "competitive.json"])
+    @pytest.mark.parametrize("k_u", _K_US, ids=repr)
+    def test_validate(self, config_dir, config, k_u):
+        _run_contract(config_dir, "validate", {"--k-u": k_u}, config)
+
+    @pytest.mark.parametrize("end", _WINDOW_EDGES, ids=repr)
+    @pytest.mark.parametrize("start", _WINDOW_EDGES, ids=repr)
+    def test_scenario(self, config_dir, tmp_path, start, end):
+        # --every cycles through one, a few and more rows than a leg holds
+        every = [1, 7, 10**6][(_WINDOW_EDGES.index(start) + _WINDOW_EDGES.index(end)) % 3]
+        flags = {"--step": 0.1, "--out-prefix": str(tmp_path / "P"), "--every": every,
+                 "--window-start": start, "--window-end": end}
+        _run_contract(config_dir, "scenario", flags, "section5.json")
+
+
 def _run_contract(config_dir, command, flags, config="ref.json"):
     """Run the command in-process; assert an exit code of 0, 1 or 2 and no
     traceback; return stdout's lines."""

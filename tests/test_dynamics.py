@@ -588,13 +588,25 @@ class TestBackwardHorizon:
             converge(ref_cfg, NORMAL, (30.0, 45.0), 1e-3, -1.0)
 
 
+def _step_context(cfg, mode, h):
+    """The clamps and NaN context that _march binds to a run's step."""
+    chat_cap = dynamics._admittance_bound(cfg, mode.tag)
+    return cfg.admission.q_max, chat_cap, f"mode {mode.tag}, h = {h:g}"
+
+
+def _batch_stepper(cfg, mode, h, n):
+    """The batch backend's step for n runs at the mode's constant K_U."""
+    deriv = dynamics._make_deriv(cfg, mode.field_tag, mode.k_u)
+    return dynamics._batch_step(deriv, n, *_step_context(cfg, mode, h))
+
+
 def _settle_by_step(cfg, mode, x0s, target, tol, t_cap, h, t0=0.0):
     """settle_batch with its bookkeeping done after every step, as it was
     before the drivers observed their runs per block: the reference."""
     mode = dynamics.as_mode(mode)
     x = dynamics._starts(x0s).T.copy()
     n = x.shape[1]
-    step = dynamics._bind(cfg, mode, h, batch=n)
+    step = _batch_stepper(cfg, mode, h, n)
     compared = 3 if mode.tag == "competitive" else 2
     tgt = np.array(dynamics._start(target, "target")[:compared])[:, None]
     streak = np.zeros(n, dtype=int)
@@ -683,10 +695,10 @@ class TestSettleBlocks:
         # the per-step loop returns on step 100; a jump in q from step 105 on
         # and a fault on step 110 of the same block must not reach the
         # block-wise one's result either
-        bind = dynamics._bind
+        batch_step = dynamics._batch_step
 
-        def faulty_bind(*args, **kwargs):
-            step = bind(*args, **kwargs)
+        def faulty_batch_step(*args):
+            step = batch_step(*args)
             calls = [0]
 
             def faulty(x, dt, t, raw=None, out=None):
@@ -698,7 +710,7 @@ class TestSettleBlocks:
                     (x if out is None else out)[1] += 50.0
             return faulty
 
-        monkeypatch.setattr(dynamics, "_bind", faulty_bind)
+        monkeypatch.setattr(dynamics, "_batch_step", faulty_batch_step)
         args = (ref_cfg, NORMAL, [(25.0, 40.0, 0.0), (25.0, 40.0, 0.0)], (25.0, 40.0, 0.0),
                 1e-3, 100.0, 0.01)
         want = _settle_by_step(*args)
@@ -716,7 +728,8 @@ def _converge_by_step(cfg, mode, x0, tol, t_cap, h):
     """converge with its streak kept after every step, as it was before it
     stepped through the block history: the reference."""
     mode = dynamics.as_mode(mode)
-    step = dynamics._bind(cfg, mode, h)
+    deriv = dynamics._scalar_deriv(cfg, mode.field_tag, mode.k_u)
+    context = _step_context(cfg, mode, h)
     fps = find_fixed_points(cfg, mode)
     targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]
     compare_u = mode.tag == "competitive"
@@ -742,7 +755,7 @@ def _converge_by_step(cfg, mode, x0, tol, t_cap, h):
         if x == targets[j]:
             return dynamics.ConvergeResult(np.array(x), True, 0.0)
     for t, dt in dynamics._grid(0.0, t_cap, h):
-        x = step(x, dt, t)
+        x = dynamics._scalar_step(deriv, x, dt, t, *context)
         d, _ = nearest(x)
         if d < tol:
             if streak == 0:
@@ -808,28 +821,26 @@ class TestConvergeBlocks:
         # started on x1*, the per-step loop returns on step 99; a jump in q
         # from step 105 on and a fault on step 110 of the same block must not
         # reach the block-wise one's result either
-        bind = dynamics._bind
+        scalar_step = dynamics._scalar_step
+        calls = [0]  # steps of the run in progress
 
-        def faulty_bind(*args, **kwargs):
-            step = bind(*args, **kwargs)
-            calls = [0]
+        def faulty(*args):
+            calls[0] += 1
+            if calls[0] >= 110:
+                raise FloatingPointError("injected")
+            r, q, u = scalar_step(*args)
+            return r, q + 50.0 * (calls[0] >= 105), u
 
-            def faulty(x, dt, t):
-                calls[0] += 1
-                if calls[0] >= 110:
-                    raise FloatingPointError("injected")
-                r, q, u = step(x, dt, t)
-                return r, q + 50.0 * (calls[0] >= 105), u
-            return faulty
-
-        monkeypatch.setattr(dynamics, "_bind", faulty_bind)
+        monkeypatch.setattr(dynamics, "_scalar_step", faulty)
         args = (ref_cfg, NORMAL, (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
         want = _converge_by_step(*args)
         assert dynamics.BLOCK_STEPS > 110
+        calls[0] = 0
         got = converge(*args)
         _assert_same_converge(got, want)
         assert got.converged and got.settling_time == 0.0
         # a fault before the run settled still escapes
+        calls[0] = 0
         with pytest.raises(FloatingPointError, match="injected"):
             converge(ref_cfg, NORMAL, (250.0, 60.0, 0.0), 1e-3, 100.0, 0.01)
 
@@ -839,7 +850,7 @@ def _excess_by_step(cfg, mode, x0s, t0, t1, h, region):
     the drivers observed their runs per block: the reference."""
     A, b = region
     x = dynamics._starts(x0s).T.copy()
-    step = dynamics._bind(cfg, mode, h, batch=x.shape[1])
+    step = _batch_stepper(cfg, mode, h, x.shape[1])
     raw = [np.full(3, np.inf), -np.inf]
     a_r, a_q, a_u, b = *A.T[:, :, None], b[:, None]
     excess = np.full(x.shape[1], -np.inf)
@@ -898,3 +909,64 @@ class TestRegionBlocks:
         # besides the history: the state, four derivative buffers, the stage
         # buffer and the temporaries of one field and one block's region terms
         assert peak <= dynamics.BLOCK_BYTES + 10 * stack, peak
+
+
+class TestBackendChoice:
+    """The backend follows the run count: one run without raw tracking steps
+    plain floats, any other batch the numpy stack.  The choice is safe
+    because both give the same bits."""
+
+    # the box 20 <= R <= 60, 30 <= q <= 50, 0 <= U <= 30 as a region (A, b)
+    BOX = (np.vstack([np.eye(3), -np.eye(3)]), np.array([60.0, 50.0, 30.0, -20.0, -30.0, 0.0]))
+
+    @staticmethod
+    def case(name, ref_cfg, section5_cfg, competitive_cfg):
+        """(cfg, mode, start, target) of one run."""
+        return {
+            "normal": (ref_cfg, NORMAL, (30.0, 45.0, 0.0), (25.0, 40.0, 0.0)),
+            # starts above the bound's admitted flow, so the clamp acts
+            "chattering": (ref_cfg, CHATTERING, (250.0, 55.0, 0.0), (25.0, 40.0, 0.0)),
+            "saturated": (section5_cfg, saturated_mode(0.5), (70.0, 50.0, 0.0),
+                          (46.73527837421405, 33.975196754843246, 0.0)),
+            "competitive": (competitive_cfg, competitive_mode(1.0), (75.0, 60.0, 37.5),
+                            (50.0, 40.0, 25.0)),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["normal", "chattering", "saturated", "competitive"])
+    def test_one_run_matches_a_batch_of_copies(self, ref_cfg, section5_cfg, competitive_cfg,
+                                               name):
+        cfg, mode, start, target = self.case(name, ref_cfg, section5_cfg, competitive_cfg)
+        one, three = [start], [start] * 3
+        for region in (None, self.BOX):
+            alone = final_states(cfg, mode, one, 0.0, 50.0, 0.05, region=region)
+            batch = final_states(cfg, mode, three, 0.0, 50.0, 0.05, region=region)
+            assert _bits_equal(np.repeat(alone.states, 3, axis=0), batch.states)
+            if region is not None:
+                assert _bits_equal(np.repeat(alone.region_excess, 3), batch.region_excess)
+        alone = settle_batch(cfg, mode, one, target, 1e-2, 300.0, 0.1)
+        batch = settle_batch(cfg, mode, three, target, 1e-2, 300.0, 0.1)
+        for field in ("settled", "states", "settle_times"):
+            assert _bits_equal(np.repeat(getattr(alone, field), 3, axis=0), getattr(batch, field))
+        assert _bits_equal(alone.t_exit, batch.t_exit) and _bits_equal(alone.max_q, batch.max_q)
+
+    def test_batch_step_bound_for_batches_only(self, monkeypatch, ref_cfg):
+        bound = []  # the run count of each _batch_step binding
+        batch_step = dynamics._batch_step
+
+        def counting(deriv, n, *args):
+            bound.append(n)
+            return batch_step(deriv, n, *args)
+
+        monkeypatch.setattr(dynamics, "_batch_step", counting)
+        one, three = [(30.0, 45.0, 0.0)], [(30.0, 45.0, 0.0)] * 3
+        final_states(ref_cfg, NORMAL, one, 0.0, 1.0, 0.1)
+        final_states(ref_cfg, NORMAL, one, 0.0, 1.0, 0.1, region=self.BOX)
+        settle_batch(ref_cfg, NORMAL, one, (25.0, 40.0, 0.0), 1e-3, 1.0, 0.1)
+        converge(ref_cfg, NORMAL, one[0], 1e-3, 1.0, 0.1)
+        integrate(ref_cfg, NORMAL, one[0], 0.0, 1.0, 0.1)
+        assert bound == []
+        final_states(ref_cfg, NORMAL, one, 0.0, 1.0, 0.1, raw_bounds=True)
+        assert bound == [1]
+        final_states(ref_cfg, NORMAL, three, 0.0, 1.0, 0.1)
+        settle_batch(ref_cfg, NORMAL, three, (25.0, 40.0, 0.0), 1e-3, 1.0, 0.1)
+        assert bound == [1, 3, 3]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -55,6 +56,47 @@ class TestEtaCurves:
     def test_list_query_matches_array(self, ref_cfg, eta):
         qs = [1.0, 45.0, 70.0]
         assert np.array_equal(eta(ref_cfg, qs), eta(ref_cfg, np.array(qs)))
+
+    # (make the query from an int, scalar result); ints are exact as floats
+    KINDS = [
+        (float, True), (int, True), (np.float64, True), (np.array, True),
+        (lambda q: [q, q], False), (lambda q: np.array([q, q]), False),
+    ]
+
+    @pytest.mark.parametrize("kind, scalar", KINDS)
+    def test_query_kinds_keep_type_and_bits(self, ref_cfg, section5_cfg, kind, scalar):
+        # a Python float for every scalar query, an array otherwise; the bits
+        # of the kernels' quotients either way
+        for cfg in (ref_cfg, section5_cfg):
+            qs = np.array([0.0, 10.0, 35.0, 45.0, 50.0, 75.0, 92.0])
+            a, mu, f = (spec._kernel(qs) for spec in (cfg.admission, cfg.service, cfg.price))
+            cases = [
+                (lambda q: eta1(cfg, q), mu / a),
+                (lambda q: eta2(cfg, q), cfg.k_r / (a + f)),
+                (lambda q: eta3(cfg, q, 0.5), (mu - a * 0.5) / a),
+            ]
+            for fn, want in cases:
+                for q, w in zip(qs.astype(int).tolist(), want.tolist()):
+                    got = fn(kind(q))
+                    if scalar:
+                        assert type(got) is float and got.hex() == w.hex(), (kind, q)
+                    else:
+                        assert type(got) is np.ndarray
+                        assert [v.hex() for v in got.tolist()] == [w.hex()] * 2, (kind, q)
+
+    @pytest.mark.parametrize("kind, scalar", KINDS)
+    def test_vanishing_errors_keep_their_messages(self, ref_cfg, kind, scalar):
+        q_max = int(ref_cfg.admission.q_max) + 1  # alpha is 0 from q_max on
+        for eta in (eta1, eta2, lambda cfg, q: eta3(cfg, q, 0.5)):
+            with pytest.raises(ValueError, match=r"^alpha\(q\) vanishes at or beyond q_max; eta undefined$"):
+                eta(ref_cfg, kind(q_max))
+        # no admissible price is negative, so a stub price makes alpha + f vanish
+        def negated_alpha(q):
+            return -eval_admission(ref_cfg.admission, q)
+        price = types.SimpleNamespace(_scalar=negated_alpha, _kernel=negated_alpha)
+        stub = dataclasses.replace(ref_cfg, price=price)
+        with pytest.raises(ValueError, match=r"^alpha \+ f vanishes; eta2 undefined$"):
+            eta2(stub, kind(10))
 
     def test_domain_error_beyond_qmax(self, ref_cfg):
         with pytest.raises(ValueError):

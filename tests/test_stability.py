@@ -49,6 +49,16 @@ class TestJacobian:
         with pytest.raises(ValueError, match="state must .* without NaN"):
             jacobian(ref_cfg, state, "normal")
 
+    @pytest.mark.parametrize("state", [(np.inf, 40.0), (25.0, np.inf), (25.0, 40.0, np.inf)])
+    def test_infinite_state_is_named(self, ref_cfg, state):
+        with pytest.raises(ValueError, match="state must be finite"):
+            jacobian(ref_cfg, state, "competitive")
+
+    @pytest.mark.parametrize("state", [[[25, 40]], np.array([[25.0], [40.0]])])
+    def test_one_row_state(self, ref_cfg, state):
+        want = jacobian(ref_cfg, (25.0, 40.0), "normal").entries
+        assert np.array_equal(jacobian(ref_cfg, state, "normal").entries, want)
+
     def test_chattering_below_bound_matches_normal(self, ref_cfg):
         jn = jacobian(ref_cfg, (25.0, 40.0), "normal")
         jc = jacobian(ref_cfg, (25.0, 40.0), "chattering")
@@ -145,6 +155,14 @@ class TestDivergence:
             divergence(ref_cfg, (10.0, np.nan), "normal")
         with pytest.raises(ValueError, match="states must .* without NaN"):
             divergence(ref_cfg, np.array([[25.0, 40.0], [10.0, np.nan]]), "normal")
+
+    def test_infinite_state_is_named(self, ref_cfg):
+        with pytest.raises(ValueError, match="state must be finite"):
+            divergence(ref_cfg, (np.inf, 40.0), "normal")
+        with pytest.raises(ValueError, match="states must be finite"):
+            divergence(ref_cfg, np.array([[25.0, 40.0], [np.inf, 40.0]]), "normal")
+        with pytest.raises(ValueError, match="states must be finite"):
+            divergence(ref_cfg, np.array([[25.0, 40.0, 0.0], [25.0, 40.0, np.inf]]), "competitive")
 
 
 class TestClassify:
