@@ -34,12 +34,17 @@ The stepper has two backends with the same formulas and operation
 order, which agree bit for bit and raise FloatingPointError on the first
 NaN state; the run count picks one, in _march alone.  One run without
 raw tracking (integrate, converge, a single start in settle_batch or
-final_states) steps plain floats: _scalar_deriv on the specs' plain-float
-twins, and _scalar_step.  Any other batch is one C-contiguous (3, n)
-stack, rows R, q and U: its right-hand side (_make_deriv, on the numpy
-kernels the model specs own; rhs wraps it) writes into a caller-owned
-(3, n) buffer, and its step (_batch_step) advances the stack in place or
-into a given slot, one numpy call per stage update.
+final_states) steps plain floats through one generated function per
+configuration and field (_kernel): the RK4 step with f, alpha and mu
+inlined into each stage as if/elif chains over the specs' piece tables,
+the mode algebra, clamps and NaN check fixed when it is compiled, and
+K_U, dt and t as arguments.  It is compiled on first use and kept in a
+small memo keyed by the exact bits of its inputs.  Any other batch is
+one C-contiguous (3, n) stack, rows R, q and U: its right-hand side
+(_make_deriv, on the numpy kernels the model specs own; rhs wraps it)
+writes into a caller-owned (3, n) buffer, and its step (_batch_step)
+advances the stack in place or into a given slot, one numpy call per
+stage update.
 
 Every driver steps through one block history (_blocks): each step writes
 its result into the next slot of a preallocated (block, 3[, n]) history,
@@ -61,9 +66,12 @@ after it in the same block, which a per-step loop never reaches.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 import itertools
+import linecache
 import math
+import threading
 
 import numpy as np
 
@@ -198,8 +206,8 @@ def _chattering_flow(cfg: ModelConfig, a, r, q):
 
 def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
     """(x, out) -> out: the field at the (3, n) states x (rows R, q, U),
-    written in place into the (3, n) buffer out in _scalar_deriv's
-    operation order, after projecting onto the orthant.  The 2-state
+    written in place into the (3, n) buffer out, after projecting onto the
+    orthant; _kernel's field has the same operation order.  The 2-state
     modes leave out's U row as it is."""
     f, alpha, mu = cfg.price._kernel, cfg.admission._kernel, cfg.service._kernel
     k_r = cfg.k_r
@@ -231,36 +239,129 @@ def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
     return deriv
 
 
-def _scalar_deriv(cfg: ModelConfig, tag: str, k_u: float):
-    """(r, q, u) -> (dr, dq, du) on plain floats: _make_deriv's mode algebra,
-    operation order and orthant projection on the specs' plain-float twins
-    of their kernels, so both agree bit for bit.  Each conditional
-    reproduces np.maximum / np.minimum exactly, as the twins do."""
-    f, alpha, mu = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar
-    k_r = cfg.k_r
-    q_ad, mu_star = _admittance_bound(cfg, tag), cfg.service.mu_star
+_KERNEL_ENTRIES = 32  # compiled scalar kernels kept, the least recently used dropped first
+# repr of the kernel's inputs -> (step, deriv)
+_kernels: OrderedDict[str, tuple] = OrderedDict()
+_kernels_lock = threading.Lock()
+_kernel_ids = itertools.count(1)
 
-    def deriv(r, q, u):
-        if r <= 0.0:
-            r = 0.0
-        if q <= 0.0:
-            q = 0.0
-        a, fq, m = alpha(q), f(q), mu(q)
-        if tag == "normal":
-            return k_r - (fq + a) * r, a * r - m, 0.0
+
+def _literal(x, names: dict) -> str:
+    """Source text of the constant x: its repr, which reads back bit for
+    bit, or for a non-finite x (a rising linear alpha's q_max = inf) a name
+    bound to it in names."""
+    x = float(x)
+    if not math.isfinite(x):
+        name = f"_c{len(names)}"
+        names[name] = x
+        return name
+    return f"({x!r})" if math.copysign(1.0, x) < 0 else repr(x)
+
+
+def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
+    """Lines that set name to the piece table's function at the float q, as
+    model.from_pieces evaluates it: an if/elif chain from the last piece
+    down, so a NaN q falls through to piece 0 and stays NaN; Horner as
+    model._poly runs it, less the exact identities q - 0.0 == q and
+    -0.0 + y == y; floored at zero, keeping -0.0 and NaN, as there."""
+    lines = []
+    for i in reversed(range(len(pieces))):
+        start, origin, c = pieces[i]
+        x = q if repr(float(origin)) == "0.0" else f"({q} - {lit(origin)})"
+        expr = lit(c[-1])
+        for ck in c[-2::-1]:
+            term = f"{x} * " + (f"({expr})" if " " in expr else expr)
+            expr = term if repr(float(ck)) == "-0.0" else f"{lit(ck)} + {term}"
+        body = [f"{name} = {expr}", f"if {name} < 0.0:", f"    {name} = 0.0"]
+        if len(pieces) == 1:
+            return body
+        head = "else:" if i == 0 else f"{'if' if i == len(pieces) - 1 else 'elif'} {q} >= {lit(start)}:"
+        lines += [head, *("    " + line for line in body)]
+    return lines
+
+
+def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):
+    """(source, names) of step and deriv, see _kernel."""
+    names = {}
+    lit = lambda x: _literal(x, names)
+    three = tag == "competitive"
+
+    def field(k, r, q, u):
+        """Lines setting kr{k}, kq{k} (and ku{k} in 3-state) to _make_deriv's
+        field at the point (r, q, u), in its operation order."""
+        lines = [f"rs = {r}", "if rs <= 0.0:", "    rs = 0.0",
+                 f"qs = {q}", "if qs <= 0.0:", "    qs = 0.0"]
+        for name, pieces in (("fq", price), ("a", admission), ("m", service)):
+            lines += _piece_lines(name, pieces, "qs", lit)
         if tag == "chattering":
-            flow = a * r
-            if q >= q_ad and flow >= mu_star:
-                flow = mu_star
-            return k_r - fq * r - flow, flow - m, 0.0
-        if tag == "saturated":
-            return k_r - (fq + a) * r, a * r - m + k_u, 0.0
-        if u <= 0.0:
-            u = 0.0
-        return k_r - (fq + a) * r, a * (r + u) - m, k_u - a * u
+            q_ad, mu_star = map(lit, chat)
+            return lines + ["flow = a * rs", f"if qs >= {q_ad} and flow >= {mu_star}:",
+                            f"    flow = {mu_star}", f"kr{k} = {lit(k_r)} - fq * rs - flow",
+                            f"kq{k} = flow - m"]
+        lines.append(f"kr{k} = {lit(k_r)} - (fq + a) * rs")
+        if three:
+            return lines + [f"us = {u}", "if us <= 0.0:", "    us = 0.0",
+                            f"kq{k} = a * (rs + us) - m", f"ku{k} = k_u - a * us"]
+        return lines + [f"kq{k} = a * rs - m" + (" + k_u" if tag == "saturated" else "")]
 
-    return deriv
+    ku = (lambda k: f"ku{k}") if three else (lambda k: "0.0")  # 0.0 sums fold at compile time
+    body = ["h2 = 0.5 * dt", *field(1, "r", "q", "u")]
+    for k, h in ((2, "h2"), (3, "h2"), (4, "dt")):
+        body += field(k, f"r + {h} * kr{k - 1}", f"q + {h} * kq{k - 1}", f"u + {h} * {ku(k - 1)}")
+    body += ["c = dt / 6.0",
+             "rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)",
+             "qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)",
+             f"un = u + c * ({ku(1)} + 2 * {ku(2)} + 2 * {ku(3)} + {ku(4)})",
+             "if rn != rn or qn != qn or un != un:",
+             '    raise FloatingPointError(f"NaN state at t = {t:g} ({where})")',
+             "if 0.0 > qn:", "    qn = 0.0",
+             f"if {lit(q_cap)} < qn:", f"    qn = {lit(q_cap)}"]
+    if chat is not None:
+        body += [f"if q <= {lit(chat[0] + CLAMP_EPS)} and qn > {lit(chat[0])}:",
+                 f"    qn = {lit(chat[0])}"]
+    body.append("return (0.0 if 0.0 > rn else rn), qn, (0.0 if 0.0 > un else un)")
+    deriv = [*field(1, "r", "q", "u"), f"return kr1, kq1, {ku(1)}"]
+    source = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in lines) + "\n"
+                     for head, lines in (("step(r, q, u, k_u, dt, t, where)", body),
+                                         ("deriv(r, q, u, k_u)", deriv)))
+    return source, names
 
+
+def _kernel(cfg: ModelConfig, tag: str):
+    """(step, deriv): the scalar backend of the field tag on cfg, one
+    generated function each, compiled on first use and kept in a memo
+    keyed by the exact bits of its inputs.
+
+    deriv(r, q, u, k_u) -> (dr, dq, du) is _make_deriv's field on plain
+    floats, bit for bit.  step(r, q, u, k_u, dt, t, where) -> (r, q, u) is
+    one RK4 step of _batch_step's arithmetic with that field inlined into
+    each stage: a NaN coordinate raises FloatingPointError naming the end
+    time t and the run context where, the state is then clamped onto the
+    box (coordinates >= 0, q <= q_max) and, in chattering mode, a step that
+    started on or below q_ad is projected back onto it.  The functions are
+    compiled under the file name "<accessprice step N: tag>", whose source
+    linecache holds, so tracebacks and profiles show the generated line.
+    """
+    q_ad = _admittance_bound(cfg, tag)
+    parts = (tag, cfg.k_r, cfg.price.pieces, cfg.admission.pieces, cfg.service.pieces,
+             cfg.admission.q_max, None if q_ad is None else (q_ad, cfg.service.mu_star))
+    key = repr(parts)  # repr writes each float so that it reads back bit for bit
+    with _kernels_lock:
+        kernel = _kernels.get(key)
+        if kernel is not None:
+            _kernels.move_to_end(key)
+            return kernel
+    source, names = _kernel_source(*parts)
+    filename = f"<accessprice step {next(_kernel_ids)}: {tag}>"
+    exec(compile(source, filename, "exec"), names)
+    with _kernels_lock:
+        kernel = _kernels.setdefault(key, (names["step"], names["deriv"]))  # first compiled wins
+        if kernel[0] is names["step"]:
+            linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+        if len(_kernels) > _KERNEL_ENTRIES:
+            dropped = _kernels.popitem(last=False)[1][0]
+            linecache.cache.pop(dropped.__code__.co_filename, None)
+    return kernel
 
 def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     """Right-hand side of the mode at time t and state x = (r, q[, u]).
@@ -312,41 +413,10 @@ def _pieces(cfg: ModelConfig, mode: SystemMode, t0: float, t1: float):
     ]
 
 
-def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
-    """One RK4 step of the scalar backend, checked and clamped.
-
-    x is the (r, q, u) tuple of floats at the start of the step; returns
-    the state at its end.  The stage arithmetic is _batch_step's.  A NaN
-    coordinate raises FloatingPointError naming the end time t and the
-    run context where.  The state is then clamped onto the box
-    (coordinates >= 0, q <= q_cap) and, when chat_cap is the chattering
-    bound q_ad, a step that started on or below it is projected back onto
-    it.
-    """
-    r, q, u = x
-    h2 = 0.5 * dt
-    kr1, kq1, ku1 = deriv(r, q, u)
-    kr2, kq2, ku2 = deriv(r + h2 * kr1, q + h2 * kq1, u + h2 * ku1)
-    kr3, kq3, ku3 = deriv(r + h2 * kr2, q + h2 * kq2, u + h2 * ku2)
-    kr4, kq4, ku4 = deriv(r + dt * kr3, q + dt * kq3, u + dt * ku3)
-    c = dt / 6.0
-    rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
-    qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)
-    un = u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
-    if rn != rn or qn != qn or un != un:
-        raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
-    # max(x, 0.0) and min(x, q_cap) written out: the same values, four calls fewer
-    qn = 0.0 if 0.0 > qn else qn
-    qn = q_cap if q_cap < qn else qn
-    if chat_cap is not None and q <= chat_cap + CLAMP_EPS and qn > chat_cap:
-        qn = chat_cap
-    return (0.0 if 0.0 > rn else rn), qn, (0.0 if 0.0 > un else un)
-
-
 def _batch_step(deriv, n, q_cap, chat_cap, where):
-    """_scalar_step's numpy twin for n states: step(x, dt, t, raw=None,
-    out=None) advances the (3, n) C-contiguous stack x into the (3, n)
-    C-contiguous out (x itself when None), in _scalar_step's operation
+    """The compiled scalar step's numpy twin for n states: step(x, dt, t,
+    raw=None, out=None) advances the (3, n) C-contiguous stack x into the
+    (3, n) C-contiguous out (x itself when None), in that step's operation
     order, through four derivative buffers (U rows zero, as the 2-state
     fields never write dU) and a stage buffer allocated once here.  raw,
     when given, is a [per-coordinate minimum, maximum q] pair that takes
@@ -514,26 +584,28 @@ def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, grid, size: int, *,
     """_blocks of size steps for the runs started at the (3, n) states x,
     stepped along grid by the checked RK4 step of the mode's field at
     constant K_U (k_u for one switched_full piece).  One run without raw
-    keeps (r, q, u) floats for _scalar_step and stores them item by item
-    into a (size, 3) history; any other batch steps the C-contiguous x by
-    _batch_step (raw as there) into (size, 3, n), from the slot it wrote
-    last.  Checks its arguments now, not on the first step."""
+    keeps (r, q, u) floats for the compiled step of _kernel and stores
+    them item by item into a (size, 3) history; any other batch steps the
+    C-contiguous x by _batch_step (raw as there) into (size, 3, n), from
+    the slot it wrote last.  Checks its arguments now, not on the first
+    step."""
     if k_u is None and mode.tag == "switched_full":
         raise ValueError("switched_full has no constant K_U; run each schedule piece on its own")
     k_u = mode.k_u if k_u is None else k_u
-    q_cap = cfg.admission.q_max
-    chat_cap = _admittance_bound(cfg, mode.tag)
     where = f"mode {mode.tag}, h = {h:g}"
     if x.shape[1] == 1 and raw is None:
-        deriv = _scalar_deriv(cfg, mode.field_tag, k_u)
-        s = tuple(x[:, 0].tolist())
+        step = _kernel(cfg, mode.field_tag)[0]
+        r, q, u = x[:, 0].tolist()
 
         def advance(dt, t, out):
-            nonlocal s
-            s = _scalar_step(deriv, s, dt, t, q_cap, chat_cap, where)
-            out[0], out[1], out[2] = s
+            nonlocal r, q, u
+            r, q, u = step(r, q, u, k_u, dt, t, where)
+            out[0] = r
+            out[1] = q
+            out[2] = u
         return _blocks(advance, (3,), grid, size)
-    step = _batch_step(_make_deriv(cfg, mode.field_tag, k_u), x.shape[1], q_cap, chat_cap, where)
+    step = _batch_step(_make_deriv(cfg, mode.field_tag, k_u), x.shape[1], cfg.admission.q_max,
+                       _admittance_bound(cfg, mode.tag), where)
 
     def advance(dt, t, out):
         nonlocal x

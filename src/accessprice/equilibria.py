@@ -242,7 +242,7 @@ def _back_substitute(cfg: ModelConfig, mode, k_u: float, roots) -> tuple[FixedPo
     """The fixed points of the SystemMode at the roots of its balance equation."""
     tag = mode.fixed_point_tag
     out = []
-    for q_star in roots:
+    for q_star in map(float, roots):  # the scan's roots are numpy floats
         a = eval_admission(cfg.admission, q_star)
         r_star = (eval_service(cfg.service, q_star) - k_u) / a
         u_star = k_u / a if mode.dim == 3 else 0.0

@@ -237,7 +237,9 @@ class AdmissionSpec:
             a = c1 * q + c2
             return 0.0 if 0.0 > a else a
 
-        tail = ((zero, 0.0, (0.0,)),) if math.isfinite(zero) else ()
+        # no tail when alpha vanishes from q = 0 on: it would shadow piece 0,
+        # whose floor keeps the kernel's -0.0 at q = 0 when c2 = -0.0
+        tail = ((zero, 0.0, (0.0,)),) if 0.0 < zero < math.inf else ()
         return lambda q: np.maximum(0.0, c1 * q + c2), scalar, ((0.0, 0.0, (c2, c1)), *tail)
 
     def _cubic(self):

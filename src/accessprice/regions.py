@@ -308,14 +308,6 @@ def halfspaces(region: RegionSpec):
     return A, b
 
 
-def _edge_samples(v1, v2, n):
-    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
-    length = np.linalg.norm(v2 - v1)
-    m = min(0.49, VERTEX_MARGIN / length) if length > 0 else 0.0
-    ts = np.linspace(m, 1 - m, n)
-    return v1[None, :] + ts[:, None] * (v2 - v1)[None, :]
-
-
 # how a face condition takes its worst sample, and whether that sample passes
 _POSITIVE = (np.min, lambda w: w > 0)
 _NONNEGATIVE = (np.min, lambda w: w >= 0)
@@ -323,55 +315,93 @@ _NEGATIVE = (np.max, lambda w: w < 0)
 _OUTWARD = "<outward normal, F> < 0"
 
 
-def _faces(region: RegionSpec, k_u: float, n: int):
-    """(name, boundary states, condition, F -> values, test) per face.
+def _face_specs(region: RegionSpec, k_u: float, n: int):
+    """(size, faces): the samples per face and, per face, (name, write,
+    condition, F -> values, test), where write(rows) puts its size
+    boundary states into the (size, 3) array rows.
 
     Axis faces and cuboid faces pick one column of F; a slanted polygon
-    edge takes F0*n0 + F1*n1 with its outward normal from halfspaces.
-    Every face of a region has the same number of samples.  Faces are
-    made one at a time, so check_invariance holds one face's samples at
-    once, or a run of faces that fits in dynamics.BLOCK_BYTES.
+    edge takes F0*n0 + F1*n1 with its outward normal from halfspaces.  A
+    polygon edge's points run over the stretch of the edge that leaves
+    VERTEX_MARGIN at both ends, all edges' parameters from one linspace; a
+    cuboid face is the grid of two of the three axes, each made once.
     """
     if region.kind == "polygon2d":
         A, _ = halfspaces(region)
         verts = np.asarray(region.vertices, dtype=float)
-        names = ("AB", "BC", "CD", "DE", "EA")
-        for name, (v1, v2), nrm in zip(names, _polygon_edges(verts), A):
-            pts = _edge_samples(v1, v2, n)
-            states = np.column_stack([pts, np.zeros(len(pts))])
+        edges = _polygon_edges(verts)
+        margins = []
+        for v1, v2 in edges:
+            length = np.linalg.norm(v2 - v1)
+            margins.append(min(0.49, VERTEX_MARGIN / length) if length > 0 else 0.0)
+        margins = np.array(margins)
+        ts = np.linspace(margins, 1 - margins, n, axis=1)  # row e: edge e's own linspace
+
+        def write(rows, e):
+            v1, v2 = edges[e]
+            for c in (0, 1):  # v1 + t * (v2 - v1), column by column
+                np.add(np.multiply(ts[e], v2[c] - v1[c], out=rows[:, c]), v1[c], out=rows[:, c])
+            rows[:, 2] = 0.0
+
+        faces = []
+        for e, (name, (v1, v2), nrm) in enumerate(zip(("AB", "BC", "CD", "DE", "EA"), edges, A)):
             if abs(v1[0]) < 1e-12 and abs(v2[0]) < 1e-12:
                 face = "dR/dt > 0 on R = 0", lambda F: F[:, 0], _POSITIVE
             elif abs(v1[1]) < 1e-12 and abs(v2[1]) < 1e-12:
                 face = "dq/dt >= 0 on q = 0", lambda F: F[:, 1], _NONNEGATIVE
             else:
                 face = _OUTWARD, lambda F, m=nrm: F[:, 0] * m[0] + F[:, 1] * m[1], _NEGATIVE
-            yield (name, states, *face)
-        return
+            faces.append((name, lambda rows, e=e: write(rows, e), *face))
+        return n, faces
     if region.kind != "cuboid3d":
         raise ValueError(f"unknown region kind {region.kind!r}")
     corner = region.vertices[1]  # (r_hat, q_hat, u_hat)
     side = max(2, math.ceil(math.sqrt(n)))
+    axes = [np.linspace(VERTEX_MARGIN, c - VERTEX_MARGIN, side) for c in corner]
 
-    def face_grid(axis, value):
-        others = [i for i in range(3) if i != axis]
-        A, B = np.meshgrid(
-            *(np.linspace(VERTEX_MARGIN, corner[i] - VERTEX_MARGIN, side) for i in others)
-        )
-        pts = np.empty((A.size, 3))
-        pts[:, axis] = value
-        pts[:, others[0]] = A.ravel()
-        pts[:, others[1]] = B.ravel()
-        return pts
+    def write(rows, axis, value):
+        """The face's grid: the first other axis varies fastest (meshgrid's order)."""
+        i, j = (k for k in range(3) if k != axis)
+        grid = rows.reshape(side, side, 3)
+        grid[:, :, axis] = value
+        grid[:, :, i] = axes[i]
+        grid[:, :, j] = axes[j][:, None]
 
     inward = (
         ("R=0", "dR/dt > 0", _POSITIVE),
         ("q=0", "dq/dt >= 0", _NONNEGATIVE),
         ("U=0", "dU/dt > 0 (>= 0 when K_U = 0)", _POSITIVE if k_u > 0 else _NONNEGATIVE),
     )
-    for axis, (name, condition, test) in enumerate(inward):
-        yield name, face_grid(axis, 0.0), condition, lambda F, i=axis: F[:, i], test
-    for axis, name in enumerate(("R=r_hat", "q=q_hat", "U=u_hat")):
-        yield name, face_grid(axis, corner[axis]), _OUTWARD, lambda F, i=axis: F[:, i], _NEGATIVE
+    faces = [(name, lambda rows, a=axis: write(rows, a, 0.0), condition,
+              lambda F, i=axis: F[:, i], test)
+             for axis, (name, condition, test) in enumerate(inward)]
+    faces += [(name, lambda rows, a=axis: write(rows, a, corner[a]), _OUTWARD,
+               lambda F, i=axis: F[:, i], _NEGATIVE)
+              for axis, name in enumerate(("R=r_hat", "q=q_hat", "U=u_hat"))]
+    return side * side, faces
+
+
+def _face_runs(region: RegionSpec, k_u: float, n: int):
+    """Runs of consecutive faces, each (samples, faces): as many faces as
+    fit in dynamics.BLOCK_BYTES, at least one, written into one
+    (faces * size, 3) array, and per face (name, its rows of samples,
+    condition, F -> values, test).  Runs are made one at a time, so
+    check_invariance holds one run's samples at once."""
+    size, faces = _face_specs(region, k_u, n)
+    per_run = max(1, dynamics.BLOCK_BYTES // (24 * size))
+    for i in range(0, len(faces), per_run):
+        run = faces[i : i + per_run]
+        samples = np.empty((len(run) * size, 3))
+        rows = [samples[j * size : (j + 1) * size] for j in range(len(run))]
+        for (_, write, *_), r in zip(run, rows):
+            write(r)
+        yield samples, [(name, r, *rest) for (name, _, *rest), r in zip(run, rows)]
+
+
+def _faces(region: RegionSpec, k_u: float, n: int):
+    """(name, boundary states, condition, F -> values, test) per face."""
+    for _, faces in _face_runs(region, k_u, n):
+        yield from faces
 
 
 def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) -> InvarianceReport:
@@ -392,19 +422,15 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
         report.warning = "no samples requested; vacuous pass"
         return report
     mode = dynamics.as_mode(mode)
-    faces = _faces(region, mode.k_u, n)
-    for face in faces:
-        run = [face]  # with the faces after it that fit beside it: all have its size
-        while (len(run) + 1) * face[1].nbytes <= dynamics.BLOCK_BYTES and (nxt := next(faces, None)):
-            run.append(nxt)
-        report.faces += _run_reports(cfg, mode, run)
+    for samples, faces in _face_runs(region, mode.k_u, n):
+        report.faces += _run_reports(cfg, mode, samples, faces)
     return report
 
 
-def _run_reports(cfg, mode, run):
+def _run_reports(cfg, mode, samples, faces):
     """The FaceReports of a run of faces, from one rhs call on their samples."""
-    F = dynamics.rhs(cfg, mode, 0.0, np.concatenate([f[1] for f in run]) if run[1:] else run[0][1])
-    for name, states, condition, values, (reduce, passes) in run:
+    F = dynamics.rhs(cfg, mode, 0.0, samples)
+    for name, states, condition, values, (reduce, passes) in faces:
         worst = float(reduce(values(F[:len(states)])))
         yield FaceReport(name, condition, worst, len(states), passes(worst))
         F = F[len(states):]

@@ -1,5 +1,7 @@
 from dataclasses import replace
+import linecache
 import math
+import traceback
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,7 @@ from accessprice.dynamics import (
 )
 from accessprice.equilibria import find_fixed_points
 from accessprice.model import (
+    AdmissionSpec,
     PriceSpec,
     eval_admission,
     eval_price,
@@ -252,8 +255,80 @@ def _bits_equal(a, b):
     )
 
 
+def _scalar_deriv(cfg, tag, k_u):
+    """(r, q, u) -> (dr, dq, du) on plain floats, hand-written on the specs'
+    plain-float twins in _make_deriv's operation order: the oracle of the
+    compiled field."""
+    f, alpha, mu = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar
+    k_r = cfg.k_r
+    q_ad, mu_star = dynamics._admittance_bound(cfg, tag), cfg.service.mu_star
+
+    def deriv(r, q, u):
+        if r <= 0.0:
+            r = 0.0
+        if q <= 0.0:
+            q = 0.0
+        a, fq, m = alpha(q), f(q), mu(q)
+        if tag == "normal":
+            return k_r - (fq + a) * r, a * r - m, 0.0
+        if tag == "chattering":
+            flow = a * r
+            if q >= q_ad and flow >= mu_star:
+                flow = mu_star
+            return k_r - fq * r - flow, flow - m, 0.0
+        if tag == "saturated":
+            return k_r - (fq + a) * r, a * r - m + k_u, 0.0
+        if u <= 0.0:
+            u = 0.0
+        return k_r - (fq + a) * r, a * (r + u) - m, k_u - a * u
+
+    return deriv
+
+
+def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
+    """One hand-written RK4 step on plain floats, checked and clamped as
+    _batch_step does: the oracle of the compiled step."""
+    r, q, u = x
+    h2 = 0.5 * dt
+    kr1, kq1, ku1 = deriv(r, q, u)
+    kr2, kq2, ku2 = deriv(r + h2 * kr1, q + h2 * kq1, u + h2 * ku1)
+    kr3, kq3, ku3 = deriv(r + h2 * kr2, q + h2 * kq2, u + h2 * ku2)
+    kr4, kq4, ku4 = deriv(r + dt * kr3, q + dt * kq3, u + dt * ku3)
+    c = dt / 6.0
+    rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)
+    qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)
+    un = u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
+    if rn != rn or qn != qn or un != un:
+        raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+    qn = 0.0 if 0.0 > qn else qn
+    qn = q_cap if q_cap < qn else qn
+    if chat_cap is not None and q <= chat_cap + dynamics.CLAMP_EPS and qn > chat_cap:
+        qn = chat_cap
+    return (0.0 if 0.0 > rn else rn), qn, (0.0 if 0.0 > un else un)
+
+
+def _oracle_step(cfg, tag, k_u, where):
+    """x, dt, t -> the oracle's step of the field tag at K_U k_u."""
+    deriv = _scalar_deriv(cfg, tag, k_u)
+    q_cap, chat_cap = cfg.admission.q_max, dynamics._admittance_bound(cfg, tag)
+    return lambda x, dt, t: _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where)
+
+
+def _outcome(step, *args):
+    """The state a step returns as float.hex strings, or the message of the
+    FloatingPointError it raises."""
+    try:
+        return [float(v).hex() for v in step(*args)]
+    except FloatingPointError as exc:
+        return str(exc)
+
+
 class TestScalarBackend:
-    """The float right-hand side against the numpy one, bit for bit."""
+    """The compiled scalar field and step against the numpy field and the
+    hand-written oracle, bit for bit."""
+
+    NAMES = ["triangular-linear", "saturated-cubic", "surge-linear", "surge-cubic",
+             "saturated-linear"]
 
     @staticmethod
     def configs(ref_cfg, section5_cfg):
@@ -269,10 +344,9 @@ class TestScalarBackend:
         }
 
     @staticmethod
-    def states(cfg):
+    def states(cfg, n=400):
         rng = np.random.default_rng(17)
         q_top = min(cfg.admission.q_max, 200.0)
-        n = 400
         rand = np.column_stack([
             rng.uniform(-50.0, 300.0, n),       # negative: RK4 stage points
             rng.uniform(-20.0, q_top + 50.0, n),
@@ -287,25 +361,29 @@ class TestScalarBackend:
         nans += [(25.0, nan, 5.0), (25.0, 40.0, nan), (nan, nan, nan)]
         return np.vstack([rand, on_kinks, nans])
 
+    @staticmethod
+    def field(cfg, tag):
+        """(tag, k_u) of the field the mode runs: switched_full runs
+        competitive on each schedule piece."""
+        if tag == "switched_full":
+            return "competitive", cfg.schedule_rate(5.0)
+        return tag, 0.8
+
     @pytest.mark.parametrize("tag", MODE_TAGS)
-    @pytest.mark.parametrize(
-        "name",
-        ["triangular-linear", "saturated-cubic", "surge-linear", "surge-cubic",
-         "saturated-linear"],
-    )
+    @pytest.mark.parametrize("name", NAMES)
     def test_deriv_bit_identical(self, tag, name, ref_cfg, section5_cfg):
         cfg = self.configs(ref_cfg, section5_cfg)[name]
-        k_u = cfg.schedule_rate(5.0) if tag == "switched_full" else 0.8
-        if tag == "switched_full":
-            tag = "competitive"  # what integrate runs on each schedule piece
+        tag, k_u = self.field(cfg, tag)
         x = self.states(cfg)
         with np.errstate(invalid="ignore"):
             want = np.column_stack(
                 dynamics._make_deriv(cfg, tag, k_u)(x.T.copy(), np.zeros((3, len(x))))
             )
-        scalar = dynamics._scalar_deriv(cfg, tag, k_u)
-        got = np.array([scalar(*map(float, row)) for row in x])
+        compiled = dynamics._kernel(cfg, tag)[1]
+        got = np.array([compiled(*map(float, row), k_u) for row in x])
         assert _bits_equal(got, want)
+        oracle = _scalar_deriv(cfg, tag, k_u)
+        assert _bits_equal(np.array([oracle(*map(float, row)) for row in x]), want)
         # a NaN input must surface as NaN wherever it enters the field:
         # R and q in dR and dq, U (3-state only) in dq and dU
         bad_rq = np.isnan(x[:, :2]).any(axis=1)
@@ -314,9 +392,108 @@ class TestScalarBackend:
             bad_u = np.isnan(x[:, 2])
             assert bad_u.any() and np.isnan(got[bad_u, 1:]).all()
 
+    @pytest.mark.parametrize("tag", MODE_TAGS)
+    @pytest.mark.parametrize("name", NAMES)
+    def test_step_bit_identical(self, tag, name, ref_cfg, section5_cfg):
+        cfg = self.configs(ref_cfg, section5_cfg)[name]
+        where = f"mode {tag}, h = 0.05"
+        tag, k_u = self.field(cfg, tag)
+        step = dynamics._kernel(cfg, tag)[0]
+        oracle = _oracle_step(cfg, tag, k_u, where)
+        raised = 0
+        for x in self.states(cfg, 150).tolist():
+            for dt in (0.05, 0.1, 1e-3):
+                want = _outcome(oracle, tuple(x), dt, 2.5)
+                assert _outcome(step, *x, k_u, dt, 2.5, where) == want, (x, dt)
+                raised += isinstance(want, str)
+        assert raised >= 5 * 3  # every NaN start raises
+
+    @pytest.mark.parametrize("name", ["normal", "chattering", "saturated", "competitive"])
+    def test_steps_along_runs(self, name, ref_cfg, section5_cfg, competitive_cfg):
+        # whole runs from the backend-choice cases, clamps and the
+        # chattering projection included, state for state
+        cfg, mode, start, _ = TestBackendChoice.case(name, ref_cfg, section5_cfg, competitive_cfg)
+        where = f"mode {mode.tag}, h = 0.05"
+        step = dynamics._kernel(cfg, mode.field_tag)[0]
+        oracle = _oracle_step(cfg, mode.field_tag, mode.k_u, where)
+        x = y = start
+        for t, dt in dynamics._grid(0.0, 100.0, 0.05):
+            x, y = step(*x, mode.k_u, dt, t, where), oracle(y, dt, t)
+            assert [v.hex() for v in x] == [v.hex() for v in y], t
+
+    def test_nan_start_names_the_step(self, ref_cfg):
+        step = dynamics._kernel(ref_cfg, "normal")[0]
+        want = _outcome(_oracle_step(ref_cfg, "normal", 0.0, "mode normal, h = 0.01"),
+                        (math.nan, 40.0, 0.0), 0.01, 3.25)
+        assert want == "NaN state at t = 3.25 (mode normal, h = 0.01)"
+        with pytest.raises(FloatingPointError) as info:
+            step(math.nan, 40.0, 0.0, 0.0, 0.01, 3.25, "mode normal, h = 0.01")
+        assert str(info.value) == want
+        # the traceback shows the generated line that raised
+        frame = traceback.extract_tb(info.value.__traceback__)[-1]
+        assert frame.filename == step.__code__.co_filename
+        assert frame.filename.startswith("<accessprice step ") and frame.filename.endswith(": normal>")
+        assert frame.line == 'raise FloatingPointError(f"NaN state at t = {t:g} ({where})")'
+
     def test_chattering_needs_q_ad(self, competitive_cfg):
         with pytest.raises(ValueError, match="chattering mode needs q_ad"):
-            dynamics._scalar_deriv(competitive_cfg, "chattering", 0.0)
+            dynamics._kernel(competitive_cfg, "chattering")
+
+    def test_rising_alpha_binds_infinite_q_max_by_name(self, ref_cfg):
+        cfg = replace(ref_cfg, admission=AdmissionSpec("linear", (0.1, 0.001)))
+        assert cfg.admission.q_max == math.inf
+        step = dynamics._kernel(cfg, "normal")[0]
+        assert "inf" not in linecache.getlines(step.__code__.co_filename)[0]
+        assert math.inf in step.__globals__.values()
+        oracle = _oracle_step(cfg, "normal", 0.0, "w")
+        for x in [(30.0, 45.0, 0.0), (1e300, 1e300, 0.0), (0.0, 1e308, 0.0)]:
+            assert _outcome(step, *x, 0.0, 0.1, 1.0, "w") == _outcome(oracle, x, 0.1, 1.0)
+
+
+class TestKernelMemo:
+    """Compiled kernels are keyed by the exact bits of their inputs."""
+
+    @staticmethod
+    def agrees(cfg, tag="normal", k_u=0.0):
+        """Whether the compiled field and step of cfg match its oracles."""
+        step, deriv = dynamics._kernel(cfg, tag)
+        oracle_deriv, oracle = _scalar_deriv(cfg, tag, k_u), _oracle_step(cfg, tag, k_u, "w")
+        for x in TestScalarBackend.states(cfg, 50).tolist():
+            if not _bits_equal(deriv(*x, k_u), oracle_deriv(*x)):
+                return False
+            if _outcome(step, *x, k_u, 0.1, 1.0, "w") != _outcome(oracle, tuple(x), 0.1, 1.0):
+                return False
+        return True
+
+    def test_equal_inputs_share_one_kernel(self, ref_cfg):
+        copy = replace(ref_cfg, k_u_schedule=((0.0, 5.0, 2.0),))  # K_U is an argument
+        assert dynamics._kernel(copy, "normal") is dynamics._kernel(ref_cfg, "normal")
+        assert dynamics._kernel(ref_cfg, "chattering") is not dynamics._kernel(ref_cfg, "normal")
+
+    def test_sign_of_zero_is_its_own_key(self, ref_cfg):
+        # alpha = max(0, c2 - q/100) vanishes from q = 0 on; its value there
+        # is c2 itself, and the field's dq = a*R - mu carries that sign
+        plus, minus = (replace(ref_cfg, admission=AdmissionSpec("linear", (c2, -0.01)))
+                       for c2 in (0.0, -0.0))
+        assert dynamics._kernel(plus, "normal") is not dynamics._kernel(minus, "normal")
+        dq = [dynamics._kernel(cfg, "normal")[1](25.0, 0.0, 0.0, 0.0)[1] for cfg in (plus, minus)]
+        assert [math.copysign(1.0, v) for v in dq] == [1.0, -1.0]
+        assert self.agrees(plus) and self.agrees(minus)
+
+    def test_one_ulp_is_its_own_key(self, ref_cfg):
+        up = replace(ref_cfg, k_r=math.nextafter(ref_cfg.k_r, math.inf))
+        assert dynamics._kernel(up, "normal") is not dynamics._kernel(ref_cfg, "normal")
+        # at R = 0, dR is K_R itself
+        dr = [dynamics._kernel(cfg, "normal")[1](0.0, 45.0, 0.0, 0.0)[0] for cfg in (ref_cfg, up)]
+        assert dr == [ref_cfg.k_r, up.k_r]
+        assert self.agrees(ref_cfg) and self.agrees(up)
+
+    def test_bounded(self, ref_cfg):
+        cfgs = [replace(ref_cfg, k_r=ref_cfg.k_r + i / 64) for i in range(dynamics._KERNEL_ENTRIES + 3)]
+        names = [dynamics._kernel(cfg, "normal")[0].__code__.co_filename for cfg in cfgs]
+        assert len(dynamics._kernels) == dynamics._KERNEL_ENTRIES
+        assert all(name not in linecache.cache for name in names[:3])
+        assert all(name in linecache.cache for name in names[-dynamics._KERNEL_ENTRIES:])
 
 
 class TestSystemMode:
@@ -724,12 +901,12 @@ class TestSettleBlocks:
                          (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
 
 
-def _converge_by_step(cfg, mode, x0, tol, t_cap, h):
+def _converge_by_step(cfg, mode, x0, tol, t_cap, h, wrap=lambda step: step):
     """converge with its streak kept after every step, as it was before it
-    stepped through the block history: the reference."""
+    stepped through the block history, on the oracle step (passed through
+    wrap): the reference."""
     mode = dynamics.as_mode(mode)
-    deriv = dynamics._scalar_deriv(cfg, mode.field_tag, mode.k_u)
-    context = _step_context(cfg, mode, h)
+    step = wrap(_oracle_step(cfg, mode.field_tag, mode.k_u, _step_context(cfg, mode, h)[2]))
     fps = find_fixed_points(cfg, mode)
     targets = [(float(fp.r_star), float(fp.q_star), float(fp.u_star)) for fp in fps]
     compare_u = mode.tag == "competitive"
@@ -755,7 +932,7 @@ def _converge_by_step(cfg, mode, x0, tol, t_cap, h):
         if x == targets[j]:
             return dynamics.ConvergeResult(np.array(x), True, 0.0)
     for t, dt in dynamics._grid(0.0, t_cap, h):
-        x = dynamics._scalar_step(deriv, x, dt, t, *context)
+        x = step(x, dt, t)
         d, _ = nearest(x)
         if d < tol:
             if streak == 0:
@@ -821,19 +998,22 @@ class TestConvergeBlocks:
         # started on x1*, the per-step loop returns on step 99; a jump in q
         # from step 105 on and a fault on step 110 of the same block must not
         # reach the block-wise one's result either
-        scalar_step = dynamics._scalar_step
         calls = [0]  # steps of the run in progress
 
-        def faulty(*args):
-            calls[0] += 1
-            if calls[0] >= 110:
-                raise FloatingPointError("injected")
-            r, q, u = scalar_step(*args)
-            return r, q + 50.0 * (calls[0] >= 105), u
+        def inject(step):
+            def faulty(*args):
+                calls[0] += 1
+                if calls[0] >= 110:
+                    raise FloatingPointError("injected")
+                r, q, u = step(*args)
+                return r, q + 50.0 * (calls[0] >= 105), u
+            return faulty
 
-        monkeypatch.setattr(dynamics, "_scalar_step", faulty)
+        kernel = dynamics._kernel
+        monkeypatch.setattr(dynamics, "_kernel",
+                            lambda cfg, tag: (inject(kernel(cfg, tag)[0]), kernel(cfg, tag)[1]))
         args = (ref_cfg, NORMAL, (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
-        want = _converge_by_step(*args)
+        want = _converge_by_step(*args, wrap=inject)
         assert dynamics.BLOCK_STEPS > 110
         calls[0] = 0
         got = converge(*args)

@@ -347,7 +347,7 @@ def _per_point_fixed_points(cfg, mode, k_u=None):
         if not (merged and abs(r - merged[-1]) < 1e-6):
             merged.append(r)
     out = []
-    for q_star in merged:
+    for q_star in map(float, merged):  # a FixedPoint holds plain floats
         a, m = eval_admission(cfg.admission, q_star), eval_service(svc, q_star)
         if tag == "normal":
             r_star, u_star = m / a, 0.0
@@ -437,6 +437,19 @@ class TestArrayBisection:
                     assert _field_types(new) == _field_types(ref)
                 roots += len(ref)
         assert roots >= 800
+
+    def test_fields_are_plain_floats(self, ref_cfg, section5_cfg, competitive_cfg, cold):
+        found = 0
+        for cfg in (ref_cfg, section5_cfg, competitive_cfg):
+            for mode in self.MODES:
+                for new in _cold_and_warm(cold, cfg, mode):
+                    for fp in new:
+                        found += 1
+                        for name in ("r_star", "q_star", "u_star", "price_at"):
+                            assert type(getattr(fp, name)) is float, (mode, name)
+        assert found >= 20
+        cuboid = regions.build_cuboid(competitive_cfg, k_u=1.0)
+        assert "np.float64" not in repr(cuboid.vertices)
 
     def test_scan_makes_no_scalar_residual_calls(self, ref_cfg, monkeypatch, cold):
         calls = _counted(monkeypatch, equilibria, "fixed_point_residual")

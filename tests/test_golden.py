@@ -81,6 +81,23 @@ GOLDEN = {
             "_summary.json": "5b02344179b22c14152f40c06952bf1b1d67982200575f323fdc50186706a18a",
         },
     ),
+    # the fields the scenario legs step at the default step, on the cubic
+    # alpha and the saturated price; switched-full crosses both burst edges
+    "simulate_section5_saturated": (
+        ["simulate", "--config", "{cfg}/section5.json", "--mode", "saturated", "--k-u", "0.5",
+         "--out", "{out}"],
+        {"": "a38fd4fc185a25ed380d7c70249390ffcb40dda4bfc0d5d7daa4eac374ce410f"},
+    ),
+    "simulate_section5_competitive": (
+        ["simulate", "--config", "{cfg}/section5.json", "--mode", "competitive", "--k-u", "0.5",
+         "--out", "{out}"],
+        {"": "9ee59aa93f259c599c74830f63ee88ce3337bb07dfc2b509423fccbf52eb13de"},
+    ),
+    "simulate_section5_switched_full": (
+        ["simulate", "--config", "{cfg}/section5.json", "--mode", "switched-full", "--t1", "320",
+         "--out", "{out}"],
+        {"": "4864af86a18ac5a52ba099535541ad8a5a6c59cb6407070f85f6b7592a3731f8"},
+    ),
 }
 
 # name -> (argv, sha256 of what the command printed on stdout)

@@ -440,6 +440,47 @@ class TestFaceRuns:
             assert peak <= 16 * 2**20, (region.kind, peak)
 
 
+def _samples_per_face(region, n):
+    """Each face's boundary states, made one face at a time by its own
+    np.linspace (and np.meshgrid for a cuboid face): the reference for the
+    samples check_invariance writes in place."""
+    if region.kind == "polygon2d":
+        verts = np.asarray(region.vertices, dtype=float)
+        out = []
+        for i in range(len(verts)):
+            v1, v2 = verts[i], verts[(i + 1) % len(verts)]
+            length = np.linalg.norm(v2 - v1)
+            m = min(0.49, regions.VERTEX_MARGIN / length) if length > 0 else 0.0
+            ts = np.linspace(m, 1 - m, n)
+            pts = v1[None, :] + ts[:, None] * (v2 - v1)[None, :]
+            out.append(np.column_stack([pts, np.zeros(len(pts))]))
+        return out
+    corner = region.vertices[1]
+    side = max(2, math.ceil(math.sqrt(n)))
+    out = []
+    for axis, value in [(a, 0.0) for a in range(3)] + [(a, corner[a]) for a in range(3)]:
+        others = [i for i in range(3) if i != axis]
+        A, B = np.meshgrid(*(np.linspace(regions.VERTEX_MARGIN, corner[i] - regions.VERTEX_MARGIN, side)
+                             for i in others))
+        pts = np.empty((A.size, 3))
+        pts[:, axis] = value
+        pts[:, others[0]] = A.ravel()
+        pts[:, others[1]] = B.ravel()
+        out.append(pts)
+    return out
+
+
+class TestFaceSamples:
+    @pytest.mark.parametrize("n", [1, 2, 7, 500, 1000, 3000])
+    def test_match_a_linspace_per_face(self, ref_cfg, competitive_cfg, n):
+        for _, region, mode in TestFaceRuns.cases(ref_cfg, competitive_cfg):
+            got = [states for _, states, *_ in regions._faces(region, mode.k_u, n)]
+            want = _samples_per_face(region, n)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 class TestBuildCuboid:
     def test_defaults_pass_invariance(self, competitive_cfg):
         cub = build_cuboid(competitive_cfg, k_u=1.0)
