@@ -191,9 +191,7 @@ def _apply_override(doc: dict, item: str) -> dict:
     parts = key.split(".")
     node = doc
     for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"override {key!r}: unknown key path")
-        node = node[p]
+        node = node.get(p) if isinstance(node, dict) else None
     if not isinstance(node, dict):
         raise ConfigError(f"override {key!r}: unknown key path")
     node[parts[-1]] = value
@@ -318,9 +316,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def _cmd_simulate(args, cfg, mode) -> int:
-    x0 = [float(v) for v in args.x0.split(",")]
-    traj = dynamics.integrate(cfg, mode, x0, args.t0, args.t1, args.step)
+    traj = dynamics.integrate(cfg, mode, args.x0, args.t0, args.t1, args.step)
     _write_csv(args.out, TRAJ_HEADER, _traj_lines(traj, args.every))
     return 0
 
@@ -454,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, default=100.0)
     add(p, "--step")
-    p.add_argument("--x0", default="50,15,0", help="initial state r,q[,u]")
+    p.add_argument("--x0", type=_floats, default="50,15,0", help="initial state r,q[,u]")
     add(p, "--every", "--out")
 
     p = command("phase", _cmd_phase, "vector-field grid as CSV")

@@ -23,12 +23,14 @@ of that set under the exact flow).  No event location is performed; the
 kink set has measure zero and the O(h) local error there is absorbed by
 the acceptance tolerances.
 
-Every driver takes its steps from one clock, _grid: step k of a span
-[a, b] ends at a + k*h and the last step ends exactly on b (a schedule
-breakpoint, t1 or t0 + t_cap).  Times come from the step index, never a
-running sum, so settle times lie on the grid; the steps are yielded
-lazily, so memory is O(1) in the horizon.  h outside (0, 0.1] and
-non-finite spans (NaN or infinite t0, t1, t_cap) raise ValueError.
+Every driver takes its steps, each as (t, dt, K_U), from one clock,
+_clock, the one place that knows the schedule: it cuts a switched_full
+run at the schedule breakpoints, so every driver but converge (whose
+targets need one constant K_U) runs that mode.  Step k of a piece [a, b]
+ends at a + k*h and the last exactly on b (a schedule breakpoint, t1 or
+t0 + t_cap); times come from the step index, never a running sum, so
+settle times lie on the grid.  Steps are made lazily, so memory is O(1)
+in the horizon.  h outside (0, 0.1] and non-finite spans raise ValueError.
 
 The stepper has two backends with the same formulas and operation
 order, which agree bit for bit and raise FloatingPointError on the first
@@ -36,15 +38,14 @@ NaN state; the run count picks one, in _march alone.  One run without
 raw tracking (integrate, converge, a single start in settle_batch or
 final_states) steps plain floats through one generated function per
 configuration and field (_kernel): the RK4 step with f, alpha and mu
-inlined into each stage as if/elif chains over the specs' piece tables,
-the mode algebra, clamps and NaN check fixed when it is compiled, and
-K_U, dt and t as arguments.  It is compiled on first use and kept in a
-small memo keyed by the exact bits of its inputs.  Any other batch is
-one C-contiguous (3, n) stack, rows R, q and U: its right-hand side
-(_make_deriv, on the numpy kernels the model specs own; rhs wraps it)
-writes into a caller-owned (3, n) buffer, and its step (_batch_step)
-advances the stack in place or into a given slot, one numpy call per
-stage update.
+inlined into each stage as if/elif chains over the specs' piece tables
+and the mode algebra, clamps and NaN check fixed, compiled on first use
+and kept in a small memo keyed by the exact bits of its inputs.  Any
+other batch is one C-contiguous (3, n) stack, rows R, q and U, advanced
+in place or into a given slot by _batch_step, one numpy call per stage
+update, on the field of _make_deriv (the numpy kernels the model specs
+own; rhs wraps it), which writes into a caller-owned (3, n) buffer.
+Both backends take K_U, dt and t per step, from the clock.
 
 Every driver steps through one block history (_blocks): each step writes
 its result into the next slot of a preallocated (block, 3[, n]) history,
@@ -204,17 +205,17 @@ def _chattering_flow(cfg: ModelConfig, a, r, q):
     return np.minimum(flow, cfg.service.mu_star, out=flow, where=q >= cfg.q_ad)
 
 
-def _make_deriv(cfg: ModelConfig, tag: str, k_u: float):
-    """(x, out) -> out: the field at the (3, n) states x (rows R, q, U),
-    written in place into the (3, n) buffer out, after projecting onto the
-    orthant; _kernel's field has the same operation order.  The 2-state
-    modes leave out's U row as it is."""
+def _make_deriv(cfg: ModelConfig, tag: str):
+    """(x, out, k_u) -> out: the field at the (3, n) states x (rows R, q,
+    U) and unresponsive load k_u, written in place into the (3, n) buffer
+    out, after projecting onto the orthant; _kernel's field has the same
+    operation order.  The 2-state modes leave out's U row as it is."""
     f, alpha, mu = cfg.price._kernel, cfg.admission._kernel, cfg.service._kernel
     k_r = cfg.k_r
     _admittance_bound(cfg, tag)  # chattering needs q_ad
     rows = 3 if tag == "competitive" else 2
 
-    def deriv(x, out):
+    def deriv(x, out, k_u):
         p = np.maximum(x[:rows], 0.0)
         r, q = p[0], p[1]
         a, fq, m = alpha(q), f(q), mu(q)
@@ -363,6 +364,12 @@ def _kernel(cfg: ModelConfig, tag: str):
             linecache.cache.pop(dropped.__code__.co_filename, None)
     return kernel
 
+
+def _k_u(cfg: ModelConfig, mode: SystemMode, t: float) -> float:
+    """The mode's K_U at time t: the schedule's in switched_full, else its constant."""
+    return cfg.schedule_rate(t) if mode.tag == "switched_full" else mode.k_u
+
+
 def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     """Right-hand side of the mode at time t and state x = (r, q[, u]).
 
@@ -372,15 +379,14 @@ def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     stage points that overshoot the axes remain well defined.
     """
     mode = as_mode(mode)
-    k_u = cfg.schedule_rate(t) if mode.tag == "switched_full" else mode.k_u
-    deriv = _make_deriv(cfg, mode.field_tag, k_u)
     arr = np.asarray(x, dtype=float)
     ncoord = arr.shape[-1]
     if ncoord not in (2, 3):
         raise ValueError("state must have 2 or 3 coordinates")
     stack = np.zeros((3, arr.size // ncoord))  # U = 0 for 2-coordinate states
     stack[:ncoord] = arr.reshape(-1, ncoord).T
-    return deriv(stack, np.zeros_like(stack))[:ncoord].T.reshape(arr.shape)
+    out = _make_deriv(cfg, mode.field_tag)(stack, np.zeros_like(stack), _k_u(cfg, mode, t))
+    return out[:ncoord].T.reshape(arr.shape)
 
 
 def admitted_flows(cfg: ModelConfig, mode, x):
@@ -403,39 +409,29 @@ def admitted_flows(cfg: ModelConfig, mode, x):
     return flow, np.zeros_like(r)
 
 
-def _pieces(cfg: ModelConfig, mode: SystemMode, t0: float, t1: float):
-    """(start, end, k_u) integration pieces with constant K_U each."""
-    if mode.tag != "switched_full":
-        return [(t0, t1, mode.k_u)]
-    edges = [t0] + cfg.schedule_breakpoints(t0, t1) + [t1]
-    return [
-        (a, b, cfg.schedule_rate(a)) for a, b in zip(edges[:-1], edges[1:])
-    ]
-
-
 def _batch_step(deriv, n, q_cap, chat_cap, where):
-    """The compiled scalar step's numpy twin for n states: step(x, dt, t,
-    raw=None, out=None) advances the (3, n) C-contiguous stack x into the
-    (3, n) C-contiguous out (x itself when None), in that step's operation
-    order, through four derivative buffers (U rows zero, as the 2-state
-    fields never write dU) and a stage buffer allocated once here.  raw,
-    when given, is a [per-coordinate minimum, maximum q] pair that takes
-    in the unclamped result.  Runs that started on or below the chattering
+    """The compiled scalar step's numpy twin for n states: step(x, k_u, dt,
+    t, raw=None, out=None) advances the (3, n) C-contiguous stack x under
+    the load k_u into the (3, n) C-contiguous out (x itself when None), in
+    that step's operation order, through four derivative buffers (U rows
+    zero, as the 2-state fields never write dU) and a stage buffer
+    allocated once here.  raw, when given, is a [per-coordinate minimum,
+    maximum q] pair that takes in the unclamped result.  Runs that started on or below the chattering
     bound chat_cap are then projected back onto it, all are clamped onto
     the box (coordinates >= 0, q <= q_cap), and a NaN raises
     FloatingPointError naming the end time t and the run context where."""
     k1, k2, k3, k4 = (np.zeros((3, n)) for _ in range(4))
     s = np.empty((3, n))
 
-    def step(x, dt, t, raw=None, out=None):
+    def step(x, k_u, dt, t, raw=None, out=None):
         if out is None:
             out = x
         if chat_cap is not None:
             below = x[1] <= chat_cap + CLAMP_EPS
-        deriv(x, k1)
+        deriv(x, k1, k_u)
         for k, k_next, c in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
             np.add(np.multiply(k, c, out=s), x, out=s)
-            deriv(s, k_next)
+            deriv(s, k_next, k_u)
         # x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4)
         np.add(np.multiply(k2, 2, out=s), k1, out=s)
         np.add(s, np.multiply(k3, 2, out=k3), out=s)
@@ -468,12 +464,26 @@ def _step_count(a: float, b: float, h: float) -> int:
     return max(1, math.ceil(span / h - 1e-9)) if span > 0 else 0
 
 
-def _grid(a: float, b: float, h: float):
-    """The clock on [a, b], checked now, stepped lazily: (t, dt) per RK4
-    step, step k ending at a + k*h, the last shortened to end on b."""
-    n = _step_count(a, b, h)
-    last = (b - a) - (n - 1) * h
-    return ((b, last) if k == n else (a + k * h, h) for k in range(1, n + 1))
+class _clock:
+    """The mode's RK4 steps on [a, b], checked when made, produced lazily
+    like range's: (t, dt, K_U) per step, .steps of them.  switched_full is
+    cut at the schedule edges inside (a, b), any other mode kept whole;
+    step k of a piece [s, e] ends at s + k*h, the last on e, at the K_U of
+    time s."""
+
+    def __init__(self, cfg: ModelConfig, mode: SystemMode, a: float, b: float, h: float):
+        inner = {e for piece in cfg.k_u_schedule for e in piece[:2] if a < e < b}
+        edges = [a, *sorted(inner), b] if mode.tag == "switched_full" else [a, b]
+        self.pieces = [(s, e, _step_count(s, e, h), h, _k_u(cfg, mode, s))
+                       for s, e in zip(edges, edges[1:])]
+        self.steps = sum(piece[2] for piece in self.pieces)
+
+    def __iter__(self):
+        for s, e, n, h, k_u in self.pieces:
+            for k in range(1, n):
+                yield s + k * h, h, k_u
+            if n:
+                yield e, (e - s) - (n - 1) * h, k_u
 
 
 def _block_steps(n: int) -> int:
@@ -482,8 +492,8 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (24 * max(n, 1))))
 
 
-def _blocks(advance, shape, grid, size: int):
-    """Step a run's advance along grid into one (size, *shape) history.
+def _blocks(advance, shape, clock, size: int):
+    """Step a run's advance(t, dt, k_u, slot) along the clock into one (size, *shape) history.
 
     Yields (states, times) per block of up to size steps: views of the
     states after each of its k steps, (k, *shape), and of the steps' end
@@ -496,12 +506,12 @@ def _blocks(advance, shape, grid, size: int):
     hist = np.empty((size, *shape))
     slots = list(hist)  # the views, made once
     times = np.empty(size)
-    grid = iter(grid)
+    clock = iter(clock)
     while True:
         k, fault = 0, None
-        for t, dt in itertools.islice(grid, size):
+        for t, dt, k_u in itertools.islice(clock, size):
             try:
-                advance(dt, t, slots[k])
+                advance(t, dt, k_u, slots[k])
             except FloatingPointError as exc:
                 fault = exc
                 break
@@ -579,39 +589,34 @@ def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
     return tuple(_starts(np.ravel(x0), name)[0].tolist())
 
 
-def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, grid, size: int, *,
-           k_u=None, raw=None):
+def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, size: int, *, raw=None):
     """_blocks of size steps for the runs started at the (3, n) states x,
-    stepped along grid by the checked RK4 step of the mode's field at
-    constant K_U (k_u for one switched_full piece).  One run without raw
-    keeps (r, q, u) floats for the compiled step of _kernel and stores
-    them item by item into a (size, 3) history; any other batch steps the
-    C-contiguous x by _batch_step (raw as there) into (size, 3, n), from
-    the slot it wrote last.  Checks its arguments now, not on the first
-    step."""
-    if k_u is None and mode.tag == "switched_full":
-        raise ValueError("switched_full has no constant K_U; run each schedule piece on its own")
-    k_u = mode.k_u if k_u is None else k_u
+    stepped along the clock by the checked RK4 step of the mode's field at
+    each step's K_U.  One run without raw keeps (r, q, u) floats for the
+    compiled step of _kernel and stores them item by item into a (size, 3)
+    history; any other batch steps the C-contiguous x by _batch_step (raw
+    as there) into (size, 3, n), from the slot it wrote last.  Checks its
+    arguments now, not on the first step."""
     where = f"mode {mode.tag}, h = {h:g}"
     if x.shape[1] == 1 and raw is None:
         step = _kernel(cfg, mode.field_tag)[0]
         r, q, u = x[:, 0].tolist()
 
-        def advance(dt, t, out):
+        def advance(t, dt, k_u, out):
             nonlocal r, q, u
             r, q, u = step(r, q, u, k_u, dt, t, where)
             out[0] = r
             out[1] = q
             out[2] = u
-        return _blocks(advance, (3,), grid, size)
-    step = _batch_step(_make_deriv(cfg, mode.field_tag, k_u), x.shape[1], cfg.admission.q_max,
+        return _blocks(advance, (3,), clock, size)
+    step = _batch_step(_make_deriv(cfg, mode.field_tag), x.shape[1], cfg.admission.q_max,
                        _admittance_bound(cfg, mode.tag), where)
 
-    def advance(dt, t, out):
+    def advance(t, dt, k_u, out):
         nonlocal x
-        step(x, dt, t, raw, out)
+        step(x, k_u, dt, t, raw, out)
         x = out
-    return _blocks(advance, x.shape, grid, size)
+    return _blocks(advance, x.shape, clock, size)
 
 
 def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAULT_STEP) -> Trajectory:
@@ -624,18 +629,15 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
     x = _start(x0)
-    pieces = _pieces(cfg, mode, t0, t1)
-    n = 1 + sum(_step_count(a, b, h) for a, b, _ in pieces)
-    times = np.empty(n)
-    states = np.empty((n, 3))
+    clock = _clock(cfg, mode, t0, t1, h)
+    times = np.empty(1 + clock.steps)
+    states = np.empty((len(times), 3))
     times[0], states[0] = t0, x
     k = 1
-    for a, b, k_u in pieces:
-        start = states[k - 1][:, None]
-        for block, ts in _march(cfg, mode, h, start, _grid(a, b, h), BLOCK_STEPS, k_u=k_u):
-            times[k : k + len(ts)] = ts
-            states[k : k + len(ts)] = block
-            k += len(ts)
+    for block, ts in _march(cfg, mode, h, states[:1].T, clock, BLOCK_STEPS):
+        times[k : k + len(ts)] = ts
+        states[k : k + len(ts)] = block
+        k += len(ts)
 
     fr, fu = admitted_flows(cfg, mode, states)
     return Trajectory(
@@ -685,16 +687,17 @@ def final_states(
     """
     if t1 < t0:
         raise ValueError("t1 must be >= t0")
+    mode = as_mode(mode)
     x = np.ascontiguousarray(_starts(x0s).T)
     n = x.shape[1]
-    grid = _grid(t0, t1, h)
+    clock = _clock(cfg, mode, t0, t1, h)
     raw = [np.full(3, np.inf), -np.inf] if raw_bounds else None
     excess, size = None, 1  # without a region nothing reads the history: one slot will do
     if region is not None:
         A, b = _check_region(region)
         excess, size = np.full(n, -np.inf), _block_steps(n)
 
-    for states, _ in _march(cfg, as_mode(mode), h, x, grid, size, raw=raw):
+    for states, _ in _march(cfg, mode, h, x, clock, size, raw=raw):
         states = states.reshape(len(states), 3, n)  # (k, 3, 1) from the scalar backend's (k, 3)
         x = states[-1]
         if excess is not None:
@@ -721,8 +724,8 @@ def _settle_run(cfg: ModelConfig, mode: SystemMode, x0s, targets, tol: float, t_
         raise ValueError("t_cap must be >= 0")
     x = np.ascontiguousarray(_starts(x0s).T)
     n = x.shape[1]
-    grid = _grid(t0, t0 + t_cap, h)
-    blocks = _march(cfg, mode, h, x, grid if n else (), _block_steps(n))
+    clock = _clock(cfg, mode, t0, t0 + t_cap, h)
+    blocks = _march(cfg, mode, h, x, clock if n else (), _block_steps(n))
     streak = _within(x[None], targets, tol)[0] * 1 if start_counts else np.zeros(n, dtype=int)
     return _settle(blocks, x, t0, targets, tol, streak)
 
@@ -783,6 +786,8 @@ def converge(
     from . import equilibria  # deferred: equilibria imports stability imports this
 
     mode = as_mode(mode)
+    if mode.tag == "switched_full":  # its targets are fixed points of a constant K_U
+        raise ValueError("switched_full has no constant K_U; run each schedule piece on its own")
     targets = np.array([(fp.r_star, fp.q_star, fp.u_star)[: mode.dim]
                         for fp in equilibria.find_fixed_points(cfg, mode)]).reshape(-1, mode.dim, 1)
     settle_t, x, _, _ = _settle_run(cfg, mode, np.ravel(x0), targets, tol, t_cap, h, 0.0,

@@ -342,9 +342,9 @@ def calibrate_cubic_admission(
     derivative is nonpositive on all of [0, q_max] and that rounds to alpha
     > 0 at the float below q_max wins.
     """
+    q1, q2 = _target_queues(targets, price)  # first: a surge price has no q_m
     if not q_max > 2 * price.q_m:
         raise CalibrationError(f"q_max must exceed 2*q_m = {2 * price.q_m:g}")
-    q1, q2 = _target_queues(targets, price)
     a1t, a2t = _alpha_targets(q1, q2, price, service, k_r)
     if a1t <= a2t:
         raise CalibrationError(

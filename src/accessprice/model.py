@@ -306,15 +306,6 @@ class ModelConfig:
                 return rate
         return 0.0
 
-    def schedule_breakpoints(self, t0: float, t1: float) -> list[float]:
-        """Schedule edges strictly inside (t0, t1), sorted."""
-        edges = set()
-        for a, b, _ in self.k_u_schedule:
-            for e in (a, b):
-                if t0 < e < t1:
-                    edges.add(e)
-        return sorted(edges)
-
     def kink_points(self) -> tuple[float, ...]:
         """Queue lengths where f, mu or alpha are not differentiable: the
         breakpoints of their piece tables after 0, all finite."""

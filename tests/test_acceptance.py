@@ -5,6 +5,7 @@ lines and timings.  Every tolerance is pinned here; nothing is deferred
 to later calibration.
 """
 
+from pathlib import Path
 import time
 
 import numpy as np
@@ -306,7 +307,7 @@ def test_c10_cli_determinism(config_dir, tmp_path, capsys):
             paths = [str(tmp_path / f"{tag}{i}{suffix}") for i, suffix in enumerate(outputs)]
             code = cli.run([arg.format(*paths) for arg in argv])
             assert code == 0
-            blobs.append(b"".join(open(p, "rb").read() for p in paths))
+            blobs.append(b"".join(Path(p).read_bytes() for p in paths))
         assert blobs[0] == blobs[1]
 
     twice(["fixed-points", "--config", ref, "--out", "{0}"], [".csv"])
@@ -351,7 +352,7 @@ def test_c10_cli_determinism(config_dir, tmp_path, capsys):
             == 0
         )
         parts = [
-            open(f"{prefix}{sfx}", "rb").read()
+            Path(f"{prefix}{sfx}").read_bytes()
             for sfx in (
                 "_surge.csv", "_saturated.csv", "_fairness_surge.csv",
                 "_fairness_saturated.csv", "_summary.json",

@@ -213,6 +213,23 @@ class TestInputDomain:
         assert run(argv) == 2
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "x0, code, err",
+        [
+            ("a,b", 2, "error: argument --x0: invalid _floats value: 'a,b'\n"),
+            ("30,,45", 2, "error: argument --x0: invalid _floats value: '30,,45'\n"),
+            # numeric starts that integrate rejects stay run-time errors
+            ("nan,5", 1, "error: initial state must be finite and nonnegative\n"),
+            ("1,2,3,4", 1, "error: initial state must have 2 or 3 coordinates\n"),
+            ("-1,5", 1, "error: initial state must be finite and nonnegative\n"),
+        ],
+    )
+    def test_malformed_x0(self, config_dir, tmp_path, capsys, x0, code, err):
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--config", str(config_dir / "ref.json"), f"--x0={x0}",
+                    "--t1", "1", "--step", "0.1", "--out", str(out)]) == code
+        assert capsys.readouterr().err.endswith(err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("below", [False, True])
     def test_unwritable_out_is_usage_error(self, config_dir, tmp_path, capsys, below):

@@ -377,7 +377,7 @@ class TestScalarBackend:
         x = self.states(cfg)
         with np.errstate(invalid="ignore"):
             want = np.column_stack(
-                dynamics._make_deriv(cfg, tag, k_u)(x.T.copy(), np.zeros((3, len(x))))
+                dynamics._make_deriv(cfg, tag)(x.T.copy(), np.zeros((3, len(x))), k_u)
             )
         compiled = dynamics._kernel(cfg, tag)[1]
         got = np.array([compiled(*map(float, row), k_u) for row in x])
@@ -417,7 +417,7 @@ class TestScalarBackend:
         step = dynamics._kernel(cfg, mode.field_tag)[0]
         oracle = _oracle_step(cfg, mode.field_tag, mode.k_u, where)
         x = y = start
-        for t, dt in dynamics._grid(0.0, 100.0, 0.05):
+        for t, dt, _ in dynamics._clock(cfg, mode, 0.0, 100.0, 0.05):
             x, y = step(*x, mode.k_u, dt, t, where), oracle(y, dt, t)
             assert [v.hex() for v in x] == [v.hex() for v in y], t
 
@@ -676,19 +676,19 @@ class TestClock:
             (0.0, 100.0, 0.05),
         ],
     )
-    def test_grid_matches_substeps(self, a, b, h):
-        steps = list(dynamics._grid(a, b, h))
-        assert [dt for _, dt in steps] == _substeps_formula(a, b, h)
+    def test_grid_matches_substeps(self, ref_cfg, a, b, h):
+        steps = list(dynamics._clock(ref_cfg, NORMAL, a, b, h))
+        assert [dt for _, dt, _ in steps] == _substeps_formula(a, b, h)
         assert len(steps) == dynamics._step_count(a, b, h)
-        assert [t for t, _ in steps[:-1]] == [a + k * h for k in range(1, len(steps))]
+        assert [t for t, _, _ in steps[:-1]] == [a + k * h for k in range(1, len(steps))]
         if steps:
             assert steps[-1][0] == b
 
     @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (0.0, math.inf),
                                       (-math.inf, 0.0), (-1e308, 1e308), (1e308, 1.7e308)])
-    def test_non_finite_span_rejected(self, a, b):
+    def test_non_finite_span_rejected(self, ref_cfg, a, b):
         with pytest.raises(ValueError, match="must be finite"):
-            dynamics._grid(a, b, 0.01)
+            dynamics._clock(ref_cfg, NORMAL, a, b, 0.01)
 
     @pytest.mark.parametrize(
         "run",
@@ -772,8 +772,8 @@ def _step_context(cfg, mode, h):
 
 
 def _batch_stepper(cfg, mode, h, n):
-    """The batch backend's step for n runs at the mode's constant K_U."""
-    deriv = dynamics._make_deriv(cfg, mode.field_tag, mode.k_u)
+    """The batch backend's step for n runs, K_U passed per step."""
+    deriv = dynamics._make_deriv(cfg, mode.field_tag)
     return dynamics._batch_step(deriv, n, *_step_context(cfg, mode, h))
 
 
@@ -791,8 +791,8 @@ def _settle_by_step(cfg, mode, x0s, target, tol, t_cap, h, t0=0.0):
     settle_t = np.full(n, np.nan)
     max_q = float(x[1].max(initial=-np.inf))
     t = t0
-    for t, dt in dynamics._grid(t0, t0 + t_cap, h) if n else ():
-        step(x, dt, t)
+    for t, dt, k_u in dynamics._clock(cfg, mode, t0, t0 + t_cap, h) if n else ():
+        step(x, k_u, dt, t)
         max_q = max(max_q, float(x[1].max()))
         within = np.abs(x[:compared] - tgt).max(axis=0) < tol
         np.copyto(streak_t0, t, where=streak == 0)
@@ -878,11 +878,11 @@ class TestSettleBlocks:
             step = batch_step(*args)
             calls = [0]
 
-            def faulty(x, dt, t, raw=None, out=None):
+            def faulty(x, k_u, dt, t, raw=None, out=None):
                 calls[0] += 1
                 if calls[0] >= 110:
                     raise FloatingPointError("injected")
-                step(x, dt, t, raw, out)
+                step(x, k_u, dt, t, raw, out)
                 if calls[0] >= 105:
                     (x if out is None else out)[1] += 50.0
             return faulty
@@ -931,7 +931,7 @@ def _converge_by_step(cfg, mode, x0, tol, t_cap, h, wrap=lambda step: step):
         streak, streak_start = 1, 0.0
         if x == targets[j]:
             return dynamics.ConvergeResult(np.array(x), True, 0.0)
-    for t, dt in dynamics._grid(0.0, t_cap, h):
+    for t, dt, _ in dynamics._clock(cfg, mode, 0.0, t_cap, h):
         x = step(x, dt, t)
         d, _ = nearest(x)
         if d < tol:
@@ -1034,8 +1034,8 @@ def _excess_by_step(cfg, mode, x0s, t0, t1, h, region):
     raw = [np.full(3, np.inf), -np.inf]
     a_r, a_q, a_u, b = *A.T[:, :, None], b[:, None]
     excess = np.full(x.shape[1], -np.inf)
-    for t, dt in dynamics._grid(t0, t1, h):
-        step(x, dt, t, raw)
+    for t, dt, k_u in dynamics._clock(cfg, mode, t0, t1, h):
+        step(x, k_u, dt, t, raw)
         r, q, u = x
         vals = a_r * r + a_q * q + a_u * u - b
         np.maximum(excess, vals.max(axis=0), out=excess)
@@ -1150,3 +1150,46 @@ class TestBackendChoice:
         final_states(ref_cfg, NORMAL, three, 0.0, 1.0, 0.1)
         settle_batch(ref_cfg, NORMAL, three, (25.0, 40.0, 0.0), 1e-3, 1.0, 0.1)
         assert bound == [1, 3, 3]
+
+
+class TestSwitchedBatch:
+    """Every driver runs switched_full on the one clock, which cuts the run
+    at the schedule breakpoints."""
+
+    # section5's low equilibrium at K_U = 0, the state before and long after its burst
+    LOW = (47.61904761904762, 30.0, 0.0)
+
+    def test_clock_cuts_at_breakpoints(self, section5_cfg):
+        # h = 0.03 does not divide the span to the burst start at t = 100
+        clock = dynamics._clock(section5_cfg, SWITCHED_FULL, 99.0, 101.0, 0.03)
+        steps = list(clock)
+        assert len(steps) == clock.steps == 34 + 34
+        assert steps[33] == (100.0, 1.0 - 33 * 0.03, 0.0) and steps[-1][0] == 101.0
+        assert {k_u for _, _, k_u in steps[:34]} == {0.0}
+        assert {k_u for _, _, k_u in steps[34:]} == {4.0}
+        # any other mode keeps the span whole at its own K_U
+        whole = list(dynamics._clock(section5_cfg, competitive_mode(0.5), 99.0, 101.0, 0.03))
+        assert len(whole) == 67 and {k_u for _, _, k_u in whole} == {0.5}
+
+    def test_final_states_match_integrate(self, section5_cfg):
+        # [0, 320] crosses both burst edges, neither on the h = 0.07 grid from 0
+        start = (50.0, 15.0, 0.0)
+        want = integrate(section5_cfg, SWITCHED_FULL, start, 0.0, 320.0, 0.07).final_state
+        one = final_states(section5_cfg, SWITCHED_FULL, [start], 0.0, 320.0, 0.07)
+        raw = final_states(section5_cfg, SWITCHED_FULL, [start], 0.0, 320.0, 0.07,
+                           raw_bounds=True)  # one run on the numpy backend
+        three = final_states(section5_cfg, SWITCHED_FULL, [start] * 3, 0.0, 320.0, 0.07)
+        for res, n in ((one, 1), (raw, 1), (three, 3)):
+            assert _bits_equal(res.states, np.tile(want, (n, 1)))
+
+    def test_settle_batch_matches_converge_after_the_burst(self, section5_cfg):
+        # from the low equilibrium at the burst start; once the burst ends at
+        # t = 300 the run is converge's from integrate's state there
+        res = settle_batch(section5_cfg, SWITCHED_FULL, [self.LOW], self.LOW, 1e-2, 3000.0,
+                           t0=100.0)
+        at_300 = integrate(section5_cfg, SWITCHED_FULL, self.LOW, 100.0, 300.0).final_state
+        after = converge(section5_cfg, competitive_mode(0.0), at_300, 1e-2, 3000.0)
+        assert after.converged and after.settling_time == 580.2
+        assert res.settled.tolist() == [True]
+        assert res.settle_times.tolist() == [880.2] == [300.0 + after.settling_time]
+        assert _bits_equal(res.states[0], after.final_state)

@@ -7,6 +7,7 @@ which outputs moved and why.
 """
 
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def golden_digests(name, config_dir, tmp_path):
     code = cli.run([a.format(cfg=config_dir, out=out) for a in argv])
     assert code == 0
     return {
-        suffix: hashlib.sha256(open(out + suffix, "rb").read()).hexdigest()
+        suffix: hashlib.sha256(Path(out + suffix).read_bytes()).hexdigest()
         for suffix in expected
     }
 
