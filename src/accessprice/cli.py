@@ -21,6 +21,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -456,6 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=100.0)
     add(p, "--step")
     p.add_argument("--x0", type=_floats, default="50,15,0", help="initial state r,q[,u]")
+    # a word such as -1,5 is a value, not an option, as argparse reads -1 (a private hook)
+    p._negative_number_matcher = re.compile(r"^-\.?\d")
     add(p, "--every", "--out")
 
     p = command("phase", _cmd_phase, "vector-field grid as CSV")

@@ -23,46 +23,38 @@ of that set under the exact flow).  No event location is performed; the
 kink set has measure zero and the O(h) local error there is absorbed by
 the acceptance tolerances.
 
-Every driver takes its steps, each as (t, dt, K_U), from one clock,
-_clock, the one place that knows the schedule: it cuts a switched_full
-run at the schedule breakpoints, so every driver but converge (whose
-targets need one constant K_U) runs that mode.  Step k of a piece [a, b]
-ends at a + k*h and the last exactly on b (a schedule breakpoint, t1 or
-t0 + t_cap); times come from the step index, never a running sum, so
-settle times lie on the grid.  Steps are made lazily, so memory is O(1)
-in the horizon.  h outside (0, 0.1] and non-finite spans raise ValueError.
+Every driver takes its steps, each as (t, dt, K_U), lazily from one
+clock, _clock, the one place that knows the schedule: it cuts a
+switched_full run at the schedule breakpoints, so every driver but
+converge (whose targets need one constant K_U) runs that mode.  Step k
+of a piece [a, b] ends at a + k*h, from the index, and the last exactly
+on b.  h outside (0, 0.1] and non-finite spans raise ValueError.
 
 The stepper has two backends with the same formulas and operation
 order, which agree bit for bit and raise FloatingPointError on the first
 NaN state; the run count picks one, in _march alone.  One run without
-raw tracking (integrate, converge, a single start in settle_batch or
-final_states) steps plain floats through one generated function per
-configuration and field (_kernel): the RK4 step with f, alpha and mu
-inlined into each stage as if/elif chains over the specs' piece tables
-and the mode algebra, clamps and NaN check fixed, compiled on first use
-and kept in a small memo keyed by the exact bits of its inputs.  Any
-other batch is one C-contiguous (3, n) stack, rows R, q and U, advanced
-in place or into a given slot by _batch_step, one numpy call per stage
-update, on the field of _make_deriv (the numpy kernels the model specs
-own; rhs wraps it), which writes into a caller-owned (3, n) buffer.
-Both backends take K_U, dt and t per step, from the clock.
+raw tracking steps plain floats through one function per configuration
+and field (_kernel), generated from the specs' piece tables, compiled on
+first use and memoised on the exact bits of its inputs.  Any other batch
+is one C-contiguous (3, n) stack, rows R, q and U, stepped by _batch_step
+on the field of _make_deriv (the specs' numpy kernels; rhs wraps it).
+At small n a numpy call costs its overhead, not its arithmetic, so that
+step makes its buffers and 0-d constants once per march and passes out
+positionally (np.maximum's and np.minimum's by name: their positional
+form is deprecated and slower).
 
 Every driver steps through one block history (_blocks): each step writes
 its result into the next slot of a preallocated (block, 3[, n]) history,
-and the driver then takes the block's observations with whole-array
-operations: integrate copies the block into its trajectory, final_states
-takes region excess, and settle_batch folds tolerance streaks and settle
-times by one rule (_settle); converge is the same settle run at n = 1 on
-the mode's fixed points.  At small n every numpy call costs about a
-microsecond whatever its size, so per-step bookkeeping would cost as much
-as a quarter of a step; per block it costs a fraction of a microsecond
-per step.  A block is BLOCK_STEPS steps, fewer when its history would
-pass BLOCK_BYTES, so memory stays bounded at any n.  Every result is the
-one per-step bookkeeping gives, bit for bit: the fold carries each run's
-streak across block edges (for converge only, a start within tol counts
-as the streak's first state), returns the state and time of the step
-where the last run settled, and ignores a FloatingPointError raised
-after it in the same block, which a per-step loop never reaches.
+and the driver takes the block's observations with whole-array
+operations: integrate copies it, final_states takes region excess, and
+settle_batch and converge (a settle run at n = 1 on the mode's fixed
+points) fold tolerance streaks and settle times by one rule (_settle).
+A block is BLOCK_STEPS steps, fewer when its history would pass
+BLOCK_BYTES.  Results are those of per-step bookkeeping, bit for bit:
+the fold carries each run's streak across block edges (for converge, a
+start within tol counts as the streak's first state), returns the state
+and time of the step where the last run settled, and ignores a
+FloatingPointError raised after it in the same block.
 """
 
 from __future__ import annotations
@@ -199,42 +191,55 @@ def _admittance_bound(cfg: ModelConfig, tag: str) -> float | None:
     return cfg.q_ad
 
 
-def _chattering_flow(cfg: ModelConfig, a, r, q):
-    """Admitted flow alpha(q)*R of chattering mode, capped at mu_star from q_ad on."""
-    flow = np.asarray(a * r)  # 0-d for one state, so the cap can write into it
-    return np.minimum(flow, cfg.service.mu_star, out=flow, where=q >= cfg.q_ad)
+def _cap_flow(flow, q, q_ad, mu_star, out=None, mask=None):
+    """Chattering's cap: flow = alpha(q)*R lowered in place to mu_star where
+    q >= q_ad (out, mask: scratch).  np.minimum(where=) is slower."""
+    np.copyto(flow, np.minimum(flow, mu_star, out=out), where=np.greater_equal(q, q_ad, mask))
 
 
 def _make_deriv(cfg: ModelConfig, tag: str):
     """(x, out, k_u) -> out: the field at the (3, n) states x (rows R, q,
-    U) and unresponsive load k_u, written in place into the (3, n) buffer
-    out, after projecting onto the orthant; _kernel's field has the same
-    operation order.  The 2-state modes leave out's U row as it is."""
+    U) under the load k_u, written into the (3, n) out, which must not
+    overlap x, after projecting onto the orthant; _kernel's field has the
+    same operation order.  2-state fields leave out's U row as it is.  out
+    takes the projected state, then mu in place of q; two scratch rows (and
+    chattering's mask) are made when the width changes."""
     f, alpha, mu = cfg.price._kernel, cfg.admission._kernel, cfg.service._kernel
-    k_r = cfg.k_r
-    _admittance_bound(cfg, tag)  # chattering needs q_ad
+    k_r, zero = np.array(cfg.k_r), np.array(0.0)
+    if tag == "chattering":
+        q_ad, mu_star = np.array(_admittance_bound(cfg, tag)), np.array(cfg.service.mu_star)
     rows = 3 if tag == "competitive" else 2
+    a = fq = mask = np.empty((0, 0))
+    sub, mul, add = np.subtract, np.multiply, np.add
 
     def deriv(x, out, k_u):
-        p = np.maximum(x[:rows], 0.0)
-        r, q = p[0], p[1]
-        a, fq, m = alpha(q), f(q), mu(q)
-        dr, dq = out[0], out[1]
+        nonlocal a, fq, mask
+        if a.shape != x.shape[1:]:
+            a, fq = np.empty((2, x.shape[1]))
+            mask = np.empty(x.shape[1], bool) if tag == "chattering" else None
+        np.maximum(x[:rows], zero, out=out[:rows])
+        r, q = out[0], out[1]
+        alpha(q, a)
+        f(q, fq)
         if tag == "chattering":
-            adm = _chattering_flow(cfg, a, r, q)
-            np.subtract(k_r, np.multiply(fq, r, out=dr), out=dr)  # k_r - fq*r - adm
-            np.subtract(dr, adm, out=dr)
-            np.subtract(adm, m, out=dq)
+            mul(fq, r, fq)
+            _cap_flow(mul(a, r, a), q, q_ad, mu_star, r, mask)
+            mu(q, q)
+            sub(sub(k_r, fq, fq), a, r)  # k_r - fq*r - flow
+            sub(a, q, q)  # flow - m
             return out
-        np.subtract(k_r, np.multiply(np.add(fq, a, out=dr), r, out=dr), out=dr)  # k_r - (fq + a)*r
+        mul(add(fq, a, fq), r, fq)  # (fq + a)*r
         if tag == "competitive":
-            u = p[2]
-            np.subtract(np.multiply(a, np.add(r, u, out=dq), out=dq), m, out=dq)  # a*(r + u) - m
-            np.subtract(k_u, np.multiply(a, u, out=out[2]), out=out[2])  # k_u - a*u
+            u = out[2]
+            mul(a, add(r, u, r), r)  # a*(r + u)
+            sub(k_u, mul(a, u, u), u)  # k_u - a*u
         else:
-            np.subtract(np.multiply(a, r, out=dq), m, out=dq)  # a*r - m [+ k_u]
-            if tag == "saturated":
-                dq += k_u
+            mul(a, r, r)  # a*r
+        mu(q, q)
+        sub(r, q, q)  # a*r - m, or a*(r + u) - m
+        if tag == "saturated":
+            add(q, k_u, q)
+        sub(k_r, fq, r)  # k_r - (fq + a)*r
         return out
 
     return deriv
@@ -335,13 +340,10 @@ def _kernel(cfg: ModelConfig, tag: str):
 
     deriv(r, q, u, k_u) -> (dr, dq, du) is _make_deriv's field on plain
     floats, bit for bit.  step(r, q, u, k_u, dt, t, where) -> (r, q, u) is
-    one RK4 step of _batch_step's arithmetic with that field inlined into
-    each stage: a NaN coordinate raises FloatingPointError naming the end
-    time t and the run context where, the state is then clamped onto the
-    box (coordinates >= 0, q <= q_max) and, in chattering mode, a step that
-    started on or below q_ad is projected back onto it.  The functions are
-    compiled under the file name "<accessprice step N: tag>", whose source
-    linecache holds, so tracebacks and profiles show the generated line.
+    one RK4 step of _batch_step's arithmetic, NaN check and clamps, with
+    that field inlined into each stage.  Both are compiled under the file
+    name "<accessprice step N: tag>", whose source linecache holds, so
+    tracebacks and profiles show the generated line.
     """
     q_ad = _admittance_bound(cfg, tag)
     parts = (tag, cfg.k_r, cfg.price.pieces, cfg.admission.pieces, cfg.service.pieces,
@@ -404,50 +406,60 @@ def admitted_flows(cfg: ModelConfig, mode, x):
     if mode.dim == 3:
         u = np.maximum(arr[..., 2], 0.0) if arr.shape[-1] == 3 else np.zeros_like(r)
         return a * r, a * u
-    chattering = _admittance_bound(cfg, mode.tag) is not None
-    flow = _chattering_flow(cfg, a, r, q)[()] if chattering else a * r  # [()]: 0-d to scalar
-    return flow, np.zeros_like(r)
+    flow = np.asarray(a * r)  # 0-d for one state, so the cap can write into it
+    if _admittance_bound(cfg, mode.tag) is not None:
+        _cap_flow(flow, q, cfg.q_ad, cfg.service.mu_star)
+    return flow[()], np.zeros_like(r)  # [()]: 0-d to scalar
 
 
 def _batch_step(deriv, n, q_cap, chat_cap, where):
     """The compiled scalar step's numpy twin for n states: step(x, k_u, dt,
     t, raw=None, out=None) advances the (3, n) C-contiguous stack x under
-    the load k_u into the (3, n) C-contiguous out (x itself when None), in
-    that step's operation order, through four derivative buffers (U rows
-    zero, as the 2-state fields never write dU) and a stage buffer
-    allocated once here.  raw, when given, is a [per-coordinate minimum,
-    maximum q] pair that takes in the unclamped result.  Runs that started on or below the chattering
-    bound chat_cap are then projected back onto it, all are clamped onto
-    the box (coordinates >= 0, q <= q_cap), and a NaN raises
-    FloatingPointError naming the end time t and the run context where."""
+    the load k_u into out (x when None) in that step's operation order,
+    with its NaN check (naming t and the run context where) and clamps
+    (q_cap = q_max; chat_cap the chattering bound, None in other modes).
+    raw, when given, is a [per-coordinate minimum, maximum q] pair that
+    takes in the unclamped result.  The buffers (derivatives, U rows zero;
+    a stage; a mask) are made here, the 0-d stage factors and K_U again
+    only when dt or k_u is a new object."""
     k1, k2, k3, k4 = (np.zeros((3, n)) for _ in range(4))
     s = np.empty((3, n))
+    zero, two, cap = np.array(0.0), np.array(2.0), np.array(q_cap)
+    if chat_cap is not None:
+        chat, chat_eps, below = np.array(chat_cap), np.array(chat_cap + CLAMP_EPS), np.empty(n, bool)
+    last_dt = last_k_u = c_k_u = half = full = sixth = None
+    mul, add = np.multiply, np.add
 
     def step(x, k_u, dt, t, raw=None, out=None):
+        nonlocal last_dt, last_k_u, c_k_u, half, full, sixth
+        if dt is not last_dt:
+            last_dt, half, full, sixth = dt, np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+        if k_u is not last_k_u:
+            last_k_u, c_k_u = k_u, np.array(k_u, dtype=float)
         if out is None:
             out = x
         if chat_cap is not None:
-            below = x[1] <= chat_cap + CLAMP_EPS
-        deriv(x, k1, k_u)
-        for k, k_next, c in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
-            np.add(np.multiply(k, c, out=s), x, out=s)
-            deriv(s, k_next, k_u)
+            np.less_equal(x[1], chat_eps, below)
+        deriv(x, k1, c_k_u)
+        deriv(add(mul(k1, half, s), x, s), k2, c_k_u)
+        deriv(add(mul(k2, half, s), x, s), k3, c_k_u)
+        deriv(add(mul(k3, full, s), x, s), k4, c_k_u)
         # x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4)
-        np.add(np.multiply(k2, 2, out=s), k1, out=s)
-        np.add(s, np.multiply(k3, 2, out=k3), out=s)
-        np.add(s, k4, out=s)
-        x = np.add(x, np.multiply(s, dt / 6.0, out=s), out=out)
+        add(mul(k2, two, s), k1, s)
+        add(s, mul(k3, two, k3), s)
+        add(s, k4, s)
+        x = add(x, mul(s, sixth, s), out)
         if raw is not None:
-            raw[0] = np.minimum(raw[0], x.min(axis=1, initial=np.inf))
-            raw[1] = max(raw[1], float(x[1].max(initial=-np.inf)))
+            np.minimum(raw[0], np.minimum.reduce(x, 1, initial=np.inf), out=raw[0])
+            raw[1] = max(raw[1], float(np.maximum.reduce(x[1], initial=-np.inf)))
         q = x[1]
         if chat_cap is not None:
-            np.minimum(q, chat_cap, where=below, out=q)
-        np.maximum(x, 0.0, out=x)
-        np.minimum(q, q_cap, out=q)
+            np.copyto(q, np.minimum(q, chat, out=s[1]), where=below)
+        np.maximum(x, zero, out=x)
+        np.minimum(q, cap, out=q)
         # the projection and clamps keep NaN and leave every other value >= 0,
         # so the sum is NaN exactly when some coordinate is
-        if math.isnan(x.sum()):
+        if math.isnan(np.add.reduce(x, None)):
             raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
 
     return step
@@ -496,12 +508,10 @@ def _blocks(advance, shape, clock, size: int):
     """Step a run's advance(t, dt, k_u, slot) along the clock into one (size, *shape) history.
 
     Yields (states, times) per block of up to size steps: views of the
-    states after each of its k steps, (k, *shape), and of the steps' end
-    times, (k,); both are overwritten by the next block.  A
-    FloatingPointError ends its block early: the steps before it are
-    yielded, and it is raised only when the next block is asked for, so a
-    caller that returns on the block that holds its answer never sees a
-    fault after it.
+    states after each of its k steps, (k, *shape), and of their end times,
+    (k,), overwritten by the next block.  A FloatingPointError ends its
+    block early and is raised only when the next block is asked for, so a
+    caller that returns on the block holding its answer never sees it.
     """
     hist = np.empty((size, *shape))
     slots = list(hist)  # the views, made once
@@ -591,12 +601,11 @@ def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
 
 def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, size: int, *, raw=None):
     """_blocks of size steps for the runs started at the (3, n) states x,
-    stepped along the clock by the checked RK4 step of the mode's field at
-    each step's K_U.  One run without raw keeps (r, q, u) floats for the
-    compiled step of _kernel and stores them item by item into a (size, 3)
-    history; any other batch steps the C-contiguous x by _batch_step (raw
-    as there) into (size, 3, n), from the slot it wrote last.  Checks its
-    arguments now, not on the first step."""
+    stepped along the clock by the mode's checked RK4 step.  One run
+    without raw keeps (r, q, u) floats for _kernel's step and stores them
+    into a (size, 3) history; any other batch steps the C-contiguous x by
+    _batch_step (raw as there) into (size, 3, n), from the slot it wrote
+    last.  Checks its arguments now, not on the first step."""
     where = f"mode {mode.tag}, h = {h:g}"
     if x.shape[1] == 1 and raw is None:
         step = _kernel(cfg, mode.field_tag)[0]

@@ -12,17 +12,16 @@ Three piecewise functions of the active-queue length q drive everything:
   cubic) clamped to zero at q_max, which gates how fast waiting users
   enter the active queue.
 
-Each spec declares its function once, in three forms side by side: a
-numpy kernel (_kernel) for the evaluators and the batch integrators, its
-plain-float twin (_scalar) for the scalar RK4 backend, and a piece table
-(pieces): (start, origin, coefficients) per piece, covering [start, next
-start) with the polynomial sum c_k * (q - origin)**k of degree <= 3.
-Written about its origin, a piece evaluates bit for bit like the kernel;
-a piece through zero has constant term -0.0, the additive identity, so
-q = -0.0 keeps its sign.  Slopes, kinks and exact extrema all come from
-the tables.  The public evaluators validate their argument and then
-call the kernel, or the twin when the argument is a float (Python or
-numpy float64): the same bits at a fraction of the cost.
+Each spec declares its function once, in three forms: a numpy kernel
+(_kernel(q, out=None), into out if given) for the evaluators and the
+batch field, its plain-float twin (_scalar) for the scalar RK4 backend,
+and a piece table (pieces): (start, origin, coefficients) per piece on
+[start, next start), the polynomial sum c_k * (q - origin)**k of degree
+<= 3, which evaluates bit for bit like the kernel (a piece through zero
+has constant term -0.0, so q = -0.0 keeps its sign).  Slopes, kinks and
+exact extrema come from the tables.  The public evaluators validate
+their argument, then call the twin on a float (Python or numpy float64),
+the same bits at a fraction of the cost, and the kernel otherwise.
 """
 
 from __future__ import annotations
@@ -34,6 +33,7 @@ import struct
 
 import numpy as np
 
+_ZERO = np.array(0.0)  # 0-d operands make cheaper numpy calls than floats
 PRICE_VARIANTS = ("triangular", "saturated", "surge")
 ADMISSION_VARIANTS = ("linear", "cubic")
 
@@ -117,6 +117,7 @@ class PriceSpec:
         b, qm = self.beta, self.q_m
         end = 2 * qm if self.q_n is None else self.q_n
         floor = 2 * qm - end
+        c_b, c_2qm, c_floor = np.array(b), np.array(2 * qm), np.array(floor)
 
         def scalar(q):
             w = 2 * qm - q
@@ -124,14 +125,18 @@ class PriceSpec:
                 w = floor
             return b * (q if q < w else w)
 
-        return (lambda q: b * np.minimum(q, np.maximum(2 * qm - q, floor)), scalar,
+        def kernel(q, out=None):  # b * min(q, max(2*qm - q, floor))
+            w = np.maximum(np.subtract(c_2qm, q, out), c_floor, out=out)
+            return np.multiply(c_b, np.minimum(q, w, out=out), out)
+
+        return (kernel, scalar,
                 ((0.0, 0.0, (-0.0, b)), (qm, 2 * qm, (-0.0, -b)), (end, 0.0, (b * floor,))))
 
     _triangular = _saturated
 
     def _surge(self):
-        b = self.beta
-        return (lambda q: b * q), (lambda q: b * q), ((0.0, 0.0, (-0.0, b)),)
+        b, c_b = self.beta, np.array(self.beta)
+        return lambda q, out=None: np.multiply(c_b, q, out), lambda q: b * q, ((0.0, 0.0, (-0.0, b)),)
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -155,7 +160,8 @@ class ServiceSpec:
         ramp, q_c = self.mu_star / self.q_c, self.q_c
         if not math.isfinite(ramp):
             raise ValueError("q_c too small for mu_star: the ramp mu_star/q_c overflows")
-        _declare(self, lambda q: ramp * np.minimum(q, q_c),
+        c_ramp, c_q_c = np.array(ramp), np.array(q_c)
+        _declare(self, lambda q, out=None: np.multiply(c_ramp, np.minimum(q, c_q_c, out=out), out),
                  lambda q: ramp * (q_c if q >= q_c else q),
                  ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
 
@@ -232,6 +238,7 @@ class AdmissionSpec:
 
     def _linear(self, zero):  # the kernel kinks at the zero crossing, not a supplied q_max
         c2, c1 = self.coefficients
+        k2, k1 = np.array(c2), np.array(c1)
 
         def scalar(q):
             a = c1 * q + c2
@@ -240,15 +247,20 @@ class AdmissionSpec:
         # no tail when alpha vanishes from q = 0 on: it would shadow piece 0,
         # whose floor keeps the kernel's -0.0 at q = 0 when c2 = -0.0
         tail = ((zero, 0.0, (0.0,)),) if 0.0 < zero < math.inf else ()
-        return lambda q: np.maximum(0.0, c1 * q + c2), scalar, ((0.0, 0.0, (c2, c1)), *tail)
+        kernel = lambda q, out=None: np.maximum(_ZERO, np.add(np.multiply(k1, q, out), k2, out), out=out)
+        return kernel, scalar, ((0.0, 0.0, (c2, c1)), *tail)
 
     def _cubic(self):
         (a0, a1, a2, a3), q_max = self.coefficients, self.q_max
+        k0, k1, k2, k3, k_max = map(np.array, (a0, a1, a2, a3, q_max))
 
-        def kernel(q):
-            x = np.minimum(q, q_max)  # alpha is 0 from q_max on: no poly to overflow there
-            poly = a0 + x * (a1 + x * (a2 + x * a3))
-            return np.where(q >= q_max, 0.0, np.maximum(0.0, poly))
+        def kernel(q, out=None):
+            x = np.minimum(q, k_max)  # alpha is 0 from q_max on: no poly to overflow there
+            out = np.empty(np.shape(q)) if out is None else out
+            np.multiply(x, np.add(k2, np.multiply(x, k3, out), out), out)
+            np.add(k0, np.multiply(x, np.add(k1, out, out), out), out)
+            np.copyto(np.maximum(_ZERO, out, out=out), 0.0, where=q >= k_max)
+            return out
 
         def scalar(q):
             if q >= q_max:

@@ -222,11 +222,17 @@ class TestInputDomain:
             ("nan,5", 1, "error: initial state must be finite and nonnegative\n"),
             ("1,2,3,4", 1, "error: initial state must have 2 or 3 coordinates\n"),
             ("-1,5", 1, "error: initial state must be finite and nonnegative\n"),
+            # the value as its own word, also when it starts with "-"
+            (("--x0", "-1,5"), 1, "error: initial state must be finite and nonnegative\n"),
+            (("--x0", "-.5,5"), 1, "error: initial state must be finite and nonnegative\n"),
+            (("--x0", "a,b"), 2, "error: argument --x0: invalid _floats value: 'a,b'\n"),
         ],
     )
     def test_malformed_x0(self, config_dir, tmp_path, capsys, x0, code, err):
+        # a string is passed as --x0=VALUE, a tuple as its words
         out = tmp_path / "sim.csv"
-        assert run(["simulate", "--config", str(config_dir / "ref.json"), f"--x0={x0}",
+        x0_args = list(x0) if isinstance(x0, tuple) else [f"--x0={x0}"]
+        assert run(["simulate", "--config", str(config_dir / "ref.json"), *x0_args,
                     "--t1", "1", "--step", "0.1", "--out", str(out)]) == code
         assert capsys.readouterr().err.endswith(err)
         assert not out.exists()

@@ -1193,3 +1193,118 @@ class TestSwitchedBatch:
         assert res.settled.tolist() == [True]
         assert res.settle_times.tolist() == [880.2] == [300.0 + after.settling_time]
         assert _bits_equal(res.states[0], after.final_state)
+
+
+class TestDistinctStarts:
+    """A batch of distinct starts gives each run the bits it gets alone, so
+    no scratch row of the batch backend is shared or aliased across runs,
+    and a field keeps no state from one call to the next."""
+
+    @staticmethod
+    def case(tag, ref_cfg, section5_cfg, competitive_cfg):
+        """(cfg, mode, box of starts (lo, hi), target, t0) of one mode."""
+        q_ad = ref_cfg.q_ad
+        return {
+            "normal": (ref_cfg, NORMAL, ((0, 0, 0), (300, 90, 0)), (25.0, 40.0, 0.0), 0.0),
+            # starts above q_ad + CLAMP_EPS too, which the projection leaves alone
+            "chattering": (ref_cfg, CHATTERING, ((0, 0, 0), (300, 1.5 * q_ad, 0)),
+                           (25.0, 40.0, 0.0), 0.0),
+            "saturated": (section5_cfg, saturated_mode(0.5), ((0, 0, 0), (150, 90, 0)),
+                          (46.73527837421405, 33.975196754843246, 0.0), 0.0),
+            "competitive": (competitive_cfg, competitive_mode(1.0), ((0, 0, 0), (150, 90, 60)),
+                            (50.0, 40.0, 25.0), 0.0),
+            # from t0 = 90 every run crosses the burst edge at t = 100
+            "switched_full": (section5_cfg, SWITCHED_FULL, ((0, 0, 0), (150, 90, 20)),
+                              (47.61904761904762, 30.0, 0.0), 90.0),
+        }[tag]
+
+    @classmethod
+    def starts(cls, tag, n, ref_cfg, section5_cfg, competitive_cfg):
+        cfg, mode, (lo, hi), target, _ = cls.case(tag, ref_cfg, section5_cfg, competitive_cfg)
+        rng = np.random.default_rng(n)
+        x0s = rng.uniform(lo, hi, (n, 3))
+        x0s[: n // 2] = np.abs(target + rng.normal(0.0, 1.0, (n // 2, 3)) * (hi > np.zeros(3)))
+        if tag == "chattering":  # on the bound and one float either side, with the clamp acting
+            q_ad = cfg.q_ad
+            for i, q in enumerate((math.nextafter(q_ad, 0), q_ad, math.nextafter(q_ad, math.inf))):
+                x0s[i] = (250.0, q, 0.0)
+        return x0s
+
+    @pytest.mark.parametrize("n", [20, 50])
+    @pytest.mark.parametrize("tag", MODE_TAGS)
+    def test_batch_matches_each_run_alone(self, ref_cfg, section5_cfg, competitive_cfg, tag, n):
+        cfg, mode, _, target, t0 = self.case(tag, ref_cfg, section5_cfg, competitive_cfg)
+        x0s = self.starts(tag, n, ref_cfg, section5_cfg, competitive_cfg)
+        batch = final_states(cfg, mode, x0s, t0, t0 + 20.0, 0.05, raw_bounds=True)
+        settled = settle_batch(cfg, mode, x0s, target, 2.0, 30.0, 0.05, t0=t0)
+        assert len(set(map(tuple, x0s.tolist()))) == n
+        assert settled.settled.any() and not settled.settled.all()
+        for i, x0 in enumerate(x0s):
+            alone = final_states(cfg, mode, [x0], t0, t0 + 20.0, 0.05)
+            assert _bits_equal(alone.states[0], batch.states[i]), i
+            one = settle_batch(cfg, mode, [x0], target, 2.0, 30.0, 0.05, t0=t0)
+            assert _bits_equal(one.settle_times[0], settled.settle_times[i]), i
+        # the batch's raw bounds are those of its runs, each on the numpy backend alone
+        raws = [final_states(cfg, mode, [x0], t0, t0 + 20.0, 0.05, raw_bounds=True)
+                for x0 in x0s[:3]]
+        head = final_states(cfg, mode, x0s[:3], t0, t0 + 20.0, 0.05, raw_bounds=True)
+        assert _bits_equal(np.min([r.raw_min for r in raws], axis=0), head.raw_min)
+        assert head.raw_max_q == max(r.raw_max_q for r in raws)
+
+    @pytest.mark.parametrize("tag", ["normal", "chattering", "saturated", "competitive"])
+    def test_field_keeps_nothing_between_widths(self, ref_cfg, section5_cfg, tag):
+        cfg = section5_cfg if tag == "saturated" else replace(ref_cfg, k_u_schedule=())
+        deriv = dynamics._make_deriv(cfg, tag)
+        rng = np.random.default_rng(5)
+        for width in (3, 5, 3):
+            x = rng.uniform((-5.0, -5.0, -5.0), (300.0, 100.0, 50.0), (width, 3)).T.copy()
+            x[1, 0] = cfg.q_ad or 60.0
+            got, want = np.full((3, width), 7.0), np.full((3, width), 7.0)
+            assert deriv(x, got, 0.8) is got
+            dynamics._make_deriv(cfg, tag)(x, want, 0.8)  # a fresh field
+            assert _bits_equal(got, want)
+            if tag != "competitive":
+                assert (got[2] == 7.0).all()  # the 2-state fields leave U's row
+
+
+class TestStepMemory:
+    """The batch step allocates its buffers once per march, and only the
+    rows its mode needs."""
+
+    def test_chattering_settle_bounded(self, ref_cfg):
+        # chattering has the most scratch: the admission cap's mask and the
+        # projection's
+        n = 5000
+        x0s = np.random.default_rng(3).uniform(0.0, 1.0, (n, 3)) * (300.0, ref_cfg.q_ad, 0.0)
+        stack = x0s.nbytes  # one (3, n) state stack
+        tracemalloc.start()
+        try:
+            settle_batch(ref_cfg, CHATTERING, x0s, (25.0, 40.0, 0.0), 1e-3, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a block's history with the settle fold's temporaries, under 3.5
+        # BLOCK_BYTES, and under 7 stacks for the state, the four derivative
+        # buffers, the stage buffer, the field's two rows and the masks, the
+        # starts' copy and the result: one full-width row more per buffer
+        # set would pass it
+        assert peak <= 7 * stack + 3.5 * dynamics.BLOCK_BYTES, peak / stack
+
+    def test_steps_after_the_first_allocate_nothing(self, ref_cfg):
+        n, dt = 5000, 0.01
+        step = _batch_stepper(ref_cfg, CHATTERING, dt, n)
+        x = np.ascontiguousarray(
+            (np.random.default_rng(4).uniform(0.0, 1.0, (n, 3)) * (300.0, ref_cfg.q_ad, 0.0)).T)
+        stack = x.nbytes
+        tracemalloc.start()
+        try:
+            step(x, 0.0, dt, dt)  # the field makes its two rows and mask here
+            made = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for k in range(2, 5):
+                step(x, 0.0, dt, k * dt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert made <= stack  # two rows and a mask: under a stack
+        assert peak - made < 4096  # views and scalars, no row (40 kB at this n)
