@@ -68,7 +68,7 @@ import threading
 
 import numpy as np
 
-from .model import ModelConfig
+from .model import ModelConfig, _literal, _piece_lines
 
 MAX_STEP = 0.1
 DEFAULT_STEP = 0.01
@@ -250,40 +250,6 @@ _KERNEL_ENTRIES = 32  # compiled scalar kernels kept, the least recently used dr
 _kernels: OrderedDict[str, tuple] = OrderedDict()
 _kernels_lock = threading.Lock()
 _kernel_ids = itertools.count(1)
-
-
-def _literal(x, names: dict) -> str:
-    """Source text of the constant x: its repr, which reads back bit for
-    bit, or for a non-finite x (a rising linear alpha's q_max = inf) a name
-    bound to it in names."""
-    x = float(x)
-    if not math.isfinite(x):
-        name = f"_c{len(names)}"
-        names[name] = x
-        return name
-    return f"({x!r})" if math.copysign(1.0, x) < 0 else repr(x)
-
-
-def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
-    """Lines that set name to the piece table's function at the float q, as
-    model.from_pieces evaluates it: an if/elif chain from the last piece
-    down, so a NaN q falls through to piece 0 and stays NaN; Horner as
-    model._poly runs it, less the exact identities q - 0.0 == q and
-    -0.0 + y == y; floored at zero, keeping -0.0 and NaN, as there."""
-    lines = []
-    for i in reversed(range(len(pieces))):
-        start, origin, c = pieces[i]
-        x = q if repr(float(origin)) == "0.0" else f"({q} - {lit(origin)})"
-        expr = lit(c[-1])
-        for ck in c[-2::-1]:
-            term = f"{x} * " + (f"({expr})" if " " in expr else expr)
-            expr = term if repr(float(ck)) == "-0.0" else f"{lit(ck)} + {term}"
-        body = [f"{name} = {expr}", f"if {name} < 0.0:", f"    {name} = 0.0"]
-        if len(pieces) == 1:
-            return body
-        head = "else:" if i == 0 else f"{'if' if i == len(pieces) - 1 else 'elif'} {q} >= {lit(start)}:"
-        lines += [head, *("    " + line for line in body)]
-    return lines
 
 
 def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):

@@ -8,7 +8,7 @@ the active-queue length q, with K_U = 0 in normal mode:
 One private helper holds g's arithmetic and its domain test (alpha(q) > 0
 and mu(q) > K_U, each with a 1e-12 guard band), on floats or arrays.  A
 2000-point grid scan of g on an array of q finds the sign changes, each
-bracket is bisected on plain floats (the specs' _scalar twins) down to
+bracket is bisected on plain floats (the specs' float forms) down to
 adjacent floats, and back-substitution gives
 
     R* = (mu(q*) - K_U)/alpha(q*),   U* = K_U/alpha(q*) (3-state modes, else 0)
@@ -120,7 +120,7 @@ def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):
 
 
 def _scalar_residual(cfg: ModelConfig, k_u: float):
-    """g on one plain float q, through the specs' _scalar twins: (ok, g)."""
+    """g on one plain float q, through the specs' float forms: (ok, g)."""
     f, alpha, mu, k_r = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar, cfg.k_r
     return lambda q: _balance(f, q, alpha(q), mu(q), k_r, k_u)
 

@@ -12,16 +12,17 @@ Three piecewise functions of the active-queue length q drive everything:
   cubic) clamped to zero at q_max, which gates how fast waiting users
   enter the active queue.
 
-Each spec declares its function once, in three forms: a numpy kernel
+Each spec declares its function once, in two forms: a numpy kernel
 (_kernel(q, out=None), into out if given) for the evaluators and the
-batch field, its plain-float twin (_scalar) for the scalar RK4 backend,
-and a piece table (pieces): (start, origin, coefficients) per piece on
-[start, next start), the polynomial sum c_k * (q - origin)**k of degree
-<= 3, which evaluates bit for bit like the kernel (a piece through zero
-has constant term -0.0, so q = -0.0 keeps its sign).  Slopes, kinks and
-exact extrema come from the tables.  The public evaluators validate
-their argument, then call the twin on a float (Python or numpy float64),
-the same bits at a fraction of the cost, and the kernel otherwise.
+batch field, and a piece table (pieces): (start, origin, coefficients)
+per piece on [start, next start), the polynomial sum c_k * (q - origin)**k
+of degree <= 3, which evaluates bit for bit like the kernel (a piece
+through zero has constant term -0.0, so q = -0.0 keeps its sign).  Slopes,
+kinks, extrema and, through _piece_lines, all float code come from the
+tables: the scalar RK4 step and each spec's float form (_scalar), which
+the public evaluators call on any scalar query (a float, an int or a 0-d
+array) once they have validated it, the kernel's bits at a fraction of
+its cost.
 """
 
 from __future__ import annotations
@@ -50,11 +51,9 @@ def _as_query(q):
 
 
 def _evaluate(spec, q):
-    """The spec's function at q: its twin on a plain float, else its kernel."""
+    """The spec's function at q: its float form on a scalar, else its kernel."""
     arr, scalar = _as_query(q)
-    if type(arr) is float:
-        return float(spec._scalar(arr))
-    return float(spec._kernel(arr)) if scalar else spec._kernel(arr)
+    return spec._scalar(float(arr)) if scalar else spec._kernel(arr)
 
 
 def _require_finite(**values):
@@ -64,11 +63,64 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite")
 
 
-def _declare(spec, kernel, scalar, pieces):
-    """Bind the spec's three forms.  Each twin's conditionals reproduce
-    np.maximum / np.minimum exactly: NaN propagates and, on a tie, the
-    second operand wins (which decides the sign of a zero)."""
-    for name, form in (("_kernel", kernel), ("_scalar", scalar), ("pieces", pieces)):
+def _literal(x, names: dict) -> str:
+    """Source text of the constant x: its repr, which reads back bit for
+    bit, or for a non-finite x (a rising linear alpha's q_max = inf) a name
+    bound to it in names."""
+    x = float(x)
+    if not math.isfinite(x):
+        name = f"_c{len(names)}"
+        names[name] = x
+        return name
+    return f"({x!r})" if math.copysign(1.0, x) < 0 else repr(x)
+
+
+def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
+    """Lines that set name to the piece table's function at the float q, as
+    from_pieces evaluates it: an if/elif chain from the last piece down, so
+    a NaN q falls through to piece 0 and stays NaN; Horner as _poly runs
+    it, less the exact identities q - 0.0 == q and -0.0 + y == y; floored
+    at zero, keeping -0.0 and NaN, as there.  lit(x) writes each other
+    constant, as a literal or as a name bound to it."""
+    lines = []
+    for i in reversed(range(len(pieces))):
+        start, origin, c = pieces[i]
+        x = q if repr(float(origin)) == "0.0" else f"({q} - {lit(origin)})"
+        expr = lit(c[-1])
+        for ck in c[-2::-1]:
+            term = f"{x} * " + (f"({expr})" if " " in expr else expr)
+            expr = term if repr(float(ck)) == "-0.0" else f"{lit(ck)} + {term}"
+        body = [f"{name} = {expr}", f"if {name} < 0.0:", f"    {name} = 0.0"]
+        if len(pieces) == 1:
+            return body
+        head = "else:" if i == 0 else f"{'if' if i == len(pieces) - 1 else 'elif'} {q} >= {lit(start)}:"
+        lines += [head, *("    " + line for line in body)]
+    return lines
+
+
+_makers: dict[str, object] = {}  # make's source -> make: one per table shape, a few in all
+
+
+def _declare(spec, kernel, pieces):
+    """Bind the spec's kernel, its piece table and its float form (_scalar),
+    generated from the table.  That source depends only on the table's shape
+    (piece count, degrees, zero origins, -0.0 coefficients), so make(c0, ...),
+    which takes every other constant, floated, is compiled once per shape."""
+    values = []
+
+    def lit(x):
+        values.append(float(x))
+        return f"c{len(values) - 1}"
+
+    lines = _piece_lines("v", pieces, "q", lit)
+    source = (f"def make({', '.join(f'c{i}' for i in range(len(values)))}):\n    def f(q):\n"
+              + "".join(f"        {line}\n" for line in lines) + "        return v\n    return f\n")
+    make = _makers.get(source)
+    if make is None:
+        names = {}
+        exec(compile(source, "<accessprice float form>", "exec"), names)
+        make = _makers.setdefault(source, names["make"])  # first compiled wins
+    for name, form in (("_kernel", kernel), ("_scalar", make(*values)), ("pieces", pieces)):
         object.__setattr__(spec, name, form)
 
 
@@ -111,7 +163,7 @@ class PriceSpec:
         _declare(self, *getattr(self, "_" + self.variant)())
 
     def _saturated(self):
-        """The three forms, also of the triangular price: its floor is zero
+        """Kernel and table, also of the triangular price: its floor is zero
         from 2*q_m on.  The falling leg beta*(2*q_m - q) is the piece
         -beta*(q - 2*q_m)."""
         b, qm = self.beta, self.q_m
@@ -119,24 +171,17 @@ class PriceSpec:
         floor = 2 * qm - end
         c_b, c_2qm, c_floor = np.array(b), np.array(2 * qm), np.array(floor)
 
-        def scalar(q):
-            w = 2 * qm - q
-            if w <= floor:
-                w = floor
-            return b * (q if q < w else w)
-
         def kernel(q, out=None):  # b * min(q, max(2*qm - q, floor))
             w = np.maximum(np.subtract(c_2qm, q, out), c_floor, out=out)
             return np.multiply(c_b, np.minimum(q, w, out=out), out)
 
-        return (kernel, scalar,
-                ((0.0, 0.0, (-0.0, b)), (qm, 2 * qm, (-0.0, -b)), (end, 0.0, (b * floor,))))
+        return kernel, ((0.0, 0.0, (-0.0, b)), (qm, 2 * qm, (-0.0, -b)), (end, 0.0, (b * floor,)))
 
     _triangular = _saturated
 
     def _surge(self):
         b, c_b = self.beta, np.array(self.beta)
-        return lambda q, out=None: np.multiply(c_b, q, out), lambda q: b * q, ((0.0, 0.0, (-0.0, b)),)
+        return lambda q, out=None: np.multiply(c_b, q, out), ((0.0, 0.0, (-0.0, b)),)
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -162,7 +207,6 @@ class ServiceSpec:
             raise ValueError("q_c too small for mu_star: the ramp mu_star/q_c overflows")
         c_ramp, c_q_c = np.array(ramp), np.array(q_c)
         _declare(self, lambda q, out=None: np.multiply(c_ramp, np.minimum(q, c_q_c, out=out), out),
-                 lambda q: ramp * (q_c if q >= q_c else q),
                  ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
 
 
@@ -239,20 +283,14 @@ class AdmissionSpec:
     def _linear(self, zero):  # the kernel kinks at the zero crossing, not a supplied q_max
         c2, c1 = self.coefficients
         k2, k1 = np.array(c2), np.array(c1)
-
-        def scalar(q):
-            a = c1 * q + c2
-            return 0.0 if 0.0 > a else a
-
         # no tail when alpha vanishes from q = 0 on: it would shadow piece 0,
         # whose floor keeps the kernel's -0.0 at q = 0 when c2 = -0.0
         tail = ((zero, 0.0, (0.0,)),) if 0.0 < zero < math.inf else ()
         kernel = lambda q, out=None: np.maximum(_ZERO, np.add(np.multiply(k1, q, out), k2, out), out=out)
-        return kernel, scalar, ((0.0, 0.0, (c2, c1)), *tail)
+        return kernel, ((0.0, 0.0, (c2, c1)), *tail)
 
     def _cubic(self):
-        (a0, a1, a2, a3), q_max = self.coefficients, self.q_max
-        k0, k1, k2, k3, k_max = map(np.array, (a0, a1, a2, a3, q_max))
+        k0, k1, k2, k3, k_max = map(np.array, (*self.coefficients, self.q_max))
 
         def kernel(q, out=None):
             x = np.minimum(q, k_max)  # alpha is 0 from q_max on: no poly to overflow there
@@ -262,13 +300,7 @@ class AdmissionSpec:
             np.copyto(np.maximum(_ZERO, out, out=out), 0.0, where=q >= k_max)
             return out
 
-        def scalar(q):
-            if q >= q_max:
-                return 0.0
-            a = a0 + q * (a1 + q * (a2 + q * a3))
-            return 0.0 if 0.0 > a else a
-
-        return kernel, scalar, ((0.0, 0.0, self.coefficients), (q_max, 0.0, (0.0,)))
+        return kernel, ((0.0, 0.0, self.coefficients), (self.q_max, 0.0, (0.0,)))
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,8 @@ def eta1_inverse(cfg: ModelConfig, r: float) -> float:
     hi = q_max * (1 - 1e-12) - 1e-12 if math.isfinite(q_max) else cfg.service.q_c * 1e6
     if eta1(cfg, hi) < r:
         raise ValueError(f"eta1 stays below {r:g} on its domain")
-    # the specs' plain-float twins give eta1's values bit for bit without
-    # its array coercion; no early stop on an exact hit, which would move
+    # the specs' float forms give eta1's values bit for bit without its
+    # array coercion; no early stop on an exact hit, which would move
     # the doa outputs
     mu, alpha = cfg.service._scalar, cfg.admission._scalar
     lo = 0.0

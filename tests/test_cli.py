@@ -111,6 +111,12 @@ class TestExitCodes:
         code = run(["validate", "--config", write_config(tmp_path, doc)])
         assert code == 1
 
+    def test_q_ad_without_two_fixed_points_is_one(self, config_dir, capsys):
+        # section5's saturated price leaves one normal-mode fixed point
+        code = run(["validate", "--config", str(config_dir / "section5.json"), "--set", "q_ad=60"])
+        assert code == 1
+        assert "q-ad-between-equilibria: FAIL (needs two fixed points)" in capsys.readouterr().out.splitlines()
+
     def test_missing_config_is_two(self, tmp_path, capsys):
         code = run(["validate", "--config", str(tmp_path / "ghost.json")])
         assert code == 2

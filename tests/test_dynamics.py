@@ -256,10 +256,12 @@ def _bits_equal(a, b):
 
 
 def _scalar_deriv(cfg, tag, k_u):
-    """(r, q, u) -> (dr, dq, du) on plain floats, hand-written on the specs'
-    plain-float twins in _make_deriv's operation order: the oracle of the
-    compiled field."""
-    f, alpha, mu = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar
+    """(r, q, u) -> (dr, dq, du) on plain floats, hand-written in
+    _make_deriv's operation order on the specs' numpy kernels, each called
+    on a 0-d array: the oracle of the compiled field, independent of
+    model._piece_lines, which generates that field and the float forms."""
+    f, alpha, mu = (lambda q, kernel=spec._kernel: float(kernel(np.array(q)))
+                    for spec in (cfg.price, cfg.admission, cfg.service))
     k_r = cfg.k_r
     q_ad, mu_star = dynamics._admittance_bound(cfg, tag), cfg.service.mu_star
 

@@ -302,6 +302,41 @@ class TestValidateAdmissible:
         report = validate_admissible(competitive_cfg, k_u=3.5)
         assert not report.clause("competitive-root-count").passed
 
+    def test_roots_on_one_side_of_q_m_fail(self, ref_cfg):
+        # alpha = (1 - q/100)^3 falls so steeply past q_m that g has both its
+        # roots on the price's falling leg
+        from dataclasses import replace
+
+        adm = AdmissionSpec("cubic", (1.0, -0.03, 3e-4, -1e-6), q_max=100.0)
+        clause = validate_admissible(replace(ref_cfg, admission=adm, q_ad=None)).clause("root-count")
+        assert not clause.passed
+        assert clause.detail == ("found 2, expected 2 for triangular price; "
+                                 "roots (51.1553, 89.6281) not split by q_m = 45")
+
+    def test_q_dagger_failure_is_a_clause(self, ref_cfg):
+        # a constant alpha leaves two fixed points, but eta1 = mu/alpha never
+        # climbs to R_dagger = K_R/alpha, so q_dagger does not exist
+        from dataclasses import replace
+
+        report = validate_admissible(replace(ref_cfg, admission=AdmissionSpec("linear", (0.1, 0.0))))
+        assert report.clause("root-count").passed
+        clause = report.clause("q-ad-above-q-dagger")
+        assert not clause.passed
+        assert clause.detail == "eta1 stays below 40 on its domain"
+
+    def test_failed_scan_is_a_clause(self, ref_cfg):
+        # alpha = a*((q - q0)^2 - w^2), floored to zero on (q0 - w, q0 + w):
+        # that hole lies inside one cell of the 2000-point scan grid on
+        # (0, 100) whose ends have g of opposite signs, 0.008 right of the
+        # cell's left end, so the bisection's first midpoint falls in it
+        from dataclasses import replace
+
+        a, w, q0 = 312.0, 0.01, 40.038010005202096
+        adm = AdmissionSpec("cubic", (a * (q0 * q0 - w * w), -2 * a * q0, a, 0.0), q_max=100.0)
+        clause = validate_admissible(replace(ref_cfg, admission=adm, q_ad=None)).clause("root-count")
+        assert not clause.passed
+        assert clause.detail == "scan failed: g undefined at q = 40.045 inside a bracket"
+
 
 class TestSaturationFloor:
     def test_reference_value(self, section5_cfg):
@@ -428,6 +463,32 @@ class TestPieceTables:
         assert extremum((SVC.pieces,), 0.0, 50.0, largest=True, order=1)[0] == SVC.mu_star / SVC.q_c
 
 
+class TestFloatForms:
+    """Each spec's float form is generated from its piece table: one maker,
+    compiled per table shape, binds each spec's constants."""
+
+    def test_calibrations_share_one_maker(self, ref_cfg):
+        from accessprice import model
+
+        before = len(model._makers)
+        adms = [calibrate_linear_admission(CalibrationTargets(p1=p1, p2=p2), ref_cfg.price,
+                                           ref_cfg.service, ref_cfg.k_r)
+                for p1, p2 in ((0.04, 0.008), (0.038, 0.01))]
+        assert adms[0].coefficients != adms[1].coefficients
+        assert len(model._makers) - before <= 1
+        assert adms[0]._scalar.__code__ is adms[1]._scalar.__code__
+
+    def test_sign_of_zero_is_part_of_the_shape(self):
+        # alpha = max(0, c2 - q/100) vanishes from q = 0 on, where its value
+        # is c2 itself: -0.0 + y == y leaves c2 = -0.0 out of the source
+        minus, plus = (AdmissionSpec("linear", (c2, -0.01)) for c2 in (-0.0, 0.0))
+        for spec, sign in ((minus, -1.0), (plus, 1.0)):
+            value = spec._scalar(0.0)
+            assert math.copysign(1.0, value) == sign
+            assert np.array_equal(_bits([value]), _bits(spec._kernel(np.array([0.0]))))
+        assert minus._scalar.__code__ is not plus._scalar.__code__
+
+
 def _piece_value(spec, q, order):
     """from_pieces at one float q by a walk over the table: the last piece
     that starts at or below q (strictly below for slopes), else the first."""
@@ -485,7 +546,7 @@ class TestQueryKinds:
 
     def test_integer_parameters_still_give_floats(self):
         price = PriceSpec("saturated", beta=1, q_m=45, q_n=75)
-        assert type(price._scalar(100.0)) is int  # beta * floor, from q_n on
+        assert type(price._scalar(100.0)) is float  # beta * floor, from q_n on
         qs = TestPieceTables.samples(price, np.random.default_rng(18))
         self.check(lambda q: eval_price(price, q), qs, price._kernel(qs), 1)
 
