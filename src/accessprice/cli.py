@@ -9,7 +9,7 @@ for tabular commands).
 
 Outputs are byte-identical across repeated runs on the same inputs:
 iteration orders are fixed, floats are printed at 12 significant digits
-("%.12g", one format per row for the all-numeric tables) and no
+("%.12g", one format per block of rows for the all-numeric tables) and no
 timestamps are embedded.
 """
 
@@ -201,7 +201,7 @@ def _apply_override(doc: dict, item: str) -> dict:
 
 # ---------------------------------------------------------------- output
 
-_ROW_BLOCK = 256  # rows converted to Python floats at a time
+_ROW_BLOCK = 128  # rows turned into Python floats and formatted by one % call
 
 
 def _open_out(path):
@@ -231,14 +231,14 @@ def _mixed_lines(rows):
 
 def _numeric_lines(*columns, every=1):
     """Lines of every `every`-th row of equal-length 1-D/2-D float arrays,
-    one "%.12g,...\n" format per row ("%.12g" % x == _fmt(x) for every
-    float), _ROW_BLOCK rows turned into Python floats at a time."""
+    one "%.12g,...\n" per row ("%.12g" % x == _fmt(x) for every float),
+    yielded _ROW_BLOCK lines at a time, each block one % call."""
     columns = [c[::every] for c in columns]
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     template = ",".join(["%.12g"] * width) + "\n"
     for start in range(0, len(columns[0]), _ROW_BLOCK):
-        for row in np.column_stack([c[start:start + _ROW_BLOCK] for c in columns]).tolist():
-            yield template % tuple(row)
+        block = np.column_stack([c[start:start + _ROW_BLOCK] for c in columns])
+        yield (template * len(block)) % tuple(block.ravel().tolist())
 
 
 def _write_json(path, doc):

@@ -33,24 +33,25 @@ on b.  h outside (0, 0.1] and non-finite spans raise ValueError.
 The stepper has two backends with the same formulas and operation
 order, which agree bit for bit and raise FloatingPointError on the first
 NaN state; the run count picks one, in _march alone.  One run without
-raw tracking steps plain floats through one function per configuration
-and field (_kernel), generated from the specs' piece tables, compiled on
-first use and memoised on the exact bits of its inputs.  Any other batch
-is one C-contiguous (3, n) stack, rows R, q and U, stepped by _batch_step
-on the field of _make_deriv (the specs' numpy kernels; rhs wraps it).
-At small n a numpy call costs its overhead, not its arithmetic, so that
-step makes its buffers and 0-d constants once per march and passes out
-positionally (np.maximum's and np.minimum's by name: their positional
-form is deprecated and slower).
+raw tracking steps plain floats through _kernel's run, one loop over a
+stretch of steps per call, generated per configuration and field from
+the specs' piece tables, compiled on first use and memoised on the exact
+bits of its inputs.  Any other batch is one C-contiguous (3, n) stack,
+rows R, q and U, stepped by _batch_step on the field of _make_deriv (the
+specs' numpy kernels; rhs wraps it).  At small n a numpy call costs its
+overhead, not its arithmetic, so that step makes its buffers and 0-d
+constants once per march and passes out positionally (np.maximum's and
+np.minimum's by name: their positional form is deprecated and slower).
 
-Every driver steps through one block history (_blocks): each step writes
-its result into the next slot of a preallocated (block, 3[, n]) history,
-and the driver takes the block's observations with whole-array
-operations: integrate copies it, final_states takes region excess, and
-settle_batch and converge (a settle run at n = 1 on the mode's fixed
-points) fold tolerance streaks and settle times by one rule (_settle).
-A block is BLOCK_STEPS steps, fewer when its history would pass
-BLOCK_BYTES.  Results are those of per-step bookkeeping, bit for bit:
+Every driver observes its runs a block at a time: a batch steps into a
+preallocated (block, 3, n) history (_blocks), one run appends its states
+to a list per block (_run_blocks), and the driver takes the block's
+observations with whole-array operations: integrate copies it,
+final_states takes region excess, and settle_batch and converge (a
+settle run at n = 1 on the mode's fixed points) fold tolerance streaks
+and settle times by one rule (_settle).  A block is BLOCK_STEPS steps,
+fewer when a batch's history would pass BLOCK_BYTES.  Results are those
+of per-step bookkeeping, bit for bit:
 the fold carries each run's streak across block edges (for converge, a
 start within tol counts as the streak's first state), returns the state
 and time of the step where the last run settled, and ignores a
@@ -202,8 +203,9 @@ def _make_deriv(cfg: ModelConfig, tag: str):
     U) under the load k_u, written into the (3, n) out, which must not
     overlap x, after projecting onto the orthant; _kernel's field has the
     same operation order.  2-state fields leave out's U row as it is.  out
-    takes the projected state, then mu in place of q; two scratch rows (and
-    chattering's mask) are made when the width changes."""
+    takes the projected state, then mu in place of q; two scratch rows and
+    a mask (the cubic alpha's and chattering's) are made when the width
+    changes."""
     f, alpha, mu = cfg.price._kernel, cfg.admission._kernel, cfg.service._kernel
     k_r, zero = np.array(cfg.k_r), np.array(0.0)
     if tag == "chattering":
@@ -216,10 +218,10 @@ def _make_deriv(cfg: ModelConfig, tag: str):
         nonlocal a, fq, mask
         if a.shape != x.shape[1:]:
             a, fq = np.empty((2, x.shape[1]))
-            mask = np.empty(x.shape[1], bool) if tag == "chattering" else None
+            mask = np.empty(x.shape[1], bool)
         np.maximum(x[:rows], zero, out=out[:rows])
         r, q = out[0], out[1]
-        alpha(q, a)
+        alpha(q, a, fq, mask)  # fq: scratch until f fills it
         f(q, fq)
         if tag == "chattering":
             mul(fq, r, fq)
@@ -246,14 +248,14 @@ def _make_deriv(cfg: ModelConfig, tag: str):
 
 
 _KERNEL_ENTRIES = 32  # compiled scalar kernels kept, the least recently used dropped first
-# repr of the kernel's inputs -> (step, deriv)
+# repr of the kernel's inputs -> (run, deriv)
 _kernels: OrderedDict[str, tuple] = OrderedDict()
 _kernels_lock = threading.Lock()
 _kernel_ids = itertools.count(1)
 
 
 def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):
-    """(source, names) of step and deriv, see _kernel."""
+    """(source, names) of run and deriv, see _kernel."""
     names = {}
     lit = lambda x: _literal(x, names)
     three = tag == "competitive"
@@ -277,37 +279,42 @@ def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):
         return lines + [f"kq{k} = a * rs - m" + (" + k_u" if tag == "saturated" else "")]
 
     ku = (lambda k: f"ku{k}") if three else (lambda k: "0.0")  # 0.0 sums fold at compile time
-    body = ["h2 = 0.5 * dt", *field(1, "r", "q", "u")]
+    step = [*field(1, "r", "q", "u")]
     for k, h in ((2, "h2"), (3, "h2"), (4, "dt")):
-        body += field(k, f"r + {h} * kr{k - 1}", f"q + {h} * kq{k - 1}", f"u + {h} * {ku(k - 1)}")
-    body += ["c = dt / 6.0",
-             "rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)",
+        step += field(k, f"r + {h} * kr{k - 1}", f"q + {h} * kq{k - 1}", f"u + {h} * {ku(k - 1)}")
+    step += ["rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)",
              "qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)",
              f"un = u + c * ({ku(1)} + 2 * {ku(2)} + 2 * {ku(3)} + {ku(4)})",
              "if rn != rn or qn != qn or un != un:",
+             "    t = s + k * dt if k else s",
              '    raise FloatingPointError(f"NaN state at t = {t:g} ({where})")',
              "if 0.0 > qn:", "    qn = 0.0",
              f"if {lit(q_cap)} < qn:", f"    qn = {lit(q_cap)}"]
     if chat is not None:
-        body += [f"if q <= {lit(chat[0] + CLAMP_EPS)} and qn > {lit(chat[0])}:",
+        step += [f"if q <= {lit(chat[0] + CLAMP_EPS)} and qn > {lit(chat[0])}:",
                  f"    qn = {lit(chat[0])}"]
-    body.append("return (0.0 if 0.0 > rn else rn), qn, (0.0 if 0.0 > un else un)")
+    step += ["r = 0.0 if 0.0 > rn else rn", "q = qn", "u = 0.0 if 0.0 > un else un",
+             "out += r, q, u"]
+    body = ["h2 = 0.5 * dt", "c = dt / 6.0", "for k in range(k0, k1):",
+            *("    " + line for line in step), "return r, q, u"]
     deriv = [*field(1, "r", "q", "u"), f"return kr1, kq1, {ku(1)}"]
     source = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in lines) + "\n"
-                     for head, lines in (("step(r, q, u, k_u, dt, t, where)", body),
+                     for head, lines in (("run(r, q, u, k_u, dt, s, k0, k1, where, out)", body),
                                          ("deriv(r, q, u, k_u)", deriv)))
     return source, names
 
 
 def _kernel(cfg: ModelConfig, tag: str):
-    """(step, deriv): the scalar backend of the field tag on cfg, one
+    """(run, deriv): the scalar backend of the field tag on cfg, one
     generated function each, compiled on first use and kept in a memo
     keyed by the exact bits of its inputs.
 
     deriv(r, q, u, k_u) -> (dr, dq, du) is _make_deriv's field on plain
-    floats, bit for bit.  step(r, q, u, k_u, dt, t, where) -> (r, q, u) is
-    one RK4 step of _batch_step's arithmetic, NaN check and clamps, with
-    that field inlined into each stage.  Both are compiled under the file
+    floats, bit for bit.  run(r, q, u, k_u, dt, s, k0, k1, where, out) ->
+    (r, q, u) takes steps k0 .. k1 - 1 of size dt, each one RK4 step of
+    _batch_step's arithmetic, NaN check and clamps with that field inlined
+    into each stage, appending each state to the list out; a NaN names t =
+    s + k*dt (s for k = 0) and where.  Both are compiled under the file
     name "<accessprice step N: tag>", whose source linecache holds, so
     tracebacks and profiles show the generated line.
     """
@@ -324,8 +331,8 @@ def _kernel(cfg: ModelConfig, tag: str):
     filename = f"<accessprice step {next(_kernel_ids)}: {tag}>"
     exec(compile(source, filename, "exec"), names)
     with _kernels_lock:
-        kernel = _kernels.setdefault(key, (names["step"], names["deriv"]))  # first compiled wins
-        if kernel[0] is names["step"]:
+        kernel = _kernels.setdefault(key, (names["run"], names["deriv"]))  # first compiled wins
+        if kernel[0] is names["run"]:
             linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
         if len(_kernels) > _KERNEL_ENTRIES:
             dropped = _kernels.popitem(last=False)[1][0]
@@ -470,16 +477,17 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (24 * max(n, 1))))
 
 
-def _blocks(advance, shape, clock, size: int):
-    """Step a run's advance(t, dt, k_u, slot) along the clock into one (size, *shape) history.
+def _blocks(step, x, raw, clock, size: int):
+    """Step a batch's (3, n) stack x along the clock by _batch_step's step
+    (raw as there) into one (size, 3, n) history.
 
     Yields (states, times) per block of up to size steps: views of the
-    states after each of its k steps, (k, *shape), and of their end times,
+    states after each of its k steps, (k, 3, n), and of their end times,
     (k,), overwritten by the next block.  A FloatingPointError ends its
     block early and is raised only when the next block is asked for, so a
     caller that returns on the block holding its answer never sees it.
     """
-    hist = np.empty((size, *shape))
+    hist = np.empty((size, *x.shape))
     slots = list(hist)  # the views, made once
     times = np.empty(size)
     clock = iter(clock)
@@ -487,10 +495,11 @@ def _blocks(advance, shape, clock, size: int):
         k, fault = 0, None
         for t, dt, k_u in itertools.islice(clock, size):
             try:
-                advance(t, dt, k_u, slots[k])
+                step(x, k_u, dt, t, raw, slots[k])
             except FloatingPointError as exc:
                 fault = exc
                 break
+            x = slots[k]
             times[k] = t
             k += 1
         if k:
@@ -499,6 +508,33 @@ def _blocks(advance, shape, clock, size: int):
             raise fault
         if k < size:
             return
+
+
+def _run_blocks(run, x, clock, size: int, where: str):
+    """_blocks, (k, 3) states, for one run's (r, q, u) floats x, stepped by
+    _kernel's run one stretch per call: a piece's full steps k = 1 .. n - 1,
+    ending at s + k*h, then its last, ending on e."""
+    r, q, u = x
+    buf, times = [], np.empty(size)  # the block's states, flat, and their end times
+    for s, e, n, h, k_u in clock.pieces:
+        for start, dt, k0, k1 in ((s, h, 1, n), (e, (e - s) - (n - 1) * h, 0, min(n, 1))):
+            while k0 < k1:
+                done, fault = len(buf) // 3, None
+                try:
+                    r, q, u = run(r, q, u, k_u, dt, start, k0, min(k1, k0 + size - done), where, buf)
+                except FloatingPointError as exc:
+                    fault = exc
+                k = len(buf) // 3
+                times[done:k] = start + np.arange(k0, k0 + k - done) * dt if k0 else start
+                k0 += k - done
+                if k == size or fault is not None:
+                    if k:
+                        yield np.array(buf, float).reshape(k, 3), times[:k]
+                    if fault is not None:
+                        raise fault
+                    buf = []
+    if buf:
+        yield np.array(buf, float).reshape(-1, 3), times[: len(buf) // 3]
 
 
 def _within(states, targets, tol: float) -> np.ndarray:
@@ -566,32 +602,17 @@ def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
 
 
 def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, size: int, *, raw=None):
-    """_blocks of size steps for the runs started at the (3, n) states x,
-    stepped along the clock by the mode's checked RK4 step.  One run
-    without raw keeps (r, q, u) floats for _kernel's step and stores them
-    into a (size, 3) history; any other batch steps the C-contiguous x by
-    _batch_step (raw as there) into (size, 3, n), from the slot it wrote
-    last.  Checks its arguments now, not on the first step."""
+    """Blocks of the runs started at the (3, n) states x, stepped along the
+    clock by the mode's checked RK4 step: _run_blocks of _block_steps(1)
+    steps for one run without raw, else _blocks of size steps.  Checks its
+    arguments now, not on the first step."""
     where = f"mode {mode.tag}, h = {h:g}"
     if x.shape[1] == 1 and raw is None:
-        step = _kernel(cfg, mode.field_tag)[0]
-        r, q, u = x[:, 0].tolist()
-
-        def advance(t, dt, k_u, out):
-            nonlocal r, q, u
-            r, q, u = step(r, q, u, k_u, dt, t, where)
-            out[0] = r
-            out[1] = q
-            out[2] = u
-        return _blocks(advance, (3,), clock, size)
+        run = _kernel(cfg, mode.field_tag)[0]
+        return _run_blocks(run, x[:, 0].tolist(), clock, _block_steps(1), where)
     step = _batch_step(_make_deriv(cfg, mode.field_tag), x.shape[1], cfg.admission.q_max,
                        _admittance_bound(cfg, mode.tag), where)
-
-    def advance(t, dt, k_u, out):
-        nonlocal x
-        step(x, k_u, dt, t, raw, out)
-        x = out
-    return _blocks(advance, x.shape, clock, size)
+    return _blocks(step, x, raw, clock, size)
 
 
 def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAULT_STEP) -> Trajectory:

@@ -13,13 +13,14 @@ Three piecewise functions of the active-queue length q drive everything:
   enter the active queue.
 
 Each spec declares its function once, in two forms: a numpy kernel
-(_kernel(q, out=None), into out if given) for the evaluators and the
+(_kernel(q, out=None), into out if given; an admission kernel also takes
+scratch x and mask, which the cubic uses) for the evaluators and the
 batch field, and a piece table (pieces): (start, origin, coefficients)
 per piece on [start, next start), the polynomial sum c_k * (q - origin)**k
 of degree <= 3, which evaluates bit for bit like the kernel (a piece
 through zero has constant term -0.0, so q = -0.0 keeps its sign).  Slopes,
 kinks, extrema and, through _piece_lines, all float code come from the
-tables: the scalar RK4 step and each spec's float form (_scalar), which
+tables: the scalar RK4 run and each spec's float form (_scalar), which
 the public evaluators call on any scalar query (a float, an int or a 0-d
 array) once they have validated it, the kernel's bits at a fraction of
 its cost.
@@ -286,18 +287,19 @@ class AdmissionSpec:
         # no tail when alpha vanishes from q = 0 on: it would shadow piece 0,
         # whose floor keeps the kernel's -0.0 at q = 0 when c2 = -0.0
         tail = ((zero, 0.0, (0.0,)),) if 0.0 < zero < math.inf else ()
-        kernel = lambda q, out=None: np.maximum(_ZERO, np.add(np.multiply(k1, q, out), k2, out), out=out)
+        kernel = lambda q, out=None, x=None, mask=None: np.maximum(  # x, mask: the cubic's scratch
+            _ZERO, np.add(np.multiply(k1, q, out), k2, out), out=out)
         return kernel, ((0.0, 0.0, (c2, c1)), *tail)
 
     def _cubic(self):
         k0, k1, k2, k3, k_max = map(np.array, (*self.coefficients, self.q_max))
 
-        def kernel(q, out=None):
-            x = np.minimum(q, k_max)  # alpha is 0 from q_max on: no poly to overflow there
+        def kernel(q, out=None, x=None, mask=None):  # x, mask: scratch, apart from q and out
+            x = np.minimum(q, k_max, out=x)  # alpha is 0 from q_max on: no poly to overflow there
             out = np.empty(np.shape(q)) if out is None else out
             np.multiply(x, np.add(k2, np.multiply(x, k3, out), out), out)
             np.add(k0, np.multiply(x, np.add(k1, out, out), out), out)
-            np.copyto(np.maximum(_ZERO, out, out=out), 0.0, where=q >= k_max)
+            np.copyto(np.maximum(_ZERO, out, out=out), 0.0, where=np.greater_equal(q, k_max, mask))
             return out
 
         return kernel, ((0.0, 0.0, self.coefficients), (self.q_max, 0.0, (0.0,)))

@@ -316,6 +316,14 @@ def _oracle_step(cfg, tag, k_u, where):
     return lambda x, dt, t: _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where)
 
 
+def _compiled_step(cfg, tag):
+    """(r, q, u, k_u, dt, t, where) -> (r, q, u): _kernel's run driven one
+    step per call (k1 = k0 + 1), from s = t at k0 = 0, so that a NaN names
+    t: the compiled step under test."""
+    run = dynamics._kernel(cfg, tag)[0]
+    return lambda r, q, u, k_u, dt, t, where: run(r, q, u, k_u, dt, t, 0, 1, where, [])
+
+
 def _outcome(step, *args):
     """The state a step returns as float.hex strings, or the message of the
     FloatingPointError it raises."""
@@ -400,7 +408,7 @@ class TestScalarBackend:
         cfg = self.configs(ref_cfg, section5_cfg)[name]
         where = f"mode {tag}, h = 0.05"
         tag, k_u = self.field(cfg, tag)
-        step = dynamics._kernel(cfg, tag)[0]
+        step = _compiled_step(cfg, tag)
         oracle = _oracle_step(cfg, tag, k_u, where)
         raised = 0
         for x in self.states(cfg, 150).tolist():
@@ -416,7 +424,7 @@ class TestScalarBackend:
         # chattering projection included, state for state
         cfg, mode, start, _ = TestBackendChoice.case(name, ref_cfg, section5_cfg, competitive_cfg)
         where = f"mode {mode.tag}, h = 0.05"
-        step = dynamics._kernel(cfg, mode.field_tag)[0]
+        step = _compiled_step(cfg, mode.field_tag)
         oracle = _oracle_step(cfg, mode.field_tag, mode.k_u, where)
         x = y = start
         for t, dt, _ in dynamics._clock(cfg, mode, 0.0, 100.0, 0.05):
@@ -424,16 +432,16 @@ class TestScalarBackend:
             assert [v.hex() for v in x] == [v.hex() for v in y], t
 
     def test_nan_start_names_the_step(self, ref_cfg):
-        step = dynamics._kernel(ref_cfg, "normal")[0]
+        run = dynamics._kernel(ref_cfg, "normal")[0]
         want = _outcome(_oracle_step(ref_cfg, "normal", 0.0, "mode normal, h = 0.01"),
                         (math.nan, 40.0, 0.0), 0.01, 3.25)
         assert want == "NaN state at t = 3.25 (mode normal, h = 0.01)"
         with pytest.raises(FloatingPointError) as info:
-            step(math.nan, 40.0, 0.0, 0.0, 0.01, 3.25, "mode normal, h = 0.01")
+            run(math.nan, 40.0, 0.0, 0.0, 0.01, 3.25, 0, 1, "mode normal, h = 0.01", [])
         assert str(info.value) == want
         # the traceback shows the generated line that raised
         frame = traceback.extract_tb(info.value.__traceback__)[-1]
-        assert frame.filename == step.__code__.co_filename
+        assert frame.filename == run.__code__.co_filename
         assert frame.filename.startswith("<accessprice step ") and frame.filename.endswith(": normal>")
         assert frame.line == 'raise FloatingPointError(f"NaN state at t = {t:g} ({where})")'
 
@@ -444,9 +452,10 @@ class TestScalarBackend:
     def test_rising_alpha_binds_infinite_q_max_by_name(self, ref_cfg):
         cfg = replace(ref_cfg, admission=AdmissionSpec("linear", (0.1, 0.001)))
         assert cfg.admission.q_max == math.inf
-        step = dynamics._kernel(cfg, "normal")[0]
-        assert "inf" not in linecache.getlines(step.__code__.co_filename)[0]
-        assert math.inf in step.__globals__.values()
+        run = dynamics._kernel(cfg, "normal")[0]
+        assert "inf" not in linecache.getlines(run.__code__.co_filename)[0]
+        assert math.inf in run.__globals__.values()
+        step = _compiled_step(cfg, "normal")
         oracle = _oracle_step(cfg, "normal", 0.0, "w")
         for x in [(30.0, 45.0, 0.0), (1e300, 1e300, 0.0), (0.0, 1e308, 0.0)]:
             assert _outcome(step, *x, 0.0, 0.1, 1.0, "w") == _outcome(oracle, x, 0.1, 1.0)
@@ -458,7 +467,7 @@ class TestKernelMemo:
     @staticmethod
     def agrees(cfg, tag="normal", k_u=0.0):
         """Whether the compiled field and step of cfg match its oracles."""
-        step, deriv = dynamics._kernel(cfg, tag)
+        step, deriv = _compiled_step(cfg, tag), dynamics._kernel(cfg, tag)[1]
         oracle_deriv, oracle = _scalar_deriv(cfg, tag, k_u), _oracle_step(cfg, tag, k_u, "w")
         for x in TestScalarBackend.states(cfg, 50).tolist():
             if not _bits_equal(deriv(*x, k_u), oracle_deriv(*x)):
@@ -751,6 +760,115 @@ class TestClock:
         assert peak < 1_000_000
 
 
+def _drive(cfg, mode, x0, clock, h):
+    """(states, times, fault message or None) of one run's scalar blocks
+    along the clock, each block copied before the next overwrites it."""
+    blocks = dynamics._march(cfg, mode, h, np.array(x0, dtype=float)[:, None], clock, 1)
+    states, times, fault = [np.empty((0, 3))], [np.empty(0)], None
+    try:
+        for block, ts in blocks:
+            states.append(block.copy())
+            times.append(ts.copy())
+    except FloatingPointError as exc:
+        fault = str(exc)
+    return np.concatenate(states), np.concatenate(times), fault
+
+
+class TestRunBlocks:
+    """The scalar block driver steps one run a stretch per call of the
+    compiled run: the same states and end times as the compiled step
+    taken once per step of the clock, and the same NaN message."""
+
+    # every case of TestClock::test_grid_matches_substeps, as (cfg name, mode, a, b, h)
+    GRID = [("ref", "normal", *case) for mark in TestClock.test_grid_matches_substeps.pytestmark
+            if mark.name == "parametrize" for case in mark.args[1]]
+    # section5's burst starts at t = 100 and ends at t = 300, neither on these
+    # grids; the last step of a span that ends on -0.0 ends on -0.0
+    MORE = [("section5", "switched_full", 99.0, 101.0, 0.03),
+            ("section5", "switched_full", 0.0, 320.0, 0.07),
+            ("ref", "normal", -1.0, -0.0, 0.1)]
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("name, mode, a, b, h", GRID + MORE)
+    def test_matches_the_clock(self, monkeypatch, ref_cfg, section5_cfg, name, mode, a, b, h,
+                               block):
+        cfg, mode = (ref_cfg if name == "ref" else section5_cfg), SystemMode(mode)
+        if block is not None:
+            monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+        step = _compiled_step(cfg, mode.field_tag)
+        where = f"mode {mode.tag}, h = {h:g}"
+        x, want = (30.0, 45.0, 0.0), []
+        clock = dynamics._clock(cfg, mode, a, b, h)
+        for t, dt, k_u in clock:
+            x = step(*x, k_u, dt, t, where)
+            want.append(x)
+        states, times, fault = _drive(cfg, mode, (30.0, 45.0, 0.0), clock, h)
+        assert fault is None
+        assert _bits_equal(times, [t for t, _, _ in clock])
+        assert _bits_equal(states, np.reshape(want, (-1, 3)))
+
+    @pytest.mark.parametrize("block", [None, 7])
+    @pytest.mark.parametrize("b, t_fault", [
+        (101.0, 100.03),  # the burst piece's first full step
+        (100.01, 100.01),  # the burst piece is one short step, its last
+    ])
+    def test_nan_names_the_clock_time(self, monkeypatch, section5_cfg, b, t_fault, block):
+        if block is not None:
+            monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
+        h, x0 = 0.03, (30.0, 45.0, 0.0)
+        clean = _drive(section5_cfg, SWITCHED_FULL, x0, dynamics._clock(
+            section5_cfg, SWITCHED_FULL, 99.0, b, h), h)
+        clock = dynamics._clock(section5_cfg, SWITCHED_FULL, 99.0, b, h)
+        assert list(clock)[34][0] == t_fault  # the burst's first step follows 34 before it
+        s, e, n, _, _ = clock.pieces[1]
+        clock.pieces[1] = (s, e, n, h, math.nan)  # a NaN K_U: dU is NaN from its first step
+        states, times, fault = _drive(section5_cfg, SWITCHED_FULL, x0, clock, h)
+        assert fault == f"NaN state at t = {t_fault:g} (mode switched_full, h = 0.03)"
+        # the steps before the fault are yielded first, as they were taken
+        assert len(times) == 34
+        assert _bits_equal(states, clean[0][:34]) and _bits_equal(times, clean[1][:34])
+
+    def test_nan_inside_a_stretch(self, section5_cfg):
+        # step k of a stretch from s ends at s + k*dt, as the clock's step k of its piece
+        run = dynamics._kernel(section5_cfg, "competitive")[0]
+        clock = list(dynamics._clock(section5_cfg, SWITCHED_FULL, 100.0, 101.0, 0.03))
+        out = []
+        with pytest.raises(FloatingPointError) as info:
+            run(30.0, 45.0, 0.0, math.nan, 0.03, 100.0, 5, 9, "w", out)
+        assert str(info.value) == f"NaN state at t = {clock[4][0]:g} (w)" and not out
+        # k = 0 names s itself, as the clock names a piece's last step by its end
+        with pytest.raises(FloatingPointError, match=r"^NaN state at t = -0 \(w\)$"):
+            run(30.0, 45.0, 0.0, math.nan, 0.03, -0.0, 0, 1, "w", out)
+
+
+def _integrate_peak(cfg, mode, x0, t0, t1, h):
+    """(trajectory, tracemalloc peak in bytes) of one integrate call."""
+    tracemalloc.start()
+    try:
+        traj = integrate(cfg, mode, x0, t0, t1, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return traj, peak
+
+
+class TestIntegrateMemory:
+    def test_bounded_by_the_result(self, section5_cfg):
+        # 40,000 steps: one Python list of the whole run would hold 120,000
+        # floats at about 32 B each, 3.8 MB, beside a 2.6 MB result
+        integrate(section5_cfg, SWITCHED_FULL, (30.0, 45.0, 0.0), 0.0, 1.0)  # compile the kernel
+        traj, peak = _integrate_peak(section5_cfg, SWITCHED_FULL, (30.0, 45.0, 0.0), 0.0, 400.0,
+                                     0.01)
+        fields = (traj.times, traj.states, traj.price, traj.flow_r, traj.flow_u, traj.mu)
+        result = sum(a.nbytes for a in fields)
+        row = traj.times.nbytes
+        # besides the result: admitted_flows' temporaries outlive the block
+        # loop by two rows, and a few blocks' worth of floats (32 B per float
+        # in a list, three per step) for the history
+        margin = 10 * dynamics.BLOCK_STEPS * 3 * 32
+        assert peak <= result + 2 * row + margin, (peak - result) / row
+
+
 class TestBackwardHorizon:
     """A horizon that ends before it starts is named, as integrate names it."""
 
@@ -1011,9 +1129,21 @@ class TestConvergeBlocks:
                 return r, q + 50.0 * (calls[0] >= 105), u
             return faulty
 
+        def inject_run(run):
+            """run, driven one step per call through inject."""
+            step = inject(lambda r, q, u, k_u, dt, s, k, where:
+                          run(r, q, u, k_u, dt, s, k, k + 1, where, []))
+
+            def faulty_run(r, q, u, k_u, dt, s, k0, k1, where, out):
+                for k in range(k0, k1):
+                    r, q, u = step(r, q, u, k_u, dt, s, k, where)
+                    out += r, q, u
+                return r, q, u
+            return faulty_run
+
         kernel = dynamics._kernel
         monkeypatch.setattr(dynamics, "_kernel",
-                            lambda cfg, tag: (inject(kernel(cfg, tag)[0]), kernel(cfg, tag)[1]))
+                            lambda cfg, tag: (inject_run(kernel(cfg, tag)[0]), kernel(cfg, tag)[1]))
         args = (ref_cfg, NORMAL, (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
         want = _converge_by_step(*args, wrap=inject)
         assert dynamics.BLOCK_STEPS > 110
@@ -1292,21 +1422,34 @@ class TestStepMemory:
         # set would pass it
         assert peak <= 7 * stack + 3.5 * dynamics.BLOCK_BYTES, peak / stack
 
-    def test_steps_after_the_first_allocate_nothing(self, ref_cfg):
+    @staticmethod
+    def allocations(cfg, mode, hi):
+        """(bytes the first of four steps of 5000 starts in [0, hi] left
+        allocated, the stack's bytes, the peak of the other three above it)."""
         n, dt = 5000, 0.01
-        step = _batch_stepper(ref_cfg, CHATTERING, dt, n)
-        x = np.ascontiguousarray(
-            (np.random.default_rng(4).uniform(0.0, 1.0, (n, 3)) * (300.0, ref_cfg.q_ad, 0.0)).T)
-        stack = x.nbytes
+        step = _batch_stepper(cfg, mode, dt, n)
+        x = np.ascontiguousarray((np.random.default_rng(4).uniform(0.0, 1.0, (n, 3)) * hi).T)
         tracemalloc.start()
         try:
-            step(x, 0.0, dt, dt)  # the field makes its two rows and mask here
+            step(x, mode.k_u, dt, dt)  # the field makes its two rows and mask here
             made = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for k in range(2, 5):
-                step(x, 0.0, dt, k * dt)
+                step(x, mode.k_u, dt, k * dt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        return made, x.nbytes, peak - made
+
+    def test_steps_after_the_first_allocate_nothing(self, ref_cfg):
+        made, stack, more = self.allocations(ref_cfg, CHATTERING, (300.0, ref_cfg.q_ad, 0.0))
         assert made <= stack  # two rows and a mask: under a stack
-        assert peak - made < 4096  # views and scalars, no row (40 kB at this n)
+        assert more < 4096  # views and scalars, no row (40 kB at this n)
+
+    def test_cubic_admission_allocates_nothing(self, section5_cfg):
+        # the cubic alpha clamps q into the field's scratch row and masks
+        # q >= q_max into its mask, as the chattering cap does
+        made, stack, more = self.allocations(section5_cfg, competitive_mode(1.0),
+                                             (150.0, 1.2 * section5_cfg.admission.q_max, 60.0))
+        assert made <= stack
+        assert more < 4096
