@@ -23,45 +23,49 @@ of that set under the exact flow).  No event location is performed; the
 kink set has measure zero and the O(h) local error there is absorbed by
 the acceptance tolerances.
 
-Every driver takes its steps, each as (t, dt, K_U), lazily from one
+Every driver takes its steps, piece by piece at one K_U each, from one
 clock, _clock, the one place that knows the schedule: it cuts a
 switched_full run at the schedule breakpoints, so every driver but
 converge (whose targets need one constant K_U) runs that mode.  Step k
 of a piece [a, b] ends at a + k*h, from the index, and the last exactly
 on b.  h outside (0, 0.1] and non-finite spans raise ValueError.
 
-The stepper has two backends with the same formulas and operation
-order, which agree bit for bit and raise FloatingPointError on the first
-NaN state; the run count picks one, in _march alone.  One run without
-raw tracking steps plain floats through _kernel's run, one loop over a
-stretch of steps per call, generated per configuration and field from
-the specs' piece tables, compiled on first use and memoised on the exact
-bits of its inputs.  Any other batch is one C-contiguous (3, n) stack,
-rows R, q and U, stepped by _batch_step on the field of _make_deriv (the
-specs' numpy kernels; rhs wraps it).  At small n a numpy call costs its
-overhead, not its arithmetic, so that step makes its buffers and 0-d
-constants once per march and passes out positionally (np.maximum's and
-np.minimum's by name: their positional form is deprecated and slower).
+The stepper has two backends with the same formulas and operation order,
+which agree bit for bit; the run count picks one, in _march alone.  Each
+is a run of one contract: it takes a stretch of steps of one size and
+K_U per call, writes each state into the march's one (block, 3, n)
+history and stops at a NaN state, returning the step's index.  One run
+without raw tracking is _kernel's, one loop on plain floats generated
+per configuration and field from the specs' piece tables, compiled on
+first use and memoised on the exact bits of its inputs; it stores
+through a flat view of the history.  Any other batch is one C-contiguous
+(3, n) stack, rows R, q and U, stepped by _batch_run on the field of
+_make_deriv (the specs' numpy kernels; rhs wraps it).  At small n a
+numpy call costs its overhead, not its arithmetic, so that run makes its
+buffers once per march and its 0-d constants once per call, and passes
+out positionally (np.maximum's and np.minimum's by name: their
+positional form is deprecated and slower).
 
-Every driver observes its runs a block at a time: a batch steps into a
-preallocated (block, 3, n) history (_blocks), one run appends its states
-to a list per block (_run_blocks), and the driver takes the block's
+One driver, _blocks, walks the clock's pieces by stretches for both
+backends and yields the history a block at a time, states (k, 3, n) and
+their end times; it alone names a NaN state, raising
+FloatingPointError with its clock time.  Every caller takes the block's
 observations with whole-array operations: integrate copies it,
 final_states takes region excess, and settle_batch and converge (a
 settle run at n = 1 on the mode's fixed points) fold tolerance streaks
 and settle times by one rule (_settle).  A block is BLOCK_STEPS steps,
-fewer when a batch's history would pass BLOCK_BYTES.  Results are those
-of per-step bookkeeping, bit for bit:
-the fold carries each run's streak across block edges (for converge, a
-start within tol counts as the streak's first state), returns the state
-and time of the step where the last run settled, and ignores a
-FloatingPointError raised after it in the same block.
+fewer when the history would pass BLOCK_BYTES.  Results are those of
+per-step bookkeeping, bit for bit: the fold carries each run's streak
+across block edges (for converge, a start within tol counts as the
+streak's first state), returns the state and time of the step where the
+last run settled, and ignores a NaN state after it in the same block.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+import functools
 import itertools
 import linecache
 import math
@@ -285,21 +289,19 @@ def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):
     step += ["rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)",
              "qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)",
              f"un = u + c * ({ku(1)} + 2 * {ku(2)} + 2 * {ku(3)} + {ku(4)})",
-             "if rn != rn or qn != qn or un != un:",
-             "    t = s + k * dt if k else s",
-             '    raise FloatingPointError(f"NaN state at t = {t:g} ({where})")',
+             "if rn != rn or qn != qn or un != un:", "    return (r, q, u), k",
              "if 0.0 > qn:", "    qn = 0.0",
              f"if {lit(q_cap)} < qn:", f"    qn = {lit(q_cap)}"]
     if chat is not None:
         step += [f"if q <= {lit(chat[0] + CLAMP_EPS)} and qn > {lit(chat[0])}:",
                  f"    qn = {lit(chat[0])}"]
     step += ["r = 0.0 if 0.0 > rn else rn", "q = qn", "u = 0.0 if 0.0 > un else un",
-             "out += r, q, u"]
-    body = ["h2 = 0.5 * dt", "c = dt / 6.0", "for k in range(k0, k1):",
-            *("    " + line for line in step), "return r, q, u"]
+             "out[i] = r", "out[i + 1] = q", "out[i + 2] = u", "i += 3"]
+    body = ["r, q, u = x", "h2 = 0.5 * dt", "c = dt / 6.0", "i = 3 * j", "for k in range(k0, k1):",
+            *("    " + line for line in step), "return (r, q, u), k1"]
     deriv = [*field(1, "r", "q", "u"), f"return kr1, kq1, {ku(1)}"]
     source = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in lines) + "\n"
-                     for head, lines in (("run(r, q, u, k_u, dt, s, k0, k1, where, out)", body),
+                     for head, lines in (("run(out, x, k_u, dt, k0, k1, j)", body),
                                          ("deriv(r, q, u, k_u)", deriv)))
     return source, names
 
@@ -310,13 +312,14 @@ def _kernel(cfg: ModelConfig, tag: str):
     keyed by the exact bits of its inputs.
 
     deriv(r, q, u, k_u) -> (dr, dq, du) is _make_deriv's field on plain
-    floats, bit for bit.  run(r, q, u, k_u, dt, s, k0, k1, where, out) ->
-    (r, q, u) takes steps k0 .. k1 - 1 of size dt, each one RK4 step of
-    _batch_step's arithmetic, NaN check and clamps with that field inlined
-    into each stage, appending each state to the list out; a NaN names t =
-    s + k*dt (s for k = 0) and where.  Both are compiled under the file
-    name "<accessprice step N: tag>", whose source linecache holds, so
-    tracebacks and profiles show the generated line.
+    floats, bit for bit.  run(out, x, k_u, dt, k0, k1, j) -> (x, k) is the
+    stretch contract of _blocks for one run, x = (r, q, u) floats: each
+    step one RK4 step of _batch_run's arithmetic, NaN check and clamps with
+    that field inlined into each stage, its state stored through out, a
+    flat float view of the (block, 3, 1) history (_march binds it).  Both
+    are compiled under the file name "<accessprice step N: tag>", whose
+    source linecache holds, so tracebacks and profiles show the generated
+    line.
     """
     q_ad = _admittance_bound(cfg, tag)
     parts = (tag, cfg.k_r, cfg.price.pieces, cfg.admission.pieces, cfg.service.pieces,
@@ -373,69 +376,69 @@ def admitted_flows(cfg: ModelConfig, mode, x):
     """
     mode = as_mode(mode)
     arr = np.asarray(x, dtype=float)
-    r = np.maximum(arr[..., 0], 0.0)
-    q = np.maximum(arr[..., 1], 0.0)
-    a = cfg.admission._kernel(q)
+    shape = arr.shape[:-1]
+    # the projected rows, 0-d for one state; the flows are written into R's and U's
+    r, q = (np.maximum(arr[..., i], 0.0, out=np.empty(shape)) for i in (0, 1))
+    a = cfg.admission._kernel(q, np.empty(shape))
+    np.multiply(a, r, r)
     if mode.dim == 3:
-        u = np.maximum(arr[..., 2], 0.0) if arr.shape[-1] == 3 else np.zeros_like(r)
-        return a * r, a * u
-    flow = np.asarray(a * r)  # 0-d for one state, so the cap can write into it
+        u = np.maximum(arr[..., 2], 0.0, out=np.empty(shape)) if arr.shape[-1] == 3 else np.zeros(shape)
+        return r[()], np.multiply(a, u, u)[()]  # [()]: 0-d to scalar
     if _admittance_bound(cfg, mode.tag) is not None:
-        _cap_flow(flow, q, cfg.q_ad, cfg.service.mu_star)
-    return flow[()], np.zeros_like(r)  # [()]: 0-d to scalar
+        _cap_flow(r, q, cfg.q_ad, cfg.service.mu_star, a)
+    return r[()], np.zeros(shape)
 
 
-def _batch_step(deriv, n, q_cap, chat_cap, where):
-    """The compiled scalar step's numpy twin for n states: step(x, k_u, dt,
-    t, raw=None, out=None) advances the (3, n) C-contiguous stack x under
-    the load k_u into out (x when None) in that step's operation order,
-    with its NaN check (naming t and the run context where) and clamps
-    (q_cap = q_max; chat_cap the chattering bound, None in other modes).
-    raw, when given, is a [per-coordinate minimum, maximum q] pair that
-    takes in the unclamped result.  The buffers (derivatives, U rows zero;
-    a stage; a mask) are made here, the 0-d stage factors and K_U again
-    only when dt or k_u is a new object."""
-    k1, k2, k3, k4 = (np.zeros((3, n)) for _ in range(4))
+def _batch_run(deriv, hist, q_cap, chat_cap, raw=None):
+    """The compiled run's numpy twin for the n runs of the (block, 3, n)
+    history hist: run(x, k_u, dt, k0, k1, j) -> (x, k) is the stretch
+    contract of _blocks for the (3, n) C-contiguous stack x, each step in
+    that run's operation order, with its NaN check and clamps (q_cap =
+    q_max; chat_cap the chattering bound, None in other modes).  raw, when
+    given, is a [per-coordinate minimum, maximum q] pair that takes in the
+    unclamped results.  The buffers (derivatives, U rows zero; a stage; a
+    mask) are made here, the 0-d stage factors and K_U once per call."""
+    n = hist.shape[2]
+    d1, d2, d3, d4 = (np.zeros((3, n)) for _ in range(4))
     s = np.empty((3, n))
     zero, two, cap = np.array(0.0), np.array(2.0), np.array(q_cap)
     if chat_cap is not None:
         chat, chat_eps, below = np.array(chat_cap), np.array(chat_cap + CLAMP_EPS), np.empty(n, bool)
-    last_dt = last_k_u = c_k_u = half = full = sixth = None
+    slots = list(hist)  # the views, made once
     mul, add = np.multiply, np.add
 
-    def step(x, k_u, dt, t, raw=None, out=None):
-        nonlocal last_dt, last_k_u, c_k_u, half, full, sixth
-        if dt is not last_dt:
-            last_dt, half, full, sixth = dt, np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
-        if k_u is not last_k_u:
-            last_k_u, c_k_u = k_u, np.array(k_u, dtype=float)
-        if out is None:
-            out = x
-        if chat_cap is not None:
-            np.less_equal(x[1], chat_eps, below)
-        deriv(x, k1, c_k_u)
-        deriv(add(mul(k1, half, s), x, s), k2, c_k_u)
-        deriv(add(mul(k2, half, s), x, s), k3, c_k_u)
-        deriv(add(mul(k3, full, s), x, s), k4, c_k_u)
-        # x + dt/6 * (((k1 + 2*k2) + 2*k3) + k4)
-        add(mul(k2, two, s), k1, s)
-        add(s, mul(k3, two, k3), s)
-        add(s, k4, s)
-        x = add(x, mul(s, sixth, s), out)
-        if raw is not None:
-            np.minimum(raw[0], np.minimum.reduce(x, 1, initial=np.inf), out=raw[0])
-            raw[1] = max(raw[1], float(np.maximum.reduce(x[1], initial=-np.inf)))
-        q = x[1]
-        if chat_cap is not None:
-            np.copyto(q, np.minimum(q, chat, out=s[1]), where=below)
-        np.maximum(x, zero, out=x)
-        np.minimum(q, cap, out=q)
-        # the projection and clamps keep NaN and leave every other value >= 0,
-        # so the sum is NaN exactly when some coordinate is
-        if math.isnan(np.add.reduce(x, None)):
-            raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+    def run(x, k_u, dt, k0, k1, j):
+        half, full, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
+        c_k_u = np.array(k_u, dtype=float)
+        for k in range(k0, k1):
+            out = slots[j + k - k0]
+            if chat_cap is not None:
+                np.less_equal(x[1], chat_eps, below)
+            deriv(x, d1, c_k_u)
+            deriv(add(mul(d1, half, s), x, s), d2, c_k_u)
+            deriv(add(mul(d2, half, s), x, s), d3, c_k_u)
+            deriv(add(mul(d3, full, s), x, s), d4, c_k_u)
+            # x + dt/6 * (((d1 + 2*d2) + 2*d3) + d4)
+            add(mul(d2, two, s), d1, s)
+            add(s, mul(d3, two, d3), s)
+            add(s, d4, s)
+            add(x, mul(s, sixth, s), out)
+            if raw is not None:
+                np.minimum(raw[0], np.minimum.reduce(out, 1, initial=np.inf), out=raw[0])
+                raw[1] = max(raw[1], float(np.maximum.reduce(out[1], initial=-np.inf)))
+            q = out[1]
+            if chat_cap is not None:
+                np.copyto(q, np.minimum(q, chat, out=s[1]), where=below)
+            np.maximum(out, zero, out=out)
+            np.minimum(q, cap, out=q)
+            # the projection and clamps keep NaN and leave every other value >= 0,
+            # so the sum is NaN exactly when some coordinate is
+            if math.isnan(np.add.reduce(out, None)):
+                return x, k
+            x = out
+        return x, k1
 
-    return step
+    return run
 
 
 def _step_count(a: float, b: float, h: float) -> int:
@@ -450,11 +453,13 @@ def _step_count(a: float, b: float, h: float) -> int:
 
 
 class _clock:
-    """The mode's RK4 steps on [a, b], checked when made, produced lazily
-    like range's: (t, dt, K_U) per step, .steps of them.  switched_full is
-    cut at the schedule edges inside (a, b), any other mode kept whole;
-    step k of a piece [s, e] ends at s + k*h, the last on e, at the K_U of
-    time s."""
+    """The mode's RK4 steps on [a, b], checked when made: .pieces, (s, e,
+    n, h, K_U) per piece [s, e] of n steps at the K_U of time s, and .steps
+    of them in all.  switched_full is cut at the schedule edges inside (a,
+    b), any other mode kept whole; step k of a piece ends at s + k*h, the
+    last on e.  _blocks walks the pieces; iterating yields (t, dt, K_U)
+    per step, lazily like range's, the per-step reference that tests step
+    along."""
 
     def __init__(self, cfg: ModelConfig, mode: SystemMode, a: float, b: float, h: float):
         inner = {e for piece in cfg.k_u_schedule for e in piece[:2] if a < e < b}
@@ -477,64 +482,43 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (24 * max(n, 1))))
 
 
-def _blocks(step, x, raw, clock, size: int):
-    """Step a batch's (3, n) stack x along the clock by _batch_step's step
-    (raw as there) into one (size, 3, n) history.
+def _blocks(run, x, clock, hist, where: str):
+    """Step the runs from x along the clock into the (block, 3, n) history
+    hist by a backend's run, one stretch of steps per call.
 
-    Yields (states, times) per block of up to size steps: views of the
-    states after each of its k steps, (k, 3, n), and of their end times,
-    (k,), overwritten by the next block.  A FloatingPointError ends its
-    block early and is raised only when the next block is asked for, so a
-    caller that returns on the block holding its answer never sees it.
+    run(x, k_u, dt, k0, k1, j) -> (x, k) takes steps k0 .. k1 - 1 from x,
+    writes step i's state into hist[j + i - k0], and returns its last
+    state and k1, or, on a NaN state, that step's index k (x then
+    unspecified).  The stretches are each piece's full steps k = 1 .. n
+    - 1, ending at s + k*h, then its last, ending on e.
+
+    Yields (states, times) per block of up to len(hist) steps: views of
+    the states after each of its k steps, (k, 3, n), and of their end
+    times, (k,), overwritten by the next block.  A NaN state ends its block
+    early, and FloatingPointError naming the step's clock time and where is
+    raised only when the next block is asked for, so a caller that returns
+    on the block holding its answer never sees it.
     """
-    hist = np.empty((size, *x.shape))
-    slots = list(hist)  # the views, made once
+    size, j = len(hist), 0
     times = np.empty(size)
-    clock = iter(clock)
-    while True:
-        k, fault = 0, None
-        for t, dt, k_u in itertools.islice(clock, size):
-            try:
-                step(x, k_u, dt, t, raw, slots[k])
-            except FloatingPointError as exc:
-                fault = exc
-                break
-            x = slots[k]
-            times[k] = t
-            k += 1
-        if k:
-            yield hist[:k], times[:k]
-        if fault is not None:
-            raise fault
-        if k < size:
-            return
-
-
-def _run_blocks(run, x, clock, size: int, where: str):
-    """_blocks, (k, 3) states, for one run's (r, q, u) floats x, stepped by
-    _kernel's run one stretch per call: a piece's full steps k = 1 .. n - 1,
-    ending at s + k*h, then its last, ending on e."""
-    r, q, u = x
-    buf, times = [], np.empty(size)  # the block's states, flat, and their end times
     for s, e, n, h, k_u in clock.pieces:
         for start, dt, k0, k1 in ((s, h, 1, n), (e, (e - s) - (n - 1) * h, 0, min(n, 1))):
             while k0 < k1:
-                done, fault = len(buf) // 3, None
-                try:
-                    r, q, u = run(r, q, u, k_u, dt, start, k0, min(k1, k0 + size - done), where, buf)
-                except FloatingPointError as exc:
-                    fault = exc
-                k = len(buf) // 3
-                times[done:k] = start + np.arange(k0, k0 + k - done) * dt if k0 else start
-                k0 += k - done
-                if k == size or fault is not None:
-                    if k:
-                        yield np.array(buf, float).reshape(k, 3), times[:k]
-                    if fault is not None:
-                        raise fault
-                    buf = []
-    if buf:
-        yield np.array(buf, float).reshape(-1, 3), times[: len(buf) // 3]
+                stop = min(k1, k0 + size - j)
+                x, k = run(x, k_u, dt, k0, stop, j)
+                times[j : j + k - k0] = start + np.arange(k0, k) * dt if k0 else start
+                j += k - k0
+                if k < stop:  # step k gave a NaN state
+                    if j:
+                        yield hist[:j], times[:j]
+                    t = start + k * dt if k else start
+                    raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+                if j == size:
+                    yield hist, times
+                    j = 0
+                k0 = k
+    if j:
+        yield hist[:j], times[:j]
 
 
 def _within(states, targets, tol: float) -> np.ndarray:
@@ -557,7 +541,6 @@ def _settle(blocks, x, t, targets, tol: float, streak: np.ndarray):
     max_q = float(x[1].max(initial=-np.inf))
     for states, times in blocks:
         k = len(times)
-        states = states.reshape(k, 3, n)  # (k, 3, 1) from the scalar backend's (k, 3)
         idx = np.arange(k)[:, None]
         within = _within(states, targets, tol)
         # per step, the last one out of tolerance: -1 - streak before the block
@@ -601,18 +584,20 @@ def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
     return tuple(_starts(np.ravel(x0), name)[0].tolist())
 
 
-def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, size: int, *, raw=None):
-    """Blocks of the runs started at the (3, n) states x, stepped along the
-    clock by the mode's checked RK4 step: _run_blocks of _block_steps(1)
-    steps for one run without raw, else _blocks of size steps.  Checks its
-    arguments now, not on the first step."""
-    where = f"mode {mode.tag}, h = {h:g}"
-    if x.shape[1] == 1 and raw is None:
-        run = _kernel(cfg, mode.field_tag)[0]
-        return _run_blocks(run, x[:, 0].tolist(), clock, _block_steps(1), where)
-    step = _batch_step(_make_deriv(cfg, mode.field_tag), x.shape[1], cfg.admission.q_max,
-                       _admittance_bound(cfg, mode.tag), where)
-    return _blocks(step, x, raw, clock, size)
+def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, *, raw=None):
+    """_blocks of the runs started at the (3, n) states x along the clock,
+    in one history of _block_steps(n) steps, by the mode's checked RK4 run:
+    _kernel's for one run without raw, else _batch_run's.  An empty batch
+    takes no step.  Checks its arguments now, not on the first step."""
+    n = x.shape[1]
+    hist = np.empty((_block_steps(n), 3, n))
+    if n == 1 and raw is None:
+        run = functools.partial(_kernel(cfg, mode.field_tag)[0], memoryview(hist).cast("B").cast("d"))
+        x = x[:, 0].tolist()
+    else:
+        run = _batch_run(_make_deriv(cfg, mode.field_tag), hist, cfg.admission.q_max,
+                         _admittance_bound(cfg, mode.tag), raw)
+    return _blocks(run, x, clock, hist, f"mode {mode.tag}, h = {h:g}") if n else iter(())
 
 
 def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAULT_STEP) -> Trajectory:
@@ -630,20 +615,21 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
     states = np.empty((len(times), 3))
     times[0], states[0] = t0, x
     k = 1
-    for block, ts in _march(cfg, mode, h, states[:1].T, clock, BLOCK_STEPS):
+    for block, ts in _march(cfg, mode, h, states[:1].T, clock):
         times[k : k + len(ts)] = ts
-        states[k : k + len(ts)] = block
+        states[k : k + len(ts)] = block[:, :, 0]
         k += len(ts)
 
     fr, fu = admitted_flows(cfg, mode, states)
+    q = states[:, 1]
     return Trajectory(
         mode=mode,
         times=times,
         states=states,
-        price=cfg.price._kernel(states[:, 1]),
+        price=cfg.price._kernel(q, np.empty_like(times)),  # out given: no temporary rows
         flow_r=np.asarray(fr),
         flow_u=np.asarray(fu),
-        mu=cfg.service._kernel(states[:, 1]),
+        mu=cfg.service._kernel(q, np.empty_like(times)),
     )
 
 
@@ -688,13 +674,12 @@ def final_states(
     n = x.shape[1]
     clock = _clock(cfg, mode, t0, t1, h)
     raw = [np.full(3, np.inf), -np.inf] if raw_bounds else None
-    excess, size = None, 1  # without a region nothing reads the history: one slot will do
+    excess = None
     if region is not None:
         A, b = _check_region(region)
-        excess, size = np.full(n, -np.inf), _block_steps(n)
+        excess = np.full(n, -np.inf)
 
-    for states, _ in _march(cfg, mode, h, x, clock, size, raw=raw):
-        states = states.reshape(len(states), 3, n)  # (k, 3, 1) from the scalar backend's (k, 3)
+    for states, _ in _march(cfg, mode, h, x, clock, raw=raw):
         x = states[-1]
         if excess is not None:
             r, q, u = states.transpose(1, 0, 2)
@@ -721,7 +706,7 @@ def _settle_run(cfg: ModelConfig, mode: SystemMode, x0s, targets, tol: float, t_
     x = np.ascontiguousarray(_starts(x0s).T)
     n = x.shape[1]
     clock = _clock(cfg, mode, t0, t0 + t_cap, h)
-    blocks = _march(cfg, mode, h, x, clock if n else (), _block_steps(n))
+    blocks = _march(cfg, mode, h, x, clock)
     streak = _within(x[None], targets, tol)[0] * 1 if start_counts else np.zeros(n, dtype=int)
     return _settle(blocks, x, t0, targets, tol, streak)
 

@@ -81,17 +81,21 @@ def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
     from_pieces evaluates it: an if/elif chain from the last piece down, so
     a NaN q falls through to piece 0 and stays NaN; Horner as _poly runs
     it, less the exact identities q - 0.0 == q and -0.0 + y == y; floored
-    at zero, keeping -0.0 and NaN, as there.  lit(x) writes each other
-    constant, as a literal or as a name bound to it."""
+    at zero, keeping -0.0 and NaN, as there, a constant piece's floor
+    taken here.  lit(x) writes each other constant, as a literal or as a
+    name bound to it."""
     lines = []
     for i in reversed(range(len(pieces))):
         start, origin, c = pieces[i]
-        x = q if repr(float(origin)) == "0.0" else f"({q} - {lit(origin)})"
-        expr = lit(c[-1])
-        for ck in c[-2::-1]:
-            term = f"{x} * " + (f"({expr})" if " " in expr else expr)
-            expr = term if repr(float(ck)) == "-0.0" else f"{lit(ck)} + {term}"
-        body = [f"{name} = {expr}", f"if {name} < 0.0:", f"    {name} = 0.0"]
+        if len(c) == 1:
+            body = [f"{name} = {lit(0.0 if c[0] < 0.0 else c[0])}"]
+        else:
+            x = q if repr(float(origin)) == "0.0" else f"({q} - {lit(origin)})"
+            expr = lit(c[-1])
+            for ck in c[-2::-1]:
+                term = f"{x} * " + (f"({expr})" if " " in expr else expr)
+                expr = term if repr(float(ck)) == "-0.0" else f"{lit(ck)} + {term}"
+            body = [f"{name} = {expr}", f"if {name} < 0.0:", f"    {name} = 0.0"]
         if len(pieces) == 1:
             return body
         head = "else:" if i == 0 else f"{'if' if i == len(pieces) - 1 else 'elif'} {q} >= {lit(start)}:"

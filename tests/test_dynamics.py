@@ -1,4 +1,5 @@
 from dataclasses import replace
+import functools
 import linecache
 import math
 import traceback
@@ -91,6 +92,26 @@ class TestAdmittedFlows:
         fr, fu = admitted_flows(ref_cfg, CHATTERING, (100.0, 60.0, 0.0))
         assert fr == pytest.approx(3.0, rel=1e-14)
         assert fu == 0.0
+
+    @pytest.mark.parametrize("mode", [NORMAL, CHATTERING, competitive_mode(1.0)])
+    def test_types_and_bits(self, ref_cfg, mode):
+        # alpha(q)*R (and *U) at the projected state, capped in chattering
+        # mode: arrays for a batch, scalars for one state except the 2-state
+        # modes' zero U flow, a 0-d array
+        x = np.array([(100.0, 70.0, 4.0), (-1.0, 30.0, -2.0), (25.0, -0.0, 7.0), (80.0, 20.0, 0.0)])
+        r, q, u = np.maximum(x, 0.0).T
+        a = eval_admission(ref_cfg.admission, q)
+        want_r, want_u = a * r, (a * u if mode.dim == 3 else np.zeros(len(x)))
+        if mode == CHATTERING:
+            assert (q >= ref_cfg.q_ad).any() and (q < ref_cfg.q_ad).any()
+            want_r = np.where(q >= ref_cfg.q_ad, np.minimum(want_r, ref_cfg.service.mu_star), want_r)
+        fr, fu = admitted_flows(ref_cfg, mode, x)
+        assert type(fr) is type(fu) is np.ndarray
+        assert _bits_equal(fr, want_r) and _bits_equal(fu, want_u)
+        for row, one_r, one_u in zip(x, want_r, want_u):
+            fr, fu = admitted_flows(ref_cfg, mode, tuple(row))
+            assert type(fr) is np.float64 and type(fu) is (np.float64 if mode.dim == 3 else np.ndarray)
+            assert _bits_equal(fr, one_r) and _bits_equal(fu, one_u)
 
 
 class TestIntegrate:
@@ -318,10 +339,21 @@ def _oracle_step(cfg, tag, k_u, where):
 
 def _compiled_step(cfg, tag):
     """(r, q, u, k_u, dt, t, where) -> (r, q, u): _kernel's run driven one
-    step per call (k1 = k0 + 1), from s = t at k0 = 0, so that a NaN names
-    t: the compiled step under test."""
+    step per call (k1 = k0 + 1) into a one-step history, the state it
+    returns checked against the one it stored; a NaN state, which the run
+    reports by its index, raises the block driver's message naming t: the
+    compiled step under test."""
     run = dynamics._kernel(cfg, tag)[0]
-    return lambda r, q, u, k_u, dt, t, where: run(r, q, u, k_u, dt, t, 0, 1, where, [])
+    out = memoryview(np.empty((1, 3, 1))).cast("B").cast("d")
+
+    def step(r, q, u, k_u, dt, t, where):
+        x, k = run(out, (r, q, u), k_u, dt, 0, 1, 0)
+        if k == 0:
+            raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+        assert k == 1 and [v.hex() for v in x] == [v.hex() for v in out]
+        return x
+
+    return step
 
 
 def _outcome(step, *args):
@@ -432,18 +464,25 @@ class TestScalarBackend:
             assert [v.hex() for v in x] == [v.hex() for v in y], t
 
     def test_nan_start_names_the_step(self, ref_cfg):
+        # the run stops at the NaN state, returning the step's index and
+        # storing nothing
         run = dynamics._kernel(ref_cfg, "normal")[0]
+        hist = np.full(3, 7.0)
+        _, k = run(memoryview(hist).cast("B").cast("d"), (math.nan, 40.0, 0.0), 0.0, 0.01, 0, 1, 0)
+        assert k == 0 and (hist == 7.0).all()
         want = _outcome(_oracle_step(ref_cfg, "normal", 0.0, "mode normal, h = 0.01"),
                         (math.nan, 40.0, 0.0), 0.01, 3.25)
         assert want == "NaN state at t = 3.25 (mode normal, h = 0.01)"
+        # the driver names it: one step, the last of [3.24, 3.25], ends on 3.25
+        clock = dynamics._clock(ref_cfg, NORMAL, 3.24, 3.25, 0.01)
+        blocks = dynamics._march(ref_cfg, NORMAL, 0.01, np.array([[math.nan], [40.0], [0.0]]), clock)
         with pytest.raises(FloatingPointError) as info:
-            run(math.nan, 40.0, 0.0, 0.0, 0.01, 3.25, 0, 1, "mode normal, h = 0.01", [])
+            next(blocks)
         assert str(info.value) == want
-        # the traceback shows the generated line that raised
+        # the driver is the message's one home: the generated run raises nothing
         frame = traceback.extract_tb(info.value.__traceback__)[-1]
-        assert frame.filename == run.__code__.co_filename
-        assert frame.filename.startswith("<accessprice step ") and frame.filename.endswith(": normal>")
-        assert frame.line == 'raise FloatingPointError(f"NaN state at t = {t:g} ({where})")'
+        assert frame.filename == dynamics.__file__ and frame.name == "_blocks"
+        assert "raise" not in "".join(linecache.getlines(run.__code__.co_filename))
 
     def test_chattering_needs_q_ad(self, competitive_cfg):
         with pytest.raises(ValueError, match="chattering mode needs q_ad"):
@@ -760,11 +799,19 @@ class TestClock:
         assert peak < 1_000_000
 
 
-def _drive(cfg, mode, x0, clock, h):
-    """(states, times, fault message or None) of one run's scalar blocks
-    along the clock, each block copied before the next overwrites it."""
-    blocks = dynamics._march(cfg, mode, h, np.array(x0, dtype=float)[:, None], clock, 1)
-    states, times, fault = [np.empty((0, 3))], [np.empty(0)], None
+# the runs the one block driver steps: (n, raw tracking)
+BACKENDS = {"compiled": (1, False), "batch raw": (1, True), "batch n = 3": (3, False)}
+
+
+def _drive(cfg, mode, x0, clock, h, backend):
+    """(states, times, fault message or None) of the runs from x0 along the
+    clock on the backend, (k, 3, n) states, each block copied before the
+    next overwrites it."""
+    n, raw = BACKENDS[backend]
+    x = np.tile(np.array(x0, dtype=float)[:, None], n)
+    raw = [np.full(3, np.inf), -np.inf] if raw else None
+    blocks = dynamics._march(cfg, mode, h, x, clock, raw=raw)
+    states, times, fault = [np.empty((0, 3, n))], [np.empty(0)], None
     try:
         for block, ts in blocks:
             states.append(block.copy())
@@ -775,9 +822,10 @@ def _drive(cfg, mode, x0, clock, h):
 
 
 class TestRunBlocks:
-    """The scalar block driver steps one run a stretch per call of the
-    compiled run: the same states and end times as the compiled step
-    taken once per step of the clock, and the same NaN message."""
+    """The one block driver steps each backend's run a stretch per call: the
+    same states and end times as the compiled step taken once per step of
+    the clock, and the same NaN message, on the compiled run, the batch run
+    at n = 1 with raw tracking and the batch run at n = 3."""
 
     # every case of TestClock::test_grid_matches_substeps, as (cfg name, mode, a, b, h)
     GRID = [("ref", "normal", *case) for mark in TestClock.test_grid_matches_substeps.pytestmark
@@ -802,10 +850,11 @@ class TestRunBlocks:
         for t, dt, k_u in clock:
             x = step(*x, k_u, dt, t, where)
             want.append(x)
-        states, times, fault = _drive(cfg, mode, (30.0, 45.0, 0.0), clock, h)
-        assert fault is None
-        assert _bits_equal(times, [t for t, _, _ in clock])
-        assert _bits_equal(states, np.reshape(want, (-1, 3)))
+        for backend, (n, _) in BACKENDS.items():
+            states, times, fault = _drive(cfg, mode, (30.0, 45.0, 0.0), clock, h, backend)
+            assert fault is None, backend
+            assert _bits_equal(times, [t for t, _, _ in clock]), backend
+            assert _bits_equal(states, np.repeat(np.reshape(want, (-1, 3, 1)), n, axis=2)), backend
 
     @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("b, t_fault", [
@@ -816,29 +865,62 @@ class TestRunBlocks:
         if block is not None:
             monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
         h, x0 = 0.03, (30.0, 45.0, 0.0)
-        clean = _drive(section5_cfg, SWITCHED_FULL, x0, dynamics._clock(
-            section5_cfg, SWITCHED_FULL, 99.0, b, h), h)
         clock = dynamics._clock(section5_cfg, SWITCHED_FULL, 99.0, b, h)
         assert list(clock)[34][0] == t_fault  # the burst's first step follows 34 before it
+        clean = {backend: _drive(section5_cfg, SWITCHED_FULL, x0, clock, h, backend)
+                 for backend in BACKENDS}
         s, e, n, _, _ = clock.pieces[1]
         clock.pieces[1] = (s, e, n, h, math.nan)  # a NaN K_U: dU is NaN from its first step
-        states, times, fault = _drive(section5_cfg, SWITCHED_FULL, x0, clock, h)
-        assert fault == f"NaN state at t = {t_fault:g} (mode switched_full, h = 0.03)"
-        # the steps before the fault are yielded first, as they were taken
-        assert len(times) == 34
-        assert _bits_equal(states, clean[0][:34]) and _bits_equal(times, clean[1][:34])
+        for backend in BACKENDS:
+            states, times, fault = _drive(section5_cfg, SWITCHED_FULL, x0, clock, h, backend)
+            assert fault == f"NaN state at t = {t_fault:g} (mode switched_full, h = 0.03)"
+            # the steps before the fault are yielded first, as they were taken
+            assert len(times) == 34
+            want_states, want_times, _ = clean[backend]
+            assert _bits_equal(states, want_states[:34]) and _bits_equal(times, want_times[:34])
+
+    def test_nan_on_a_last_step_ending_on_minus_zero(self, section5_cfg):
+        # k = 0 names the stretch's start itself, as the clock names a
+        # piece's last step by its end
+        clock = dynamics._clock(section5_cfg, competitive_mode(1.0), -0.1, -0.0, 0.1)
+        s, e, n, h, _ = clock.pieces[0]
+        clock.pieces[0] = (s, e, n, h, math.nan)
+        for backend in BACKENDS:
+            states, _, fault = _drive(section5_cfg, competitive_mode(1.0), (30.0, 45.0, 0.0),
+                                      clock, 0.1, backend)
+            assert fault == "NaN state at t = -0 (mode competitive, h = 0.1)" and not len(states)
 
     def test_nan_inside_a_stretch(self, section5_cfg):
-        # step k of a stretch from s ends at s + k*dt, as the clock's step k of its piece
-        run = dynamics._kernel(section5_cfg, "competitive")[0]
-        clock = list(dynamics._clock(section5_cfg, SWITCHED_FULL, 100.0, 101.0, 0.03))
-        out = []
-        with pytest.raises(FloatingPointError) as info:
-            run(30.0, 45.0, 0.0, math.nan, 0.03, 100.0, 5, 9, "w", out)
-        assert str(info.value) == f"NaN state at t = {clock[4][0]:g} (w)" and not out
-        # k = 0 names s itself, as the clock names a piece's last step by its end
-        with pytest.raises(FloatingPointError, match=r"^NaN state at t = -0 \(w\)$"):
-            run(30.0, 45.0, 0.0, math.nan, 0.03, -0.0, 0, 1, "w", out)
+        # K_U = 1e308 overflows U to inf on the first step and gives NaN (inf
+        # - inf) on the second: each backend's run returns the second's
+        # index, having stored the first step's state in row j
+        k_u, dt, x0 = 1e308, 0.03, (30.0, 45.0, 0.0)
+        oracle = _oracle_step(section5_cfg, "competitive", k_u, "w")
+        first = oracle(x0, dt, 0.0)
+        assert math.isinf(first[2]) and _outcome(oracle, first, dt, 0.0) == "NaN state at t = 0 (w)"
+        hist = np.full((4, 3, 1), 7.0)
+        compiled = functools.partial(dynamics._kernel(section5_cfg, "competitive")[0],
+                                     memoryview(hist).cast("B").cast("d"))
+        _, k = compiled(x0, k_u, dt, 5, 9, 2)
+        assert k == 6 and _bits_equal(hist[2, :, 0], first)
+        assert (hist[[0, 1, 3]] == 7.0).all()  # the NaN state is not stored
+        hist[:] = 7.0
+        batch = dynamics._batch_run(dynamics._make_deriv(section5_cfg, "competitive"), hist,
+                                    section5_cfg.admission.q_max, None)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, k = batch(np.array(x0)[:, None], k_u, dt, 5, 9, 2)
+        assert k == 6 and _bits_equal(hist[2, :, 0], first)
+        assert (hist[:2] == 7.0).all()  # row 3 holds the NaN state, which no block shows
+        # the driver names that step's clock time: step k of a piece ends at s + k*h
+        clock = dynamics._clock(section5_cfg, SWITCHED_FULL, 99.0, 101.0, dt)
+        t_fault = list(clock)[35][0]  # the burst's second step
+        s, e, n, h, _ = clock.pieces[1]
+        clock.pieces[1] = (s, e, n, h, k_u)
+        for backend in BACKENDS:
+            with np.errstate(over="ignore", invalid="ignore"):
+                states, _, fault = _drive(section5_cfg, SWITCHED_FULL, x0, clock, dt, backend)
+            assert fault == f"NaN state at t = {t_fault:g} (mode switched_full, h = 0.03)"
+            assert len(states) == 35
 
 
 def _integrate_peak(cfg, mode, x0, t0, t1, h):
@@ -869,6 +951,20 @@ class TestIntegrateMemory:
         assert peak <= result + 2 * row + margin, (peak - result) / row
 
 
+class TestIntegratePeak:
+    def test_within_a_row_of_the_result(self, section5_cfg):
+        # admitted_flows writes the flows into its projected R and U rows and
+        # the price and mu kernels write into their result rows, so no row
+        # outlives its use: the peak stays within half a row of the result
+        # (two rows above it when each made its own)
+        integrate(section5_cfg, SWITCHED_FULL, (30.0, 45.0, 0.0), 0.0, 1.0)  # compile the kernel
+        traj, peak = _integrate_peak(section5_cfg, SWITCHED_FULL, (30.0, 45.0, 0.0), 0.0, 400.0,
+                                     0.01)
+        fields = (traj.times, traj.states, traj.price, traj.flow_r, traj.flow_u, traj.mu)
+        result, row = sum(a.nbytes for a in fields), traj.times.nbytes
+        assert peak <= result + row // 2, (peak - result) / row
+
+
 class TestBackwardHorizon:
     """A horizon that ends before it starts is named, as integrate names it."""
 
@@ -886,15 +982,26 @@ class TestBackwardHorizon:
 
 
 def _step_context(cfg, mode, h):
-    """The clamps and NaN context that _march binds to a run's step."""
+    """The clamps and NaN context that _march binds to a run."""
     chat_cap = dynamics._admittance_bound(cfg, mode.tag)
     return cfg.admission.q_max, chat_cap, f"mode {mode.tag}, h = {h:g}"
 
 
-def _batch_stepper(cfg, mode, h, n):
-    """The batch backend's step for n runs, K_U passed per step."""
-    deriv = dynamics._make_deriv(cfg, mode.field_tag)
-    return dynamics._batch_step(deriv, n, *_step_context(cfg, mode, h))
+def _batch_stepper(cfg, mode, h, n, raw=None):
+    """step(x, k_u, dt, t): the batch backend's run for n runs (raw as
+    there) driven one step per call into a one-step history, then copied
+    back into the (3, n) stack x; a NaN state raises the block driver's
+    message naming t."""
+    q_cap, chat_cap, where = _step_context(cfg, mode, h)
+    hist = np.empty((1, 3, n))
+    run = dynamics._batch_run(dynamics._make_deriv(cfg, mode.field_tag), hist, q_cap, chat_cap, raw)
+
+    def step(x, k_u, dt, t):
+        if run(x, k_u, dt, 0, 1, 0)[1] == 0:
+            raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
+        np.copyto(x, hist[0])
+
+    return step
 
 
 def _settle_by_step(cfg, mode, x0s, target, tol, t_cap, h, t0=0.0):
@@ -992,22 +1099,26 @@ class TestSettleBlocks:
         # the per-step loop returns on step 100; a jump in q from step 105 on
         # and a fault on step 110 of the same block must not reach the
         # block-wise one's result either
-        batch_step = dynamics._batch_step
+        batch_run = dynamics._batch_run
 
-        def faulty_batch_step(*args):
-            step = batch_step(*args)
+        def faulty_batch_run(*args):
+            """The batch run, stepped one step per call: from its 105th step on
+            q jumps by 50, and its 110th reports a NaN state."""
+            run = batch_run(*args)
             calls = [0]
 
-            def faulty(x, k_u, dt, t, raw=None, out=None):
-                calls[0] += 1
-                if calls[0] >= 110:
-                    raise FloatingPointError("injected")
-                step(x, k_u, dt, t, raw, out)
-                if calls[0] >= 105:
-                    (x if out is None else out)[1] += 50.0
+            def faulty(x, k_u, dt, k0, k1, j):
+                for k in range(k0, k1):
+                    calls[0] += 1
+                    if calls[0] >= 110:
+                        return x, k
+                    x = run(x, k_u, dt, k, k + 1, j + k - k0)[0]
+                    if calls[0] >= 105:
+                        x[1] += 50.0
+                return x, k1
             return faulty
 
-        monkeypatch.setattr(dynamics, "_batch_step", faulty_batch_step)
+        monkeypatch.setattr(dynamics, "_batch_run", faulty_batch_run)
         args = (ref_cfg, NORMAL, [(25.0, 40.0, 0.0), (25.0, 40.0, 0.0)], (25.0, 40.0, 0.0),
                 1e-3, 100.0, 0.01)
         want = _settle_by_step(*args)
@@ -1015,8 +1126,8 @@ class TestSettleBlocks:
         got = settle_batch(*args)
         _assert_same_settle(got, want)
         assert got.settled.all()
-        # a fault before every run settled still escapes
-        with pytest.raises(FloatingPointError, match="injected"):
+        # a fault before every run settled still escapes, on the 110th step
+        with pytest.raises(FloatingPointError, match=r"^NaN state at t = 1\.1 \(mode normal, h = 0\.01\)$"):
             settle_batch(ref_cfg, NORMAL, [(25.0, 40.0, 0.0), (250.0, 60.0, 0.0)],
                          (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
 
@@ -1130,15 +1241,19 @@ class TestConvergeBlocks:
             return faulty
 
         def inject_run(run):
-            """run, driven one step per call through inject."""
-            step = inject(lambda r, q, u, k_u, dt, s, k, where:
-                          run(r, q, u, k_u, dt, s, k, k + 1, where, []))
+            """run, driven one step per call through inject: the injected
+            fault reported as a NaN state, the jump stored as run stores."""
+            step = inject(lambda out, x, k_u, dt, i: run(out, x, k_u, dt, 0, 1, i)[0])
 
-            def faulty_run(r, q, u, k_u, dt, s, k0, k1, where, out):
+            def faulty_run(out, x, k_u, dt, k0, k1, j):
                 for k in range(k0, k1):
-                    r, q, u = step(r, q, u, k_u, dt, s, k, where)
-                    out += r, q, u
-                return r, q, u
+                    i = j + k - k0
+                    try:
+                        x = step(out, x, k_u, dt, i)
+                    except FloatingPointError:
+                        return x, k
+                    out[3 * i + 1] = x[1]
+                return x, k1
             return faulty_run
 
         kernel = dynamics._kernel
@@ -1151,9 +1266,9 @@ class TestConvergeBlocks:
         got = converge(*args)
         _assert_same_converge(got, want)
         assert got.converged and got.settling_time == 0.0
-        # a fault before the run settled still escapes
+        # a fault before the run settled still escapes, on the 110th step
         calls[0] = 0
-        with pytest.raises(FloatingPointError, match="injected"):
+        with pytest.raises(FloatingPointError, match=r"^NaN state at t = 1\.1 \(mode normal, h = 0\.01\)$"):
             converge(ref_cfg, NORMAL, (250.0, 60.0, 0.0), 1e-3, 100.0, 0.01)
 
 
@@ -1162,12 +1277,12 @@ def _excess_by_step(cfg, mode, x0s, t0, t1, h, region):
     the drivers observed their runs per block: the reference."""
     A, b = region
     x = dynamics._starts(x0s).T.copy()
-    step = _batch_stepper(cfg, mode, h, x.shape[1])
     raw = [np.full(3, np.inf), -np.inf]
+    step = _batch_stepper(cfg, mode, h, x.shape[1], raw)
     a_r, a_q, a_u, b = *A.T[:, :, None], b[:, None]
     excess = np.full(x.shape[1], -np.inf)
     for t, dt, k_u in dynamics._clock(cfg, mode, t0, t1, h):
-        step(x, k_u, dt, t, raw)
+        step(x, k_u, dt, t)
         r, q, u = x
         vals = a_r * r + a_q * q + a_u * u - b
         np.maximum(excess, vals.max(axis=0), out=excess)
@@ -1262,14 +1377,14 @@ class TestBackendChoice:
         assert _bits_equal(alone.t_exit, batch.t_exit) and _bits_equal(alone.max_q, batch.max_q)
 
     def test_batch_step_bound_for_batches_only(self, monkeypatch, ref_cfg):
-        bound = []  # the run count of each _batch_step binding
-        batch_step = dynamics._batch_step
+        bound = []  # the run count of each _batch_run binding
+        batch_run = dynamics._batch_run
 
-        def counting(deriv, n, *args):
-            bound.append(n)
-            return batch_step(deriv, n, *args)
+        def counting(deriv, hist, *args):
+            bound.append(hist.shape[2])
+            return batch_run(deriv, hist, *args)
 
-        monkeypatch.setattr(dynamics, "_batch_step", counting)
+        monkeypatch.setattr(dynamics, "_batch_run", counting)
         one, three = [(30.0, 45.0, 0.0)], [(30.0, 45.0, 0.0)] * 3
         final_states(ref_cfg, NORMAL, one, 0.0, 1.0, 0.1)
         final_states(ref_cfg, NORMAL, one, 0.0, 1.0, 0.1, region=self.BOX)

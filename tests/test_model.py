@@ -14,6 +14,8 @@ from accessprice.equilibria import (
 from accessprice.model import (
     AdmissionSpec,
     _cubic_slope_max,
+    _literal,
+    _piece_lines,
     _poly,
     ModelConfig,
     PriceSpec,
@@ -487,6 +489,38 @@ class TestFloatForms:
             assert math.copysign(1.0, value) == sign
             assert np.array_equal(_bits([value]), _bits(spec._kernel(np.array([0.0]))))
         assert minus._scalar.__code__ is not plus._scalar.__code__
+
+
+class TestPieceLines:
+    """The float code of one piece table: a constant piece is one
+    assignment, its zero floor taken when the code is generated."""
+
+    @staticmethod
+    def generate(constant, q):
+        """(lines, value at q) of a ramp q/2 up to 10, then the constant."""
+        names = {}
+        pieces = ((0.0, 0.0, (-0.0, 0.5)), (10.0, 0.0, (constant,)))
+        lines = _piece_lines("m", pieces, "q", lambda x: _literal(x, names))
+        exec("def f(q):\n" + "".join(f"    {line}\n" for line in lines) + "    return m\n", names)
+        return lines, names["f"](q)
+
+    def test_constant_piece_is_one_assignment(self):
+        lines, value = self.generate(3.0, 20.0)
+        assert lines == ["if q >= 10.0:", "    m = 3.0",
+                         "else:", "    m = q * 0.5", "    if m < 0.0:", "        m = 0.0"]
+        assert value == 3.0
+
+    def test_negative_constant_reads_zero(self):
+        lines, value = self.generate(-3.0, 20.0)
+        assert lines[1] == "    m = 0.0" and math.copysign(1.0, value) == 1.0 and value == 0.0
+
+    def test_floor_keeps_minus_zero_and_nan(self):
+        lines, value = self.generate(-0.0, 20.0)
+        assert lines[1] == "    m = (-0.0)" and math.copysign(1.0, value) == -1.0
+        lines, value = self.generate(math.nan, 20.0)
+        assert lines[1] == "    m = _c0" and math.isnan(value)
+        # NaN q falls through to the ramp, whose floor keeps it
+        assert math.isnan(self.generate(3.0, math.nan)[1])
 
 
 def _piece_value(spec, q, order):
