@@ -26,7 +26,6 @@ import sys
 
 import numpy as np
 
-from . import dynamics, equilibria, regions, scenarios, stability
 from .model import (
     AdmissionSpec,
     ModelConfig,
@@ -257,7 +256,9 @@ def _traj_lines(traj, every):
 
 
 # ------------------------------------------------------------- commands
-# (args, config, mode or None without --mode) -> exit code
+# (args, config, mode or None without --mode) -> exit code.  Each imports
+# the modules it runs, so a process loads only what its subcommand reaches;
+# calls stay module attribute lookups, which tracing can wrap.
 
 
 def _cmd_validate(args, cfg, mode) -> int:
@@ -268,6 +269,8 @@ def _cmd_validate(args, cfg, mode) -> int:
 
 
 def _cmd_fixed_points(args, cfg, mode) -> int:
+    from . import equilibria
+
     points = equilibria.find_fixed_points(cfg, mode)
     header = ["mode", "q_star", "r_star", "u_star", "price", "classification"]
     for i in range(1, mode.dim + 1):
@@ -284,6 +287,8 @@ def _cmd_fixed_points(args, cfg, mode) -> int:
 
 
 def _cmd_classify(args, cfg, mode) -> int:
+    from . import equilibria, stability
+
     points = equilibria.find_fixed_points(cfg, mode)
     header = [
         "mode", "q_star", "r_star", "u_star", "classification",
@@ -322,12 +327,16 @@ def _floats(text: str) -> list[float]:
 
 
 def _cmd_simulate(args, cfg, mode) -> int:
+    from . import dynamics
+
     traj = dynamics.integrate(cfg, mode, args.x0, args.t0, args.t1, args.step)
     _write_csv(args.out, TRAJ_HEADER, _traj_lines(traj, args.every))
     return 0
 
 
 def _cmd_phase(args, cfg, mode) -> int:
+    from . import regions
+
     grid = regions.phase_grid(
         cfg, mode, (args.r_min, args.r_max), (args.q_min, args.q_max), args.resolution
     )
@@ -340,6 +349,8 @@ def _cmd_phase(args, cfg, mode) -> int:
 
 
 def _cmd_doa(args, cfg, mode) -> int:
+    from . import dynamics, regions
+
     region = regions.build_polygon(cfg, args.q_choice, args.r_choice)
     report = regions.check_invariance(cfg, region, dynamics.NORMAL, args.samples)
     doc = {
@@ -356,6 +367,8 @@ def _cmd_doa(args, cfg, mode) -> int:
 
 
 def _cmd_scenario(args, cfg, mode) -> int:
+    from . import scenarios
+
     sc = scenarios.scenario_from_config(cfg, h=args.step)
     w0 = max(args.window_start, sc.t0)
     w1 = min(args.window_end, sc.t1)
@@ -494,6 +507,8 @@ def run(argv) -> int:
     try:
         cfg = load_config(args.config, args.set or ())
         modes = "mode" in args  # validate, doa and scenario take no --mode
+        if modes or "step" in args:  # validate and doa take neither
+            from . import dynamics
         mode = dynamics.SystemMode(args.mode.replace("-", "_"), args.k_u) if modes else None
         if "step" in args and args.step is None:
             args.step = dynamics.DEFAULT_STEP

@@ -286,9 +286,10 @@ def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):
     step = [*field(1, "r", "q", "u")]
     for k, h in ((2, "h2"), (3, "h2"), (4, "dt")):
         step += field(k, f"r + {h} * kr{k - 1}", f"q + {h} * kq{k - 1}", f"u + {h} * {ku(k - 1)}")
-    step += ["rn = r + c * (kr1 + 2 * kr2 + 2 * kr3 + kr4)",
-             "qn = q + c * (kq1 + 2 * kq2 + 2 * kq3 + kq4)",
-             f"un = u + c * ({ku(1)} + 2 * {ku(2)} + 2 * {ku(3)} + {ku(4)})",
+    # 2.0, not 2: CPython specialises float * float, not int * float (same bits)
+    step += ["rn = r + c * (kr1 + 2.0 * kr2 + 2.0 * kr3 + kr4)",
+             "qn = q + c * (kq1 + 2.0 * kq2 + 2.0 * kq3 + kq4)",
+             f"un = u + c * ({ku(1)} + 2.0 * {ku(2)} + 2.0 * {ku(3)} + {ku(4)})",
              "if rn != rn or qn != qn or un != un:", "    return (r, q, u), k",
              "if 0.0 > qn:", "    qn = 0.0",
              f"if {lit(q_cap)} < qn:", f"    qn = {lit(q_cap)}"]
@@ -410,33 +411,36 @@ def _batch_run(deriv, hist, q_cap, chat_cap, raw=None):
     def run(x, k_u, dt, k0, k1, j):
         half, full, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
         c_k_u = np.array(k_u, dtype=float)
-        for k in range(k0, k1):
-            out = slots[j + k - k0]
-            if chat_cap is not None:
-                np.less_equal(x[1], chat_eps, below)
-            deriv(x, d1, c_k_u)
-            deriv(add(mul(d1, half, s), x, s), d2, c_k_u)
-            deriv(add(mul(d2, half, s), x, s), d3, c_k_u)
-            deriv(add(mul(d3, full, s), x, s), d4, c_k_u)
-            # x + dt/6 * (((d1 + 2*d2) + 2*d3) + d4)
-            add(mul(d2, two, s), d1, s)
-            add(s, mul(d3, two, d3), s)
-            add(s, d4, s)
-            add(x, mul(s, sixth, s), out)
-            if raw is not None:
-                np.minimum(raw[0], np.minimum.reduce(out, 1, initial=np.inf), out=raw[0])
-                raw[1] = max(raw[1], float(np.maximum.reduce(out[1], initial=-np.inf)))
-            q = out[1]
-            if chat_cap is not None:
-                np.copyto(q, np.minimum(q, chat, out=s[1]), where=below)
-            np.maximum(out, zero, out=out)
-            np.minimum(q, cap, out=q)
-            # the projection and clamps keep NaN and leave every other value >= 0,
-            # so the sum is NaN exactly when some coordinate is
-            if math.isnan(np.add.reduce(out, None)):
-                return x, k
-            x = out
-        return x, k1
+        # overflow to inf and inf - inf = NaN pass silently, as in the compiled
+        # run; the NaN check below names the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(k0, k1):
+                out = slots[j + k - k0]
+                if chat_cap is not None:
+                    np.less_equal(x[1], chat_eps, below)
+                deriv(x, d1, c_k_u)
+                deriv(add(mul(d1, half, s), x, s), d2, c_k_u)
+                deriv(add(mul(d2, half, s), x, s), d3, c_k_u)
+                deriv(add(mul(d3, full, s), x, s), d4, c_k_u)
+                # x + dt/6 * (((d1 + 2*d2) + 2*d3) + d4)
+                add(mul(d2, two, s), d1, s)
+                add(s, mul(d3, two, d3), s)
+                add(s, d4, s)
+                add(x, mul(s, sixth, s), out)
+                if raw is not None:
+                    np.minimum(raw[0], np.minimum.reduce(out, 1, initial=np.inf), out=raw[0])
+                    raw[1] = max(raw[1], float(np.maximum.reduce(out[1], initial=-np.inf)))
+                q = out[1]
+                if chat_cap is not None:
+                    np.copyto(q, np.minimum(q, chat, out=s[1]), where=below)
+                np.maximum(out, zero, out=out)
+                np.minimum(q, cap, out=q)
+                # the projection and clamps keep NaN and leave every other value >= 0,
+                # so the sum is NaN exactly when some coordinate is
+                if math.isnan(np.add.reduce(out, None)):
+                    return x, k
+                x = out
+            return x, k1
 
     return run
 

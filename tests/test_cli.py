@@ -330,6 +330,19 @@ class TestInputDomain:
         assert "ranges must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_nan_state_aborts_named(self, config_dir, tmp_path, capsys):
+        # a 1e308 burst makes U infinite on its first step and NaN on its second
+        out = tmp_path / "sim.csv"
+        code = run(["simulate", "--config", str(config_dir / "section5.json"),
+                    "--mode", "switched-full", "--t1", "400",
+                    "--set", "k_u_schedule=[[100,300,1e308]]", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert err[0] == "notice: step defaulted to 0.01"
+        assert err[1].startswith("error: integration aborted: NaN state at t = 100.02")
+        assert len(err) == 2
+        assert not out.exists()
+
 
 def _float_flag():
     """A float flag's value: absent, any float (NaN, +-inf and negatives too) or a usual one."""

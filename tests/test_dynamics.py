@@ -583,23 +583,31 @@ class TestSystemMode:
 
 
 class TestBatchNaN:
-    """final_states and settle_batch check every coordinate on every step, as integrate does."""
+    """final_states and settle_batch check every coordinate on every step, as
+    integrate does.  Overflow on the way to the NaN is silent on both
+    backends (Tier-1 turns a RuntimeWarning into an error), so the caller
+    sees the named error alone."""
 
     # the second run overflows to NaN within the first step
     X0S = [(30.0, 45.0, 0.0), (1e308, 50.0, 1e308)]
     MESSAGE = r"NaN state at t = 0\.01 \(mode competitive"
 
     def test_final_states(self, section5_cfg):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match=self.MESSAGE):
-                final_states(section5_cfg, competitive_mode(0.0), self.X0S, 0.0, 1.0)
+        with pytest.raises(FloatingPointError, match=self.MESSAGE):
+            final_states(section5_cfg, competitive_mode(0.0), self.X0S, 0.0, 1.0)
 
     def test_settle_batch(self, section5_cfg):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(FloatingPointError, match=self.MESSAGE):
-                settle_batch(
-                    section5_cfg, competitive_mode(0.0), self.X0S, (30.0, 45.0, 0.0), 1e-3, 1.0
-                )
+        with pytest.raises(FloatingPointError, match=self.MESSAGE):
+            settle_batch(
+                section5_cfg, competitive_mode(0.0), self.X0S, (30.0, 45.0, 0.0), 1e-3, 1.0
+            )
+
+    @pytest.mark.parametrize("n", [1, 2])  # the compiled run, then the numpy run
+    def test_same_error_on_both_backends(self, section5_cfg, n):
+        with pytest.raises(
+            FloatingPointError, match=r"^NaN state at t = 0\.01 \(mode switched_full, h = 0\.01\)$"
+        ):
+            final_states(section5_cfg, SWITCHED_FULL, [(1e308, 50.0, 1e308)] * n, 0.0, 5.0)
 
 
 class TestBatchStart:
