@@ -36,14 +36,14 @@ is a run of one contract: it takes a stretch of steps of one size and
 K_U per call, writes each state into the march's one (block, 3, n)
 history and stops at a NaN state, returning the step's index.  One run
 without raw tracking is _kernel's, one loop on plain floats generated
-per configuration and field from the specs' piece tables, compiled on
-first use and memoised on the exact bits of its inputs; it stores
-through a flat view of the history.  Any other batch is one C-contiguous
-(3, n) stack, rows R, q and U, stepped by _batch_run on the field of
-_make_deriv (the specs' numpy kernels; rhs wraps it).  At small n a
-numpy call costs its overhead, not its arithmetic, so that run makes its
-buffers once per march and its 0-d constants once per call, and passes
-out positionally (np.maximum's and np.minimum's by name: their
+per field from the specs' piece tables, its constants bound as the float
+forms' are (model._make), so it is compiled once per table shape; it
+stores through a flat view of the history.  Any other batch is one
+C-contiguous (3, n) stack, rows R, q and U, stepped by _batch_run on the
+field of _make_deriv (the specs' numpy kernels; rhs wraps it).  At small
+n a numpy call costs its overhead, not its arithmetic, so that run makes
+its buffers once per march and its 0-d constants once per call, and
+passes out positionally (np.maximum's and np.minimum's by name: their
 positional form is deprecated and slower).
 
 One driver, _blocks, walks the clock's pieces by stretches for both
@@ -63,17 +63,13 @@ last run settled, and ignores a NaN state after it in the same block.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 import functools
-import itertools
-import linecache
 import math
-import threading
 
 import numpy as np
 
-from .model import ModelConfig, _literal, _piece_lines
+from .model import ModelConfig, _constants, _make, _piece_lines
 
 MAX_STEP = 0.1
 DEFAULT_STEP = 0.01
@@ -251,32 +247,37 @@ def _make_deriv(cfg: ModelConfig, tag: str):
     return deriv
 
 
-_KERNEL_ENTRIES = 32  # compiled scalar kernels kept, the least recently used dropped first
-# repr of the kernel's inputs -> (run, deriv)
-_kernels: OrderedDict[str, tuple] = OrderedDict()
-_kernels_lock = threading.Lock()
-_kernel_ids = itertools.count(1)
+def _kernel(cfg: ModelConfig, tag: str):
+    """(run, deriv): the scalar backend of the field tag on cfg, one
+    generated function each, bound to cfg's constants by the factory that
+    model._make compiles once per shape of the piece tables.
 
-
-def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):
-    """(source, names) of run and deriv, see _kernel."""
-    names = {}
-    lit = lambda x: _literal(x, names)
+    deriv(r, q, u, k_u) -> (dr, dq, du) is _make_deriv's field on plain
+    floats, bit for bit.  run(out, x, k_u, dt, k0, k1, j) -> (x, k) is the
+    stretch contract of _blocks for one run, x = (r, q, u) floats: each
+    step one RK4 step of _batch_run's arithmetic, NaN check and clamps with
+    that field inlined into each stage, its state stored through out, a
+    flat float view of the (block, 3, 1) history (_march binds it).
+    """
+    values, lit = _constants()
+    chat = _admittance_bound(cfg, tag)
     three = tag == "competitive"
+    kr, cap = lit(cfg.k_r), lit(cfg.admission.q_max)
+    tables = [line for name, spec in (("fq", cfg.price), ("a", cfg.admission), ("m", cfg.service))
+              for line in _piece_lines(name, spec.pieces, "qs", lit)]
+    if chat is not None:
+        q_ad, mu_star, q_ad_eps = lit(chat), lit(cfg.service.mu_star), lit(chat + CLAMP_EPS)
 
     def field(k, r, q, u):
         """Lines setting kr{k}, kq{k} (and ku{k} in 3-state) to _make_deriv's
         field at the point (r, q, u), in its operation order."""
         lines = [f"rs = {r}", "if rs <= 0.0:", "    rs = 0.0",
-                 f"qs = {q}", "if qs <= 0.0:", "    qs = 0.0"]
-        for name, pieces in (("fq", price), ("a", admission), ("m", service)):
-            lines += _piece_lines(name, pieces, "qs", lit)
+                 f"qs = {q}", "if qs <= 0.0:", "    qs = 0.0", *tables]
         if tag == "chattering":
-            q_ad, mu_star = map(lit, chat)
             return lines + ["flow = a * rs", f"if qs >= {q_ad} and flow >= {mu_star}:",
-                            f"    flow = {mu_star}", f"kr{k} = {lit(k_r)} - fq * rs - flow",
+                            f"    flow = {mu_star}", f"kr{k} = {kr} - fq * rs - flow",
                             f"kq{k} = flow - m"]
-        lines.append(f"kr{k} = {lit(k_r)} - (fq + a) * rs")
+        lines.append(f"kr{k} = {kr} - (fq + a) * rs")
         if three:
             return lines + [f"us = {u}", "if us <= 0.0:", "    us = 0.0",
                             f"kq{k} = a * (rs + us) - m", f"ku{k} = k_u - a * us"]
@@ -291,57 +292,15 @@ def _kernel_source(tag, k_r, price, admission, service, q_cap, chat):
              "qn = q + c * (kq1 + 2.0 * kq2 + 2.0 * kq3 + kq4)",
              f"un = u + c * ({ku(1)} + 2.0 * {ku(2)} + 2.0 * {ku(3)} + {ku(4)})",
              "if rn != rn or qn != qn or un != un:", "    return (r, q, u), k",
-             "if 0.0 > qn:", "    qn = 0.0",
-             f"if {lit(q_cap)} < qn:", f"    qn = {lit(q_cap)}"]
+             "if 0.0 > qn:", "    qn = 0.0", f"if {cap} < qn:", f"    qn = {cap}"]
     if chat is not None:
-        step += [f"if q <= {lit(chat[0] + CLAMP_EPS)} and qn > {lit(chat[0])}:",
-                 f"    qn = {lit(chat[0])}"]
+        step += [f"if q <= {q_ad_eps} and qn > {q_ad}:", f"    qn = {q_ad}"]
     step += ["r = 0.0 if 0.0 > rn else rn", "q = qn", "u = 0.0 if 0.0 > un else un",
              "out[i] = r", "out[i + 1] = q", "out[i + 2] = u", "i += 3"]
     body = ["r, q, u = x", "h2 = 0.5 * dt", "c = dt / 6.0", "i = 3 * j", "for k in range(k0, k1):",
             *("    " + line for line in step), "return (r, q, u), k1"]
     deriv = [*field(1, "r", "q", "u"), f"return kr1, kq1, {ku(1)}"]
-    source = "".join(f"def {head}:\n" + "".join(f"    {line}\n" for line in lines) + "\n"
-                     for head, lines in (("run(out, x, k_u, dt, k0, k1, j)", body),
-                                         ("deriv(r, q, u, k_u)", deriv)))
-    return source, names
-
-
-def _kernel(cfg: ModelConfig, tag: str):
-    """(run, deriv): the scalar backend of the field tag on cfg, one
-    generated function each, compiled on first use and kept in a memo
-    keyed by the exact bits of its inputs.
-
-    deriv(r, q, u, k_u) -> (dr, dq, du) is _make_deriv's field on plain
-    floats, bit for bit.  run(out, x, k_u, dt, k0, k1, j) -> (x, k) is the
-    stretch contract of _blocks for one run, x = (r, q, u) floats: each
-    step one RK4 step of _batch_run's arithmetic, NaN check and clamps with
-    that field inlined into each stage, its state stored through out, a
-    flat float view of the (block, 3, 1) history (_march binds it).  Both
-    are compiled under the file name "<accessprice step N: tag>", whose
-    source linecache holds, so tracebacks and profiles show the generated
-    line.
-    """
-    q_ad = _admittance_bound(cfg, tag)
-    parts = (tag, cfg.k_r, cfg.price.pieces, cfg.admission.pieces, cfg.service.pieces,
-             cfg.admission.q_max, None if q_ad is None else (q_ad, cfg.service.mu_star))
-    key = repr(parts)  # repr writes each float so that it reads back bit for bit
-    with _kernels_lock:
-        kernel = _kernels.get(key)
-        if kernel is not None:
-            _kernels.move_to_end(key)
-            return kernel
-    source, names = _kernel_source(*parts)
-    filename = f"<accessprice step {next(_kernel_ids)}: {tag}>"
-    exec(compile(source, filename, "exec"), names)
-    with _kernels_lock:
-        kernel = _kernels.setdefault(key, (names["run"], names["deriv"]))  # first compiled wins
-        if kernel[0] is names["run"]:
-            linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-        if len(_kernels) > _KERNEL_ENTRIES:
-            dropped = _kernels.popitem(last=False)[1][0]
-            linecache.cache.pop(dropped.__code__.co_filename, None)
-    return kernel
+    return _make(values, ("run(out, x, k_u, dt, k0, k1, j)", body), ("deriv(r, q, u, k_u)", deriv))
 
 
 def _k_u(cfg: ModelConfig, mode: SystemMode, t: float) -> float:

@@ -101,13 +101,19 @@ def _fixed_point_mode(mode, k_u):
 
 def _balance(f, q, a, m, k_r: float, k_u: float):
     """(ok, g) on q, floats or arrays, from a = alpha(q), m = mu(q) and the price f:
-    ok is {alpha > DOMAIN_EPS, mu - K_U > DOMAIN_EPS}, g is g where ok holds."""
+    ok is {alpha > DOMAIN_EPS, mu - K_U > DOMAIN_EPS}, g is g where ok holds.
+    On arrays, a load term (K_R + K_U - mu)/(mu - K_U) that overflows where
+    ok holds raises ValueError naming k_r."""
     ok = (a > DOMAIN_EPS) & (m - k_u > DOMAIN_EPS)
-    if isinstance(ok, np.ndarray):
-        q, a, m = q[ok], a[ok], m[ok]
-    elif not ok:
-        return ok, None
-    return ok, f(q) / a - (k_r + k_u - m) / (m - k_u)
+    if not isinstance(ok, np.ndarray):
+        return ok, (f(q) / a - (k_r + k_u - m) / (m - k_u) if ok else None)
+    q, a, m = q[ok], a[ok], m[ok]
+    with np.errstate(over="ignore"):
+        load = (k_r + k_u - m) / (m - k_u)
+    if not np.isfinite(load).all():
+        raise ValueError(f"k_r = {k_r:g} too large: the load term (K_R + K_U - mu)/(mu - K_U) "
+                         "overflows on the scan domain")
+    return ok, f(q) / a - load
 
 
 def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):

@@ -23,15 +23,19 @@ kinks, extrema and, through _piece_lines, all float code come from the
 tables: the scalar RK4 run and each spec's float form (_scalar), which
 the public evaluators call on any scalar query (a float, an int or a 0-d
 array) once they have validated it, the kernel's bits at a fraction of
-its cost.
+its cost.  Both are compiled one way, by _make: the source names every
+constant by a parameter of a factory make(c0, ...), so it depends only on
+the tables' shapes and is compiled once per shape.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+import linecache
 import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -64,26 +68,14 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite")
 
 
-def _literal(x, names: dict) -> str:
-    """Source text of the constant x: its repr, which reads back bit for
-    bit, or for a non-finite x (a rising linear alpha's q_max = inf) a name
-    bound to it in names."""
-    x = float(x)
-    if not math.isfinite(x):
-        name = f"_c{len(names)}"
-        names[name] = x
-        return name
-    return f"({x!r})" if math.copysign(1.0, x) < 0 else repr(x)
-
-
 def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
     """Lines that set name to the piece table's function at the float q, as
     from_pieces evaluates it: an if/elif chain from the last piece down, so
     a NaN q falls through to piece 0 and stays NaN; Horner as _poly runs
     it, less the exact identities q - 0.0 == q and -0.0 + y == y; floored
     at zero, keeping -0.0 and NaN, as there, a constant piece's floor
-    taken here.  lit(x) writes each other constant, as a literal or as a
-    name bound to it."""
+    taken here.  lit(x) writes each other constant, as the name bound to
+    it (_constants)."""
     lines = []
     for i in reversed(range(len(pieces))):
         start, origin, c = pieces[i]
@@ -106,27 +98,48 @@ def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
 _makers: dict[str, object] = {}  # make's source -> make: one per table shape, a few in all
 
 
-def _declare(spec, kernel, pieces):
-    """Bind the spec's kernel, its piece table and its float form (_scalar),
-    generated from the table.  That source depends only on the table's shape
-    (piece count, degrees, zero origins, -0.0 coefficients), so make(c0, ...),
-    which takes every other constant, floated, is compiled once per shape."""
+def _constants():
+    """(values, lit): lit(x) appends x, floated, to values and returns the
+    name that binds it, cN, the Nth parameter of _make's factory."""
     values = []
 
     def lit(x):
         values.append(float(x))
         return f"c{len(values) - 1}"
 
-    lines = _piece_lines("v", pieces, "q", lit)
-    source = (f"def make({', '.join(f'c{i}' for i in range(len(values)))}):\n    def f(q):\n"
-              + "".join(f"        {line}\n" for line in lines) + "        return v\n    return f\n")
+    return values, lit
+
+
+def _make(values, *defs):
+    """The functions defs, (head, body lines) each, bound to values by one
+    make(c0, ...): make(*values), the function, or a tuple of them.  Their
+    source names each constant by its parameter (_constants), so it depends
+    only on the shapes of the tables written (piece counts, degrees, zero
+    origins, -0.0 coefficients), and make is compiled once per
+    source text (the first compiled wins, no lock), under a file name taken
+    from that text whose source linecache holds, so tracebacks and profiles
+    show the generated line."""
+    source = (f"def make({', '.join(f'c{i}' for i in range(len(values)))}):\n"
+              + "".join(f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
+                        for head, lines in defs)
+              + f"    return {', '.join(head[:head.index('(')] for head, _ in defs)}\n")
     make = _makers.get(source)
     if make is None:
+        filename = f"<accessprice make {zlib.crc32(source.encode()):08x}>"
         names = {}
-        exec(compile(source, "<accessprice float form>", "exec"), names)
-        make = _makers.setdefault(source, names["make"])  # first compiled wins
-    for name, form in (("_kernel", kernel), ("_scalar", make(*values)), ("pieces", pieces)):
-        object.__setattr__(spec, name, form)
+        exec(compile(source, filename, "exec"), names)
+        make = _makers.setdefault(source, names["make"])
+        linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return make(*values)
+
+
+def _declare(spec, kernel, pieces):
+    """Bind the spec's kernel, its piece table and its float form (_scalar),
+    generated from the table by _make."""
+    values, lit = _constants()
+    form = _make(values, ("f(q)", [*_piece_lines("v", pieces, "q", lit), "return v"]))
+    for name, value in (("_kernel", kernel), ("_scalar", form), ("pieces", pieces)):
+        object.__setattr__(spec, name, value)
 
 
 @dataclass(frozen=True)

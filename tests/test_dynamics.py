@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from accessprice import dynamics, regions
+from accessprice import dynamics, model, regions
 from accessprice.dynamics import (
     CHATTERING,
     MODE_TAGS,
@@ -492,8 +492,10 @@ class TestScalarBackend:
         cfg = replace(ref_cfg, admission=AdmissionSpec("linear", (0.1, 0.001)))
         assert cfg.admission.q_max == math.inf
         run = dynamics._kernel(cfg, "normal")[0]
-        assert "inf" not in linecache.getlines(run.__code__.co_filename)[0]
-        assert math.inf in run.__globals__.values()
+        source = "".join(linecache.getlines(run.__code__.co_filename))
+        assert "def run(" in source and "inf" not in source
+        assert math.inf in [cell.cell_contents for cell in run.__closure__]
+        assert math.inf not in run.__globals__.values()
         step = _compiled_step(cfg, "normal")
         oracle = _oracle_step(cfg, "normal", 0.0, "w")
         for x in [(30.0, 45.0, 0.0), (1e300, 1e300, 0.0), (0.0, 1e308, 0.0)]:
@@ -501,7 +503,8 @@ class TestScalarBackend:
 
 
 class TestKernelMemo:
-    """Compiled kernels are keyed by the exact bits of their inputs."""
+    """Compiled kernels are shared per shape of the piece tables, each
+    configuration's constants bound to its own pair."""
 
     @staticmethod
     def agrees(cfg, tag="normal", k_u=0.0):
@@ -515,35 +518,44 @@ class TestKernelMemo:
                 return False
         return True
 
+    @staticmethod
+    def code(cfg, tag="normal"):
+        return dynamics._kernel(cfg, tag)[0].__code__
+
     def test_equal_inputs_share_one_kernel(self, ref_cfg):
         copy = replace(ref_cfg, k_u_schedule=((0.0, 5.0, 2.0),))  # K_U is an argument
-        assert dynamics._kernel(copy, "normal") is dynamics._kernel(ref_cfg, "normal")
-        assert dynamics._kernel(ref_cfg, "chattering") is not dynamics._kernel(ref_cfg, "normal")
+        assert self.code(copy) is self.code(ref_cfg)
+        assert self.code(ref_cfg, "chattering") is not self.code(ref_cfg)
 
     def test_sign_of_zero_is_its_own_key(self, ref_cfg):
         # alpha = max(0, c2 - q/100) vanishes from q = 0 on; its value there
-        # is c2 itself, and the field's dq = a*R - mu carries that sign
+        # is c2 itself, and the field's dq = a*R - mu carries that sign:
+        # -0.0 + y == y leaves c2 = -0.0 out of the source
         plus, minus = (replace(ref_cfg, admission=AdmissionSpec("linear", (c2, -0.01)))
                        for c2 in (0.0, -0.0))
-        assert dynamics._kernel(plus, "normal") is not dynamics._kernel(minus, "normal")
+        assert self.code(plus) is not self.code(minus)
         dq = [dynamics._kernel(cfg, "normal")[1](25.0, 0.0, 0.0, 0.0)[1] for cfg in (plus, minus)]
         assert [math.copysign(1.0, v) for v in dq] == [1.0, -1.0]
         assert self.agrees(plus) and self.agrees(minus)
 
     def test_one_ulp_is_its_own_key(self, ref_cfg):
         up = replace(ref_cfg, k_r=math.nextafter(ref_cfg.k_r, math.inf))
-        assert dynamics._kernel(up, "normal") is not dynamics._kernel(ref_cfg, "normal")
+        runs = [dynamics._kernel(cfg, "normal")[0] for cfg in (ref_cfg, up)]
+        assert runs[0].__code__ is runs[1].__code__
+        bound = [[cell.cell_contents for cell in run.__closure__] for run in runs]
+        assert bound[0] != bound[1]
         # at R = 0, dR is K_R itself
         dr = [dynamics._kernel(cfg, "normal")[1](0.0, 45.0, 0.0, 0.0)[0] for cfg in (ref_cfg, up)]
         assert dr == [ref_cfg.k_r, up.k_r]
         assert self.agrees(ref_cfg) and self.agrees(up)
 
     def test_bounded(self, ref_cfg):
-        cfgs = [replace(ref_cfg, k_r=ref_cfg.k_r + i / 64) for i in range(dynamics._KERNEL_ENTRIES + 3)]
-        names = [dynamics._kernel(cfg, "normal")[0].__code__.co_filename for cfg in cfgs]
-        assert len(dynamics._kernels) == dynamics._KERNEL_ENTRIES
-        assert all(name not in linecache.cache for name in names[:3])
-        assert all(name in linecache.cache for name in names[-dynamics._KERNEL_ENTRIES:])
+        makers, sources = len(model._makers), len(linecache.cache)
+        cfgs = [replace(ref_cfg, k_r=ref_cfg.k_r + i / 64) for i in range(35)]
+        codes = {self.code(cfg) for cfg in cfgs}
+        assert len(model._makers) - makers <= 1
+        assert len(linecache.cache) - sources <= 1
+        assert len(codes) == 1 and codes.pop().co_filename in linecache.cache
 
 
 class TestSystemMode:

@@ -13,8 +13,9 @@ from accessprice.equilibria import (
 )
 from accessprice.model import (
     AdmissionSpec,
+    _constants,
     _cubic_slope_max,
-    _literal,
+    _make,
     _piece_lines,
     _poly,
     ModelConfig,
@@ -497,30 +498,32 @@ class TestPieceLines:
 
     @staticmethod
     def generate(constant, q):
-        """(lines, value at q) of a ramp q/2 up to 10, then the constant."""
-        names = {}
+        """(lines, bound constants, value at q) of a ramp q/2 up to 10, then
+        the constant."""
+        values, lit = _constants()
         pieces = ((0.0, 0.0, (-0.0, 0.5)), (10.0, 0.0, (constant,)))
-        lines = _piece_lines("m", pieces, "q", lambda x: _literal(x, names))
-        exec("def f(q):\n" + "".join(f"    {line}\n" for line in lines) + "    return m\n", names)
-        return lines, names["f"](q)
+        lines = _piece_lines("m", pieces, "q", lit)
+        return lines, values, _make(values, ("f(q)", [*lines, "return m"]))(q)
 
     def test_constant_piece_is_one_assignment(self):
-        lines, value = self.generate(3.0, 20.0)
-        assert lines == ["if q >= 10.0:", "    m = 3.0",
-                         "else:", "    m = q * 0.5", "    if m < 0.0:", "        m = 0.0"]
-        assert value == 3.0
+        lines, values, value = self.generate(3.0, 20.0)
+        assert lines == ["if q >= c1:", "    m = c0",
+                         "else:", "    m = q * c2", "    if m < 0.0:", "        m = 0.0"]
+        assert values == [3.0, 10.0, 0.5] and value == 3.0
 
     def test_negative_constant_reads_zero(self):
-        lines, value = self.generate(-3.0, 20.0)
-        assert lines[1] == "    m = 0.0" and math.copysign(1.0, value) == 1.0 and value == 0.0
+        lines, values, value = self.generate(-3.0, 20.0)
+        assert lines[1] == "    m = c0" and values[0] == 0.0 and math.copysign(1.0, values[0]) == 1.0
+        assert math.copysign(1.0, value) == 1.0 and value == 0.0
 
     def test_floor_keeps_minus_zero_and_nan(self):
-        lines, value = self.generate(-0.0, 20.0)
-        assert lines[1] == "    m = (-0.0)" and math.copysign(1.0, value) == -1.0
-        lines, value = self.generate(math.nan, 20.0)
-        assert lines[1] == "    m = _c0" and math.isnan(value)
+        lines, values, value = self.generate(-0.0, 20.0)
+        assert lines[1] == "    m = c0" and math.copysign(1.0, values[0]) == -1.0
+        assert math.copysign(1.0, value) == -1.0
+        lines, values, value = self.generate(math.nan, 20.0)
+        assert lines[1] == "    m = c0" and math.isnan(values[0]) and math.isnan(value)
         # NaN q falls through to the ramp, whose floor keeps it
-        assert math.isnan(self.generate(3.0, math.nan)[1])
+        assert math.isnan(self.generate(3.0, math.nan)[2])
 
 
 def _piece_value(spec, q, order):

@@ -81,6 +81,10 @@ MODEL = {
     "empty schedule piece": (lambda c: replace(c["ref"], k_u_schedule=((5.0, 5.0, 1.0),)),
                              ValueError, "k_u_schedule[0]: t_start must be < t_end"),
     "q_ad zero": (lambda c: replace(c["ref"], q_ad=0.0), ValueError, "q_ad must be > 0"),
+    "k_r overflowing the load term": (
+        lambda c: find_fixed_points(replace(c["ref"], k_r=1e300)),
+        ValueError, "k_r = 1e+300 too large: the load term (K_R + K_U - mu)/(mu - K_U) "
+                    "overflows on the scan domain"),
     "saturation floor without q_max": (
         lambda c: saturation_floor(replace(c["s5"], admission=RISING)),
         ValueError, "saturation_floor requires a finite admission q_max"),
@@ -96,6 +100,8 @@ LOADER = {
                     ConfigError, "config.k_r: missing"),
     "wrong type": (lambda c: cli.config_from_dict(_ref_doc(c, k_r="4")),
                    ConfigError, "config.k_r: expected (<class 'int'>, <class 'float'>)"),
+    "wrong type of an optional key": (lambda c: _override(c, "q_ad=true"), ConfigError,
+                                      "config.q_ad: expected (<class 'int'>, <class 'float'>)"),
     "non-numeric coefficient": (
         lambda c: cli.config_from_dict(
             _ref_doc(c, admission={"variant": "linear", "coefficients": ["a", 1]})),

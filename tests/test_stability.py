@@ -181,8 +181,9 @@ class TestClassify:
         assert rep.determinant == pytest.approx(-0.0007142857142857145, abs=1e-10)
 
     def test_identity_unstable(self):
-        rep = classify(JacobianMatrix(2, np.eye(2)))
-        assert rep.classification == "unstable"
+        for m in (JacobianMatrix(2, np.eye(2)), JacobianMatrix(3, np.diag([1.0, 2.0, 3.0]))):
+            rep = classify(m)
+            assert rep.classification == "unstable"
 
     def test_degenerate_zero_determinant(self):
         rep = classify(JacobianMatrix(2, np.array([[1.0, 0.0], [0.0, 0.0]])))
@@ -259,6 +260,7 @@ class TestSolveCubic:
             (0.17714, 0.009771, 0.000141),
             (3.0, 3.0, 1.0),        # triple root -1
             (-0.5, 0.25, -0.9),
+            (0.0, 1e-200, 0.0),     # p**3/27 underflows: both Cardano candidates 0
         ],
     )
     def test_against_companion_oracle(self, coeffs):
