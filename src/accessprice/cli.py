@@ -58,102 +58,95 @@ def _notice(msg: str):
 # ---------------------------------------------------------------- config
 
 
-def _expect_keys(obj: dict, path: str, required: dict, optional: dict):
-    unknown = set(obj) - set(required) - set(optional)
+NUM = (int, float)
+
+# section -> (the spec it builds, each key's JSON type, the keys that may be
+# left out).  The keys are the spec's keyword names (schema_version aside),
+# the required ones first: _section checks them in this order.
+_SCHEMA = {
+    "config": (ModelConfig, {"schema_version": int, "k_r": NUM, "price": dict,
+                             "admission": dict, "service": dict, "k_u_schedule": list,
+                             "q_ad": NUM}, {"k_u_schedule", "q_ad"}),
+    "price": (PriceSpec, {"variant": str, "beta": NUM, "q_m": NUM, "q_n": NUM}, {"q_m", "q_n"}),
+    "admission": (AdmissionSpec, {"variant": str, "coefficients": list, "q_max": NUM},
+                  {"q_max"}),
+    "service": (ServiceSpec, {"q_c": NUM, "mu_star": NUM}, {"mu_star"}),
+}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, NUM) and not isinstance(x, bool)
+
+
+def _float(x) -> float:
+    """A JSON number as a float.  An integer beyond the float range reads as
+    +-inf, as json.loads reads the literal 1e400, so the specs' finiteness
+    checks name its key."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _section(obj: dict, path: str) -> dict:
+    """The keyword arguments of path's spec from obj, every number a float
+    and an absent optional key None; unknown, missing and wrong-typed keys
+    raise ConfigError."""
+    _, types, optional = _SCHEMA[path]
+    unknown = set(obj) - set(types)
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    for key, typ in required.items():
+    kwargs = dict.fromkeys(optional)
+    for key, typ in types.items():
         if key not in obj:
-            raise ConfigError(f"{path}.{key}: missing")
-        if not isinstance(obj[key], typ) or isinstance(obj[key], bool):
+            if key not in optional:
+                raise ConfigError(f"{path}.{key}: missing")
+        elif not isinstance(obj[key], typ) or isinstance(obj[key], bool):
             raise ConfigError(f"{path}.{key}: expected {typ}")
-    for key, typ in optional.items():
-        if key in obj and (not isinstance(obj[key], typ) or isinstance(obj[key], bool)):
-            raise ConfigError(f"{path}.{key}: expected {typ}")
+        else:
+            kwargs[key] = _float(obj[key]) if typ is NUM else obj[key]
+    return kwargs
 
 
-NUM = (int, float)
+def _build(path: str, kwargs: dict):
+    """path's spec from kwargs; a ValueError that starts with a keyword
+    ("beta must be > 0") is named at its key ("price.beta: must be > 0")."""
+    try:
+        return _SCHEMA[path][0](**kwargs)
+    except ValueError as exc:
+        first, _, rest = str(exc).partition(" ")
+        if first in kwargs:
+            raise ConfigError(f"{path}.{first}: {rest}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_dict(doc: dict, notices=None) -> ModelConfig:
     """Validate a parsed JSON document against the schema."""
-
-    def note(msg):
-        if notices is not None:
-            notices.append(msg)
-
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    _expect_keys(
-        doc,
-        "config",
-        {"schema_version": int, "k_r": NUM, "price": dict, "admission": dict, "service": dict},
-        {"k_u_schedule": list, "q_ad": NUM},
-    )
-    if doc["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version: expected {SCHEMA_VERSION}, got {doc['schema_version']}"
-        )
-
-    price = doc["price"]
-    _expect_keys(price, "price", {"variant": str, "beta": NUM}, {"q_m": NUM, "q_n": NUM})
-    adm = doc["admission"]
-    _expect_keys(adm, "admission", {"variant": str, "coefficients": list}, {"q_max": NUM})
-    if not all(isinstance(c, NUM) and not isinstance(c, bool) for c in adm["coefficients"]):
+    top = _section(doc, "config")
+    version = top.pop("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
+    price = _section(top["price"], "price")
+    adm = _section(top["admission"], "admission")
+    if not all(map(_is_number, adm["coefficients"])):
         raise ConfigError("admission.coefficients: expected numbers")
-    svc = doc["service"]
-    _expect_keys(svc, "service", {"q_c": NUM}, {"mu_star": NUM})
-    mu_star = svc.get("mu_star")
-    if mu_star is None:
-        mu_star = DEFAULT_MU_STAR
-        note(f"service.mu_star defaulted to {DEFAULT_MU_STAR:g}")
-
+    adm["coefficients"] = tuple(map(_float, adm["coefficients"]))
+    svc = _section(top["service"], "service")
+    if svc["mu_star"] is None:
+        svc["mu_star"] = DEFAULT_MU_STAR
+        if notices is not None:
+            notices.append(f"service.mu_star defaulted to {DEFAULT_MU_STAR:g}")
     sched = []
-    for i, piece in enumerate(doc.get("k_u_schedule", [])):
-        if (
-            not isinstance(piece, list)
-            or len(piece) != 3
-            or not all(isinstance(v, NUM) and not isinstance(v, bool) for v in piece)
-        ):
+    for i, piece in enumerate(top["k_u_schedule"] or ()):
+        if not isinstance(piece, list) or len(piece) != 3 or not all(map(_is_number, piece)):
             raise ConfigError(f"k_u_schedule[{i}]: expected [t_start, t_end, rate]")
-        sched.append(tuple(float(v) for v in piece))
-
-    def build(path, ctor, **kwargs):
-        try:
-            return ctor(**kwargs)
-        except ValueError as exc:
-            msg = str(exc)
-            first = msg.split(" ", 1)[0]
-            if first in kwargs:  # "beta must be > 0" -> "price.beta: must be > 0"
-                raise ConfigError(f"{path}.{first}: {msg.split(' ', 1)[1]}") from exc
-            raise ConfigError(f"{path}: {msg}") from exc
-
-    price_spec = build(
-        "price",
-        PriceSpec,
-        variant=price["variant"],
-        beta=float(price["beta"]),
-        q_m=float(price["q_m"]) if "q_m" in price else None,
-        q_n=float(price["q_n"]) if "q_n" in price else None,
-    )
-    adm_spec = build(
-        "admission",
-        AdmissionSpec,
-        variant=adm["variant"],
-        coefficients=tuple(float(c) for c in adm["coefficients"]),
-        q_max=float(adm["q_max"]) if "q_max" in adm else None,
-    )
-    svc_spec = build("service", ServiceSpec, mu_star=float(mu_star), q_c=float(svc["q_c"]))
-    return build(
-        "config",
-        ModelConfig,
-        k_r=float(doc["k_r"]),
-        k_u_schedule=tuple(sched),
-        price=price_spec,
-        admission=adm_spec,
-        service=svc_spec,
-        q_ad=float(doc["q_ad"]) if "q_ad" in doc else None,
-    )
+        sched.append(tuple(map(_float, piece)))
+    top["k_u_schedule"] = tuple(sched)
+    for name, kwargs in (("price", price), ("admission", adm), ("service", svc)):
+        top[name] = _build(name, kwargs)
+    return _build("config", top)
 
 
 def load_config(path: str, overrides=()) -> ModelConfig:

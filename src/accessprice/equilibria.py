@@ -103,17 +103,19 @@ def _balance(f, q, a, m, k_r: float, k_u: float):
     """(ok, g) on q, floats or arrays, from a = alpha(q), m = mu(q) and the price f:
     ok is {alpha > DOMAIN_EPS, mu - K_U > DOMAIN_EPS}, g is g where ok holds.
     On arrays, a load term (K_R + K_U - mu)/(mu - K_U) that overflows where
-    ok holds raises ValueError naming k_r."""
+    ok holds raises ValueError naming k_r; a price term f/alpha that
+    overflows is +inf, which keeps g's sign."""
     ok = (a > DOMAIN_EPS) & (m - k_u > DOMAIN_EPS)
     if not isinstance(ok, np.ndarray):
         return ok, (f(q) / a - (k_r + k_u - m) / (m - k_u) if ok else None)
     q, a, m = q[ok], a[ok], m[ok]
     with np.errstate(over="ignore"):
         load = (k_r + k_u - m) / (m - k_u)
+        price = f(q) / a
     if not np.isfinite(load).all():
         raise ValueError(f"k_r = {k_r:g} too large: the load term (K_R + K_U - mu)/(mu - K_U) "
                          "overflows on the scan domain")
-    return ok, f(q) / a - load
+    return ok, price - load
 
 
 def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):

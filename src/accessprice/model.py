@@ -428,7 +428,7 @@ def slope(spec, q):
     return from_pieces(spec, q, 1)
 
 
-price_slope = service_slope = admission_slope = slope
+admission_slope = slope
 
 
 def extremum(tables, lo: float, hi: float, *, largest: bool = False, order: int = 0):

@@ -215,12 +215,6 @@ def build_polygon(cfg: ModelConfig, q_choice: float | None = None, r_choice: flo
     return RegionSpec(kind="polygon2d", vertices=vertices)
 
 
-def default_cuboid_params(cfg: ModelConfig, k_u: float = 0.0):
-    """build_cuboid's default corner, as (q_hat, u_hat, r_hat)."""
-    r_hat, q_hat, u_hat = build_cuboid(cfg, k_u=k_u).vertices[1]
-    return q_hat, u_hat, r_hat
-
-
 def build_cuboid(
     cfg: ModelConfig,
     q_hat: float | None = None,
@@ -396,12 +390,6 @@ def _face_runs(region: RegionSpec, k_u: float, n: int):
         for (_, write, *_), r in zip(run, rows):
             write(r)
         yield samples, [(name, r, *rest) for (name, _, *rest), r in zip(run, rows)]
-
-
-def _faces(region: RegionSpec, k_u: float, n: int):
-    """(name, boundary states, condition, F -> values, test) per face."""
-    for _, faces in _face_runs(region, k_u, n):
-        yield from faces
 
 
 def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) -> InvarianceReport:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from pathlib import Path
+import re
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import pytest
 
 from accessprice import cli, dynamics
 from accessprice.cli import ConfigError, load_config, run
+from accessprice.model import ADMISSION_VARIANTS, PRICE_VARIANTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +37,18 @@ REF_DOC = {
     "service": {"mu_star": 3.0, "q_c": 35.0},
     "q_ad": 60.0,
 }
+
+
+# (--set key path, JSON type) of every key in the schema table
+_TYPED_PATHS = [(key if section == "config" else f"{section}.{key}", typ)
+                for section, (_, types, _) in cli._SCHEMA.items() for key, typ in types.items()]
+_NUMBER_PATHS = [path for path, typ in _TYPED_PATHS if typ is cli.NUM]
+_HUGE = 10**400  # beyond the float range
+
+
+def _named(path):
+    """The key path as error messages name it: config.k_r, price.beta."""
+    return path if "." in path else f"config.{path}"
 
 
 class TestLoadConfig:
@@ -95,6 +109,28 @@ class TestLoadConfig:
     def test_override_type_checked(self, tmp_path):
         with pytest.raises(ConfigError, match="k_r"):
             load_config(write_config(tmp_path, REF_DOC), ["k_r=fast"])
+
+    @pytest.mark.parametrize("override, named", [
+        *[pytest.param(f"{path}={sign}{_HUGE}", f"{_named(path)}: must be finite", id=sign + path)
+          for path in _NUMBER_PATHS for sign in ("", "-")],
+        pytest.param(f"admission.coefficients=[{_HUGE}, -0.002]",
+                     "admission.coefficients: must be finite", id="coefficient"),
+        pytest.param(f"k_u_schedule=[[0, 1, {_HUGE}]]",
+                     "config: k_u_schedule[0]: values must be finite", id="schedule rate"),
+    ])
+    def test_integer_beyond_float_range_names_key(self, config_dir, capsys, override, named):
+        # read as +-inf, as json.loads reads 1e400, and rejected as such
+        code = run(["validate", "--config", str(config_dir / "ref.json"), "--set", override])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_readme_schema_example_is_the_table(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## Configuration schema", 1)[1].split("```jsonc\n", 1)[1]
+        doc = json.loads(re.sub(r"//.*", "", block.split("```", 1)[0]))
+        cli.config_from_dict(doc)
+        for section, (_, types, _) in cli._SCHEMA.items():
+            assert set(doc if section == "config" else doc[section]) == set(types), section
 
 
 class TestExitCodes:
@@ -450,12 +486,64 @@ class TestValidateScenarioContract:
         _run_contract(config_dir, "scenario", flags, "section5.json")
 
 
-def _run_contract(config_dir, command, flags, config="ref.json"):
-    """Run the command in-process; assert an exit code of 0, 1 or 2 and no
-    traceback; return stdout's lines."""
+# JSON values of every kind: integers beyond the float range, non-finite
+# and extreme floats, the variant names and other strings, true, null, and
+# lists and objects of them; and a few words that are not JSON at all.
+# A third are floats of the shipped configs' scale, which keep some
+# overridden configs valid.
+_JSON_LEAVES = (
+    st.integers(-_HUGE, _HUGE)
+    | st.sampled_from([_HUGE, -_HUGE, 2**1024, 0, 1, -1])
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e308, 5e-324, -0.0, 0.5, 45.0])
+    | st.sampled_from([*PRICE_VARIANTS, *ADMISSION_VARIANTS, "", "x"])
+    | st.sampled_from([True, None])
+)
+_JSON_VALUES = st.one_of(
+    st.floats(0.0, 200.0).map(json.dumps),
+    st.recursive(
+        _JSON_LEAVES,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from([p.rpartition(".")[2] for p, _ in _TYPED_PATHS]),
+                          inner, max_size=3),
+        max_leaves=8,
+    ).map(json.dumps),
+    st.sampled_from(["surge", "fast", "[1,"]),
+)
+# half the key paths name a number, the rest any key of the table or one
+# it does not hold
+_OVERRIDE_PATHS = st.sampled_from(_NUMBER_PATHS) | st.sampled_from(
+    [path for path, _ in _TYPED_PATHS] + ["price.gamma"])
+_OVERRIDES = st.lists(st.tuples(_OVERRIDE_PATHS, _JSON_VALUES).map("=".join),
+                      min_size=1, max_size=3)
+
+
+class TestConfigContract:
+    """validate, fixed-points and classify end in a result or a named error,
+    with no warning, for any one to three --set overrides of any shipped
+    config."""
+
+    @settings(max_examples=200)
+    @given(command=st.sampled_from(["validate", "fixed-points", "classify"]),
+           config=st.sampled_from(["ref.json", "section5.json", "competitive.json"]),
+           overrides=_OVERRIDES)
+    @example(command="validate", config="ref.json", overrides=[f"k_r={_HUGE}"])
+    @example(command="fixed-points", config="section5.json",
+             overrides=[f"admission.coefficients=[0.09, {-_HUGE}, 3.1e-5, -2.0e-7]"])
+    @example(command="classify", config="ref.json", overrides=[f"k_u_schedule=[[0, 1, {_HUGE}]]"])
+    @example(command="fixed-points", config="section5.json", overrides=["price.beta=1e300"])
+    def test_overrides(self, config_dir, command, config, overrides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _run_contract(config_dir, command, {}, config, overrides)
+
+
+def _run_contract(config_dir, command, flags, config="ref.json", overrides=()):
+    """Run the command in-process, with each override as one --set; assert
+    an exit code of 0, 1 or 2 and no traceback; return stdout's lines."""
     argv = [command, "--config", str(config_dir / config)]
     argv += [f"{flag}={value if isinstance(value, str) else repr(value)}"
              for flag, value in flags.items() if value is not None]
+    argv += [f"--set={item}" for item in overrides]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)

@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,6 +185,14 @@ class TestFindFixedPoints:
 
     def test_saturated_above_mu_star_empty(self, section5_cfg):
         assert find_fixed_points(section5_cfg, "saturated", k_u=4.0) == []
+
+    def test_overflowing_price_term_keeps_its_sign_silently(self, section5_cfg):
+        # f/alpha overflows to +inf where alpha is small: g stays positive,
+        # so the scan finds no root and warns of nothing
+        cfg = replace(section5_cfg, price=replace(section5_cfg.price, beta=1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_fixed_points(cfg) == []
 
     def test_competitive_contract(self, ref_cfg, competitive_cfg):
         # ref.json's admission was calibrated for the normal mode; the

@@ -27,9 +27,7 @@ from accessprice.model import (
     eval_service,
     extremum,
     from_pieces,
-    price_slope,
     saturation_floor,
-    service_slope,
     slope,
     validate_admissible,
 )
@@ -219,13 +217,13 @@ class TestSlopeOracles:
             kinks = spec.kinks
             if any(abs(q - k) < 1e-3 for k in kinks):
                 continue
-            assert price_slope(spec, q) == pytest.approx(
+            assert slope(spec, q) == pytest.approx(
                 central_diff(lambda x: eval_price(spec, x), q), abs=1e-6
             )
 
     @pytest.mark.parametrize("q", [5.0, 20.0, 40.0, 70.0])
     def test_service_slope_fd(self, q):
-        assert service_slope(SVC, q) == pytest.approx(
+        assert slope(SVC, q) == pytest.approx(
             central_diff(lambda x: eval_service(SVC, x), q), abs=1e-6
         )
 

@@ -22,7 +22,6 @@ from accessprice.regions import (
     build_cuboid,
     build_polygon,
     check_invariance,
-    default_cuboid_params,
     eta1,
     eta1_inverse,
     eta2,
@@ -378,12 +377,18 @@ class TestCheckInvariance:
         assert np.max(np.abs(res.states[:, :2] - [25.0, 40.0])) < 1e-3
 
 
+def _faces(region, k_u, n):
+    """(name, boundary states, condition, F -> values, test) per face."""
+    for _, faces in regions._face_runs(region, k_u, n):
+        yield from faces
+
+
 def _check_invariance_per_face(cfg, region, mode, n):
     """check_invariance with one rhs call per face: the reference for the
     runs of faces that share a call."""
     mode = dynamics.as_mode(mode)
     report = InvarianceReport()
-    for name, states, condition, values, (reduce, passes) in regions._faces(region, mode.k_u, n):
+    for name, states, condition, values, (reduce, passes) in _faces(region, mode.k_u, n):
         worst = float(reduce(values(dynamics.rhs(cfg, mode, 0.0, states))))
         report.faces.append(FaceReport(name, condition, worst, len(states), passes(worst)))
     return report
@@ -474,7 +479,7 @@ class TestFaceSamples:
     @pytest.mark.parametrize("n", [1, 2, 7, 500, 1000, 3000])
     def test_match_a_linspace_per_face(self, ref_cfg, competitive_cfg, n):
         for _, region, mode in TestFaceRuns.cases(ref_cfg, competitive_cfg):
-            got = [states for _, states, *_ in regions._faces(region, mode.k_u, n)]
+            got = [states for _, states, *_ in _faces(region, mode.k_u, n)]
             want = _samples_per_face(region, n)
             assert len(got) == len(want)
             for g, w in zip(got, want):
@@ -489,7 +494,7 @@ class TestBuildCuboid:
         assert len(rep.faces) == 6
 
     def test_u_hat_lower_bound_open(self, competitive_cfg):
-        q_hat, u_hat, r_hat = default_cuboid_params(competitive_cfg, 1.0)
+        r_hat, q_hat, u_hat = build_cuboid(competitive_cfg, k_u=1.0).vertices[1]
         from accessprice.model import eval_admission
 
         lower = 1.0 / eval_admission(competitive_cfg.admission, q_hat)
@@ -497,7 +502,7 @@ class TestBuildCuboid:
             build_cuboid(competitive_cfg, q_hat, lower, r_hat, k_u=1.0)
 
     def test_r_hat_interval(self, competitive_cfg):
-        q_hat, u_hat, _ = default_cuboid_params(competitive_cfg, 1.0)
+        _, q_hat, u_hat = build_cuboid(competitive_cfg, k_u=1.0).vertices[1]
         with pytest.raises(ValueError, match="r_hat"):
             build_cuboid(
                 competitive_cfg, q_hat, u_hat, eta2(competitive_cfg, q_hat), k_u=1.0
@@ -508,7 +513,7 @@ class TestBuildCuboid:
         fp2 = find_fixed_points(cfg, "competitive", k_u)[1]
         q2, u2 = fp2.q_star, fp2.u_star
         q_hat = 0.25 * q_dagger(cfg) + 0.75 * q2
-        assert q_hat != default_cuboid_params(cfg, k_u)[0]
+        assert q_hat != build_cuboid(cfg, k_u=k_u).vertices[1][1]
         lo_u = k_u / eval_admission(cfg.admission, q_hat)
         u_hat = 0.5 * (lo_u + min(u2, eta1(cfg, q_hat) - eta2(cfg, q_hat)))
         r_hat = 0.5 * (eta2(cfg, q_hat) + eta3(cfg, q_hat, u_hat))
