@@ -88,6 +88,13 @@ def _float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _json(text: str):
+    """json.loads, with an integer of 400 or more characters, far beyond the
+    float range, read as float reads it (+-inf): int() refuses one of over
+    4300 digits with an unnamed error."""
+    return json.loads(text, parse_int=lambda s: int(s) if len(s) < 400 else float(s))
+
+
 def _section(obj: dict, path: str) -> dict:
     """The keyword arguments of path's spec from obj, every number a float
     and an absent optional key None; unknown, missing and wrong-typed keys
@@ -161,7 +168,7 @@ def load_config(path: str, overrides=()) -> ModelConfig:
     except OSError as exc:
         raise FileNotFoundError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = _json(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     for item in overrides:
@@ -178,7 +185,7 @@ def _apply_override(doc: dict, item: str) -> dict:
         raise ConfigError(f"override {item!r}: expected key=value")
     key, raw = item.split("=", 1)
     try:
-        value = json.loads(raw)
+        value = _json(raw)
     except json.JSONDecodeError:
         value = raw
     parts = key.split(".")

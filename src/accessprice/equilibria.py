@@ -119,9 +119,11 @@ def _balance(f, q, a, m, k_r: float, k_u: float):
 
 
 def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):
-    """g and its domain mask on an array of q; g is NaN off the mask."""
-    ok, g_ok = _balance(cfg.price._kernel, qs, cfg.admission._kernel(qs),
-                        cfg.service._kernel(qs), cfg.k_r, k_u)
+    """g and its domain mask on an array of q; g is NaN off the mask.  An
+    alpha that overflows is +inf, which keeps g's sign."""
+    with np.errstate(over="ignore"):
+        a = cfg.admission._kernel(qs)
+    ok, g_ok = _balance(cfg.price._kernel, qs, a, cfg.service._kernel(qs), cfg.k_r, k_u)
     g = np.full_like(qs, np.nan)
     g[ok] = g_ok
     return g, ok
@@ -159,7 +161,7 @@ def _scan_domain(cfg: ModelConfig, k_u: float):
     q_max = cfg.admission.q_max
     hi = q_max - max(1e-9, abs(q_max) * 1e-12) if math.isfinite(q_max) else 4 * cfg.service.q_c + 400.0
     svc = cfg.service
-    ramp = svc.pieces[0][2][1]  # mu = ramp*q up to q_c, read off its piece table
+    ramp = svc.mu_star / svc.q_c  # mu = ramp*q up to q_c
     if k_u >= svc.mu_star or not ramp > 0:  # mu <= K_U everywhere; mu = 0 if the ramp underflows
         return None
     lo = 1e-9 if k_u <= 0 else (k_u + DOMAIN_EPS) / ramp * (1 + 1e-12) + 1e-12
@@ -272,8 +274,8 @@ def _target_queues(targets: CalibrationTargets, price: PriceSpec):
     for name, p in (("p1", targets.p1), ("p2", targets.p2)):
         if not 0 < p < peak:
             raise CalibrationError(f"{name} must lie in (0, beta*q_m) = (0, {peak:g})")
-    # the rising and the falling leg are pieces -0.0 + c1*(q - origin)
-    q1, q2 = (o + p / c[1] for (_, o, c), p in zip(price.pieces, (targets.p1, targets.p2)))
+    # the rising leg beta*q and the falling leg beta*(2*q_m - q), inverted
+    q1, q2 = targets.p1 / price.beta, 2 * price.q_m - targets.p2 / price.beta
     if price.variant == "saturated" and q2 >= price.q_n:
         raise CalibrationError(
             f"p2 = {targets.p2:g} sits at or below the saturation floor "

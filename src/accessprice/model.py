@@ -452,7 +452,14 @@ def extremum(tables, lo: float, hi: float, *, largest: bool = False, order: int 
             for _ in range(order + 1):
                 cq = [k * ck for k, ck in enumerate(cq)][1:]
             grad[:len(cq)] += cq
-        roots = np.roots(grad[::-1]) if grad[1:].any() else ()
+        lead = np.trim_zeros(grad[::-1], "f")  # as np.roots trims them
+        roots = ()
+        if len(lead) > 1:
+            with np.errstate(over="ignore"):  # np.roots divides by the leading coefficient
+                if not np.isfinite(lead[1:] / lead[0]).all():
+                    raise ValueError(f"the derivative on [{a:g}, {b:g}] has a leading "
+                                     f"coefficient {lead[0]:g} too small to solve for its roots")
+            roots = np.roots(lead)
         for q in (a, b, *(z.real for z in roots if z.imag == 0 and a < z.real < b)):
             found.append((float(sum(_poly(c, q - o, order) for _, o, c in active)), float(q)))
     return (max if largest else min)(found, key=lambda vq: vq[0])

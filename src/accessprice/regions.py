@@ -428,7 +428,9 @@ def phase_grid(cfg: ModelConfig, mode, r_range, q_range, resolution: int) -> Pha
     """Vector-field samples on cell centers of the requested box (U = 0).
 
     Includes eta1/eta2 curve samples and the mode's fixed points as
-    overlay records so plots need no recomputation.
+    overlay records so plots need no recomputation.  A field that is not
+    finite at some cell raises ValueError; an overlay height that
+    overflows reads +inf.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
@@ -443,24 +445,31 @@ def phase_grid(cfg: ModelConfig, mode, r_range, q_range, resolution: int) -> Pha
     qs = q0 + dq_cell * (np.arange(resolution) + 0.5)
     R, Q = np.meshgrid(rs, qs, indexing="ij")
     states = np.column_stack([R.ravel(), Q.ravel(), np.zeros(R.size)])
-    F = dynamics.rhs(cfg, mode, 0.0, states)
-    dr = F[:, 0].reshape(R.shape)
-    dq = F[:, 1].reshape(R.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = dynamics.rhs(cfg, mode, 0.0, states)
+        dr = F[:, 0].reshape(R.shape)
+        dq = F[:, 1].reshape(R.shape)
+        magnitude = np.hypot(dr, dq)  # not finite where dr or dq is not
+    bad = np.flatnonzero(~np.isfinite(magnitude))
+    if bad.size:
+        r, q = states[bad[0], :2]
+        raise ValueError(f"{mode.tag} field not finite at (R, q) = ({r:g}, {q:g}) on the grid")
 
     q_max = cfg.admission.q_max
     hi = min(q1, q_max * (1 - 1e-9)) if math.isfinite(q_max) else q1
     q_curve = np.linspace(max(q0, 0.0), hi, 200)
-    ok = eval_admission(cfg.admission, q_curve) > 0
-    q_curve = q_curve[ok]
-    e1 = np.column_stack([q_curve, eta1(cfg, q_curve)])
-    e2 = np.column_stack([q_curve, eta2(cfg, q_curve)])
+    with np.errstate(over="ignore"):
+        ok = eval_admission(cfg.admission, q_curve) > 0
+        q_curve = q_curve[ok]
+        e1 = np.column_stack([q_curve, eta1(cfg, q_curve)])
+        e2 = np.column_stack([q_curve, eta2(cfg, q_curve)])
     fps = tuple(equilibria.find_fixed_points(cfg, mode))
     return PhaseGrid(
         r=rs,
         q=qs,
         dr=dr,
         dq=dq,
-        magnitude=np.hypot(dr, dq),
+        magnitude=magnitude,
         eta1_curve=e1,
         eta2_curve=e2,
         fixed_points=fps,

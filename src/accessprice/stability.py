@@ -18,13 +18,12 @@ matrix; divergence() sums the diagonal in the order of classify's trace.
 finite_diff_jacobian() is the oracle: central differences of
 dynamics.rhs, one call on the 2*dim perturbed states.
 
-Eigenvalues come from the closed-form quadratic/cubic solutions, not
-from an eigensolver.  The one linear-algebra call is np.linalg.det for
-the 3x3 determinant (an LU factorization), so 3D results are
-reproducible for a given numpy/LAPACK build rather than across builds.
-Classification is Hurwitz-style: trace/determinant in 2D, the
-Routh-Hurwitz conditions a1 > 0, a3 > 0, a1*a2 > a3 in 3D.  Gershgorin
-column discs are reported for 3D matrices as informational data only.
+classify() reads the eigenvalues from the closed-form quadratic/cubic
+solutions of the characteristic polynomial, not from an eigensolver, and
+names the class by one rule on their real and imaginary parts in 2D and
+3D alike.  Every coefficient, the determinant included, is plain float
+arithmetic on the entries, so no result depends on a LAPACK build.  The
+Hurwitz conditions are reported beside the class and do not decide it.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class StabilityReport:
     determinant: float
     eigenvalues: tuple[complex, ...]
     hurwitz: dict = field(default_factory=dict)
-    gershgorin: tuple[tuple[float, float], ...] = ()
 
 
 def _kinks(cfg: ModelConfig, mode) -> list[float]:
@@ -171,12 +169,6 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
     return sum((rows[i][i] for i in range(1, mode.dim)), rows[0][0])
 
 
-def _eig_quadratic(tr: float, det: float) -> tuple[complex, complex]:
-    disc = tr * tr - 4 * det
-    s = cmath.sqrt(disc)
-    return ((tr - s) / 2, (tr + s) / 2)
-
-
 def solve_cubic(a1: float, a2: float, a3: float) -> tuple[complex, complex, complex]:
     """Roots of x^3 + a1 x^2 + a2 x + a3 via the closed-form solution.
 
@@ -228,77 +220,51 @@ def solve_cubic(a1: float, a2: float, a3: float) -> tuple[complex, complex, comp
     return tuple(roots)
 
 
-def _gershgorin_columns(m: np.ndarray) -> tuple[tuple[float, float], ...]:
-    out = []
-    for j in range(m.shape[1]):
-        radius = float(sum(abs(m[i, j]) for i in range(m.shape[0]) if i != j))
-        out.append((float(m[j, j]), radius))
-    return tuple(out)
-
-
 def classify(j: JacobianMatrix) -> StabilityReport:
-    """Stability classification of a 2x2 or 3x3 Jacobian.
+    """Stability class of a 2x2 or 3x3 Jacobian from its eigenvalues.
 
-    2D by the trace/determinant criterion: stable node or focus when
-    trace < 0 and det > 0 (split on the discriminant sign), saddle when
-    det < 0, degenerate when |det| < 1e-12.  3D by Routh-Hurwitz on the
-    characteristic polynomial; eigenvalues from the closed-form cubic.
+    The characteristic polynomial comes from the trace, the principal
+    minors and the determinant (a cofactor expansion along row 0), and its
+    roots from the closed-form quadratic or cubic.  One rule names the
+    class in both dimensions: degenerate when |det| or some |Re(lambda)|
+    is below 1e-12; otherwise stable_focus or stable_node (by whether some
+    |Im(lambda)| exceeds 1e-12) when every Re(lambda) < 0, unstable when
+    every Re(lambda) > 0, saddle else.  The Hurwitz conditions (trace < 0
+    and det > 0 in 2D; Routh-Hurwitz a1 > 0, a3 > 0, a1*a2 > a3 in 3D)
+    are reported in `hurwitz` and do not decide the class.
     """
-    m = j.entries
-    tr = float(np.trace(m))
     if j.dim == 2:
-        det = float(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+        (a, b), (c, d) = j.entries.tolist()
+        tr = a + d
+        det = a * d - b * c
         disc = tr * tr - 4 * det
-        eig = _eig_quadratic(tr, det)
-        if abs(det) < DEGENERACY_TOL:
-            cls = "degenerate"
-        elif det < 0:
-            cls = "saddle"
-        elif tr < 0:
-            cls = "stable_node" if disc >= 0 else "stable_focus"
-        else:
-            cls = "unstable"
-        return StabilityReport(
-            classification=cls,
-            trace=tr,
-            determinant=det,
-            eigenvalues=eig,
-            hurwitz={"trace": tr, "det": det, "disc": disc,
-                     "hurwitz": tr < 0 and det > 0},
-        )
-
-    if j.dim != 3:
+        s = cmath.sqrt(disc)
+        eig = ((tr - s) / 2, (tr + s) / 2)
+        hurwitz = {"trace": tr, "det": det, "disc": disc, "hurwitz": tr < 0 and det > 0}
+    elif j.dim == 3:
+        (a, b, c), (d, e, f), (g, h, i) = j.entries.tolist()
+        tr = a + e + i
+        minor = e * i - f * h
+        det = a * minor - b * (d * i - f * g) + c * (d * h - e * g)
+        a1 = -tr
+        a2 = minor + a * i - c * g + a * e - b * d  # the principal 2x2 minors
+        a3 = -det
+        eig = solve_cubic(a1, a2, a3)
+        hurwitz = {"a1": a1, "a2": a2, "a3": a3, "margin": a1 * a2 - a3,
+                   "hurwitz": a1 > 0 and a3 > 0 and a1 * a2 > a3}
+    else:
         raise ValueError("classify handles 2x2 and 3x3 matrices")
-    det = float(np.linalg.det(m))
-    # principal 2x2 minors
-    a2 = float(
-        m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-        + m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-        + m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    )
-    a1 = -tr
-    a3 = -det
-    eig = solve_cubic(a1, a2, a3)
-    hurwitz_ok = a1 > 0 and a3 > 0 and a1 * a2 > a3
     re = [z.real for z in eig]
-    has_complex = any(abs(z.imag) > DEGENERACY_TOL for z in eig)
     if abs(det) < DEGENERACY_TOL or any(abs(x) < DEGENERACY_TOL for x in re):
         cls = "degenerate"
     elif all(x < 0 for x in re):
-        cls = "stable_focus" if has_complex else "stable_node"
+        cls = "stable_focus" if any(abs(z.imag) > DEGENERACY_TOL for z in eig) else "stable_node"
     elif all(x > 0 for x in re):
         cls = "unstable"
     else:
         cls = "saddle"
-    return StabilityReport(
-        classification=cls,
-        trace=tr,
-        determinant=det,
-        eigenvalues=eig,
-        hurwitz={"a1": a1, "a2": a2, "a3": a3,
-                 "margin": a1 * a2 - a3, "hurwitz": hurwitz_ok},
-        gershgorin=_gershgorin_columns(m),
-    )
+    return StabilityReport(classification=cls, trace=tr, determinant=det, eigenvalues=eig,
+                           hurwitz=hurwitz)
 
 
 def saddle_criterion(cfg: ModelConfig, fp) -> tuple[float, float, bool]:

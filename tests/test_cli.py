@@ -44,6 +44,7 @@ _TYPED_PATHS = [(key if section == "config" else f"{section}.{key}", typ)
                 for section, (_, types, _) in cli._SCHEMA.items() for key, typ in types.items()]
 _NUMBER_PATHS = [path for path, typ in _TYPED_PATHS if typ is cli.NUM]
 _HUGE = 10**400  # beyond the float range
+_LONG = "1" + "0" * 5000  # more digits than int() converts from a string
 
 
 def _named(path):
@@ -117,12 +118,20 @@ class TestLoadConfig:
                      "admission.coefficients: must be finite", id="coefficient"),
         pytest.param(f"k_u_schedule=[[0, 1, {_HUGE}]]",
                      "config: k_u_schedule[0]: values must be finite", id="schedule rate"),
+        *[pytest.param(f"k_r={sign}{_LONG}", "config.k_r: must be finite", id=sign + "too long for int")
+          for sign in ("", "-")],
     ])
     def test_integer_beyond_float_range_names_key(self, config_dir, capsys, override, named):
         # read as +-inf, as json.loads reads 1e400, and rejected as such
         code = run(["validate", "--config", str(config_dir / "ref.json"), "--set", override])
         assert code == 1
         assert capsys.readouterr().err == f"error: {named}\n"
+
+    def test_integer_too_long_for_int_names_key_in_file(self, tmp_path, capsys):
+        p = tmp_path / "long.json"
+        p.write_text(json.dumps(REF_DOC).replace('"k_r": 4.0', f'"k_r": {_LONG}'))
+        assert run(["validate", "--config", str(p)]) == 1
+        assert capsys.readouterr().err == "error: config.k_r: must be finite\n"
 
     def test_readme_schema_example_is_the_table(self):
         text = (ROOT / "README.md").read_text()
@@ -513,17 +522,23 @@ _JSON_VALUES = st.one_of(
 # it does not hold
 _OVERRIDE_PATHS = st.sampled_from(_NUMBER_PATHS) | st.sampled_from(
     [path for path, _ in _TYPED_PATHS] + ["price.gamma"])
-_OVERRIDES = st.lists(st.tuples(_OVERRIDE_PATHS, _JSON_VALUES).map("=".join),
+# admission.coefficients of two to four entries, some huge or subnormal
+_COEFFICIENTS = st.lists(
+    st.sampled_from([1e306, -1e306, 1e308, sys.float_info.max, 1e300, 5e-324, -5e-324, 0.0])
+    | st.floats(-1.0, 1.0), min_size=2, max_size=4,
+).map(lambda xs: f"admission.coefficients={json.dumps(xs)}")
+_OVERRIDES = st.lists(st.tuples(_OVERRIDE_PATHS, _JSON_VALUES).map("=".join) | _COEFFICIENTS,
                       min_size=1, max_size=3)
+_SECTION5_CUBIC = "0.09, -0.0019357142857142858, 3.059523809523811e-05"
 
 
 class TestConfigContract:
-    """validate, fixed-points and classify end in a result or a named error,
-    with no warning, for any one to three --set overrides of any shipped
-    config."""
+    """validate, fixed-points, classify, doa and phase end in a result or a
+    named error, with no warning, for any one to three --set overrides of
+    any shipped config."""
 
     @settings(max_examples=200)
-    @given(command=st.sampled_from(["validate", "fixed-points", "classify"]),
+    @given(command=st.sampled_from(["validate", "fixed-points", "classify", "doa", "phase"]),
            config=st.sampled_from(["ref.json", "section5.json", "competitive.json"]),
            overrides=_OVERRIDES)
     @example(command="validate", config="ref.json", overrides=[f"k_r={_HUGE}"])
@@ -531,10 +546,34 @@ class TestConfigContract:
              overrides=[f"admission.coefficients=[0.09, {-_HUGE}, 3.1e-5, -2.0e-7]"])
     @example(command="classify", config="ref.json", overrides=[f"k_u_schedule=[[0, 1, {_HUGE}]]"])
     @example(command="fixed-points", config="section5.json", overrides=["price.beta=1e300"])
+    @example(command="phase", config="ref.json", overrides=["k_r=1e308"])
+    @example(command="doa", config="ref.json", overrides=["admission.coefficients=[1, 1e306]"])
     def test_overrides(self, config_dir, command, config, overrides):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _run_contract(config_dir, command, {}, config, overrides)
+
+    @pytest.mark.parametrize("command, config, override, code, err", [
+        ("phase", "ref.json", "k_r=1e308", 1,
+         "error: k_r = 1e+308 too large: the load term (K_R + K_U - mu)/(mu - K_U) "
+         "overflows on the scan domain\n"),
+        ("phase", "ref.json", "service.mu_star=1e308", 0, ""),
+        ("phase", "ref.json", "price.beta=1e306", 1,
+         "error: normal field not finite at (R, q) = (4.5, 41) on the grid\n"),
+        ("fixed-points", "ref.json", "admission.coefficients=[1,1e306]", 0, ""),
+        ("classify", "ref.json", "admission.coefficients=[1,1e306]", 0, ""),
+        ("doa", "ref.json", "admission.coefficients=[1,1e306]", 1,
+         "error: region construction needs exactly two normal-mode fixed points, found 0\n"),
+        ("validate", "section5.json", f"admission.coefficients=[{_SECTION5_CUBIC}, 5e-324]", 1,
+         "error: the derivative on [0, 100] has a leading coefficient 2.96439e-323 "
+         "too small to solve for its roots\n"),
+    ])
+    def test_overflow_reads_inf_or_is_named(self, config_dir, capsys, command, config, override,
+                                            code, err):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", str(config_dir / config), "--set", override]) == code
+        assert capsys.readouterr().err == err
 
 
 def _run_contract(config_dir, command, flags, config="ref.json", overrides=()):

@@ -66,6 +66,30 @@ class TestLinearCalibration:
         assert eval_admission(adm, 82.0) == pytest.approx(0.024, abs=1e-12)
         assert adm.q_max == pytest.approx(92.5, abs=1e-9)
 
+    def test_root_count_post_condition(self):
+        # q2* = 60.792 lies in the scan's last cell, whose top end is off g's
+        # domain (alpha below the guard band), so no sign change shows there
+        price = PriceSpec("triangular", beta=0.0011, q_m=30.4)
+        with pytest.raises(CalibrationError,
+                           match="fails root-count: found 1, expected 2 for triangular price"):
+            calibrate_linear_admission(CalibrationTargets(p1=0.0329, p2=8.61e-06), price,
+                                       ServiceSpec(mu_star=3.92, q_c=99.6), k_r=10.5)
+
+    def test_root_position_post_condition(self):
+        # with q1* 1e-8 below the kink q_m, g is within rounding of zero for
+        # 1e-5 around q2* = 82, and bisection stops at another of those zeros
+        with pytest.raises(CalibrationError,
+                           match=r"extra or missing roots: found \[44.99999999, 82.00000998"):
+            calibrate_linear_admission(CalibrationTargets(p1=0.04499999999, p2=0.008), TRI, SVC,
+                                       k_r=4.0)
+
+    def test_saturated_target_post_condition(self):
+        # alpha is so flat that it vanishes only near q = 2e5: the scan's cells
+        # are 100 wide, and the one holding both targets shows no sign change
+        sat = PriceSpec(variant="saturated", beta=1e-3, q_m=45.0, q_n=75.0)
+        with pytest.raises(CalibrationError, match="target equilibrium q\\* = 40 not recovered"):
+            calibrate_linear_admission(CalibrationTargets(p1=0.04, p2=0.039998), sat, SVC, k_r=4.0)
+
     def test_monotonicity_violation(self):
         # alpha(20) = 0.015 < alpha(60) = 0.09 by hand evaluation
         with pytest.raises(CalibrationError, match="monotonicity"):
@@ -141,6 +165,25 @@ class TestCubicCalibration:
                 q_max=100.0,
             )
 
+    def test_monotonicity_violation(self):
+        price = PriceSpec(variant="triangular", beta=0.1, q_m=45.0)
+        with pytest.raises(CalibrationError, match=r"monotonicity violation: alpha\(q1\*\) = 0.0243243"):
+            calibrate_cubic_admission(CalibrationTargets(p1=0.3, p2=4.4), price,
+                                      ServiceSpec(mu_star=3.0, q_c=30.0), k_r=4.0, q_max=100.0)
+
+    def test_alpha0_of_the_scan_gives_its_cubic(self):
+        scanned = calibrate_cubic_admission(REF_TARGETS, TRI, SVC, k_r=4.0, q_max=100.0)
+        pinned = CalibrationTargets(p1=0.04, p2=0.008, alpha0=scanned.coefficients[0])
+        assert calibrate_cubic_admission(pinned, TRI, SVC, k_r=4.0, q_max=100.0) == scanned
+
+    @pytest.mark.parametrize("targets", [
+        CalibrationTargets(p1=0.044, p2=0.001),  # none of the 64 scanned alpha0
+        CalibrationTargets(p1=0.04, p2=0.008, alpha0=0.12),  # alpha(0) = alpha(q1*): rises between
+    ])
+    def test_no_monotone_cubic(self, targets):
+        with pytest.raises(CalibrationError, match="no monotone cubic positive below q_max"):
+            calibrate_cubic_admission(targets, TRI, SVC, k_r=4.0, q_max=100.0)
+
     def test_qmax_must_exceed_twice_peak(self):
         with pytest.raises(CalibrationError, match="q_max"):
             calibrate_cubic_admission(REF_TARGETS, TRI, SVC, k_r=4.0, q_max=90.0)
@@ -190,6 +233,19 @@ class TestFindFixedPoints:
         # f/alpha overflows to +inf where alpha is small: g stays positive,
         # so the scan finds no root and warns of nothing
         cfg = replace(section5_cfg, price=replace(section5_cfg.price, beta=1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert find_fixed_points(cfg) == []
+
+    def test_empty_scan_domain(self, ref_cfg):
+        # mu = 0.03 q exceeds K_U = 2.9 only beyond q = 96.7, past q_max = 92.5
+        cfg = replace(ref_cfg, service=ServiceSpec(mu_star=3.0, q_c=100.0))
+        assert find_fixed_points(cfg, "saturated", k_u=2.9) == []
+
+    def test_overflowing_alpha_keeps_g_sign_silently(self, ref_cfg):
+        # a rising linear alpha overflows to +inf on the scan grid: f/alpha
+        # is 0 there and g keeps the load term's sign, with no root
+        cfg = replace(ref_cfg, admission=AdmissionSpec(variant="linear", coefficients=(1.0, 1e306)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert find_fixed_points(cfg) == []

@@ -463,6 +463,12 @@ class TestPieceTables:
         assert extremum((TRI.pieces,), 10.0, 200.0) == (0.0, 90.0)
         assert extremum((SVC.pieces,), 0.0, 50.0, largest=True, order=1)[0] == SVC.mu_star / SVC.q_c
 
+    def test_extremum_names_a_leading_coefficient_too_small_to_solve(self):
+        # np.roots would divide 6e-5 by 3e-323 and overflow its companion matrix
+        pieces = ((0.0, 0.0, (0.09, -0.0019, 3e-5, 5e-324)),)
+        with pytest.raises(ValueError, match=r"derivative on \[0, 100\] has a leading coefficient"):
+            extremum((pieces,), 0.0, 100.0, largest=True, order=1)
+
 
 class TestFloatForms:
     """Each spec's float form is generated from its piece table: one maker,

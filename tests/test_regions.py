@@ -564,3 +564,15 @@ class TestPhaseGrid:
     def test_bad_resolution(self, ref_cfg):
         with pytest.raises(ValueError):
             phase_grid(ref_cfg, NORMAL, (0.0, 150.0), (0.0, 92.0), 0)
+
+    def test_field_not_finite_is_named(self, ref_cfg):
+        cfg = dataclasses.replace(ref_cfg, price=PriceSpec(variant="triangular", beta=1e306, q_m=45.0))
+        with pytest.raises(ValueError, match=r"normal field not finite at \(R, q\) = \(4.5, 41\)"):
+            phase_grid(cfg, NORMAL, (0.0, 150.0), (0.0, 100.0), 50)
+
+    def test_overflowing_overlay_reads_inf(self, ref_cfg):
+        # mu/alpha overflows on the eta1 curve; the field and the scan stay finite
+        cfg = dataclasses.replace(ref_cfg, service=ServiceSpec(mu_star=1e308, q_c=35.0))
+        grid = phase_grid(cfg, NORMAL, (0.0, 150.0), (0.0, 100.0), 5)
+        assert np.isinf(grid.eta1_curve[:, 1]).any()
+        assert np.isfinite(grid.magnitude).all()

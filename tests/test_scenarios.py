@@ -150,6 +150,21 @@ class TestBounceback:
         # already at the low-congestion point well before the burst window
         assert report.settling_time <= sc.burst.t_end + 1.0
 
+    def test_runs_the_comparison_when_not_given(self, section5_cfg):
+        sc = ScenarioConfig(section5_cfg, burst=Burst(1.0, 2.0, 4.0), t1=40.0, h=0.05)
+        report = bounceback_probe(sc)
+        assert report == bounceback_probe(sc, run_comparison(sc))
+        assert report.converged and report.reached_target
+
+    def test_no_post_burst_fixed_point_skips(self, section5_cfg):
+        # with K_R below the scan's guard band on mu, the load term is
+        # negative wherever g is defined, so g has no root
+        cfg = replace(section5_cfg, k_r=1e-12)
+        sc = ScenarioConfig(cfg, burst=Burst(1.0, 2.0, 4.0), t1=3.0)
+        report = bounceback_probe(sc)
+        assert report.skipped
+        assert report.notice == "post-burst configuration has no fixed point"
+
     def test_default_scenario_bounces_back(self, quick_comparison):
         sc, result = quick_comparison
         report = bounceback_probe(sc, result)

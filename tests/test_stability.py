@@ -194,6 +194,35 @@ class TestClassify:
         assert rep.classification == "stable_focus"
         assert all(abs(z.imag) > 0 for z in rep.eigenvalues)
 
+    def test_centre_is_degenerate(self):
+        rep = classify(JacobianMatrix(2, np.array([[0.0, -2.0], [0.5, 0.0]])))
+        assert rep.trace == 0.0 and rep.determinant == 1.0
+        assert rep.classification == "degenerate"
+
+    def test_one_rule_for_both_dimensions(self):
+        # beside a third eigenvalue of -1, a 2x2 matrix keeps its class,
+        # except that an unstable one becomes a saddle
+        rng = np.random.default_rng(3)
+        mats = [np.array([[0.0, -2.0], [0.5, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])]
+        mats += list(rng.uniform(-1.0, 1.0, (200, 2, 2)))
+        seen = set()
+        for m in mats:
+            cls = classify(JacobianMatrix(2, m)).classification
+            embedded = np.zeros((3, 3))
+            embedded[:2, :2] = m
+            embedded[2, 2] = -1.0
+            rep = classify(JacobianMatrix(3, embedded))
+            assert rep.classification == ("saddle" if cls == "unstable" else cls)
+            seen.add(cls)
+        assert seen == {"degenerate", "saddle", "stable_node", "stable_focus", "unstable"}
+
+    def test_3d_determinant_is_the_cofactor_expansion(self):
+        rng = np.random.default_rng(8)
+        for m in rng.uniform(-1.0, 1.0, (100, 3, 3)):
+            (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+            cofactor = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            assert classify(JacobianMatrix(3, m)).determinant == cofactor
+
     def test_3d_hurwitz_at_competitive_low_point(self, competitive_cfg):
         fps = find_fixed_points(competitive_cfg, "competitive", k_u=1.0)
         rep = classify(
@@ -205,7 +234,6 @@ class TestClassify:
         )
         assert rep.hurwitz["hurwitz"] is True
         assert rep.classification.startswith("stable")
-        assert len(rep.gershgorin) == 3
 
     def test_3d_saddle_at_competitive_high_point(self, competitive_cfg):
         fps = find_fixed_points(competitive_cfg, "competitive", k_u=1.0)
