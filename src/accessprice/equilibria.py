@@ -46,7 +46,6 @@ from .model import (
     ServiceSpec,
     _alpha_clauses,
     _as_query,
-    _cubic_slope_max,
     _root_count,
     eval_admission,
     eval_price,
@@ -299,7 +298,7 @@ def _check_calibrated(admission, price, service, k_r, q1, q2) -> ModelConfig:
         k_r=k_r, k_u_schedule=(), price=price, admission=admission, service=service
     )
     root, points = _root_count(cfg)
-    for cl in _alpha_clauses(cfg) + [root]:
+    for cl in _alpha_clauses(admission) + [root]:
         if not cl.passed:
             raise CalibrationError(f"calibrated admission fails {cl.name}: {cl.detail}")
     found = [fp.q_star for fp in points]
@@ -348,9 +347,10 @@ def calibrate_cubic_admission(
 
     Four linear equations fix (a0..a3): the two alpha targets, alpha(q_max) = 0
     and alpha(0) = alpha0.  When targets.alpha0 is absent, alpha0 is scanned
-    over [alpha(q1*), 4*alpha(q1*)] in 64 steps and the first solution whose
-    derivative is nonpositive on all of [0, q_max] and that rounds to alpha
-    > 0 at the float below q_max wins.
+    over [alpha(q1*), 4*alpha(q1*)] in 64 steps and the first solution that
+    passes validate's alpha-positive-decreasing clause wins: its derivative
+    is nonpositive on all of [0, q_max] and it rounds to alpha > 0 at the
+    float below q_max.
     """
     q1, q2 = _target_queues(targets, price)  # first: a surge price has no q_m
     if not q_max > 2 * price.q_m:
@@ -377,15 +377,10 @@ def calibrate_cubic_admission(
         candidates = list(np.linspace(a1t, 4 * a1t, 64))
 
     for alpha0 in candidates:
-        coeffs = solve(alpha0)
-        if not _cubic_slope_max(coeffs, q_max) <= 0:
-            continue
-        adm = AdmissionSpec(variant="cubic", coefficients=coeffs, q_max=q_max)
-        if not adm._scalar(math.nextafter(q_max, 0.0)) > 0:
-            continue
-        _check_calibrated(adm, price, service, k_r, q1, q2)
-        return adm
-    raise CalibrationError(
-        "no monotone cubic positive below q_max found in the alpha0 scan range "
-        f"[{a1t:g}, {4 * a1t:g}]"
-    )
+        adm = AdmissionSpec(variant="cubic", coefficients=solve(alpha0), q_max=q_max)
+        if _alpha_clauses(adm)[0].passed:
+            _check_calibrated(adm, price, service, k_r, q1, q2)
+            return adm
+    tried = (f"at the pinned alpha0 = {targets.alpha0:g}" if targets.alpha0 is not None
+             else f"in the alpha0 scan range [{a1t:g}, {4 * a1t:g}]")
+    raise CalibrationError(f"no monotone cubic positive below q_max found {tried}")

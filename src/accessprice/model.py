@@ -19,13 +19,15 @@ batch field, and a piece table (pieces): (start, origin, coefficients)
 per piece on [start, next start), the polynomial sum c_k * (q - origin)**k
 of degree <= 3, which evaluates bit for bit like the kernel (a piece
 through zero has constant term -0.0, so q = -0.0 keeps its sign).  Slopes,
-kinks, extrema and, through _piece_lines, all float code come from the
-tables: the scalar RK4 run and each spec's float form (_scalar), which
-the public evaluators call on any scalar query (a float, an int or a 0-d
-array) once they have validated it, the kernel's bits at a fraction of
-its cost.  Both are compiled one way, by _make: the source names every
-constant by a parameter of a factory make(c0, ...), so it depends only on
-the tables' shapes and is compiled once per shape.
+kinks, exact extrema (extremum, from closed-form critical points, which
+also decides validate's alpha clauses) and, through _piece_lines, all
+float code come from the tables: the scalar RK4 run and each spec's float
+form (_scalar), which the public evaluators call on any scalar query (a
+float, an int or a 0-d array) once they have validated it, the kernel's
+bits at a fraction of its cost.  Both are compiled one way, by _make:
+the source names every constant by a parameter of a factory make(c0,
+...), so it depends only on the tables' shapes and is compiled once per
+shape.
 """
 
 from __future__ import annotations
@@ -284,7 +286,7 @@ class AdmissionSpec:
             derived = math.inf if c1 >= 0 else _first_zero(c2, c1)
             if self.q_max is None:
                 object.__setattr__(self, "q_max", derived)
-            elif abs(self.q_max - derived) > 1e-9 * max(1.0, abs(derived)):
+            elif self.q_max < 0 or abs(self.q_max - derived) > 1e-9 * max(1.0, abs(derived)):
                 raise ValueError(
                     f"linear admission q_max {self.q_max} inconsistent with "
                     f"zero crossing {derived}"
@@ -433,43 +435,42 @@ admission_slope = slope
 
 def extremum(tables, lo: float, hi: float, *, largest: bool = False, order: int = 0):
     """(value, q) where the sum of the piece tables' functions (order 0) or
-    slopes (order 1) is least on [lo, hi], lo < hi, or greatest (largest).
+    slopes (order 1) is least on [lo, hi], lo <= hi, or greatest (largest).
 
     Exact: the candidates are lo, hi, the breakpoints between them and the
-    real roots of the sum's derivative on each stretch between those.  Each
-    piece counts on its closed interval, so at a jump both one-sided values
-    compete.  The sum runs in the order of tables, on the unfloored pieces,
-    which agree with the functions wherever alpha is admissible.
+    real roots of the sum's derivative g0 + g1 q + g2 q^2 on each stretch
+    between those, in closed form: the stable quadratic's t = -(g1 +
+    copysign(sqrt(g1^2 - 4 g2 g0), g1))/2 gives the roots t/g2 and g0/t,
+    a line the root -g0/g1.  The pieces' coefficients in powers of q are
+    first scaled by one power of two, the largest into [0.5, 1), so nothing
+    overflows and the roots keep the bits of the unscaled formula wherever
+    that does not overflow.  Each piece counts on its closed interval, so
+    at a jump both one-sided values compete.  The sum runs in the order of
+    tables, on the unfloored pieces, which agree with the functions
+    wherever alpha is admissible.
     """
     cuts = sorted({lo, hi, *(s for t in tables for s, _, _ in t if lo < s < hi)})
     found = []
-    for a, b in zip(cuts, cuts[1:]):
+    for a, b in zip(cuts, cuts[1:] or cuts):  # lo == hi: the one point
         active = [next(p for p in reversed(t) if p[0] <= 0.5 * (a + b)) for t in tables]
-        grad = np.zeros(4)  # the sum's derivative, ascending powers of q
-        for _, origin, c in active:
-            cq = [sum(math.comb(j, k) * c[j] * (-origin) ** (j - k) for j in range(k, len(c)))
-                  for k in range(len(c))]
-            for _ in range(order + 1):
-                cq = [k * ck for k, ck in enumerate(cq)][1:]
-            grad[:len(cq)] += cq
-        lead = np.trim_zeros(grad[::-1], "f")  # as np.roots trims them
-        roots = ()
-        if len(lead) > 1:
-            with np.errstate(over="ignore"):  # np.roots divides by the leading coefficient
-                if not np.isfinite(lead[1:] / lead[0]).all():
-                    raise ValueError(f"the derivative on [{a:g}, {b:g}] has a leading "
-                                     f"coefficient {lead[0]:g} too small to solve for its roots")
-            roots = np.roots(lead)
-        for q in (a, b, *(z.real for z in roots if z.imag == 0 and a < z.real < b)):
+        # each piece in ascending powers of q, less the terms the derivative drops
+        kept = [[sum(math.comb(j, k) * c[j] * (-origin) ** (j - k) for j in range(k, len(c)))
+                 for k in range(len(c))][order + 1:] for _, origin, c in active]
+        e = math.frexp(max((abs(x) for cq in kept for x in cq), default=0.0))[1]
+        g0, g1, g2 = (sum(math.perm(k + order + 1, order + 1) * math.ldexp(cq[k], -e)
+                          for cq in kept if k < len(cq)) for k in range(3))
+        roots = ()  # a constant derivative, or a complex pair
+        if g2:
+            disc = g1 * g1 - 4 * g2 * g0
+            if disc >= 0:
+                t = -(g1 + math.copysign(math.sqrt(disc), g1)) / 2
+                if t:  # else g1 = g0 = 0: a double root at 0, where g keeps its sign
+                    roots = (t / g2, g0 / t)
+        elif g1:
+            roots = (-g0 / g1,)
+        for q in (a, b, *(z for z in roots if a < z < b)):
             found.append((float(sum(_poly(c, q - o, order) for _, o, c in active)), float(q)))
     return (max if largest else min)(found, key=lambda vq: vq[0])
-
-
-def _cubic_slope_max(coefficients, q_max: float) -> float:
-    """Largest derivative of the cubic a0 + a1 q + a2 q^2 + a3 q^3 on
-    [0, q_max]; the cubic is nonincreasing there iff the result is <= 0."""
-    pieces = ((0.0, 0.0, tuple(coefficients)),)
-    return extremum((pieces,), 0.0, q_max, largest=True, order=1)[0]
 
 
 def saturation_floor(cfg: ModelConfig) -> float:
@@ -531,44 +532,22 @@ class AdmissibilityReport:
         return out
 
 
-_ALPHA_GRID_POINTS = 1000  # alpha's grid on [0, q_max) in the admissibility check
-
-
-def _alpha_clauses(cfg: ModelConfig) -> list[Clause]:
-    """alpha-positive-decreasing and alpha-zero-beyond-qmax."""
-    clauses = []
-    adm = cfg.admission
+def _alpha_clauses(adm: AdmissionSpec) -> list[Clause]:
+    """alpha-positive-decreasing and alpha-zero-beyond-qmax, decided exactly
+    from alpha's piece table.  alpha is strictly decreasing on [0, q_max]
+    when its largest slope there (extremum) is <= 0 and it is not constant,
+    and then positive on [0, q_max) when it is positive at the float below
+    q_max.  It is zero beyond q_max when alpha(q_max) == 0.0: the table's
+    last piece, from the cubic's q_max or the line's zero crossing on, is
+    zero, and a falling line stays at its floor."""
     q_max = adm.q_max
-
-    if math.isfinite(q_max):
-        qs = np.linspace(0.0, q_max, _ALPHA_GRID_POINTS, endpoint=False)
-        vals = eval_admission(adm, qs)
-        # the grid cannot see a cubic that rounds to zero just short of q_max
-        positive = bool(np.all(vals > 0)) and eval_admission(adm, math.nextafter(q_max, 0.0)) > 0
-        steepest = extremum((adm.pieces,), 0.0, q_max, largest=True, order=1)[0]
-        decreasing = bool(np.all(np.diff(vals) < 0)) and steepest <= 0
-        clauses.append(
-            Clause(
-                "alpha-positive-decreasing",
-                positive and decreasing,
-                f"grid of {len(qs)} points on [0, {q_max:g})",
-            )
-        )
-        tail = np.linspace(q_max, q_max + 2 * (cfg.price.q_m or q_max), 200)
-        clauses.append(
-            Clause(
-                "alpha-zero-beyond-qmax",
-                bool(np.all(eval_admission(adm, tail) == 0.0)),
-            )
-        )
-    else:
-        clauses.append(
-            Clause("alpha-positive-decreasing", False, "alpha never reaches zero")
-        )
-        clauses.append(
-            Clause("alpha-zero-beyond-qmax", False, "q_max is infinite")
-        )
-    return clauses
+    if not math.isfinite(q_max):
+        return [Clause("alpha-positive-decreasing", False, "alpha never reaches zero"),
+                Clause("alpha-zero-beyond-qmax", False, "q_max is infinite")]
+    steepest = extremum((adm.pieces,), 0.0, q_max, largest=True, order=1)[0]
+    passed = steepest <= 0 and any(adm.coefficients[1:]) and adm._scalar(math.nextafter(q_max, 0.0)) > 0
+    return [Clause("alpha-positive-decreasing", passed, f"largest alpha' on [0, {q_max:g}]: {steepest:g}"),
+            Clause("alpha-zero-beyond-qmax", adm._scalar(q_max) == 0.0)]
 
 
 def _root_count(cfg: ModelConfig) -> tuple[Clause, list]:
@@ -600,17 +579,17 @@ def _root_count(cfg: ModelConfig) -> tuple[Clause, list]:
 def validate_admissible(cfg: ModelConfig, *, k_u: float | None = None) -> AdmissibilityReport:
     """Check the admissibility clauses of the model configuration.
 
-    Verified on a uniform grid of 1000 points plus exact
-    polynomial-derivative sign analysis: positivity and strict decrease
-    of alpha on [0, q_max), alpha == 0 beyond q_max, the fixed-point root
-    count expected for the price family, K_R > mu_star, and the placement
-    of the admittance bound q_ad when present.  Passing k_u adds the
+    Positivity and strict decrease of alpha on [0, q_max) and alpha == 0
+    beyond q_max are decided exactly from alpha's piece table, with no
+    sampling (_alpha_clauses); then the fixed-point root count expected
+    for the price family, K_R > mu_star, and the placement of the
+    admittance bound q_ad when present.  Passing k_u adds the
     competitive-mode root-count clause (exactly two points with
     mu(q) > K_U).  Failures are report entries, never exceptions.
     """
     from . import equilibria  # deferred: equilibria imports this module
 
-    rep = AdmissibilityReport(_alpha_clauses(cfg))
+    rep = AdmissibilityReport(_alpha_clauses(cfg.admission))
     root, points = _root_count(cfg)
     rep.clauses.append(root)
 

@@ -184,6 +184,13 @@ class TestCubicCalibration:
         with pytest.raises(CalibrationError, match="no monotone cubic positive below q_max"):
             calibrate_cubic_admission(targets, TRI, SVC, k_r=4.0, q_max=100.0)
 
+    def test_no_monotone_cubic_at_a_pinned_alpha0_names_it(self):
+        # a pinned alpha0 is the only candidate tried: no scan range to name
+        with pytest.raises(CalibrationError) as err:
+            calibrate_cubic_admission(CalibrationTargets(p1=0.04, p2=0.008, alpha0=0.12),
+                                      TRI, SVC, k_r=4.0, q_max=100.0)
+        assert str(err.value) == "no monotone cubic positive below q_max found at the pinned alpha0 = 0.12"
+
     def test_qmax_must_exceed_twice_peak(self):
         with pytest.raises(CalibrationError, match="q_max"):
             calibrate_cubic_admission(REF_TARGETS, TRI, SVC, k_r=4.0, q_max=90.0)

@@ -114,7 +114,7 @@ STDOUT_GOLDEN = {
     ),
     "validate_ref_stdout": (
         ["validate", "--config", "{cfg}/ref.json"],
-        "f77e98246e99a6e88f887d7e4f34698fef3d943c50c52d6f850673a9c479802e",
+        "d631ec880be8bc81781c1968495fce4b959e045e44ff6b952d129504b9d5bff6",
     ),
 }
 

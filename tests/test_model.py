@@ -1,9 +1,14 @@
+import ast
+from bisect import bisect_left, bisect_right
+import inspect
 import math
+from pathlib import Path
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from accessprice.equilibria import (
     CalibrationError,
@@ -14,7 +19,6 @@ from accessprice.equilibria import (
 from accessprice.model import (
     AdmissionSpec,
     _constants,
-    _cubic_slope_max,
     _make,
     _piece_lines,
     _poly,
@@ -182,6 +186,11 @@ class TestAdmission:
                 q_max=90.0,
             )
 
+    def test_negative_qmax_rejected(self):
+        # within 1e-9 of the zero crossing at 0, but below every queue length
+        with pytest.raises(ValueError, match="q_max -1e-10 inconsistent with zero crossing 0.0"):
+            AdmissionSpec(variant="linear", coefficients=(0.0, -1.0), q_max=-1e-10)
+
     def test_wrong_coefficient_count(self):
         with pytest.raises(ValueError):
             AdmissionSpec(variant="cubic", coefficients=(1.0, 2.0), q_max=10.0)
@@ -267,13 +276,14 @@ class TestValidateAdmissible:
     def test_cubic_slope_max_sees_a_rise_between_derivative_roots(self, section5_cfg):
         # alpha' = -200.37 + 30 q - q^2 is negative at both ends of [0, 30]
         # and positive on about (10.2, 19.8), peaking at its vertex q = 15
-        assert _cubic_slope_max((300.0, -200.37, 15.0, -1 / 3), 30.0) == pytest.approx(24.63)
+        pieces = ((0.0, 0.0, (300.0, -200.37, 15.0, -1 / 3)),)
+        assert extremum((pieces,), 0.0, 30.0, largest=True, order=1)[0] == pytest.approx(24.63)
         adm = section5_cfg.admission
-        assert _cubic_slope_max(adm.coefficients, adm.q_max) < 0
+        assert extremum((adm.pieces,), 0.0, adm.q_max, largest=True, order=1)[0] < 0
 
     def test_cubic_zero_just_short_of_q_max_fails(self, section5_cfg):
-        # seeded: alpha rounds to 0.0 at the float below q_max, between the
-        # last grid point and q_max
+        # seeded: alpha rounds to 0.0 at the float below q_max, which a
+        # grid on [0, q_max) would step over
         from dataclasses import replace
 
         adm = AdmissionSpec("cubic", (
@@ -282,7 +292,7 @@ class TestValidateAdmissible:
         assert adm._scalar(math.nextafter(adm.q_max, 0.0)) == 0.0
         clause = validate_admissible(replace(section5_cfg, admission=adm)).clause("alpha-positive-decreasing")
         assert not clause.passed
-        assert clause.detail == "grid of 1000 points on [0, 100.906)"
+        assert clause.detail == "largest alpha' on [0, 100.906]: -0.000157473"
 
     def test_small_kr_fails(self, ref_cfg):
         from dataclasses import replace
@@ -337,6 +347,39 @@ class TestValidateAdmissible:
         clause = validate_admissible(replace(ref_cfg, admission=adm, q_ad=None)).clause("root-count")
         assert not clause.passed
         assert clause.detail == "scan failed: g undefined at q = 40.045 inside a bracket"
+
+    @pytest.mark.parametrize("c, passed, steepest", [
+        ((1.0, 0.0, 0.0, -1e-6), True, "0"),  # alpha' = -3e-6 q^2 is 0 at q = 0 alone
+        ((0.1, 0.0, 0.0, 0.0), False, "0"),  # constant: nonincreasing, not decreasing
+    ])
+    def test_decreasing_is_a_slope_at_most_zero_and_not_constant(self, section5_cfg, c, passed, steepest):
+        from dataclasses import replace
+
+        adm = AdmissionSpec("cubic", c, q_max=100.0)
+        clause = validate_admissible(replace(section5_cfg, admission=adm)).clause("alpha-positive-decreasing")
+        assert (clause.passed, clause.detail) == (passed, f"largest alpha' on [0, 100]: {steepest}")
+
+    @settings(max_examples=150)
+    @given(base=st.sampled_from(["ref", "section5"]), coefficients=st.lists(
+        st.sampled_from([1e306, -1e306, 1e308, sys.float_info.max, 1e300, 5e-324, -5e-324, 0.0, -0.0])
+        | st.floats(-1.0, 1.0), min_size=2, max_size=4).filter(lambda c: len(c) != 3))
+    @example(base="section5", coefficients=[*CUB.coefficients[:3], 5e-324])
+    @example(base="ref", coefficients=[0.0, -1.0])  # q_max = 0: alpha vanishes from q = 0 on
+    def test_total(self, ref_cfg, section5_cfg, base, coefficients):
+        # every admission a spec accepts, on ref's or section5's price and
+        # service, gets a report: no exception and no warning
+        from dataclasses import replace
+
+        try:
+            adm = AdmissionSpec(*(("linear", coefficients) if len(coefficients) == 2
+                                  else ("cubic", coefficients, 100.0)))
+        except ValueError:
+            assume(False)
+        cfg = replace(ref_cfg if base == "ref" else section5_cfg, admission=adm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_admissible(cfg)
+        assert [c.name for c in report.clauses[:2]] == ["alpha-positive-decreasing", "alpha-zero-beyond-qmax"]
 
 
 class TestSaturationFloor:
@@ -463,11 +506,71 @@ class TestPieceTables:
         assert extremum((TRI.pieces,), 10.0, 200.0) == (0.0, 90.0)
         assert extremum((SVC.pieces,), 0.0, 50.0, largest=True, order=1)[0] == SVC.mu_star / SVC.q_c
 
-    def test_extremum_names_a_leading_coefficient_too_small_to_solve(self):
-        # np.roots would divide 6e-5 by 3e-323 and overflow its companion matrix
-        pieces = ((0.0, 0.0, (0.09, -0.0019, 3e-5, 5e-324)),)
-        with pytest.raises(ValueError, match=r"derivative on \[0, 100\] has a leading coefficient"):
-            extremum((pieces,), 0.0, 100.0, largest=True, order=1)
+    def test_extremum_solves_a_subnormal_leading_coefficient(self):
+        # alpha'' = 6e-5 + 3e-323 q, whose root -2e18 lies far off [0, 100]:
+        # alpha' rises across the interval, so it is largest at q = 100
+        c = (0.09, -0.0019, 3e-5, 5e-324)
+        pieces = ((0.0, 0.0, c),)
+        assert extremum((pieces,), 0.0, 100.0, largest=True, order=1) == (_poly(c, 100.0, 1), 100.0)
+        assert _poly(c, 100.0, 1) == pytest.approx(0.0041, rel=1e-12)
+
+    def test_extremum_scales_before_it_solves(self):
+        # alpha' = -3 + 2e170 q - 3e170 q^2: unscaled, g1^2 overflows, the
+        # roots come out +inf and 0, and the maximum at q = 2/3 is missed
+        pieces = ((0.0, 0.0, (1.0, -3.0, 1e170, -1e170)),)
+        assert extremum((pieces,), 0.0, 1.0, largest=True) == (1.4814814814814814e+169, 0.6666666666666667)
+        # alpha' = 5.37e97 - 8.72e156 q - 1.78e199 q^2: a maximum at 6.2e-60
+        # that np.roots misses
+        pieces = ((0.0, 0.0, (-1.1e-135, 5.37e97, -4.36e156, -5.93e198)),)
+        value, q = extremum((pieces,), 0.0, 1.0, largest=True)
+        assert q == pytest.approx(5.37e97 / 8.72e156, rel=1e-12)
+        assert value == pytest.approx(1.6534919724770645e38, rel=1e-12)
+
+    def test_extremum_against_a_dense_sample(self):
+        # seeded linear and cubic alphas, alone and with a price: the result
+        # is at least as extreme as each of 4001 samples, and it is the sum
+        # of one side's pieces at its q
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            q_max = rng.uniform(60.0, 140.0)
+            a = rng.uniform(0.05, 0.5)
+            if rng.random() < 0.5:
+                adm = AdmissionSpec("linear", (a, -a / q_max))
+            else:
+                a1, a2 = -rng.uniform(0.0, 0.01), rng.normal(0.0, 1e-4)
+                adm = AdmissionSpec("cubic", (a, a1, a2, -(a + a1 * q_max + a2 * q_max ** 2) / q_max ** 3),
+                                    q_max=q_max)
+            price = (TRI, SAT, SURGE)[rng.integers(3)]
+            for tables in ((adm.pieces,), (adm.pieces, price.pieces)):
+                lo, hi = sorted(rng.uniform(0.0, 160.0, 2))
+                qs = np.linspace(lo, hi, 4001)
+                for order in (0, 1):
+                    sample = sum(np.choose(np.maximum(np.searchsorted([s for s, _, _ in t], qs, "right") - 1, 0),
+                                           [_poly(c, qs - origin, order) for _, origin, c in t]) for t in tables)
+                    value, q = extremum(tables, lo, hi, order=order)
+                    assert value <= sample.min() + 1e-15 and lo <= q <= hi
+                    assert value in {_one_sided(tables, q, order, side) for side in (bisect_left, bisect_right)}
+                    value, q = extremum(tables, lo, hi, largest=True, order=order)
+                    assert value >= sample.max() - 1e-15 and lo <= q <= hi
+                    assert value in {_one_sided(tables, q, order, side) for side in (bisect_left, bisect_right)}
+
+    @pytest.mark.parametrize("c, line", [
+        ((0.1, -0.001), "elif g1:"),  # alpha' constant: no root
+        ((0.1, -0.001, 1e-5, 0.0), "roots = (-g0 / g1,)"),  # alpha' a line
+        ((0.1, -0.001, 1e-5, -1e-7), "disc = g1 * g1 - 4 * g2 * g0"),  # a complex pair
+        ((0.1, 0.0, 0.0, -1e-7), "t = -(g1 + math.copysign(math.sqrt(disc), g1)) / 2"),  # -3e-7 q^2: 0 twice
+        ((0.1, -0.003, 1e-4, -1e-6), "roots = (t / g2, g0 / t)"),  # two real roots
+    ])
+    def test_extremum_reaches_each_closed_form_branch(self, c, line):
+        # one stretch: the branch's line is the deepest of the closed form
+        # that the call runs
+        pieces = ((0.0, 0.0, c),)
+        ran = _lines_run(extremum, (pieces,), 0.0, 100.0)
+        assert "e = math.frexp(max((abs(x) for cq in kept for x in cq), default=0.0))[1]" in ran
+        branches = ["elif g1:", "roots = (-g0 / g1,)", "disc = g1 * g1 - 4 * g2 * g0",
+                    "t = -(g1 + math.copysign(math.sqrt(disc), g1)) / 2", "roots = (t / g2, g0 / t)"]
+        reached = [b for b in branches if b in ran]
+        assert reached[-1] == line
 
 
 class TestFloatForms:
@@ -528,6 +631,38 @@ class TestPieceLines:
         assert lines[1] == "    m = c0" and math.isnan(values[0]) and math.isnan(value)
         # NaN q falls through to the ramp, whose floor keeps it
         assert math.isnan(self.generate(3.0, math.nan)[2])
+
+
+def _one_sided(tables, q, order, side):
+    """The sum at q of the tables' unfloored pieces, each the last that
+    starts at or below q (side=bisect_right) or strictly below it
+    (bisect_left), else the first, summed as extremum sums them."""
+    total = 0
+    for t in tables:
+        _, origin, c = t[max(side([s for s, _, _ in t], q) - 1, 0)]
+        total += _poly(c, q - origin, order)
+    return float(total)
+
+
+def _lines_run(fn, *args, **kwargs):
+    """The stripped source lines of fn's own body that fn(*args, **kwargs)
+    runs, traced with sys.settrace."""
+    ran = set()
+
+    def trace(frame, event, _):
+        if frame.f_code is not fn.__code__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    sys.settrace(trace)
+    try:
+        fn(*args, **kwargs)
+    finally:
+        sys.settrace(None)
+    source, first = inspect.getsourcelines(fn)
+    return {source[n - first].strip() for n in ran}
 
 
 def _piece_value(spec, q, order):
@@ -739,3 +874,18 @@ class TestNonFinite:
         adm = AdmissionSpec("linear", (0.1, 0.001))
         report = validate_admissible(_config(admission=adm))
         assert report.clause("alpha-zero-beyond-qmax").detail == "q_max is infinite"
+
+
+def test_closed_forms_call_no_numpy_solver():
+    # model and stability solve their polynomials in closed form: no LAPACK
+    # call (np.linalg, np.roots' companion matrix) and no np.polynomial
+    # root finder, which are reproducible only per numpy/LAPACK build
+    src = Path(__file__).resolve().parent.parent / "src" / "accessprice"
+    for name in ("model.py", "stability.py"):
+        tree = ast.parse((src / name).read_text())
+        used = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {f"{node.module}.{a.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module for a in node.names}
+        banned = [u for u in used if u.replace("numpy.", "np.").startswith(
+            ("np.roots", "np.trim_zeros", "np.linalg", "np.polynomial"))]
+        assert banned == [], (name, banned)
