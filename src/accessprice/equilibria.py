@@ -6,10 +6,20 @@ the active-queue length q, with K_U = 0 in normal mode:
     g(q) = f(q)/alpha(q) - (K_R + K_U - mu(q)) / (mu(q) - K_U) = 0
 
 One private helper holds g's arithmetic and its domain test (alpha(q) > 0
-and mu(q) > K_U, each with a 1e-12 guard band), on floats or arrays.  A
-2000-point grid scan of g on an array of q finds the sign changes, each
-bracket is bisected on plain floats (the specs' float forms) down to
-adjacent floats, and back-substitution gives
+and mu(q) > K_U, each with a 1e-12 guard band) on plain floats, through
+the specs' float forms.  The scan is exact, from the piece tables: on
+each stretch between the breakpoints of f, alpha and mu, g has the sign of
+
+    P(q) = f*(mu - K_U) - alpha*(K_R + K_U - mu),
+
+a polynomial of degree <= 2 for a linear alpha, <= 4 for a cubic.  Cut at
+alpha's crossings of the guard band and at P's critical points (closed
+form up to degree 2, bisection above), P is monotone from cut to cut, and
+each sign change holds one root of g, bisected on g down to adjacent
+floats.  A root is bisected from its cell of np.linspace(lo, hi, 2000),
+computed as np.linspace computes it, when g changes sign across that
+cell, so the roots of a 2000-point grid scan keep its bits; no array is
+built.  Back-substitution gives
 
     R* = (mu(q*) - K_U)/alpha(q*),   U* = K_U/alpha(q*) (3-state modes, else 0)
 
@@ -46,13 +56,18 @@ from .model import (
     ServiceSpec,
     _alpha_clauses,
     _as_query,
+    _bisect,
+    _poly,
+    _real_roots,
     _root_count,
+    _scaled,
+    _stretches,
     eval_admission,
     eval_price,
     eval_service,
 )
 
-GRID_POINTS = 2000          # scan density for the residual
+GRID_POINTS = 2000          # np.linspace points whose cells bracket roots first
 ROOT_MERGE_TOL = 1e-6       # roots closer than this collapse to one
 DOMAIN_EPS = 1e-12          # guard band on mu(q) > K_U and alpha(q) > 0
 _MEMO_ENTRIES = 64          # balance equations kept by find_fixed_points
@@ -98,56 +113,39 @@ def _fixed_point_mode(mode, k_u):
     return mode, (0.0 if mode.fixed_point_tag == "normal" else mode.k_u)
 
 
-def _balance(f, q, a, m, k_r: float, k_u: float):
-    """(ok, g) on q, floats or arrays, from a = alpha(q), m = mu(q) and the price f:
-    ok is {alpha > DOMAIN_EPS, mu - K_U > DOMAIN_EPS}, g is g where ok holds.
-    On arrays, a load term (K_R + K_U - mu)/(mu - K_U) that overflows where
-    ok holds raises ValueError naming k_r; a price term f/alpha that
-    overflows is +inf, which keeps g's sign."""
-    ok = (a > DOMAIN_EPS) & (m - k_u > DOMAIN_EPS)
-    if not isinstance(ok, np.ndarray):
-        return ok, (f(q) / a - (k_r + k_u - m) / (m - k_u) if ok else None)
-    q, a, m = q[ok], a[ok], m[ok]
-    with np.errstate(over="ignore"):
-        load = (k_r + k_u - m) / (m - k_u)
-        price = f(q) / a
-    if not np.isfinite(load).all():
-        raise ValueError(f"k_r = {k_r:g} too large: the load term (K_R + K_U - mu)/(mu - K_U) "
-                         "overflows on the scan domain")
-    return ok, price - load
-
-
-def _residual(cfg: ModelConfig, k_u: float, qs: np.ndarray):
-    """g and its domain mask on an array of q; g is NaN off the mask.  An
-    alpha that overflows is +inf, which keeps g's sign."""
-    with np.errstate(over="ignore"):
-        a = cfg.admission._kernel(qs)
-    ok, g_ok = _balance(cfg.price._kernel, qs, a, cfg.service._kernel(qs), cfg.k_r, k_u)
-    g = np.full_like(qs, np.nan)
-    g[ok] = g_ok
-    return g, ok
-
-
 def _scalar_residual(cfg: ModelConfig, k_u: float):
-    """g on one plain float q, through the specs' float forms: (ok, g)."""
+    """g on one plain float q, through the specs' float forms; None off g's
+    domain, alpha(q) > DOMAIN_EPS and mu(q) - K_U > DOMAIN_EPS.  A load
+    term (K_R + K_U - mu)/(mu - K_U) that overflows raises ValueError
+    naming k_r; a price term f/alpha that overflows is +inf, which keeps
+    g's sign."""
     f, alpha, mu, k_r = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar, cfg.k_r
-    return lambda q: _balance(f, q, alpha(q), mu(q), k_r, k_u)
+
+    def residual(q):
+        a, m = alpha(q), mu(q)
+        if a > DOMAIN_EPS and m - k_u > DOMAIN_EPS:
+            load = (k_r + k_u - m) / (m - k_u)
+            if not math.isfinite(load):
+                raise ValueError(f"k_r = {k_r:g} too large: the load term (K_R + K_U - mu)/(mu - K_U) "
+                                 "overflows on the scan domain")
+            return f(q) / a - load
+
+    return residual
 
 
-def fixed_point_residual(
-    q: float, cfg: ModelConfig, mode="normal", k_u: float | None = None
-) -> float:
+def fixed_point_residual(q: float, cfg: ModelConfig, mode="normal", k_u: float | None = None) -> float:
     """Scalar residual g(q) whose roots are the mode's equilibria.
 
     mode is a SystemMode or a tag; k_u, when given, must agree with a
     SystemMode's.  Raises ResidualUndefinedError where the defining
     fractions blow up: alpha(q) = 0, mu(q) = 0, or mu(q) <= K_U in the
-    K_U-fed modes.
+    K_U-fed modes, and ValueError naming k_r where the load term
+    overflows.
     """
     _, k_u = _fixed_point_mode(mode, k_u)
     q = float(_as_query(q)[0])
-    ok, g = _scalar_residual(cfg, k_u)(q)
-    if ok:
+    g = _scalar_residual(cfg, k_u)(q)
+    if g is not None:
         return g
     if cfg.admission._scalar(q) <= DOMAIN_EPS:  # which bound failed
         raise ResidualUndefinedError(f"alpha({q:g}) vanishes")
@@ -155,55 +153,17 @@ def fixed_point_residual(
     raise ResidualUndefinedError(f"mu({q:g}) = {m:g} does not exceed K_U = {k_u:g}")
 
 
-def _scan_domain(cfg: ModelConfig, k_u: float):
-    """Grid over {q : mu(q) > K_U, alpha(q) > 0}, masked residual and mask."""
-    q_max = cfg.admission.q_max
-    hi = q_max - max(1e-9, abs(q_max) * 1e-12) if math.isfinite(q_max) else 4 * cfg.service.q_c + 400.0
-    svc = cfg.service
-    ramp = svc.mu_star / svc.q_c  # mu = ramp*q up to q_c
-    if k_u >= svc.mu_star or not ramp > 0:  # mu <= K_U everywhere; mu = 0 if the ramp underflows
-        return None
-    lo = 1e-9 if k_u <= 0 else (k_u + DOMAIN_EPS) / ramp * (1 + 1e-12) + 1e-12
-    if lo >= hi:
-        return None
-    qs = np.linspace(lo, hi, GRID_POINTS)
-    return (qs, *_residual(cfg, k_u, qs))
-
-
-def _bisect(residual, lo: float, hi: float, g_lo: float) -> float:
-    """A root of g in the sign-change bracket [lo, hi], on plain floats.
-
-    residual is _scalar_residual's.  Stops on an exact zero of g at the
-    midpoint, which is returned, or once the midpoint rounds onto lo or
-    hi, or after 100 halvings, which return 0.5*(lo + hi).
-    """
-    up = g_lo > 0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        ok, g = residual(mid)
-        if not ok:
-            raise ResidualUndefinedError(f"g undefined at q = {mid:g} inside a bracket")
-        if g == 0.0:
-            return mid
-        lo, hi = (mid, hi) if (g > 0) == up else (lo, mid)
-    return 0.5 * (lo + hi)
-
-
 # key -> (merged roots of g, {fixed-point tag: its fixed points})
 _memo: OrderedDict[str, tuple[tuple, dict[str, tuple[FixedPoint, ...]]]] = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-def find_fixed_points(
-    cfg: ModelConfig, mode="normal", k_u: float | None = None
-) -> list[FixedPoint]:
+def find_fixed_points(cfg: ModelConfig, mode="normal", k_u: float | None = None) -> list[FixedPoint]:
     """Locate and classify every fixed point of the given mode.
 
     mode is a SystemMode or a tag; k_u, when given, must agree with a
-    SystemMode's.  Grid scan of the residual over its domain, bisection
-    of each sign change on floats, merge of roots closer than 1e-6,
+    SystemMode's.  The exact scan of the residual over its domain (see
+    the module docstring), merge of roots closer than 1e-6,
     back-substitution of the remaining coordinates, classification
     through the stability module.  An empty list is a valid result
     (e.g. K_U >= mu_star).  Each balance equation is scanned once and
@@ -220,7 +180,7 @@ def find_fixed_points(
             _memo.move_to_end(key)
             if tag in entry[1]:
                 return list(entry[1][tag])
-    roots = _roots(cfg, k_u) if entry is None else entry[0]
+    roots = _scan(cfg, k_u) if entry is None else entry[0]
     points = _back_substitute(cfg, mode, k_u, roots)
     with _memo_lock:
         _memo.setdefault(key, (roots, {}))[1][tag] = points
@@ -230,18 +190,68 @@ def find_fixed_points(
     return list(points)
 
 
-def _roots(cfg: ModelConfig, k_u: float) -> tuple:
-    """The merged roots of g: the one scan of a balance equation."""
-    dom = _scan_domain(cfg, k_u)
-    if dom is None:
+def _scan(cfg: ModelConfig, k_u: float) -> tuple:
+    """The merged roots of g on its domain: the one scan of a balance
+    equation (see the module docstring)."""
+    adm, svc, k_r = cfg.admission, cfg.service, cfg.k_r
+    q_max = adm.q_max
+    hi = q_max - max(1e-9, abs(q_max) * 1e-12) if math.isfinite(q_max) else 4 * svc.q_c + 400.0
+    ramp = svc.mu_star / svc.q_c  # mu = ramp*q up to q_c
+    if k_u >= svc.mu_star or not ramp > 0:  # mu <= K_U everywhere; mu = 0 if the ramp underflows
         return ()
-    qs, g, ok = dom
-    idx = np.nonzero(ok[:-1] & ok[1:] & (np.sign(g[:-1]) * np.sign(g[1:]) < 0))[0]
+    lo = 1e-9 if k_u <= 0 else (k_u + DOMAIN_EPS) / ramp * (1 + 1e-12) + 1e-12
+    if lo >= hi:
+        return ()
     residual = _scalar_residual(cfg, k_u)
-    brackets = zip(qs[idx].tolist(), qs[idx + 1].tolist(), g[idx].tolist())
-    roots = np.sort(np.concatenate([[_bisect(residual, *b) for b in brackets], qs[g == 0.0]]))
+    residual(lo)  # the load term is largest where mu is least: a k_r that overflows it is named
+
+    def g(q):
+        v = residual(q)
+        if v is None:
+            raise ResidualUndefinedError(f"g undefined at q = {q:g} inside a bracket")
+        return v
+
+    step = (hi - lo) / (GRID_POINTS - 1)
+    grid = lambda i: hi if i == GRID_POINTS - 1 else i * step + lo  # np.linspace's arithmetic
+
+    def root(p, s, t, up):
+        """g's root in [s, t], where P changes sign once and P(s) > 0 is up:
+        bisected from the grid cell where P changes sign if g does too and
+        the bisection stays in [s, t], else from [s, t]."""
+        i, j = (min(max(int((x - lo) / step) + d, 0), GRID_POINTS - 1) for x, d in ((s, 0), (t, 1)))
+        while j - i > 1:
+            m = (i + j) // 2
+            i, j = (m, j) if (_poly(p, grid(m)) > 0) == up else (i, m)
+        v_i, v_j = residual(grid(i)), residual(grid(j))
+        for k, v in ((i, v_i), (j, v_j)):
+            if v == 0.0 and s <= grid(k) <= t:  # an exact zero on the grid is a root there
+                return grid(k)
+        if None not in (v_i, v_j) and (v_i < 0 < v_j or v_j < 0 < v_i):
+            try:
+                r = _bisect(g, grid(i), grid(j), v_i > 0)
+                if s <= r <= t:
+                    return r
+            except ResidualUndefinedError:  # the cell straddles a hole in g's domain
+                pass
+        return _bisect(g, s, t, up)
+
+    roots = []
+    for a, b, _, (f, alpha, mu) in _stretches((cfg.price.pieces, adm.pieces, svc.pieces), lo, hi):
+        # g has the sign of P = f*(mu - K_U) - alpha*(K_R + K_U - mu) where
+        # alpha > DOMAIN_EPS; cut where alpha crosses that guard band and
+        # where P' = 0, P is monotone from cut to cut, with one root at most
+        n = max(len(f), len(alpha))
+        f, alpha, edge = _scaled((*f, *[0.0] * (n - len(f))), (*alpha, *[0.0] * (n - len(alpha))),
+                                 (alpha[0] - DOMAIN_EPS, *alpha[1:]))
+        m0, m1 = (*mu, 0.0)[:2]
+        p = [x * (m0 - k_u) - y * (k_r + k_u - m0) + (x1 + y1) * m1
+             for x, y, x1, y1 in zip((*f, 0.0), (*alpha, 0.0), (0.0, *f), (0.0, *alpha))]
+        cuts = sorted({a, b, *_real_roots(edge, a, b), *_real_roots([k * c for k, c in enumerate(p)][1:], a, b)})
+        up = [_poly(p, q) > 0 for q in cuts]
+        roots += [root(p, s, t, u) for s, t, u, v in zip(cuts, cuts[1:], up, up[1:])
+                  if u != v and residual(0.5 * (s + t)) is not None]
     merged = []
-    for r in roots:
+    for r in sorted(roots):
         if not (merged and abs(r - merged[-1]) < ROOT_MERGE_TOL):
             merged.append(r)
     return tuple(merged)
@@ -251,7 +261,7 @@ def _back_substitute(cfg: ModelConfig, mode, k_u: float, roots) -> tuple[FixedPo
     """The fixed points of the SystemMode at the roots of its balance equation."""
     tag = mode.fixed_point_tag
     out = []
-    for q_star in map(float, roots):  # the scan's roots are numpy floats
+    for q_star in roots:
         a = eval_admission(cfg.admission, q_star)
         r_star = (eval_service(cfg.service, q_star) - k_u) / a
         u_star = k_u / a if mode.dim == 3 else 0.0
@@ -276,10 +286,8 @@ def _target_queues(targets: CalibrationTargets, price: PriceSpec):
     # the rising leg beta*q and the falling leg beta*(2*q_m - q), inverted
     q1, q2 = targets.p1 / price.beta, 2 * price.q_m - targets.p2 / price.beta
     if price.variant == "saturated" and q2 >= price.q_n:
-        raise CalibrationError(
-            f"p2 = {targets.p2:g} sits at or below the saturation floor "
-            f"{eval_price(price, price.q_n):g}; no point on the falling branch has that price"
-        )
+        raise CalibrationError(f"p2 = {targets.p2:g} sits at or below the saturation floor "
+                               f"{eval_price(price, price.q_n):g}; no point on the falling branch has that price")
     return q1, q2
 
 
@@ -294,9 +302,7 @@ def _alpha_targets(q1, q2, price, service, k_r):
 
 
 def _check_calibrated(admission, price, service, k_r, q1, q2) -> ModelConfig:
-    cfg = ModelConfig(
-        k_r=k_r, k_u_schedule=(), price=price, admission=admission, service=service
-    )
+    cfg = ModelConfig(k_r=k_r, k_u_schedule=(), price=price, admission=admission, service=service)
     root, points = _root_count(cfg)
     for cl in _alpha_clauses(admission) + [root]:
         if not cl.passed:
@@ -305,18 +311,14 @@ def _check_calibrated(admission, price, service, k_r, q1, q2) -> ModelConfig:
     for q in (q1, q2):
         if price.variant == "saturated" and not any(abs(q - f) < 1e-6 for f in found):
             raise CalibrationError(f"target equilibrium q* = {q:g} not recovered")
-    if price.variant == "triangular":
-        if len(found) != 2 or abs(found[0] - q1) > 1e-6 or abs(found[1] - q2) > 1e-6:
-            raise CalibrationError(f"extra or missing roots: found {found}")
+    if price.variant == "triangular" and (len(found) != 2 or abs(found[0] - q1) > 1e-6
+                                          or abs(found[1] - q2) > 1e-6):
+        raise CalibrationError(f"extra or missing roots: found {found}")
     return cfg
 
 
-def calibrate_linear_admission(
-    targets: CalibrationTargets,
-    price: PriceSpec,
-    service: ServiceSpec,
-    k_r: float,
-) -> AdmissionSpec:
+def calibrate_linear_admission(targets: CalibrationTargets, price: PriceSpec, service: ServiceSpec,
+                               k_r: float) -> AdmissionSpec:
     """Linear alpha through the two equilibrium conditions.
 
     Solves alpha(q_i*) = p_i * mu(q_i*) / (K_R - mu(q_i*)) for (c1, c2)
@@ -326,9 +328,7 @@ def calibrate_linear_admission(
     q1, q2 = _target_queues(targets, price)
     a1, a2 = _alpha_targets(q1, q2, price, service, k_r)
     if a1 <= a2:
-        raise CalibrationError(
-            f"monotonicity violation: alpha(q1*) = {a1:g} <= alpha(q2*) = {a2:g}"
-        )
+        raise CalibrationError(f"monotonicity violation: alpha(q1*) = {a1:g} <= alpha(q2*) = {a2:g}")
     c1 = (a2 - a1) / (q2 - q1)
     c2 = a1 - c1 * q1
     adm = AdmissionSpec(variant="linear", coefficients=(c2, c1))
@@ -336,13 +336,8 @@ def calibrate_linear_admission(
     return adm
 
 
-def calibrate_cubic_admission(
-    targets: CalibrationTargets,
-    price: PriceSpec,
-    service: ServiceSpec,
-    k_r: float,
-    q_max: float,
-) -> AdmissionSpec:
+def calibrate_cubic_admission(targets: CalibrationTargets, price: PriceSpec, service: ServiceSpec,
+                              k_r: float, q_max: float) -> AdmissionSpec:
     """Cubic alpha through the two equilibrium conditions.
 
     Four linear equations fix (a0..a3): the two alpha targets, alpha(q_max) = 0
@@ -357,21 +352,19 @@ def calibrate_cubic_admission(
         raise CalibrationError(f"q_max must exceed 2*q_m = {2 * price.q_m:g}")
     a1t, a2t = _alpha_targets(q1, q2, price, service, k_r)
     if a1t <= a2t:
-        raise CalibrationError(
-            f"monotonicity violation: alpha(q1*) = {a1t:g} <= alpha(q2*) = {a2t:g}"
-        )
+        raise CalibrationError(f"monotonicity violation: alpha(q1*) = {a1t:g} <= alpha(q2*) = {a2t:g}")
+    try:
+        A = np.array([[1.0, q, q * q, q ** 3] for q in (0.0, q1, q2, q_max)])
+    except OverflowError:  # float ** raises where * gives inf
+        raise CalibrationError(f"q_max = {q_max:g} too large: q_max**3 overflows") from None
 
     def solve(alpha0):
-        A = np.array([[1.0, q, q * q, q ** 3] for q in (0.0, q1, q2, q_max)])
-        b = np.array([alpha0, a1t, a2t, 0.0])
-        return tuple(np.linalg.solve(A, b))
+        return tuple(np.linalg.solve(A, np.array([alpha0, a1t, a2t, 0.0])))
 
     if targets.alpha0 is not None:
         if targets.alpha0 < a1t:
-            raise CalibrationError(
-                f"alpha0 = {targets.alpha0:g} below alpha(q1*) = {a1t:g}; "
-                "a decreasing cubic needs alpha(0) >= alpha(q1*)"
-            )
+            raise CalibrationError(f"alpha0 = {targets.alpha0:g} below alpha(q1*) = {a1t:g}; "
+                                   "a decreasing cubic needs alpha(0) >= alpha(q1*)")
         candidates = [targets.alpha0]
     else:
         candidates = list(np.linspace(a1t, 4 * a1t, 64))

@@ -19,21 +19,22 @@ batch field, and a piece table (pieces): (start, origin, coefficients)
 per piece on [start, next start), the polynomial sum c_k * (q - origin)**k
 of degree <= 3, which evaluates bit for bit like the kernel (a piece
 through zero has constant term -0.0, so q = -0.0 keeps its sign).  Slopes,
-kinks, exact extrema (extremum, from closed-form critical points, which
-also decides validate's alpha clauses) and, through _piece_lines, all
-float code come from the tables: the scalar RK4 run and each spec's float
-form (_scalar), which the public evaluators call on any scalar query (a
-float, an int or a 0-d array) once they have validated it, the kernel's
-bits at a fraction of its cost.  Both are compiled one way, by _make:
-the source names every constant by a parameter of a factory make(c0,
-...), so it depends only on the tables' shapes and is compiled once per
-shape.
+kinks, exact extrema (extremum, which decides validate's alpha clauses)
+and roots (_stretches and _real_roots, which the fixed-point scan shares)
+and, through _piece_lines, all float code come from the tables: the
+scalar RK4 run and each spec's float form (_scalar), which the public
+evaluators call on any scalar query (a float, an int or a 0-d array) once
+they have validated it, the kernel's bits at a fraction of its cost.
+Both are compiled one way, by _make: the source names every constant by a
+parameter of a factory make(c0, ...), so it depends only on the tables'
+shapes and is compiled once per shape.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+import functools
 import linecache
 import math
 import struct
@@ -278,19 +279,14 @@ class AdmissionSpec:
         _require_finite(q_max=self.q_max)  # only a supplied one; derived may be inf
         want = 2 if self.variant == "linear" else 4
         if len(coeffs) != want:
-            raise ValueError(
-                f"{self.variant} admission needs {want} coefficients, got {len(coeffs)}"
-            )
+            raise ValueError(f"{self.variant} admission needs {want} coefficients, got {len(coeffs)}")
         if self.variant == "linear":
             c2, c1 = coeffs
             derived = math.inf if c1 >= 0 else _first_zero(c2, c1)
             if self.q_max is None:
                 object.__setattr__(self, "q_max", derived)
             elif self.q_max < 0 or abs(self.q_max - derived) > 1e-9 * max(1.0, abs(derived)):
-                raise ValueError(
-                    f"linear admission q_max {self.q_max} inconsistent with "
-                    f"zero crossing {derived}"
-                )
+                raise ValueError(f"linear admission q_max {self.q_max} inconsistent with zero crossing {derived}")
             _declare(self, *self._linear(derived))
         elif self.q_max is None or not self.q_max > 0:
             raise ValueError("cubic admission needs q_max > 0")
@@ -346,9 +342,7 @@ class ModelConfig:
         _require_finite(k_r=self.k_r, q_ad=self.q_ad)
         if not self.k_r > 0:
             raise ValueError("k_r must be > 0")
-        pieces = tuple(
-            (float(a), float(b), float(r)) for (a, b, r) in self.k_u_schedule
-        )
+        pieces = tuple((float(a), float(b), float(r)) for (a, b, r) in self.k_u_schedule)
         object.__setattr__(self, "k_u_schedule", pieces)
         prev_end = -math.inf
         for i, (t0, t1, rate) in enumerate(pieces):
@@ -433,42 +427,91 @@ def slope(spec, q):
 admission_slope = slope
 
 
+@functools.lru_cache(maxsize=256)
+def _in_powers(origin: float, c: tuple) -> tuple:
+    """The piece c_k * (q - origin)**k in ascending powers of q.  Cached: equal
+    keys differ at most in zero signs, which the sums from 0 drop."""
+    return tuple(sum(math.comb(j, k) * c[j] * (-origin) ** (j - k) for j in range(k, len(c)))
+                 for k in range(len(c)))
+
+
+def _stretches(tables, lo: float, hi: float):
+    """(a, b, active, powers) for each stretch [a, b] of [lo, hi] between
+    the tables' breakpoints: the piece of each table that holds it, and
+    that piece in powers of q (_in_powers).  lo == hi is one stretch."""
+    cuts = sorted({lo, hi, *(s for t in tables for s, _, _ in t if lo < s < hi)})
+    for a, b in zip(cuts, cuts[1:] or cuts):
+        active = [next(p for p in reversed(t) if p[0] <= 0.5 * (a + b)) for t in tables]
+        yield a, b, active, [_in_powers(origin, c) for _, origin, c in active]
+
+
+def _scaled(*polys):
+    """The polynomials times the power of two that brings their largest
+    coefficient into [0.5, 1): no product overflows, no root moves."""
+    e = math.frexp(max((abs(x) for p in polys for x in p), default=0.0))[1]
+    return [[math.ldexp(x, -e) for x in p] for p in polys]
+
+
+def _bisect(fn, lo: float, hi: float, up: bool) -> float:
+    """A root of fn in [lo, hi], on plain floats, where fn(lo) > 0 is up
+    and fn(hi) > 0 is not.  Stops on an exact zero of fn at the midpoint,
+    which is returned, or once the midpoint rounds onto lo or hi, or after
+    100 halvings, which return 0.5*(lo + hi)."""
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        v = fn(mid)
+        if v == 0.0:
+            return mid
+        lo, hi = (mid, hi) if (v > 0) == up else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _real_roots(c, lo: float, hi: float) -> list:
+    """The real roots in (lo, hi) of c, in ascending powers of q, scaled
+    (_scaled).  Up to degree 2 in closed form: the stable quadratic's t =
+    -(g1 + copysign(sqrt(g1^2 - 4 g2 g0), g1))/2 gives t/g2 and g0/t, a
+    line -g0/g1.  Above that, _bisect finds the root of each section
+    between the derivative's roots where c changes sign."""
+    while len(c) > 3 and not c[-1]:
+        c = c[:-1]
+    if len(c) > 3:
+        cuts = [lo, *sorted(_real_roots([k * ck for k, ck in enumerate(c)][1:], lo, hi)), hi]
+        up = [_poly(c, q) > 0 for q in cuts]
+        return [_bisect(lambda q: _poly(c, q), a, b, u)
+                for a, b, u, v in zip(cuts, cuts[1:], up, up[1:]) if u != v]
+    g0, g1, g2 = (*c, 0.0, 0.0)[:3]
+    roots = ()  # a constant, or a complex pair
+    if g2:
+        disc = g1 * g1 - 4 * g2 * g0
+        if disc >= 0:
+            t = -(g1 + math.copysign(math.sqrt(disc), g1)) / 2
+            if t:  # else g1 = g0 = 0: a double root at 0, where c keeps its sign
+                roots = (t / g2, g0 / t)
+    elif g1:
+        roots = (-g0 / g1,)
+    return [z for z in roots if lo < z < hi]
+
+
 def extremum(tables, lo: float, hi: float, *, largest: bool = False, order: int = 0):
     """(value, q) where the sum of the piece tables' functions (order 0) or
     slopes (order 1) is least on [lo, hi], lo <= hi, or greatest (largest).
 
-    Exact: the candidates are lo, hi, the breakpoints between them and the
-    real roots of the sum's derivative g0 + g1 q + g2 q^2 on each stretch
-    between those, in closed form: the stable quadratic's t = -(g1 +
-    copysign(sqrt(g1^2 - 4 g2 g0), g1))/2 gives the roots t/g2 and g0/t,
-    a line the root -g0/g1.  The pieces' coefficients in powers of q are
-    first scaled by one power of two, the largest into [0.5, 1), so nothing
-    overflows and the roots keep the bits of the unscaled formula wherever
-    that does not overflow.  Each piece counts on its closed interval, so
-    at a jump both one-sided values compete.  The sum runs in the order of
+    Exact: the candidates are lo, hi, the breakpoints between them and, on
+    each stretch between those (_stretches), the real roots of the sum's
+    derivative, of degree <= 2, in closed form (_real_roots) on the
+    coefficients in powers of q scaled by one power of two (_scaled), so
+    nothing overflows.  Each piece counts on its closed interval, so at a
+    jump both one-sided values compete.  The sum runs in the order of
     tables, on the unfloored pieces, which agree with the functions
     wherever alpha is admissible.
     """
-    cuts = sorted({lo, hi, *(s for t in tables for s, _, _ in t if lo < s < hi)})
     found = []
-    for a, b in zip(cuts, cuts[1:] or cuts):  # lo == hi: the one point
-        active = [next(p for p in reversed(t) if p[0] <= 0.5 * (a + b)) for t in tables]
-        # each piece in ascending powers of q, less the terms the derivative drops
-        kept = [[sum(math.comb(j, k) * c[j] * (-origin) ** (j - k) for j in range(k, len(c)))
-                 for k in range(len(c))][order + 1:] for _, origin, c in active]
-        e = math.frexp(max((abs(x) for cq in kept for x in cq), default=0.0))[1]
-        g0, g1, g2 = (sum(math.perm(k + order + 1, order + 1) * math.ldexp(cq[k], -e)
-                          for cq in kept if k < len(cq)) for k in range(3))
-        roots = ()  # a constant derivative, or a complex pair
-        if g2:
-            disc = g1 * g1 - 4 * g2 * g0
-            if disc >= 0:
-                t = -(g1 + math.copysign(math.sqrt(disc), g1)) / 2
-                if t:  # else g1 = g0 = 0: a double root at 0, where g keeps its sign
-                    roots = (t / g2, g0 / t)
-        elif g1:
-            roots = (-g0 / g1,)
-        for q in (a, b, *(z for z in roots if a < z < b)):
+    for a, b, active, powers in _stretches(tables, lo, hi):
+        kept = _scaled(*(cq[order + 1:] for cq in powers))  # less the terms the derivative drops
+        g = [sum(math.perm(k + order + 1, order + 1) * cq[k] for cq in kept if k < len(cq)) for k in range(3)]
+        for q in (a, b, *_real_roots(g, a, b)):
             found.append((float(sum(_poly(c, q - o, order) for _, o, c in active)), float(q)))
     return (max if largest else min)(found, key=lambda vq: vq[0])
 
@@ -522,11 +565,8 @@ class AdmissibilityReport:
         raise KeyError(name)
 
     def lines(self) -> list[str]:
-        out = [
-            f"{c.name}: {'pass' if c.passed else 'FAIL'}"
-            + (f" ({c.detail})" if c.detail else "")
-            for c in self.clauses
-        ]
+        out = [f"{c.name}: {'pass' if c.passed else 'FAIL'}" + (f" ({c.detail})" if c.detail else "")
+               for c in self.clauses]
         core = [c for c in self.clauses if c.name.startswith("alpha-") or c.name == "root-count"]
         out.append("Assumption 1: " + ("pass" if all(c.passed for c in core) else "FAIL"))
         return out
@@ -560,10 +600,7 @@ def _root_count(cfg: ModelConfig) -> tuple[Clause, list]:
         points = equilibria.find_fixed_points(cfg, "normal")
         count = len(points)
         ok = count in expected
-        detail = (
-            f"found {count}, expected {' or '.join(map(str, expected))} "
-            f"for {cfg.price.variant} price"
-        )
+        detail = f"found {count}, expected {' or '.join(map(str, expected))} for {cfg.price.variant} price"
         if ok and cfg.price.variant == "triangular":
             # the two roots must straddle the price peak
             q_m = cfg.price.q_m
@@ -592,63 +629,29 @@ def validate_admissible(cfg: ModelConfig, *, k_u: float | None = None) -> Admiss
     rep = AdmissibilityReport(_alpha_clauses(cfg.admission))
     root, points = _root_count(cfg)
     rep.clauses.append(root)
-
     if k_u is not None:
         try:
             comp = equilibria.find_fixed_points(cfg, "competitive", k_u)
-            rep.clauses.append(
-                Clause(
-                    "competitive-root-count",
-                    len(comp) == 2,
-                    f"found {len(comp)} with K_U = {k_u:g}, expected 2",
-                )
-            )
+            rep.clauses.append(Clause("competitive-root-count", len(comp) == 2,
+                                      f"found {len(comp)} with K_U = {k_u:g}, expected 2"))
         except Exception as exc:
-            rep.clauses.append(
-                Clause("competitive-root-count", False, f"scan failed: {exc}")
-            )
-
-    rep.clauses.append(
-        Clause(
-            "kr-exceeds-mu-star",
-            cfg.k_r > cfg.service.mu_star,
-            f"K_R = {cfg.k_r:g}, mu_star = {cfg.service.mu_star:g}",
-        )
-    )
-
+            rep.clauses.append(Clause("competitive-root-count", False, f"scan failed: {exc}"))
+    rep.clauses.append(Clause("kr-exceeds-mu-star", cfg.k_r > cfg.service.mu_star,
+                              f"K_R = {cfg.k_r:g}, mu_star = {cfg.service.mu_star:g}"))
     if cfg.q_ad is not None:
         if len(points) >= 2:
             q1, q2 = points[0].q_star, points[1].q_star
-            rep.clauses.append(
-                Clause(
-                    "q-ad-between-equilibria",
-                    q1 < cfg.q_ad < q2,
-                    f"q1*={q1:.6g}, q_ad={cfg.q_ad:g}, q2*={q2:.6g}",
-                )
-            )
+            rep.clauses.append(Clause("q-ad-between-equilibria", q1 < cfg.q_ad < q2,
+                                      f"q1*={q1:.6g}, q_ad={cfg.q_ad:g}, q2*={q2:.6g}"))
             from . import regions
 
             try:
                 qd = regions.q_dagger(cfg)
-                rep.clauses.append(
-                    Clause(
-                        "q-ad-above-q-dagger",
-                        qd < cfg.q_ad,
-                        f"q_dagger={qd:.6g}",
-                    )
-                )
+                rep.clauses.append(Clause("q-ad-above-q-dagger", qd < cfg.q_ad, f"q_dagger={qd:.6g}"))
             except Exception as exc:
                 rep.clauses.append(Clause("q-ad-above-q-dagger", False, str(exc)))
         else:
-            rep.clauses.append(
-                Clause("q-ad-between-equilibria", False, "needs two fixed points")
-            )
-        rep.clauses.append(
-            Clause(
-                "q-ad-above-q-c",
-                cfg.service.q_c < cfg.q_ad,
-                f"q_c={cfg.service.q_c:g}, q_ad={cfg.q_ad:g}",
-            )
-        )
-
+            rep.clauses.append(Clause("q-ad-between-equilibria", False, "needs two fixed points"))
+        rep.clauses.append(Clause("q-ad-above-q-c", cfg.service.q_c < cfg.q_ad,
+                                  f"q_c={cfg.service.q_c:g}, q_ad={cfg.q_ad:g}"))
     return rep

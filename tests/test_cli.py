@@ -605,6 +605,15 @@ class TestCommands:
         assert lines[0].startswith("mode,q_star,r_star,u_star,price,classification")
         assert "stable_node" in lines[1] and "saddle" in lines[2]
 
+    def test_fixed_points_either_side_of_a_fold(self, config_dir, tmp_path):
+        # K_U = 0.9691 lies 1.3e-4 below section5's fold at q_m = 45: a pair
+        # of equilibria either side of q_m, and a third past q_n
+        out = tmp_path / "fp.csv"
+        assert run(["fixed-points", "--config", str(config_dir / "section5.json"), "--mode",
+                    "saturated", "--k-u", "0.9691", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+        assert [float(row[1]) for row in rows] == pytest.approx([44.9958, 45.0098, 90.4426], abs=1e-4)
+
     def test_classify_reports_saddle_inequality(self, config_dir, tmp_path):
         out = tmp_path / "cls.csv"
         run(["classify", "--config", str(config_dir / "ref.json"), "--out", str(out)])

@@ -43,6 +43,12 @@ def calibrated():
     return _calibrated_sets(2024, 200)
 
 
+def _dropping(monkeypatch, kept):
+    """From now on each scan keeps only the roots roots[kept]."""
+    scan = equilibria._scan
+    monkeypatch.setattr(equilibria, "_scan", lambda cfg, k_u: scan(cfg, k_u)[kept])
+
+
 def _counted(monkeypatch, module, name):
     """The argument tuples of every call to module.name from now on."""
     calls, original = [], getattr(module, name)
@@ -66,14 +72,23 @@ class TestLinearCalibration:
         assert eval_admission(adm, 82.0) == pytest.approx(0.024, abs=1e-12)
         assert adm.q_max == pytest.approx(92.5, abs=1e-9)
 
-    def test_root_count_post_condition(self):
-        # q2* = 60.792 lies in the scan's last cell, whose top end is off g's
-        # domain (alpha below the guard band), so no sign change shows there
-        price = PriceSpec("triangular", beta=0.0011, q_m=30.4)
+    def test_root_count_post_condition(self, cold, monkeypatch):
+        # q2* = 60.792 lies 0.02 below q_max, in the last cell of a
+        # 2000-point grid, whose top end is off g's domain, so a grid scan
+        # sees no sign change there; with a root dropped from the scan, the
+        # root-count clause refuses the result
+        price, svc = PriceSpec("triangular", beta=0.0011, q_m=30.4), ServiceSpec(mu_star=3.92, q_c=99.6)
+        targets = CalibrationTargets(p1=0.0329, p2=8.61e-06)
+        adm = calibrate_linear_admission(targets, price, svc, k_r=10.5)
+        fps = find_fixed_points(ModelConfig(k_r=10.5, k_u_schedule=(), price=price, admission=adm, service=svc))
+        assert [fp.q_star for fp in fps] == pytest.approx([29.909090909, 60.792172727], abs=1e-8)
+        assert 0 < adm.q_max - fps[1].q_star < adm.q_max / 1999  # one cell of that grid
+        cold()
+        _dropping(monkeypatch, slice(None, 1))
         with pytest.raises(CalibrationError,
                            match="fails root-count: found 1, expected 2 for triangular price"):
-            calibrate_linear_admission(CalibrationTargets(p1=0.0329, p2=8.61e-06), price,
-                                       ServiceSpec(mu_star=3.92, q_c=99.6), k_r=10.5)
+            calibrate_linear_admission(targets, price, svc, k_r=10.5)
+        cold()
 
     def test_root_position_post_condition(self):
         # with q1* 1e-8 below the kink q_m, g is within rounding of zero for
@@ -83,12 +98,22 @@ class TestLinearCalibration:
             calibrate_linear_admission(CalibrationTargets(p1=0.04499999999, p2=0.008), TRI, SVC,
                                        k_r=4.0)
 
-    def test_saturated_target_post_condition(self):
-        # alpha is so flat that it vanishes only near q = 2e5: the scan's cells
-        # are 100 wide, and the one holding both targets shows no sign change
+    def test_saturated_target_post_condition(self, cold, monkeypatch):
+        # alpha is so flat that it vanishes only near q = 2e5: a 2000-point
+        # grid's cells are 100 wide, and the one holding both targets shows
+        # no sign change; with only the third root left, the target check
+        # refuses the result
         sat = PriceSpec(variant="saturated", beta=1e-3, q_m=45.0, q_n=75.0)
+        targets = CalibrationTargets(p1=0.04, p2=0.039998)
+        adm = calibrate_linear_admission(targets, sat, SVC, k_r=4.0)
+        fps = find_fixed_points(ModelConfig(k_r=4.0, k_u_schedule=(), price=sat, admission=adm, service=SVC))
+        assert [fp.q_star for fp in fps[:2]] == pytest.approx([40.0, 50.002], abs=1e-9)
+        assert len(fps) == 3 and fps[2].q_star > 1e5
+        cold()
+        _dropping(monkeypatch, slice(2, None))
         with pytest.raises(CalibrationError, match="target equilibrium q\\* = 40 not recovered"):
-            calibrate_linear_admission(CalibrationTargets(p1=0.04, p2=0.039998), sat, SVC, k_r=4.0)
+            calibrate_linear_admission(targets, sat, SVC, k_r=4.0)
+        cold()
 
     def test_monotonicity_violation(self):
         # alpha(20) = 0.015 < alpha(60) = 0.09 by hand evaluation
@@ -190,6 +215,12 @@ class TestCubicCalibration:
             calibrate_cubic_admission(CalibrationTargets(p1=0.04, p2=0.008, alpha0=0.12),
                                       TRI, SVC, k_r=4.0, q_max=100.0)
         assert str(err.value) == "no monotone cubic positive below q_max found at the pinned alpha0 = 0.12"
+
+    def test_qmax_whose_cube_overflows_is_named(self):
+        for q_max in (5.7e102, 1e103, 1.7e308):
+            with pytest.raises(CalibrationError) as err:
+                calibrate_cubic_admission(REF_TARGETS, TRI, SVC, k_r=4.0, q_max=q_max)
+            assert str(err.value) == f"q_max = {q_max:g} too large: q_max**3 overflows"
 
     def test_qmax_must_exceed_twice_peak(self):
         with pytest.raises(CalibrationError, match="q_max"):
@@ -318,6 +349,72 @@ class TestFindFixedPoints:
             find_fixed_points(competitive_cfg, mode, 2.0)
         with pytest.raises(ValueError, match="disagrees"):
             fixed_point_residual(40.0, competitive_cfg, mode, 0.0)
+
+
+class TestExactScan:
+    """Roots that a 2000-point grid of g loses: each is a sign change of
+    fixed_point_residual, found from the piece tables."""
+
+    @staticmethod
+    def _changes_sign(cfg, fps, k_u):
+        for fp in fps:
+            below, above = (fixed_point_residual(fp.q_star + d, cfg, fp.mode, k_u) for d in (-1e-7, 1e-7))
+            assert below * above < 0, fp.q_star
+
+    def test_section5_pair_either_side_of_q_m(self, section5_cfg):
+        # K_U = 0.9691 lies 1.3e-4 below the fold at q_m = 45
+        fps = find_fixed_points(section5_cfg, "saturated", 0.9691)
+        assert [fp.q_star for fp in fps] == pytest.approx([44.9958, 45.0098, 90.4426], abs=1e-4)
+        self._changes_sign(section5_cfg, fps, 0.9691)
+
+    def test_ref_pair_either_side_of_q_m(self, ref_cfg):
+        # K_U = 0.172092 lies 1.0e-6 below the fold at q_m = 45
+        fps = find_fixed_points(ref_cfg, "saturated", 0.172092)
+        assert [fp.q_star for fp in fps] == pytest.approx([44.99997, 45.00106], abs=1e-5)
+        self._changes_sign(ref_cfg, fps, 0.172092)
+
+    def test_a_root_either_side_of_a_hole_in_the_domain(self, ref_cfg):
+        # alpha = a*((q - q0)^2 - w^2) is floored to zero on (q0 - w, q0 + w),
+        # inside one cell of a 2000-point grid whose ends have g of opposite
+        # signs
+        a, w, q0 = 312.0, 0.01, 40.038010005202096
+        adm = AdmissionSpec("cubic", (a * (q0 * q0 - w * w), -2 * a * q0, a, 0.0), q_max=100.0)
+        cfg = replace(ref_cfg, admission=adm)
+        fps = find_fixed_points(cfg)
+        assert [fp.q_star for fp in fps] == pytest.approx([40.0160, 40.0600], abs=1e-4)
+        assert fps[0].q_star < q0 - w < q0 + w < fps[1].q_star
+        self._changes_sign(cfg, fps, 0.0)
+
+    def test_no_root_at_a_hole_where_the_price_is_zero(self, ref_cfg):
+        # past 2*q_m = 90 the price is zero, so P = -alpha*(K_R - mu) changes
+        # sign where alpha does, at the hole's edges, while g stays negative:
+        # the guard band's cuts keep those edges out of every bracket
+        a, w, q0 = 3.3e-5, 1.0, 95.0
+        adm = AdmissionSpec("cubic", (a * (q0 * q0 - w * w), -2 * a * q0, a, 0.0), q_max=100.0)
+        cfg = replace(ref_cfg, admission=adm)
+        fps = find_fixed_points(cfg)
+        assert len(fps) == 2 and fps[1].q_star < 2 * cfg.price.q_m
+        self._changes_sign(cfg, fps, 0.0)
+
+    def test_an_exact_zero_on_the_grid_is_the_root(self, ref_cfg, monkeypatch):
+        # a grid scan reports a point of np.linspace where g is exactly 0.0
+        # as the root; with g zero at the grid point nearest q1* = 40, the
+        # scan returns that point, bit for bit
+        qs = np.linspace(1e-9, ref_cfg.admission.q_max - 1e-9, equilibria.GRID_POINTS)
+        q_k = float(qs[np.argmin(abs(qs - 40.0))])
+        real = equilibria._scalar_residual
+        monkeypatch.setattr(equilibria, "_scalar_residual",
+                            lambda cfg, k_u: (lambda q, g=real(cfg, k_u): 0.0 if q == q_k else g(q)))
+        assert equilibria._scan(ref_cfg, 0.0)[0] == q_k != 40.0
+
+    def test_each_root_in_one_cell_gets_its_own_bracket(self, section5_cfg, monkeypatch):
+        # with one grid cell over the whole domain, g changes sign across it
+        # and its bisection finds one of the three roots; the other two are
+        # bisected from their own monotone sections of P
+        want = equilibria._scan(section5_cfg, 0.5)
+        monkeypatch.setattr(equilibria, "GRID_POINTS", 2)
+        assert equilibria._scan(section5_cfg, 0.5) == pytest.approx(want, abs=1e-9)
+        assert len(want) == 3
 
 
 class TestRoundTrip:
@@ -575,7 +672,7 @@ class TestMemo:
         assert again is not first and _bits(again) == want
 
     def test_schedule_and_q_ad_share_an_entry(self, section5_cfg, cold, monkeypatch):
-        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        scans = _counted(monkeypatch, equilibria, "_scan")
         base = find_fixed_points(section5_cfg, "saturated", 0.5)
         for cfg in (replace(section5_cfg, k_u_schedule=()), replace(section5_cfg, q_ad=70.0)):
             same = find_fixed_points(cfg, "saturated", 0.5)
@@ -583,7 +680,7 @@ class TestMemo:
         assert len(scans) == 1
 
     def test_every_spec_field_is_in_the_key(self, ref_cfg, section5_cfg, cold, monkeypatch):
-        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        scans = _counted(monkeypatch, equilibria, "_scan")
         variants = []
         for cfg in (ref_cfg, section5_cfg):
             variants += [cfg, replace(cfg, k_r=math.nextafter(cfg.k_r, math.inf))]
@@ -604,7 +701,7 @@ class TestMemo:
         assert len(scans) == len(variants) == 23
 
     def test_bounded_least_recently_used_goes_first(self, section5_cfg, cold, monkeypatch):
-        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        scans = _counted(monkeypatch, equilibria, "_scan")
         k_us = [0.01 * i for i in range(equilibria._MEMO_ENTRIES + 1)]
         for k_u in k_us[:-1] + k_us[:1] + k_us[-1:]:  # k_us[0] is used again before the last
             find_fixed_points(section5_cfg, "saturated", k_u)
@@ -627,13 +724,13 @@ class TestMemo:
 
     def test_modes_at_k_u_zero_share_one_scan(self, ref_cfg, cold, monkeypatch):
         # g depends on the mode only through K_U, and normal mode's K_U is 0.0
-        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        scans = _counted(monkeypatch, equilibria, "_scan")
         for mode in (dynamics.NORMAL, dynamics.saturated_mode(0.0), dynamics.competitive_mode(0.0)):
             assert _bits(find_fixed_points(ref_cfg, mode)) == _bits(_per_point_fixed_points(ref_cfg, mode))
         assert len(scans) == 1
 
     def test_saturated_and_competitive_share_a_scan_at_equal_k_u_bits(self, section5_cfg, cold, monkeypatch):
-        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        scans = _counted(monkeypatch, equilibria, "_scan")
         sat = find_fixed_points(section5_cfg, dynamics.saturated_mode(0.5))
         comp = find_fixed_points(section5_cfg, dynamics.competitive_mode(0.5))
         assert [fp.q_star for fp in sat] == [fp.q_star for fp in comp] and len(sat) == 3
@@ -644,19 +741,28 @@ class TestMemo:
         assert math.copysign(1.0, scans[1][1]) == -1.0
         assert [math.copysign(1.0, fp.u_star) for fp in minus] == [-1.0] * len(minus)
 
-    def test_a_scan_evaluates_the_array_residual_once(self, ref_cfg, section5_cfg, cold, monkeypatch):
-        # the grid is one array call; every bisection runs on floats
-        arrays = _counted(monkeypatch, equilibria, "_residual")
-        assert len(find_fixed_points(ref_cfg, "normal")) == 2
-        assert len(find_fixed_points(section5_cfg, "saturated", 0.5)) == 3
-        assert [qs.size for _, _, qs in arrays] == [equilibria.GRID_POINTS] * 2
+    def test_a_scan_calls_no_numpy(self, ref_cfg, section5_cfg, competitive_cfg, monkeypatch):
+        # the scan runs on plain floats: with numpy and every spec's array
+        # kernel gone, each shipped config gives the same roots
+        cases = [(ref_cfg, 0.0), (section5_cfg, 0.5), (competitive_cfg, 1.0)]
+        want = [equilibria._scan(cfg, k_u) for cfg, k_u in cases]
+        bare = []
+        for cfg, k_u in cases:
+            specs = {name: replace(getattr(cfg, name)) for name in ("price", "admission", "service")}
+            for spec in specs.values():
+                object.__setattr__(spec, "_kernel", None)
+            bare.append((replace(cfg, **specs), k_u))
+        for module in (equilibria, model):
+            monkeypatch.setattr(module, "np", None)
+        assert [equilibria._scan(cfg, k_u) for cfg, k_u in bare] == want
+        assert [len(roots) for roots in want] == [2, 3, 2]
 
     def test_analysis_chain_scans_once(self, cold, monkeypatch):
         # six fixed-point calls on one parameter set, five in normal mode and
         # one in competitive mode at K_U = 0, which shares normal mode's
         # balance equation; calibration builds its own config, equal to the
         # caller's
-        scans = _counted(monkeypatch, equilibria, "_scan_domain")
+        scans = _counted(monkeypatch, equilibria, "_scan")
         calls = _counted(monkeypatch, equilibria, "find_fixed_points")
         adm = calibrate_linear_admission(REF_TARGETS, TRI, SVC, k_r=4.0)
         cfg = ModelConfig(k_r=4.0, k_u_schedule=(), price=TRI, admission=adm, service=SVC)

@@ -99,6 +99,39 @@ GOLDEN = {
          "--out", "{out}"],
         {"": "4864af86a18ac5a52ba099535541ad8a5a6c59cb6407070f85f6b7592a3731f8"},
     ),
+    # the equilibria of every shipped config in each mode it runs, at K_U
+    # away from the folds where a root pair is born: 2-D and 3-D roots,
+    # one and three of them, and their classes
+    **{f"{cmd.replace('-', '_')}_{name}": (
+        [cmd, "--config", f"{{cfg}}/{config}.json", *flags, "--out", "{out}"], {"": digest})
+       for cmd, name, config, flags, digest in [
+        ("fixed-points", "ref_chattering", "ref", ["--mode", "chattering"],
+         "6bc0f345e1d6a52bfdf55395e3cfe7763e30ac095688e8baa4b03e14e9f06719"),
+        ("classify", "ref_chattering", "ref", ["--mode", "chattering"],
+         "bda6909c281d065b6d681f74c206fd2dde7f2f2d260982e747ef02cdf5735083"),
+        ("fixed-points", "competitive_normal", "competitive", [],
+         "495671f365c33cfb5eb573ea7115734872f1ea186bb7a5945203be3b32985bfe"),
+        ("classify", "competitive_normal", "competitive", [],
+         "7ee36263ea29291fe8b376553049daa400b1f385594923565926c255febc6cd3"),
+        ("fixed-points", "competitive", "competitive", ["--mode", "competitive", "--k-u", "1"],
+         "30deb218bb177596034b8aed05e74d5b9cc792d8ffeb858e06f360b3d637769c"),
+        ("classify", "competitive", "competitive", ["--mode", "competitive", "--k-u", "1"],
+         "0b124980f5d72d13e48bc5bf936cfb6a97a71b49442b42be9d0a7f03a84f3cda"),
+        ("fixed-points", "section5_normal", "section5", [],
+         "0ee35ef44119c59e9113ecccccb0babe5c9b7c18e76144445574cb71adca5f9e"),
+        ("classify", "section5_normal", "section5", [],
+         "d360539210c7fa0af4aa416783d88e99aee362b876d6fac0f4dcf2fa7c7b30c5"),
+        ("fixed-points", "section5_saturated_1.5", "section5", ["--mode", "saturated", "--k-u", "1.5"],
+         "0eb0965ea1d6910ee7aed360648f136224d8996149b5bbf05f1f466232fad9d2"),
+        ("classify", "section5_saturated", "section5", ["--mode", "saturated", "--k-u", "0.5"],
+         "3ae3d304bdf8af3e8e8540ae4e2ff93ba2f6271a183dec8c9cfe30ff13beccd2"),
+        ("fixed-points", "section5_competitive", "section5", ["--mode", "competitive", "--k-u", "0.5"],
+         "ac551536783d56d4382263b00a9ec22e44ea96b7ca046bf3fd19236853cb4fd0"),
+        ("classify", "section5_competitive", "section5", ["--mode", "competitive", "--k-u", "0.5"],
+         "8275c1b730c9cf8dc6bb19a63c077d17294bb7f5add9e7507711e9fb56db63d5"),
+        ("fixed-points", "section5_switched_full", "section5", ["--mode", "switched-full"],
+         "be6f27758a50e6d808a89fdf179fe56212b5b6ef215131ced2e3a0395a27e8a3"),
+    ]},
 }
 
 # name -> (argv, sha256 of what the command printed on stdout)

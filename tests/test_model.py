@@ -22,6 +22,8 @@ from accessprice.model import (
     _make,
     _piece_lines,
     _poly,
+    _real_roots,
+    _scaled,
     ModelConfig,
     PriceSpec,
     ServiceSpec,
@@ -337,16 +339,21 @@ class TestValidateAdmissible:
 
     def test_failed_scan_is_a_clause(self, ref_cfg):
         # alpha = a*((q - q0)^2 - w^2), floored to zero on (q0 - w, q0 + w):
-        # that hole lies inside one cell of the 2000-point scan grid on
-        # (0, 100) whose ends have g of opposite signs, 0.008 right of the
-        # cell's left end, so the bisection's first midpoint falls in it
+        # the scan cuts g's domain at the hole's edges and finds a root on
+        # each side, both left of q_m; a k_r that overflows the load term
+        # fails the scan itself
         from dataclasses import replace
 
         a, w, q0 = 312.0, 0.01, 40.038010005202096
         adm = AdmissionSpec("cubic", (a * (q0 * q0 - w * w), -2 * a * q0, a, 0.0), q_max=100.0)
         clause = validate_admissible(replace(ref_cfg, admission=adm, q_ad=None)).clause("root-count")
         assert not clause.passed
-        assert clause.detail == "scan failed: g undefined at q = 40.045 inside a bracket"
+        assert clause.detail == ("found 2, expected 2 for triangular price; "
+                                 "roots (40.016, 40.06) not split by q_m = 45")
+        clause = validate_admissible(replace(ref_cfg, k_r=1e300)).clause("root-count")
+        assert (clause.passed, clause.detail) == (False, (
+            "scan failed: k_r = 1e+300 too large: the load term (K_R + K_U - mu)/(mu - K_U) "
+            "overflows on the scan domain"))
 
     @pytest.mark.parametrize("c, passed, steepest", [
         ((1.0, 0.0, 0.0, -1e-6), True, "0"),  # alpha' = -3e-6 q^2 is 0 at q = 0 alone
@@ -563,10 +570,10 @@ class TestPieceTables:
     ])
     def test_extremum_reaches_each_closed_form_branch(self, c, line):
         # one stretch: the branch's line is the deepest of the closed form
-        # that the call runs
+        # (_real_roots) that the call runs, on coefficients it scaled first
         pieces = ((0.0, 0.0, c),)
-        ran = _lines_run(extremum, (pieces,), 0.0, 100.0)
-        assert "e = math.frexp(max((abs(x) for cq in kept for x in cq), default=0.0))[1]" in ran
+        ran = _lines_run((_scaled, _real_roots), extremum, (pieces,), 0.0, 100.0)
+        assert "e = math.frexp(max((abs(x) for p in polys for x in p), default=0.0))[1]" in ran
         branches = ["elif g1:", "roots = (-g0 / g1,)", "disc = g1 * g1 - 4 * g2 * g0",
                     "t = -(g1 + math.copysign(math.sqrt(disc), g1)) / 2", "roots = (t / g2, g0 / t)"]
         reached = [b for b in branches if b in ran]
@@ -644,16 +651,16 @@ def _one_sided(tables, q, order, side):
     return float(total)
 
 
-def _lines_run(fn, *args, **kwargs):
-    """The stripped source lines of fn's own body that fn(*args, **kwargs)
-    runs, traced with sys.settrace."""
-    ran = set()
+def _lines_run(traced, fn, *args, **kwargs):
+    """The stripped source lines of the bodies of the functions traced that
+    fn(*args, **kwargs) runs, traced with sys.settrace."""
+    ran = {t.__code__: set() for t in traced}
 
     def trace(frame, event, _):
-        if frame.f_code is not fn.__code__:
+        if frame.f_code not in ran:
             return None
         if event == "line":
-            ran.add(frame.f_lineno)
+            ran[frame.f_code].add(frame.f_lineno)
         return trace
 
     sys.settrace(trace)
@@ -661,8 +668,11 @@ def _lines_run(fn, *args, **kwargs):
         fn(*args, **kwargs)
     finally:
         sys.settrace(None)
-    source, first = inspect.getsourcelines(fn)
-    return {source[n - first].strip() for n in ran}
+    lines = set()
+    for t in traced:
+        source, first = inspect.getsourcelines(t)
+        lines |= {source[n - first].strip() for n in ran[t.__code__]}
+    return lines
 
 
 def _piece_value(spec, q, order):
@@ -877,15 +887,21 @@ class TestNonFinite:
 
 
 def test_closed_forms_call_no_numpy_solver():
-    # model and stability solve their polynomials in closed form: no LAPACK
-    # call (np.linalg, np.roots' companion matrix) and no np.polynomial
-    # root finder, which are reproducible only per numpy/LAPACK build
+    # model, stability and equilibria solve their polynomials in closed form
+    # or by bisection on floats: no LAPACK call (np.linalg, np.roots'
+    # companion matrix) and no np.polynomial root finder, which are
+    # reproducible only per numpy/LAPACK build.  The one exception is the
+    # cubic calibration's 4x4 linear solve.
     src = Path(__file__).resolve().parent.parent / "src" / "accessprice"
-    for name in ("model.py", "stability.py"):
-        tree = ast.parse((src / name).read_text())
-        used = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        used |= {f"{node.module}.{a.name}" for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.module for a in node.names}
-        banned = [u for u in used if u.replace("numpy.", "np.").startswith(
+    allowed = {("equilibria.py", "calibrate_cubic_admission", u) for u in ("np.linalg", "np.linalg.solve")}
+    for name in ("model.py", "stability.py", "equilibria.py"):
+        used = set()
+        for top in ast.parse((src / name).read_text()).body:  # each use, by its top-level definition
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    used.add((name, getattr(top, "name", None), ast.unparse(node)))
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    used |= {(name, None, f"{node.module}.{a.name}") for a in node.names}
+        banned = [u for u in used - allowed if u[2].replace("numpy.", "np.").startswith(
             ("np.roots", "np.trim_zeros", "np.linalg", "np.polynomial"))]
-        assert banned == [], (name, banned)
+        assert banned == [], banned
