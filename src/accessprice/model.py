@@ -259,9 +259,9 @@ class AdmissionSpec:
 
     coefficients are in ascending powers: (c2, c1) for the linear variant
     alpha(q) = max(0, c1*q + c2), (a0, a1, a2, a3) for the cubic.  q_max
-    is where alpha reaches zero; for the linear variant it is derived
-    from the zero crossing -c2/c1 (infinite when c1 >= 0) as the first
-    float q_max >= 0 with c1*q_max + c2 <= 0, for the cubic it must be
+    is where alpha reaches zero; the linear variant always stores the first
+    float q_max >= 0 with c1*q_max + c2 <= 0 (inf when c1 >= 0) and only
+    checks a supplied one within 1e-9 relative; the cubic's must be
     supplied.  alpha is identically zero beyond q_max.
     """
 
@@ -283,11 +283,11 @@ class AdmissionSpec:
         if self.variant == "linear":
             c2, c1 = coeffs
             derived = math.inf if c1 >= 0 else _first_zero(c2, c1)
-            if self.q_max is None:
-                object.__setattr__(self, "q_max", derived)
-            elif self.q_max < 0 or abs(self.q_max - derived) > 1e-9 * max(1.0, abs(derived)):
-                raise ValueError(f"linear admission q_max {self.q_max} inconsistent with zero crossing {derived}")
-            _declare(self, *self._linear(derived))
+            supplied = derived if self.q_max is None else self.q_max
+            if supplied < 0 or abs(supplied - derived) > 1e-9 * max(1.0, abs(derived)):
+                raise ValueError(f"linear admission q_max {supplied} inconsistent with zero crossing {derived}")
+            object.__setattr__(self, "q_max", derived)
+            _declare(self, *self._linear())
         elif self.q_max is None or not self.q_max > 0:
             raise ValueError("cubic admission needs q_max > 0")
         elif not math.isfinite(_poly([abs(c) for c in coeffs], self.q_max)):
@@ -296,8 +296,8 @@ class AdmissionSpec:
         else:
             _declare(self, *self._cubic())
 
-    def _linear(self, zero):  # the kernel kinks at the zero crossing, not a supplied q_max
-        c2, c1 = self.coefficients
+    def _linear(self):
+        (c2, c1), zero = self.coefficients, self.q_max
         k2, k1 = np.array(c2), np.array(c1)
         # no tail when alpha vanishes from q = 0 on: it would shadow piece 0,
         # whose floor keeps the kernel's -0.0 at q = 0 when c2 = -0.0
@@ -454,10 +454,12 @@ def _scaled(*polys):
 
 def _bisect(fn, lo: float, hi: float, up: bool) -> float:
     """A root of fn in [lo, hi], on plain floats, where fn(lo) > 0 is up
-    and fn(hi) > 0 is not.  Stops on an exact zero of fn at the midpoint,
-    which is returned, or once the midpoint rounds onto lo or hi, or after
-    100 halvings, which return 0.5*(lo + hi)."""
-    for _ in range(100):
+    and fn(hi) > 0 is not: the library's one midpoint bisection.  It stops
+    on an exact zero of fn at the midpoint, or once the midpoint rounds onto
+    lo or hi, then adjacent floats, and returns the midpoint.  A finite
+    bracket takes at most 2099 halvings ([-max, max] onto 0); the bound of
+    2200 only stops a NaN bracket."""
+    for _ in range(2200):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -578,8 +580,8 @@ def _alpha_clauses(adm: AdmissionSpec) -> list[Clause]:
     when its largest slope there (extremum) is <= 0 and it is not constant,
     and then positive on [0, q_max) when it is positive at the float below
     q_max.  It is zero beyond q_max when alpha(q_max) == 0.0: the table's
-    last piece, from the cubic's q_max or the line's zero crossing on, is
-    zero, and a falling line stays at its floor."""
+    last piece, from q_max on (a line's zero crossing), is zero, and a
+    falling line stays at its floor."""
     q_max = adm.q_max
     if not math.isfinite(q_max):
         return [Clause("alpha-positive-decreasing", False, "alpha never reaches zero"),

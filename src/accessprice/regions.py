@@ -5,10 +5,10 @@ The nullclines of the 2-state system are graphs over q:
     eta1(q) = mu(q)/alpha(q)          (qdot = 0)
     eta2(q) = K_R/(alpha(q) + f(q))   (Rdot = 0)
 
-R_dagger is the maximum of eta2 over [0, q_m] and q_dagger its preimage
-under eta1.  R_dagger is exact: eta2 at the least alpha + f on [0, q_m],
-which model.extremum finds from the piece tables (an end point or a real
-root of alpha'(q) + beta inside the interval).
+R_dagger, the maximum of eta2 over [0, q_m], is eta2 at the least
+alpha + f there, which model.extremum finds exactly from the piece tables;
+q_dagger, its preimage under eta1, is bisected onto adjacent floats
+(model._bisect).  Both run on plain floats.
 Whenever R2* > R_dagger, every choice of q_bar in
 (q_dagger, q2*) and r_bar in (max{R_dagger, eta2(q_bar)}, eta1(q_bar)]
 yields a forward-invariant polygon A=(0,0), B=(0,q_bar),
@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from . import dynamics, equilibria
-from .model import ModelConfig, eval_admission, eval_price, eval_service, extremum
+from .model import ModelConfig, _bisect, eval_admission, eval_price, eval_service, extremum
 
 VERTEX_MARGIN = 1e-6  # boundary samples keep this distance from vertices
 
@@ -91,10 +91,12 @@ def _positive(val, message: str):
     return val
 
 
+_VANISHES = "alpha(q) vanishes at or beyond q_max; eta undefined"
+
+
 def _alpha_checked(cfg, q):
     """alpha(q) > 0: a Python float for a scalar q, as each eta then is."""
-    return _positive(eval_admission(cfg.admission, q),
-                     "alpha(q) vanishes at or beyond q_max; eta undefined")
+    return _positive(eval_admission(cfg.admission, q), _VANISHES)
 
 
 def eta1(cfg: ModelConfig, q):
@@ -127,12 +129,14 @@ def r_dagger(cfg: ModelConfig) -> float:
     if q_m is None:
         raise ValueError("r_dagger needs a price variant with a peak q_m")
     tables = (cfg.admission.pieces, cfg.price.pieces)
-    qs = [extremum(tables, 0.0, q_m)[1], extremum(tables[:1], 0.0, q_m)[1]]
-    return float(np.max(eta2(cfg, np.array(qs))))
+    return max(eta2(cfg, extremum(t, 0.0, q_m)[1]) for t in (tables, tables[:1]))
 
 
 def eta1_inverse(cfg: ModelConfig, r: float) -> float:
-    """Solve eta1(q) = r by bisection; eta1 is strictly increasing."""
+    """Solve eta1(q) = r; eta1 is strictly increasing.  model._bisect runs
+    from [0, hi], hi just below q_max, on eta1's float form with a sign of
+    +-1.0, so it halves past an exact hit (the doa vertices keep their bits)
+    onto adjacent floats lo < hi with eta1(lo) < r <= eta1(hi): one of them."""
     if not r >= 0:  # NaN included
         raise ValueError("eta1 inverse needs r >= 0")
     if r == 0:
@@ -141,23 +145,8 @@ def eta1_inverse(cfg: ModelConfig, r: float) -> float:
     hi = q_max * (1 - 1e-12) - 1e-12 if math.isfinite(q_max) else cfg.service.q_c * 1e6
     if eta1(cfg, hi) < r:
         raise ValueError(f"eta1 stays below {r:g} on its domain")
-    # the specs' float forms give eta1's values bit for bit without its
-    # array coercion; no early stop on an exact hit, which would move
-    # the doa outputs
     mu, alpha = cfg.service._scalar, cfg.admission._scalar
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        a = alpha(mid)
-        if a <= 0:
-            raise ValueError("alpha(q) vanishes at or beyond q_max; eta undefined")
-        if mu(mid) / a < r:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda q: 1.0 if mu(q) / _positive(alpha(q), _VANISHES) < r else -1.0, 0.0, hi, True)
 
 
 def q_dagger(cfg: ModelConfig) -> float:

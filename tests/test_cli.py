@@ -149,6 +149,14 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "Assumption 1: pass" in out
 
+    def test_supplied_linear_qmax_is_the_derived_one(self, config_dir, capsys):
+        # within 1e-9 of ref's zero crossing 92.5: the spec keeps 92.5, so
+        # alpha(q_max) == 0.0 and the clause passes
+        path, q_max = str(config_dir / "ref.json"), "admission.q_max=92.49999995375"
+        assert load_config(path, [q_max]) == load_config(path)
+        assert run(["validate", "--config", path, "--set", q_max]) == 0
+        assert "alpha-zero-beyond-qmax: pass" in capsys.readouterr().out.splitlines()
+
     def test_validate_failure_is_one(self, tmp_path):
         doc = json.loads(json.dumps(REF_DOC))
         doc["k_r"] = 2.5  # below mu_star: admissibility clause fails

@@ -684,8 +684,10 @@ class TestMemo:
         variants = []
         for cfg in (ref_cfg, section5_cfg):
             variants += [cfg, replace(cfg, k_r=math.nextafter(cfg.k_r, math.inf))]
+            # a linear q_max is derived from the coefficients (below)
+            derived = cfg.admission.variant == "linear"
             for part, names in (("price", ("beta", "q_m", "q_n")),
-                                ("admission", ("coefficients", "q_max")),
+                                ("admission", ("coefficients",) if derived else ("coefficients", "q_max")),
                                 ("service", ("mu_star", "q_c"))):
                 spec = getattr(cfg, part)
                 for name in names:
@@ -698,7 +700,14 @@ class TestMemo:
         variants += [replace(ref_cfg, admission=adm) for adm in cubics]
         for cfg in variants:
             find_fixed_points(cfg, "normal")
-        assert len(scans) == len(variants) == 23
+        assert len(scans) == len(variants) == 22
+        # a nudged linear q_max is checked against the derived one, then
+        # dropped: the spec is equal and shares the scan
+        [linear] = _nudged(ref_cfg.admission, "q_max")
+        assert linear == ref_cfg.admission and linear.q_max == 92.5
+        assert _bits(find_fixed_points(replace(ref_cfg, admission=linear), "normal")) == _bits(
+            find_fixed_points(ref_cfg, "normal"))
+        assert len(scans) == 22
 
     def test_bounded_least_recently_used_goes_first(self, section5_cfg, cold, monkeypatch):
         scans = _counted(monkeypatch, equilibria, "_scan")

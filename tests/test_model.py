@@ -19,6 +19,7 @@ from accessprice.equilibria import (
 from accessprice.model import (
     AdmissionSpec,
     _constants,
+    _bisect,
     _make,
     _piece_lines,
     _poly,
@@ -507,6 +508,21 @@ class TestPieceTables:
                     right = (spec._kernel(k + h) - spec._kernel(k)) / h
                     assert abs(right - left) > 1e-9, (spec, k)
                     assert slope(spec, k) == pytest.approx(left, abs=1e-6)
+
+    def test_bisect_ends_on_adjacent_floats(self):
+        # a root 600 decades below the bracket's top takes about 2000
+        # halvings; the widest finite bracket, onto 0, takes 2099
+        calls = []
+
+        def sign(at):
+            return lambda q: calls.append(q) or (1.0 if q < at else -1.0)
+
+        assert _bisect(sign(1e-300), 0.0, 1e300, True) in (math.nextafter(1e-300, 0.0), 1e-300)
+        calls.clear()
+        top = sys.float_info.max
+        assert _bisect(sign(5e-324), -top, top, True) in (0.0, 5e-324) and len(calls) == 2099
+        calls.clear()
+        assert math.isnan(_bisect(sign(1.0), math.nan, 1.0, True)) and len(calls) == 2200
 
     def test_extremum_of_one_function(self):
         assert extremum((TRI.pieces,), 0.0, 200.0, largest=True) == (0.045, 45.0)

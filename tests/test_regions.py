@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from accessprice import dynamics, regions
+from accessprice import dynamics, model, regions
 from accessprice.dynamics import NORMAL, competitive_mode, final_states
 from accessprice.equilibria import (
     CalibrationError,
@@ -167,6 +167,29 @@ class TestDaggers:
         rs += [eta1(cfg, q) for q in rng.uniform(0.0, q_top, 50)]
         for r in rs:
             assert eta1_inverse(cfg, r) == _eta1_inverse_on_public_eta1(cfg, r), r
+
+    @pytest.mark.parametrize("r", [1e-30, 1e-200, 5e-324])
+    def test_eta1_inverse_ends_on_adjacent_floats(self, ref_cfg, r):
+        # the bisection runs until its ends are adjacent floats, however
+        # many halvings below q_max the root lies
+        q = eta1_inverse(ref_cfg, r)
+        pairs = [(math.nextafter(q, 0.0), q), (q, math.nextafter(q, math.inf))]
+        assert any(eta1(ref_cfg, lo) < r <= eta1(ref_cfg, hi) for lo, hi in pairs), q
+
+    def test_daggers_call_no_numpy(self, ref_cfg, section5_cfg, competitive_cfg, monkeypatch):
+        # r_dagger and q_dagger run on plain floats: with numpy and every
+        # spec's array kernel gone, each shipped config gives the same bits
+        cfgs = [ref_cfg, section5_cfg, competitive_cfg]
+        want = [(r_dagger(cfg).hex(), q_dagger(cfg).hex()) for cfg in cfgs]
+        bare = []
+        for cfg in cfgs:
+            specs = {name: dataclasses.replace(getattr(cfg, name)) for name in ("price", "admission", "service")}
+            for spec in specs.values():
+                object.__setattr__(spec, "_kernel", None)
+            bare.append(dataclasses.replace(cfg, **specs))
+        for module in (regions, model):
+            monkeypatch.setattr(module, "np", None)
+        assert [(r_dagger(cfg).hex(), q_dagger(cfg).hex()) for cfg in bare] == want
 
     def test_eta1_inverse_vanishing_alpha_is_named(self, ref_cfg):
         # alpha = 0.1 (q - 1)(q - 3) clamped at 0: zero on [1, 3], positive near q_max
