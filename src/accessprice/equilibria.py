@@ -35,7 +35,7 @@ stored.
 
 Calibration runs the other way: given desired equilibrium prices p1, p2
 it constructs an admission polynomial whose fixed points land at
-q1* = p1/beta and q2* = 2*q_m - p2/beta.
+q1* = p1/beta and q2* = 2*q_m - p2/beta, in closed form on plain floats.
 """
 
 from __future__ import annotations
@@ -44,8 +44,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 import math
 import threading
-
-import numpy as np
 
 from . import stability
 from .dynamics import as_mode
@@ -57,6 +55,7 @@ from .model import (
     _alpha_clauses,
     _as_query,
     _bisect,
+    _first_zero,
     _poly,
     _real_roots,
     _root_count,
@@ -65,6 +64,7 @@ from .model import (
     eval_admission,
     eval_price,
     eval_service,
+    extremum,
 )
 
 GRID_POINTS = 2000          # np.linspace points whose cells bracket roots first
@@ -99,7 +99,7 @@ class CalibrationTargets:
     """Desired equilibrium prices for the low/high congestion regimes.
 
     alpha0 optionally pins the cubic's value at q = 0; if omitted the
-    cubic calibration scans for it.
+    cubic calibration takes the middle of those that keep it decreasing.
     """
 
     p1: float
@@ -340,12 +340,15 @@ def calibrate_cubic_admission(targets: CalibrationTargets, price: PriceSpec, ser
                               k_r: float, q_max: float) -> AdmissionSpec:
     """Cubic alpha through the two equilibrium conditions.
 
-    Four linear equations fix (a0..a3): the two alpha targets, alpha(q_max) = 0
-    and alpha(0) = alpha0.  When targets.alpha0 is absent, alpha0 is scanned
-    over [alpha(q1*), 4*alpha(q1*)] in 64 steps and the first solution that
-    passes validate's alpha-positive-decreasing clause wins: its derivative
-    is nonpositive on all of [0, q_max] and it rounds to alpha > 0 at the
-    float below q_max.
+    Through alpha(0) = alpha0, the two alpha targets and alpha(q_max) = 0
+    (Newton's divided differences), each coefficient is affine in alpha0,
+    so alpha' <= 0 on [0, q_max] holds on an interval I of alpha0.  I ends
+    where alpha' is tight at q = 0, at q_max or at a double root, a root of
+    its discriminant, quadratic in alpha0; extremum, validate's own rule,
+    tests each gap between those cuts.  A pinned targets.alpha0 must lie in
+    I; else alpha0 is the middle of I within [alpha(q1*), 4*alpha(q1*)].
+    q_max becomes the first float at or below it where the cubic's float
+    form reaches 0 (_first_zero), so alpha > 0 one float below it.
     """
     q1, q2 = _target_queues(targets, price)  # first: a surge price has no q_m
     if not q_max > 2 * price.q_m:
@@ -353,27 +356,38 @@ def calibrate_cubic_admission(targets: CalibrationTargets, price: PriceSpec, ser
     a1t, a2t = _alpha_targets(q1, q2, price, service, k_r)
     if a1t <= a2t:
         raise CalibrationError(f"monotonicity violation: alpha(q1*) = {a1t:g} <= alpha(q2*) = {a2t:g}")
-    try:
-        A = np.array([[1.0, q, q * q, q ** 3] for q in (0.0, q1, q2, q_max)])
-    except OverflowError:  # float ** raises where * gives inf
-        raise CalibrationError(f"q_max = {q_max:g} too large: q_max**3 overflows") from None
+    if not math.isfinite(q_max * q_max * q_max):
+        raise CalibrationError(f"q_max = {q_max:g} too large: q_max**3 overflows")
 
-    def solve(alpha0):
-        return tuple(np.linalg.solve(A, np.array([alpha0, a1t, a2t, 0.0])))
+    def cubic(alpha0, y1, y2, unit=1.0):  # through (0, alpha0), (q1*, y1), (q2*, y2), (q_max, 0), in q/unit
+        x1, x2, x3 = q1 / unit, q2 / unit, q_max / unit
+        h1, h2, h3 = (y1 - alpha0) / x1, (y2 - alpha0) / x2, -alpha0 / x3  # (alpha - alpha0)/x
+        d12, d23 = (h2 - h1) / (x2 - x1), (h3 - h2) / (x3 - x2)
+        d123 = (d23 - d12) / (x3 - x1)
+        return alpha0, h1 - d12 * x1 + d123 * x1 * x2, d12 - d123 * (x1 + x2), d123
 
+    def steepest(alpha0):  # validate's rule: the largest alpha' on [0, q_max]
+        return extremum((((0.0, 0.0, cubic(alpha0, a1t, a2t)),),), 0.0, q_max, largest=True, order=1)[0]
+
+    # in units of alpha(q1*) and q_max, where nothing overflows: a_k = u_k + s*v_k at alpha0 = s*alpha(q1*)
+    (_, u1, u2, u3), (_, v1, v2, v3) = cubic(0.0, 1.0, a2t / a1t, q_max), cubic(1.0, 0.0, 0.0, q_max)
+    disc = (u2 * u2 - 3 * u1 * u3, 2 * u2 * v2 - 3 * (u1 * v3 + v1 * u3), v2 * v2 - 3 * v1 * v3)
+    double = _real_roots(_scaled(disc)[0], -math.inf, math.inf)
+    cuts = sorted(a1t * s for s in {-u1 / v1, -(u1 + 2 * u2 + 3 * u3) / (v1 + 2 * v2 + 3 * v3), *double})
+    gaps = [(a, b) for a, b in zip(cuts, cuts[1:]) if steepest(0.5 * a + 0.5 * b) <= 0]
+    lo, hi = (gaps[0][0], gaps[-1][1]) if gaps else (math.inf, -math.inf)
     if targets.alpha0 is not None:
-        if targets.alpha0 < a1t:
-            raise CalibrationError(f"alpha0 = {targets.alpha0:g} below alpha(q1*) = {a1t:g}; "
-                                   "a decreasing cubic needs alpha(0) >= alpha(q1*)")
-        candidates = [targets.alpha0]
+        alpha0 = targets.alpha0
+        if not lo <= alpha0 <= hi:  # so is alpha0 <= alpha(q1*): alpha then rises on [0, q1*]
+            raise CalibrationError("no monotone cubic positive below q_max found at the pinned "
+                                   f"alpha0 = {alpha0:g}")
+    elif max(lo, a1t) > min(hi, 4 * a1t):
+        why = f"needs alpha0 in [{lo:g}, {hi:g}]" if gaps else "holds at no alpha0"
+        raise CalibrationError(f"no monotone cubic positive below q_max found in the alpha0 range "
+                               f"[{a1t:g}, {4 * a1t:g}]: alpha' <= 0 on [0, q_max] {why}")
     else:
-        candidates = list(np.linspace(a1t, 4 * a1t, 64))
-
-    for alpha0 in candidates:
-        adm = AdmissionSpec(variant="cubic", coefficients=solve(alpha0), q_max=q_max)
-        if _alpha_clauses(adm)[0].passed:
-            _check_calibrated(adm, price, service, k_r, q1, q2)
-            return adm
-    tried = (f"at the pinned alpha0 = {targets.alpha0:g}" if targets.alpha0 is not None
-             else f"in the alpha0 scan range [{a1t:g}, {4 * a1t:g}]")
-    raise CalibrationError(f"no monotone cubic positive below q_max found {tried}")
+        alpha0 = 0.5 * max(lo, a1t) + 0.5 * min(hi, 4 * a1t)
+    c = cubic(alpha0, a1t, a2t)
+    adm = AdmissionSpec(variant="cubic", coefficients=c, q_max=_first_zero(lambda q: _poly(c, q) <= 0, q2, q_max))
+    _check_calibrated(adm, price, service, k_r, q1, q2)
+    return adm

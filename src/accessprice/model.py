@@ -231,26 +231,20 @@ class ServiceSpec:
                  ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
 
 
-def _first_zero(c2: float, c1: float) -> float:
-    """The first float q >= 0 with c1*q + c2 <= 0, for c1 < 0.
-
-    c1*q + c2 never rises as q grows, in floats too (both roundings are
-    monotone), so bisection on the bit patterns, which order the
-    nonnegative floats, finds it in at most 64 halvings.  The search
-    starts from the rounded quotient -c2/c1, which lies within a float or
-    two of the answer unless c1*q is subnormal.
+def _first_zero(vanishes, lo: float, hi: float) -> float:
+    """The first float q in [lo, hi], 0 <= lo <= hi, where vanishes(q) holds,
+    taken to hold at hi: bisection on the bit patterns, which order the
+    nonnegative floats, in at most 64 halvings.  For a predicate that is
+    not monotone on [lo, hi] it is hi or a float where vanishes holds, and
+    not at the float below it unless that lies below lo.
     """
     bits = lambda x: struct.unpack("<q", struct.pack("<d", x))[0]
     value = lambda i: struct.unpack("<d", struct.pack("<q", i))[0]
-    vanishes = lambda i: i >= 0 and c1 * value(i) + c2 <= 0
-    near = bits(max(-c2 / c1, 0.0))
-    lo, hi = near - 2, near + 2
-    if vanishes(lo) or not vanishes(hi):
-        lo, hi = -1, bits(math.inf)
-    while hi - lo > 1:  # vanishes(hi), and not vanishes(lo)
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if vanishes(mid) else (mid, hi)
-    return value(hi)
+    i, j = bits(lo) - 1, bits(hi)
+    while j - i > 1:  # vanishes at j; at i unless i is below lo
+        mid = (i + j) // 2
+        i, j = (i, mid) if vanishes(value(mid)) else (mid, j)
+    return value(j)
 
 
 @dataclass(frozen=True)
@@ -282,9 +276,16 @@ class AdmissionSpec:
             raise ValueError(f"{self.variant} admission needs {want} coefficients, got {len(coeffs)}")
         if self.variant == "linear":
             c2, c1 = coeffs
-            derived = math.inf if c1 >= 0 else _first_zero(c2, c1)
+            derived = math.inf
+            if c1 < 0:  # c1*q + c2 falls, in floats too (both roundings are monotone)
+                vanishes = lambda q: c1 * q + c2 <= 0
+                # the first zero lies within two floats of -c2/c1, unless c1*q is subnormal
+                lo, hi = (math.nextafter(math.nextafter(max(-c2 / c1, 0.0), x), x) for x in (0.0, math.inf))
+                if vanishes(lo) or not vanishes(hi):
+                    lo, hi = 0.0, math.inf
+                derived = _first_zero(vanishes, lo, hi)
             supplied = derived if self.q_max is None else self.q_max
-            if supplied < 0 or abs(supplied - derived) > 1e-9 * max(1.0, abs(derived)):
+            if supplied < 0 or abs(supplied - derived) > 1e-9 * max(1.0, supplied):  # derived may be inf
                 raise ValueError(f"linear admission q_max {supplied} inconsistent with zero crossing {derived}")
             object.__setattr__(self, "q_max", derived)
             _declare(self, *self._linear())
@@ -460,14 +461,14 @@ def _bisect(fn, lo: float, hi: float, up: bool) -> float:
     bracket takes at most 2099 halvings ([-max, max] onto 0); the bound of
     2200 only stops a NaN bracket."""
     for _ in range(2200):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid == lo or mid == hi:
             break
         v = fn(mid)
         if v == 0.0:
             return mid
         lo, hi = (mid, hi) if (v > 0) == up else (lo, mid)
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _real_roots(c, lo: float, hi: float) -> list:

@@ -315,7 +315,7 @@ def _face_specs(region: RegionSpec, k_u: float, n: int):
         edges = _polygon_edges(verts)
         margins = []
         for v1, v2 in edges:
-            length = np.linalg.norm(v2 - v1)
+            length = np.sqrt((v2 - v1).dot(v2 - v1))  # np.linalg.norm's own arithmetic
             margins.append(min(0.49, VERTEX_MARGIN / length) if length > 0 else 0.0)
         margins = np.array(margins)
         ts = np.linspace(margins, 1 - margins, n, axis=1)  # row e: edge e's own linspace

@@ -237,6 +237,114 @@ class TestCubicCalibration:
         assert [fp.q_star for fp in fps] == pytest.approx([40.0, 82.0], abs=1e-9)
 
 
+# (price, service, k_r, targets, q_max, I/alpha(q1*)): inputs near ref and the
+# interval I of alpha0 where alpha' <= 0 on [0, q_max].  A scan of 64 alpha0
+# in [alpha(q1*), 4*alpha(q1*)] refused the first two, where each end of I is
+# a double root of alpha'; the third's I starts where alpha'(0) = 0 and ends
+# beyond 4*alpha(q1*), the fourth's starts where alpha'(q_max) = 0.
+CUBIC_CASES = [
+    (PriceSpec("triangular", beta=0.0007728251734623442, q_m=40.93047972796798),
+     ServiceSpec(mu_star=2.5977212507800918, q_c=28.667116013910423), 4.470688873480253,
+     CalibrationTargets(p1=0.015324379935502794, p2=0.0062940473537453625), 106.71408538723934, (1.1865, 1.2382)),
+    (PriceSpec("triangular", beta=0.0007200655442863999, q_m=51.50740788458215),
+     ServiceSpec(mu_star=3.396541099603497, q_c=40.38560713033765), 3.957063601051228,
+     CalibrationTargets(p1=0.03475578689383014, p2=0.0024668798395193025), 152.4480263651872, (3.9128, 3.9956)),
+    (PriceSpec("triangular", beta=0.0012244462156897028, q_m=47.18989896756913),
+     ServiceSpec(mu_star=2.6684542342274753, q_c=39.83104049224374), 4.355958536915984,
+     CalibrationTargets(p1=0.0528506179591445, p2=0.025023409194942885), 103.42339973022004, (1.3809, 7.8218)),
+    (PriceSpec("triangular", beta=0.0009469876899441331, q_m=50.707254278274306),
+     ServiceSpec(mu_star=2.6118438169096754, q_c=34.01995606661628), 4.0156118559022875,
+     CalibrationTargets(p1=0.04545674664856605, p2=0.035488104086136), 150.6576514003006, (1.5437, 3.4130)),
+]
+
+
+def _steepest(price, service, k_r, targets, q_max):
+    """(alpha(q1*), alpha(q2*), alpha0 -> largest alpha' on [0, q_max]) for the
+    cubic through the targets and (q_max, 0), from numpy solves of its 4x4
+    system: an oracle apart from the calibration's divided differences."""
+    q1, q2 = targets.p1 / price.beta, 2 * price.q_m - targets.p2 / price.beta
+    a1t, a2t = (eval_price(price, q) * eval_service(service, q) / (k_r - eval_service(service, q)) for q in (q1, q2))
+    A = np.array([[1.0, q, q * q, q ** 3] for q in (0.0, q1, q2, q_max)])
+    u, v = np.linalg.solve(A, [0.0, a1t, a2t, 0.0]), np.linalg.solve(A, [1.0, 0.0, 0.0, 0.0])
+    return a1t, a2t, lambda alpha0: model.extremum(
+        (((0.0, 0.0, tuple(u + alpha0 * v)),),), 0.0, q_max, largest=True, order=1)[0]
+
+
+def _admissible(adm, price, service, k_r, q_max):
+    """The calibrated cubic passes validate, and its q_max is the requested one
+    or, below it, where its float form first reaches 0."""
+    cfg = ModelConfig(k_r=k_r, k_u_schedule=(), price=price, admission=adm, service=service)
+    assert model.validate_admissible(cfg).passed
+    assert adm.q_max == q_max or adm.q_max < q_max and model._poly(adm.coefficients, adm.q_max) <= 0
+    assert adm._scalar(math.nextafter(adm.q_max, 0.0)) > 0
+
+
+class TestCubicInterval:
+    """alpha0 from the exact interval I where alpha' <= 0 on [0, q_max]."""
+
+    @staticmethod
+    def ends(case):
+        """alpha(q1*) and the ends of I, each bisected from a point inside
+        to one beyond it, on the oracle."""
+        price, service, k_r, targets, q_max, expected = case
+        a1t, _, steepest = _steepest(price, service, k_r, targets, q_max)
+        middle = a1t * sum(expected) / 2
+        return a1t, (model._bisect(steepest, a1t, middle, True),
+                     model._bisect(steepest, middle, 2 * a1t * expected[1], False))
+
+    @pytest.mark.parametrize("case", CUBIC_CASES)
+    def test_alpha0_is_the_middle_of_the_interval_within_range(self, case):
+        price, service, k_r, targets, q_max, expected = case
+        a1t, (lo, hi) = self.ends(case)
+        assert [lo / a1t, hi / a1t] == pytest.approx(expected, abs=1e-4)
+        adm = calibrate_cubic_admission(targets, price, service, k_r, q_max)
+        _admissible(adm, price, service, k_r, q_max)
+        assert adm.coefficients[0] == pytest.approx(0.5 * (lo + min(hi, 4 * a1t)), rel=1e-12)
+
+    @pytest.mark.parametrize("case", CUBIC_CASES)
+    def test_pinned_alpha0_just_inside_each_end_calibrates(self, case):
+        price, service, k_r, targets, q_max, _ = case
+        _, ends = self.ends(case)
+        for end, inward in zip(ends, (1.0, -1.0)):
+            inside = replace(targets, alpha0=end * (1 + inward * 1e-9))
+            _admissible(calibrate_cubic_admission(inside, price, service, k_r, q_max), price, service, k_r, q_max)
+            outside = replace(targets, alpha0=end * (1 - inward * 1e-9))
+            with pytest.raises(CalibrationError, match="^no monotone cubic positive below q_max found at the pinned"):
+                calibrate_cubic_admission(outside, price, service, k_r, q_max)
+
+    def test_every_refusal_has_an_empty_interval(self):
+        # seeded inputs near ref whose targets pass the monotonicity check:
+        # a refusal must leave no alpha0 in [alpha(q1*), 4*alpha(q1*)] where
+        # the oracle's alpha' <= 0 on [0, q_max], on a dense scan
+        rng = np.random.default_rng(32)
+        refused, calibrated = [], 0
+        while calibrated + len(refused) < 250:
+            beta, q_m = 1e-3 * rng.uniform(0.7, 1.3), 45.0 * rng.uniform(0.85, 1.15)
+            price = PriceSpec("triangular", beta=beta, q_m=q_m)
+            service = ServiceSpec(mu_star=3.0 * rng.uniform(0.85, 1.15), q_c=35.0 * rng.uniform(0.8, 1.2))
+            k_r = 4.0 * rng.uniform(0.9, 1.1)
+            q1, q2, q_max = q_m * rng.uniform(0.3, 0.98), q_m * rng.uniform(1.02, 1.98), q_m * rng.uniform(2.02, 3.2)
+            if k_r <= service.mu_star:
+                continue
+            targets = CalibrationTargets(p1=beta * q1, p2=beta * (2 * q_m - q2))
+            a1t, a2t, steepest = _steepest(price, service, k_r, targets, q_max)
+            if a1t <= a2t:
+                continue
+            try:
+                adm = calibrate_cubic_admission(targets, price, service, k_r, q_max)
+            except CalibrationError as err:
+                assert str(err).startswith("no monotone cubic positive below q_max found")
+                refused.append(str(err))
+                assert min(map(steepest, np.linspace(a1t, 4 * a1t, 1000))) > 0, err
+                continue
+            calibrated += 1
+            assert a1t <= adm.coefficients[0] <= 4 * a1t
+            _admissible(adm, price, service, k_r, q_max)
+        # both kinds of refusal: no alpha0 at all, and an interval beyond the range
+        kinds = ("holds at no alpha0", "needs alpha0 in")
+        assert calibrated > 200 and all(any(kind in err for err in refused) for kind in kinds)
+
+
 class TestResidual:
     def test_zero_at_calibrated_roots(self, ref_cfg):
         assert abs(fixed_point_residual(40.0, ref_cfg, "normal")) < 1e-12
@@ -751,8 +859,9 @@ class TestMemo:
         assert [math.copysign(1.0, fp.u_star) for fp in minus] == [-1.0] * len(minus)
 
     def test_a_scan_calls_no_numpy(self, ref_cfg, section5_cfg, competitive_cfg, monkeypatch):
-        # the scan runs on plain floats: with numpy and every spec's array
-        # kernel gone, each shipped config gives the same roots
+        # the scan runs on plain floats: equilibria imports no numpy, and
+        # with model's and every spec's array kernel gone, each shipped
+        # config gives the same roots
         cases = [(ref_cfg, 0.0), (section5_cfg, 0.5), (competitive_cfg, 1.0)]
         want = [equilibria._scan(cfg, k_u) for cfg, k_u in cases]
         bare = []
@@ -761,8 +870,8 @@ class TestMemo:
             for spec in specs.values():
                 object.__setattr__(spec, "_kernel", None)
             bare.append((replace(cfg, **specs), k_u))
-        for module in (equilibria, model):
-            monkeypatch.setattr(module, "np", None)
+        assert not hasattr(equilibria, "np")
+        monkeypatch.setattr(model, "np", None)
         assert [equilibria._scan(cfg, k_u) for cfg, k_u in bare] == want
         assert [len(roots) for roots in want] == [2, 3, 2]
 

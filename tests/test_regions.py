@@ -176,6 +176,12 @@ class TestDaggers:
         pairs = [(math.nextafter(q, 0.0), q), (q, math.nextafter(q, math.inf))]
         assert any(eta1(ref_cfg, lo) < r <= eta1(ref_cfg, hi) for lo, hi in pairs), q
 
+    def test_eta1_inverse_on_a_bracket_near_the_largest_float(self, ref_cfg):
+        # q_max is about 1.79e308: the bracket's ends sum past the largest float
+        cfg = dataclasses.replace(ref_cfg, admission=AdmissionSpec("linear", (1.0, -5.6e-309)))
+        q = eta1_inverse(cfg, 1e3)
+        assert eta1(cfg, math.nextafter(q, 0.0)) < 1e3 <= eta1(cfg, q) and q < cfg.admission.q_max
+
     def test_daggers_call_no_numpy(self, ref_cfg, section5_cfg, competitive_cfg, monkeypatch):
         # r_dagger and q_dagger run on plain floats: with numpy and every
         # spec's array kernel gone, each shipped config gives the same bits
