@@ -178,7 +178,9 @@ class Trajectory:
         return self.states[-1]
 
     def state_at(self, t: float) -> np.ndarray:
-        """State at the grid time nearest to t."""
+        """State at the grid time nearest to t, a finite time."""
+        if not math.isfinite(t):
+            raise ValueError(f"t = {t!r} is not a finite time")
         i = int(np.argmin(np.abs(self.times - t)))
         return self.states[i]
 
@@ -308,6 +310,14 @@ def _k_u(cfg: ModelConfig, mode: SystemMode, t: float) -> float:
     return cfg.schedule_rate(t) if mode.tag == "switched_full" else mode.k_u
 
 
+def _states(x) -> np.ndarray:
+    """x as a float array of states in the trailing-axis layout (..., 2 or 3)."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0 or arr.shape[-1] not in (2, 3):
+        raise ValueError("state must have 2 or 3 coordinates")
+    return arr
+
+
 def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     """Right-hand side of the mode at time t and state x = (r, q[, u]).
 
@@ -317,10 +327,8 @@ def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     stage points that overshoot the axes remain well defined.
     """
     mode = as_mode(mode)
-    arr = np.asarray(x, dtype=float)
+    arr = _states(x)
     ncoord = arr.shape[-1]
-    if ncoord not in (2, 3):
-        raise ValueError("state must have 2 or 3 coordinates")
     stack = np.zeros((3, arr.size // ncoord))  # U = 0 for 2-coordinate states
     stack[:ncoord] = arr.reshape(-1, ncoord).T
     out = _make_deriv(cfg, mode.field_tag)(stack, np.zeros_like(stack), _k_u(cfg, mode, t))
@@ -335,7 +343,7 @@ def admitted_flows(cfg: ModelConfig, mode, x):
     (min(alpha(q) R, mu_star) for q >= q_ad, else alpha(q) R; 0).
     """
     mode = as_mode(mode)
-    arr = np.asarray(x, dtype=float)
+    arr = _states(x)
     shape = arr.shape[:-1]
     # the projected rows, 0-d for one state; the flows are written into R's and U's
     r, q = (np.maximum(arr[..., i], 0.0, out=np.empty(shape)) for i in (0, 1))

@@ -5,21 +5,21 @@ the active-queue length q, with K_U = 0 in normal mode:
 
     g(q) = f(q)/alpha(q) - (K_R + K_U - mu(q)) / (mu(q) - K_U) = 0
 
-One private helper holds g's arithmetic and its domain test (alpha(q) > 0
-and mu(q) > K_U, each with a 1e-12 guard band) on plain floats, through
-the specs' float forms.  The scan is exact, from the piece tables: on
-each stretch between the breakpoints of f, alpha and mu, g has the sign of
+One private helper holds g's arithmetic and its domain test, alpha(q) > 0
+and mu(q) > K_U exactly, on plain floats, through the specs' float forms;
+so scaling f and alpha by one power of two, a change of price unit, moves
+no root.  The scan is exact, from the piece tables: on each stretch
+between the breakpoints of f, alpha and mu, g has the sign of
 
     P(q) = f*(mu - K_U) - alpha*(K_R + K_U - mu),
 
 a polynomial of degree <= 2 for a linear alpha, <= 4 for a cubic.  Cut at
-alpha's crossings of the guard band and at P's critical points (closed
-form up to degree 2, bisection above), P is monotone from cut to cut, and
-each sign change holds one root of g, bisected on g down to adjacent
-floats.  A root is bisected from its cell of np.linspace(lo, hi, 2000),
-computed as np.linspace computes it, when g changes sign across that
-cell, so the roots of a 2000-point grid scan keep its bits; no array is
-built.  Back-substitution gives
+alpha's real roots and at P's critical points (closed form up to degree
+2, bisection above), P is monotone from cut to cut, and each sign change
+in g's domain holds one root of g, bisected on g from its section down to
+adjacent floats.  At a root of alpha P = f*(mu - K_U), so where f vanishes
+too (a price of zero) the sections beside it hold no root.
+Back-substitution gives
 
     R* = (mu(q*) - K_U)/alpha(q*),   U* = K_U/alpha(q*) (3-state modes, else 0)
 
@@ -41,6 +41,7 @@ q1* = p1/beta and q2* = 2*q_m - p2/beta, in closed form on plain floats.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import suppress
 from dataclasses import dataclass
 import math
 import threading
@@ -67,9 +68,7 @@ from .model import (
     extremum,
 )
 
-GRID_POINTS = 2000          # np.linspace points whose cells bracket roots first
 ROOT_MERGE_TOL = 1e-6       # roots closer than this collapse to one
-DOMAIN_EPS = 1e-12          # guard band on mu(q) > K_U and alpha(q) > 0
 _MEMO_ENTRIES = 64          # balance equations kept by find_fixed_points
 
 
@@ -114,21 +113,25 @@ def _fixed_point_mode(mode, k_u):
 
 
 def _scalar_residual(cfg: ModelConfig, k_u: float):
-    """g on one plain float q, through the specs' float forms; None off g's
-    domain, alpha(q) > DOMAIN_EPS and mu(q) - K_U > DOMAIN_EPS.  A load
-    term (K_R + K_U - mu)/(mu - K_U) that overflows raises ValueError
+    """g on one plain float q, through the specs' float forms.  Off g's
+    domain, alpha(q) > 0 and mu(q) > K_U with no guard band, it raises
+    ResidualUndefinedError naming the bound that fails (alpha's first).  A
+    load term (K_R + K_U - mu)/(mu - K_U) that overflows raises ValueError
     naming k_r; a price term f/alpha that overflows is +inf, which keeps
     g's sign."""
     f, alpha, mu, k_r = cfg.price._scalar, cfg.admission._scalar, cfg.service._scalar, cfg.k_r
 
     def residual(q):
         a, m = alpha(q), mu(q)
-        if a > DOMAIN_EPS and m - k_u > DOMAIN_EPS:
-            load = (k_r + k_u - m) / (m - k_u)
-            if not math.isfinite(load):
-                raise ValueError(f"k_r = {k_r:g} too large: the load term (K_R + K_U - mu)/(mu - K_U) "
-                                 "overflows on the scan domain")
-            return f(q) / a - load
+        if not a > 0.0:
+            raise ResidualUndefinedError(f"alpha({q:g}) vanishes")
+        if not m > k_u:
+            raise ResidualUndefinedError(f"mu({q:g}) = {m:g} does not exceed K_U = {k_u:g}")
+        load = (k_r + k_u - m) / (m - k_u)
+        if not math.isfinite(load):
+            raise ValueError(f"k_r = {k_r:g} too large: the load term (K_R + K_U - mu)/(mu - K_U) "
+                             "overflows on the scan domain")
+        return f(q) / a - load
 
     return residual
 
@@ -140,17 +143,10 @@ def fixed_point_residual(q: float, cfg: ModelConfig, mode="normal", k_u: float |
     SystemMode's.  Raises ResidualUndefinedError where the defining
     fractions blow up: alpha(q) = 0, mu(q) = 0, or mu(q) <= K_U in the
     K_U-fed modes, and ValueError naming k_r where the load term
-    overflows.
+    overflows.  Any positive alpha(q), however small, is in the domain.
     """
     _, k_u = _fixed_point_mode(mode, k_u)
-    q = float(_as_query(q)[0])
-    g = _scalar_residual(cfg, k_u)(q)
-    if g is not None:
-        return g
-    if cfg.admission._scalar(q) <= DOMAIN_EPS:  # which bound failed
-        raise ResidualUndefinedError(f"alpha({q:g}) vanishes")
-    m = cfg.service._scalar(q)
-    raise ResidualUndefinedError(f"mu({q:g}) = {m:g} does not exceed K_U = {k_u:g}")
+    return _scalar_residual(cfg, k_u)(float(_as_query(q)[0]))
 
 
 # key -> (merged roots of g, {fixed-point tag: its fixed points})
@@ -199,57 +195,30 @@ def _scan(cfg: ModelConfig, k_u: float) -> tuple:
     ramp = svc.mu_star / svc.q_c  # mu = ramp*q up to q_c
     if k_u >= svc.mu_star or not ramp > 0:  # mu <= K_U everywhere; mu = 0 if the ramp underflows
         return ()
-    lo = 1e-9 if k_u <= 0 else (k_u + DOMAIN_EPS) / ramp * (1 + 1e-12) + 1e-12
+    lo = 1e-9 if k_u <= 0 else k_u / ramp * (1 + 1e-12) + 1e-12
     if lo >= hi:
         return ()
-    residual = _scalar_residual(cfg, k_u)
-    residual(lo)  # the load term is largest where mu is least: a k_r that overflows it is named
-
-    def g(q):
-        v = residual(q)
-        if v is None:
-            raise ResidualUndefinedError(f"g undefined at q = {q:g} inside a bracket")
-        return v
-
-    step = (hi - lo) / (GRID_POINTS - 1)
-    grid = lambda i: hi if i == GRID_POINTS - 1 else i * step + lo  # np.linspace's arithmetic
-
-    def root(p, s, t, up):
-        """g's root in [s, t], where P changes sign once and P(s) > 0 is up:
-        bisected from the grid cell where P changes sign if g does too and
-        the bisection stays in [s, t], else from [s, t]."""
-        i, j = (min(max(int((x - lo) / step) + d, 0), GRID_POINTS - 1) for x, d in ((s, 0), (t, 1)))
-        while j - i > 1:
-            m = (i + j) // 2
-            i, j = (m, j) if (_poly(p, grid(m)) > 0) == up else (i, m)
-        v_i, v_j = residual(grid(i)), residual(grid(j))
-        for k, v in ((i, v_i), (j, v_j)):
-            if v == 0.0 and s <= grid(k) <= t:  # an exact zero on the grid is a root there
-                return grid(k)
-        if None not in (v_i, v_j) and (v_i < 0 < v_j or v_j < 0 < v_i):
-            try:
-                r = _bisect(g, grid(i), grid(j), v_i > 0)
-                if s <= r <= t:
-                    return r
-            except ResidualUndefinedError:  # the cell straddles a hole in g's domain
-                pass
-        return _bisect(g, s, t, up)
-
+    g = _scalar_residual(cfg, k_u)
+    with suppress(ResidualUndefinedError):
+        g(lo)  # the load term is largest where mu is least: a k_r that overflows it is named
     roots = []
     for a, b, _, (f, alpha, mu) in _stretches((cfg.price.pieces, adm.pieces, svc.pieces), lo, hi):
         # g has the sign of P = f*(mu - K_U) - alpha*(K_R + K_U - mu) where
-        # alpha > DOMAIN_EPS; cut where alpha crosses that guard band and
-        # where P' = 0, P is monotone from cut to cut, with one root at most
+        # alpha > 0, as mu > K_U on all of [lo, hi]; cut where alpha vanishes
+        # and where P' = 0, P is monotone from cut to cut, with one root at
+        # most.  Where alpha vanishes P = f*(mu - K_U); where f does too, P
+        # is 0 there and keeps one sign on the section beside it: no root
         n = max(len(f), len(alpha))
-        f, alpha, edge = _scaled((*f, *[0.0] * (n - len(f))), (*alpha, *[0.0] * (n - len(alpha))),
-                                 (alpha[0] - DOMAIN_EPS, *alpha[1:]))
+        f, alpha = _scaled((*f, *[0.0] * (n - len(f))), (*alpha, *[0.0] * (n - len(alpha))))
         m0, m1 = (*mu, 0.0)[:2]
         p = [x * (m0 - k_u) - y * (k_r + k_u - m0) + (x1 + y1) * m1
              for x, y, x1, y1 in zip((*f, 0.0), (*alpha, 0.0), (0.0, *f), (0.0, *alpha))]
-        cuts = sorted({a, b, *_real_roots(edge, a, b), *_real_roots([k * c for k, c in enumerate(p)][1:], a, b)})
+        zeros = _real_roots(alpha, a, b)
+        cuts = sorted({a, b, *zeros, *_real_roots([k * c for k, c in enumerate(p)][1:], a, b)})
         up = [_poly(p, q) > 0 for q in cuts]
-        roots += [root(p, s, t, u) for s, t, u, v in zip(cuts, cuts[1:], up, up[1:])
-                  if u != v and residual(0.5 * (s + t)) is not None]
+        held = {q for q in zeros if not _poly(f, q) > 0}
+        roots += [_bisect(g, s, t, u) for s, t, u, v in zip(cuts, cuts[1:], up, up[1:])
+                  if u != v and held.isdisjoint((s, t)) and adm._scalar(0.5 * (s + t)) > 0]
     merged = []
     for r in sorted(roots):
         if not (merged and abs(r - merged[-1]) < ROOT_MERGE_TOL):

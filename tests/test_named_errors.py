@@ -154,6 +154,19 @@ STABILITY = {
     "rhs of 4 coordinates": (
         lambda c: dynamics.rhs(c["ref"], dynamics.NORMAL, 0.0, (1.0, 2.0, 3.0, 4.0)),
         ValueError, "state must have 2 or 3 coordinates"),
+    "rhs of a bare number": (lambda c: dynamics.rhs(c["ref"], "normal", 0.0, 5.0),
+                             ValueError, "state must have 2 or 3 coordinates"),
+    "admitted flows of a bare number": (lambda c: dynamics.admitted_flows(c["ref"], dynamics.NORMAL, 5.0),
+                                        ValueError, "state must have 2 or 3 coordinates"),
+    "admitted flows of 4 coordinates": (
+        lambda c: dynamics.admitted_flows(c["comp"], dynamics.competitive_mode(1.0), [1, 2, 3, 4]),
+        ValueError, "state must have 2 or 3 coordinates"),
+    "state at a NaN time": (
+        lambda c: dynamics.integrate(c["ref"], dynamics.NORMAL, (30.0, 45.0), 0.0, 0.1).state_at(float("nan")),
+        ValueError, "t = nan is not a finite time"),
+    "state at an infinite time": (
+        lambda c: dynamics.integrate(c["ref"], dynamics.NORMAL, (30.0, 45.0), 0.0, 0.1).state_at(float("inf")),
+        ValueError, "t = inf is not a finite time"),
     "finite-difference stencil over a kink": (
         lambda c: stability.finite_diff_jacobian(c["ref"], (25.0, 35.0 + 5e-6)),
         KinkProximityError, "kink at 35 within 10*h of q = 35"),
