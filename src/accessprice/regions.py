@@ -5,24 +5,17 @@ The nullclines of the 2-state system are graphs over q:
     eta1(q) = mu(q)/alpha(q)          (qdot = 0)
     eta2(q) = K_R/(alpha(q) + f(q))   (Rdot = 0)
 
-R_dagger, the maximum of eta2 over [0, q_m], is eta2 at the least
-alpha + f there, which model.extremum finds exactly from the piece tables;
-q_dagger, its preimage under eta1, is bisected onto adjacent floats
-(model._bisect).  Both run on plain floats.
-Whenever R2* > R_dagger, every choice of q_bar in
-(q_dagger, q2*) and r_bar in (max{R_dagger, eta2(q_bar)}, eta1(q_bar)]
-yields a forward-invariant polygon A=(0,0), B=(0,q_bar),
-C=(eta2(q_bar),q_bar), D=(r_bar,eta1_inverse(r_bar)), E=(r_bar,0) that
-is contained in the domain of attraction of the low-congestion point.
-The 3-state analogue replaces eta1 by eta3(q) = eta1(q) - u_hat and
-traps a cuboid spanned by the origin and (r_hat, q_hat, u_hat).
+R_dagger is the maximum of eta2 over [0, q_m] and q_dagger its preimage
+under eta1, both on plain floats.  Whenever R2* > R_dagger, every choice
+of q_bar in (q_dagger, q2*) and r_bar in (max{R_dagger, eta2(q_bar)},
+eta1(q_bar)] yields a forward-invariant polygon A=(0,0), B=(0,q_bar),
+C=(eta2(q_bar),q_bar), D=(r_bar,eta1_inverse(r_bar)), E=(r_bar,0) in the
+domain of attraction of the low-congestion point.  The 3-state analogue
+replaces eta1 by eta3(q) = eta1(q) - u_hat and traps a cuboid spanned by
+the origin and (r_hat, q_hat, u_hat).
 
-check_invariance verifies a region numerically: boundary samples
-(vertices excluded by a 1e-6 margin), outward-normal inner products on
-the non-axis faces, and the inward flow conditions on the axis faces.
-Both kinds of region go through one loop over their faces, with one
-field evaluation per run of faces that fits in dynamics.BLOCK_BYTES:
-one per region at the default sizes.
+check_invariance samples the faces that halfspaces declares for both
+kinds and tests each by the condition one rule reads from its row.
 """
 
 from __future__ import annotations
@@ -172,6 +165,16 @@ def _anchor(cfg, mode, k_u, what):
     return fps[1], rd, eta1_inverse(cfg, rd)
 
 
+def _corner(name, value, lo, hi, interval):
+    """value, or the midpoint of (lo, hi) when None, checked to lie in the
+    interval: (lo, hi] if its text ends in "]", else (lo, hi)."""
+    if value is None:
+        value = 0.5 * (lo + hi)
+    if not (lo < value <= hi if interval.endswith("]") else lo < value < hi):
+        raise ValueError(f"{name} must lie in {interval} = ({lo:g}, {hi:g}{interval[-1]}, got {value:g}")
+    return value
+
+
 def build_polygon(cfg: ModelConfig, q_choice: float | None = None, r_choice: float | None = None) -> RegionSpec:
     """Invariant polygon A-B-C-D-E for the 2-state system.
 
@@ -179,58 +182,28 @@ def build_polygon(cfg: ModelConfig, q_choice: float | None = None, r_choice: flo
     hypothesis violation is reported by name.
     """
     fp2, rd, qd = _anchor(cfg, "normal", None, "region")
-    q2 = fp2.q_star
-    if q_choice is None:
-        q_choice = 0.5 * (qd + q2)
-    if not qd < q_choice < q2:
-        raise ValueError(
-            f"q_choice must lie in (q_dagger, q2*) = ({qd:g}, {q2:g}), got {q_choice:g}"
-        )
-    lo = max(rd, eta2(cfg, q_choice))
-    hi = eta1(cfg, q_choice)
-    if r_choice is None:
-        r_choice = 0.5 * (lo + hi)
-    if not (lo < r_choice <= hi):
-        raise ValueError(
-            f"r_choice must lie in (max(R_dagger, eta2(q)), eta1(q)] = ({lo:g}, {hi:g}], got {r_choice:g}"
-        )
-    vertices = (
-        (0.0, 0.0),
-        (0.0, q_choice),
-        (eta2(cfg, q_choice), q_choice),
-        (r_choice, eta1_inverse(cfg, r_choice)),
-        (r_choice, 0.0),
-    )
+    q_choice = _corner("q_choice", q_choice, qd, fp2.q_star, "(q_dagger, q2*)")
+    lo, hi = max(rd, eta2(cfg, q_choice)), eta1(cfg, q_choice)
+    r_choice = _corner("r_choice", r_choice, lo, hi, "(max(R_dagger, eta2(q)), eta1(q)]")
+    vertices = ((0.0, 0.0), (0.0, q_choice), (eta2(cfg, q_choice), q_choice),
+                (r_choice, eta1_inverse(cfg, r_choice)), (r_choice, 0.0))
     return RegionSpec(kind="polygon2d", vertices=vertices)
 
 
-def build_cuboid(
-    cfg: ModelConfig,
-    q_hat: float | None = None,
-    u_hat: float | None = None,
-    r_hat: float | None = None,
-    k_u: float = 0.0,
-) -> RegionSpec:
+def build_cuboid(cfg: ModelConfig, q_hat: float | None = None, u_hat: float | None = None,
+                 r_hat: float | None = None, k_u: float = 0.0) -> RegionSpec:
     """Absorbing cuboid spanned by (0,0,0) and (r_hat, q_hat, u_hat).
 
-    Preconditions, each reported by name when violated: R2* > R_dagger,
-    q_hat in (q_dagger, q2*), u_hat in (K_U/alpha(q_hat), U2*) (upper bound
-    dropped when K_U = 0, where U2* = 0 says nothing), r_hat in
-    (eta2(q_hat), eta3(q_hat, u_hat)).
-
-    A corner value left out is the midpoint of its interval, taken from
-    the values in effect in the order q_hat, u_hat, r_hat.  The default
-    u_hat stays below eta1(q_hat) - eta2(q_hat), which keeps the r_hat
-    interval nonempty; with K_U = 0 that is its only upper bound.
+    Preconditions, each reported by name: R2* > R_dagger, q_hat in
+    (q_dagger, q2*), u_hat in (K_U/alpha(q_hat), U2*) (no upper bound when
+    K_U = 0, where U2* = 0), r_hat in (eta2(q_hat), eta3(q_hat, u_hat)).
+    A value left out is the midpoint of its interval, in the order q_hat,
+    u_hat, r_hat; the default u_hat stays below eta1(q_hat) - eta2(q_hat),
+    so the r_hat interval is nonempty.
     """
     fp2, _, qd = _anchor(cfg, "competitive", k_u, "cuboid")
     q2, u2 = fp2.q_star, fp2.u_star
-    if q_hat is None:
-        q_hat = 0.5 * (qd + q2)
-    if not qd < q_hat < q2:
-        raise ValueError(
-            f"q_hat must lie in (q_dagger, q2*) = ({qd:g}, {q2:g}), got {q_hat:g}"
-        )
+    q_hat = _corner("q_hat", q_hat, qd, q2, "(q_dagger, q2*)")
     lo_u = k_u / eval_admission(cfg.admission, q_hat)
     if u_hat is None:
         room = eta1(cfg, q_hat) - eta2(cfg, q_hat)
@@ -239,36 +212,23 @@ def build_cuboid(
             raise ValueError("no u_hat leaves the r_hat interval nonempty")
         u_hat = 0.5 * (lo_u + hi_u)
     if not u_hat > lo_u:
-        raise ValueError(
-            f"u_hat must exceed K_U/alpha(q_hat) = {lo_u:g}, got {u_hat:g}"
-        )
+        raise ValueError(f"u_hat must exceed K_U/alpha(q_hat) = {lo_u:g}, got {u_hat:g}")
     if k_u > 0 and not u_hat < u2:
         raise ValueError(f"u_hat must lie below U2* = {u2:g}, got {u_hat:g}")
-    lo_r, hi_r = eta2(cfg, q_hat), eta3(cfg, q_hat, u_hat)
-    if r_hat is None:
-        r_hat = 0.5 * (lo_r + hi_r)
-    if not (lo_r < r_hat < hi_r):
-        raise ValueError(
-            f"r_hat must lie in (eta2(q_hat), eta3(q_hat, u_hat)) = ({lo_r:g}, {hi_r:g}), got {r_hat:g}"
-        )
-    return RegionSpec(
-        kind="cuboid3d",
-        vertices=((0.0, 0.0, 0.0), (r_hat, q_hat, u_hat)),
-    )
-
-
-def _polygon_edges(vertices):
-    n = len(vertices)
-    return [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+    r_hat = _corner("r_hat", r_hat, eta2(cfg, q_hat), eta3(cfg, q_hat, u_hat),
+                    "(eta2(q_hat), eta3(q_hat, u_hat))")
+    return RegionSpec(kind="cuboid3d", vertices=((0.0, 0.0, 0.0), (r_hat, q_hat, u_hat)))
 
 
 def halfspaces(region: RegionSpec):
-    """(A, b) with the region = {x : A @ x <= b}, rows per face."""
+    """(A, b) with the region = {x : A @ x <= b}, a row per face: edges
+    AB..EA, or R=0, q=0, U=0, R=r_hat, q=q_hat, U=u_hat.  An unknown kind
+    raises by name."""
     if region.kind == "polygon2d":
         verts = [np.array(v, dtype=float) for v in region.vertices]
         centroid = np.mean(verts, axis=0)
         rows, offs = [], []
-        for v1, v2 in _polygon_edges(verts):
+        for v1, v2 in zip(verts, [*verts[1:], verts[0]]):
             n = np.array([v2[1] - v1[1], -(v2[0] - v1[0])])
             n /= np.hypot(*n)
             if n @ (centroid - (v1 + v2) / 2) > 0:  # points inward, at the centroid
@@ -276,121 +236,118 @@ def halfspaces(region: RegionSpec):
             rows.append([n[0], n[1], 0.0])
             offs.append(float(n @ v1))
         return np.array(rows), np.array(offs)
-    r_hat, q_hat, u_hat = region.vertices[1]
-    A = np.array(
-        [
-            [1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0],
-        ]
-    )
-    b = np.array([r_hat, q_hat, u_hat, 0.0, 0.0, 0.0])
-    return A, b
+    if region.kind != "cuboid3d":
+        raise ValueError(f"unknown region kind {region.kind!r}")
+    # -I, then I, with no -0.0 entry
+    return np.eye(6, 3, -3) - np.eye(6, 3), np.array([0.0, 0.0, 0.0, *region.vertices[1]])
 
 
 # how a face condition takes its worst sample, and whether that sample passes
-_POSITIVE = (np.min, lambda w: w > 0)
-_NONNEGATIVE = (np.min, lambda w: w >= 0)
-_NEGATIVE = (np.max, lambda w: w < 0)
-_OUTWARD = "<outward normal, F> < 0"
+_POSITIVE = (np.minimum.reduce, lambda w: w > 0)
+_NONNEGATIVE = (np.minimum.reduce, lambda w: w >= 0)
+_NEGATIVE = (np.maximum.reduce, lambda w: w < 0)
 
 
 def _face_specs(region: RegionSpec, k_u: float, n: int):
-    """(size, faces): the samples per face and, per face, (name, write,
-    condition, F -> values, test), where write(rows) puts its size
-    boundary states into the (size, 3) array rows.
+    """(size, faces): the samples per face and, per halfspaces row
+    (normal, offset), (name, origin, spans, condition, F -> values, test).
 
-    Axis faces and cuboid faces pick one column of F; a slanted polygon
-    edge takes F0*n0 + F1*n1 with its outward normal from halfspaces.  A
-    polygon edge's points run over the stretch of the edge that leaves
-    VERTEX_MARGIN at both ends, all edges' parameters from one linspace; a
-    cuboid face is the grid of two of the three axes, each made once.
+    The samples are origin + t*d over the spans (d, t): v1 + t*(v2 - v1)
+    on a polygon edge, t leaving VERTEX_MARGIN at both ends; the grid of
+    its two free axes on a cuboid face.  A face on an axis plane (normal
+    -e_i, offset 0) takes the inward condition on F_i, strict except for
+    q, and for U when K_U = 0; any other takes <normal, F> < 0.
     """
+    A, b = halfspaces(region)
+    rows, offs = A.tolist(), b.tolist()
     if region.kind == "polygon2d":
-        A, _ = halfspaces(region)
+        names = ("AB", "BC", "CD", "DE", "EA")
         verts = np.asarray(region.vertices, dtype=float)
-        edges = _polygon_edges(verts)
-        margins = []
-        for v1, v2 in edges:
-            length = np.sqrt((v2 - v1).dot(v2 - v1))  # np.linalg.norm's own arithmetic
-            margins.append(min(0.49, VERTEX_MARGIN / length) if length > 0 else 0.0)
-        margins = np.array(margins)
-        ts = np.linspace(margins, 1 - margins, n, axis=1)  # row e: edge e's own linspace
+        edges = [(v1, v2 - v1) for v1, v2 in zip(verts, [*verts[1:], verts[0]])]
+        lengths = [np.sqrt(d.dot(d)) for _, d in edges]  # np.linalg.norm's own arithmetic
+        margins = np.array([min(0.49, VERTEX_MARGIN / m) if m > 0 else 0.0 for m in lengths])
+        ts = np.linspace(margins, 1 - margins, n).T  # row e: edge e's own linspace
+        size, geometry = n, [([*v1.tolist(), 0.0], [([*d.tolist(), 0.0], t)]) for (v1, d), t in zip(edges, ts)]
+    else:
+        names = ("R=0", "q=0", "U=0", "R=r_hat", "q=q_hat", "U=u_hat")
+        side = max(2, math.ceil(math.sqrt(n)))
+        axes = np.linspace(VERTEX_MARGIN, np.subtract(region.vertices[1], VERTEX_MARGIN), side).T
+        e = rows[3:]  # e_R, e_q, e_U
+        grids = [[(e[i], axes[i]), (e[j], axes[j][:, None])] for i, j in ((1, 2), (0, 2), (0, 1))]
+        size, geometry = side * side, []
+        for nrm, off in zip(rows, offs):  # x_k = off (0 on a lower face), over the free axes
+            k = nrm.index(max(nrm, key=abs))
+            origin = [0.0, 0.0, 0.0]
+            origin[k] = off
+            geometry.append((origin, grids[k]))
+    faces = []
+    for name, (origin, spans), nrm, off in zip(names, geometry, rows, offs):
+        if off == 0 and sorted(nrm) == [-1, 0, 0]:  # on the axis plane x_i = 0
+            i = nrm.index(-1)
+            strict = i == 0 or (i == 2 and k_u > 0)
+            condition = f"d{'RqU'[i]}/dt {'>' if strict else '>='} 0 on {'RqU'[i]} = 0"
+            values, test = (lambda F, i=i: F[:, i]), (_POSITIVE if strict else _NONNEGATIVE)
+        else:
+            condition, values, test = "<outward normal, F> < 0", (lambda F, m=nrm: _dot(F, m)), _NEGATIVE
+        faces.append((name, origin, spans, condition, values, test))
+    return size, faces
 
-        def write(rows, e):
-            v1, v2 = edges[e]
-            for c in (0, 1):  # v1 + t * (v2 - v1), column by column
-                np.add(np.multiply(ts[e], v2[c] - v1[c], out=rows[:, c]), v1[c], out=rows[:, c])
-            rows[:, 2] = 0.0
 
-        faces = []
-        for e, (name, (v1, v2), nrm) in enumerate(zip(("AB", "BC", "CD", "DE", "EA"), edges, A)):
-            if abs(v1[0]) < 1e-12 and abs(v2[0]) < 1e-12:
-                face = "dR/dt > 0 on R = 0", lambda F: F[:, 0], _POSITIVE
-            elif abs(v1[1]) < 1e-12 and abs(v2[1]) < 1e-12:
-                face = "dq/dt >= 0 on q = 0", lambda F: F[:, 1], _NONNEGATIVE
+def _dot(F, n):
+    """<n, F> per row of F, summed in order over n's nonzero entries."""
+    out = None
+    for i, a in enumerate(n):
+        if a:
+            x = F[:, i] if a == 1 else F[:, i] * a
+            out = x if out is None else out + x
+    return out
+
+
+def _write(rows, origin, spans):
+    """rows = origin + t*d over the spans (d, t), each t shaped for the grid
+    (the first fastest).  Each column is written once: origin's value, or
+    origin + t*d of the one span that moves it."""
+    grid = rows.reshape(-1, len(spans[0][1]), len(origin))
+    for c, o in enumerate(origin):
+        for d, t in spans:
+            if d[c] == 1:  # t * 1.0 is t
+                grid[..., c] = t
+            elif d[c]:
+                np.multiply(t, d[c], out=grid[..., c])
             else:
-                face = _OUTWARD, lambda F, m=nrm: F[:, 0] * m[0] + F[:, 1] * m[1], _NEGATIVE
-            faces.append((name, lambda rows, e=e: write(rows, e), *face))
-        return n, faces
-    if region.kind != "cuboid3d":
-        raise ValueError(f"unknown region kind {region.kind!r}")
-    corner = region.vertices[1]  # (r_hat, q_hat, u_hat)
-    side = max(2, math.ceil(math.sqrt(n)))
-    axes = [np.linspace(VERTEX_MARGIN, c - VERTEX_MARGIN, side) for c in corner]
-
-    def write(rows, axis, value):
-        """The face's grid: the first other axis varies fastest (meshgrid's order)."""
-        i, j = (k for k in range(3) if k != axis)
-        grid = rows.reshape(side, side, 3)
-        grid[:, :, axis] = value
-        grid[:, :, i] = axes[i]
-        grid[:, :, j] = axes[j][:, None]
-
-    inward = (
-        ("R=0", "dR/dt > 0", _POSITIVE),
-        ("q=0", "dq/dt >= 0", _NONNEGATIVE),
-        ("U=0", "dU/dt > 0 (>= 0 when K_U = 0)", _POSITIVE if k_u > 0 else _NONNEGATIVE),
-    )
-    faces = [(name, lambda rows, a=axis: write(rows, a, 0.0), condition,
-              lambda F, i=axis: F[:, i], test)
-             for axis, (name, condition, test) in enumerate(inward)]
-    faces += [(name, lambda rows, a=axis: write(rows, a, corner[a]), _OUTWARD,
-               lambda F, i=axis: F[:, i], _NEGATIVE)
-              for axis, name in enumerate(("R=r_hat", "q=q_hat", "U=u_hat"))]
-    return side * side, faces
+                continue
+            if o:
+                grid[..., c] += o
+            break
+        else:
+            grid[..., c] = o
 
 
 def _face_runs(region: RegionSpec, k_u: float, n: int):
     """Runs of consecutive faces, each (samples, faces): as many faces as
-    fit in dynamics.BLOCK_BYTES, at least one, written into one
-    (faces * size, 3) array, and per face (name, its rows of samples,
-    condition, F -> values, test).  Runs are made one at a time, so
-    check_invariance holds one run's samples at once."""
+    fit in dynamics.BLOCK_BYTES (at least one) in one array, and per face
+    (name, its rows of samples, condition, F -> values, test).  Runs are
+    made one at a time."""
     size, faces = _face_specs(region, k_u, n)
     per_run = max(1, dynamics.BLOCK_BYTES // (24 * size))
     for i in range(0, len(faces), per_run):
         run = faces[i : i + per_run]
-        samples = np.empty((len(run) * size, 3))
+        samples = np.empty((3, len(run) * size)).T  # column-major, as rhs stacks states
         rows = [samples[j * size : (j + 1) * size] for j in range(len(run))]
-        for (_, write, *_), r in zip(run, rows):
-            write(r)
-        yield samples, [(name, r, *rest) for (name, _, *rest), r in zip(run, rows)]
+        for face, r in zip(run, rows):
+            _write(r, *face[1:3])
+        yield samples, [(face[0], r, *face[3:]) for face, r in zip(run, rows)]
 
 
 def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) -> InvarianceReport:
     """Sample the region boundary and test that the flow points inward.
 
-    Non-axis faces must have a strictly negative worst inner product of
-    the outward normal with the right-hand side; axis faces use the
-    inward conditions dR/dt > 0 on R = 0, dq/dt >= 0 on q = 0 and dU/dt > 0 on
-    U = 0 (>= 0 when K_U = 0).  Vertices and a 1e-6 margin around them
-    are excluded.  n = 0 passes vacuously with a warning; n < 0 raises.
-    Consecutive faces share one rhs call while they fit in dynamics.BLOCK_BYTES;
-    the field is pointwise, so each worst is the one a call per face gives.
+    A face on an axis plane needs dR/dt > 0 on R = 0, dq/dt >= 0 on q = 0
+    or dU/dt > 0 on U = 0 (>= 0 when K_U = 0); any other face a negative
+    worst <outward normal, F>.  Vertices and a 1e-6 margin around them are
+    excluded.  n = 0 passes vacuously with a warning; n < 0 raises.  Faces
+    share one rhs call while they fit in dynamics.BLOCK_BYTES; the field is
+    pointwise, so each worst is the one a call per face gives.
     """
     if n < 0:
         raise ValueError("n must be >= 0")

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import _admittance_bound, as_mode
-from .model import ModelConfig, eval_admission, eval_price, eval_service, slope
+from .model import ModelConfig, _real_roots, eval_admission, eval_price, eval_service, slope
 
 KINK_RADIUS = 1e-9       # states closer than this to a kink are rejected
 DEGENERACY_TOL = 1e-12   # |det| / |Re(lambda)| below this is degenerate
@@ -174,12 +174,18 @@ def solve_cubic(a1: float, a2: float, a3: float) -> tuple[complex, complex, comp
 
     Three real roots use the trigonometric form, the complex-pair case
     uses Cardano; every root gets two Newton polish steps.  Sorted by
-    (real, imag) for deterministic output.
+    (real, imag) for deterministic output.  A discriminant that is not
+    finite raises ValueError by name.
     """
     p = a2 - a1 * a1 / 3.0
-    q = 2.0 * a1 ** 3 / 27.0 - a1 * a2 / 3.0 + a3
     shift = -a1 / 3.0
-    disc = -4.0 * p ** 3 - 27.0 * q * q
+    try:
+        q = 2.0 * a1 ** 3 / 27.0 - a1 * a2 / 3.0 + a3
+        disc = -4.0 * p ** 3 - 27.0 * q * q
+    except OverflowError:  # ** raises where * gives inf
+        disc = math.inf
+    if not math.isfinite(disc):
+        raise ValueError(f"cubic x^3 + {a1:g} x^2 + {a2:g} x + {a3:g}: discriminant overflows")
     if abs(p) < 1e-300 and abs(q) < 1e-300:
         roots = [complex(shift)] * 3
     elif disc >= 0 and p < 0:
@@ -225,21 +231,28 @@ def classify(j: JacobianMatrix) -> StabilityReport:
 
     The characteristic polynomial comes from the trace, the principal
     minors and the determinant (a cofactor expansion along row 0), and its
-    roots from the closed-form quadratic or cubic.  One rule names the
-    class in both dimensions: degenerate when |det| or some |Re(lambda)|
-    is below 1e-12; otherwise stable_focus or stable_node (by whether some
-    |Im(lambda)| exceeds 1e-12) when every Re(lambda) < 0, unstable when
-    every Re(lambda) > 0, saddle else.  The Hurwitz conditions (trace < 0
-    and det > 0 in 2D; Routh-Hurwitz a1 > 0, a3 > 0, a1*a2 > a3 in 3D)
-    are reported in `hurwitz` and do not decide the class.
+    roots from the closed-form quadratic (real ones by model._real_roots'
+    stable form) or cubic; a discriminant that is not finite raises
+    ValueError by name.  One rule names the class in both dimensions:
+    degenerate when |det| or some |Re(lambda)| is below 1e-12; otherwise
+    stable_focus or stable_node (by whether some |Im(lambda)| exceeds
+    1e-12) when every Re(lambda) < 0, unstable when every Re(lambda) > 0,
+    saddle else.  The Hurwitz conditions (trace < 0 and det > 0 in 2D;
+    Routh-Hurwitz a1 > 0, a3 > 0, a1*a2 > a3 in 3D) are reported in
+    `hurwitz` and do not decide the class.
     """
     if j.dim == 2:
         (a, b), (c, d) = j.entries.tolist()
         tr = a + d
         det = a * d - b * c
         disc = tr * tr - 4 * det
-        s = cmath.sqrt(disc)
-        eig = ((tr - s) / 2, (tr + s) / 2)
+        if not math.isfinite(disc):
+            raise ValueError(f"quadratic x^2 + {-tr:g} x + {det:g}: discriminant overflows")
+        if disc < 0:
+            s = cmath.sqrt(disc)
+            eig = ((tr - s) / 2, (tr + s) / 2)
+        else:  # (): a double root at 0
+            eig = tuple(complex(x) for x in sorted(_real_roots([det, -tr, 1.0], -math.inf, math.inf) or (0.0, 0.0)))
         hurwitz = {"trace": tr, "det": det, "disc": disc, "hurwitz": tr < 0 and det > 0}
     elif j.dim == 3:
         (a, b, c), (d, e, f), (g, h, i) = j.entries.tolist()

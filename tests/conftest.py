@@ -1,3 +1,5 @@
+from dataclasses import replace
+import math
 from pathlib import Path
 
 from hypothesis import settings
@@ -12,6 +14,16 @@ settings.register_profile("tier1", deadline=None, derandomize=True)
 settings.load_profile("tier1")
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def price_scaled(cfg, e: int):
+    """cfg with its price unit 2**e times smaller: beta and alpha's
+    coefficients times 2**e, a linear alpha's q_max derived again from the
+    scaled coefficients.  f/alpha keeps its bits, so no equilibrium moves."""
+    adm = cfg.admission
+    return replace(cfg, price=replace(cfg.price, beta=math.ldexp(cfg.price.beta, e)),
+                   admission=replace(adm, coefficients=[math.ldexp(c, e) for c in adm.coefficients],
+                                     q_max=None if adm.variant == "linear" else adm.q_max))
 
 
 @pytest.fixture(scope="session")

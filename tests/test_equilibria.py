@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import price_scaled
 from accessprice import dynamics, equilibria, model, regions, stability
 from accessprice.equilibria import (
     CalibrationError,
@@ -544,11 +545,8 @@ class TestPriceUnit:
         # derived again, from the scaled coefficients
         roots = 0
         for cfg in (ref_cfg, section5_cfg, competitive_cfg):
-            adm = cfg.admission
             for e in (-40, -600, 300):
-                scaled = replace(cfg, price=replace(cfg.price, beta=math.ldexp(cfg.price.beta, e)),
-                                 admission=replace(adm, coefficients=[math.ldexp(c, e) for c in adm.coefficients],
-                                                   q_max=None if adm.variant == "linear" else adm.q_max))
+                scaled = price_scaled(cfg, e)
                 for k_u in (0.0, 0.5, 1.0):
                     want = equilibria._scan(cfg, k_u)
                     assert equilibria._scan(scaled, k_u) == want, (cfg, e, k_u)

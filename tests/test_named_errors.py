@@ -146,6 +146,9 @@ REGIONS = {
             c["ref"], regions.RegionSpec(kind="bogus", vertices=((0, 0, 0), (1, 1, 1))),
             dynamics.NORMAL),
         ValueError, "unknown region kind 'bogus'"),
+    "halfspaces of an unknown region kind": (
+        lambda c: regions.halfspaces(regions.RegionSpec(kind="sphere", vertices=((0, 0, 0), (1, 1, 1)))),
+        ValueError, "unknown region kind 'sphere'"),
 }
 
 STABILITY = {
@@ -173,6 +176,8 @@ STABILITY = {
     "divergence sampled on a kink": (
         lambda c: stability.divergence(c["ref"], np.array([[25.0, 20.0], [25.0, 35.0]])),
         KinkProximityError, "a sampled q sits on the kink at 35"),
+    "cubic beyond the float range": (lambda c: stability.solve_cubic(1e200, 0.0, 0.0), ValueError,
+                                     "cubic x^3 + 1e+200 x^2 + 0 x + 0: discriminant overflows"),
     "classify a 4x4 matrix": (
         lambda c: stability.classify(stability.JacobianMatrix(4, np.eye(4))),
         ValueError, "classify handles 2x2 and 3x3 matrices"),

@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+from conftest import price_scaled
 from accessprice import dynamics, model, regions
 from accessprice.dynamics import NORMAL, competitive_mode, final_states
 from accessprice.equilibria import (
@@ -373,6 +374,19 @@ class TestCheckInvariance:
         cd = next(f for f in rep.faces if f.name == "CD")
         assert not cd.passed
 
+    @pytest.mark.parametrize("e", [30, 50])
+    def test_axis_faces_at_a_large_price_unit(self, ref_cfg, e):
+        # at price unit 2**50, R at C, D and E is below 1e-12, so no
+        # tolerance on vertex coordinates may pick the axis faces: the
+        # halfspaces rows keep AB and EA on the axes, whatever the unit
+        cfg = price_scaled(ref_cfg, e)
+        rep = check_invariance(cfg, build_polygon(cfg), NORMAL)
+        assert rep.passed
+        outward = "<outward normal, F> < 0"
+        assert [(f.name, f.condition) for f in rep.faces] == [
+            ("AB", "dR/dt > 0 on R = 0"), ("BC", outward), ("CD", outward), ("DE", outward),
+            ("EA", "dq/dt >= 0 on q = 0")]
+
     def test_negative_samples_named(self, ref_cfg, competitive_cfg):
         poly = build_polygon(ref_cfg, 70.0, 58.0)
         cub = build_cuboid(competitive_cfg, k_u=1.0)
@@ -548,6 +562,14 @@ class TestBuildCuboid:
         r_hat = 0.5 * (eta2(cfg, q_hat) + eta3(cfg, q_hat, u_hat))
         cub = build_cuboid(cfg, q_hat=q_hat, k_u=k_u)
         assert cub.vertices[1] == (r_hat, q_hat, u_hat)
+
+    @pytest.mark.parametrize("k_u, u_condition", [(0.0, "dU/dt >= 0 on U = 0"), (1.0, "dU/dt > 0 on U = 0")])
+    def test_face_conditions(self, competitive_cfg, k_u, u_condition):
+        rep = check_invariance(competitive_cfg, build_cuboid(competitive_cfg, k_u=k_u), competitive_mode(k_u), 50)
+        outward = "<outward normal, F> < 0"
+        assert [(f.name, f.condition) for f in rep.faces] == [
+            ("R=0", "dR/dt > 0 on R = 0"), ("q=0", "dq/dt >= 0 on q = 0"), ("U=0", u_condition),
+            ("R=r_hat", outward), ("q=q_hat", outward), ("U=u_hat", outward)]
 
     def test_zero_load_degenerates_gracefully(self, competitive_cfg):
         cub = build_cuboid(competitive_cfg, k_u=0.0)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import price_scaled
 from accessprice import dynamics
 from accessprice.equilibria import FixedPoint, find_fixed_points
 from accessprice.model import AdmissionSpec
@@ -267,6 +268,22 @@ class TestClassify:
             all_neg = all(z.real < -1e-12 for z in rep.eigenvalues)
             assert rep.hurwitz["hurwitz"] == all_neg
             checked += 1
+
+    def test_small_eigenvalue_at_a_large_price_unit(self, ref_cfg):
+        # at price unit 2**60 the large eigenvalue is about -1.8e17, beside
+        # which (tr + sqrt(disc))/2 would cancel the small one to 0
+        cfg = price_scaled(ref_cfg, 60)
+        got = []
+        for fp in find_fixed_points(cfg):
+            rep = classify(jacobian(cfg, (fp.r_star, fp.q_star), "normal"))
+            got.append((rep.classification, rep.eigenvalues[1].real))
+        assert [c for c, _ in got] == ["stable_node", "saddle"]
+        assert [x for _, x in got] == pytest.approx([-0.0330357142857, 0.0223214285714], abs=1e-12)
+
+    @pytest.mark.parametrize("mode, e, poly", [("normal", 520, "quadratic"), ("competitive", 200, "cubic")])
+    def test_discriminant_overflow_is_named(self, ref_cfg, mode, e, poly):
+        with pytest.raises(ValueError, match=f"^{poly} .*: discriminant overflows$"):
+            find_fixed_points(price_scaled(ref_cfg, e), mode, 0.0)
 
     def test_classification_consistent_with_eigenvalues(self, ref_cfg):
         for state in [(25.0, 40.0), (125.0, 82.0), (10.0, 10.0), (300.0, 88.0)]:
