@@ -9,7 +9,8 @@ and reproduces the surge-vs-saturated fairness comparison.
 `import accessprice` loads no submodule.  Each public name below, and
 each submodule (`accessprice.scenarios`, `accessprice.cli`, ...), is
 imported on first access (PEP 562), so a process pays only for the
-modules it reaches: loading a configuration needs `model` alone.
+modules it reaches: loading a configuration needs `model` alone.  numpy
+loads with the first array query, which builds a spec's numpy kernel.
 """
 
 import importlib
@@ -21,23 +22,19 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("model", (
-            "AdmissionSpec", "ModelConfig", "PriceSpec", "ServiceSpec", "admission_slope",
-            "eval_admission", "eval_price", "eval_service", "saturation_floor",
-            "validate_admissible",
+            "AdmissionSpec", "CHATTERING", "ModelConfig", "NORMAL", "PriceSpec", "SWITCHED_FULL",
+            "ServiceSpec", "SystemMode", "admission_slope", "competitive_mode", "eval_admission",
+            "eval_price", "eval_service", "saturated_mode", "saturation_floor", "validate_admissible",
         )),
         ("equilibria", (
             "CalibrationError", "CalibrationTargets", "FixedPoint", "calibrate_cubic_admission",
             "calibrate_linear_admission", "find_fixed_points", "fixed_point_residual",
         )),
         ("stability", (
-            "JacobianMatrix", "KinkProximityError", "StabilityReport", "classify", "divergence",
-            "finite_diff_jacobian", "jacobian", "saddle_criterion",
+            "JacobianMatrix", "KinkProximityError", "StabilityReport", "classify", "classify_at",
+            "divergence", "finite_diff_jacobian", "jacobian", "saddle_criterion",
         )),
-        ("dynamics", (
-            "CHATTERING", "NORMAL", "SWITCHED_FULL", "SystemMode", "Trajectory",
-            "admitted_flows", "competitive_mode", "converge", "integrate", "rhs",
-            "saturated_mode",
-        )),
+        ("dynamics", ("Trajectory", "admitted_flows", "converge", "integrate", "rhs")),
         ("regions", (
             "PhaseGrid", "RegionSpec", "build_cuboid", "build_polygon", "check_invariance",
             "eta1", "eta2", "eta3", "phase_grid", "q_dagger", "r_dagger",

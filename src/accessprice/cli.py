@@ -24,13 +24,12 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from .model import (
     AdmissionSpec,
     ModelConfig,
     PriceSpec,
     ServiceSpec,
+    SystemMode,
     validate_admissible,
 )
 
@@ -232,6 +231,8 @@ def _numeric_lines(*columns, every=1):
     """Lines of every `every`-th row of equal-length 1-D/2-D float arrays,
     one "%.12g,...\n" per row ("%.12g" % x == _fmt(x) for every float),
     yielded _ROW_BLOCK lines at a time, each block one % call."""
+    import numpy as np
+
     columns = [c[::every] for c in columns]
     width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
     template = ",".join(["%.12g"] * width) + "\n"
@@ -297,9 +298,7 @@ def _cmd_classify(args, cfg, mode) -> int:
     rows = []
     for fp in points:
         try:
-            rep = stability.classify(
-                stability.jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), mode)
-            )
+            rep = stability.classify_at(cfg, (fp.r_star, fp.q_star, fp.u_star), mode)
             trace, det = rep.trace, rep.determinant
             hur = str(rep.hurwitz.get("hurwitz", "")).lower()
         except stability.KinkProximityError:
@@ -335,6 +334,7 @@ def _cmd_simulate(args, cfg, mode) -> int:
 
 
 def _cmd_phase(args, cfg, mode) -> int:
+    import numpy as np
     from . import regions
 
     grid = regions.phase_grid(
@@ -401,9 +401,7 @@ def _cmd_scenario(args, cfg, mode) -> int:
             }
             for name, (traj, _) in legs.items()
         },
-        "max_queue_gap": float(
-            np.max(np.abs(result.surge.q - result.saturated.q))
-        ),
+        "max_queue_gap": float(abs(result.surge.q - result.saturated.q).max()),
         "bounceback": {
             "skipped": probe.skipped,
             "notice": probe.notice,
@@ -506,11 +504,10 @@ def run(argv) -> int:
         return 2 if exc.code else 0
     try:
         cfg = load_config(args.config, args.set or ())
-        modes = "mode" in args  # validate, doa and scenario take no --mode
-        if modes or "step" in args:  # validate and doa take neither
-            from . import dynamics
-        mode = dynamics.SystemMode(args.mode.replace("-", "_"), args.k_u) if modes else None
+        # validate, doa and scenario take no --mode; validate and doa no --step
+        mode = SystemMode(args.mode.replace("-", "_"), args.k_u) if "mode" in args else None
         if "step" in args and args.step is None:
+            from . import dynamics
             args.step = dynamics.DEFAULT_STEP
             _notice(f"step defaulted to {dynamics.DEFAULT_STEP:g}")
         return args.fn(args, cfg, mode)

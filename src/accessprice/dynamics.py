@@ -69,7 +69,8 @@ import math
 
 import numpy as np
 
-from .model import ModelConfig, _constants, _make, _piece_lines
+from .model import (CHATTERING, MODE_TAGS, NORMAL, SWITCHED_FULL, ModelConfig, SystemMode, _admittance_bound,
+                    _constants, _make, _piece_lines, as_mode, competitive_mode, saturated_mode)  # modes re-exported
 
 MAX_STEP = 0.1
 DEFAULT_STEP = 0.01
@@ -77,71 +78,6 @@ CLAMP_EPS = 1e-9
 SETTLE_STREAK = 100  # consecutive in-tolerance steps deemed converged
 BLOCK_STEPS = 128  # most steps a driver takes between observations
 BLOCK_BYTES = 1 << 18  # cap on the (block, 3, n) state history of one block
-
-MODE_TAGS = ("normal", "chattering", "saturated", "competitive", "switched_full")
-
-
-@dataclass(frozen=True)
-class SystemMode:
-    """Operating mode tag plus the constant K_U it carries.
-
-    k_u is the unresponsive arrival rate for the saturated and
-    competitive modes; normal and chattering ignore it and
-    switched_full reads K_U(t) from the configuration schedule instead.
-    """
-
-    tag: str
-    k_u: float = 0.0
-
-    def __post_init__(self):
-        if self.tag not in MODE_TAGS:
-            raise ValueError(f"unknown mode tag {self.tag!r}")
-        if not math.isfinite(self.k_u):
-            raise ValueError("k_u must be finite")
-        if self.k_u < 0:
-            raise ValueError("k_u must be >= 0")
-
-    @property
-    def field_tag(self) -> str:
-        """Right-hand side run on each constant-K_U piece."""
-        return "competitive" if self.tag == "switched_full" else self.tag
-
-    @property
-    def fixed_point_tag(self) -> str:
-        """Mode whose fixed points these are; chattering shares normal's
-        (they lie below the admittance bound)."""
-        return "normal" if self.tag == "chattering" else self.field_tag
-
-    @property
-    def dim(self) -> int:
-        """State dimension: 3 with the unresponsive class U, else 2."""
-        return 3 if self.field_tag == "competitive" else 2
-
-
-NORMAL = SystemMode("normal")
-CHATTERING = SystemMode("chattering")
-SWITCHED_FULL = SystemMode("switched_full")
-
-
-def saturated_mode(k_u: float) -> SystemMode:
-    return SystemMode("saturated", k_u)
-
-
-def competitive_mode(k_u: float) -> SystemMode:
-    return SystemMode("competitive", k_u)
-
-
-def as_mode(mode, k_u: float | None = None) -> SystemMode:
-    """The SystemMode for a mode or a tag string plus an optional K_U.
-
-    A SystemMode already carries its K_U, so an explicit k_u that
-    disagrees with it raises ValueError.
-    """
-    if isinstance(mode, SystemMode):
-        if k_u is not None and k_u != mode.k_u:
-            raise ValueError(f"k_u = {k_u!r} disagrees with the mode's k_u = {mode.k_u!r}")
-        return mode
-    return SystemMode(str(mode), 0.0 if k_u is None else k_u)
 
 
 @dataclass(frozen=True)
@@ -183,15 +119,6 @@ class Trajectory:
             raise ValueError(f"t = {t!r} is not a finite time")
         i = int(np.argmin(np.abs(self.times - t)))
         return self.states[i]
-
-
-def _admittance_bound(cfg: ModelConfig, tag: str) -> float | None:
-    """q_ad in chattering mode, None in every other mode."""
-    if tag != "chattering":
-        return None
-    if cfg.q_ad is None:
-        raise ValueError("chattering mode needs q_ad in the configuration")
-    return cfg.q_ad
 
 
 def _cap_flow(flow, q, q_ad, mu_star, out=None, mask=None):

@@ -47,7 +47,6 @@ import math
 import threading
 
 from . import stability
-from .dynamics import as_mode
 from .model import (
     AdmissionSpec,
     ModelConfig,
@@ -62,6 +61,7 @@ from .model import (
     _root_count,
     _scaled,
     _stretches,
+    as_mode,
     eval_admission,
     eval_price,
     eval_service,
@@ -160,10 +160,10 @@ def find_fixed_points(cfg: ModelConfig, mode="normal", k_u: float | None = None)
     mode is a SystemMode or a tag; k_u, when given, must agree with a
     SystemMode's.  The exact scan of the residual over its domain (see
     the module docstring), merge of roots closer than 1e-6,
-    back-substitution of the remaining coordinates, classification
-    through the stability module.  An empty list is a valid result
-    (e.g. K_U >= mu_star).  Each balance equation is scanned once and
-    its roots shared by every mode at the same K_U (see the module
+    back-substitution of the remaining coordinates, classification on
+    plain floats (stability.classify_at).  An empty list is a valid
+    result (e.g. K_U >= mu_star).  Each balance equation is scanned once
+    and its roots shared by every mode at the same K_U (see the module
     docstring); each call returns a new list.
     """
     mode, k_u = _fixed_point_mode(mode, k_u)
@@ -235,8 +235,7 @@ def _back_substitute(cfg: ModelConfig, mode, k_u: float, roots) -> tuple[FixedPo
         r_star = (eval_service(cfg.service, q_star) - k_u) / a
         u_star = k_u / a if mode.dim == 3 else 0.0
         try:
-            jac = stability.jacobian(cfg, (r_star, q_star, u_star), tag)
-            report = stability.classify(jac)
+            report = stability.classify_at(cfg, (r_star, q_star, u_star), tag)
             cls, eig = report.classification, tuple(report.eigenvalues)
         except stability.KinkProximityError:
             cls, eig = "degenerate", ()

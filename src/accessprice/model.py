@@ -14,20 +14,22 @@ Three piecewise functions of the active-queue length q drive everything:
 
 Each spec declares its function once, in two forms: a numpy kernel
 (_kernel(q, out=None), into out if given; an admission kernel also takes
-scratch x and mask, which the cubic uses) for the evaluators and the
-batch field, and a piece table (pieces): (start, origin, coefficients)
-per piece on [start, next start), the polynomial sum c_k * (q - origin)**k
-of degree <= 3, which evaluates bit for bit like the kernel (a piece
-through zero has constant term -0.0, so q = -0.0 keeps its sign).  Slopes,
-kinks, exact extrema (extremum, which decides validate's alpha clauses)
-and roots (_stretches and _real_roots, which the fixed-point scan shares)
-and, through _piece_lines, all float code come from the tables: the
-scalar RK4 run and each spec's float form (_scalar), which the public
-evaluators call on any scalar query (a float, an int or a 0-d array) once
-they have validated it, the kernel's bits at a fraction of its cost.
-Both are compiled one way, by _make: the source names every constant by a
-parameter of a factory make(c0, ...), so it depends only on the tables'
-shapes and is compiled once per shape.
+scratch x and mask, which the cubic uses; built on the first array query
+as a cached_property, no field, so float queries import no numpy) for the
+evaluators and the batch field, and a piece table (pieces): (start,
+origin, coefficients) per piece on [start, next start), the polynomial sum
+c_k * (q - origin)**k of degree <= 3, which evaluates bit for bit like the
+kernel (a piece through zero has constant term -0.0, so q = -0.0 keeps its
+sign).  Slopes, kinks, exact extrema (extremum, which decides validate's
+alpha clauses) and roots (_stretches and _real_roots, which the
+fixed-point scan shares) and, through _piece_lines, all float code come
+from the tables: the scalar RK4 run and each spec's float form (_scalar),
+which the public evaluators call on any scalar query (a float, an int or a
+0-d array) once they have validated it, the kernel's bits at a fraction of
+its cost.  Both are compiled one way, by _make: the source names every
+constant by a parameter of a factory make(c0, ...), so it depends only on
+the tables' shapes and is compiled once per shape.  The mode vocabulary
+(SystemMode, as_mode, the constants) lives here; dynamics re-exports it.
 """
 
 from __future__ import annotations
@@ -40,18 +42,17 @@ import math
 import struct
 import zlib
 
-import numpy as np
-
-_ZERO = np.array(0.0)  # 0-d operands make cheaper numpy calls than floats
 PRICE_VARIANTS = ("triangular", "saturated", "surge")
 ADMISSION_VARIANTS = ("linear", "cubic")
 
 
 def _as_query(q):
     """(query, scalar) from a queue-length argument, rejecting negatives
-    and NaN: a float (Python or numpy float64) stays a plain float, any
-    other argument becomes an ndarray."""
-    plain = isinstance(q, float)
+    and NaN: an int or a float (numpy float64 included) becomes a plain
+    float without numpy, any other argument an ndarray."""
+    plain = isinstance(q, (int, float))
+    if not plain:
+        import numpy as np
     arr = float(q) if plain else np.asarray(q, dtype=float)
     if not (arr >= 0 if plain else np.all(arr >= 0)):
         raise ValueError("queue length q must be a nonnegative number")
@@ -136,12 +137,12 @@ def _make(values, *defs):
     return make(*values)
 
 
-def _declare(spec, kernel, pieces):
-    """Bind the spec's kernel, its piece table and its float form (_scalar),
-    generated from the table by _make."""
+def _declare(spec, pieces):
+    """Bind the spec's piece table and its float form (_scalar), generated
+    from the table by _make."""
     values, lit = _constants()
     form = _make(values, ("f(q)", [*_piece_lines("v", pieces, "q", lit), "return v"]))
-    for name, value in (("_kernel", kernel), ("_scalar", form), ("pieces", pieces)):
+    for name, value in (("_scalar", form), ("pieces", pieces)):
         object.__setattr__(spec, name, value)
 
 
@@ -181,28 +182,27 @@ class PriceSpec:
                 raise ValueError("q_m too large: the falling leg's end 2*q_m overflows")
             if not math.isfinite(self.beta * self.q_m):
                 raise ValueError("beta too large: the peak price beta*q_m overflows")
-        _declare(self, *getattr(self, "_" + self.variant)())
-
-    def _saturated(self):
-        """Kernel and table, also of the triangular price: its floor is zero
-        from 2*q_m on.  The falling leg beta*(2*q_m - q) is the piece
-        -beta*(q - 2*q_m)."""
         b, qm = self.beta, self.q_m
-        end = 2 * qm if self.q_n is None else self.q_n
-        floor = 2 * qm - end
-        c_b, c_2qm, c_floor = np.array(b), np.array(2 * qm), np.array(floor)
+        if self.variant == "surge":
+            _declare(self, ((0.0, 0.0, (-0.0, b)),))
+        else:  # the triangular floor is zero from 2*q_m on; the falling leg is -beta*(q - 2*q_m)
+            end = 2 * qm if self.q_n is None else self.q_n
+            _declare(self, ((0.0, 0.0, (-0.0, b)), (qm, 2 * qm, (-0.0, -b)), (end, 0.0, (b * (2 * qm - end),))))
+
+    @functools.cached_property
+    def _kernel(self):
+        import numpy as np
+
+        c_b = np.array(self.beta)
+        if self.variant == "surge":
+            return lambda q, out=None: np.multiply(c_b, q, out)
+        c_2qm, c_floor = np.array(2 * self.q_m), np.array(2 * self.q_m - self.pieces[-1][0])
 
         def kernel(q, out=None):  # b * min(q, max(2*qm - q, floor))
             w = np.maximum(np.subtract(c_2qm, q, out), c_floor, out=out)
             return np.multiply(c_b, np.minimum(q, w, out=out), out)
 
-        return kernel, ((0.0, 0.0, (-0.0, b)), (qm, 2 * qm, (-0.0, -b)), (end, 0.0, (b * floor,)))
-
-    _triangular = _saturated
-
-    def _surge(self):
-        b, c_b = self.beta, np.array(self.beta)
-        return lambda q, out=None: np.multiply(c_b, q, out), ((0.0, 0.0, (-0.0, b)),)
+        return kernel
 
     @property
     def kinks(self) -> tuple[float, ...]:
@@ -226,9 +226,14 @@ class ServiceSpec:
         ramp, q_c = self.mu_star / self.q_c, self.q_c
         if not math.isfinite(ramp):
             raise ValueError("q_c too small for mu_star: the ramp mu_star/q_c overflows")
-        c_ramp, c_q_c = np.array(ramp), np.array(q_c)
-        _declare(self, lambda q, out=None: np.multiply(c_ramp, np.minimum(q, c_q_c, out=out), out),
-                 ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
+        _declare(self, ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
+
+    @functools.cached_property
+    def _kernel(self):
+        import numpy as np
+
+        c_ramp, c_q_c = np.array(self.mu_star / self.q_c), np.array(self.q_c)
+        return lambda q, out=None: np.multiply(c_ramp, np.minimum(q, c_q_c, out=out), out)
 
 
 def _first_zero(vanishes, lo: float, hi: float) -> float:
@@ -288,26 +293,27 @@ class AdmissionSpec:
             if supplied < 0 or abs(supplied - derived) > 1e-9 * max(1.0, supplied):  # derived may be inf
                 raise ValueError(f"linear admission q_max {supplied} inconsistent with zero crossing {derived}")
             object.__setattr__(self, "q_max", derived)
-            _declare(self, *self._linear())
+            # no tail when alpha vanishes from q = 0 on: it would shadow piece 0,
+            # whose floor keeps the kernel's -0.0 at q = 0 when c2 = -0.0
+            tail = ((derived, 0.0, (0.0,)),) if 0.0 < derived < math.inf else ()
+            _declare(self, ((0.0, 0.0, coeffs), *tail))
         elif self.q_max is None or not self.q_max > 0:
             raise ValueError("cubic admission needs q_max > 0")
         elif not math.isfinite(_poly([abs(c) for c in coeffs], self.q_max)):
             # Horner on |a_i| bounds every Horner term of alpha on [0, q_max]
             raise ValueError("q_max too large: the cubic's Horner terms overflow on [0, q_max]")
         else:
-            _declare(self, *self._cubic())
+            _declare(self, ((0.0, 0.0, coeffs), (self.q_max, 0.0, (0.0,))))
 
-    def _linear(self):
-        (c2, c1), zero = self.coefficients, self.q_max
-        k2, k1 = np.array(c2), np.array(c1)
-        # no tail when alpha vanishes from q = 0 on: it would shadow piece 0,
-        # whose floor keeps the kernel's -0.0 at q = 0 when c2 = -0.0
-        tail = ((zero, 0.0, (0.0,)),) if 0.0 < zero < math.inf else ()
-        kernel = lambda q, out=None, x=None, mask=None: np.maximum(  # x, mask: the cubic's scratch
-            _ZERO, np.add(np.multiply(k1, q, out), k2, out), out=out)
-        return kernel, ((0.0, 0.0, (c2, c1)), *tail)
+    @functools.cached_property
+    def _kernel(self):
+        import numpy as np
 
-    def _cubic(self):
+        zero = np.array(0.0)  # 0-d operands make cheaper numpy calls than floats
+        if self.variant == "linear":
+            k2, k1 = map(np.array, self.coefficients)
+            return lambda q, out=None, x=None, mask=None: np.maximum(  # x, mask: the cubic's scratch
+                zero, np.add(np.multiply(k1, q, out), k2, out), out=out)
         k0, k1, k2, k3, k_max = map(np.array, (*self.coefficients, self.q_max))
 
         def kernel(q, out=None, x=None, mask=None):  # x, mask: scratch, apart from q and out
@@ -315,10 +321,10 @@ class AdmissionSpec:
             out = np.empty(np.shape(q)) if out is None else out
             np.multiply(x, np.add(k2, np.multiply(x, k3, out), out), out)
             np.add(k0, np.multiply(x, np.add(k1, out, out), out), out)
-            np.copyto(np.maximum(_ZERO, out, out=out), 0.0, where=np.greater_equal(q, k_max, mask))
+            np.copyto(np.maximum(zero, out, out=out), 0.0, where=np.greater_equal(q, k_max, mask))
             return out
 
-        return kernel, ((0.0, 0.0, self.coefficients), (self.q_max, 0.0, (0.0,)))
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -373,6 +379,81 @@ class ModelConfig:
         return tuple(sorted({s for spec in specs for s, _, _ in spec.pieces[1:]}))
 
 
+MODE_TAGS = ("normal", "chattering", "saturated", "competitive", "switched_full")
+
+
+@dataclass(frozen=True)
+class SystemMode:
+    """Operating mode tag plus the constant K_U it carries.
+
+    k_u is the unresponsive arrival rate for the saturated and
+    competitive modes; normal and chattering ignore it and
+    switched_full reads K_U(t) from the configuration schedule instead.
+    """
+
+    tag: str
+    k_u: float = 0.0
+
+    def __post_init__(self):
+        if self.tag not in MODE_TAGS:
+            raise ValueError(f"unknown mode tag {self.tag!r}")
+        if not math.isfinite(self.k_u):
+            raise ValueError("k_u must be finite")
+        if self.k_u < 0:
+            raise ValueError("k_u must be >= 0")
+
+    @property
+    def field_tag(self) -> str:
+        """Right-hand side run on each constant-K_U piece."""
+        return "competitive" if self.tag == "switched_full" else self.tag
+
+    @property
+    def fixed_point_tag(self) -> str:
+        """Mode whose fixed points these are; chattering shares normal's
+        (they lie below the admittance bound)."""
+        return "normal" if self.tag == "chattering" else self.field_tag
+
+    @property
+    def dim(self) -> int:
+        """State dimension: 3 with the unresponsive class U, else 2."""
+        return 3 if self.field_tag == "competitive" else 2
+
+
+NORMAL = SystemMode("normal")
+CHATTERING = SystemMode("chattering")
+SWITCHED_FULL = SystemMode("switched_full")
+
+
+def saturated_mode(k_u: float) -> SystemMode:
+    return SystemMode("saturated", k_u)
+
+
+def competitive_mode(k_u: float) -> SystemMode:
+    return SystemMode("competitive", k_u)
+
+
+def as_mode(mode, k_u: float | None = None) -> SystemMode:
+    """The SystemMode for a mode or a tag string plus an optional K_U.
+
+    A SystemMode already carries its K_U, so an explicit k_u that
+    disagrees with it raises ValueError.
+    """
+    if isinstance(mode, SystemMode):
+        if k_u is not None and k_u != mode.k_u:
+            raise ValueError(f"k_u = {k_u!r} disagrees with the mode's k_u = {mode.k_u!r}")
+        return mode
+    return SystemMode(str(mode), 0.0 if k_u is None else k_u)
+
+
+def _admittance_bound(cfg: ModelConfig, tag: str) -> float | None:
+    """q_ad in chattering mode, None in every other mode."""
+    if tag != "chattering":
+        return None
+    if cfg.q_ad is None:
+        raise ValueError("chattering mode needs q_ad in the configuration")
+    return cfg.q_ad
+
+
 def eval_price(spec: PriceSpec, q):
     """Price f(q) for the given variant; q may be scalar or array."""
     return _evaluate(spec, q)
@@ -412,6 +493,7 @@ def from_pieces(spec, q, order: int = 0):
         _, origin, c = spec.pieces[max((bisect_left if order else bisect_right)(starts, x) - 1, 0)]
         val = _poly(c, x - origin, order)
         return val if order else float(0.0 if 0.0 > val else val)  # np.maximum(0.0, val)
+    import numpy as np
     idx = np.maximum(np.searchsorted(starts, arr, "left" if order else "right") - 1, 0)
     # each piece sees queries clamped to its end, so none overflows far beyond it
     val = np.choose(idx, [_poly(c, np.minimum(arr, end) - origin, order)

@@ -23,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 
-import numpy as np
-
-from . import dynamics, equilibria
-from .model import ModelConfig, _bisect, eval_admission, eval_price, eval_service, extremum
+from . import equilibria
+from .model import ModelConfig, _bisect, as_mode, eval_admission, eval_price, eval_service, extremum
 
 VERTEX_MARGIN = 1e-6  # boundary samples keep this distance from vertices
 
@@ -78,8 +76,8 @@ class PhaseGrid:
 
 
 def _positive(val, message: str):
-    """val unless some entry is <= 0 (a float is tested without numpy)."""
-    if (val <= 0) if type(val) is float else np.any(val <= 0):
+    """val unless some entry is <= 0."""
+    if (val <= 0) if type(val) is float else (val <= 0).any():
         raise ValueError(message)
     return val
 
@@ -224,6 +222,8 @@ def halfspaces(region: RegionSpec):
     """(A, b) with the region = {x : A @ x <= b}, a row per face: edges
     AB..EA, or R=0, q=0, U=0, R=r_hat, q=q_hat, U=u_hat.  An unknown kind
     raises by name."""
+    import numpy as np
+
     if region.kind == "polygon2d":
         verts = [np.array(v, dtype=float) for v in region.vertices]
         centroid = np.mean(verts, axis=0)
@@ -243,9 +243,9 @@ def halfspaces(region: RegionSpec):
 
 
 # how a face condition takes its worst sample, and whether that sample passes
-_POSITIVE = (np.minimum.reduce, lambda w: w > 0)
-_NONNEGATIVE = (np.minimum.reduce, lambda w: w >= 0)
-_NEGATIVE = (np.maximum.reduce, lambda w: w < 0)
+_POSITIVE = (lambda w: w.min(), lambda w: w > 0)
+_NONNEGATIVE = (lambda w: w.min(), lambda w: w >= 0)
+_NEGATIVE = (lambda w: w.max(), lambda w: w < 0)
 
 
 def _face_specs(region: RegionSpec, k_u: float, n: int):
@@ -258,6 +258,8 @@ def _face_specs(region: RegionSpec, k_u: float, n: int):
     -e_i, offset 0) takes the inward condition on F_i, strict except for
     q, and for U when K_U = 0; any other takes <normal, F> < 0.
     """
+    import numpy as np
+
     A, b = halfspaces(region)
     rows, offs = A.tolist(), b.tolist()
     if region.kind == "polygon2d":
@@ -310,12 +312,11 @@ def _write(rows, origin, spans):
     grid = rows.reshape(-1, len(spans[0][1]), len(origin))
     for c, o in enumerate(origin):
         for d, t in spans:
-            if d[c] == 1:  # t * 1.0 is t
-                grid[..., c] = t
-            elif d[c]:
-                np.multiply(t, d[c], out=grid[..., c])
-            else:
+            if not d[c]:
                 continue
+            grid[..., c] = t
+            if d[c] != 1:  # t * 1.0 is t
+                grid[..., c] *= d[c]
             if o:
                 grid[..., c] += o
             break
@@ -328,6 +329,9 @@ def _face_runs(region: RegionSpec, k_u: float, n: int):
     fit in dynamics.BLOCK_BYTES (at least one) in one array, and per face
     (name, its rows of samples, condition, F -> values, test).  Runs are
     made one at a time."""
+    import numpy as np
+    from . import dynamics
+
     size, faces = _face_specs(region, k_u, n)
     per_run = max(1, dynamics.BLOCK_BYTES // (24 * size))
     for i in range(0, len(faces), per_run):
@@ -355,7 +359,7 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
     if n == 0:
         report.warning = "no samples requested; vacuous pass"
         return report
-    mode = dynamics.as_mode(mode)
+    mode = as_mode(mode)
     for samples, faces in _face_runs(region, mode.k_u, n):
         report.faces += _run_reports(cfg, mode, samples, faces)
     return report
@@ -363,6 +367,8 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
 
 def _run_reports(cfg, mode, samples, faces):
     """The FaceReports of a run of faces, from one rhs call on their samples."""
+    from . import dynamics
+
     F = dynamics.rhs(cfg, mode, 0.0, samples)
     for name, states, condition, values, (reduce, passes) in faces:
         worst = float(reduce(values(F[:len(states)])))
@@ -378,13 +384,16 @@ def phase_grid(cfg: ModelConfig, mode, r_range, q_range, resolution: int) -> Pha
     finite at some cell raises ValueError; an overlay height that
     overflows reads +inf.
     """
+    import numpy as np
+    from . import dynamics
+
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     r0, r1 = map(float, r_range)
     q0, q1 = map(float, q_range)
     if not (math.isfinite(r1) and math.isfinite(q1) and r1 > r0 >= 0 and q1 > q0 >= 0):
         raise ValueError("ranges must be finite, nonnegative and increasing")
-    mode = dynamics.as_mode(mode)
+    mode = as_mode(mode)
     dr_cell = (r1 - r0) / resolution
     dq_cell = (q1 - q0) / resolution
     rs = r0 + dr_cell * (np.arange(resolution) + 0.5)

@@ -32,14 +32,11 @@ from dataclasses import dataclass, field
 import cmath
 import math
 
-import numpy as np
-
-from . import dynamics
-from .dynamics import _admittance_bound, as_mode
-from .model import ModelConfig, _real_roots, eval_admission, eval_price, eval_service, slope
+from .model import (ModelConfig, _admittance_bound, _real_roots, as_mode, eval_admission, eval_price, eval_service,
+                    slope)
 
 KINK_RADIUS = 1e-9       # states closer than this to a kink are rejected
-DEGENERACY_TOL = 1e-12   # |det| / |Re(lambda)| below this is degenerate
+DEGENERACY_TOL = 1e-12   # relative: see classify
 
 
 class KinkProximityError(ValueError):
@@ -67,8 +64,14 @@ def _kinks(cfg: ModelConfig, mode) -> list[float]:
     return list(cfg.kink_points()) + ([] if q_ad is None else [q_ad])
 
 
-def _check_state(cfg: ModelConfig, state, mode) -> tuple[float, float, float]:
-    vals = np.ravel(np.asarray(state, dtype=float)).tolist()
+def _check_state(cfg: ModelConfig, state, mode) -> tuple:
+    """(the SystemMode, r, q, u): mode resolved, state checked."""
+    mode = as_mode(mode)
+    if type(state) in (tuple, list) and all(isinstance(x, (int, float)) for x in state):
+        vals = [float(x) for x in state]  # plain numbers need no numpy
+    else:
+        import numpy as np
+        vals = np.ravel(np.asarray(state, dtype=float)).tolist()
     if len(vals) == 2:
         vals.append(0.0)
     if len(vals) != 3:
@@ -86,7 +89,7 @@ def _check_state(cfg: ModelConfig, state, mode) -> tuple[float, float, float]:
             raise KinkProximityError(
                 f"q = {q!r} within {KINK_RADIUS:g} of the kink at {k:g}"
             )
-    return r, q, u
+    return mode, r, q, u
 
 
 def _local_fields(cfg: ModelConfig, q: float):
@@ -115,9 +118,16 @@ def jacobian(cfg: ModelConfig, state, mode="normal") -> JacobianMatrix:
     for competitive/switched.  Raises KinkProximityError within 1e-9 of
     any kink of f, mu or alpha.
     """
-    mode = as_mode(mode)
-    r, q, u = _check_state(cfg, state, mode)
+    import numpy as np
+
+    mode, r, q, u = _check_state(cfg, state, mode)
     return JacobianMatrix(mode.dim, np.array(_entries(cfg, r, q, u, mode.dim)))
+
+
+def classify_at(cfg: ModelConfig, state, mode="normal") -> StabilityReport:
+    """classify(jacobian(cfg, state, mode)), bit for bit, on plain floats."""
+    mode, r, q, u = _check_state(cfg, state, mode)
+    return _classify(_entries(cfg, r, q, u, mode.dim))
 
 
 def finite_diff_jacobian(cfg: ModelConfig, state, mode="normal", h: float = 1e-6) -> JacobianMatrix:
@@ -126,10 +136,12 @@ def finite_diff_jacobian(cfg: ModelConfig, state, mode="normal", h: float = 1e-6
     Requires the state to sit more than 10*h away from every kink so the
     difference stencil never straddles one.
     """
+    import numpy as np
+    from . import dynamics
+
     if not h > 0:
         raise ValueError("step h must be > 0")
-    mode = as_mode(mode)
-    r, q, u = _check_state(cfg, state, mode)
+    mode, r, q, u = _check_state(cfg, state, mode)
     for k in _kinks(cfg, mode):
         if abs(q - k) <= 10 * h:
             raise KinkProximityError(
@@ -151,12 +163,14 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
     out periodic orbits and makes the 3D flow volume-reducing.  Accepts a
     single state (r, q[, u]) or an array of states on the trailing axis.
     """
+    import numpy as np
+
     mode = as_mode(mode)
     if mode.tag == "chattering":
         raise ValueError("divergence is reported for the smooth modes only")
     arr = np.asarray(state, dtype=float)
     if arr.ndim <= 1:
-        r, q, u = _check_state(cfg, state, mode)
+        _, r, q, u = _check_state(cfg, state, mode)
     else:
         if not np.all((arr >= 0) & (arr < np.inf)):
             raise ValueError("states must be finite and lie in the positive orthant, without NaN")
@@ -233,18 +247,24 @@ def classify(j: JacobianMatrix) -> StabilityReport:
     minors and the determinant (a cofactor expansion along row 0), and its
     roots from the closed-form quadratic (real ones by model._real_roots'
     stable form) or cubic; a discriminant that is not finite raises
-    ValueError by name.  One rule names the class in both dimensions:
-    degenerate when |det| or some |Re(lambda)| is below 1e-12; otherwise
+    ValueError by name.  One rule, on the matrix's own scales, names the
+    class in both dimensions: degenerate when |det| <= 1e-12 times the sum
+    of its terms' sizes or some |Re(lambda)| <= 1e-12 |lambda|; otherwise
     stable_focus or stable_node (by whether some |Im(lambda)| exceeds
-    1e-12) when every Re(lambda) < 0, unstable when every Re(lambda) > 0,
-    saddle else.  The Hurwitz conditions (trace < 0 and det > 0 in 2D;
-    Routh-Hurwitz a1 > 0, a3 > 0, a1*a2 > a3 in 3D) are reported in
-    `hurwitz` and do not decide the class.
+    1e-12 |lambda|) when every Re(lambda) < 0, unstable when every
+    Re(lambda) > 0, saddle else.  The Hurwitz conditions (trace < 0 and
+    det > 0 in 2D; Routh-Hurwitz a1 > 0, a3 > 0, a1*a2 > a3 in 3D) are
+    reported in `hurwitz` and do not decide the class.
     """
-    if j.dim == 2:
-        (a, b), (c, d) = j.entries.tolist()
+    return _classify(j.entries.tolist())
+
+
+def _classify(rows) -> StabilityReport:  # classify on the matrix's rows of floats
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
         tr = a + d
         det = a * d - b * c
+        scale = abs(a * d) + abs(b * c)
         disc = tr * tr - 4 * det
         if not math.isfinite(disc):
             raise ValueError(f"quadratic x^2 + {-tr:g} x + {det:g}: discriminant overflows")
@@ -254,11 +274,12 @@ def classify(j: JacobianMatrix) -> StabilityReport:
         else:  # (): a double root at 0
             eig = tuple(complex(x) for x in sorted(_real_roots([det, -tr, 1.0], -math.inf, math.inf) or (0.0, 0.0)))
         hurwitz = {"trace": tr, "det": det, "disc": disc, "hurwitz": tr < 0 and det > 0}
-    elif j.dim == 3:
-        (a, b, c), (d, e, f), (g, h, i) = j.entries.tolist()
+    elif len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
         tr = a + e + i
         minor = e * i - f * h
         det = a * minor - b * (d * i - f * g) + c * (d * h - e * g)
+        scale = sum(abs(x * y * z) for x, y, z in ((a, e, i), (b, f, g), (c, d, h), (a, f, h), (b, d, i), (c, e, g)))
         a1 = -tr
         a2 = minor + a * i - c * g + a * e - b * d  # the principal 2x2 minors
         a3 = -det
@@ -267,12 +288,11 @@ def classify(j: JacobianMatrix) -> StabilityReport:
                    "hurwitz": a1 > 0 and a3 > 0 and a1 * a2 > a3}
     else:
         raise ValueError("classify handles 2x2 and 3x3 matrices")
-    re = [z.real for z in eig]
-    if abs(det) < DEGENERACY_TOL or any(abs(x) < DEGENERACY_TOL for x in re):
+    if abs(det) <= DEGENERACY_TOL * scale or any(abs(z.real) <= DEGENERACY_TOL * abs(z) for z in eig):
         cls = "degenerate"
-    elif all(x < 0 for x in re):
-        cls = "stable_focus" if any(abs(z.imag) > DEGENERACY_TOL for z in eig) else "stable_node"
-    elif all(x > 0 for x in re):
+    elif all(z.real < 0 for z in eig):
+        cls = "stable_focus" if any(abs(z.imag) > DEGENERACY_TOL * abs(z) for z in eig) else "stable_node"
+    elif all(z.real > 0 for z in eig):
         cls = "unstable"
     else:
         cls = "saddle"

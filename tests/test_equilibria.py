@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -909,22 +910,22 @@ class TestMemo:
         assert math.copysign(1.0, scans[1][1]) == -1.0
         assert [math.copysign(1.0, fp.u_star) for fp in minus] == [-1.0] * len(minus)
 
-    def test_a_scan_calls_no_numpy(self, ref_cfg, section5_cfg, competitive_cfg, monkeypatch):
-        # the scan runs on plain floats: equilibria imports no numpy, and
-        # with model's and every spec's array kernel gone, each shipped
-        # config gives the same roots
+    def test_a_scan_calls_no_numpy(self, ref_cfg, section5_cfg, competitive_cfg, cold, monkeypatch):
+        # the scan and the classification run on plain floats: with numpy
+        # unimportable, specs whose array kernels were never built give each
+        # shipped config the same roots and the same fixed points, bit for bit
         cases = [(ref_cfg, 0.0), (section5_cfg, 0.5), (competitive_cfg, 1.0)]
         want = [equilibria._scan(cfg, k_u) for cfg, k_u in cases]
-        bare = []
-        for cfg, k_u in cases:
-            specs = {name: replace(getattr(cfg, name)) for name in ("price", "admission", "service")}
-            for spec in specs.values():
-                object.__setattr__(spec, "_kernel", None)
-            bare.append((replace(cfg, **specs), k_u))
-        assert not hasattr(equilibria, "np")
-        monkeypatch.setattr(model, "np", None)
+        points = [repr(find_fixed_points(cfg, "competitive", k_u)) for cfg, k_u in cases]
+        cold()
+        bare = [(replace(cfg, **{name: replace(getattr(cfg, name)) for name in ("price", "admission", "service")}), k_u)
+                for cfg, k_u in cases]
+        assert not hasattr(equilibria, "np") and not hasattr(model, "np")
+        monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now raises ImportError
         assert [equilibria._scan(cfg, k_u) for cfg, k_u in bare] == want
+        assert [repr(find_fixed_points(cfg, "competitive", k_u)) for cfg, k_u in bare] == points
         assert [len(roots) for roots in want] == [2, 3, 2]
+        assert not any("_kernel" in vars(spec) for cfg, _ in bare for spec in (cfg.price, cfg.admission, cfg.service))
 
     def test_analysis_chain_scans_once(self, cold, monkeypatch):
         # six fixed-point calls on one parameter set, five in normal mode and

@@ -13,12 +13,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 from accessprice.equilibria import (
     CalibrationError,
     CalibrationTargets,
+    ResidualUndefinedError,
     calibrate_cubic_admission,
     calibrate_linear_admission,
+    fixed_point_residual,
 )
 from accessprice.model import (
     AdmissionSpec,
     _constants,
+    _evaluate,
     _bisect,
     _make,
     _piece_lines,
@@ -789,6 +792,69 @@ class TestQueryKinds:
             for kind, _ in self.KINDS:
                 with pytest.raises(ValueError, match="^queue length q must be a nonnegative number$"):
                     fn(kind(bad))
+
+
+class TestQueryContract:
+    """Every query but a float reads as np.asarray(q, dtype=float) does: an
+    int, a bool or a 0-d query gives the float path's bits as a float, an
+    array query the array path's, and a negative or NaN query the one
+    error.  Only an array query builds a spec's numpy kernel."""
+
+    KINDS = (  # (make the query, takes only whole numbers)
+        (int, True), (bool, True), (np.int64, True), (np.float32, False), (np.array, False),
+        (lambda q: [q], False), (lambda q: [[q]], False),
+    )
+
+    @staticmethod
+    def reference(fn, q):
+        arr = np.asarray(q, dtype=float)
+        return fn(float(arr) if arr.ndim == 0 else arr)
+
+    @staticmethod
+    def outcome(fn, q):
+        """(type, bits, shape) of fn(q), or (type, message) of what it raised."""
+        try:
+            with warnings.catch_warnings():  # float() of a 1-element array is deprecated
+                warnings.simplefilter("ignore", DeprecationWarning)
+                v = fn(q)
+        except (TypeError, ValueError) as exc:  # the residual takes no 1-element array
+            return type(exc), str(exc)
+        return type(v), _bits(v).tolist(), np.shape(v)
+
+    def test_every_kind_reads_as_numpy_reads_it(self, ref_cfg, section5_cfg):
+        evaluators = ((TRI, eval_price), (SAT, eval_price), (SURGE, eval_price), (SVC, eval_service),
+                      (LIN, eval_admission), (CUB, eval_admission))
+        fns = [lambda q, spec=spec, e=e: e(spec, q) for spec, ev in evaluators for e in (ev, from_pieces, slope)]
+        fns += [lambda q, cfg=cfg, k_u=k_u: fixed_point_residual(q, cfg, "saturated", k_u)
+                for cfg, k_u in ((ref_cfg, 0.0), (section5_cfg, 0.5))]
+        queries = [0.0, 1.0, 35.0, 45.0, 75.0, 90.0, 92.0, 100.0, 101.0, 0.3, 44.999, 92.49, -1.0, math.nan]
+        seen = set()
+        for kind, whole in self.KINDS:
+            for q in queries:
+                if whole and not (math.isfinite(q) and q == int(q)):
+                    continue
+                query = kind(int(q)) if whole else kind(q)
+                for fn in fns:
+                    got = self.outcome(fn, query)
+                    assert got == self.outcome(lambda x: self.reference(fn, x), query), (kind, q)
+                    seen.add(got[0])
+        assert seen == {float, np.ndarray, TypeError, ValueError, ResidualUndefinedError}
+
+    @pytest.mark.parametrize("make", [
+        lambda: PriceSpec("saturated", beta=1e-3, q_m=45.0, q_n=75.0), lambda: PriceSpec("surge", beta=1e-3),
+        lambda: ServiceSpec(3.0, 35.0), lambda: AdmissionSpec("linear", (0.21, -0.0023)),
+        lambda: AdmissionSpec("cubic", CUB.coefficients, 100.0)], ids=["saturated", "surge", "service", "linear", "cubic"])
+    def test_the_kernel_is_built_on_the_first_array_query(self, make):
+        spec, twin = make(), make()
+        before = repr(spec), hash(spec)
+        for q in (0.0, 50.0, 3, True, np.float32(7.5), np.array(60.0)):
+            _evaluate(spec, q)
+            from_pieces(spec, q), slope(spec, q)
+        from_pieces(spec, np.array([1.0, 2.0]))  # from the table, not the kernel
+        assert "_kernel" not in vars(spec)
+        assert _bits(_evaluate(spec, [50.0])).tolist() == _bits([_evaluate(spec, 50.0)]).tolist()
+        assert vars(spec)["_kernel"] is spec._kernel
+        assert (repr(spec), hash(spec)) == before and spec == twin and "_kernel" not in vars(twin)
 
 
 class TestFromPiecesFarBeyond:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 import types
 
@@ -184,19 +185,17 @@ class TestDaggers:
         assert eta1(cfg, math.nextafter(q, 0.0)) < 1e3 <= eta1(cfg, q) and q < cfg.admission.q_max
 
     def test_daggers_call_no_numpy(self, ref_cfg, section5_cfg, competitive_cfg, monkeypatch):
-        # r_dagger and q_dagger run on plain floats: with numpy and every
-        # spec's array kernel gone, each shipped config gives the same bits
+        # r_dagger and q_dagger run on plain floats: with numpy unimportable,
+        # specs whose array kernels were never built give each shipped config
+        # the same bits
         cfgs = [ref_cfg, section5_cfg, competitive_cfg]
         want = [(r_dagger(cfg).hex(), q_dagger(cfg).hex()) for cfg in cfgs]
-        bare = []
-        for cfg in cfgs:
-            specs = {name: dataclasses.replace(getattr(cfg, name)) for name in ("price", "admission", "service")}
-            for spec in specs.values():
-                object.__setattr__(spec, "_kernel", None)
-            bare.append(dataclasses.replace(cfg, **specs))
-        for module in (regions, model):
-            monkeypatch.setattr(module, "np", None)
+        bare = [dataclasses.replace(cfg, **{name: dataclasses.replace(getattr(cfg, name))
+                                            for name in ("price", "admission", "service")}) for cfg in cfgs]
+        assert not hasattr(regions, "np") and not hasattr(model, "np")
+        monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now raises ImportError
         assert [(r_dagger(cfg).hex(), q_dagger(cfg).hex()) for cfg in bare] == want
+        assert not any("_kernel" in vars(spec) for cfg in bare for spec in (cfg.price, cfg.admission, cfg.service))
 
     def test_eta1_inverse_vanishing_alpha_is_named(self, ref_cfg):
         # alpha = 0.1 (q - 1)(q - 3) clamped at 0: zero on [1, 3], positive near q_max

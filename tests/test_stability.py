@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import price_scaled
-from accessprice import dynamics
+from accessprice import cli, dynamics
 from accessprice.equilibria import FixedPoint, find_fixed_points
-from accessprice.model import AdmissionSpec
+from accessprice.model import MODE_TAGS, AdmissionSpec, SystemMode
 from accessprice.stability import (
     JacobianMatrix,
     KinkProximityError,
@@ -280,6 +280,28 @@ class TestClassify:
         assert [c for c, _ in got] == ["stable_node", "saddle"]
         assert [x for _, x in got] == pytest.approx([-0.0330357142857, 0.0223214285714], abs=1e-12)
 
+    @pytest.mark.parametrize("e", [-30, -35, -60])
+    def test_small_price_units_keep_their_classes(self, ref_cfg, e):
+        # at a price unit 2**30 times larger (price_scaled(ref, -30)) the
+        # high point's |det| falls below 1e-12, from 2**35 both points' small
+        # eigenvalues do, which an absolute test read as degenerate; against
+        # the matrix's own scales neither point is singular
+        cfg = price_scaled(ref_cfg, e)
+        fps = find_fixed_points(cfg)
+        assert [fp.classification for fp in fps] == ["stable_node", "saddle"]
+        assert [classify(jacobian(cfg, (fp.r_star, fp.q_star))).classification for fp in fps] == [
+            "stable_node", "saddle"]
+        assert 0 < -fps[0].eigen_data[1].real < 1e-10 and abs(fps[1].eigen_data[1].real) < 1e-10
+
+    def test_mass_conserving_state_is_degenerate(self, competitive_cfg):
+        # beyond 2*q_m and q_c, f = f' = mu' = 0: the columns of the
+        # competitive Jacobian sum to zero, so it is singular, and rounding
+        # leaves its determinant only a tiny fraction of its terms
+        for q in (91.0, 91.5):
+            for r, u in ((30.0, 20.0), (200.0, 150.0), (0.5, 300.0)):
+                rep = classify(jacobian(competitive_cfg, (r, q, u), "competitive"))
+                assert rep.classification == "degenerate", (r, q, u, rep.determinant)
+
     @pytest.mark.parametrize("mode, e, poly", [("normal", 520, "quadratic"), ("competitive", 200, "cubic")])
     def test_discriminant_overflow_is_named(self, ref_cfg, mode, e, poly):
         with pytest.raises(ValueError, match=f"^{poly} .*: discriminant overflows$"):
@@ -293,6 +315,27 @@ class TestClassify:
                 assert re[-1] < 1e-12
             elif rep.classification == "saddle":
                 assert re[0] < 0 < re[-1]
+
+
+class TestOneClassification:
+    @pytest.mark.parametrize("name", ["ref", "section5", "competitive"])
+    def test_fixed_points_carry_classify_of_jacobian(self, config_dir, name):
+        # find_fixed_points classifies from the Jacobian's rows on floats;
+        # jacobian() makes them an array first: the same class and bits
+        cfg = cli.load_config(str(config_dir / f"{name}.json"))
+        bits = lambda eig: [(z.real.hex(), z.imag.hex()) for z in eig]
+        checked = 0
+        for tag in MODE_TAGS:
+            for k_u in (0.0, 0.5, 1.0):
+                for fp in find_fixed_points(cfg, SystemMode(tag, k_u)):
+                    try:
+                        rep = classify(jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), fp.mode))
+                        want = rep.classification, bits(rep.eigenvalues)
+                    except KinkProximityError:
+                        want = "degenerate", []
+                    assert (fp.classification, bits(fp.eigen_data)) == want, (tag, k_u, fp)
+                    checked += 1
+        assert checked >= 18
 
 
 class TestSolveCubic:
