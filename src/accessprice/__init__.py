@@ -23,7 +23,7 @@ _EXPORTS = {
     for module, names in (
         ("model", (
             "AdmissionSpec", "CHATTERING", "ModelConfig", "NORMAL", "PriceSpec", "SWITCHED_FULL",
-            "ServiceSpec", "SystemMode", "admission_slope", "competitive_mode", "eval_admission",
+            "ServiceSpec", "SystemMode", "competitive_mode", "eval_admission",
             "eval_price", "eval_service", "saturated_mode", "saturation_floor", "validate_admissible",
         )),
         ("equilibria", (
@@ -32,7 +32,7 @@ _EXPORTS = {
         )),
         ("stability", (
             "JacobianMatrix", "KinkProximityError", "StabilityReport", "classify", "classify_at",
-            "divergence", "finite_diff_jacobian", "jacobian", "saddle_criterion",
+            "divergence", "jacobian", "saddle_criterion",
         )),
         ("dynamics", ("Trajectory", "admitted_flows", "converge", "integrate", "rhs")),
         ("regions", (

@@ -507,9 +507,6 @@ def slope(spec, q):
     return from_pieces(spec, q, 1)
 
 
-admission_slope = slope
-
-
 @functools.lru_cache(maxsize=256)
 def _in_powers(origin: float, c: tuple) -> tuple:
     """The piece c_k * (q - origin)**k in ascending powers of q.  Cached: equal

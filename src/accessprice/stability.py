@@ -15,15 +15,14 @@ and the competitive 3-state mode, in (R, q, U) order,
 One private function builds these entries from f, f', alpha, alpha' and
 mu' at q, for one state or an array of states.  jacobian() makes them a
 matrix; divergence() sums the diagonal in the order of classify's trace.
-finite_diff_jacobian() is the oracle: central differences of
-dynamics.rhs, one call on the 2*dim perturbed states.
 
-classify() reads the eigenvalues from the closed-form quadratic/cubic
-solutions of the characteristic polynomial, not from an eigensolver, and
-names the class by one rule on their real and imaginary parts in 2D and
-3D alike.  Every coefficient, the determinant included, is plain float
-arithmetic on the entries, so no result depends on a LAPACK build.  The
-Hurwitz conditions are reported beside the class and do not decide it.
+classify() reads the eigenvalues from the characteristic polynomial, not
+from an eigensolver: one routine solves the 2D quadratic and the quadratic
+that the 3D cubic deflates to beside its one bisected real root.  One rule
+on their real and imaginary parts names the class in 2D and 3D alike.
+Every coefficient, the determinant included, is plain float arithmetic on
+the entries, so no result depends on a LAPACK build.  The Hurwitz
+conditions are reported beside the class and do not decide it.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from dataclasses import dataclass, field
 import cmath
 import math
 
-from .model import (ModelConfig, _admittance_bound, _real_roots, as_mode, eval_admission, eval_price, eval_service,
-                    slope)
+from .model import (ModelConfig, _admittance_bound, _bisect, _real_roots, as_mode, eval_admission, eval_price,
+                    eval_service, slope)
 
 KINK_RADIUS = 1e-9       # states closer than this to a kink are rejected
 DEGENERACY_TOL = 1e-12   # relative: see classify
@@ -130,31 +129,6 @@ def classify_at(cfg: ModelConfig, state, mode="normal") -> StabilityReport:
     return _classify(_entries(cfg, r, q, u, mode.dim))
 
 
-def finite_diff_jacobian(cfg: ModelConfig, state, mode="normal", h: float = 1e-6) -> JacobianMatrix:
-    """Central-difference Jacobian of dynamics.rhs; oracle for jacobian().
-
-    Requires the state to sit more than 10*h away from every kink so the
-    difference stencil never straddles one.
-    """
-    import numpy as np
-    from . import dynamics
-
-    if not h > 0:
-        raise ValueError("step h must be > 0")
-    mode, r, q, u = _check_state(cfg, state, mode)
-    for k in _kinks(cfg, mode):
-        if abs(q - k) <= 10 * h:
-            raise KinkProximityError(
-                f"kink at {k:g} within 10*h of q = {q:g}"
-            )
-    dim = mode.dim
-    x = np.tile([r, q, u], (2 * dim, 1))
-    x[:dim, :dim] += h * np.eye(dim)
-    x[dim:, :dim] -= h * np.eye(dim)
-    d = dynamics.rhs(cfg, mode, 0.0, x)
-    return JacobianMatrix(dim, ((d[:dim] - d[dim:]) / (2 * h))[:, :dim].T)
-
-
 def divergence(cfg: ModelConfig, state, mode="normal"):
     """Trace of the Jacobian of the flow field at the state.
 
@@ -183,70 +157,52 @@ def divergence(cfg: ModelConfig, state, mode="normal"):
     return sum((rows[i][i] for i in range(1, mode.dim)), rows[0][0])
 
 
-def solve_cubic(a1: float, a2: float, a3: float) -> tuple[complex, complex, complex]:
-    """Roots of x^3 + a1 x^2 + a2 x + a3 via the closed-form solution.
-
-    Three real roots use the trigonometric form, the complex-pair case
-    uses Cardano; every root gets two Newton polish steps.  Sorted by
-    (real, imag) for deterministic output.  A discriminant that is not
-    finite raises ValueError by name.
-    """
-    p = a2 - a1 * a1 / 3.0
-    shift = -a1 / 3.0
-    try:
-        q = 2.0 * a1 ** 3 / 27.0 - a1 * a2 / 3.0 + a3
-        disc = -4.0 * p ** 3 - 27.0 * q * q
-    except OverflowError:  # ** raises where * gives inf
-        disc = math.inf
+def _pair_roots(s: float, p: float) -> tuple[complex, complex]:
+    """Roots of x^2 - s x + p, sorted by (real, imag): a real pair from
+    model._real_roots' stable form (a double root at 0 where it finds
+    none), a complex pair from cmath.sqrt.  A discriminant that is not
+    finite raises ValueError by name."""
+    disc = s * s - 4 * p
     if not math.isfinite(disc):
-        raise ValueError(f"cubic x^3 + {a1:g} x^2 + {a2:g} x + {a3:g}: discriminant overflows")
-    if abs(p) < 1e-300 and abs(q) < 1e-300:
-        roots = [complex(shift)] * 3
-    elif disc >= 0 and p < 0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        theta = math.acos(arg) / 3.0
-        roots = [
-            complex(m * math.cos(theta - 2.0 * math.pi * k / 3.0) + shift)
-            for k in range(3)
-        ]
+        raise ValueError(f"quadratic x^2 + {-s:g} x + {p:g}: discriminant overflows")
+    if disc < 0:
+        r = cmath.sqrt(disc)
+        return (s - r) / 2, (s + r) / 2
+    return tuple(complex(x) for x in sorted(_real_roots([p, -s, 1.0], -math.inf, math.inf) or (0.0, 0.0)))
+
+
+def _cubic_roots(a1: float, a2: float, a3: float) -> tuple[complex, complex, complex]:
+    """Roots of x^3 + a1 x^2 + a2 x + a3, sorted by (real, imag): a real
+    root lam bisected (model._bisect) within Fujiwara's bound b on the roots'
+    size, and the pair of the cubic / (x - lam) = x^2 - s x + p.  That is
+    deflated from the top when lam is the small root (|lam|^3 <= |a3|/2),
+    else from the bottom, so no small root is the difference of two large
+    terms.  A coefficient that is not finite, or a b whose cube overflows,
+    raises ValueError by name."""
+    name = f"cubic x^3 + {a1:g} x^2 + {a2:g} x + {a3:g}"
+    if not (math.isfinite(a1) and math.isfinite(a2) and math.isfinite(a3)):
+        raise ValueError(f"{name}: coefficients not finite")
+    b = 2 * max(abs(a1), math.sqrt(abs(a2)), (abs(a3) / 2) ** (1 / 3))
+    if not math.isfinite(b * b * b):
+        raise ValueError(f"{name}: root bound {b:g} cubed overflows")
+    lam = _bisect(lambda x: ((x + a1) * x + a2) * x + a3, -b, b, False)
+    if abs(lam * lam * lam) <= abs(a3) / 2:
+        s = -a1 - lam
+        p = a2 - lam * s
     else:
-        s = cmath.sqrt(q * q / 4.0 + p ** 3 / 27.0)
-        for cand in (-q / 2.0 + s, -q / 2.0 - s):
-            if abs(cand) > 0:
-                w = cand ** (1.0 / 3.0)
-                break
-        else:
-            w = 0j
-        t1 = w - p / (3.0 * w) if w != 0 else 0j
-        x1 = t1 + shift
-        # remaining quadratic x^2 + (a1 + x1) x + (a2 + (a1 + x1) x1)
-        b = a1 + x1
-        c = a2 + b * x1
-        sq = cmath.sqrt(b * b - 4.0 * c)
-        roots = [x1, (-b - sq) / 2.0, (-b + sq) / 2.0]
-
-    def polish(x):
-        for _ in range(2):
-            fx = ((x + a1) * x + a2) * x + a3
-            dfx = (3.0 * x + 2.0 * a1) * x + a2
-            if dfx != 0:
-                x = x - fx / dfx
-        return x
-
-    roots = [polish(x) for x in roots]
-    roots.sort(key=lambda z: (z.real, z.imag))
-    return tuple(roots)
+        p = -a3 / lam
+        s = (a2 - p) / lam
+    return tuple(sorted((complex(lam), *_pair_roots(s, p)), key=lambda z: (z.real, z.imag)))
 
 
 def classify(j: JacobianMatrix) -> StabilityReport:
     """Stability class of a 2x2 or 3x3 Jacobian from its eigenvalues.
 
     The characteristic polynomial comes from the trace, the principal
-    minors and the determinant (a cofactor expansion along row 0), and its
-    roots from the closed-form quadratic (real ones by model._real_roots'
-    stable form) or cubic; a discriminant that is not finite raises
+    minors and the determinant (a cofactor expansion along row 0).  One
+    quadratic routine gives its roots in 2D, and in 3D the pair beside one
+    bisected real root, which deflates the cubic (_cubic_roots).  A
+    discriminant, coefficient or root bound that floats cannot hold raises
     ValueError by name.  One rule, on the matrix's own scales, names the
     class in both dimensions: degenerate when |det| <= 1e-12 times the sum
     of its terms' sizes or some |Re(lambda)| <= 1e-12 |lambda|; otherwise
@@ -265,15 +221,8 @@ def _classify(rows) -> StabilityReport:  # classify on the matrix's rows of floa
         tr = a + d
         det = a * d - b * c
         scale = abs(a * d) + abs(b * c)
-        disc = tr * tr - 4 * det
-        if not math.isfinite(disc):
-            raise ValueError(f"quadratic x^2 + {-tr:g} x + {det:g}: discriminant overflows")
-        if disc < 0:
-            s = cmath.sqrt(disc)
-            eig = ((tr - s) / 2, (tr + s) / 2)
-        else:  # (): a double root at 0
-            eig = tuple(complex(x) for x in sorted(_real_roots([det, -tr, 1.0], -math.inf, math.inf) or (0.0, 0.0)))
-        hurwitz = {"trace": tr, "det": det, "disc": disc, "hurwitz": tr < 0 and det > 0}
+        eig = _pair_roots(tr, det)
+        hurwitz = {"trace": tr, "det": det, "disc": tr * tr - 4 * det, "hurwitz": tr < 0 and det > 0}
     elif len(rows) == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         tr = a + e + i
@@ -283,7 +232,7 @@ def _classify(rows) -> StabilityReport:  # classify on the matrix's rows of floa
         a1 = -tr
         a2 = minor + a * i - c * g + a * e - b * d  # the principal 2x2 minors
         a3 = -det
-        eig = solve_cubic(a1, a2, a3)
+        eig = _cubic_roots(a1, a2, a3)
         hurwitz = {"a1": a1, "a2": a2, "a3": a3, "margin": a1 * a2 - a3,
                    "hurwitz": a1 > 0 and a3 > 0 and a1 * a2 > a3}
     else:

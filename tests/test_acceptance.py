@@ -21,7 +21,8 @@ from accessprice.dynamics import (
 )
 from accessprice.equilibria import find_fixed_points
 from accessprice.model import eval_admission, eval_price
-from accessprice.stability import classify, finite_diff_jacobian, jacobian
+from accessprice.stability import classify, jacobian
+from oracle import finite_diff_jacobian
 
 
 def report(n, elapsed, budget, detail):

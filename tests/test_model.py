@@ -31,7 +31,6 @@ from accessprice.model import (
     ModelConfig,
     PriceSpec,
     ServiceSpec,
-    admission_slope,
     eval_admission,
     eval_price,
     eval_service,
@@ -139,8 +138,8 @@ class TestAdmission:
 
     def test_slope_left_derivative_at_qmax(self):
         c1 = LIN.coefficients[1]
-        assert admission_slope(LIN, LIN.q_max) == c1
-        assert admission_slope(LIN, LIN.q_max + 1e-6) == 0.0
+        assert slope(LIN, LIN.q_max) == c1
+        assert slope(LIN, LIN.q_max + 1e-6) == 0.0
 
     def test_cubic_eval_and_slope(self):
         cub = AdmissionSpec(
@@ -151,7 +150,7 @@ class TestAdmission:
         assert eval_admission(cub, q) == pytest.approx(
             a0 + a1 * q + a2 * q**2 + a3 * q**3, abs=1e-15
         )
-        assert admission_slope(cub, q) == pytest.approx(
+        assert slope(cub, q) == pytest.approx(
             a1 + 2 * a2 * q + 3 * a3 * q**2, abs=1e-15
         )
         assert eval_admission(cub, 150.0) == 0.0
@@ -208,7 +207,7 @@ class TestAdmission:
 
     @given(st.floats(min_value=0.0, max_value=92.49))
     def test_slope_nonpositive_below_qmax(self, q):
-        assert admission_slope(LIN, q) <= 0
+        assert slope(LIN, q) <= 0
 
     @given(st.floats(min_value=0.0, max_value=200.0))
     def test_admission_nonnegative(self, q):
@@ -227,7 +226,7 @@ class TestSlopeOracles:
         for spec in (LIN, CUB):
             if abs(q - spec.q_max) < 1e-3:
                 continue
-            assert admission_slope(spec, q) == pytest.approx(
+            assert slope(spec, q) == pytest.approx(
                 central_diff(lambda x: eval_admission(spec, x), q), abs=1e-6
             )
 
@@ -877,7 +876,7 @@ class TestNaNQuery:
 
     def test_admission_slope(self):
         with pytest.raises(ValueError, match="queue length q"):
-            admission_slope(LIN, math.nan)
+            slope(LIN, math.nan)
 
     def test_eval_price(self):
         with pytest.raises(ValueError, match="queue length q"):

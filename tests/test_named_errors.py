@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from accessprice import cli, dynamics, regions, scenarios, stability
 from accessprice.cli import ConfigError
 from accessprice.equilibria import (
@@ -171,13 +172,18 @@ STABILITY = {
         lambda c: dynamics.integrate(c["ref"], dynamics.NORMAL, (30.0, 45.0), 0.0, 0.1).state_at(float("inf")),
         ValueError, "t = inf is not a finite time"),
     "finite-difference stencil over a kink": (
-        lambda c: stability.finite_diff_jacobian(c["ref"], (25.0, 35.0 + 5e-6)),
+        lambda c: oracle.finite_diff_jacobian(c["ref"], (25.0, 35.0 + 5e-6)),
         KinkProximityError, "kink at 35 within 10*h of q = 35"),
     "divergence sampled on a kink": (
         lambda c: stability.divergence(c["ref"], np.array([[25.0, 20.0], [25.0, 35.0]])),
         KinkProximityError, "a sampled q sits on the kink at 35"),
-    "cubic beyond the float range": (lambda c: stability.solve_cubic(1e200, 0.0, 0.0), ValueError,
-                                     "cubic x^3 + 1e+200 x^2 + 0 x + 0: discriminant overflows"),
+    "cubic beyond the float range": (  # the companion matrix of x^3 + 1e200 x^2 + 1
+        lambda c: stability.classify(stability.JacobianMatrix(3, np.array([[-1e200, 0, -1], [1, 0, 0], [0, 1, 0]]))),
+        ValueError, "cubic x^3 + 1e+200 x^2 + 0 x + 1: root bound 2e+200 cubed overflows"),
+    "cubic with a coefficient that is not finite": (  # its 2x2 minors are inf - inf
+        lambda c: stability.classify(stability.JacobianMatrix(
+            3, np.array([[1e200, -1e200, 0], [1e200, -1e200, 0], [0, 0, 0]]))),
+        ValueError, "cubic x^3 + -0 x^2 + nan x + -0: coefficients not finite"),
     "classify a 4x4 matrix": (
         lambda c: stability.classify(stability.JacobianMatrix(4, np.eye(4))),
         ValueError, "classify handles 2x2 and 3x3 matrices"),

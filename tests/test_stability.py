@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import price_scaled
+from oracle import exact_class, finite_diff_jacobian
 from accessprice import cli, dynamics
 from accessprice.equilibria import FixedPoint, find_fixed_points
 from accessprice.model import MODE_TAGS, AdmissionSpec, SystemMode
 from accessprice.stability import (
     JacobianMatrix,
     KinkProximityError,
+    _cubic_roots,
     classify,
     divergence,
-    finite_diff_jacobian,
     jacobian,
     saddle_criterion,
-    solve_cubic,
 )
 
 
@@ -302,10 +302,22 @@ class TestClassify:
                 rep = classify(jacobian(competitive_cfg, (r, q, u), "competitive"))
                 assert rep.classification == "degenerate", (r, q, u, rep.determinant)
 
-    @pytest.mark.parametrize("mode, e, poly", [("normal", 520, "quadratic"), ("competitive", 200, "cubic")])
+    @pytest.mark.parametrize("mode, e, poly", [("normal", 520, "quadratic"), ("competitive", 343, "cubic")])
     def test_discriminant_overflow_is_named(self, ref_cfg, mode, e, poly):
-        with pytest.raises(ValueError, match=f"^{poly} .*: discriminant overflows$"):
+        # the cubic has no discriminant to overflow: it is refused where the
+        # bound on its roots' size, cubed, does (from 2**343 on ref)
+        tail = {"quadratic": "discriminant overflows", "cubic": r"root bound \S+ cubed overflows"}[poly]
+        with pytest.raises(ValueError, match=f"^{poly} .*: {tail}$"):
             find_fixed_points(price_scaled(ref_cfg, e), mode, 0.0)
+
+    @pytest.mark.parametrize("e", [200, 300, 342])
+    def test_small_eigenvalue_beside_two_large_ones(self, ref_cfg, e):
+        # the competitive points at K_U = 0 add -alpha, of size about 2**e,
+        # to the 2-D eigenvalues: the small one keeps its 2-D value
+        fps = find_fixed_points(price_scaled(ref_cfg, e), "competitive", 0.0)
+        assert [fp.classification for fp in fps] == ["stable_node", "saddle"]
+        assert [fp.eigen_data[2].real for fp in fps] == pytest.approx([-0.0330357142857, 0.0223214285714], abs=1e-12)
+        assert all(fp.eigen_data[1].real < -1e50 for fp in fps)
 
     def test_classification_consistent_with_eigenvalues(self, ref_cfg):
         for state in [(25.0, 40.0), (125.0, 82.0), (10.0, 10.0), (300.0, 88.0)]:
@@ -338,6 +350,37 @@ class TestOneClassification:
         assert checked >= 18
 
 
+class TestExactClasses:
+    """Competitive fixed points of the shipped configs at K_U = 0 and 0.5
+    and price units 2**e times smaller, every 10th e in [-170, 170],
+    against oracle.exact_class."""
+
+    def test_sweep(self, config_dir):
+        wrong, checked = [], 0
+        for name in ("ref", "section5", "competitive"):
+            base = cli.load_config(str(config_dir / f"{name}.json"))
+            for k_u in (0.0, 0.5):
+                for e in range(-170, 171, 10):
+                    cfg = price_scaled(base, e)
+                    for fp in find_fixed_points(cfg, "competitive", k_u):
+                        rows = jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), "competitive").entries.tolist()
+                        want = exact_class(rows)
+                        if want is None:  # within a factor of 2 of a 1e-12 band
+                            continue
+                        checked += 1
+                        if fp.classification != want:
+                            wrong.append((name, k_u, e, fp.q_star, fp.classification, want))
+        assert checked >= 340 and wrong == []
+
+    @pytest.mark.parametrize("e, point, want", [(-40, 0, "stable_node"), (-60, 0, "stable_node"), (-30, 1, "saddle")])
+    def test_ref_at_a_large_price_unit(self, ref_cfg, e, point, want):
+        # two eigenvalues of about 2**e beside one of about -0.06 or -0.3
+        cfg = price_scaled(ref_cfg, e)
+        fp = find_fixed_points(cfg, "competitive", 0.0)[point]
+        rows = jacobian(cfg, (fp.r_star, fp.q_star, fp.u_star), "competitive").entries.tolist()
+        assert fp.classification == exact_class(rows) == want
+
+
 class TestSolveCubic:
     @pytest.mark.parametrize(
         "coeffs",
@@ -348,7 +391,7 @@ class TestSolveCubic:
             (0.17714, 0.009771, 0.000141),
             (3.0, 3.0, 1.0),        # triple root -1
             (-0.5, 0.25, -0.9),
-            (0.0, 1e-200, 0.0),     # p**3/27 underflows: both Cardano candidates 0
+            (0.0, 1e-200, 0.0),     # the root 0 beside the pair +-1e-100 i
         ],
     )
     def test_against_companion_oracle(self, coeffs):
@@ -356,7 +399,7 @@ class TestSolveCubic:
         # oracle itself, hence the loose comparison; residual accuracy is
         # asserted separately below
         a1, a2, a3 = coeffs
-        mine = sorted(solve_cubic(a1, a2, a3), key=lambda z: (z.real, z.imag))
+        mine = sorted(_cubic_roots(a1, a2, a3), key=lambda z: (z.real, z.imag))
         oracle = sorted(np.roots([1.0, a1, a2, a3]), key=lambda z: (z.real, z.imag))
         for m, o in zip(mine, oracle):
             assert m.real == pytest.approx(o.real, abs=2e-5)
@@ -366,7 +409,7 @@ class TestSolveCubic:
         rng = np.random.default_rng(5)
         for _ in range(200):
             a1, a2, a3 = rng.uniform(-3, 3, 3)
-            for root in solve_cubic(a1, a2, a3):
+            for root in _cubic_roots(a1, a2, a3):
                 val = ((root + a1) * root + a2) * root + a3
                 assert abs(val) < 1e-9
 
