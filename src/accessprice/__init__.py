@@ -24,7 +24,7 @@ _EXPORTS = {
         ("model", (
             "AdmissionSpec", "CHATTERING", "ModelConfig", "NORMAL", "PriceSpec", "SWITCHED_FULL",
             "ServiceSpec", "SystemMode", "competitive_mode", "eval_admission",
-            "eval_price", "eval_service", "saturated_mode", "saturation_floor", "validate_admissible",
+            "eval_price", "eval_service", "saturated_mode", "validate_admissible",
         )),
         ("equilibria", (
             "CalibrationError", "CalibrationTargets", "FixedPoint", "calibrate_cubic_admission",

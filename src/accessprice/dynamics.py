@@ -84,8 +84,8 @@ BLOCK_BYTES = 1 << 18  # cap on the (block, 3, n) state history of one block
 class Trajectory:
     """Time-indexed states plus the derived per-step series.
 
-    states has one row (R, q, U) per time; U is zero and frozen in the
-    2-state modes.  The derived series are consistent with the states
+    states has one row (R, q, U) per time; U stays frozen at its start in
+    the 2-state modes.  The derived series are consistent with the states
     under the model evaluators by construction.
     """
 
@@ -177,16 +177,15 @@ def _make_deriv(cfg: ModelConfig, tag: str):
 
 
 def _kernel(cfg: ModelConfig, tag: str):
-    """(run, deriv): the scalar backend of the field tag on cfg, one
-    generated function each, bound to cfg's constants by the factory that
-    model._make compiles once per shape of the piece tables.
+    """run: the scalar backend of the field tag on cfg, one generated
+    function bound to cfg's constants by the factory that model._make
+    compiles once per shape of the piece tables.
 
-    deriv(r, q, u, k_u) -> (dr, dq, du) is _make_deriv's field on plain
-    floats, bit for bit.  run(out, x, k_u, dt, k0, k1, j) -> (x, k) is the
-    stretch contract of _blocks for one run, x = (r, q, u) floats: each
-    step one RK4 step of _batch_run's arithmetic, NaN check and clamps with
-    that field inlined into each stage, its state stored through out, a
-    flat float view of the (block, 3, 1) history (_march binds it).
+    run(out, x, k_u, dt, k0, k1, j) -> (x, k) is the stretch contract of
+    _blocks for one run, x = (r, q, u) floats: each step one RK4 step of
+    _batch_run's arithmetic, NaN check and clamps with _make_deriv's field
+    on plain floats inlined into each stage, its state stored through out,
+    a flat float view of the (block, 3, 1) history (_march binds it).
     """
     values, lit = _constants()
     chat = _admittance_bound(cfg, tag)
@@ -228,8 +227,7 @@ def _kernel(cfg: ModelConfig, tag: str):
              "out[i] = r", "out[i + 1] = q", "out[i + 2] = u", "i += 3"]
     body = ["r, q, u = x", "h2 = 0.5 * dt", "c = dt / 6.0", "i = 3 * j", "for k in range(k0, k1):",
             *("    " + line for line in step), "return (r, q, u), k1"]
-    deriv = [*field(1, "r", "q", "u"), f"return kr1, kq1, {ku(1)}"]
-    return _make(values, ("run(out, x, k_u, dt, k0, k1, j)", body), ("deriv(r, q, u, k_u)", deriv))
+    return _make(values, ("run(out, x, k_u, dt, k0, k1, j)", body))
 
 
 def _k_u(cfg: ModelConfig, mode: SystemMode, t: float) -> float:
@@ -355,9 +353,7 @@ class _clock:
     n, h, K_U) per piece [s, e] of n steps at the K_U of time s, and .steps
     of them in all.  switched_full is cut at the schedule edges inside (a,
     b), any other mode kept whole; step k of a piece ends at s + k*h, the
-    last on e.  _blocks walks the pieces; iterating yields (t, dt, K_U)
-    per step, lazily like range's, the per-step reference that tests step
-    along."""
+    last on e.  _blocks walks the pieces."""
 
     def __init__(self, cfg: ModelConfig, mode: SystemMode, a: float, b: float, h: float):
         inner = {e for piece in cfg.k_u_schedule for e in piece[:2] if a < e < b}
@@ -365,13 +361,6 @@ class _clock:
         self.pieces = [(s, e, _step_count(s, e, h), h, _k_u(cfg, mode, s))
                        for s, e in zip(edges, edges[1:])]
         self.steps = sum(piece[2] for piece in self.pieces)
-
-    def __iter__(self):
-        for s, e, n, h, k_u in self.pieces:
-            for k in range(1, n):
-                yield s + k * h, h, k_u
-            if n:
-                yield e, (e - s) - (n - 1) * h, k_u
 
 
 def _block_steps(n: int) -> int:
@@ -490,7 +479,7 @@ def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, *, raw=None):
     n = x.shape[1]
     hist = np.empty((_block_steps(n), 3, n))
     if n == 1 and raw is None:
-        run = functools.partial(_kernel(cfg, mode.field_tag)[0], memoryview(hist).cast("B").cast("d"))
+        run = functools.partial(_kernel(cfg, mode.field_tag), memoryview(hist).cast("B").cast("d"))
         x = x[:, 0].tolist()
     else:
         run = _batch_run(_make_deriv(cfg, mode.field_tag), hist, cfg.admission.q_max,
@@ -518,17 +507,18 @@ def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAU
         states[k : k + len(ts)] = block[:, :, 0]
         k += len(ts)
 
-    fr, fu = admitted_flows(cfg, mode, states)
     q = states[:, 1]
-    return Trajectory(
-        mode=mode,
-        times=times,
-        states=states,
-        price=cfg.price._kernel(q, np.empty_like(times)),  # out given: no temporary rows
-        flow_r=np.asarray(fr),
-        flow_u=np.asarray(fu),
-        mu=cfg.service._kernel(q, np.empty_like(times)),
-    )
+    with np.errstate(over="ignore"):  # a series past the float range reads inf, as the runs let it
+        fr, fu = admitted_flows(cfg, mode, states)
+        return Trajectory(
+            mode=mode,
+            times=times,
+            states=states,
+            price=cfg.price._kernel(q, np.empty_like(times)),  # out given: no temporary rows
+            flow_r=np.asarray(fr),
+            flow_u=np.asarray(fu),
+            mu=cfg.service._kernel(q, np.empty_like(times)),
+        )
 
 
 @dataclass

@@ -14,7 +14,7 @@ Three piecewise functions of the active-queue length q drive everything:
 
 Each spec declares its function once, in two forms: a numpy kernel
 (_kernel(q, out=None), into out if given; an admission kernel also takes
-scratch x and mask, which the cubic uses; built on the first array query
+scratch x (q capped at q_max) and mask; built on the first array query
 as a cached_property, no field, so float queries import no numpy) for the
 evaluators and the batch field, and a piece table (pieces): (start,
 origin, coefficients) per piece on [start, next start), the polynomial sum
@@ -114,19 +114,18 @@ def _constants():
     return values, lit
 
 
-def _make(values, *defs):
-    """The functions defs, (head, body lines) each, bound to values by one
-    make(c0, ...): make(*values), the function, or a tuple of them.  Their
-    source names each constant by its parameter (_constants), so it depends
-    only on the shapes of the tables written (piece counts, degrees, zero
-    origins, -0.0 coefficients), and make is compiled once per
-    source text (the first compiled wins, no lock), under a file name taken
-    from that text whose source linecache holds, so tracebacks and profiles
-    show the generated line."""
+def _make(values, definition):
+    """The function definition, (head, body lines), bound to values by one
+    make(c0, ...): make(*values).  Its source names each constant by its
+    parameter (_constants), so it depends only on the shapes of the tables
+    written (piece counts, degrees, zero origins, -0.0 coefficients), and
+    make is compiled once per source text (the first compiled wins, no
+    lock), under a file name taken from that text whose source linecache
+    holds, so tracebacks and profiles show the generated line."""
+    head, lines = definition
     source = (f"def make({', '.join(f'c{i}' for i in range(len(values)))}):\n"
-              + "".join(f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
-                        for head, lines in defs)
-              + f"    return {', '.join(head[:head.index('(')] for head, _ in defs)}\n")
+              + f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
+              + f"    return {head[:head.index('(')]}\n")
     make = _makers.get(source)
     if make is None:
         filename = f"<accessprice make {zlib.crc32(source.encode()):08x}>"
@@ -311,9 +310,11 @@ class AdmissionSpec:
 
         zero = np.array(0.0)  # 0-d operands make cheaper numpy calls than floats
         if self.variant == "linear":
-            k2, k1 = map(np.array, self.coefficients)
-            return lambda q, out=None, x=None, mask=None: np.maximum(  # x, mask: the cubic's scratch
-                zero, np.add(np.multiply(k1, q, out), k2, out), out=out)
+            # q capped at the first float with c1*q + c2 < 0, from which alpha is +0.0: no c1*q overflows there
+            c2, c1 = self.coefficients
+            k2, k1, k_max = map(np.array, (c2, c1, _first_zero(lambda q: c1 * q + c2 < 0, self.q_max, math.inf)))
+            return lambda q, out=None, x=None, mask=None: np.maximum(  # x: scratch, apart from q and out
+                zero, np.add(np.multiply(k1, np.minimum(q, k_max, out=x), out), k2, out), out=out)
         k0, k1, k2, k3, k_max = map(np.array, (*self.coefficients, self.q_max))
 
         def kernel(q, out=None, x=None, mask=None):  # x, mask: scratch, apart from q and out
@@ -596,20 +597,6 @@ def extremum(tables, lo: float, hi: float, *, largest: bool = False, order: int 
         for q in (a, b, *_real_roots(g, a, b)):
             found.append((float(sum(_poly(c, q - o, order) for _, o, c in active)), float(q)))
     return (max if largest else min)(found, key=lambda vq: vq[0])
-
-
-def saturation_floor(cfg: ModelConfig) -> float:
-    """Minimum of alpha(q) + f_sat(q) over [0, q_max + 2*q_m], exact.
-
-    With a saturated price this is a strictly positive constant; once
-    alpha has vanished the sum equals the price floor beta*(2*q_m - q_n).
-    """
-    if cfg.price.variant != "saturated":
-        raise ValueError("saturation_floor requires the saturated price variant")
-    q_max = cfg.admission.q_max
-    if not math.isfinite(q_max):
-        raise ValueError("saturation_floor requires a finite admission q_max")
-    return extremum((cfg.admission.pieces, cfg.price.pieces), 0.0, q_max + 2 * cfg.price.q_m)[0]
 
 
 # Fixed-point root counts compatible with each price family: the

@@ -13,8 +13,8 @@ and the competitive 3-state mode, in (R, q, U) order,
     [  0           -U*alpha'            -alpha ]
 
 One private function builds these entries from f, f', alpha, alpha' and
-mu' at q, for one state or an array of states.  jacobian() makes them a
-matrix; divergence() sums the diagonal in the order of classify's trace.
+mu' at the state's q.  jacobian() makes them a matrix; divergence() sums
+the diagonal in the order of classify's trace.
 
 classify() reads the eigenvalues from the characteristic polynomial, not
 from an eigensolver: one routine solves the 2D quadratic and the quadratic
@@ -98,7 +98,7 @@ def _local_fields(cfg: ModelConfig, q: float):
 
 
 def _entries(cfg: ModelConfig, r, q, u, dim: int):
-    """Rows of the mode's Jacobian at (r, q, u); floats or arrays of states."""
+    """Rows of the mode's Jacobian at the floats (r, q, u)."""
     f, fp, a, ap, mp = _local_fields(cfg, q)
     if dim == 2:
         return ((-(f + a), -r * (fp + ap)), (a, r * ap - mp))
@@ -129,30 +129,16 @@ def classify_at(cfg: ModelConfig, state, mode="normal") -> StabilityReport:
     return _classify(_entries(cfg, r, q, u, mode.dim))
 
 
-def divergence(cfg: ModelConfig, state, mode="normal"):
-    """Trace of the Jacobian of the flow field at the state.
+def divergence(cfg: ModelConfig, state, mode="normal") -> float:
+    """Trace of the Jacobian of the flow field at the state (r, q[, u]).
 
     2D: -f - alpha + alpha'*R - mu'.  3D: -2*alpha - f + (R+U)*alpha' - mu'.
     Strictly negative on the interior in both cases, which is what rules
-    out periodic orbits and makes the 3D flow volume-reducing.  Accepts a
-    single state (r, q[, u]) or an array of states on the trailing axis.
+    out periodic orbits and makes the 3D flow volume-reducing.
     """
-    import numpy as np
-
-    mode = as_mode(mode)
-    if mode.tag == "chattering":
+    if as_mode(mode).tag == "chattering":
         raise ValueError("divergence is reported for the smooth modes only")
-    arr = np.asarray(state, dtype=float)
-    if arr.ndim <= 1:
-        _, r, q, u = _check_state(cfg, state, mode)
-    else:
-        if not np.all((arr >= 0) & (arr < np.inf)):
-            raise ValueError("states must be finite and lie in the positive orthant, without NaN")
-        r, q = arr[..., 0], arr[..., 1]
-        u = arr[..., 2] if arr.shape[-1] == 3 else np.zeros_like(r)
-        for k in cfg.kink_points():
-            if np.any(np.abs(q - k) < KINK_RADIUS):
-                raise KinkProximityError(f"a sampled q sits on the kink at {k:g}")
+    mode, r, q, u = _check_state(cfg, state, mode)
     rows = _entries(cfg, r, q, u, mode.dim)
     return sum((rows[i][i] for i in range(1, mode.dim)), rows[0][0])
 

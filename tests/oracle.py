@@ -1,6 +1,7 @@
-"""References that tests check the stability code against, on paths no
-command uses.
+"""References that tests check the library against, on paths no command
+uses.
 
+clock_steps walks a dynamics._clock one RK4 step at a time.
 finite_diff_jacobian differentiates dynamics.rhs by central differences.
 exact_class names the class of a 3x3 matrix of floats from its exact
 characteristic polynomial (fractions.Fraction): stability from the signs
@@ -16,6 +17,16 @@ import numpy as np
 
 from accessprice import dynamics
 from accessprice.stability import DEGENERACY_TOL, JacobianMatrix, KinkProximityError, _check_state, _kinks
+
+
+def clock_steps(clock):
+    """(t, dt, K_U) per step of the clock's pieces, lazily like range's:
+    the per-step reference that tests step along."""
+    for s, e, n, h, k_u in clock.pieces:
+        for k in range(1, n):
+            yield s + k * h, h, k_u
+        if n:
+            yield e, (e - s) - (n - 1) * h, k_u
 
 
 def finite_diff_jacobian(cfg, state, mode="normal", h: float = 1e-6) -> JacobianMatrix:

@@ -540,13 +540,18 @@ _OVERRIDES = st.lists(st.tuples(_OVERRIDE_PATHS, _JSON_VALUES).map("=".join) | _
 _SECTION5_CUBIC = "0.09, -0.0019357142857142858, 3.059523809523811e-05"
 
 
+# flags that keep a run short: simulate's horizon and rows, scenario's step
+_SHORT = {"simulate": {"--t1": 5.0, "--every": 10}, "scenario": {"--step": 0.1}}
+
+
 class TestConfigContract:
-    """validate, fixed-points, classify, doa and phase end in a result or a
-    named error, with no warning, for any one to three --set overrides of
-    any shipped config."""
+    """validate, fixed-points, classify, doa, phase, simulate and scenario
+    end in a result or a named error, with no warning, for any one to three
+    --set overrides of any shipped config."""
 
     @settings(max_examples=200)
-    @given(command=st.sampled_from(["validate", "fixed-points", "classify", "doa", "phase"]),
+    @given(command=st.sampled_from(["validate", "fixed-points", "classify", "doa", "phase", "simulate",
+                                    "scenario"]),
            config=st.sampled_from(["ref.json", "section5.json", "competitive.json"]),
            overrides=_OVERRIDES)
     @example(command="validate", config="ref.json", overrides=[f"k_r={_HUGE}"])
@@ -556,10 +561,15 @@ class TestConfigContract:
     @example(command="fixed-points", config="section5.json", overrides=["price.beta=1e300"])
     @example(command="phase", config="ref.json", overrides=["k_r=1e308"])
     @example(command="doa", config="ref.json", overrides=["admission.coefficients=[1, 1e306]"])
-    def test_overrides(self, config_dir, command, config, overrides):
+    # alpha falls from 1e308 to 0 at q = 1: c1*q overflows beyond q_max
+    @example(command="simulate", config="ref.json", overrides=["admission.coefficients=[1e308, -1e308]"])
+    def test_overrides(self, config_dir, tmp_path_factory, command, config, overrides):
+        flags = dict(_SHORT.get(command, {}))
+        if command == "scenario":
+            flags["--out-prefix"] = str(tmp_path_factory.getbasetemp() / "contract")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _run_contract(config_dir, command, {}, config, overrides)
+            _run_contract(config_dir, command, flags, config, overrides)
 
     @pytest.mark.parametrize("command, config, override, code, err", [
         ("phase", "ref.json", "k_r=1e308", 1,

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracle import clock_steps
 from accessprice import dynamics, model, regions
 from accessprice.dynamics import (
     CHATTERING,
@@ -31,7 +32,7 @@ from accessprice.model import (
     eval_admission,
     eval_price,
     eval_service,
-    saturation_floor,
+    extremum,
 )
 
 
@@ -119,6 +120,15 @@ class TestIntegrate:
         traj = integrate(ref_cfg, NORMAL, (30.0, 45.0), 5.0, 5.0, 0.01)
         assert len(traj.times) == 1
         np.testing.assert_allclose(traj.states[0], [30.0, 45.0, 0.0])
+
+    def test_a_series_past_the_float_range_reads_inf(self, competitive_cfg):
+        # alpha(15) = 1e308 - 1.5e307, so alpha*R and alpha*U overflow, and a
+        # surge price 1e307*q does at q = 30: inf, as the runs let it be
+        steep = replace(competitive_cfg, admission=AdmissionSpec("linear", (1e308, -1e306)))
+        traj = integrate(steep, competitive_mode(1.0), (50.0, 15.0, 50.0), 0.0, 0.1, 0.01)
+        assert (traj.flow_r[0], traj.flow_u[0]) == (math.inf, math.inf) and np.isfinite(traj.states).all()
+        surge = replace(competitive_cfg, price=PriceSpec("surge", beta=1e307))
+        assert integrate(surge, NORMAL, (50.0, 30.0), 0.0, 0.0).price.tolist() == [math.inf]
 
     def test_large_step_rejected(self, ref_cfg):
         with pytest.raises(ValueError, match="step"):
@@ -209,7 +219,9 @@ class TestStepHalving:
 
 class TestSaturatedAbsorbing:
     def test_rdot_negative_above_bound(self, section5_cfg):
-        c_sat = saturation_floor(section5_cfg)
+        # the least alpha + f, exact from the piece tables
+        adm, price = section5_cfg.admission, section5_cfg.price
+        c_sat = extremum((adm.pieces, price.pieces), 0.0, adm.q_max + 2 * price.q_m)[0]
         bound = section5_cfg.k_r / c_sat
         rng = np.random.default_rng(4)
         mode = saturated_mode(0.5)
@@ -279,8 +291,9 @@ def _bits_equal(a, b):
 def _scalar_deriv(cfg, tag, k_u):
     """(r, q, u) -> (dr, dq, du) on plain floats, hand-written in
     _make_deriv's operation order on the specs' numpy kernels, each called
-    on a 0-d array: the oracle of the compiled field, independent of
-    model._piece_lines, which generates that field and the float forms."""
+    on a 0-d array: the oracle of the field that the compiled run inlines,
+    independent of model._piece_lines, which generates that run and the
+    float forms."""
     f, alpha, mu = (lambda q, kernel=spec._kernel: float(kernel(np.array(q)))
                     for spec in (cfg.price, cfg.admission, cfg.service))
     k_r = cfg.k_r
@@ -343,7 +356,7 @@ def _compiled_step(cfg, tag):
     returns checked against the one it stored; a NaN state, which the run
     reports by its index, raises the block driver's message naming t: the
     compiled step under test."""
-    run = dynamics._kernel(cfg, tag)[0]
+    run = dynamics._kernel(cfg, tag)
     out = memoryview(np.empty((1, 3, 1))).cast("B").cast("d")
 
     def step(r, q, u, k_u, dt, t, where):
@@ -366,8 +379,8 @@ def _outcome(step, *args):
 
 
 class TestScalarBackend:
-    """The compiled scalar field and step against the numpy field and the
-    hand-written oracle, bit for bit."""
+    """The compiled scalar step against the hand-written oracle, whose
+    field is the numpy field, bit for bit."""
 
     NAMES = ["triangular-linear", "saturated-cubic", "surge-linear", "surge-cubic",
              "saturated-linear"]
@@ -421,11 +434,9 @@ class TestScalarBackend:
             want = np.column_stack(
                 dynamics._make_deriv(cfg, tag)(x.T.copy(), np.zeros((3, len(x))), k_u)
             )
-        compiled = dynamics._kernel(cfg, tag)[1]
-        got = np.array([compiled(*map(float, row), k_u) for row in x])
-        assert _bits_equal(got, want)
         oracle = _scalar_deriv(cfg, tag, k_u)
-        assert _bits_equal(np.array([oracle(*map(float, row)) for row in x]), want)
+        got = np.array([oracle(*map(float, row)) for row in x])
+        assert _bits_equal(got, want)
         # a NaN input must surface as NaN wherever it enters the field:
         # R and q in dR and dq, U (3-state only) in dq and dU
         bad_rq = np.isnan(x[:, :2]).any(axis=1)
@@ -459,14 +470,14 @@ class TestScalarBackend:
         step = _compiled_step(cfg, mode.field_tag)
         oracle = _oracle_step(cfg, mode.field_tag, mode.k_u, where)
         x = y = start
-        for t, dt, _ in dynamics._clock(cfg, mode, 0.0, 100.0, 0.05):
+        for t, dt, _ in clock_steps(dynamics._clock(cfg, mode, 0.0, 100.0, 0.05)):
             x, y = step(*x, mode.k_u, dt, t, where), oracle(y, dt, t)
             assert [v.hex() for v in x] == [v.hex() for v in y], t
 
     def test_nan_start_names_the_step(self, ref_cfg):
         # the run stops at the NaN state, returning the step's index and
         # storing nothing
-        run = dynamics._kernel(ref_cfg, "normal")[0]
+        run = dynamics._kernel(ref_cfg, "normal")
         hist = np.full(3, 7.0)
         _, k = run(memoryview(hist).cast("B").cast("d"), (math.nan, 40.0, 0.0), 0.0, 0.01, 0, 1, 0)
         assert k == 0 and (hist == 7.0).all()
@@ -491,7 +502,7 @@ class TestScalarBackend:
     def test_rising_alpha_binds_infinite_q_max_by_name(self, ref_cfg):
         cfg = replace(ref_cfg, admission=AdmissionSpec("linear", (0.1, 0.001)))
         assert cfg.admission.q_max == math.inf
-        run = dynamics._kernel(cfg, "normal")[0]
+        run = dynamics._kernel(cfg, "normal")
         source = "".join(linecache.getlines(run.__code__.co_filename))
         assert "def run(" in source and "inf" not in source
         assert math.inf in [cell.cell_contents for cell in run.__closure__]
@@ -508,19 +519,14 @@ class TestKernelMemo:
 
     @staticmethod
     def agrees(cfg, tag="normal", k_u=0.0):
-        """Whether the compiled field and step of cfg match its oracles."""
-        step, deriv = _compiled_step(cfg, tag), dynamics._kernel(cfg, tag)[1]
-        oracle_deriv, oracle = _scalar_deriv(cfg, tag, k_u), _oracle_step(cfg, tag, k_u, "w")
-        for x in TestScalarBackend.states(cfg, 50).tolist():
-            if not _bits_equal(deriv(*x, k_u), oracle_deriv(*x)):
-                return False
-            if _outcome(step, *x, k_u, 0.1, 1.0, "w") != _outcome(oracle, tuple(x), 0.1, 1.0):
-                return False
-        return True
+        """Whether the compiled step of cfg matches its oracle."""
+        step, oracle = _compiled_step(cfg, tag), _oracle_step(cfg, tag, k_u, "w")
+        return all(_outcome(step, *x, k_u, 0.1, 1.0, "w") == _outcome(oracle, tuple(x), 0.1, 1.0)
+                   for x in TestScalarBackend.states(cfg, 50).tolist())
 
     @staticmethod
     def code(cfg, tag="normal"):
-        return dynamics._kernel(cfg, tag)[0].__code__
+        return dynamics._kernel(cfg, tag).__code__
 
     def test_equal_inputs_share_one_kernel(self, ref_cfg):
         copy = replace(ref_cfg, k_u_schedule=((0.0, 5.0, 2.0),))  # K_U is an argument
@@ -534,18 +540,18 @@ class TestKernelMemo:
         plus, minus = (replace(ref_cfg, admission=AdmissionSpec("linear", (c2, -0.01)))
                        for c2 in (0.0, -0.0))
         assert self.code(plus) is not self.code(minus)
-        dq = [dynamics._kernel(cfg, "normal")[1](25.0, 0.0, 0.0, 0.0)[1] for cfg in (plus, minus)]
+        dq = [rhs(cfg, NORMAL, 0.0, (25.0, 0.0))[1] for cfg in (plus, minus)]
         assert [math.copysign(1.0, v) for v in dq] == [1.0, -1.0]
         assert self.agrees(plus) and self.agrees(minus)
 
     def test_one_ulp_is_its_own_key(self, ref_cfg):
         up = replace(ref_cfg, k_r=math.nextafter(ref_cfg.k_r, math.inf))
-        runs = [dynamics._kernel(cfg, "normal")[0] for cfg in (ref_cfg, up)]
+        runs = [dynamics._kernel(cfg, "normal") for cfg in (ref_cfg, up)]
         assert runs[0].__code__ is runs[1].__code__
         bound = [[cell.cell_contents for cell in run.__closure__] for run in runs]
         assert bound[0] != bound[1]
         # at R = 0, dR is K_R itself
-        dr = [dynamics._kernel(cfg, "normal")[1](0.0, 45.0, 0.0, 0.0)[0] for cfg in (ref_cfg, up)]
+        dr = [rhs(cfg, NORMAL, 0.0, (0.0, 45.0))[0] for cfg in (ref_cfg, up)]
         assert dr == [ref_cfg.k_r, up.k_r]
         assert self.agrees(ref_cfg) and self.agrees(up)
 
@@ -747,7 +753,7 @@ class TestClock:
         ],
     )
     def test_grid_matches_substeps(self, ref_cfg, a, b, h):
-        steps = list(dynamics._clock(ref_cfg, NORMAL, a, b, h))
+        steps = list(clock_steps(dynamics._clock(ref_cfg, NORMAL, a, b, h)))
         assert [dt for _, dt, _ in steps] == _substeps_formula(a, b, h)
         assert len(steps) == dynamics._step_count(a, b, h)
         assert [t for t, _, _ in steps[:-1]] == [a + k * h for k in range(1, len(steps))]
@@ -867,13 +873,13 @@ class TestRunBlocks:
         where = f"mode {mode.tag}, h = {h:g}"
         x, want = (30.0, 45.0, 0.0), []
         clock = dynamics._clock(cfg, mode, a, b, h)
-        for t, dt, k_u in clock:
+        for t, dt, k_u in clock_steps(clock):
             x = step(*x, k_u, dt, t, where)
             want.append(x)
         for backend, (n, _) in BACKENDS.items():
             states, times, fault = _drive(cfg, mode, (30.0, 45.0, 0.0), clock, h, backend)
             assert fault is None, backend
-            assert _bits_equal(times, [t for t, _, _ in clock]), backend
+            assert _bits_equal(times, [t for t, _, _ in clock_steps(clock)]), backend
             assert _bits_equal(states, np.repeat(np.reshape(want, (-1, 3, 1)), n, axis=2)), backend
 
     @pytest.mark.parametrize("block", [None, 7])
@@ -886,7 +892,7 @@ class TestRunBlocks:
             monkeypatch.setattr(dynamics, "BLOCK_STEPS", block)
         h, x0 = 0.03, (30.0, 45.0, 0.0)
         clock = dynamics._clock(section5_cfg, SWITCHED_FULL, 99.0, b, h)
-        assert list(clock)[34][0] == t_fault  # the burst's first step follows 34 before it
+        assert list(clock_steps(clock))[34][0] == t_fault  # the burst's first step follows 34 before it
         clean = {backend: _drive(section5_cfg, SWITCHED_FULL, x0, clock, h, backend)
                  for backend in BACKENDS}
         s, e, n, _, _ = clock.pieces[1]
@@ -919,7 +925,7 @@ class TestRunBlocks:
         first = oracle(x0, dt, 0.0)
         assert math.isinf(first[2]) and _outcome(oracle, first, dt, 0.0) == "NaN state at t = 0 (w)"
         hist = np.full((4, 3, 1), 7.0)
-        compiled = functools.partial(dynamics._kernel(section5_cfg, "competitive")[0],
+        compiled = functools.partial(dynamics._kernel(section5_cfg, "competitive"),
                                      memoryview(hist).cast("B").cast("d"))
         _, k = compiled(x0, k_u, dt, 5, 9, 2)
         assert k == 6 and _bits_equal(hist[2, :, 0], first)
@@ -933,7 +939,7 @@ class TestRunBlocks:
         assert (hist[:2] == 7.0).all()  # row 3 holds the NaN state, which no block shows
         # the driver names that step's clock time: step k of a piece ends at s + k*h
         clock = dynamics._clock(section5_cfg, SWITCHED_FULL, 99.0, 101.0, dt)
-        t_fault = list(clock)[35][0]  # the burst's second step
+        t_fault = list(clock_steps(clock))[35][0]  # the burst's second step
         s, e, n, h, _ = clock.pieces[1]
         clock.pieces[1] = (s, e, n, h, k_u)
         for backend in BACKENDS:
@@ -1038,7 +1044,7 @@ def _settle_by_step(cfg, mode, x0s, target, tol, t_cap, h, t0=0.0):
     settle_t = np.full(n, np.nan)
     max_q = float(x[1].max(initial=-np.inf))
     t = t0
-    for t, dt, k_u in dynamics._clock(cfg, mode, t0, t0 + t_cap, h) if n else ():
+    for t, dt, k_u in clock_steps(dynamics._clock(cfg, mode, t0, t0 + t_cap, h)) if n else ():
         step(x, k_u, dt, t)
         max_q = max(max_q, float(x[1].max()))
         within = np.abs(x[:compared] - tgt).max(axis=0) < tol
@@ -1182,7 +1188,7 @@ def _converge_by_step(cfg, mode, x0, tol, t_cap, h, wrap=lambda step: step):
         streak, streak_start = 1, 0.0
         if x == targets[j]:
             return dynamics.ConvergeResult(np.array(x), True, 0.0)
-    for t, dt, _ in dynamics._clock(cfg, mode, 0.0, t_cap, h):
+    for t, dt, _ in clock_steps(dynamics._clock(cfg, mode, 0.0, t_cap, h)):
         x = step(x, dt, t)
         d, _ = nearest(x)
         if d < tol:
@@ -1278,7 +1284,7 @@ class TestConvergeBlocks:
 
         kernel = dynamics._kernel
         monkeypatch.setattr(dynamics, "_kernel",
-                            lambda cfg, tag: (inject_run(kernel(cfg, tag)[0]), kernel(cfg, tag)[1]))
+                            lambda cfg, tag: inject_run(kernel(cfg, tag)))
         args = (ref_cfg, NORMAL, (25.0, 40.0, 0.0), 1e-3, 100.0, 0.01)
         want = _converge_by_step(*args, wrap=inject)
         assert dynamics.BLOCK_STEPS > 110
@@ -1301,7 +1307,7 @@ def _excess_by_step(cfg, mode, x0s, t0, t1, h, region):
     step = _batch_stepper(cfg, mode, h, x.shape[1], raw)
     a_r, a_q, a_u, b = *A.T[:, :, None], b[:, None]
     excess = np.full(x.shape[1], -np.inf)
-    for t, dt, k_u in dynamics._clock(cfg, mode, t0, t1, h):
+    for t, dt, k_u in clock_steps(dynamics._clock(cfg, mode, t0, t1, h)):
         step(x, k_u, dt, t)
         r, q, u = x
         vals = a_r * r + a_q * q + a_u * u - b
@@ -1429,13 +1435,13 @@ class TestSwitchedBatch:
     def test_clock_cuts_at_breakpoints(self, section5_cfg):
         # h = 0.03 does not divide the span to the burst start at t = 100
         clock = dynamics._clock(section5_cfg, SWITCHED_FULL, 99.0, 101.0, 0.03)
-        steps = list(clock)
+        steps = list(clock_steps(clock))
         assert len(steps) == clock.steps == 34 + 34
         assert steps[33] == (100.0, 1.0 - 33 * 0.03, 0.0) and steps[-1][0] == 101.0
         assert {k_u for _, _, k_u in steps[:34]} == {0.0}
         assert {k_u for _, _, k_u in steps[34:]} == {4.0}
         # any other mode keeps the span whole at its own K_U
-        whole = list(dynamics._clock(section5_cfg, competitive_mode(0.5), 99.0, 101.0, 0.03))
+        whole = list(clock_steps(dynamics._clock(section5_cfg, competitive_mode(0.5), 99.0, 101.0, 0.03)))
         assert len(whole) == 67 and {k_u for _, _, k_u in whole} == {0.5}
 
     def test_final_states_match_integrate(self, section5_cfg):

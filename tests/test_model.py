@@ -36,7 +36,6 @@ from accessprice.model import (
     eval_service,
     extremum,
     from_pieces,
-    saturation_floor,
     slope,
     validate_admissible,
 )
@@ -398,12 +397,16 @@ class TestValidateAdmissible:
 
 
 class TestSaturationFloor:
-    def test_reference_value(self, section5_cfg):
-        assert saturation_floor(section5_cfg) == pytest.approx(0.015, abs=1e-15)
+    """The least alpha + f over [0, q_max + 2*q_m] with a saturated price,
+    exact from the piece tables."""
 
-    def test_wrong_variant(self, ref_cfg):
-        with pytest.raises(ValueError, match="saturated"):
-            saturation_floor(ref_cfg)
+    @staticmethod
+    def floor(cfg):
+        adm, price = cfg.admission, cfg.price
+        return extremum((adm.pieces, price.pieces), 0.0, adm.q_max + 2 * price.q_m)[0]
+
+    def test_reference_value(self, section5_cfg):
+        assert self.floor(section5_cfg) == pytest.approx(0.015, abs=1e-15)
 
     def test_discontinuous_alpha_still_grid_minimum(self, section5_cfg):
         from dataclasses import replace
@@ -414,7 +417,7 @@ class TestSaturationFloor:
             variant="cubic", coefficients=(0.2, -0.001, 0.0, 0.0), q_max=100.0
         )
         cfg = replace(section5_cfg, admission=jumpy)
-        assert saturation_floor(cfg) == pytest.approx(0.015, abs=1e-15)
+        assert self.floor(cfg) == pytest.approx(0.015, abs=1e-15)
 
     def test_exact_interior_minimum(self, section5_cfg):
         from dataclasses import replace
@@ -423,7 +426,7 @@ class TestSaturationFloor:
         # where it is 0.0075; a grid of the interval misses that point
         dipping = AdmissionSpec("cubic", (0.01, -0.002, 1e-4, 0.0), q_max=100.0)
         cfg = replace(section5_cfg, admission=dipping)
-        assert saturation_floor(cfg) == pytest.approx(0.0075, abs=1e-15)
+        assert self.floor(cfg) == pytest.approx(0.0075, abs=1e-15)
 
 
 def _bits(values):
@@ -869,6 +872,23 @@ class TestFromPiecesFarBeyond:
                     assert np.array_equal(_bits(from_pieces(spec, qs)), _bits(spec._kernel(qs))), spec
                     want = [_piece_value(spec, q, 1) for q in qs.tolist()]
                     assert np.array_equal(_bits(slope(spec, qs)), _bits(want)), spec
+
+    def test_linear_kernel_caps_q(self):
+        # q is capped at the first float where c1*q + c2 < 0, past which c1*q
+        # may overflow: a steep alpha = 1e308*(1 - q) vanishes from q_max = 1;
+        # the others have no tail (q_max 0 or inf), and with c2 = -0.0 alpha
+        # is -0.0 at q = 0, and where c1*q underflows, as the table has it
+        coeffs = [(1e308, -1e308), (-1e308, -1e308), (-0.0, -0.01), (-0.0, -5e-324), (0.1, 0.001)]
+        specs = [AdmissionSpec("linear", c) for c in coeffs]
+        assert [spec.q_max for spec in specs] == [1.0, 0.0, 0.0, 0.0, math.inf]
+        qs = np.array([0.0, -0.0, 0.25, 0.5, 1.0, math.nextafter(1.0, 2.0), 2.0, 1e300, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in specs:  # against the float form: from_pieces would overflow past q = 1
+                want = _bits([spec._scalar(q) for q in qs.tolist()])
+                assert np.array_equal(_bits(spec._kernel(qs)), want), spec
+        assert _bits(specs[2]._kernel(qs[:3])).tolist() == _bits([-0.0, 0.0, 0.0]).tolist()
+        assert _bits(specs[3]._kernel(qs[:5])).tolist() == _bits([-0.0, 0.0, -0.0, -0.0, 0.0]).tolist()
 
 
 class TestNaNQuery:

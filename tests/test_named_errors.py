@@ -27,7 +27,6 @@ from accessprice.model import (
     ModelConfig,
     PriceSpec,
     ServiceSpec,
-    saturation_floor,
     validate_admissible,
 )
 from accessprice.stability import KinkProximityError
@@ -86,9 +85,6 @@ MODEL = {
         lambda c: find_fixed_points(replace(c["ref"], k_r=1e300)),
         ValueError, "k_r = 1e+300 too large: the load term (K_R + K_U - mu)/(mu - K_U) "
                     "overflows on the scan domain"),
-    "saturation floor without q_max": (
-        lambda c: saturation_floor(replace(c["s5"], admission=RISING)),
-        ValueError, "saturation_floor requires a finite admission q_max"),
     "unknown clause": (lambda c: validate_admissible(c["ref"]).clause("bogus"),
                        KeyError, "'bogus'"),
 }
@@ -175,8 +171,8 @@ STABILITY = {
         lambda c: oracle.finite_diff_jacobian(c["ref"], (25.0, 35.0 + 5e-6)),
         KinkProximityError, "kink at 35 within 10*h of q = 35"),
     "divergence sampled on a kink": (
-        lambda c: stability.divergence(c["ref"], np.array([[25.0, 20.0], [25.0, 35.0]])),
-        KinkProximityError, "a sampled q sits on the kink at 35"),
+        lambda c: stability.divergence(c["ref"], (25.0, 35.0)),
+        KinkProximityError, "q = 35.0 within 1e-09 of the kink at 35"),
     "cubic beyond the float range": (  # the companion matrix of x^3 + 1e200 x^2 + 1
         lambda c: stability.classify(stability.JacobianMatrix(3, np.array([[-1e200, 0, -1], [1, 0, 0], [0, 1, 0]]))),
         ValueError, "cubic x^3 + 1e+200 x^2 + 0 x + 1: root bound 2e+200 cubed overflows"),

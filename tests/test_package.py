@@ -77,7 +77,7 @@ def test_exports_are_their_submodule_objects():
 
 
 def test_namespace():
-    assert len(set(accessprice.__all__)) == len(accessprice.__all__) == 54
+    assert len(set(accessprice.__all__)) == len(accessprice.__all__) == 53
     assert set(accessprice.__all__) <= set(dir(accessprice))
     for sub in (*HEAVY, "model", "cli"):
         assert getattr(accessprice, sub) is importlib.import_module(f"accessprice.{sub}")
