@@ -199,7 +199,7 @@ def _apply_override(doc: dict, item: str) -> dict:
 
 # ---------------------------------------------------------------- output
 
-_ROW_BLOCK = 128  # rows turned into Python floats and formatted by one % call
+_ROW_BLOCK = 128  # rows turned into Python floats and formatted by one % call per table
 
 
 def _open_out(path):
@@ -215,11 +215,17 @@ def _open_out(path):
         raise FileNotFoundError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path, header, lines):
-    """Header, then the table's lines as they are, each ending in a newline."""
-    with _open_out(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(lines)
+def _write_csv(files, blocks):
+    """Each (path, header) of files opened in turn and its header written,
+    then each block's texts, one per file in that order, each ending in a
+    newline: the files are written together, a block at a time."""
+    with contextlib.ExitStack() as stack:
+        handles = [stack.enter_context(_open_out(path)) for path, _ in files]
+        for fh, (_, header) in zip(handles, files):
+            fh.write(",".join(header) + "\n")
+        for texts in blocks:
+            for fh, text in zip(handles, texts):
+                fh.write(text)
 
 
 def _mixed_lines(rows):
@@ -227,18 +233,37 @@ def _mixed_lines(rows):
     return (",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
-def _numeric_lines(*columns, every=1):
-    """Lines of every `every`-th row of equal-length 1-D/2-D float arrays,
-    one "%.12g,...\n" per row ("%.12g" % x == _fmt(x) for every float),
-    yielded _ROW_BLOCK lines at a time, each block one % call."""
+def _numeric_lines(clock, *tables, every=1):
+    """The lines of tables that share a clock, _ROW_BLOCK rows at a time:
+    per block, a list of each table's text.  The clock is the tables'
+    first column (the time; phase's r), a 1-D float array, each table a
+    sequence of 1-D/2-D float arrays of its length, and a table's row is
+    one "%.12g,...\n" of every `every`-th clock value and that row of its
+    arrays ("%.12g" % x == _fmt(x) for every float).
+    A block formats the clock's cells once and each table's lines by one %
+    call, which takes those cells through %s.  A table whose block has the
+    bytes of the previous table's reuses its text; bytes, not values,
+    since 0.0 == -0.0 prints apart."""
     import numpy as np
 
-    columns = [c[::every] for c in columns]
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    template = ",".join(["%.12g"] * width) + "\n"
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        block = np.column_stack([c[start:start + _ROW_BLOCK] for c in columns])
-        yield (template * len(block)) % tuple(block.ravel().tolist())
+    clock = clock[::every]
+    tables = [[c[::every] for c in table] for table in tables]
+    for start in range(0, len(clock), _ROW_BLOCK):
+        cells = list(map("%.12g".__mod__, clock[start:start + _ROW_BLOCK].tolist()))
+        n = len(cells)
+        texts, last = [], None
+        for table in tables:
+            block = np.column_stack([c[start:start + _ROW_BLOCK] for c in table])
+            data = block.tobytes()
+            if data != last:
+                w = block.shape[1] + 1
+                flat = [None] * (n * w)  # the rows' cells, row after row
+                flat[::w] = cells
+                for k, column in enumerate(block.T.tolist(), 1):
+                    flat[k::w] = column
+                last, text = data, ("%s" + ",%.12g" * (w - 1) + "\n") * n % tuple(flat)
+            texts.append(text)
+        yield texts
 
 
 def _write_json(path, doc):
@@ -250,10 +275,9 @@ def _write_json(path, doc):
 TRAJ_HEADER = ["t", "R", "q", "U", "price", "flow_R", "flow_U", "mu"]
 
 
-def _traj_lines(traj, every):
-    return _numeric_lines(
-        traj.times, traj.states, traj.price, traj.flow_r, traj.flow_u, traj.mu, every=every
-    )
+def _traj_table(traj):
+    """A trajectory's columns after t, as TRAJ_HEADER names them."""
+    return traj.states, traj.price, traj.flow_r, traj.flow_u, traj.mu
 
 
 # ------------------------------------------------------------- commands
@@ -283,7 +307,7 @@ def _cmd_fixed_points(args, cfg, mode) -> int:
         for z in eig[:mode.dim]:
             row.extend([z.real, z.imag])
         rows.append(row)
-    _write_csv(args.out, header, _mixed_lines(rows))
+    _write_csv([(args.out, header)], zip(_mixed_lines(rows)))
     return 0
 
 
@@ -310,7 +334,7 @@ def _cmd_classify(args, cfg, mode) -> int:
             [fp.mode, fp.q_star, fp.r_star, fp.u_star, fp.classification,
              trace, det, hur, lhs, rhs_]
         )
-    _write_csv(args.out, header, _mixed_lines(rows))
+    _write_csv([(args.out, header)], zip(_mixed_lines(rows)))
     return 0
 
 
@@ -329,7 +353,8 @@ def _cmd_simulate(args, cfg, mode) -> int:
     from . import dynamics
 
     traj = dynamics.integrate(cfg, mode, args.x0, args.t0, args.t1, args.step)
-    _write_csv(args.out, TRAJ_HEADER, _traj_lines(traj, args.every))
+    blocks = _numeric_lines(traj.times, _traj_table(traj), every=args.every)
+    _write_csv([(args.out, TRAJ_HEADER)], blocks)
     return 0
 
 
@@ -341,10 +366,9 @@ def _cmd_phase(args, cfg, mode) -> int:
         cfg, mode, (args.r_min, args.r_max), (args.q_min, args.q_max), args.resolution
     )
     r, q = np.meshgrid(grid.r, grid.q, indexing="ij")
-    lines = _numeric_lines(
-        r.ravel(), q.ravel(), grid.dr.ravel(), grid.dq.ravel(), grid.magnitude.ravel()
-    )
-    _write_csv(args.out, ["r", "q", "dr", "dq", "magnitude"], lines)
+    table = (q.ravel(), grid.dr.ravel(), grid.dq.ravel(), grid.magnitude.ravel())
+    blocks = _numeric_lines(r.ravel(), table)
+    _write_csv([(args.out, ["r", "q", "dr", "dq", "magnitude"])], blocks)
     return 0
 
 
@@ -386,10 +410,13 @@ def _cmd_scenario(args, cfg, mode) -> int:
         "surge": (result.surge, result.fairness_surge),
         "saturated": (result.saturated, result.fairness_saturated),
     }
-    for name, (traj, fs) in legs.items():
-        _write_csv(f"{prefix}_{name}.csv", TRAJ_HEADER, _traj_lines(traj, args.every))
-        ratio = _numeric_lines(fs.times, fs.ratio, every=args.every)
-        _write_csv(f"{prefix}_fairness_{name}.csv", ["t", "ratio"], ratio)
+    # one clock: fairness_gap has checked that the legs' grids are equal; each
+    # table follows its twin of the other leg, whose rows it often repeats
+    files = [(f"{prefix}_{name}.csv", TRAJ_HEADER) for name in legs]
+    files += [(f"{prefix}_fairness_{name}.csv", ["t", "ratio"]) for name in legs]
+    blocks = _numeric_lines(result.surge.times, *(_traj_table(traj) for traj, _ in legs.values()),
+                            *((fs.ratio,) for _, fs in legs.values()), every=args.every)
+    _write_csv(files, blocks)
 
     probe = scenarios.bounceback_probe(sc, result)
     summary = {

@@ -49,11 +49,13 @@ positional form is deprecated and slower).
 One driver, _blocks, walks the clock's pieces by stretches for both
 backends and yields the history a block at a time, states (k, 3, n) and
 their end times; it alone names a NaN state, raising
-FloatingPointError with its clock time.  Every caller takes the block's
-observations with whole-array operations: integrate copies it,
-final_states takes region excess, and settle_batch and converge (a
-settle run at n = 1 on the mode's fixed points) fold tolerance streaks
-and settle times by one rule (_settle).  A block is BLOCK_STEPS steps,
+FloatingPointError with its clock time.  Its first piece may start
+mid-piece, after steps taken elsewhere: _converge resumes a run after
+a trajectory's own rows, as the scenario's bounceback probe does.
+Every caller takes the block's observations with whole-array
+operations: integrate copies it, final_states takes region excess, and
+settle_batch and converge (a settle run at n = 1 on the mode's fixed
+points) fold tolerance streaks and settle times by one rule (_settle).  A block is BLOCK_STEPS steps,
 fewer when the history would pass BLOCK_BYTES.  Results are those of
 per-step bookkeeping, bit for bit: the fold carries each run's streak
 across block edges (for converge, a start within tol counts as the
@@ -65,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -115,10 +118,13 @@ class Trajectory:
 
     def state_at(self, t: float) -> np.ndarray:
         """State at the grid time nearest to t, a finite time."""
+        return self.states[self._row(t)]
+
+    def _row(self, t: float) -> int:
+        """The row of state_at(t): the first grid time nearest to t."""
         if not math.isfinite(t):
             raise ValueError(f"t = {t!r} is not a finite time")
-        i = int(np.argmin(np.abs(self.times - t)))
-        return self.states[i]
+        return int(np.argmin(np.abs(self.times - t)))
 
 
 def _cap_flow(flow, q, q_ad, mu_star, out=None, mask=None):
@@ -249,14 +255,16 @@ def rhs(cfg: ModelConfig, mode, t: float, x) -> np.ndarray:
     Accepts a single state or an array of states in the trailing-axis
     layout (..., 2 or 3); returns the matching shape.  States are
     projected onto the nonnegative orthant before evaluation, so RK4
-    stage points that overshoot the axes remain well defined.
+    stage points that overshoot the axes remain well defined.  A term
+    that overflows reads +-inf, as in the runs.
     """
     mode = as_mode(mode)
     arr = _states(x)
     ncoord = arr.shape[-1]
     stack = np.zeros((3, arr.size // ncoord))  # U = 0 for 2-coordinate states
     stack[:ncoord] = arr.reshape(-1, ncoord).T
-    out = _make_deriv(cfg, mode.field_tag)(stack, np.zeros_like(stack), _k_u(cfg, mode, t))
+    with np.errstate(over="ignore"):
+        out = _make_deriv(cfg, mode.field_tag)(stack, np.zeros_like(stack), _k_u(cfg, mode, t))
     return out[:ncoord].T.reshape(arr.shape)
 
 
@@ -265,18 +273,20 @@ def admitted_flows(cfg: ModelConfig, mode, x):
 
     Smooth modes: (alpha(q) R, alpha(q) U), U's flow zero in the 2-state
     modes.  Chattering, a 2-state mode whose field admits R only:
-    (min(alpha(q) R, mu_star) for q >= q_ad, else alpha(q) R; 0).
+    (min(alpha(q) R, mu_star) for q >= q_ad, else alpha(q) R; 0).  A flow
+    that overflows reads inf.
     """
     mode = as_mode(mode)
     arr = _states(x)
     shape = arr.shape[:-1]
     # the projected rows, 0-d for one state; the flows are written into R's and U's
     r, q = (np.maximum(arr[..., i], 0.0, out=np.empty(shape)) for i in (0, 1))
-    a = cfg.admission._kernel(q, np.empty(shape))
-    np.multiply(a, r, r)
-    if mode.dim == 3:
-        u = np.maximum(arr[..., 2], 0.0, out=np.empty(shape)) if arr.shape[-1] == 3 else np.zeros(shape)
-        return r[()], np.multiply(a, u, u)[()]  # [()]: 0-d to scalar
+    with np.errstate(over="ignore"):
+        a = cfg.admission._kernel(q, np.empty(shape))
+        np.multiply(a, r, r)
+        if mode.dim == 3:
+            u = np.maximum(arr[..., 2], 0.0, out=np.empty(shape)) if arr.shape[-1] == 3 else np.zeros(shape)
+            return r[()], np.multiply(a, u, u)[()]  # [()]: 0-d to scalar
     if _admittance_bound(cfg, mode.tag) is not None:
         _cap_flow(r, q, cfg.q_ad, cfg.service.mu_star, a)
     return r[()], np.zeros(shape)
@@ -369,7 +379,7 @@ def _block_steps(n: int) -> int:
     return max(1, min(BLOCK_STEPS, BLOCK_BYTES // (24 * max(n, 1))))
 
 
-def _blocks(run, x, clock, hist, where: str):
+def _blocks(run, x, clock, hist, where: str, first: int = 1):
     """Step the runs from x along the clock into the (block, 3, n) history
     hist by a backend's run, one stretch of steps per call.
 
@@ -377,7 +387,9 @@ def _blocks(run, x, clock, hist, where: str):
     writes step i's state into hist[j + i - k0], and returns its last
     state and k1, or, on a NaN state, that step's index k (x then
     unspecified).  The stretches are each piece's full steps k = 1 .. n
-    - 1, ending at s + k*h, then its last, ending on e.
+    - 1, ending at s + k*h, then its last, ending on e.  The first piece
+    may start mid-piece, at step first <= n: x is then the state after
+    its step first - 1, which was taken elsewhere.
 
     Yields (states, times) per block of up to len(hist) steps: views of
     the states after each of its k steps, (k, 3, n), and of their end
@@ -389,7 +401,7 @@ def _blocks(run, x, clock, hist, where: str):
     size, j = len(hist), 0
     times = np.empty(size)
     for s, e, n, h, k_u in clock.pieces:
-        for start, dt, k0, k1 in ((s, h, 1, n), (e, (e - s) - (n - 1) * h, 0, min(n, 1))):
+        for start, dt, k0, k1 in ((s, h, first, n), (e, (e - s) - (n - 1) * h, 0, min(n, 1))):
             while k0 < k1:
                 stop = min(k1, k0 + size - j)
                 x, k = run(x, k_u, dt, k0, stop, j)
@@ -404,8 +416,32 @@ def _blocks(run, x, clock, hist, where: str):
                     yield hist, times
                     j = 0
                 k0 = k
+        first = 1  # every later piece from its start
     if j:
         yield hist[:j], times[:j]
+
+
+def _full_steps_after(clock: _clock, i: int, k_u: float) -> int:
+    """How many rows after row i of a run along the clock (row 0 its start)
+    are full steps, of size h, of one piece: the piece whose step k row i
+    is (k = 0 for its start), whose steps k + 1 .. n - 1 they are; 0
+    unless that piece's K_U is k_u to the bit.  The piece's last step,
+    which ends on its end time, is never one."""
+    for _, _, n, _, piece_k_u in clock.pieces:
+        if i < n:
+            same = piece_k_u == k_u and math.copysign(1.0, piece_k_u) == math.copysign(1.0, k_u)
+            return n - 1 - i if same else 0
+        i -= n
+    return 0
+
+
+def _replayed(states, t0: float, h: float, size: int):
+    """The (m, 3) states of steps 1 .. m of one run from t0 by h, taken
+    elsewhere, as _blocks yields them: (k, 3, 1) views of up to size steps
+    and their end times t0 + k*h, the clock's own."""
+    for k in range(0, len(states), size):
+        block = states[k : k + size, :, None]
+        yield block, t0 + np.arange(k + 1, k + 1 + len(block)) * h
 
 
 def _within(states, targets, tol: float) -> np.ndarray:
@@ -471,11 +507,12 @@ def _start(x0, name: str = "initial state") -> tuple[float, float, float]:
     return tuple(_starts(np.ravel(x0), name)[0].tolist())
 
 
-def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, *, raw=None):
+def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, *, raw=None, first: int = 1):
     """_blocks of the runs started at the (3, n) states x along the clock,
-    in one history of _block_steps(n) steps, by the mode's checked RK4 run:
-    _kernel's for one run without raw, else _batch_run's.  An empty batch
-    takes no step.  Checks its arguments now, not on the first step."""
+    from step first of its first piece, in one history of _block_steps(n)
+    steps, by the mode's checked RK4 run: _kernel's for one run without
+    raw, else _batch_run's.  An empty batch takes no step.  Checks its
+    arguments now, not on the first step."""
     n = x.shape[1]
     hist = np.empty((_block_steps(n), 3, n))
     if n == 1 and raw is None:
@@ -484,7 +521,7 @@ def _march(cfg: ModelConfig, mode: SystemMode, h: float, x, clock, *, raw=None):
     else:
         run = _batch_run(_make_deriv(cfg, mode.field_tag), hist, cfg.admission.q_max,
                          _admittance_bound(cfg, mode.tag), raw)
-    return _blocks(run, x, clock, hist, f"mode {mode.tag}, h = {h:g}") if n else iter(())
+    return _blocks(run, x, clock, hist, f"mode {mode.tag}, h = {h:g}", first) if n else iter(())
 
 
 def integrate(cfg: ModelConfig, mode, x0, t0: float, t1: float, h: float = DEFAULT_STEP) -> Trajectory:
@@ -583,10 +620,13 @@ def final_states(
 
 
 def _settle_run(cfg: ModelConfig, mode: SystemMode, x0s, targets, tol: float, t_cap: float,
-                h: float, t0: float, *, start_counts: bool = False):
+                h: float, t0: float, *, start_counts: bool = False, done=()):
     """settle_batch's and converge's run: _settle over the runs from x0s,
     t0 to at most t0 + t_cap, the empty batch taking no step.  With
-    start_counts, a start within tol counts as its streak's first state."""
+    start_counts, a start within tol counts as its streak's first state.
+    done, for one run, holds the (m, 3) states of its first m steps, taken
+    elsewhere by the same RK4 run: those that are full steps of the clock
+    are folded first (_replayed), and the march goes on from the last."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if t_cap < 0:
@@ -594,7 +634,10 @@ def _settle_run(cfg: ModelConfig, mode: SystemMode, x0s, targets, tol: float, t_
     x = np.ascontiguousarray(_starts(x0s).T)
     n = x.shape[1]
     clock = _clock(cfg, mode, t0, t0 + t_cap, h)
-    blocks = _march(cfg, mode, h, x, clock)
+    m = min(len(done), max(clock.pieces[0][2] - 1, 0))
+    blocks = _march(cfg, mode, h, done[m - 1][:, None] if m else x, clock, first=m + 1)
+    if m:
+        blocks = itertools.chain(_replayed(done[:m], t0, h, _block_steps(n)), blocks)
     streak = _within(x[None], targets, tol)[0] * 1 if start_counts else np.zeros(n, dtype=int)
     return _settle(blocks, x, t0, targets, tol, streak)
 
@@ -652,6 +695,13 @@ def converge(
     FloatingPointError, and h outside (0, 0.1] or a non-finite t_cap
     raise ValueError, as in integrate.
     """
+    return _converge(cfg, mode, x0, tol, t_cap, h)
+
+
+def _converge(cfg: ModelConfig, mode, x0, tol: float, t_cap: float, h: float, done=()) -> ConvergeResult:
+    """converge, resumed after done, the (m, 3) states of its own first m
+    steps from x0 as the same RK4 run gives them (_settle_run): it returns
+    what converge returns, bit for bit."""
     from . import equilibria  # deferred: equilibria imports stability imports this
 
     mode = as_mode(mode)
@@ -660,5 +710,5 @@ def converge(
     targets = np.array([(fp.r_star, fp.q_star, fp.u_star)[: mode.dim]
                         for fp in equilibria.find_fixed_points(cfg, mode)]).reshape(-1, mode.dim, 1)
     settle_t, x, _, _ = _settle_run(cfg, mode, np.ravel(x0), targets, tol, t_cap, h, 0.0,
-                                    start_counts=True)
+                                    start_counts=True, done=done)
     return ConvergeResult(x[:, 0].copy(), not math.isnan(settle_t[0]), float(settle_t[0]))

@@ -60,9 +60,14 @@ def _as_query(q):
 
 
 def _evaluate(spec, q):
-    """The spec's function at q: its float form on a scalar, else its kernel."""
+    """The spec's function at q: its float form on a scalar, else its
+    kernel, where an overflow reads inf as in the float form."""
     arr, scalar = _as_query(q)
-    return spec._scalar(float(arr)) if scalar else spec._kernel(arr)
+    if scalar:
+        return spec._scalar(float(arr))
+    import numpy as np
+    with np.errstate(over="ignore"):
+        return spec._kernel(arr)
 
 
 def _require_finite(**values):
@@ -73,16 +78,21 @@ def _require_finite(**values):
 
 
 def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
-    """Lines that set name to the piece table's function at the float q, as
-    from_pieces evaluates it: an if/elif chain from the last piece down, so
-    a NaN q falls through to piece 0 and stays NaN; Horner as _poly runs
-    it, less the exact identities q - 0.0 == q and -0.0 + y == y; floored
-    at zero, keeping -0.0 and NaN, as there, a constant piece's floor
-    taken here.  lit(x) writes each other constant, as the name bound to
-    it (_constants)."""
+    """Lines that set name to the piece table's function at the float q >= 0
+    (or NaN), as from_pieces evaluates it: an if/elif chain from the last
+    piece down, so a NaN q falls through to piece 0 and stays NaN; Horner as
+    _poly runs it, less the exact identities q - 0.0 == q and -0.0 + y == y;
+    floored at zero, keeping -0.0 and NaN, as there, a constant piece's
+    floor taken here.  A piece whose every term c_k * (q - origin)**k is
+    >= 0 on its interval [start, end) (all c_k >= 0 with start >= origin,
+    or c_k of sign (-1)**k with end <= origin) is written without its
+    floor: each Horner partial sum then keeps its sign, so the floor never
+    fires.  lit(x) writes each other constant, as the name bound to it
+    (_constants)."""
     lines = []
     for i in reversed(range(len(pieces))):
         start, origin, c = pieces[i]
+        end = pieces[i + 1][0] if i + 1 < len(pieces) else math.inf
         if len(c) == 1:
             body = [f"{name} = {lit(0.0 if c[0] < 0.0 else c[0])}"]
         else:
@@ -91,7 +101,10 @@ def _piece_lines(name: str, pieces, q: str, lit) -> list[str]:
             for ck in c[-2::-1]:
                 term = f"{x} * " + (f"({expr})" if " " in expr else expr)
                 expr = term if repr(float(ck)) == "-0.0" else f"{lit(ck)} + {term}"
-            body = [f"{name} = {expr}", f"if {name} < 0.0:", f"    {name} = 0.0"]
+            body = [f"{name} = {expr}"]
+            if not (start >= origin and all(ck >= 0.0 for ck in c)
+                    or end <= origin and all((-1) ** k * ck >= 0.0 for k, ck in enumerate(c))):
+                body += [f"if {name} < 0.0:", f"    {name} = 0.0"]
         if len(pieces) == 1:
             return body
         head = "else:" if i == 0 else f"{'if' if i == len(pieces) - 1 else 'elif'} {q} >= {lit(start)}:"
@@ -486,7 +499,8 @@ def from_pieces(spec, q, order: int = 0):
     array, from its piece table.  At a breakpoint the value comes from the
     piece that starts there, as in the kernels, the slope from the one that
     ends there.  Values are floored at zero as in the kernels: a calibrated
-    cubic can round a hair below zero just short of q_max."""
+    cubic can round a hair below zero just short of q_max.  On arrays an
+    overflow reads +-inf, as on floats, and the floor then applies."""
     arr, scalar = _as_query(q)
     starts = [s for s, _, _ in spec.pieces]
     if scalar:  # one piece on plain floats costs a fraction of the array path
@@ -497,8 +511,9 @@ def from_pieces(spec, q, order: int = 0):
     import numpy as np
     idx = np.maximum(np.searchsorted(starts, arr, "left" if order else "right") - 1, 0)
     # each piece sees queries clamped to its end, so none overflows far beyond it
-    val = np.choose(idx, [_poly(c, np.minimum(arr, end) - origin, order)
-                          for (_, origin, c), end in zip(spec.pieces, (*starts[1:], math.inf))])
+    with np.errstate(over="ignore"):
+        val = np.choose(idx, [_poly(c, np.minimum(arr, end) - origin, order)
+                              for (_, origin, c), end in zip(spec.pieces, (*starts[1:], math.inf))])
     return val if order else np.maximum(0.0, val)
 
 

@@ -10,7 +10,8 @@ fairness readout.
 
 After the burst ends the saturated system has a single low-congestion
 equilibrium again, and bounceback_probe measures how long the state
-needs to return to it.
+needs to return to it, resuming the saturated leg instead of repeating
+its steps.
 """
 
 from __future__ import annotations
@@ -174,7 +175,15 @@ def bounceback_probe(
     Continues the saturated leg from the burst end with the post-burst
     rate (the scheduled rate after t_end, normally zero) until the state
     settles, up to t_cap (default ten horizons).  Non-convergence is
-    reported, never raised.
+    reported, never raised.  result, when given, must be
+    run_comparison(sc).
+
+    It gives the bits of converge from the leg's state at t_end.  The
+    leg's full steps after that state, in the clock piece that holds it and
+    at the post-burst rate, are converge's own first steps (the same RK4
+    run, field, K_U and step), so the probe folds those rows first and
+    steps on from the last of them.  The leg's last step to t1, shortened
+    to land on it, is never reused.
     """
     if sc.burst.t_end >= sc.t1:
         return BouncebackReport(
@@ -192,11 +201,14 @@ def bounceback_probe(
         )
     target = min(fps, key=lambda fp: fp.q_star)
     tgt = (target.r_star, target.q_star, target.u_star)
-    x_end = result.saturated.state_at(t_end)
+    leg = result.saturated
+    i = leg._row(t_end)  # the row of leg.state_at(t_end)
+    clock = dynamics._clock(cfg, dynamics.SWITCHED_FULL, sc.t0, sc.t1, sc.h)
+    done = leg.states[i + 1 : i + 1 + dynamics._full_steps_after(clock, i, post_rate)]
     if t_cap is None:
         t_cap = 10.0 * (sc.t1 - sc.t0)
-    res = dynamics.converge(
-        cfg, dynamics.competitive_mode(post_rate), x_end, tol, t_cap, sc.h
+    res = dynamics._converge(
+        cfg, dynamics.competitive_mode(post_rate), leg.states[i], tol, t_cap, sc.h, done
     )
     final = tuple(float(v) for v in res.final_state)
     reached = bool(np.max(np.abs(res.final_state - np.array(tgt))) < tol)

@@ -7,12 +7,14 @@ from pathlib import Path
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 from hypothesis import assume, example, given, settings, strategies as st
+import numpy as np
 import pytest
 
-from accessprice import cli, dynamics
+from accessprice import cli, dynamics, scenarios
 from accessprice.cli import ConfigError, load_config, run
 from accessprice.model import ADMISSION_VARIANTS, PRICE_VARIANTS
 
@@ -758,3 +760,82 @@ class TestNumericTables:
         lines = out.read_text().splitlines()
         assert lines[0] == "t,R,q,U,price,flow_R,flow_U,mu"
         assert len(lines) == 2 and lines[1].startswith("0,50,15,0,")
+
+
+def _alone(clock, table, every=1):
+    """The text _numeric_lines writes for one table on the clock."""
+    return "".join(texts[0] for texts in cli._numeric_lines(clock, table, every=every))
+
+
+def _by_cell(clock, table, every=1):
+    """The same text row by row, each cell through _fmt."""
+    columns = [c.reshape(len(clock), -1) for c in (clock, *table)]
+    rows = np.hstack(columns)[::every].tolist()
+    return "".join(",".join(map(cli._fmt, row)) + "\n" for row in rows)
+
+
+class TestSharedClock:
+    """The scenario's four tables share one clock, written in one pass: each
+    block formats the clock once and reuses a block of text whose bytes the
+    previous table's block had.  Each file holds what its table alone gives."""
+
+    @pytest.mark.parametrize("every", [1, 3, 7])
+    def test_scenario_files_are_each_table_alone(self, config_dir, tmp_path, every):
+        s5, prefix = str(config_dir / "section5.json"), str(tmp_path / "scn")
+        assert run(["scenario", "--config", s5, "--out-prefix", prefix, "--step", "0.05",
+                    "--every", str(every)]) == 0
+        result = scenarios.run_comparison(scenarios.scenario_from_config(load_config(s5), h=0.05))
+        legs = {"surge": (result.surge, result.fairness_surge),
+                "saturated": (result.saturated, result.fairness_saturated)}
+        # the legs' first rows repeat bit for bit: both prices are beta*q below q_m
+        assert result.surge.states[:64].tobytes() == result.saturated.states[:64].tobytes()
+        for name, (traj, fs) in legs.items():
+            text = _alone(traj.times, cli._traj_table(traj), every)
+            assert text == _by_cell(traj.times, cli._traj_table(traj), every)
+            assert Path(f"{prefix}_{name}.csv").read_text() == ",".join(cli.TRAJ_HEADER) + "\n" + text
+            text = _alone(fs.times, (fs.ratio,), every)
+            assert text == _by_cell(fs.times, (fs.ratio,), every)
+            assert Path(f"{prefix}_fairness_{name}.csv").read_text() == "t,ratio\n" + text
+
+    def test_no_block_reused_from_above_q_m(self, section5_cfg):
+        # from q = 60 > q_m the prices differ from the first row on
+        sc = scenarios.scenario_from_config(section5_cfg, h=0.1, x0=(50.0, 60.0, 0.0))
+        result = scenarios.run_comparison(sc)
+        tables = [cli._traj_table(result.surge), cli._traj_table(result.saturated)]
+        assert result.surge.price[0] != result.saturated.price[0]
+        joint = ["".join(text) for text in zip(*cli._numeric_lines(result.surge.times, *tables))]
+        assert joint == [_alone(result.surge.times, table) for table in tables]
+
+    def test_a_zero_sign_tells_blocks_apart(self):
+        # 0.0 == -0.0, but they print 0 and -0: blocks are compared by bytes
+        clock = np.arange(300.0)
+        plus = np.zeros(300)
+        minus = np.where(np.arange(300) == 200, -0.0, 0.0)
+        tables = [(plus,), (minus,), (minus.copy(),)]
+        joint = ["".join(text) for text in zip(*cli._numeric_lines(clock, *tables))]
+        assert joint == [_alone(clock, table) for table in tables]
+        assert "\n200,-0\n" in joint[1] and "\n200,0\n" in joint[0]
+
+
+class TestWriterMemory:
+    def test_peak_bounded_by_the_block_not_the_rows(self, tmp_path):
+        # the four scenario tables, written a block at a time: at 4*10^4 rows
+        # the peak stays within 1.5 times the peak at 4*10^3 rows; tables
+        # formatted whole would raise it about tenfold.  The two legs' tables
+        # are equal, as the scenario's first rows are, which halves the time
+        # that tracing takes
+        def peak(n):
+            rng = np.random.default_rng(0)
+            clock = np.linspace(0.0, 400.0, n)
+            traj, ratio = (rng.random((n, 3)), *rng.random((4, n))), (rng.random(n),)
+            tables = [traj, traj, ratio, ratio]
+            files = [(str(tmp_path / f"{k}.csv"), ["h"]) for k in range(4)]
+            tracemalloc.start()
+            try:
+                cli._write_csv(files, cli._numeric_lines(clock, *tables))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(4000), peak(40000)
+        assert large <= 1.5 * small, (small, large)

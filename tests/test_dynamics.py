@@ -78,6 +78,13 @@ class TestRhs:
         d = rhs(ref_cfg, NORMAL, 0.0, (25.0, 40.0))
         assert d.shape == (2,)
 
+    def test_overflow_reads_inf(self, ref_cfg):
+        # the price 1e306 * 1000 overflows: dR = k_r - (inf + alpha)*R, with
+        # warnings as errors, as a float evaluation reads it
+        cfg = replace(ref_cfg, price=PriceSpec("surge", beta=1e306))
+        d = rhs(cfg, NORMAL, 0.0, np.array([(50.0, 1000.0)]))
+        assert d[0, 0] == -math.inf and d[0, 1] == -cfg.service.mu_star
+
 
 class TestAdmittedFlows:
     def test_normal_at_fixed_point(self, ref_cfg):
@@ -93,6 +100,12 @@ class TestAdmittedFlows:
         fr, fu = admitted_flows(ref_cfg, CHATTERING, (100.0, 60.0, 0.0))
         assert fr == pytest.approx(3.0, rel=1e-14)
         assert fu == 0.0
+
+    def test_overflow_reads_inf(self, ref_cfg):
+        # a rising alpha = 0.1 + 1e306*q overflows at q = 1000, with warnings as errors
+        cfg = replace(ref_cfg, admission=AdmissionSpec("linear", (0.1, 1e306)))
+        fr, fu = admitted_flows(cfg, competitive_mode(1.0), np.array([(50.0, 1000.0, 5.0)]))
+        assert fr.tolist() == fu.tolist() == [math.inf]
 
     @pytest.mark.parametrize("mode", [NORMAL, CHATTERING, competitive_mode(1.0)])
     def test_types_and_bits(self, ref_cfg, mode):

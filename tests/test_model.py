@@ -639,7 +639,8 @@ class TestFloatForms:
 
 class TestPieceLines:
     """The float code of one piece table: a constant piece is one
-    assignment, its zero floor taken when the code is generated."""
+    assignment, its zero floor taken when the code is generated, and a
+    piece whose terms are all >= 0 on its interval has no floor."""
 
     @staticmethod
     def generate(constant, q):
@@ -652,8 +653,8 @@ class TestPieceLines:
 
     def test_constant_piece_is_one_assignment(self):
         lines, values, value = self.generate(3.0, 20.0)
-        assert lines == ["if q >= c1:", "    m = c0",
-                         "else:", "    m = q * c2", "    if m < 0.0:", "        m = 0.0"]
+        # the ramp q/2 never dips below zero on [0, 10): no floor
+        assert lines == ["if q >= c1:", "    m = c0", "else:", "    m = q * c2"]
         assert values == [3.0, 10.0, 0.5] and value == 3.0
 
     def test_negative_constant_reads_zero(self):
@@ -667,8 +668,24 @@ class TestPieceLines:
         assert math.copysign(1.0, value) == -1.0
         lines, values, value = self.generate(math.nan, 20.0)
         assert lines[1] == "    m = c0" and math.isnan(values[0]) and math.isnan(value)
-        # NaN q falls through to the ramp, whose floor keeps it
+        # NaN q falls through to the ramp and stays NaN
         assert math.isnan(self.generate(3.0, math.nan)[2])
+
+    def test_floor_only_where_a_piece_can_dip(self, section5_cfg):
+        def floors(spec):
+            lines = _piece_lines("v", spec.pieces, "q", _constants()[1])
+            return [line.strip() for line in lines].count("if v < 0.0:")
+
+        # every term of section5's price and mu is >= 0 on its piece (the
+        # falling leg's (-1)**k signs included); its cubic alpha's is not
+        assert [floors(spec) for spec in (section5_cfg.price, section5_cfg.service,
+                                          section5_cfg.admission)] == [0, 0, 1]
+        # -(q - 1)(q - 3)(q - 5) dips below zero on (1, 3), inside [0, q_max)
+        dip = AdmissionSpec("cubic", (15.0, -23.0, 9.0, -1.0), q_max=5.0)
+        assert floors(dip) == 1 and _poly(dip.coefficients, 2.0) == -3.0
+        qs = np.array([0.5, 2.0, 2.5, 4.0])
+        assert dip._scalar(2.0) == 0.0 and math.copysign(1.0, dip._scalar(2.0)) == 1.0
+        assert _bits([dip._scalar(q) for q in qs.tolist()]).tolist() == _bits(dip._kernel(qs)).tolist()
 
 
 def _one_sided(tables, q, order, side):
@@ -889,6 +906,22 @@ class TestFromPiecesFarBeyond:
                 assert np.array_equal(_bits(spec._kernel(qs)), want), spec
         assert _bits(specs[2]._kernel(qs[:3])).tolist() == _bits([-0.0, 0.0, 0.0]).tolist()
         assert _bits(specs[3]._kernel(qs[:5])).tolist() == _bits([-0.0, 0.0, -0.0, -0.0, 0.0]).tolist()
+
+
+class TestArrayOverflowReadsInf:
+    """An array query whose value overflows reads +-inf, and then the floor,
+    as the float query does, with warnings as errors."""
+
+    @pytest.mark.parametrize("evaluate, spec, q, value", [
+        (eval_price, PriceSpec("surge", beta=1e306), 1000.0, math.inf),
+        (eval_admission, AdmissionSpec("linear", (0.1, 1e306)), 1000.0, math.inf),
+        (from_pieces, AdmissionSpec("linear", (-1e308, -1e308)), 2.0, 0.0),  # -inf, floored
+    ])
+    def test_as_the_float_query(self, evaluate, spec, q, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(spec, np.array([q]))
+        assert _bits(got).tolist() == _bits([evaluate(spec, q)]).tolist() == _bits([value]).tolist()
 
 
 class TestNaNQuery:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from accessprice import dynamics
 from accessprice.scenarios import (
     Burst,
     FairnessSeries,
@@ -172,3 +173,69 @@ class TestBounceback:
         assert report.reached_target
         assert report.target[1] == pytest.approx(30.0, abs=1e-6)
         assert report.settling_time < 10.0 * (sc.t1 - sc.t0)
+
+
+class TestBouncebackResumesTheLeg:
+    """The probe folds the saturated leg's own full steps after t_end before
+    it steps on, and gives the bits of a plain converge from the leg's state
+    at t_end: settling time, final state and reached flag."""
+
+    H = 0.05
+    CASES = {  # burst -> rows of the leg the probe reuses
+        "default": (Burst(100.0, 300.0, 4.0), 1999),
+        "edges off the grid": (Burst(101.3, 296.2, 3.7), 2075),
+        # an empty schedule: the leg is one clock piece, left mid-piece
+        "one clock piece": (Burst(20.0, 20.0, 4.0), 7599),
+        # already settled at t_end: the probe settles inside the reused steps
+        "zero load": (Burst(100.0, 300.0, 0.0), 1999),
+        # the leg's only step after t_end is its last, shortened to land on t1
+        "ends one step before t1": (Burst(100.0, 400.0 - H, 4.0), 0),
+        # two full steps, then a last one of 0.6 h
+        "ends 2.6 steps before t1": (Burst(100.0, 400.0 - 2.6 * H, 4.0), 2),
+    }
+
+    @staticmethod
+    def leg_clock(sc):
+        return dynamics._clock(sc.leg_config(sc.base.price), dynamics.SWITCHED_FULL, sc.t0, sc.t1, sc.h)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_as_plain_converge(self, section5_cfg, case):
+        burst, reused = self.CASES[case]
+        sc = scenario_from_config(section5_cfg, burst=burst, h=self.H)
+        result = run_comparison(sc)
+        leg, t_end = result.saturated, burst.t_end
+        assert dynamics._full_steps_after(self.leg_clock(sc), leg._row(t_end), 0.0) == reused
+        report = bounceback_probe(sc, result)
+        plain = dynamics.converge(sc.leg_config(sc.base.price), dynamics.competitive_mode(0.0),
+                                  leg.state_at(t_end), 1e-2, 10.0 * (sc.t1 - sc.t0), sc.h)
+        assert report.converged is plain.converged is True
+        assert np.float64(report.settling_time).tobytes() == np.float64(t_end + plain.settling_time).tobytes()
+        assert np.array(report.final_state).tobytes() == plain.final_state.tobytes()
+        reached = bool(np.max(np.abs(plain.final_state - np.array(report.target))) < 1e-2)
+        assert report.reached_target is reached is True
+        if case == "zero load":  # the streak completes on a reused row
+            assert report.settling_time + (dynamics.SETTLE_STREAK - 1) * sc.h <= t_end + reused * sc.h
+
+    @pytest.mark.parametrize("t_cap", [0.0, 1.0])
+    def test_t_cap_inside_the_reused_rows(self, section5_cfg, t_cap):
+        # the probe reuses at most its own full steps, then takes its last,
+        # shortened step to t_cap from the last reused row
+        sc = scenario_from_config(section5_cfg, h=self.H)
+        result = run_comparison(sc)
+        report = bounceback_probe(sc, result, t_cap=t_cap)
+        plain = dynamics.converge(sc.leg_config(sc.base.price), dynamics.competitive_mode(0.0),
+                                  result.saturated.state_at(sc.burst.t_end), 1e-2, t_cap, sc.h)
+        assert report.converged is plain.converged is False
+        assert np.array(report.final_state).tobytes() == plain.final_state.tobytes()
+
+    def test_reuses_no_step_at_another_rate(self, section5_cfg):
+        sc = scenario_from_config(section5_cfg, h=self.H)
+        leg, clock = run_comparison(sc).saturated, self.leg_clock(sc)
+        start, end = leg._row(sc.burst.t_start), leg._row(sc.burst.t_end)
+        # the steps after t_start's row are the burst piece's, at K_U = 4
+        assert dynamics._full_steps_after(clock, start, 4.0) == 3999
+        assert dynamics._full_steps_after(clock, start, 0.0) == 0
+        # K_U is compared to the bit: -0.0 == 0.0, but k_u - a*u keeps its sign
+        assert dynamics._full_steps_after(clock, end, 0.0) == 1999
+        assert dynamics._full_steps_after(clock, end, -0.0) == 0
+        assert dynamics._full_steps_after(clock, len(leg.times) - 1, 0.0) == 0  # the last row
