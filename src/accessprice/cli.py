@@ -58,6 +58,8 @@ def _notice(msg: str):
 
 
 NUM = (int, float)
+_TYPE_NAMES = {NUM: "a number", int: "an integer", dict: "an object", str: "a string",
+               list: "an array"}
 
 # section -> (the spec it builds, each key's JSON type, the keys that may be
 # left out).  The keys are the spec's keyword names (schema_version aside),
@@ -108,7 +110,7 @@ def _section(obj: dict, path: str) -> dict:
             if key not in optional:
                 raise ConfigError(f"{path}.{key}: missing")
         elif not isinstance(obj[key], typ) or isinstance(obj[key], bool):
-            raise ConfigError(f"{path}.{key}: expected {typ}")
+            raise ConfigError(f"{path}.{key}: expected {_TYPE_NAMES[typ]}")
         else:
             kwargs[key] = _float(obj[key]) if typ is NUM else obj[key]
     return kwargs

@@ -421,20 +421,6 @@ def _blocks(run, x, clock, hist, where: str, first: int = 1):
         yield hist[:j], times[:j]
 
 
-def _full_steps_after(clock: _clock, i: int, k_u: float) -> int:
-    """How many rows after row i of a run along the clock (row 0 its start)
-    are full steps, of size h, of one piece: the piece whose step k row i
-    is (k = 0 for its start), whose steps k + 1 .. n - 1 they are; 0
-    unless that piece's K_U is k_u to the bit.  The piece's last step,
-    which ends on its end time, is never one."""
-    for _, _, n, _, piece_k_u in clock.pieces:
-        if i < n:
-            same = piece_k_u == k_u and math.copysign(1.0, piece_k_u) == math.copysign(1.0, k_u)
-            return n - 1 - i if same else 0
-        i -= n
-    return 0
-
-
 def _replayed(states, t0: float, h: float, size: int):
     """The (m, 3) states of steps 1 .. m of one run from t0 by h, taken
     elsewhere, as _blocks yields them: (k, 3, 1) views of up to size steps

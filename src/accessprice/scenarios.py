@@ -142,7 +142,7 @@ def fairness_gap(fs_a: FairnessSeries, fs_b: FairnessSeries, window) -> tuple[fl
         raise ValueError("fairness series are on different time grids")
     w0, w1 = map(float, window)
     t = fs_a.times
-    if w0 > w1 or w0 < t[0] - 1e-9 or w1 > t[-1] + 1e-9:
+    if not t[0] - 1e-9 <= w0 <= w1 <= t[-1] + 1e-9:  # NaN fails it too
         raise ValueError(
             f"window [{w0:g}, {w1:g}] outside the series horizon [{t[0]:g}, {t[-1]:g}]"
         )
@@ -178,12 +178,12 @@ def bounceback_probe(
     reported, never raised.  result, when given, must be
     run_comparison(sc).
 
-    It gives the bits of converge from the leg's state at t_end.  The
-    leg's full steps after that state, in the clock piece that holds it and
-    at the post-burst rate, are converge's own first steps (the same RK4
-    run, field, K_U and step), so the probe folds those rows first and
-    steps on from the last of them.  The leg's last step to t1, shortened
-    to land on it, is never reused.
+    It gives the bits of converge from the leg's state at t_end.  The leg
+    is cut at the schedule edges, so the row of t_end lies in its last
+    clock piece, which runs at the post-burst rate; every step of that piece
+    after the row is a full h step, converge's own (the same RK4 run,
+    field, K_U and step), except the last, shortened to land on t1.  The
+    probe folds those full steps first and steps on from the last of them.
     """
     if sc.burst.t_end >= sc.t1:
         return BouncebackReport(
@@ -192,8 +192,8 @@ def bounceback_probe(
     if result is None:
         result = run_comparison(sc)
     t_end = sc.burst.t_end
-    post_rate = 0.0  # the single-burst schedule carries no rate after t_end
     cfg = sc.leg_config(sc.base.price)
+    post_rate = cfg.schedule_rate(t_end)
     fps = equilibria.find_fixed_points(cfg, "competitive", post_rate)
     if not fps:
         return BouncebackReport(
@@ -203,12 +203,11 @@ def bounceback_probe(
     tgt = (target.r_star, target.q_star, target.u_star)
     leg = result.saturated
     i = leg._row(t_end)  # the row of leg.state_at(t_end)
-    clock = dynamics._clock(cfg, dynamics.SWITCHED_FULL, sc.t0, sc.t1, sc.h)
-    done = leg.states[i + 1 : i + 1 + dynamics._full_steps_after(clock, i, post_rate)]
     if t_cap is None:
         t_cap = 10.0 * (sc.t1 - sc.t0)
     res = dynamics._converge(
-        cfg, dynamics.competitive_mode(post_rate), leg.states[i], tol, t_cap, sc.h, done
+        cfg, dynamics.competitive_mode(post_rate), leg.states[i], tol, t_cap, sc.h,
+        leg.states[i + 1 : -1],
     )
     final = tuple(float(v) for v in res.final_state)
     reached = bool(np.max(np.abs(res.final_state - np.array(tgt))) < tol)

@@ -122,12 +122,24 @@ class TestLoadConfig:
                      "config: k_u_schedule[0]: values must be finite", id="schedule rate"),
         *[pytest.param(f"k_r={sign}{_LONG}", "config.k_r: must be finite", id=sign + "too long for int")
           for sign in ("", "-")],
+        # short enough that json reads an int, which float() then refuses
+        *[pytest.param(f"k_r={sign}{10**350}", "config.k_r: must be finite", id=sign + "int of 351 digits")
+          for sign in ("", "-")],
     ])
     def test_integer_beyond_float_range_names_key(self, config_dir, capsys, override, named):
         # read as +-inf, as json.loads reads 1e400, and rejected as such
         code = run(["validate", "--config", str(config_dir / "ref.json"), "--set", override])
         assert code == 1
         assert capsys.readouterr().err == f"error: {named}\n"
+
+    @pytest.mark.parametrize("path", [path for path, _ in _TYPED_PATHS])
+    def test_type_error_names_the_json_type(self, config_dir, capsys, path):
+        # true is no key's type: a bool is refused where a number is expected
+        assert run(["validate", "--config", str(config_dir / "ref.json"), "--set", f"{path}=true"]) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {re.escape(_named(path))}: expected "
+                            r"(a number|an integer|an object|a string|an array)\n", err), err
+        assert "<class" not in err
 
     def test_integer_too_long_for_int_names_key_in_file(self, tmp_path, capsys):
         p = tmp_path / "long.json"

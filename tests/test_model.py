@@ -711,11 +711,12 @@ def _lines_run(traced, fn, *args, **kwargs):
             ran[frame.f_code].add(frame.f_lineno)
         return trace
 
+    outer = sys.gettrace()  # a coverage tracer or debugger, if any, runs on after
     sys.settrace(trace)
     try:
         fn(*args, **kwargs)
     finally:
-        sys.settrace(None)
+        sys.settrace(outer)
     lines = set()
     for t in traced:
         source, first = inspect.getsourcelines(t)

@@ -96,9 +96,9 @@ LOADER = {
                         {k: v for k, v in _ref_doc(c).items() if k != "k_r"}),
                     ConfigError, "config.k_r: missing"),
     "wrong type": (lambda c: cli.config_from_dict(_ref_doc(c, k_r="4")),
-                   ConfigError, "config.k_r: expected (<class 'int'>, <class 'float'>)"),
+                   ConfigError, "config.k_r: expected a number"),
     "wrong type of an optional key": (lambda c: _override(c, "q_ad=true"), ConfigError,
-                                      "config.q_ad: expected (<class 'int'>, <class 'float'>)"),
+                                      "config.q_ad: expected a number"),
     "non-numeric coefficient": (
         lambda c: cli.config_from_dict(
             _ref_doc(c, admission={"variant": "linear", "coefficients": ["a", 1]})),

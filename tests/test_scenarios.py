@@ -125,6 +125,13 @@ class TestFairnessGap:
         with pytest.raises(ValueError, match="window"):
             fairness_gap(fs, fs, (5, 20))
 
+    @pytest.mark.parametrize("window", [(np.nan, 5), (5, np.nan)], ids=["start", "end"])
+    def test_nan_window_end_rejected(self, window):
+        t = np.linspace(0, 10, 11)
+        fs = FairnessSeries(times=t, ratio=np.ones(11))
+        with pytest.raises(ValueError, match="outside the series horizon"):
+            fairness_gap(fs, fs, window)
+
     def test_positive_gap_in_burst_window(self, quick_comparison):
         sc, result = quick_comparison
         gmin, gmean = fairness_gap(
@@ -192,11 +199,28 @@ class TestBouncebackResumesTheLeg:
         "ends one step before t1": (Burst(100.0, 400.0 - H, 4.0), 0),
         # two full steps, then a last one of 0.6 h
         "ends 2.6 steps before t1": (Burst(100.0, 400.0 - 2.6 * H, 4.0), 2),
+        # an empty schedule whose t_end is nearest the leg's last row
+        "one clock piece, nearest t1": (Burst(400.0 - 0.2 * H, 400.0 - 0.2 * H, 4.0), 0),
     }
 
-    @staticmethod
-    def leg_clock(sc):
-        return dynamics._clock(sc.leg_config(sc.base.price), dynamics.SWITCHED_FULL, sc.t0, sc.t1, sc.h)
+    @pytest.mark.parametrize("case", CASES)
+    def test_reused_rows_are_full_steps_at_the_post_burst_rate(self, section5_cfg, case):
+        # the rows after t_end's row lie in the leg's last clock piece, at
+        # schedule_rate(t_end), and all but the last end full h steps
+        burst, _ = self.CASES[case]
+        sc = scenario_from_config(section5_cfg, burst=burst, h=self.H)
+        cfg = sc.leg_config(sc.base.price)
+        leg = run_comparison(sc).saturated
+        i = leg._row(burst.t_end)
+        s, e, n, h, k_u = dynamics._clock(cfg, dynamics.SWITCHED_FULL, sc.t0, sc.t1, sc.h).pieces[-1]
+        j = len(leg.times) - 1 - n  # the row the last piece starts on
+        assert j <= i and leg.times[j] == s and leg.times[-1] == e
+        assert np.float64(k_u).tobytes() == np.float64(cfg.schedule_rate(burst.t_end)).tobytes()
+        # times[j] + k*h, the clock's own, which is times[i] + k*h when the piece starts on i
+        full = leg.times[j] + np.arange(i - j + 1, n) * h
+        assert leg.times[i + 1 : -1].tobytes() == full.tobytes()
+        if burst.t_end > burst.t_start:
+            assert i == j
 
     @pytest.mark.parametrize("case", CASES)
     def test_as_plain_converge(self, section5_cfg, case):
@@ -204,7 +228,7 @@ class TestBouncebackResumesTheLeg:
         sc = scenario_from_config(section5_cfg, burst=burst, h=self.H)
         result = run_comparison(sc)
         leg, t_end = result.saturated, burst.t_end
-        assert dynamics._full_steps_after(self.leg_clock(sc), leg._row(t_end), 0.0) == reused
+        assert max(len(leg.times) - 2 - leg._row(t_end), 0) == reused
         report = bounceback_probe(sc, result)
         plain = dynamics.converge(sc.leg_config(sc.base.price), dynamics.competitive_mode(0.0),
                                   leg.state_at(t_end), 1e-2, 10.0 * (sc.t1 - sc.t0), sc.h)
@@ -227,15 +251,3 @@ class TestBouncebackResumesTheLeg:
                                   result.saturated.state_at(sc.burst.t_end), 1e-2, t_cap, sc.h)
         assert report.converged is plain.converged is False
         assert np.array(report.final_state).tobytes() == plain.final_state.tobytes()
-
-    def test_reuses_no_step_at_another_rate(self, section5_cfg):
-        sc = scenario_from_config(section5_cfg, h=self.H)
-        leg, clock = run_comparison(sc).saturated, self.leg_clock(sc)
-        start, end = leg._row(sc.burst.t_start), leg._row(sc.burst.t_end)
-        # the steps after t_start's row are the burst piece's, at K_U = 4
-        assert dynamics._full_steps_after(clock, start, 4.0) == 3999
-        assert dynamics._full_steps_after(clock, start, 0.0) == 0
-        # K_U is compared to the bit: -0.0 == 0.0, but k_u - a*u keeps its sign
-        assert dynamics._full_steps_after(clock, end, 0.0) == 1999
-        assert dynamics._full_steps_after(clock, end, -0.0) == 0
-        assert dynamics._full_steps_after(clock, len(leg.times) - 1, 0.0) == 0  # the last row
