@@ -32,35 +32,35 @@ on b.  h outside (0, 0.1] and non-finite spans raise ValueError.
 
 The stepper has two backends with the same formulas and operation order,
 which agree bit for bit; the run count picks one, in _march alone.  Each
-is a run of one contract: it takes a stretch of steps of one size and
-K_U per call, writes each state into the march's one (block, 3, n)
-history and stops at a NaN state, returning the step's index.  One run
-without raw tracking is _kernel's, one loop on plain floats generated
-per field from the specs' piece tables, its constants bound as the float
-forms' are (model._make), so it is compiled once per table shape; it
-stores through a flat view of the history.  Any other batch is one
-C-contiguous (3, n) stack, rows R, q and U, stepped by _batch_run on the
-field of _make_deriv (the specs' numpy kernels; rhs wraps it).  At small
-n a numpy call costs its overhead, not its arithmetic, so that run makes
-its buffers once per march and its 0-d constants once per call, and
-passes out positionally (np.maximum's and np.minimum's by name: their
+is a run of one contract: per call it takes a stretch of steps of one size
+and K_U, writes each state into the march's one (block, 3, n) history and
+stops at a NaN state, returning the step's index.  One run without raw
+tracking is _kernel's, a loop on plain floats generated per field from the
+specs' piece tables with constants bound as the float forms' are
+(model._make), compiled once per table shape and storing through a flat
+view of the history.  Any other batch is one C-contiguous (3, n) stack,
+rows R, q and U, stepped by _batch_run on _make_deriv's field (the specs'
+numpy kernels; rhs wraps it).  A numpy call at small n costs overhead, not
+arithmetic, so that run binds its field, buffers, ufuncs and every view a
+step takes once per march, and 0-d constants and x's views once per call;
+out goes positionally (by name to np.maximum and np.minimum, whose
 positional form is deprecated and slower).
 
 One driver, _blocks, walks the clock's pieces by stretches for both
 backends and yields the history a block at a time, states (k, 3, n) and
-their end times; it alone names a NaN state, raising
-FloatingPointError with its clock time.  Its first piece may start
-mid-piece, after steps taken elsewhere: _converge resumes a run after
-a trajectory's own rows, as the scenario's bounceback probe does.
-Every caller takes the block's observations with whole-array
-operations: integrate copies it, final_states takes region excess, and
-settle_batch and converge (a settle run at n = 1 on the mode's fixed
-points) fold tolerance streaks and settle times by one rule (_settle).  A block is BLOCK_STEPS steps,
-fewer when the history would pass BLOCK_BYTES.  Results are those of
-per-step bookkeeping, bit for bit: the fold carries each run's streak
-across block edges (for converge, a start within tol counts as the
-streak's first state), returns the state and time of the step where the
-last run settled, and ignores a NaN state after it in the same block.
+their end times; it alone names a NaN state, raising FloatingPointError
+with its clock time.  Its first piece may start mid-piece: _converge
+resumes a run after a trajectory's own rows, folded first as one block, as
+the scenario's bounceback probe does.  Every caller observes a block with
+whole-array operations: integrate copies it, final_states takes region
+excess, and settle_batch and converge (a settle run at n = 1 on the mode's
+fixed points) fold tolerance streaks and settle times by one rule
+(_settle).  A block is BLOCK_STEPS steps, fewer when the history would
+pass BLOCK_BYTES.  Results are those of per-step bookkeeping, bit for bit:
+the fold carries each run's streak across block edges (for converge, a
+start within tol counts as the streak's first state), returns the state
+and time of the step where the last run settled, and ignores a NaN state
+after it in the same block.
 """
 
 from __future__ import annotations
@@ -127,58 +127,58 @@ class Trajectory:
         return int(np.argmin(np.abs(self.times - t)))
 
 
-def _cap_flow(flow, q, q_ad, mu_star, out=None, mask=None):
-    """Chattering's cap: flow = alpha(q)*R lowered in place to mu_star where
-    q >= q_ad (out, mask: scratch).  np.minimum(where=) is slower."""
-    np.copyto(flow, np.minimum(flow, mu_star, out=out), where=np.greater_equal(q, q_ad, mask))
-
-
 def _make_deriv(cfg: ModelConfig, tag: str):
     """(x, out, k_u) -> out: the field at the (3, n) states x (rows R, q,
     U) under the load k_u, written into the (3, n) out, which must not
-    overlap x, after projecting onto the orthant; _kernel's field has the
-    same operation order.  2-state fields leave out's U row as it is.  out
-    takes the projected state, then mu in place of q; two scratch rows and
-    a mask (the cubic alpha's and chattering's) are made when the width
-    changes."""
+    overlap x, after projecting onto the orthant (2-state fields leave
+    out's U row); _kernel's field has the same operation order.  out takes
+    the projected state, then mu in place of q.  .bind(n) is the field for
+    n runs with its own scratch: field(xs, outs, r, q, u, k_u) on the views
+    xs = x[:rows], outs = out[:rows] (.rows: 2 or 3) and out's rows r, q, u."""
     f, alpha, mu = cfg.price._kernel, cfg.admission._kernel, cfg.service._kernel
     k_r, zero = np.array(cfg.k_r), np.array(0.0)
-    if tag == "chattering":
+    chat, three, sat = tag == "chattering", tag == "competitive", tag == "saturated"
+    if chat:
         q_ad, mu_star = np.array(_admittance_bound(cfg, tag)), np.array(cfg.service.mu_star)
-    rows = 3 if tag == "competitive" else 2
-    a = fq = mask = np.empty((0, 0))
-    sub, mul, add = np.subtract, np.multiply, np.add
+    rows = 3 if three else 2
+    sub, mul, add, hi, lo, ge, copyto = (np.subtract, np.multiply, np.add, np.maximum, np.minimum,
+                                         np.greater_equal, np.copyto)
+
+    def bind(n):
+        a, fq = np.empty((2, n))
+        mask = np.empty(n, bool)
+
+        def field(xs, outs, r, q, u, k_u):
+            hi(xs, zero, out=outs)
+            alpha(q, a, fq, mask)  # fq: scratch until f fills it
+            f(q, fq)
+            if chat:
+                mul(fq, r, fq)
+                mul(a, r, a)  # the flow, lowered to mu_star where q >= q_ad (np.minimum(where=) is slower)
+                copyto(a, lo(a, mu_star, out=r), where=ge(q, q_ad, mask))
+                mu(q, q)
+                sub(sub(k_r, fq, fq), a, r)  # k_r - fq*r - flow
+                sub(a, q, q)  # flow - m
+                return
+            mul(add(fq, a, fq), r, fq)  # (fq + a)*r
+            if three:
+                mul(a, add(r, u, r), r)  # a*(r + u)
+                sub(k_u, mul(a, u, u), u)  # k_u - a*u
+            else:
+                mul(a, r, r)  # a*r
+            mu(q, q)
+            sub(r, q, q)  # a*r - m, or a*(r + u) - m
+            if sat:
+                add(q, k_u, q)
+            sub(k_r, fq, r)  # k_r - (fq + a)*r
+
+        return field
 
     def deriv(x, out, k_u):
-        nonlocal a, fq, mask
-        if a.shape != x.shape[1:]:
-            a, fq = np.empty((2, x.shape[1]))
-            mask = np.empty(x.shape[1], bool)
-        np.maximum(x[:rows], zero, out=out[:rows])
-        r, q = out[0], out[1]
-        alpha(q, a, fq, mask)  # fq: scratch until f fills it
-        f(q, fq)
-        if tag == "chattering":
-            mul(fq, r, fq)
-            _cap_flow(mul(a, r, a), q, q_ad, mu_star, r, mask)
-            mu(q, q)
-            sub(sub(k_r, fq, fq), a, r)  # k_r - fq*r - flow
-            sub(a, q, q)  # flow - m
-            return out
-        mul(add(fq, a, fq), r, fq)  # (fq + a)*r
-        if tag == "competitive":
-            u = out[2]
-            mul(a, add(r, u, r), r)  # a*(r + u)
-            sub(k_u, mul(a, u, u), u)  # k_u - a*u
-        else:
-            mul(a, r, r)  # a*r
-        mu(q, q)
-        sub(r, q, q)  # a*r - m, or a*(r + u) - m
-        if tag == "saturated":
-            add(q, k_u, q)
-        sub(k_r, fq, r)  # k_r - (fq + a)*r
+        bind(x.shape[1])(x[:rows], out[:rows], out[0], out[1], out[2], k_u)
         return out
 
+    deriv.bind, deriv.rows = bind, rows
     return deriv
 
 
@@ -287,61 +287,67 @@ def admitted_flows(cfg: ModelConfig, mode, x):
         if mode.dim == 3:
             u = np.maximum(arr[..., 2], 0.0, out=np.empty(shape)) if arr.shape[-1] == 3 else np.zeros(shape)
             return r[()], np.multiply(a, u, u)[()]  # [()]: 0-d to scalar
-    if _admittance_bound(cfg, mode.tag) is not None:
-        _cap_flow(r, q, cfg.q_ad, cfg.service.mu_star, a)
+    if _admittance_bound(cfg, mode.tag) is not None:  # the field's cap, into a as scratch
+        np.copyto(r, np.minimum(r, cfg.service.mu_star, out=a), where=np.greater_equal(q, cfg.q_ad))
     return r[()], np.zeros(shape)
 
 
 def _batch_run(deriv, hist, q_cap, chat_cap, raw=None):
     """The compiled run's numpy twin for the n runs of the (block, 3, n)
-    history hist: run(x, k_u, dt, k0, k1, j) -> (x, k) is the stretch
-    contract of _blocks for the (3, n) C-contiguous stack x, each step in
-    that run's operation order, with its NaN check and clamps (q_cap =
-    q_max; chat_cap the chattering bound, None in other modes).  raw, when
-    given, is a [per-coordinate minimum, maximum q] pair that takes in the
-    unclamped results.  The buffers (derivatives, U rows zero; a stage; a
-    mask) are made here, the 0-d stage factors and K_U once per call."""
+    history hist: run(x, k_u, dt, k0, k1, j) -> (x, k), _blocks's stretch
+    contract for the (3, n) C-contiguous stack x, in that run's operation
+    order with its NaN check and clamps (q_cap = q_max; chat_cap the
+    chattering bound, else None).  raw, when given, is a [per-coordinate
+    minimum, maximum q] pair taking in the unclamped results.  Made once per
+    march: the field bound to n, the derivatives (U rows zero), a stage, a
+    mask and the views of them and of each slot; per call, x's views."""
     n = hist.shape[2]
-    d1, d2, d3, d4 = (np.zeros((3, n)) for _ in range(4))
-    s = np.empty((3, n))
+    field, rows = deriv.bind(n), deriv.rows
+    D = np.zeros((5, 3, n))  # the four derivatives, then the stage
+    (d1, d2, d3, d4, s), d23, (o1, o2, o3, o4, ss) = D, D[1:3], D[:, :rows]
+    (r1, q1, u1), (r2, q2, u2), (r3, q3, u3), (r4, q4, u4), (_, sq, _) = D
     zero, two, cap = np.array(0.0), np.array(2.0), np.array(q_cap)
     if chat_cap is not None:
         chat, chat_eps, below = np.array(chat_cap), np.array(chat_cap + CLAMP_EPS), np.empty(n, bool)
-    slots = list(hist)  # the views, made once
-    mul, add = np.multiply, np.add
+    slots = [(slot, slot[:rows], slot[1]) for slot in hist]  # the views, made once
+    mul, add, hi, lo, less_equal, copyto, total, isnan = (np.multiply, np.add, np.maximum, np.minimum,
+                                                          np.less_equal, np.copyto, np.add.reduce, math.isnan)
 
     def run(x, k_u, dt, k0, k1, j):
         half, full, sixth = np.array(0.5 * dt), np.array(dt), np.array(dt / 6.0)
         c_k_u = np.array(k_u, dtype=float)
+        xs, xq = x[:rows], x[1]
         # overflow to inf and inf - inf = NaN pass silently, as in the compiled
         # run; the NaN check below names the step
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(k0, k1):
-                out = slots[j + k - k0]
+            for k, (out, outs, oq) in enumerate(slots[j : j + k1 - k0], k0):
                 if chat_cap is not None:
-                    np.less_equal(x[1], chat_eps, below)
-                deriv(x, d1, c_k_u)
-                deriv(add(mul(d1, half, s), x, s), d2, c_k_u)
-                deriv(add(mul(d2, half, s), x, s), d3, c_k_u)
-                deriv(add(mul(d3, full, s), x, s), d4, c_k_u)
-                # x + dt/6 * (((d1 + 2*d2) + 2*d3) + d4)
-                add(mul(d2, two, s), d1, s)
-                add(s, mul(d3, two, d3), s)
+                    less_equal(xq, chat_eps, below)
+                field(xs, o1, r1, q1, u1, c_k_u)
+                add(mul(d1, half, s), x, s)
+                field(ss, o2, r2, q2, u2, c_k_u)
+                add(mul(d2, half, s), x, s)
+                field(ss, o3, r3, q3, u3, c_k_u)
+                add(mul(d3, full, s), x, s)
+                field(ss, o4, r4, q4, u4, c_k_u)
+                # x + dt/6 * (((d1 + 2*d2) + 2*d3) + d4), d2 and d3 doubled in one call
+                mul(d23, two, d23)
+                add(d1, d2, s)
+                add(s, d3, s)
                 add(s, d4, s)
                 add(x, mul(s, sixth, s), out)
                 if raw is not None:
-                    np.minimum(raw[0], np.minimum.reduce(out, 1, initial=np.inf), out=raw[0])
-                    raw[1] = max(raw[1], float(np.maximum.reduce(out[1], initial=-np.inf)))
-                q = out[1]
+                    lo(raw[0], lo.reduce(out, 1, initial=np.inf), out=raw[0])
+                    raw[1] = max(raw[1], float(hi.reduce(oq, initial=-np.inf)))
                 if chat_cap is not None:
-                    np.copyto(q, np.minimum(q, chat, out=s[1]), where=below)
-                np.maximum(out, zero, out=out)
-                np.minimum(q, cap, out=q)
+                    copyto(oq, lo(oq, chat, out=sq), where=below)
+                hi(out, zero, out=out)
+                lo(oq, cap, out=oq)
                 # the projection and clamps keep NaN and leave every other value >= 0,
                 # so the sum is NaN exactly when some coordinate is
-                if math.isnan(np.add.reduce(out, None)):
+                if isnan(total(out, None)):
                     return x, k
-                x = out
+                x, xs, xq = out, outs, oq
             return x, k1
 
     return run
@@ -421,19 +427,12 @@ def _blocks(run, x, clock, hist, where: str, first: int = 1):
         yield hist[:j], times[:j]
 
 
-def _replayed(states, t0: float, h: float, size: int):
-    """The (m, 3) states of steps 1 .. m of one run from t0 by h, taken
-    elsewhere, as _blocks yields them: (k, 3, 1) views of up to size steps
-    and their end times t0 + k*h, the clock's own."""
-    for k in range(0, len(states), size):
-        block = states[k : k + size, :, None]
-        yield block, t0 + np.arange(k + 1, k + 1 + len(block)) * h
-
-
 def _within(states, targets, tol: float) -> np.ndarray:
-    """(k, n): whether each of the (k, 3, n) states lies within tol of one
-    of the (T, c, 1) targets in max-coordinate distance over the first c."""
-    dist = np.abs(states[:, None, : targets.shape[1]] - targets).max(axis=2)
+    """(k, n): whether each (k, 3, n) state lies within tol of one (T, c, 1)
+    target in max-coordinate distance over the first c; NaN reads False."""
+    dist = np.abs(states[:, None, 0] - targets[:, 0])
+    for i in range(1, targets.shape[1]):
+        np.maximum(dist, np.abs(states[:, None, i] - targets[:, i]), out=dist)
     return dist.min(axis=1, initial=np.inf) < tol
 
 
@@ -612,7 +611,7 @@ def _settle_run(cfg: ModelConfig, mode: SystemMode, x0s, targets, tol: float, t_
     start_counts, a start within tol counts as its streak's first state.
     done, for one run, holds the (m, 3) states of its first m steps, taken
     elsewhere by the same RK4 run: those that are full steps of the clock
-    are folded first (_replayed), and the march goes on from the last."""
+    are folded first, as one block, and the march goes on from the last."""
     if not tol > 0:
         raise ValueError("tol must be > 0")
     if t_cap < 0:
@@ -622,8 +621,8 @@ def _settle_run(cfg: ModelConfig, mode: SystemMode, x0s, targets, tol: float, t_
     clock = _clock(cfg, mode, t0, t0 + t_cap, h)
     m = min(len(done), max(clock.pieces[0][2] - 1, 0))
     blocks = _march(cfg, mode, h, done[m - 1][:, None] if m else x, clock, first=m + 1)
-    if m:
-        blocks = itertools.chain(_replayed(done[:m], t0, h, _block_steps(n)), blocks)
+    if m:  # one block of the m rows at the clock's own end times: the fold's bits do not depend on its blocks
+        blocks = itertools.chain([(done[:m, :, None], t0 + np.arange(1, m + 1) * h)], blocks)
     streak = _within(x[None], targets, tol)[0] * 1 if start_counts else np.zeros(n, dtype=int)
     return _settle(blocks, x, t0, targets, tol, streak)
 

@@ -205,14 +205,14 @@ class PriceSpec:
     def _kernel(self):
         import numpy as np
 
-        c_b = np.array(self.beta)
+        c_b, mul, sub, lo, hi = np.array(self.beta), np.multiply, np.subtract, np.minimum, np.maximum
         if self.variant == "surge":
-            return lambda q, out=None: np.multiply(c_b, q, out)
+            return lambda q, out=None: mul(c_b, q, out)
         c_2qm, c_floor = np.array(2 * self.q_m), np.array(2 * self.q_m - self.pieces[-1][0])
 
         def kernel(q, out=None):  # b * min(q, max(2*qm - q, floor))
-            w = np.maximum(np.subtract(c_2qm, q, out), c_floor, out=out)
-            return np.multiply(c_b, np.minimum(q, w, out=out), out)
+            w = hi(sub(c_2qm, q, out), c_floor, out=out)
+            return mul(c_b, lo(q, w, out=out), out)
 
         return kernel
 
@@ -244,8 +244,8 @@ class ServiceSpec:
     def _kernel(self):
         import numpy as np
 
-        c_ramp, c_q_c = np.array(self.mu_star / self.q_c), np.array(self.q_c)
-        return lambda q, out=None: np.multiply(c_ramp, np.minimum(q, c_q_c, out=out), out)
+        c_ramp, c_q_c, mul, lo = np.array(self.mu_star / self.q_c), np.array(self.q_c), np.multiply, np.minimum
+        return lambda q, out=None: mul(c_ramp, lo(q, c_q_c, out=out), out)
 
 
 def _first_zero(vanishes, lo: float, hi: float) -> float:
@@ -322,20 +322,21 @@ class AdmissionSpec:
         import numpy as np
 
         zero = np.array(0.0)  # 0-d operands make cheaper numpy calls than floats
+        mul, add, lo, hi, ge, copyto = np.multiply, np.add, np.minimum, np.maximum, np.greater_equal, np.copyto
         if self.variant == "linear":
             # q capped at the first float with c1*q + c2 < 0, from which alpha is +0.0: no c1*q overflows there
             c2, c1 = self.coefficients
             k2, k1, k_max = map(np.array, (c2, c1, _first_zero(lambda q: c1 * q + c2 < 0, self.q_max, math.inf)))
-            return lambda q, out=None, x=None, mask=None: np.maximum(  # x: scratch, apart from q and out
-                zero, np.add(np.multiply(k1, np.minimum(q, k_max, out=x), out), k2, out), out=out)
+            return lambda q, out=None, x=None, mask=None: hi(  # x: scratch, apart from q and out
+                zero, add(mul(k1, lo(q, k_max, out=x), out), k2, out), out=out)
         k0, k1, k2, k3, k_max = map(np.array, (*self.coefficients, self.q_max))
 
         def kernel(q, out=None, x=None, mask=None):  # x, mask: scratch, apart from q and out
-            x = np.minimum(q, k_max, out=x)  # alpha is 0 from q_max on: no poly to overflow there
+            x = lo(q, k_max, out=x)  # alpha is 0 from q_max on: no poly to overflow there
             out = np.empty(np.shape(q)) if out is None else out
-            np.multiply(x, np.add(k2, np.multiply(x, k3, out), out), out)
-            np.add(k0, np.multiply(x, np.add(k1, out, out), out), out)
-            np.copyto(np.maximum(zero, out, out=out), 0.0, where=np.greater_equal(q, k_max, mask))
+            mul(x, add(k2, mul(x, k3, out), out), out)
+            add(k0, mul(x, add(k1, out, out), out), out)
+            copyto(hi(zero, out, out=out), 0.0, where=ge(q, k_max, mask))
             return out
 
         return kernel

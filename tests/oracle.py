@@ -2,6 +2,7 @@
 uses.
 
 clock_steps walks a dynamics._clock one RK4 step at a time.
+within_broadcast is dynamics._within's tolerance test as one broadcast.
 finite_diff_jacobian differentiates dynamics.rhs by central differences.
 exact_class names the class of a 3x3 matrix of floats from its exact
 characteristic polynomial (fractions.Fraction): stability from the signs
@@ -27,6 +28,14 @@ def clock_steps(clock):
             yield s + k * h, h, k_u
         if n:
             yield e, (e - s) - (n - 1) * h, k_u
+
+
+def within_broadcast(states, targets, tol: float) -> np.ndarray:
+    """(k, n): whether each of the (k, 3, n) states lies within tol of one
+    of the (T, c, 1) targets in max-coordinate distance over the first c,
+    from one (k, T, c, n) array of distances: the reference of _within."""
+    dist = np.abs(states[:, None, : targets.shape[1]] - targets).max(axis=2)
+    return dist.min(axis=1, initial=np.inf) < tol
 
 
 def finite_diff_jacobian(cfg, state, mode="normal", h: float = 1e-6) -> JacobianMatrix:

@@ -4,11 +4,12 @@ import linecache
 import math
 import traceback
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from oracle import clock_steps
+from oracle import clock_steps, within_broadcast
 from accessprice import dynamics, model, regions
 from accessprice.dynamics import (
     CHATTERING,
@@ -960,6 +961,111 @@ class TestRunBlocks:
                 states, _, fault = _drive(section5_cfg, SWITCHED_FULL, x0, clock, dt, backend)
             assert fault == f"NaN state at t = {t_fault:g} (mode switched_full, h = 0.03)"
             assert len(states) == 35
+
+
+def _staged_field(stages):
+    """A field for _batch_run that ignores its states: its i-th call writes
+    stage i % 4 of step i // 4 of the (steps, 4, 3, n) stages into all
+    three rows."""
+    calls = iter(range(stages.shape[0] * 4))
+
+    def field(xs, outs, r, q, u, k_u):
+        i = next(calls)
+        outs[...] = stages[i // 4, i % 4]
+
+    return SimpleNamespace(bind=lambda n: field, rows=3)
+
+
+def _staged_scalar(stages, i):
+    """The same stages for run i as a deriv(r, q, u) of the scalar oracle."""
+    it = iter(stages[:, :, :, i].reshape(-1, 3).tolist())
+    return lambda r, q, u: next(it)
+
+
+class TestRK4Sum:
+    """The batch run sums the four stages in the compiled run's order,
+    ((d1 + 2*d2) + 2*d3) + d4, on derivatives with signed zeros and sums
+    that cancel, on which a re-associated sum or np.add.reduce gives other
+    bits.  The stages come from a field that ignores its states; the
+    reference is the scalar oracle, the compiled step's twin
+    (TestScalarBackend)."""
+
+    STEPS, DT = 3, 0.05
+
+    @classmethod
+    def stages(cls, n):
+        """(steps, 4, 3, n) stages: random signs and magnitudes from 1e-3 to
+        1e17, whose fourth stage nearly cancels the others; in run 0 zeros
+        of both signs and a sum whose rounding ties tell the orders apart
+        (1e16 + 2 + 1 - 1e16 is 4 in order, 2 from the right)."""
+        rng = np.random.default_rng(n)
+        d = rng.choice([-1.0, 1.0], (cls.STEPS, 4, 3, n)) * 10.0 ** rng.uniform(-3, 17, (cls.STEPS, 4, 3, n))
+        d[:, 3] = -(d[:, 0] + 2 * d[:, 1] + 2 * d[:, 2]) * (1 + rng.uniform(-1e-15, 1e-15, d[:, 3].shape))
+        d[0, :, :, 0] = [(1e16, 0.0, -0.0), (1.0, -0.0, 0.0), (0.5, -0.0, -0.0), (-1e16, -0.0, -0.0)]
+        return d
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_matches_the_compiled_sum(self, n):
+        stages = self.stages(n)
+        x0 = np.random.default_rng(n + 1).uniform(0.0, 1e3, (3, n))
+        x0[:, 0] = (30.0, 0.0, 0.0)
+        hist = np.empty((self.STEPS, 3, n))
+        run = dynamics._batch_run(_staged_field(stages), hist, math.inf, None)
+        assert run(x0.copy(), 0.0, self.DT, 0, self.STEPS, 0)[1] == self.STEPS
+        for i in range(n):
+            x = tuple(x0[:, i].tolist())
+            for k in range(self.STEPS):
+                x = _scalar_step(_staged_scalar(stages[k : k + 1], i), x, self.DT, 0.0, math.inf, None, "")
+                assert _bits_equal(hist[k, :, i], x), (i, k)
+        # the stages tell the orders apart: a re-associated sum moves some state
+        d1, d2, d3, d4 = stages[0]
+        c = self.DT / 6.0
+        seq = x0 + c * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
+        alt = x0 + c * (d1 + (2.0 * d2 + (2.0 * d3 + d4)))
+        assert not _bits_equal(np.maximum(seq, 0.0), np.maximum(alt, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 2, 50, 5000])
+    def test_four_negative_zeros_stay_negative(self, n):
+        # from -0.0, the compiled sum keeps -0.0, which only the raw bounds
+        # see: the batch step's clamp writes +0.0 into the state
+        stages = np.full((1, 4, 3, n), -0.0)
+        raw = [np.full(3, np.inf), -np.inf]
+        run = dynamics._batch_run(_staged_field(stages), np.empty((1, 3, n)), math.inf, None, raw)
+        run(np.full((3, n), -0.0), 0.0, self.DT, 0, 1, 0)
+        want = _scalar_step(_staged_scalar(stages, 0), (-0.0,) * 3, self.DT, 0.0, math.inf, None, "")
+        assert _bits_equal(raw[0], want) and _bits_equal(raw[1], want[1])
+
+
+class TestWithin:
+    """The settle fold's tolerance test, a coordinate at a time, against
+    the broadcast reference: NaN coordinates read False, no target reads
+    all False."""
+
+    @pytest.mark.parametrize("k", [1, 1000])
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    @pytest.mark.parametrize("coords", [2, 3])
+    def test_matches_the_broadcast(self, k, count, coords):
+        rng = np.random.default_rng(k + 10 * count + 100 * coords)
+        n = 7
+        targets = rng.integers(0, 40, (count, coords, 1)) / 4.0  # exact sums with tol
+        states = rng.uniform(0.0, 10.0, (k, 3, n))
+        if count:  # states near a target
+            near = targets[rng.integers(count, size=len(states[::3]))]
+            states[::3, :coords] = near + rng.normal(0.0, 0.3, (len(near), coords, n))
+        states[rng.random((k, 3, n)) < 0.05] = np.nan
+        states[0, 0, 0] = np.nan
+        if count:  # runs 1 and 2 of the last state on a target and exactly tol = 1 from it
+            states[-1, :, 1:3] = np.nan  # U is compared only by 3-coordinate targets
+            states[-1, :coords, 1:3] = targets[-1]
+            states[-1, 0, 2] += 1.0
+        for tol in (0.25, 1.0, 20.0):
+            got = dynamics._within(states, targets, tol)
+            want = within_broadcast(states, targets, tol)
+            assert got.shape == (k, n) and got.dtype == bool
+            assert np.array_equal(got, want), tol
+            assert not got[0, 0] and (count or not got.any())
+            assert not count or (got[-1, 1] and got[-1, 2] == (tol > 1.0))
+            assert not got[np.isnan(states[:, :coords]).any(axis=1)].any()
 
 
 def _integrate_peak(cfg, mode, x0, t0, t1, h):
