@@ -226,10 +226,11 @@ def _kernel(cfg: ModelConfig, tag: str):
              "qn = q + c * (kq1 + 2.0 * kq2 + 2.0 * kq3 + kq4)",
              f"un = u + c * ({ku(1)} + 2.0 * {ku(2)} + 2.0 * {ku(3)} + {ku(4)})",
              "if rn != rn or qn != qn or un != un:", "    return (r, q, u), k",
-             "if 0.0 > qn:", "    qn = 0.0", f"if {cap} < qn:", f"    qn = {cap}"]
+             "if 0.0 >= qn:", "    qn = 0.0", f"if {cap} < qn:", f"    qn = {cap}"]
     if chat is not None:
         step += [f"if q <= {q_ad_eps} and qn > {q_ad}:", f"    qn = {q_ad}"]
-    step += ["r = 0.0 if 0.0 > rn else rn", "q = qn", "u = 0.0 if 0.0 > un else un",
+    # 0.0 >= x: -0.0 clamps to +0.0, as np.maximum(x, 0.0) gives in _batch_run
+    step += ["r = 0.0 if 0.0 >= rn else rn", "q = qn", "u = 0.0 if 0.0 >= un else un",
              "out[i] = r", "out[i + 1] = q", "out[i + 2] = u", "i += 3"]
     body = ["r, q, u = x", "h2 = 0.5 * dt", "c = dt / 6.0", "i = 3 * j", "for k in range(k0, k1):",
             *("    " + line for line in step), "return (r, q, u), k1"]

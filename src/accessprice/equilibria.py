@@ -26,7 +26,8 @@ Back-substitution gives
 g depends on the mode only through K_U, so each balance equation is
 scanned once, memoised per exact value of every input that reaches g (K_R,
 the price, admission and service specs and K_U; not the schedule or q_ad),
-each float told apart bit for bit, so 0.0 from -0.0.  An entry holds the
+each float told apart bit for bit, so 0.0 from -0.0, by the repr of those
+inputs (each spec's kept on the spec).  An entry holds the
 merged roots and, filled the first time each fixed-point tag asks, its
 fixed points: normal, saturated(0.0) and competitive(0.0) share a scan.
 A hit is bit-identical to a fresh scan, the memo keeps a fixed number of
@@ -52,7 +53,6 @@ from .model import (
     ModelConfig,
     PriceSpec,
     ServiceSpec,
-    _alpha_clauses,
     _as_query,
     _bisect,
     _first_zero,
@@ -168,8 +168,9 @@ def find_fixed_points(cfg: ModelConfig, mode="normal", k_u: float | None = None)
     """
     mode, k_u = _fixed_point_mode(mode, k_u)
     tag = mode.fixed_point_tag
+    # repr((k_r, price, admission, service, k_u)), from each spec's kept repr:
     # repr writes each float so that it reads back bit for bit
-    key = repr((cfg.k_r, cfg.price, cfg.admission, cfg.service, k_u))
+    key = f"({cfg.k_r!r}, {cfg.price._repr}, {cfg.admission._repr}, {cfg.service._repr}, {k_u!r})"
     with _memo_lock:
         entry = _memo.get(key)
         if entry is not None:
@@ -272,7 +273,7 @@ def _alpha_targets(q1, q2, price, service, k_r):
 def _check_calibrated(admission, price, service, k_r, q1, q2) -> ModelConfig:
     cfg = ModelConfig(k_r=k_r, k_u_schedule=(), price=price, admission=admission, service=service)
     root, points = _root_count(cfg)
-    for cl in _alpha_clauses(admission) + [root]:
+    for cl in (*admission._clauses, root):
         if not cl.passed:
             raise CalibrationError(f"calibrated admission fails {cl.name}: {cl.detail}")
     found = [fp.q_star for fp in points]

@@ -30,6 +30,13 @@ its cost.  Both are compiled one way, by _make: the source names every
 constant by a parameter of a factory make(c0, ...), so it depends only on
 the tables' shapes and is compiled once per shape.  The mode vocabulary
 (SystemMode, as_mode, the constants) lives here; dynamics re-exports it.
+
+What the analysis chain derives from frozen fields is kept the kernel's
+way, as a cached_property on the object it derives from, so no
+module-wide cache holds a config: each spec's repr (_repr, for the
+fixed-point memo's key), an admission spec's alpha clauses (_clauses) and
+a config's R_dagger and q_dagger (_r_dagger, _q_dagger, from regions).
+An error is not kept: the next access raises it again.
 """
 
 from __future__ import annotations
@@ -201,6 +208,8 @@ class PriceSpec:
             end = 2 * qm if self.q_n is None else self.q_n
             _declare(self, ((0.0, 0.0, (-0.0, b)), (qm, 2 * qm, (-0.0, -b)), (end, 0.0, (b * (2 * qm - end),))))
 
+    _repr = functools.cached_property(repr)  # the fields are frozen: formatted once
+
     @functools.cached_property
     def _kernel(self):
         import numpy as np
@@ -240,6 +249,8 @@ class ServiceSpec:
             raise ValueError("q_c too small for mu_star: the ramp mu_star/q_c overflows")
         _declare(self, ((0.0, 0.0, (-0.0, ramp)), (q_c, 0.0, (ramp * q_c,))))
 
+    _repr = functools.cached_property(repr)
+
     @functools.cached_property
     def _kernel(self):
         import numpy as np
@@ -262,6 +273,19 @@ def _first_zero(vanishes, lo: float, hi: float) -> float:
         mid = (i + j) // 2
         i, j = (i, mid) if vanishes(value(mid)) else (mid, j)
     return value(j)
+
+
+def _linear_cap(c2: float, c1: float, q_max: float) -> float:
+    """The first float q >= q_max where c1*q + c2 < 0 (inf if none), from
+    which a linear alpha is +0.0.  c1*q + c2 is 0 only where c1*q rounds
+    to -c2, on a float or two unless c1*q is subnormal, so _first_zero
+    searches four floats above q_max, and [q_max, inf] only when the
+    bracket's top is not past the zeros: both give the first float, as
+    c1*q + c2 falls in q."""
+    vanishes, hi = (lambda q: c1 * q + c2 < 0), q_max
+    for _ in range(4):
+        hi = math.nextafter(hi, math.inf)
+    return _first_zero(vanishes, q_max, hi if vanishes(hi) else math.inf)
 
 
 @dataclass(frozen=True)
@@ -317,6 +341,13 @@ class AdmissionSpec:
         else:
             _declare(self, ((0.0, 0.0, coeffs), (self.q_max, 0.0, (0.0,))))
 
+    _repr = functools.cached_property(repr)
+
+    @functools.cached_property
+    def _clauses(self) -> tuple:
+        """validate's alpha clauses (_alpha_clauses), decided once."""
+        return tuple(_alpha_clauses(self))
+
     @functools.cached_property
     def _kernel(self):
         import numpy as np
@@ -325,8 +356,7 @@ class AdmissionSpec:
         mul, add, lo, hi, ge, copyto = np.multiply, np.add, np.minimum, np.maximum, np.greater_equal, np.copyto
         if self.variant == "linear":
             # q capped at the first float with c1*q + c2 < 0, from which alpha is +0.0: no c1*q overflows there
-            c2, c1 = self.coefficients
-            k2, k1, k_max = map(np.array, (c2, c1, _first_zero(lambda q: c1 * q + c2 < 0, self.q_max, math.inf)))
+            k2, k1, k_max = map(np.array, (*self.coefficients, _linear_cap(*self.coefficients, self.q_max)))
             return lambda q, out=None, x=None, mask=None: hi(  # x: scratch, apart from q and out
                 zero, add(mul(k1, lo(q, k_max, out=x), out), k2, out), out=out)
         k0, k1, k2, k3, k_max = map(np.array, (*self.coefficients, self.q_max))
@@ -386,6 +416,21 @@ class ModelConfig:
             if t0 <= t < t1:
                 return rate
         return 0.0
+
+    @functools.cached_property
+    def _r_dagger(self) -> float:
+        """regions.r_dagger, kept: it reads only frozen fields.  An error is
+        not kept, so the next access raises it again."""
+        from . import regions  # deferred: regions imports this module
+
+        return regions.r_dagger(self)
+
+    @functools.cached_property
+    def _q_dagger(self) -> float:
+        """regions.q_dagger, eta1_inverse(R_dagger), kept as _r_dagger is."""
+        from . import regions
+
+        return regions.eta1_inverse(self, self._r_dagger)
 
     def kink_points(self) -> tuple[float, ...]:
         """Queue lengths where f, mu or alpha are not differentiable: the
@@ -711,7 +756,7 @@ def validate_admissible(cfg: ModelConfig, *, k_u: float | None = None) -> Admiss
     """
     from . import equilibria  # deferred: equilibria imports this module
 
-    rep = AdmissibilityReport(_alpha_clauses(cfg.admission))
+    rep = AdmissibilityReport(list(cfg.admission._clauses))
     root, points = _root_count(cfg)
     rep.clauses.append(root)
     if k_u is not None:

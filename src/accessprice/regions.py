@@ -134,6 +134,8 @@ def eta1_inverse(cfg: ModelConfig, r: float) -> float:
         return 0.0
     q_max = cfg.admission.q_max
     hi = q_max * (1 - 1e-12) - 1e-12 if math.isfinite(q_max) else cfg.service.q_c * 1e6
+    if not hi > 0:  # q_max below about 1e-12: the float below it
+        hi = math.nextafter(q_max, 0.0)
     if eta1(cfg, hi) < r:
         raise ValueError(f"eta1 stays below {r:g} on its domain")
     mu, alpha = cfg.service._scalar, cfg.admission._scalar
@@ -141,8 +143,8 @@ def eta1_inverse(cfg: ModelConfig, r: float) -> float:
 
 
 def q_dagger(cfg: ModelConfig) -> float:
-    """eta1_inverse(R_dagger)."""
-    return eta1_inverse(cfg, r_dagger(cfg))
+    """eta1_inverse(R_dagger), kept on cfg with R_dagger (ModelConfig._q_dagger)."""
+    return cfg._q_dagger
 
 
 def _anchor(cfg, mode, k_u, what):
@@ -157,10 +159,10 @@ def _anchor(cfg, mode, k_u, what):
         raise ValueError(
             f"{what} construction needs exactly two {label} fixed points, found {len(fps)}"
         )
-    r2, rd = fps[1].r_star, r_dagger(cfg)
-    if not r2 > rd:
+    r2, rd = fps[1].r_star, cfg._r_dagger
+    if not r2 > rd:  # before q_dagger, whose own error would mask this one
         raise ValueError(f"hypothesis R2* > R_dagger violated: {r2:g} <= {rd:g}")
-    return fps[1], rd, eta1_inverse(cfg, rd)
+    return fps[1], rd, cfg._q_dagger
 
 
 def _corner(name, value, lo, hi, interval):

@@ -9,14 +9,17 @@ characteristic polynomial (fractions.Fraction): stability from the signs
 of the Routh-Hurwitz array, node or focus from the sign of the
 discriminant, and the 1e-12 bands of stability._classify checked on the
 roots at 120 digits (decimal).  No step of it rounds to a float.
+linear_cap searches a linear alpha's cap over all of [q_max, inf].
 """
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+import math
 
 import numpy as np
 
 from accessprice import dynamics
+from accessprice.model import _first_zero
 from accessprice.stability import DEGENERACY_TOL, JacobianMatrix, KinkProximityError, _check_state, _kinks
 
 
@@ -58,6 +61,12 @@ def finite_diff_jacobian(cfg, state, mode="normal", h: float = 1e-6) -> Jacobian
     x[dim:, :dim] -= h * np.eye(dim)
     d = dynamics.rhs(cfg, mode, 0.0, x)
     return JacobianMatrix(dim, ((d[:dim] - d[dim:]) / (2 * h))[:, :dim].T)
+
+
+def linear_cap(c2: float, c1: float, q_max: float) -> float:
+    """The first float q >= q_max where c1*q + c2 < 0 (inf if none), by
+    _first_zero over all of [q_max, inf]: the reference of model._linear_cap."""
+    return _first_zero(lambda q: c1 * q + c2 < 0, q_max, math.inf)
 
 
 def _real_root(c1, c2, c3) -> Decimal:

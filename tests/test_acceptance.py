@@ -6,6 +6,7 @@ to later calibration.
 """
 
 from pathlib import Path
+import sys
 import time
 
 import numpy as np
@@ -150,6 +151,23 @@ def test_c05_chattering_ceiling(ref_cfg):
 
 
 def test_c06_divergence_negative(ref_cfg, competitive_cfg):
+    # the budget times the library, so a line tracer (coverage, a debugger)
+    # is suspended while the clock runs; test_stability reaches divergence
+    tracer = sys.gettrace()
+    sys.settrace(None)
+    try:
+        elapsed, d2, d3 = _c06_worst(ref_cfg, competitive_cfg)
+    finally:
+        sys.settrace(tracer)
+    assert max(d2) < 0 and max(d3) < 0
+    report(
+        6, elapsed, 1.0,
+        f"2D worst = {max(d2):.3e}, 3D worst = {max(d3):.3e} over 10^4 states each",
+    )
+
+
+def _c06_worst(ref_cfg, competitive_cfg):
+    """(seconds, 2D divergences, 3D divergences) of c06's timed section."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(6)
 
@@ -169,14 +187,9 @@ def test_c06_divergence_negative(ref_cfg, competitive_cfg):
         return np.array(pts[:n])
 
     d2 = [stability.divergence(ref_cfg, x, "normal") for x in sample(ref_cfg, 10_000, False).tolist()]
-    assert max(d2) < 0
     d3 = [stability.divergence(competitive_cfg, x, "competitive")
           for x in sample(competitive_cfg, 10_000, True).tolist()]
-    assert max(d3) < 0
-    report(
-        6, time.perf_counter() - t0, 1.0,
-        f"2D worst = {max(d2):.3e}, 3D worst = {max(d3):.3e} over 10^4 states each",
-    )
+    return time.perf_counter() - t0, d2, d3
 
 
 def test_c07_section5_ordinal(section5_cfg):

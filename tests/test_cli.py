@@ -646,6 +646,16 @@ class TestCommands:
         rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
         assert [float(row[1]) for row in rows] == pytest.approx([44.9958, 45.0098, 90.4426], abs=1e-4)
 
+    def test_simulate_clamps_negative_zero(self, config_dir, tmp_path):
+        # K_U = -0.0 from U = -0.0: the start row keeps the sign given, each
+        # step's clamp leaves +0.0
+        out = tmp_path / "sim.csv"
+        assert run(["simulate", "--config", str(config_dir / "competitive.json"), "--mode", "competitive",
+                    "--k-u=-0.0", "--x0=30,45,-0.0", "--t1", "1", "--step", "0.01", "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()]
+        assert rows[0][3] == "U" and rows[1][3] == "-0" and len(rows) == 102
+        assert {row[3] for row in rows[2:]} == {"0"}
+
     def test_classify_reports_saddle_inequality(self, config_dir, tmp_path):
         out = tmp_path / "cls.csv"
         run(["classify", "--config", str(config_dir / "ref.json"), "--out", str(out)])

@@ -350,11 +350,11 @@ def _scalar_step(deriv, x, dt, t, q_cap, chat_cap, where):
     un = u + c * (ku1 + 2 * ku2 + 2 * ku3 + ku4)
     if rn != rn or qn != qn or un != un:
         raise FloatingPointError(f"NaN state at t = {t:g} ({where})")
-    qn = 0.0 if 0.0 > qn else qn
+    qn = 0.0 if 0.0 >= qn else qn
     qn = q_cap if q_cap < qn else qn
     if chat_cap is not None and q <= chat_cap + dynamics.CLAMP_EPS and qn > chat_cap:
         qn = chat_cap
-    return (0.0 if 0.0 > rn else rn), qn, (0.0 if 0.0 > un else un)
+    return (0.0 if 0.0 >= rn else rn), qn, (0.0 if 0.0 >= un else un)
 
 
 def _oracle_step(cfg, tag, k_u, where):
@@ -1026,14 +1026,16 @@ class TestRK4Sum:
 
     @pytest.mark.parametrize("n", [1, 2, 50, 5000])
     def test_four_negative_zeros_stay_negative(self, n):
-        # from -0.0, the compiled sum keeps -0.0, which only the raw bounds
-        # see: the batch step's clamp writes +0.0 into the state
+        # from -0.0, the sum stays -0.0, which only the raw bounds see: the
+        # clamps of both steps write +0.0 into the state
         stages = np.full((1, 4, 3, n), -0.0)
         raw = [np.full(3, np.inf), -np.inf]
-        run = dynamics._batch_run(_staged_field(stages), np.empty((1, 3, n)), math.inf, None, raw)
+        hist = np.empty((1, 3, n))
+        run = dynamics._batch_run(_staged_field(stages), hist, math.inf, None, raw)
         run(np.full((3, n), -0.0), 0.0, self.DT, 0, 1, 0)
         want = _scalar_step(_staged_scalar(stages, 0), (-0.0,) * 3, self.DT, 0.0, math.inf, None, "")
-        assert _bits_equal(raw[0], want) and _bits_equal(raw[1], want[1])
+        assert _bits_equal(raw[0], (-0.0,) * 3) and _bits_equal(raw[1], -0.0)
+        assert _bits_equal(hist[0, :, 0], want) and _bits_equal(want, (0.0,) * 3)
 
 
 class TestWithin:
@@ -1481,6 +1483,23 @@ class TestRegionBlocks:
         # besides the history: the state, four derivative buffers, the stage
         # buffer and the temporaries of one field and one block's region terms
         assert peak <= dynamics.BLOCK_BYTES + 10 * stack, peak
+
+
+class TestSignedZeroClamp:
+    """Both backends clamp a -0.0 result to +0.0: with K_U = -0.0 and a
+    start U = -0.0 every stage's dU is -0.0, and so is the sum."""
+
+    def test_one_run_matches_two(self, competitive_cfg):
+        mode, start = competitive_mode(-0.0), (30.0, 45.0, -0.0)
+        one = final_states(competitive_cfg, mode, [start], 0.0, 1.0)
+        two = final_states(competitive_cfg, mode, [start] * 2, 0.0, 1.0)
+        assert _bits_equal(one.states, two.states[:1]) and _bits_equal(two.states[0], two.states[1])
+        assert one.states[0][2] == 0.0 and math.copysign(1.0, one.states[0][2]) == 1.0
+
+    def test_every_step_of_one_run(self, competitive_cfg):
+        res = integrate(competitive_cfg, competitive_mode(-0.0), (30.0, 45.0, -0.0), 0.0, 0.5, h=0.01)
+        assert math.copysign(1.0, res.states[0, 2]) == -1.0  # the start row as given
+        assert (np.copysign(1.0, res.states[1:, 2]) == 1.0).all() and (res.states[1:, 2] == 0.0).all()
 
 
 class TestBackendChoice:

@@ -823,6 +823,32 @@ class TestMemo:
         assert len(plus) == len(minus) == 2
         assert [math.copysign(1.0, fp.u_star) for fp in plus + minus] == [1.0, 1.0, -1.0, -1.0]
 
+    def test_key_is_the_repr_of_the_inputs(self, ref_cfg, section5_cfg, competitive_cfg, cold):
+        c2, c1 = ref_cfg.admission.coefficients
+        signed = replace(ref_cfg, admission=AdmissionSpec("cubic", (c2, c1, 0.0, -0.0), q_max=92.5))
+        runs = [(ref_cfg, dynamics.NORMAL), (section5_cfg, dynamics.saturated_mode(0.3)),
+                (section5_cfg, dynamics.SWITCHED_FULL), (competitive_cfg, dynamics.competitive_mode(1.2)),
+                (competitive_cfg, dynamics.competitive_mode(-0.0)), (signed, dynamics.NORMAL)]
+        for cfg, mode in runs:
+            find_fixed_points(cfg, mode)
+            k_u = 0.0 if mode.fixed_point_tag == "normal" else mode.k_u
+            assert list(equilibria._memo)[-1] == repr((cfg.k_r, cfg.price, cfg.admission, cfg.service, k_u))
+        assert "-0.0" in list(equilibria._memo)[-1]
+
+    def test_each_spec_formatted_once(self, ref_cfg, cold, monkeypatch):
+        # the key's reprs are kept on the specs: an analysis run's calls
+        # format each spec once, whichever mode asks
+        cfg = replace(ref_cfg, **{part: replace(getattr(ref_cfg, part))
+                                  for part in ("price", "admission", "service")})
+        formatted = []
+        for cls in (PriceSpec, AdmissionSpec, ServiceSpec):
+            monkeypatch.setattr(cls, "__repr__",
+                                lambda self, fmt=cls.__repr__: formatted.append(type(self)) or fmt(self))
+        modes = ("normal", "normal", dynamics.competitive_mode(0.0), dynamics.saturated_mode(0.5), "chattering")
+        for mode in modes:
+            find_fixed_points(cfg, mode)
+        assert sorted(cls.__name__ for cls in formatted) == ["AdmissionSpec", "PriceSpec", "ServiceSpec"]
+
     def test_returned_list_belongs_to_the_caller(self, ref_cfg, cold):
         first = find_fixed_points(ref_cfg, "normal")
         want = _bits(first)

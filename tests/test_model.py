@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from oracle import linear_cap
+from accessprice import model
 from accessprice.equilibria import (
     CalibrationError,
     CalibrationTargets,
@@ -213,6 +215,63 @@ class TestAdmission:
         assert eval_admission(LIN, q) >= 0
 
 
+def _linear_coefficients(seed, n):
+    """n seeded (c2, c1) of falling lines: |c1| and the zero crossing each
+    over 10^-300 to 10^300, c2 of either sign, and the zero c2 = -0.0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        c1, crossing = (10.0 ** float(rng.uniform(-300, 300)) for _ in range(2))
+        c2 = c1 * crossing  # the zero crossing of c2 - c1*q, but for rounding
+        if math.isfinite(c2):
+            c1, c2 = -c1, float(rng.choice([1.0, 1.0, -1.0, -0.0])) * c2
+            out.append((c2, c1))
+    return out
+
+
+class TestLinearCap:
+    """The kernel's cap, the first float from q_max on where c1*q + c2 < 0,
+    from a few floats above q_max, against the search over [q_max, inf]."""
+
+    EDGES = [
+        (1.0, -2.0), (3.0, -3.0), (0.21142857142857144, -0.002285714285714286),  # c1*q_max + c2 == 0
+        (0.0, -1e-300), (-0.0, -1e-300), (1e-320, -1e-300), (5e-324, -1.5e-300), (1e-290, -1e-300),
+        (1e300, -1.0), (1e292, -1e-8), (1.7e308, -1e8), (1.7976931348623157e308, -1.0),  # q_max near 1e300
+        (1.0, -5e-324), (-1.0, -2.0), (0.0, -1.0), (0.1, 0.0), (0.1, 0.001),
+    ]
+
+    def test_matches_the_full_range_search(self, ref_cfg, competitive_cfg):
+        shipped = [cfg.admission.coefficients for cfg in (ref_cfg, competitive_cfg)] + [LIN.coefficients]
+        for c2, c1 in shipped + self.EDGES + _linear_coefficients(42, 400):
+            q_max = AdmissionSpec("linear", (c2, c1)).q_max
+            assert model._linear_cap(c2, c1, q_max).hex() == linear_cap(c2, c1, q_max).hex(), (c2, c1)
+
+    def test_edges_hold_each_case(self):
+        # the exact zeros stop the bracket's search short of the cap; the
+        # subnormal products lie beyond the bracket; the largest float's
+        # bracket reaches inf
+        caps = {(c2, c1): model._linear_cap(c2, c1, AdmissionSpec("linear", (c2, c1)).q_max)
+                for c2, c1 in self.EDGES}
+        assert caps[1.0, -2.0] == math.nextafter(0.5, math.inf)
+        assert caps[0.0, -1e-300] > 1e-30
+        assert caps[1.7976931348623157e308, -1.0] == math.inf
+        assert caps[0.1, 0.0] == caps[0.1, 0.001] == math.inf
+
+    def test_a_new_spec_searches_a_few_floats(self, ref_cfg, competitive_cfg, monkeypatch):
+        tested = []
+        first_zero = model._first_zero
+
+        def counted(vanishes, lo, hi):
+            return first_zero(lambda q: tested.append(q) or vanishes(q), lo, hi)
+
+        monkeypatch.setattr(model, "_first_zero", counted)
+        for cfg in (ref_cfg, competitive_cfg):
+            spec = AdmissionSpec("linear", cfg.admission.coefficients)  # a new spec: no kernel yet
+            tested.clear()
+            spec._kernel
+            assert len(tested) <= 3
+
+
 def central_diff(fn, q, h=1e-6):
     return (fn(q + h) - fn(q - h)) / (2 * h)
 
@@ -270,6 +329,24 @@ class TestValidateAdmissible:
         report = validate_admissible(ref_cfg)
         assert report.passed
         assert "found 2" in report.clause("root-count").detail
+
+    def test_alpha_clauses_decided_once_per_spec(self, ref_cfg, monkeypatch):
+        # calibration checks the new spec's alpha clauses; validate reuses them
+        extrema = []
+        extremum = model.extremum
+        monkeypatch.setattr(model, "extremum", lambda *a, **k: extrema.append(a) or extremum(*a, **k))
+        targets = CalibrationTargets(p1=0.04, p2=0.008)
+        adm = calibrate_linear_admission(targets, ref_cfg.price, ref_cfg.service, ref_cfg.k_r)
+        cfg = ModelConfig(k_r=ref_cfg.k_r, k_u_schedule=(), price=ref_cfg.price, admission=adm,
+                          service=ref_cfg.service)
+        first, second = validate_admissible(cfg), validate_admissible(cfg)
+        assert len(extrema) == 1
+        # each report its own list, the clauses as the spec decided them
+        names = ["alpha-positive-decreasing", "alpha-zero-beyond-qmax"]
+        first.clauses.clear()
+        assert [c.name for c in second.clauses[:2]] == names
+        assert validate_admissible(cfg).clauses == second.clauses and first.clauses == []
+        assert second.clauses[:2] == model._alpha_clauses(adm) and len(extrema) == 2
 
     def test_increasing_alpha_fails(self, ref_cfg):
         from dataclasses import replace

@@ -1,13 +1,16 @@
 import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import price_scaled
+from test_equilibria import _counted
 from accessprice import dynamics, model, regions
 from accessprice.dynamics import NORMAL, competitive_mode, final_states
 from accessprice.equilibria import (
@@ -196,6 +199,61 @@ class TestDaggers:
         monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` now raises ImportError
         assert [(r_dagger(cfg).hex(), q_dagger(cfg).hex()) for cfg in bare] == want
         assert not any("_kernel" in vars(spec) for cfg in bare for spec in (cfg.price, cfg.admission, cfg.service))
+
+    def test_eta1_inverse_below_a_tiny_q_max(self, ref_cfg):
+        # q_max = 1e-14, where the top q_max*(1 - 1e-12) - 1e-12 is negative:
+        # the bisection runs up to the float below q_max
+        cfg = dataclasses.replace(ref_cfg, admission=AdmissionSpec("linear", (2e-14, -2.0)))
+        assert cfg.admission.q_max == 1e-14
+        q = eta1_inverse(cfg, 1.0)
+        assert 0.0 < q < 1e-14
+        pairs = [(math.nextafter(q, 0.0), q), (q, math.nextafter(q, math.inf))]
+        assert any(eta1(cfg, lo) < 1.0 <= eta1(cfg, hi) for lo, hi in pairs), q
+        with pytest.raises(ValueError, match="^eta1 stays below 1e\\+20 on its domain$"):
+            eta1_inverse(cfg, 1e20)
+
+    def test_daggers_kept_on_the_config(self, ref_cfg, monkeypatch):
+        # polygon, cuboid and validate's q_ad clause share one R_dagger (its
+        # pair of extrema) and one q_dagger (its bisection)
+        rd, qd = r_dagger(ref_cfg), eta1_inverse(ref_cfg, r_dagger(ref_cfg))
+        cfg = dataclasses.replace(ref_cfg)  # a new config: nothing kept yet
+        extrema = _counted(monkeypatch, regions, "extremum")
+        inverses = _counted(monkeypatch, regions, "eta1_inverse")
+        build_polygon(cfg)
+        build_cuboid(cfg, k_u=0.0)
+        assert model.validate_admissible(cfg).clause("q-ad-above-q-dagger").passed
+        assert len(extrema) == 2 and [r for _, r in inverses].count(rd) == 1
+        assert (cfg._r_dagger, cfg._q_dagger, q_dagger(cfg)) == (rd, qd, qd) and len(extrema) == 2
+
+    def test_dagger_errors_are_raised_again(self, ref_cfg):
+        # a constant alpha: R2* = 30 <= R_dagger = 40, and eta1 = mu/alpha
+        # never reaches 40, so q_dagger is undefined; the anchor names R2*
+        cfg = dataclasses.replace(ref_cfg, admission=AdmissionSpec("linear", (0.1, 0.0)))
+        surge = dataclasses.replace(ref_cfg, price=PriceSpec("surge", beta=1e-3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^hypothesis R2\\* > R_dagger violated: 30 <= 40$"):
+                build_polygon(cfg)
+            with pytest.raises(ValueError, match="^eta1 stays below 40 on its domain$"):
+                q_dagger(cfg)
+            with pytest.raises(ValueError, match="^r_dagger needs a price variant with a peak q_m$"):
+                q_dagger(surge)
+        assert "_q_dagger" not in vars(cfg) and "_r_dagger" not in vars(surge)
+
+    def test_a_dropped_config_is_collected(self, ref_cfg):
+        # the kept values live on the config and its specs, which nothing else holds
+        targets = CalibrationTargets(p1=0.04, p2=0.008)
+        adm = calibrate_linear_admission(targets, ref_cfg.price, ref_cfg.service, ref_cfg.k_r)
+        cfg = dataclasses.replace(ref_cfg, admission=adm)
+        assert model.validate_admissible(cfg).passed
+        check_invariance(cfg, build_polygon(cfg), NORMAL, 100)
+        phase_grid(cfg, NORMAL, (0.0, 150.0), (0.0, 100.0), 10)
+        check_invariance(cfg, build_cuboid(cfg, k_u=0.0), competitive_mode(0.0), 100)
+        assert {"_r_dagger", "_q_dagger"} <= set(vars(cfg))
+        assert {"_clauses", "_repr", "_kernel"} <= set(vars(adm))
+        dropped = [weakref.ref(cfg), weakref.ref(adm)]
+        del cfg, adm
+        gc.collect()
+        assert [ref() for ref in dropped] == [None, None]
 
     def test_eta1_inverse_vanishing_alpha_is_named(self, ref_cfg):
         # alpha = 0.1 (q - 1)(q - 3) clamped at 0: zero on [1, 3], positive near q_max
