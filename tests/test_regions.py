@@ -223,7 +223,7 @@ class TestDaggers:
         build_cuboid(cfg, k_u=0.0)
         assert model.validate_admissible(cfg).clause("q-ad-above-q-dagger").passed
         assert len(extrema) == 2 and [r for _, r in inverses].count(rd) == 1
-        assert (cfg._r_dagger, cfg._q_dagger, q_dagger(cfg)) == (rd, qd, qd) and len(extrema) == 2
+        assert (cfg._r_dagger, cfg._q_dagger, q_dagger(cfg)) == (rd, qd, qd)
 
     def test_dagger_errors_are_raised_again(self, ref_cfg):
         # a constant alpha: R2* = 30 <= R_dagger = 40, and eta1 = mu/alpha
