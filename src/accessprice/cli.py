@@ -25,6 +25,7 @@ import re
 import sys
 
 from .model import (
+    MODE_TAGS,
     AdmissionSpec,
     ModelConfig,
     PriceSpec,
@@ -396,11 +397,11 @@ def _cmd_scenario(args, cfg, mode) -> int:
     from . import scenarios
 
     sc = scenarios.scenario_from_config(cfg, h=args.step)
-    w0 = max(args.window_start, sc.t0)
+    w0 = max(args.window_start, 0.0)
     w1 = min(args.window_end, sc.t1)
     if not w0 <= w1:  # NaN included; checked before any file is written
         raise ValueError(
-            f"window [{w0:g}, {w1:g}] outside the series horizon [{sc.t0:g}, {sc.t1:g}]"
+            f"window [{w0:g}, {w1:g}] outside the series horizon [0, {sc.t1:g}]"
         )
     result = scenarios.run_comparison(sc)
     # a window that holds no sample raises here, before any file is written
@@ -453,6 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, fn, summary, modes=True):
         p = sub.add_parser(name, help=summary)
+        # a word such as -1e-3 or -1,5 is a value, not an option, as argparse reads -1 (a private hook)
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.set_defaults(fn=fn)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument(
@@ -465,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--mode",
                 default="normal",
-                choices=["normal", "chattering", "saturated", "competitive", "switched-full"],
+                choices=[tag.replace("_", "-") for tag in MODE_TAGS],
             )
             p.add_argument(
                 "--k-u", type=float, default=0.0, dest="k_u",
@@ -497,8 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=100.0)
     add(p, "--step")
     p.add_argument("--x0", type=_floats, default="50,15,0", help="initial state r,q[,u]")
-    # a word such as -1,5 is a value, not an option, as argparse reads -1 (a private hook)
-    p._negative_number_matcher = re.compile(r"^-\.?\d")
     add(p, "--every", "--out")
 
     p = command("phase", _cmd_phase, "vector-field grid as CSV")

@@ -688,7 +688,7 @@ def _converge(cfg: ModelConfig, mode, x0, tol: float, t_cap: float, h: float, do
     """converge, resumed after done, the (m, 3) states of its own first m
     steps from x0 as the same RK4 run gives them (_settle_run): it returns
     what converge returns, bit for bit."""
-    from . import equilibria  # deferred: equilibria imports stability imports this
+    from . import equilibria  # deferred: a process that only integrates loads neither equilibria nor stability
 
     mode = as_mode(mode)
     if mode.tag == "switched_full":  # its targets are fixed points of a constant K_U

@@ -715,8 +715,11 @@ def _alpha_clauses(adm: AdmissionSpec) -> list[Clause]:
         return [Clause("alpha-positive-decreasing", False, "alpha never reaches zero"),
                 Clause("alpha-zero-beyond-qmax", False, "q_max is infinite")]
     steepest = extremum((adm.pieces,), 0.0, q_max, largest=True, order=1)[0]
-    passed = steepest <= 0 and any(adm.coefficients[1:]) and adm._scalar(math.nextafter(q_max, 0.0)) > 0
-    return [Clause("alpha-positive-decreasing", passed, f"largest alpha' on [0, {q_max:g}]: {steepest:g}"),
+    below = adm._scalar(math.nextafter(q_max, 0.0))
+    failed = [why for ok, why in ((steepest <= 0, "alpha rises"), (any(adm.coefficients[1:]), "alpha is constant"),
+                                  (below > 0, f"alpha = {below:g} at the float below q_max")) if not ok]
+    return [Clause("alpha-positive-decreasing", not failed,
+                   "; ".join([f"largest alpha' on [0, {q_max:g}]: {steepest:g}", *failed])),
             Clause("alpha-zero-beyond-qmax", adm._scalar(q_max) == 0.0)]
 
 

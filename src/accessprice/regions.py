@@ -205,8 +205,8 @@ def build_cuboid(cfg: ModelConfig, q_hat: float | None = None, u_hat: float | No
     q2, u2 = fp2.q_star, fp2.u_star
     q_hat = _corner("q_hat", q_hat, qd, q2, "(q_dagger, q2*)")
     lo_u = k_u / eval_admission(cfg.admission, q_hat)
+    room = eta1(cfg, q_hat) - eta2(cfg, q_hat)
     if u_hat is None:
-        room = eta1(cfg, q_hat) - eta2(cfg, q_hat)
         hi_u = min(u2, room) if k_u > 0 else room
         if not hi_u > lo_u:
             raise ValueError("no u_hat leaves the r_hat interval nonempty")
@@ -215,6 +215,8 @@ def build_cuboid(cfg: ModelConfig, q_hat: float | None = None, u_hat: float | No
         raise ValueError(f"u_hat must exceed K_U/alpha(q_hat) = {lo_u:g}, got {u_hat:g}")
     if k_u > 0 and not u_hat < u2:
         raise ValueError(f"u_hat must lie below U2* = {u2:g}, got {u_hat:g}")
+    if not u_hat < room:  # else the r_hat interval is empty
+        raise ValueError(f"u_hat must lie below eta1(q_hat) - eta2(q_hat) = {room:g}, got {u_hat:g}")
     r_hat = _corner("r_hat", r_hat, eta2(cfg, q_hat), eta3(cfg, q_hat, u_hat),
                     "(eta2(q_hat), eta3(q_hat, u_hat))")
     return RegionSpec(kind="cuboid3d", vertices=((0.0, 0.0, 0.0), (r_hat, q_hat, u_hat)))
@@ -345,6 +347,15 @@ def _face_runs(region: RegionSpec, k_u: float, n: int):
         yield samples, [(face[0], r, *face[3:]) for face, r in zip(run, rows)]
 
 
+def _count(name: str, n, least: int) -> int:
+    """n as an int; a ValueError naming it unless n is a whole number >= least."""
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}")
+    if not float(n).is_integer():  # NaN and inf included
+        raise ValueError(f"{name} must be a whole number, got {n:g}")
+    return int(n)
+
+
 def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) -> InvarianceReport:
     """Sample the region boundary and test that the flow points inward.
 
@@ -355,8 +366,7 @@ def check_invariance(cfg: ModelConfig, region: RegionSpec, mode, n: int = 1000) 
     share one rhs call while they fit in dynamics.BLOCK_BYTES; the field is
     pointwise, so each worst is the one a call per face gives.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _count("n", n, 0)
     report = InvarianceReport()
     if n == 0:
         report.warning = "no samples requested; vacuous pass"
@@ -389,8 +399,7 @@ def phase_grid(cfg: ModelConfig, mode, r_range, q_range, resolution: int) -> Pha
     import numpy as np
     from . import dynamics
 
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
+    resolution = _count("resolution", resolution, 1)
     r0, r1 = map(float, r_range)
     q0, q1 = map(float, q_range)
     if not (math.isfinite(r1) and math.isfinite(q1) and r1 > r0 >= 0 and q1 > q0 >= 0):

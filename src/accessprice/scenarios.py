@@ -25,6 +25,7 @@ from . import dynamics, equilibria
 from .model import ModelConfig, PriceSpec
 
 ZERO_FLOW_TOL = 1e-12
+BOUNCEBACK_TOL = 1e-2  # the probe's settling band and target distance, per component
 
 
 @dataclass(frozen=True)
@@ -38,21 +39,20 @@ class Burst:
 class ScenarioConfig:
     """Comparison-scenario parameters around a base configuration.
 
-    The base price must be the saturated variant (the proposed
-    mechanism); the surge leg reuses its beta.
+    The horizon is [0, t1].  The base price must be the saturated variant
+    (the proposed mechanism); the surge leg reuses its beta.
     """
 
     base: ModelConfig
     burst: Burst = Burst()
-    t0: float = 0.0
     t1: float = 400.0
     x0: tuple[float, float, float] = (50.0, 15.0, 0.0)
-    h: float = 0.01
+    h: float = dynamics.DEFAULT_STEP
 
     def __post_init__(self):
         if self.base.price.variant != "saturated":
             raise ValueError("scenario base configuration needs the saturated price")
-        if not (self.t0 <= self.burst.t_start <= self.burst.t_end <= self.t1):
+        if not (0.0 <= self.burst.t_start <= self.burst.t_end <= self.t1):
             raise ValueError("burst interval must sit inside the horizon")
         if any(v < 0 for v in self.x0):
             raise ValueError("x0 must be nonnegative")
@@ -76,11 +76,7 @@ def scenario_from_config(cfg: ModelConfig, **overrides) -> ScenarioConfig:
     """
     if len(cfg.k_u_schedule) > 1:
         raise ValueError("scenario expects at most one schedule piece as the burst")
-    if cfg.k_u_schedule:
-        t0, t1, rate = cfg.k_u_schedule[0]
-        overrides.setdefault("burst", Burst(t0, t1, rate))
-    else:
-        overrides.setdefault("burst", Burst(k_u=0.0))
+    overrides.setdefault("burst", Burst(*cfg.k_u_schedule[0]) if cfg.k_u_schedule else Burst(k_u=0.0))
     return ScenarioConfig(base=cfg, **overrides)
 
 
@@ -117,19 +113,9 @@ def run_comparison(sc: ScenarioConfig) -> ComparisonResult:
     Both legs share everything except the price function and run in the
     full switched mode, so K_U(t) follows the burst schedule.
     """
-    surge_price, sat_price = sc.pricing_pair
-    legs = []
-    for price in (surge_price, sat_price):
-        cfg = sc.leg_config(price)
-        legs.append(
-            dynamics.integrate(cfg, dynamics.SWITCHED_FULL, sc.x0, sc.t0, sc.t1, sc.h)
-        )
-    return ComparisonResult(
-        surge=legs[0],
-        saturated=legs[1],
-        fairness_surge=FairnessSeries.from_trajectory(legs[0]),
-        fairness_saturated=FairnessSeries.from_trajectory(legs[1]),
-    )
+    legs = [dynamics.integrate(sc.leg_config(price), dynamics.SWITCHED_FULL, sc.x0, 0.0, sc.t1, sc.h)
+            for price in sc.pricing_pair]
+    return ComparisonResult(*legs, *map(FairnessSeries.from_trajectory, legs))
 
 
 def fairness_gap(fs_a: FairnessSeries, fs_b: FairnessSeries, window) -> tuple[float, float]:
@@ -167,16 +153,15 @@ class BouncebackReport:
 def bounceback_probe(
     sc: ScenarioConfig,
     result: ComparisonResult | None = None,
-    tol: float = 1e-2,
     t_cap: float | None = None,
 ) -> BouncebackReport:
     """Does the saturated leg return to the low-congestion point?
 
     Continues the saturated leg from the burst end with the post-burst
     rate (the scheduled rate after t_end, normally zero) until the state
-    settles, up to t_cap (default ten horizons).  Non-convergence is
-    reported, never raised.  result, when given, must be
-    run_comparison(sc).
+    settles within BOUNCEBACK_TOL, up to t_cap (default ten horizons).
+    Non-convergence is reported, never raised.  result, when given, must
+    be run_comparison(sc).
 
     It gives the bits of converge from the leg's state at t_end.  The leg
     is cut at the schedule edges, so the row of t_end lies in its last
@@ -204,13 +189,13 @@ def bounceback_probe(
     leg = result.saturated
     i = leg._row(t_end)  # the row of leg.state_at(t_end)
     if t_cap is None:
-        t_cap = 10.0 * (sc.t1 - sc.t0)
+        t_cap = 10.0 * sc.t1
     res = dynamics._converge(
-        cfg, dynamics.competitive_mode(post_rate), leg.states[i], tol, t_cap, sc.h,
+        cfg, dynamics.competitive_mode(post_rate), leg.states[i], BOUNCEBACK_TOL, t_cap, sc.h,
         leg.states[i + 1 : -1],
     )
     final = tuple(float(v) for v in res.final_state)
-    reached = bool(np.max(np.abs(res.final_state - np.array(tgt))) < tol)
+    reached = bool(np.max(np.abs(res.final_state - np.array(tgt))) < BOUNCEBACK_TOL)
     notice = "converged" if res.converged else "no convergence before t_cap"
     return BouncebackReport(
         skipped=False,

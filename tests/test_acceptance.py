@@ -236,12 +236,12 @@ def test_c07_section5_ordinal(section5_cfg):
     target = find_fixed_points(section5_cfg, "saturated", 0.0)[0]
     tgt = np.array([target.r_star, target.q_star, 0.0])
     at_horizon = np.max(np.abs(result.saturated.state_at(400.0) - tgt))
-    probe = scenarios.bounceback_probe(sc, result, tol=1e-2)
+    probe = scenarios.bounceback_probe(sc, result)
     settled_by_horizon = at_horizon < 1e-2
     assert settled_by_horizon or (
         probe.converged
         and probe.reached_target
-        and probe.settling_time <= 10.0 * (sc.t1 - sc.t0)
+        and probe.settling_time <= 10.0 * sc.t1
     )
     report(
         7, time.perf_counter() - t0, 30.0,

@@ -411,6 +411,47 @@ class TestInputDomain:
         assert not out.exists()
 
 
+class TestNegativeNumbers:
+    """Every subcommand reads a word that starts with -<digit> or -.<digit>
+    as a value, exponent forms included, so the library names a bad one."""
+
+    def test_every_float_option_takes_a_negative(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        seen = []
+        for name, sub in commands.items():
+            required = ["--out-prefix", "P"] if name == "scenario" else []
+            for action in sub._actions:
+                if action.type is float:
+                    flag = action.option_strings[0]
+                    args = parser.parse_args([name, "--config", "c.json", *required, flag, "-1e-3"])
+                    assert getattr(args, action.dest) == -1e-3
+                    seen.append(f"{name} {flag}")
+        assert len(seen) == 17 and "scenario --window-start" in seen
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["phase", "--config", "ref.json", "--r-min", "-1e-3", "--out", "OUT"], 1,
+         "error: ranges must be finite, nonnegative and increasing"),
+        (["doa", "--config", "ref.json", "--q-choice", "-1e-3", "--out", "OUT"], 1,
+         "error: q_choice must lie in (q_dagger, q2*) = (42.1094, 82), got -0.001"),
+        (["validate", "--config", "ref.json", "--k-u", "-1e-3"], 1,
+         "competitive-root-count: FAIL (scan failed: k_u must be >= 0)"),
+        (["scenario", "--config", "section5.json", "--step", "0.1", "--window-start", "-1e2",
+          "--out-prefix", "OUT"], 0, None),
+    ])
+    def test_exponent_form_negative_reaches_the_library(self, config_dir, tmp_path, capsys, argv, code,
+                                                        line):
+        argv = [str(config_dir / a) if a.endswith(".json") else str(tmp_path / "P") if a == "OUT" else a
+                for a in argv]
+        assert run(argv) == code
+        captured = capsys.readouterr()
+        if line is None:  # the window's start is clamped to the horizon's, 0
+            summary = json.loads((tmp_path / "P_summary.json").read_text())
+            assert summary["fairness_gap"]["window"] == [0.0, 300.0]
+        else:
+            assert line in (captured.out + captured.err).splitlines()
+
+
 def _float_flag():
     """A float flag's value: absent, any float (NaN, +-inf and negatives too) or a usual one."""
     return st.one_of(st.none(), st.floats(), st.floats(0.0, 160.0))

@@ -378,7 +378,7 @@ class TestValidateAdmissible:
         assert adm._scalar(math.nextafter(adm.q_max, 0.0)) == 0.0
         clause = validate_admissible(replace(section5_cfg, admission=adm)).clause("alpha-positive-decreasing")
         assert not clause.passed
-        assert clause.detail == "largest alpha' on [0, 100.906]: -0.000157473"
+        assert clause.detail == "largest alpha' on [0, 100.906]: -0.000157473; alpha = 0 at the float below q_max"
 
     def test_small_kr_fails(self, ref_cfg):
         from dataclasses import replace
@@ -441,7 +441,7 @@ class TestValidateAdmissible:
 
     @pytest.mark.parametrize("c, passed, steepest", [
         ((1.0, 0.0, 0.0, -1e-6), True, "0"),  # alpha' = -3e-6 q^2 is 0 at q = 0 alone
-        ((0.1, 0.0, 0.0, 0.0), False, "0"),  # constant: nonincreasing, not decreasing
+        ((0.1, 0.0, 0.0, 0.0), False, "0; alpha is constant"),  # nonincreasing, not decreasing
     ])
     def test_decreasing_is_a_slope_at_most_zero_and_not_constant(self, section5_cfg, c, passed, steepest):
         from dataclasses import replace
@@ -449,6 +449,20 @@ class TestValidateAdmissible:
         adm = AdmissionSpec("cubic", c, q_max=100.0)
         clause = validate_admissible(replace(section5_cfg, admission=adm)).clause("alpha-positive-decreasing")
         assert (clause.passed, clause.detail) == (passed, f"largest alpha' on [0, 100]: {steepest}")
+
+    @pytest.mark.parametrize("coefficients, q_max, detail", [
+        ((0.1, 0.01, 0.0, 0.0), 100.0, "largest alpha' on [0, 100]: 0.01; alpha rises"),
+        # section5's cubic: past its zero near 100 alpha stays at its floor, 0
+        (None, 1e100, "largest alpha' on [0, 1e+100]: -0.000393954; alpha = 0 at the float below q_max"),
+        ((0.0, 0.0, 0.0, 0.0), 100.0,
+         "largest alpha' on [0, 100]: 0; alpha is constant; alpha = 0 at the float below q_max"),
+    ])
+    def test_failing_detail_names_each_failed_condition(self, section5_cfg, coefficients, q_max, detail):
+        from dataclasses import replace
+
+        adm = AdmissionSpec("cubic", coefficients or section5_cfg.admission.coefficients, q_max=q_max)
+        clause = validate_admissible(replace(section5_cfg, admission=adm)).clause("alpha-positive-decreasing")
+        assert (clause.passed, clause.detail) == (False, detail)
 
     @settings(max_examples=150)
     @given(base=st.sampled_from(["ref", "section5"]), coefficients=st.lists(

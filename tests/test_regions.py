@@ -452,6 +452,18 @@ class TestCheckInvariance:
         with pytest.raises(ValueError, match="^n must be >= 0$"):
             check_invariance(competitive_cfg, cub, competitive_mode(1.0), -5)
 
+    @pytest.mark.parametrize("n, named", [(2.5, "2.5"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_samples_not_a_whole_number_named(self, ref_cfg, competitive_cfg, n, named):
+        for cfg, region, mode in ((ref_cfg, build_polygon(ref_cfg), NORMAL),
+                                  (competitive_cfg, build_cuboid(competitive_cfg), competitive_mode(0.0))):
+            with pytest.raises(ValueError, match=f"^n must be a whole number, got {named}$"):
+                check_invariance(cfg, region, mode, n)
+
+    def test_whole_float_samples_are_the_int(self, ref_cfg, competitive_cfg):
+        for cfg, region, mode in ((ref_cfg, build_polygon(ref_cfg), NORMAL),
+                                  (competitive_cfg, build_cuboid(competitive_cfg), competitive_mode(0.0))):
+            assert check_invariance(cfg, region, mode, 30.0) == check_invariance(cfg, region, mode, 30)
+
     def test_zero_samples_vacuous(self, ref_cfg):
         poly = build_polygon(ref_cfg, 70.0, 58.0)
         rep = check_invariance(ref_cfg, poly, NORMAL, 0)
@@ -601,6 +613,17 @@ class TestBuildCuboid:
         with pytest.raises(ValueError, match="u_hat"):
             build_cuboid(competitive_cfg, q_hat, lower, r_hat, k_u=1.0)
 
+    @pytest.mark.parametrize("u_hat", [1e308, "room"])
+    def test_u_hat_that_leaves_no_r_hat_is_named(self, competitive_cfg, u_hat):
+        # at or above eta1(q_hat) - eta2(q_hat), eta3(q_hat, u_hat) <= eta2(q_hat)
+        q_hat = build_cuboid(competitive_cfg).vertices[1][1]
+        room = eta1(competitive_cfg, q_hat) - eta2(competitive_cfg, q_hat)
+        u_hat = room if u_hat == "room" else u_hat
+        with pytest.raises(ValueError) as err:
+            build_cuboid(competitive_cfg, u_hat=u_hat)
+        assert str(err.value) == f"u_hat must lie below eta1(q_hat) - eta2(q_hat) = {room:g}, got {u_hat:g}"
+        assert build_cuboid(competitive_cfg, u_hat=0.99 * room).vertices[1][2] == 0.99 * room
+
     def test_r_hat_interval(self, competitive_cfg):
         _, q_hat, u_hat = build_cuboid(competitive_cfg, k_u=1.0).vertices[1]
         with pytest.raises(ValueError, match="r_hat"):
@@ -668,6 +691,17 @@ class TestPhaseGrid:
     def test_non_finite_range_rejected(self, ref_cfg, r_range, q_range):
         with pytest.raises(ValueError, match="finite"):
             phase_grid(ref_cfg, NORMAL, r_range, q_range, 3)
+
+    @pytest.mark.parametrize("resolution, named", [(2.5, "2.5"), (math.nan, "nan"), (math.inf, "inf")])
+    def test_resolution_not_a_whole_number_named(self, ref_cfg, resolution, named):
+        # 2.5 used to give centres at r = 0.2, 0.6 and 1.0, the last outside the box
+        with pytest.raises(ValueError, match=f"^resolution must be a whole number, got {named}$"):
+            phase_grid(ref_cfg, NORMAL, (0.0, 1.0), (0.0, 1.0), resolution)
+
+    def test_whole_float_resolution_is_the_int(self, ref_cfg):
+        grids = [phase_grid(ref_cfg, NORMAL, (0.0, 150.0), (0.0, 100.0), res) for res in (50, 50.0)]
+        for name in ("r", "q", "dr", "dq", "magnitude", "eta1_curve", "eta2_curve"):
+            assert getattr(grids[0], name).tobytes() == getattr(grids[1], name).tobytes()
 
     def test_bad_resolution(self, ref_cfg):
         with pytest.raises(ValueError):

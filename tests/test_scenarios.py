@@ -179,7 +179,7 @@ class TestBounceback:
         assert report.converged
         assert report.reached_target
         assert report.target[1] == pytest.approx(30.0, abs=1e-6)
-        assert report.settling_time < 10.0 * (sc.t1 - sc.t0)
+        assert report.settling_time < 10.0 * sc.t1
 
 
 class TestBouncebackResumesTheLeg:
@@ -212,7 +212,7 @@ class TestBouncebackResumesTheLeg:
         cfg = sc.leg_config(sc.base.price)
         leg = run_comparison(sc).saturated
         i = leg._row(burst.t_end)
-        s, e, n, h, k_u = dynamics._clock(cfg, dynamics.SWITCHED_FULL, sc.t0, sc.t1, sc.h).pieces[-1]
+        s, e, n, h, k_u = dynamics._clock(cfg, dynamics.SWITCHED_FULL, 0.0, sc.t1, sc.h).pieces[-1]
         j = len(leg.times) - 1 - n  # the row the last piece starts on
         assert j <= i and leg.times[j] == s and leg.times[-1] == e
         assert np.float64(k_u).tobytes() == np.float64(cfg.schedule_rate(burst.t_end)).tobytes()
@@ -231,7 +231,7 @@ class TestBouncebackResumesTheLeg:
         assert max(len(leg.times) - 2 - leg._row(t_end), 0) == reused
         report = bounceback_probe(sc, result)
         plain = dynamics.converge(sc.leg_config(sc.base.price), dynamics.competitive_mode(0.0),
-                                  leg.state_at(t_end), 1e-2, 10.0 * (sc.t1 - sc.t0), sc.h)
+                                  leg.state_at(t_end), 1e-2, 10.0 * sc.t1, sc.h)
         assert report.converged is plain.converged is True
         assert np.float64(report.settling_time).tobytes() == np.float64(t_end + plain.settling_time).tobytes()
         assert np.array(report.final_state).tobytes() == plain.final_state.tobytes()
